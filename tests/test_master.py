@@ -1,0 +1,127 @@
+"""Master-field certificates on a 16-node coupled scenario.
+
+Order-1.5 jumps on a box of half-width 2, quadratic momentum cost of
+weight 0.5, a compactly supported bump convolution as running cost, no
+terminal cost, T = 0.5 and dt_cap = 0.03125 (half the 0.0625 budget of
+this grid).  One scenario is shared by the whole module so its memo reuses
+the solves across tests.  Expected values were measured once and frozen;
+comments record the raw measurements.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from levymfg.coupling import Conv, Zero, eval_F
+from levymfg.errors import BudgetError
+from levymfg.grid import Field, Grid
+from levymfg.hjb import QuadraticHamiltonian
+from levymfg.kernels import KernelCache
+from levymfg.levy import FractionalLaplacian, LevyTriplet
+from levymfg.master import Scenario, eval_U, master_residual
+from levymfg.measures import Measure
+
+GRID = Grid(16, 2.0)
+TRIPLET = LevyTriplet(jumps=(FractionalLaplacian(1.5),))
+T_END = 0.5
+DT_CAP = 0.03125
+SAMPLES = [(0.0,), (0.5,), (-1.0,)]
+
+
+def bump_kernel() -> Field:
+    # exactly compactly supported; a Gaussian tail trips the Conv edge guard
+    def bump(x):
+        inside = x * x < 1.0
+        return np.where(
+            inside, 0.25 * np.exp(-1.0 / np.maximum(1.0 - x * x, 1e-300)),
+            0.0)
+    return Field.from_function(GRID, bump)
+
+
+def make_scenario(**overrides) -> Scenario:
+    data = dict(
+        kernel=KernelCache(TRIPLET, GRID),
+        hamiltonian=QuadraticHamiltonian(0.5),
+        running_cost=Conv(bump_kernel()),
+        terminal_cost=Zero(),
+        T=T_END,
+        dt_cap=DT_CAP,
+    )
+    data.update(overrides)
+    return Scenario(**data)
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    return make_scenario()
+
+
+@pytest.fixture(scope="module")
+def m0():
+    return Measure.normalized(Field.from_function(
+        GRID, lambda x: np.exp(-2.0 * x * x)))
+
+
+@pytest.fixture(scope="module")
+def interior(scenario, m0):
+    return master_residual(scenario, 0.25, m0, SAMPLES)
+
+
+class TestTerminalIdentity:
+    def test_field_at_horizon_is_the_terminal_cost(self, scenario, m0):
+        u_T = eval_U(scenario, T_END, m0)
+        g_T = eval_F(scenario.terminal_cost, m0)
+        assert float(np.max(np.abs(u_T.values - g_T.values))) == 0.0
+
+    def test_residual_degenerates_to_the_boundary_condition(
+            self, scenario, m0):
+        report = master_residual(scenario, T_END, m0, SAMPLES)
+        assert report.mode == "terminal-identity"
+        assert report.sup_grid == 0.0  # measured: 0.0
+        assert report.sup_sampled == 0.0
+        assert report.delta_t == 0.0
+        assert report.y_stride == 1
+
+
+class TestInteriorResidual:
+    def test_full_batch_residual(self, interior):
+        assert interior.mode == "interior"
+        assert interior.y_stride == 1
+        assert interior.delta_t == pytest.approx(4 * DT_CAP)
+        assert 3.7e-4 < interior.sup_grid < 3.85e-4  # measured: 3.7731e-4
+        assert interior.sup_sampled <= interior.sup_grid
+        assert set(interior.term_sups) == {
+            "time", "generator", "hamiltonian", "nonlocal_probe",
+            "transport_probe", "coupling"}
+
+    def test_coarse_batch_fallback(self, scenario, m0, interior):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            coarse = master_residual(scenario, 0.25, m0, SAMPLES,
+                                     y_batch_cap=8)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "per-axis budget" in str(caught[0].message)
+        assert coarse.y_stride == 2
+        shift = abs(coarse.sup_grid - interior.sup_grid)
+        assert 0.0 < shift <= 2e-7  # measured: 9.37e-8
+
+
+class TestValidation:
+    def test_time_probe_needs_a_step(self, scenario, m0):
+        with pytest.raises(ValueError, match="at least one step"):
+            master_residual(scenario, 0.25, m0, SAMPLES, time_probe_steps=0)
+
+    def test_time_probe_must_stay_inside_the_horizon(self, scenario, m0):
+        # 8 steps of 0.03125 from t0 = 0.25 reach T itself
+        with pytest.raises(ValueError, match=r"leaves \[0, T\)"):
+            master_residual(scenario, 0.25, m0, SAMPLES, time_probe_steps=8)
+
+    @pytest.mark.parametrize("dt_cap", [0.1, 0.0])
+    def test_dt_cap_outside_the_budget(self, dt_cap):
+        with pytest.raises(BudgetError, match="stepping budget"):
+            make_scenario(dt_cap=dt_cap)
+
+    def test_coupling_without_derivative_action(self):
+        with pytest.raises(TypeError, match="measure-derivative action"):
+            make_scenario(running_cost=object())

@@ -45,9 +45,6 @@ _M2_TOL = 1e-10
 class Zero:
     """No coupling: F identically zero."""
 
-    def grid_of(self, m: Measure) -> Grid:
-        return m.grid
-
 
 @dataclass(frozen=True)
 class Conv:
@@ -193,6 +190,21 @@ def apply_dmF(coupling, m: Measure, rho: Field) -> Field:
         return periodic_convolve(
             coupling.phi2, Field(m.grid, weight * smoothed_rho.values))
     raise TypeError(f"unknown coupling variant {type(coupling).__name__}")
+
+
+def _check_derivative_couplings(grid: Grid, owner: str, running,
+                                terminal) -> None:
+    """Require derivative carriers with kernels on ``owner``'s ``grid``."""
+    for name, coupling in (("running", running), ("terminal", terminal)):
+        if not isinstance(coupling, (Zero, Conv, LocalComposite)):
+            raise TypeError(
+                f"{name} coupling {type(coupling).__name__} has no "
+                "measure-derivative action")
+        kern = getattr(coupling, "phi", None) or \
+            getattr(coupling, "phi2", None)
+        if kern is not None and kern.grid != grid:
+            raise GridMismatchError(f"{name} coupling kernel grid "
+                                    f"!= {owner} grid")
 
 
 def eval_dmF(coupling, m: Measure, lazy: bool = False):

@@ -1,8 +1,4 @@
-"""Error taxonomy shared by all modules.
-
-Exit-code mapping used by the CLI: config/schema problems -> 2,
-solver divergence -> 3, exceeded step/size budgets -> 4.
-"""
+"""Error taxonomy shared by all modules."""
 
 
 class LevyMfgError(Exception):
@@ -43,7 +39,3 @@ class DivergenceError(LevyMfgError):
 
 class InstabilityError(LevyMfgError):
     """A conservation/positivity monitor tripped (e.g. mass drift)."""
-
-
-class SchemaError(LevyMfgError):
-    """Run configuration failed validation."""

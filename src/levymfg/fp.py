@@ -5,12 +5,15 @@ The equation marched here is
     d(rho)/dt = L* rho + div(b rho + c),    rho(t0) = rho0,
 
 for the adjoint L* of the generator held by a KernelCache, a vector drift b
-and an optional vector source c.  One step smooths both the state and the
-flux with the adjoint kernel and adds the spectral divergence of the flux:
+and an optional vector source c.  One step of ``_march_forward`` smooths
+both the state and the flux with the adjoint kernel and adds the spectral
+divergence of the flux:
 
     rho_{k+1} = S*_dt rho_k + dt * div( S*_dt (b_k rho_k + c_k) ).
 
-The divergence carries no mean, so total mass is conserved for every input;
+``solve_fp`` runs this first-order march alone; the forward leg of the
+linearized system adds whole-interval trapezoid Picard sweeps to it.  The
+divergence carries no mean, so total mass is conserved for every input;
 negative undershoots are reported but never clipped inside the march.
 """
 
@@ -21,22 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import (
-    BudgetError,
-    GridMismatchError,
-    InstabilityError,
-    QuadratureError,
-    SpectralResidueError,
-)
+from .errors import GridMismatchError, InstabilityError, QuadratureError
 from .grid import Field, Grid, gradient
-from .hjb import Trajectory, _gradient_multipliers, _solver_order, step_budget
+from .hjb import (Trajectory, _check_operand, _check_step,
+                  _gradient_multipliers)
 from .kernels import KernelCache
+from .levy import _jump_densities
 from .measures import Measure, TightnessFn
 
 _MASS_DRIFT_TOL = 1e-6
 _BLOWUP_SUP = 1e6
 _RENORM_BUDGET = 1e-8
-_RESIDUE_TOL = 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -44,25 +42,85 @@ _RESIDUE_TOL = 1e-10
 
 
 def _divergence(grid: Grid, vec_values: np.ndarray) -> np.ndarray:
-    """Spectral divergence of a (d, *grid.shape) vector sample."""
-    axes = tuple(range(1, 1 + grid.dims))
-    spec = np.fft.rfftn(vec_values, axes=axes)
+    """Spectral divergence of a (..., d, *grid.shape) vector sample."""
+    d = grid.dims
+    axes = tuple(range(vec_values.ndim - d, vec_values.ndim))
+    spec = np.moveaxis(np.fft.rfftn(vec_values, axes=axes), -1 - d, 0)
     mults = _gradient_multipliers(grid)
     acc = mults[0] * spec[0]
-    for i in range(1, grid.dims):
+    for i in range(1, d):
         acc = acc + mults[i] * spec[i]
-    return np.fft.irfftn(acc, s=grid.shape, axes=tuple(range(grid.dims)))
+    return np.fft.irfftn(acc, s=grid.shape, axes=tuple(a - 1 for a in axes))
 
 
-def _check_vector_trajectory(name: str, tr: Trajectory, grid: Grid,
-                             t0: float, T: float, n_steps: int) -> None:
-    if tr.grid != grid:
-        raise GridMismatchError(f"{name} grid != kernel grid")
-    if not tr.is_vector:
-        raise ValueError(f"{name} must be a vector trajectory")
-    if tr.n_steps != n_steps or abs(tr.t0 - t0) > 1e-12 or \
-            abs(tr.T - T) > 1e-12:
-        raise ValueError(f"{name} trajectory must share the time slab")
+def _march_forward(kernel: KernelCache, drift: Trajectory | None,
+                   flux: Trajectory | None, rho0: Field, t0: float, T: float,
+                   n_steps: int, picard_sweeps: int) -> Trajectory:
+    """March d(rho)/dt = L* rho + div(b rho + c) from rho(t0) = rho0.
+
+    ``drift`` b and ``flux`` c are vector trajectories on the slab (None
+    means zero).  The first pass is the one-step divergence-form march;
+    each Picard sweep then rebuilds the path with the flux divergence of
+    the previous pass under the composite trapezoid.  With neither drift
+    nor flux the first pass is the adjoint semigroup itself, exact in time,
+    and no sweep runs.  Raises InstabilityError when the running mass
+    drifts past 1e-6, a slice stops being finite, or its sup-norm passes
+    1e6 (all symptoms of an oversized step).
+    """
+    grid = kernel.grid
+    dt = (T - t0) / n_steps
+    _check_step(kernel, dt, T - t0)
+    vol = grid.cell_volume
+    mass0 = vol * float(np.sum(rho0.values))
+    scale = max(1.0, abs(mass0))
+
+    def monitor(values: np.ndarray, k: int) -> None:
+        sup = float(np.max(np.abs(values)))
+        mass = vol * float(np.sum(values))
+        if not np.isfinite(sup) or sup > _BLOWUP_SUP or \
+                not np.isfinite(mass) or abs(mass - mass0) > _MASS_DRIFT_TOL * scale:
+            raise InstabilityError(
+                f"forward march destabilized at step {k}/{n_steps} "
+                f"(sup {sup:.3e}, mass drift {mass - mass0:.3e}); "
+                "use a smaller dt")
+
+    def total_flux(k, rho: np.ndarray) -> np.ndarray | None:
+        """b rho + c at slice k (an index, or slice(None) for every slice)."""
+        out = None
+        if drift is not None:
+            out = drift.values[k] * np.expand_dims(rho, -1 - grid.dims)
+        if flux is not None:
+            out = flux.values[k] if out is None else out + flux.values[k]
+        return out
+
+    w = np.empty((n_steps + 1,) + grid.shape)
+    w[0] = rho0.values
+    for k in range(n_steps):
+        vec = total_flux(k, w[k])
+        if vec is None:
+            w[k + 1] = kernel.apply_array(dt, w[k], adjoint=True)
+        else:
+            stack = np.concatenate([w[k][None], vec], axis=0)
+            smooth = kernel.apply_array(dt, stack, adjoint=True)
+            w[k + 1] = smooth[0] + dt * _divergence(grid, smooth[1:])
+        monitor(w[k + 1], k + 1)
+
+    half = 0.5 * dt
+    for _ in range(picard_sweeps):
+        vec_all = total_flux(slice(None), w)
+        if vec_all is None:
+            break
+        h_all = _divergence(grid, vec_all)
+        fresh = np.empty_like(w)
+        fresh[0] = rho0.values
+        for k in range(n_steps):
+            propagated = kernel.apply_array(
+                dt, fresh[k] + half * h_all[k], adjoint=True)
+            fresh[k + 1] = propagated + half * h_all[k + 1]
+            monitor(fresh[k + 1], k + 1)
+        w = fresh
+
+    return Trajectory(grid, t0, T, w)
 
 
 def solve_fp(kernel: KernelCache, drift: Trajectory | None, rho0: Field,
@@ -70,10 +128,11 @@ def solve_fp(kernel: KernelCache, drift: Trajectory | None, rho0: Field,
              n_steps: int) -> Trajectory:
     """March the forward equation; returns the scalar density trajectory.
 
-    Probability inputs with zero source keep unit mass to 1e-10 and stay
-    above -1e-7 of their peak.  Raises InstabilityError when the running
-    mass drifts past 1e-6, a slice stops being finite, or its sup-norm
-    passes 1e6 (all symptoms of an oversized step).
+    Runs the first-order pass of ``_march_forward``.  Probability inputs
+    with zero source keep unit mass to 1e-10 and stay above -1e-7 of their
+    peak.  Raises InstabilityError when the running mass drifts past 1e-6,
+    a slice stops being finite, or its sup-norm passes 1e6 (all symptoms
+    of an oversized step).
     """
     grid = kernel.grid
     if rho0.grid != grid:
@@ -82,46 +141,10 @@ def solve_fp(kernel: KernelCache, drift: Trajectory | None, rho0: Field,
         raise ValueError("need T > t0")
     if n_steps < 1:
         raise ValueError("need at least one step")
-    alpha = _solver_order(kernel)
-    dt = (T - t0) / n_steps
-    budget = step_budget(alpha, grid)
-    if dt > budget * (1.0 + 1e-12):
-        need = int(np.ceil((T - t0) / budget))
-        raise BudgetError(
-            f"dt={dt:.3e} exceeds the stepping budget {budget:.3e} "
-            f"(0.5*dx^alpha, alpha={alpha:g}); use n_steps >= {need}")
-    if drift is not None:
-        _check_vector_trajectory("drift", drift, grid, t0, T, n_steps)
-    if source is not None:
-        _check_vector_trajectory("source", source, grid, t0, T, n_steps)
-
-    vol = grid.cell_volume
-    w = np.empty((n_steps + 1,) + grid.shape)
-    w[0] = rho0.values
-    mass0 = vol * float(np.sum(w[0]))
-    scale = max(1.0, abs(mass0))
-    for k in range(n_steps):
-        if drift is None and source is None:
-            w[k + 1] = kernel.apply_array(dt, w[k], adjoint=True)
-        else:
-            if drift is not None:
-                flux = drift.values[k] * w[k]
-                if source is not None:
-                    flux = flux + source.values[k]
-            else:
-                flux = source.values[k]
-            stack = np.concatenate([w[k][None], flux], axis=0)
-            smooth = kernel.apply_array(dt, stack, adjoint=True)
-            w[k + 1] = smooth[0] + dt * _divergence(grid, smooth[1:])
-        sup = float(np.max(np.abs(w[k + 1])))
-        mass = vol * float(np.sum(w[k + 1]))
-        if not np.isfinite(sup) or sup > _BLOWUP_SUP or \
-                not np.isfinite(mass) or abs(mass - mass0) > _MASS_DRIFT_TOL * scale:
-            raise InstabilityError(
-                f"forward march destabilized at step {k + 1}/{n_steps} "
-                f"(sup {sup:.3e}, mass drift {mass - mass0:.3e}); "
-                "use a smaller dt")
-    return Trajectory(grid, t0, T, w)
+    for name, tr in (("drift", drift), ("source", source)):
+        if tr is not None:
+            _check_operand(name, tr, grid, t0, T, n_steps, vector=True)
+    return _march_forward(kernel, drift, source, rho0, t0, T, n_steps, 0)
 
 
 def mass_series(rho: Trajectory) -> np.ndarray:
@@ -153,18 +176,6 @@ def slice_measure(rho: Trajectory, k: int,
 # distributional identity
 
 
-def _apply_symbol(kernel: KernelCache, f: Field) -> np.ndarray:
-    """L f through the generator's Fourier symbol (real output checked)."""
-    spec = np.fft.fftn(f.values)
-    out = np.fft.ifftn(-kernel.symbol * spec)
-    scale = max(1.0, float(np.max(np.abs(out.real))))
-    residue = float(np.max(np.abs(out.imag)))
-    if residue > _RESIDUE_TOL * scale:
-        raise SpectralResidueError(
-            f"imaginary residue {residue:.3e} applying the symbol")
-    return out.real
-
-
 def weak_residual(kernel: KernelCache, rho: Trajectory,
                   drift: Trajectory | None, source: Trajectory | None,
                   phi: Field, t: float) -> float:
@@ -183,7 +194,7 @@ def weak_residual(kernel: KernelCache, rho: Trajectory,
     k_end = rho.index_of(t)
     if k_end == 0:
         return 0.0
-    lphi = _apply_symbol(kernel, phi)
+    lphi = kernel.apply_generator(phi.values)
     dphi = [g.values for g in gradient(phi)]
     vol = grid.cell_volume
     axes = tuple(range(1, 1 + grid.dims))
@@ -241,23 +252,14 @@ def small_jump_second_moment(triplet) -> float:
     resulting budgets on the safe side.
     """
     total = 0.0
-    for jump in triplet.jumps:
-        densities = []
-        if hasattr(jump, "density"):
-            densities.append(jump.density)
-        else:
-            alphas = getattr(jump, "alphas", None) or (jump.alpha,)
-            for a in alphas:
-                densities.append(lambda z, a=a: np.abs(z) ** (-1.0 - a))
-        for dens in densities:
-            for sign in (1.0, -1.0):
-                val, err = quad(
-                    lambda z: z * z * float(dens(sign * z)),
-                    0.0, 1.0, epsabs=1e-10, epsrel=1e-8, limit=200)
-                if not np.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
-                    raise QuadratureError(
-                        "small-jump second moment failed to converge")
-                total += val
+    for dens in _jump_densities(triplet):
+        val, err = quad(
+            lambda z: z * z * dens(z),
+            0.0, 1.0, epsabs=1e-10, epsrel=1e-8, limit=200)
+        if not np.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
+            raise QuadratureError(
+                "small-jump second moment failed to converge")
+        total += val
     return total
 
 

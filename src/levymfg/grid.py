@@ -275,8 +275,9 @@ def parseval_gap(f: Field) -> float:
 def boundary_shell_mass(f: Field, shell_fraction: float = 0.1) -> float:
     """|f| mass in the outer shell (within shell_fraction of the boundary).
 
-    Solver runs are flagged when this exceeds 1e-6: the periodic box is a
-    stand-in for free space and wrap-around must stay negligible.
+    A diagnostic for callers: the periodic box is a stand-in for free
+    space, so wrap-around is negligible only while this stays small (1e-6
+    is a sensible flag level).  No solver calls it.
     """
     mask = np.zeros(f.grid.shape, dtype=bool)
     for i in range(f.grid.dims):

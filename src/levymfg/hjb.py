@@ -10,12 +10,16 @@ forward in the reversed clock s = T - t, where the mild (Duhamel) form
     v(s) = K_s * g + int_0^s K_{s-r} * [f(T-r) - H(x, v(r), Dv(r))] dr
 
 is discretized by exponential Euler and then corrected by whole-interval
-Picard sweeps with a trapezoidal quadrature of the integral.  All public
-trajectories are indexed in physical time.
+Picard sweeps with a trapezoidal quadrature of the integral.  That march,
+``_march_backward``, takes the Duhamel integrand as a callback: ``solve_hjb``
+passes f - H, and the backward leg of the linearized system passes its
+source minus the transport term V . Dz.  All public trajectories are
+indexed in physical time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -31,7 +35,7 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .grid import Field, Grid, _derivative_multiplier_half
-from .kernels import KernelCache
+from .kernels import KernelCache, _nyquist_shell_max
 from .levy import order_alpha
 
 _BLOWUP_SUP = 1e6
@@ -374,6 +378,13 @@ class Trajectory:
     def terminal(self) -> Field:
         return self.slice_field(self.n_steps)
 
+    def check_slab(self, what: str, t0: float, T: float, n_steps: int
+                   ) -> None:
+        """Raise ValueError unless the slices discretize [t0, T] in n_steps."""
+        if self.n_steps != n_steps or abs(self.t0 - t0) > 1e-12 or \
+                abs(self.T - T) > 1e-12:
+            raise ValueError(f"{what} must share the time slab")
+
     def index_of(self, t: float) -> int:
         """Nearest slice index to physical time t (must be on the slab)."""
         k = int(round((t - self.t0) / self.dt))
@@ -405,6 +416,17 @@ class Trajectory:
         return cls(grid, t0, T, np.zeros(shape + grid.shape))
 
 
+def _check_operand(name: str, tr: Trajectory, grid: Grid, t0: float,
+                   T: float, n_steps: int, vector: bool) -> None:
+    """Raise unless ``tr`` is a vector (or scalar) history on grid and slab."""
+    if tr.grid != grid:
+        raise GridMismatchError(f"{name} grid != kernel grid")
+    tr.check_slab(f"{name} trajectory", t0, T, n_steps)
+    if tr.is_vector != vector:
+        kind = "vector" if vector else "scalar"
+        raise ValueError(f"{name} must be a {kind} trajectory")
+
+
 # --------------------------------------------------------------------------
 # solver
 
@@ -412,6 +434,24 @@ class Trajectory:
 def step_budget(triplet_order: float, grid: Grid) -> float:
     """Largest admissible dt for mild stepping: 0.5 * min(dx)^alpha."""
     return _DT_SAFETY * min(grid.dx) ** triplet_order
+
+
+def _check_step(kernel: KernelCache, dt: float, span: float | None = None
+                ) -> None:
+    """Raise BudgetError unless 0 < dt <= step_budget for the kernel.
+
+    ``span`` is the slab length of a march, and the error then names the
+    step count that fits; without it ``dt`` is a step cap (``dt_cap``).
+    """
+    alpha = _solver_order(kernel)
+    budget = step_budget(alpha, kernel.grid)
+    if 0.0 < dt <= budget * (1.0 + 1e-12):
+        return
+    rule = f"the stepping budget {budget:.3e} (0.5*dx^alpha, alpha={alpha:g})"
+    if span is None:
+        raise BudgetError(f"dt_cap={dt:.3e} outside {rule}")
+    need = int(math.ceil(span / budget))
+    raise BudgetError(f"dt={dt:.3e} exceeds {rule}; use n_steps >= {need}")
 
 
 def _solver_order(cache: KernelCache) -> float:
@@ -429,29 +469,28 @@ def _nyquist_fraction(f: Field) -> float:
     peak = float(np.max(np.abs(spec)))
     if peak == 0.0:
         return 0.0
-    tail = 0.0
-    for ax in range(f.grid.dims):
-        sl = [slice(None)] * f.grid.dims
-        sl[ax] = f.grid.n[ax] // 2
-        tail = max(tail, float(np.max(np.abs(spec[tuple(sl)]))))
-    return tail / peak
+    return _nyquist_shell_max(f.grid, spec) / peak
 
 
-def _gradient_multipliers(grid: Grid) -> list[np.ndarray]:
+@functools.lru_cache(maxsize=16)
+def _gradient_multipliers(grid: Grid) -> tuple[np.ndarray, ...]:
+    """Half-spectrum multipliers of the first partials (cached, read-only)."""
     mults = []
     for i in range(grid.dims):
         beta = tuple(1 if j == i else 0 for j in range(grid.dims))
-        mults.append(_derivative_multiplier_half(grid, beta))
-    return mults
+        mult = _derivative_multiplier_half(grid, beta)
+        mult.setflags(write=False)
+        mults.append(mult)
+    return tuple(mults)
 
 
-def _batch_gradient(grid: Grid, values: np.ndarray,
-                    mults: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+def _batch_gradient(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
     """First partials over the trailing grid axes (leading axes batch)."""
     axes = tuple(range(values.ndim - grid.dims, values.ndim))
     spec = np.fft.rfftn(values, axes=axes)
     return tuple(
-        np.fft.irfftn(spec * m, s=grid.shape, axes=axes) for m in mults)
+        np.fft.irfftn(spec * m, s=grid.shape, axes=axes)
+        for m in _gradient_multipliers(grid))
 
 
 def _guard(slice_values: np.ndarray, reversed_index: int, n_steps: int,
@@ -465,15 +504,58 @@ def _guard(slice_values: np.ndarray, reversed_index: int, n_steps: int,
             f"index {stable} of {n_steps}")
 
 
+def _march_backward(kernel: KernelCache, terminal: Field, t0: float,
+                    T: float, n_steps: int, picard_sweeps: int,
+                    drive: Callable) -> Trajectory:
+    """Mild march of -du/dt - Lu = N(t, u) from u(T) = terminal.
+
+    ``drive(values, phys)`` returns the Duhamel integrand N for one slice
+    at physical index ``phys``, or for the whole reversed stack when
+    ``phys`` is ``slice(None, None, -1)``.  The first pass is exponential
+    Euler in the reversed clock, integrand evaluated slice by slice; each
+    Picard sweep then rebuilds the trajectory with the integrand of the
+    previous pass, batched over all slices, under the composite trapezoid.
+    Raises BudgetError when dt exceeds the 0.5*dx^alpha budget and
+    DivergenceError when a slice's sup-norm passes 1e6.
+    """
+    grid = kernel.grid
+    dt = (T - t0) / n_steps
+    _check_step(kernel, dt, T - t0)
+    if _nyquist_fraction(terminal) > _TERMINAL_TAIL_TOL:
+        warnings.warn(
+            "terminal data is marginally resolved: Nyquist spectral "
+            "fraction exceeds 1e-6; expect degraded accuracy", stacklevel=3)
+
+    # exponential Euler in the reversed clock (w[j] sits at T - j*dt)
+    w = np.empty((n_steps + 1,) + grid.shape)
+    w[0] = terminal.values
+    for j in range(n_steps):
+        rhs = w[j] + dt * drive(w[j], n_steps - j)
+        w[j + 1] = kernel.apply_array(dt, rhs)
+        _guard(w[j + 1], j + 1, n_steps, T, dt)
+
+    # whole-interval corrections: trapezoidal integrand from the last sweep
+    half = 0.5 * dt
+    for _ in range(picard_sweeps):
+        n_all = drive(w, slice(None, None, -1))
+        fresh = np.empty_like(w)
+        fresh[0] = terminal.values
+        for j in range(n_steps):
+            propagated = kernel.apply_array(dt, fresh[j] + half * n_all[j])
+            fresh[j + 1] = propagated + half * n_all[j + 1]
+            _guard(fresh[j + 1], j + 1, n_steps, T, dt)
+        w = fresh
+
+    return Trajectory(grid, t0, T, w[::-1])
+
+
 def solve_hjb(kernel: KernelCache, hamiltonian, source: Trajectory | None,
               terminal: Field, t0: float, T: float, n_steps: int,
               picard_sweeps: int = 2) -> Trajectory:
     """Solve the terminal-value problem -du/dt - Lu + H(x,u,Du) = f.
 
-    The first pass is exponential Euler in the reversed clock; each Picard
-    sweep then rebuilds the trajectory with the Duhamel integrand frozen at
-    the previous sweep's values and integrated by the composite trapezoid.
-    Raises BudgetError when dt exceeds the 0.5*dx^alpha budget and
+    Runs ``_march_backward`` with the integrand f - H(x, u, Du).  Raises
+    BudgetError when dt exceeds the 0.5*dx^alpha budget and
     DivergenceError when a slice's sup-norm passes 1e6.
     """
     grid = kernel.grid
@@ -485,63 +567,22 @@ def solve_hjb(kernel: KernelCache, hamiltonian, source: Trajectory | None,
         raise ValueError("need at least one step")
     if picard_sweeps < 0:
         raise ValueError("picard_sweeps must be >= 0")
-    alpha = _solver_order(kernel)
-    dt = (T - t0) / n_steps
-    budget = step_budget(alpha, grid)
-    if dt > budget * (1.0 + 1e-12):
-        need = int(math.ceil((T - t0) / budget))
-        raise BudgetError(
-            f"dt={dt:.3e} exceeds the stepping budget {budget:.3e} "
-            f"(0.5*dx^alpha, alpha={alpha:g}); use n_steps >= {need}")
     if source is not None:
         if source.grid != grid:
             raise GridMismatchError("source grid != kernel grid")
         if source.is_vector:
             raise ValueError("source trajectory must be scalar")
-        if source.n_steps != n_steps or abs(source.t0 - t0) > 1e-12 or \
-                abs(source.T - T) > 1e-12:
-            raise ValueError("source trajectory must share the time slab")
-    if _nyquist_fraction(terminal) > _TERMINAL_TAIL_TOL:
-        warnings.warn(
-            "terminal data is marginally resolved: Nyquist spectral "
-            "fraction exceeds 1e-6; expect degraded accuracy", stacklevel=2)
-
+        source.check_slab("source trajectory", t0, T, n_steps)
     mesh = grid.meshgrid()
-    mults = _gradient_multipliers(grid)
 
-    def integrand(slice_values: np.ndarray, rev_index: int) -> np.ndarray:
-        grad = _batch_gradient(grid, slice_values, mults)
-        ham = hamiltonian.value(mesh, slice_values, grad)
+    def drive(values: np.ndarray, phys) -> np.ndarray:
+        ham = hamiltonian.value(mesh, values, _batch_gradient(grid, values))
         if source is None:
             return -np.asarray(ham, dtype=float)
-        return source.values[n_steps - rev_index] - ham
+        return source.values[phys] - ham
 
-    # exponential Euler in the reversed clock
-    w = np.empty((n_steps + 1,) + grid.shape)
-    w[0] = terminal.values
-    for j in range(n_steps):
-        rhs = w[j] + dt * integrand(w[j], j)
-        w[j + 1] = kernel.apply_array(dt, rhs)
-        _guard(w[j + 1], j + 1, n_steps, T, dt)
-
-    # whole-interval corrections: trapezoidal integrand from the last sweep
-    half = 0.5 * dt
-    for _ in range(picard_sweeps):
-        rhs_all = _batch_gradient(grid, w, mults)
-        ham_all = hamiltonian.value(mesh, w, rhs_all)
-        if source is None:
-            n_all = -np.asarray(ham_all, dtype=float)
-        else:
-            n_all = source.values[::-1] - ham_all
-        fresh = np.empty_like(w)
-        fresh[0] = terminal.values
-        for j in range(n_steps):
-            propagated = kernel.apply_array(dt, fresh[j] + half * n_all[j])
-            fresh[j + 1] = propagated + half * n_all[j + 1]
-            _guard(fresh[j + 1], j + 1, n_steps, T, dt)
-        w = fresh
-
-    return Trajectory(grid, t0, T, w[::-1])
+    return _march_backward(kernel, terminal, t0, T, n_steps, picard_sweeps,
+                           drive)
 
 
 # --------------------------------------------------------------------------
@@ -598,9 +639,7 @@ def gradient_bound_report(u: Trajectory) -> GradientBoundReport:
         return np.max(np.abs(der), axis=axes)
 
     sup_u = np.max(np.abs(u.values), axis=axes)
-    grads = [np.fft.irfftn(spec * m, s=grid.shape, axes=axes)
-             for m in _gradient_multipliers(grid)]
-    mag = np.sqrt(sum(g * g for g in grads))
+    mag = np.sqrt(sum(g * g for g in _batch_gradient(grid, u.values)))
     sup_du = np.max(mag, axis=axes)
     sup_d2 = np.max([sup_of(b) for b in _multi_indices(grid.dims, 2)], axis=0)
     sup_d3 = np.max([sup_of(b) for b in _multi_indices(grid.dims, 3)], axis=0)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteFieldError, ResolutionError, SpectralResidueError
+from .errors import (GridMismatchError, NonFiniteFieldError, ResolutionError,
+                     SpectralResidueError)
 from .grid import Field, Grid, spectral_derivative
 from .levy import LevyTriplet, UnsupportedOrderError, order_alpha, symbol_eval
 
@@ -27,6 +28,12 @@ _MASS_TOL = 1e-10
 _RINGING_TOL = 1e-9
 _RESIDUE_TOL = 1e-10
 _MEMO_LIMIT = 64
+
+
+def _nyquist_shell_max(grid: Grid, spec: np.ndarray) -> float:
+    """Largest magnitude on the Nyquist planes of an fftn-layout array."""
+    return max(float(np.max(np.abs(np.take(spec, grid.n[ax] // 2, axis=ax))))
+               for ax in range(grid.dims))
 
 
 class KernelCache:
@@ -99,27 +106,29 @@ class KernelCache:
 
     def apply_array(self, t: float, values: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """Smooth raw values (grid axes last; leading axes broadcast)."""
-        mult = self.multiplier(t, adjoint)
+        return self._apply_multiplier(
+            self.multiplier(t, adjoint), values, "after semigroup application")
+
+    def apply_generator(self, values: np.ndarray) -> np.ndarray:
+        """L applied through its symbol (grid axes last; leading axes broadcast)."""
+        return self._apply_multiplier(-self.symbol, values, "applying the symbol")
+
+    def _apply_multiplier(self, mult: np.ndarray, values: np.ndarray,
+                          what: str) -> np.ndarray:
+        """Real part of a multiplier applied over the trailing grid axes;
+        an imaginary residue above 1e-10 of the output scale raises."""
         axes = tuple(range(values.ndim - self.grid.dims, values.ndim))
         spec = np.fft.fftn(values, axes=axes) * mult
         out = np.fft.ifftn(spec, axes=axes)
         scale = max(1.0, float(np.max(np.abs(out.real))))
         residue = float(np.max(np.abs(out.imag)))
         if residue > _RESIDUE_TOL * scale:
-            raise SpectralResidueError(
-                f"imaginary residue {residue:.3e} after semigroup application"
-            )
+            raise SpectralResidueError(f"imaginary residue {residue:.3e} {what}")
         return out.real
 
     def nyquist_tail(self, t: float, adjoint: bool = False) -> float:
         """Largest multiplier magnitude on the Nyquist shell."""
-        mult = self.multiplier(t, adjoint)
-        tail = 0.0
-        for ax in range(self.grid.dims):
-            sl = [slice(None)] * self.grid.dims
-            sl[ax] = self.grid.n[ax] // 2
-            tail = max(tail, float(np.max(np.abs(mult[tuple(sl)]))))
-        return tail
+        return _nyquist_shell_max(self.grid, self.multiplier(t, adjoint))
 
     def _required_n(self, t: float, tail: float) -> int:
         """Estimate a power-of-two n that would push the tail below tolerance."""
@@ -186,8 +195,6 @@ def kernel_field(cache: KernelCache, t: float, adjoint: bool = False) -> Field:
 def semigroup_apply(cache: KernelCache, t: float, f: Field, adjoint: bool = False) -> Field:
     """Evolve a field by e^{tL} (adjoint=True: by the adjoint semigroup)."""
     if f.grid != cache.grid:
-        from .errors import GridMismatchError
-
         raise GridMismatchError("field grid does not match kernel cache grid")
     if t < 0.0:
         raise ValueError("semigroup time must be nonnegative")

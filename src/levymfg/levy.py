@@ -287,6 +287,24 @@ class LevyTriplet:
         return True
 
 
+def _jump_densities(triplet: LevyTriplet):
+    """One-sided jump densities z -> nu(sign * z), z > 0, sign = +1 then -1.
+
+    Symbol-only stable families contribute the unnormalized density
+    |z|^{-1-alpha} per stability index.
+    """
+    for jump in triplet.jumps:
+        if hasattr(jump, "density"):
+            densities = [jump.density]
+        else:
+            alphas = getattr(jump, "alphas", None) or (jump.alpha,)
+            densities = [lambda z, a=a: np.abs(z) ** (-1.0 - a)
+                         for a in alphas]
+        for dens in densities:
+            for sign in (1.0, -1.0):
+                yield lambda z, dens=dens, sign=sign: float(dens(sign * z))
+
+
 def _effective_order(A: np.ndarray, jumps: tuple, declared) -> float | None:
     d = A.shape[0]
     nondegenerate = np.min(np.linalg.eigvalsh(0.5 * (A + A.T))) > 1e-12

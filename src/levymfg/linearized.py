@@ -18,6 +18,14 @@ terminal costs) the solution map rho0 -> z(t0, .) is the derivative of the
 equilibrium value in its initial measure; with rho0 a mollified grid delta
 at y, z(t0, x) is the derivative kernel J(t0, x, m0, y).
 
+Both legs run the shared mild marches: z the backward march of the
+``hjb`` module with the integrand b + <dF/dm, rho> - V . Dz, rho the
+forward march of the ``fp`` module with its trapezoid Picard sweeps.  The
+forward leg needs the sweeps because the duality pairing of the two legs
+only closes at O(dt^2) when both sides are integrated at matching order;
+the plain first-order march leaves an O(dt) energy defect that no
+affordable step count brings under the certification tolerances.
+
 The y-batch assembling the full kernel is embarrassingly parallel in y but
 runs sequentially here; each (z, rho) alternation is inherently ordered.
 """
@@ -25,29 +33,22 @@ runs sequentially here; each (z, rho) alternation is inherently ordered.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
 
-from .coupling import Conv, LocalComposite, Zero, apply_dmF
+from .coupling import Zero, _check_derivative_couplings, apply_dmF
 from .errors import (
     BudgetError,
     DivergenceError,
     GridMismatchError,
     InstabilityError,
 )
+from .fp import _march_forward
 from .grid import Field, Grid
-from .hjb import (
-    Trajectory,
-    _batch_gradient,
-    _gradient_multipliers,
-    _guard,
-    _nyquist_fraction,
-    _solver_order,
-    step_budget,
-)
+from .hjb import (Trajectory, _batch_gradient, _check_operand,
+                  _march_backward)
 from .kernels import KernelCache
 from .measures import Measure, mollifier_field, signed_dual_norm
 from .mfg import MfgSolution, optimal_drift
@@ -56,10 +57,8 @@ _SYMMETRY_TOL = 1e-12
 _ELLIPTICITY_TOL = 1e-9
 _DENSITY_NEG_TOL = 1e-12
 _DENSITY_MASS_TOL = 1e-9
-_TERMINAL_TAIL_TOL = 1e-6
 _BATCH_NODE_CAP = 128
 _JKERNEL_FORMAT = "levymfg-jkernel"
-_COUPLING_TYPES = (Zero, Conv, LocalComposite)
 
 
 # --------------------------------------------------------------------------
@@ -93,22 +92,10 @@ class LinSystem:
 
     def __post_init__(self):
         grid = self.kernel.grid
-        if self.drift.grid != grid:
-            raise GridMismatchError("drift grid != kernel grid")
-        if not self.drift.is_vector:
-            raise ValueError("drift must be a vector trajectory")
-        t0, T, n = self.drift.t0, self.drift.T, self.drift.n_steps
-
-        def on_slab(name, tr):
-            if tr.grid != grid:
-                raise GridMismatchError(f"{name} grid != kernel grid")
-            if tr.n_steps != n or abs(tr.t0 - t0) > 1e-12 or \
-                    abs(tr.T - T) > 1e-12:
-                raise ValueError(f"{name} trajectory must share the time slab")
-
-        on_slab("density", self.density)
-        if self.density.is_vector:
-            raise ValueError("density must be a scalar trajectory")
+        n = self.drift.n_steps
+        slab = (grid, self.drift.t0, self.drift.T, n)
+        _check_operand("drift", self.drift, *slab, vector=True)
+        _check_operand("density", self.density, *slab, vector=False)
         dens = self.density.values
         if float(np.min(dens)) < -_DENSITY_NEG_TOL:
             raise ValueError("density path has negative slices")
@@ -144,28 +131,16 @@ class LinSystem:
         object.__setattr__(self, "ellipticity", c)
 
         if self.forcing is not None:
-            on_slab("forcing", self.forcing)
-            if self.forcing.is_vector:
-                raise ValueError("forcing must be a scalar trajectory")
+            _check_operand("forcing", self.forcing, *slab, vector=False)
         if self.flux_forcing is not None:
-            on_slab("flux_forcing", self.flux_forcing)
-            if not self.flux_forcing.is_vector:
-                raise ValueError("flux_forcing must be a vector trajectory")
+            _check_operand("flux_forcing", self.flux_forcing, *slab,
+                           vector=True)
         if self.terminal.grid != grid:
             raise GridMismatchError("terminal data grid != kernel grid")
         if self.rho0.grid != grid:
             raise GridMismatchError("initial data grid != kernel grid")
-        for name, coupling in (("running", self.running_coupling),
-                               ("terminal", self.terminal_coupling)):
-            if not isinstance(coupling, _COUPLING_TYPES):
-                raise TypeError(
-                    f"{name} coupling {type(coupling).__name__} has no "
-                    "measure-derivative action")
-            kern = getattr(coupling, "phi", None) or \
-                getattr(coupling, "phi2", None)
-            if kern is not None and kern.grid != grid:
-                raise GridMismatchError(f"{name} coupling kernel grid "
-                                        "!= system grid")
+        _check_derivative_couplings(grid, "system", self.running_coupling,
+                                    self.terminal_coupling)
 
     @property
     def grid(self) -> Grid:
@@ -195,188 +170,47 @@ class LinSystem:
 
 
 # --------------------------------------------------------------------------
-# backward leg: linear transport with a time-dependent drift
-
-
-def _linear_backward(kernel: KernelCache, drift: Trajectory,
-                     source: np.ndarray | None, terminal: Field,
-                     picard_sweeps: int = 2) -> Trajectory:
-    """Solve -dz/dt - Lz + V(t,x) . Dz = f(t,x), z(T) = terminal.
-
-    Same mild discipline as the nonlinear backward solver (exponential
-    Euler in the reversed clock, then whole-interval trapezoid Picard
-    sweeps); this variant exists because the drift varies per slice, which
-    the time-independent Hamiltonian interface cannot express.
-    """
-    grid = kernel.grid
-    t0, T, n_steps = drift.t0, drift.T, drift.n_steps
-    alpha = _solver_order(kernel)
-    dt = (T - t0) / n_steps
-    budget = step_budget(alpha, grid)
-    if dt > budget * (1.0 + 1e-12):
-        need = int(np.ceil((T - t0) / budget))
-        raise BudgetError(
-            f"dt={dt:.3e} exceeds the stepping budget {budget:.3e} "
-            f"(0.5*dx^alpha, alpha={alpha:g}); use n_steps >= {need}")
-    if _nyquist_fraction(terminal) > _TERMINAL_TAIL_TOL:
-        warnings.warn(
-            "terminal data is marginally resolved: Nyquist spectral "
-            "fraction exceeds 1e-6; expect degraded accuracy", stacklevel=2)
-
-    mults = _gradient_multipliers(grid)
-    V = drift.values
-
-    # exponential Euler in the reversed clock (w[j] sits at T - j*dt)
-    w = np.empty((n_steps + 1,) + grid.shape)
-    w[0] = terminal.values
-    for j in range(n_steps):
-        phys = n_steps - j
-        grads = _batch_gradient(grid, w[j], mults)
-        adv = V[phys, 0] * grads[0]
-        for i in range(1, grid.dims):
-            adv = adv + V[phys, i] * grads[i]
-        drive = -adv if source is None else source[phys] - adv
-        rhs = w[j] + dt * drive
-        w[j + 1] = kernel.apply_array(dt, rhs)
-        _guard(w[j + 1], j + 1, n_steps, T, dt)
-
-    # whole-interval corrections with the trapezoid integrand
-    half = 0.5 * dt
-    rev = slice(None, None, -1)
-    for _ in range(picard_sweeps):
-        grads = _batch_gradient(grid, w, mults)
-        adv = V[rev, 0] * grads[0]
-        for i in range(1, grid.dims):
-            adv = adv + V[rev, i] * grads[i]
-        n_all = -adv if source is None else source[rev] - adv
-        fresh = np.empty_like(w)
-        fresh[0] = terminal.values
-        for j in range(n_steps):
-            propagated = kernel.apply_array(dt, fresh[j] + half * n_all[j])
-            fresh[j + 1] = propagated + half * n_all[j + 1]
-            _guard(fresh[j + 1], j + 1, n_steps, T, dt)
-        w = fresh
-
-    return Trajectory(grid, t0, T, w[::-1])
-
-
-# --------------------------------------------------------------------------
-# forward leg: divergence-form transport with trapezoid corrections
-
-
-def _batch_divergence(grid: Grid, vec_all: np.ndarray) -> np.ndarray:
-    """Spectral divergence of a (slices, d, *grid.shape) vector history."""
-    axes = tuple(range(2, 2 + grid.dims))
-    spec = np.fft.rfftn(vec_all, axes=axes)
-    mults = _gradient_multipliers(grid)
-    acc = mults[0] * spec[:, 0]
-    for i in range(1, grid.dims):
-        acc = acc + mults[i] * spec[:, i]
-    return np.fft.irfftn(acc, s=grid.shape,
-                         axes=tuple(range(1, 1 + grid.dims)))
-
-
-def _linear_forward(kernel: KernelCache, drift: Trajectory,
-                    flux: Trajectory, rho0: Field,
-                    picard_sweeps: int = 2) -> Trajectory:
-    """March d(rho)/dt = L* rho + div(rho V + f), rho(t0) = rho0.
-
-    The first pass is the one-step divergence-form march of the
-    fokker_planck module; the whole-interval Picard sweeps then upgrade the
-    flux quadrature to the composite trapezoid.  The backward leg carries
-    the same corrections, and the duality pairing of the two legs only
-    closes at O(dt^2) when both sides are integrated at matching order --
-    the plain first-order march leaves an O(dt) energy defect that no
-    affordable step count brings under the certification tolerances.
-    Divergences carry no mean, so every pass conserves mass exactly.
-    """
-    grid = kernel.grid
-    t0, T, n_steps = drift.t0, drift.T, drift.n_steps
-    alpha = _solver_order(kernel)
-    dt = (T - t0) / n_steps
-    budget = step_budget(alpha, grid)
-    if dt > budget * (1.0 + 1e-12):
-        need = int(np.ceil((T - t0) / budget))
-        raise BudgetError(
-            f"dt={dt:.3e} exceeds the stepping budget {budget:.3e} "
-            f"(0.5*dx^alpha, alpha={alpha:g}); use n_steps >= {need}")
-    V = drift.values
-    f = flux.values
-    vol = grid.cell_volume
-    mass0 = vol * float(np.sum(rho0.values))
-    scale = max(1.0, abs(mass0))
-
-    def monitor(values: np.ndarray, k: int) -> None:
-        sup = float(np.max(np.abs(values)))
-        mass = vol * float(np.sum(values))
-        if not np.isfinite(sup) or sup > 1e6 or not np.isfinite(mass) or \
-                abs(mass - mass0) > 1e-6 * scale:
-            raise InstabilityError(
-                f"forward march destabilized at step {k}/{n_steps} "
-                f"(sup {sup:.3e}, mass drift {mass - mass0:.3e}); "
-                "use a smaller dt")
-
-    w = np.empty((n_steps + 1,) + grid.shape)
-    w[0] = rho0.values
-    for k in range(n_steps):
-        stack = np.concatenate([w[k][None], V[k] * w[k] + f[k]], axis=0)
-        smooth = kernel.apply_array(dt, stack, adjoint=True)
-        w[k + 1] = smooth[0] + dt * _batch_divergence(grid, smooth[1:][None])[0]
-        monitor(w[k + 1], k + 1)
-
-    half = 0.5 * dt
-    for _ in range(picard_sweeps):
-        h_all = _batch_divergence(grid, V * w[:, None] + f)
-        fresh = np.empty_like(w)
-        fresh[0] = rho0.values
-        for k in range(n_steps):
-            propagated = kernel.apply_array(
-                dt, fresh[k] + half * h_all[k], adjoint=True)
-            fresh[k + 1] = propagated + half * h_all[k + 1]
-            monitor(fresh[k + 1], k + 1)
-        w = fresh
-
-    return Trajectory(grid, t0, T, w)
-
-
-# --------------------------------------------------------------------------
 # assembly helpers
 
 
-def _coupling_source(coupling, density: Trajectory,
-                     rho_values: np.ndarray) -> np.ndarray:
-    """Per-slice derivative action <dF/dm(x, m(t)), rho(t)> as an array."""
-    grid = density.grid
-    out = np.empty_like(rho_values)
-    for k in range(rho_values.shape[0]):
-        m_k = Measure.from_values(grid, density.values[k])
-        out[k] = apply_dmF(coupling, m_k, Field(grid, rho_values[k])).values
-    return out
+def _coupling_actions(system: LinSystem, rho_values: np.ndarray | None
+                      ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Derivative actions of the running (per slice) and terminal couplings.
 
-
-def _backward_data(system: LinSystem, rho_values: np.ndarray
-                   ) -> tuple[np.ndarray | None, Field]:
-    """Source array and terminal field of the z-equation given rho."""
+    Returns <dF/dm(x, m(t)), rho(t)> over all slices and <dG/dm(x, m(T)),
+    rho(T)>, each None when its coupling is Zero (rho is then not read).
+    """
     grid = system.grid
-    source = None if system.forcing is None else system.forcing.values
+    running = terminal = None
     if not isinstance(system.running_coupling, Zero):
-        acted = _coupling_source(system.running_coupling, system.density,
-                                 rho_values)
-        source = acted if source is None else source + acted
-    terminal = system.terminal
+        running = np.empty_like(rho_values)
+        for k in range(rho_values.shape[0]):
+            m_k = Measure.from_values(grid, system.density.values[k])
+            running[k] = apply_dmF(system.running_coupling, m_k,
+                                   Field(grid, rho_values[k])).values
     if not isinstance(system.terminal_coupling, Zero):
         m_T = Measure.from_values(grid, system.density.values[-1])
-        acted = apply_dmF(system.terminal_coupling, m_T,
-                          Field(grid, rho_values[-1]))
-        terminal = Field(grid, terminal.values + acted.values)
-    return source, terminal
+        terminal = apply_dmF(system.terminal_coupling, m_T,
+                             Field(grid, rho_values[-1])).values
+    return running, terminal
+
+
+def _backward_data(system: LinSystem, rho_values: np.ndarray | None
+                   ) -> tuple[np.ndarray | None, Field]:
+    """Source array and terminal field of the z-equation given rho."""
+    running, terminal = _coupling_actions(system, rho_values)
+    source = None if system.forcing is None else system.forcing.values
+    if running is not None:
+        source = running if source is None else source + running
+    if terminal is None:
+        return source, system.terminal
+    return source, Field(system.grid, system.terminal.values + terminal)
 
 
 def _forward_flux(system: LinSystem, z_values: np.ndarray) -> Trajectory:
     """Vector source m Gamma Dz + c of the forward equation."""
     grid = system.grid
-    mults = _gradient_multipliers(grid)
-    grads = np.stack(_batch_gradient(grid, z_values, mults), axis=1)
+    grads = np.stack(_batch_gradient(grid, z_values), axis=1)
     flux = np.einsum("tij...,tj...->ti...", system.curvature, grads)
     flux = system.density.values[:, None] * flux
     if system.flux_forcing is not None:
@@ -433,13 +267,9 @@ class LinearReport:
         }
 
 
-def _output_norm(z: Trajectory, rho: Trajectory) -> float:
-    grid = rho.grid
-    sup_z = float(np.max(np.abs(z.values)))
-    sup_rho = max(
-        signed_dual_norm(Field(grid, rho.values[k]))
-        for k in range(rho.n_steps + 1))
-    return sup_z + sup_rho
+def _sup_dual(grid: Grid, values: np.ndarray) -> float:
+    """Largest bounded-Lipschitz dual norm over the slices of a path."""
+    return max(signed_dual_norm(Field(grid, v)) for v in values)
 
 
 def _wrap_inner(exc, iteration: int):
@@ -462,7 +292,9 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
     norm is positively homogeneous), so the response gap is what is
     measured.  On convergence the returned pair is the last raw response
     (a consistent backward/forward pair); a one-way system (both coupling
-    derivatives zero) is solved in a single undamped pass.
+    derivatives zero) is solved in a single undamped pass.  Both legs run
+    the shared marches ``hjb._march_backward`` and ``fp._march_forward``
+    with ``picard_sweeps`` trapezoid sweeps each.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -471,74 +303,68 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     grid = system.grid
+    kernel, V = system.kernel, system.drift.values
     t0, T, n = system.t0, system.T, system.n_steps
 
-    if system.one_way:
-        source = None if system.forcing is None else system.forcing.values
-        try:
-            z = _linear_backward(system.kernel, system.drift, source,
-                                 system.terminal, picard_sweeps)
-            rho = _linear_forward(system.kernel, system.drift,
-                                  _forward_flux(system, z.values),
-                                  system.rho0, picard_sweeps)
-        except (DivergenceError, InstabilityError) as exc:
-            _wrap_inner(exc, 1)
-        data = _data_norm(system)
-        out = _output_norm(z, rho)
-        report = LinearReport(
-            converged=True, iterations=1, gap_history=(0.0,),
-            damping=1.0, data_norm=data, output_norm=out,
-            apriori_ratio=(out / data if data > 0.0 else 0.0), one_way=True)
-        return z, rho, report
+    def legs(rho_values: np.ndarray | None, it: int
+             ) -> tuple[Trajectory, Trajectory]:
+        """z backward against a frozen rho, then rho forward against z."""
+        source, terminal = _backward_data(system, rho_values)
 
-    if initial_rho is None:
-        start_flux = system.flux_forcing
-        if start_flux is None:
-            start_flux = Trajectory.zero(grid, t0, T, n, vector=True)
-        try:
-            rho_path = _linear_forward(system.kernel, system.drift,
-                                       start_flux, system.rho0,
-                                       picard_sweeps).values.copy()
-        except (DivergenceError, InstabilityError) as exc:
-            _wrap_inner(exc, 0)
-    else:
-        if initial_rho.grid != grid:
-            raise GridMismatchError("warm-start path grid != system grid")
-        if initial_rho.is_vector:
-            raise ValueError("warm-start path must be scalar")
-        if initial_rho.n_steps != n or abs(initial_rho.t0 - t0) > 1e-12 or \
-                abs(initial_rho.T - T) > 1e-12:
-            raise ValueError("warm-start path must share the time slab")
-        rho_path = initial_rho.values.copy()
+        def drive(values: np.ndarray, phys) -> np.ndarray:
+            grads = _batch_gradient(grid, values)
+            adv = V[phys, 0] * grads[0]
+            for i in range(1, grid.dims):
+                adv = adv + V[phys, i] * grads[i]
+            return -adv if source is None else source[phys] - adv
 
-    gaps: list[float] = []
-    z = rho = None
-    converged = False
-    for it in range(1, max_iters + 1):
-        source, terminal = _backward_data(system, rho_path)
         try:
-            z = _linear_backward(system.kernel, system.drift, source,
-                                 terminal, picard_sweeps)
-            rho = _linear_forward(system.kernel, system.drift,
-                                  _forward_flux(system, z.values),
-                                  system.rho0, picard_sweeps)
+            z = _march_backward(kernel, terminal, t0, T, n, picard_sweeps,
+                                drive)
+            rho = _march_forward(kernel, system.drift,
+                                 _forward_flux(system, z.values),
+                                 system.rho0, t0, T, n, picard_sweeps)
         except (DivergenceError, InstabilityError) as exc:
             _wrap_inner(exc, it)
-        gap = damping * max(
-            signed_dual_norm(Field(grid, rho.values[k] - rho_path[k]))
-            for k in range(n + 1))
-        gaps.append(gap)
-        if gap < tol:
-            converged = True
-            break
-        rho_path = (1.0 - damping) * rho_path + damping * rho.values
+        return z, rho
+
+    if system.one_way:
+        # zero coupling derivatives: the z-equation never reads rho
+        z, rho = legs(None, 1)
+        damping, gaps, converged = 1.0, [0.0], True
+    else:
+        if initial_rho is None:
+            try:
+                rho_path = _march_forward(
+                    kernel, system.drift, system.flux_forcing, system.rho0,
+                    t0, T, n, picard_sweeps).values.copy()
+            except (DivergenceError, InstabilityError) as exc:
+                _wrap_inner(exc, 0)
+        else:
+            if initial_rho.grid != grid:
+                raise GridMismatchError("warm-start path grid != system grid")
+            if initial_rho.is_vector:
+                raise ValueError("warm-start path must be scalar")
+            initial_rho.check_slab("warm-start path", t0, T, n)
+            rho_path = initial_rho.values.copy()
+
+        gaps = []
+        converged = False
+        for it in range(1, max_iters + 1):
+            z, rho = legs(rho_path, it)
+            gaps.append(damping * _sup_dual(grid, rho.values - rho_path))
+            if gaps[-1] < tol:
+                converged = True
+                break
+            rho_path = (1.0 - damping) * rho_path + damping * rho.values
 
     data = _data_norm(system)
-    out = _output_norm(z, rho)
+    out = float(np.max(np.abs(z.values))) + _sup_dual(grid, rho.values)
     report = LinearReport(
         converged=converged, iterations=len(gaps), gap_history=tuple(gaps),
         damping=damping, data_norm=data, output_norm=out,
-        apriori_ratio=(out / data if data > 0.0 else 0.0), one_way=False)
+        apriori_ratio=(out / data if data > 0.0 else 0.0),
+        one_way=system.one_way)
     return z, rho, report
 
 
@@ -599,8 +425,7 @@ def duality_report(system: LinSystem, z: Trajectory, rho: Trajectory,
     vol = grid.cell_volume
     dt = z.dt
     axes = tuple(range(1, 1 + grid.dims))
-    mults = _gradient_multipliers(grid)
-    grads = np.stack(_batch_gradient(grid, z.values, mults), axis=1)
+    grads = np.stack(_batch_gradient(grid, z.values), axis=1)
 
     quad_form = np.einsum("ti...,tij...,tj...->t...", grads,
                           system.curvature, grads)
@@ -621,18 +446,13 @@ def duality_report(system: LinSystem, z: Trajectory, rho: Trajectory,
                               axis=(1,) + tuple(a + 1 for a in axes))
         flux_term = float(np.trapezoid(series, dx=dt))
 
-    quad_running = 0.0
-    if not isinstance(system.running_coupling, Zero):
-        acted = _coupling_source(system.running_coupling, system.density,
-                                 rho.values)
-        series = vol * np.sum(acted * rho.values, axis=axes)
+    running, terminal = _coupling_actions(system, rho.values)
+    quad_running = quad_terminal = 0.0
+    if running is not None:
+        series = vol * np.sum(running * rho.values, axis=axes)
         quad_running = float(np.trapezoid(series, dx=dt))
-    quad_terminal = 0.0
-    if not isinstance(system.terminal_coupling, Zero):
-        m_T = Measure.from_values(grid, system.density.values[-1])
-        acted = apply_dmF(system.terminal_coupling, m_T,
-                          Field(grid, rho.values[-1]))
-        quad_terminal = vol * float(np.sum(acted.values * rho.values[-1]))
+    if terminal is not None:
+        quad_terminal = vol * float(np.sum(terminal * rho.values[-1]))
 
     rhs = (pairing_initial - pairing_terminal - forcing_term - flux_term
            - quad_running - quad_terminal)
@@ -673,8 +493,7 @@ def linearize(solution: MfgSolution, rho0: Field, *,
 
     drift = optimal_drift(ham, solution.u)
     mesh = grid.meshgrid()
-    mults = _gradient_multipliers(grid)
-    grads = _batch_gradient(grid, solution.u.values, mults)
+    grads = _batch_gradient(grid, solution.u.values)
     curv = ham.curvature(mesh, solution.u.values, grads)
     if curv is None:
         raise ValueError(
@@ -798,6 +617,17 @@ class JKernel:
         return np.stack(comps, axis=0)
 
 
+def _j_rows(solution: MfgSolution, couplings, y_grid: Grid,
+            **solve_options) -> np.ndarray:
+    """J rows at every node of ``y_grid``: y axes first, x axes last."""
+    out = np.empty(y_grid.shape + solution.problem.grid.shape)
+    axes = y_grid.meshgrid()
+    for iy in np.ndindex(y_grid.shape):
+        y = tuple(float(ax[iy]) for ax in axes)
+        out[iy] = j_field(solution, couplings, y, **solve_options).values
+    return out
+
+
 def j_field_batch(solution: MfgSolution, couplings=None, *,
                   damping: float = 0.5, max_iters: int = 40,
                   tol: float = 1e-9) -> JKernel:
@@ -812,15 +642,10 @@ def j_field_batch(solution: MfgSolution, couplings=None, *,
         raise BudgetError(
             f"y-batch over {grid.n} nodes exceeds the "
             f"{_BATCH_NODE_CAP}-per-axis budget")
-    width = 2.0 * max(grid.dx)
-    out = np.empty(grid.shape + grid.shape)
-    axes = grid.meshgrid()
-    for iy in np.ndindex(grid.shape):
-        y = tuple(float(ax[iy]) for ax in axes)
-        out[iy] = j_field(solution, couplings, y, damping=damping,
-                          max_iters=max_iters, tol=tol).values
+    out = _j_rows(solution, couplings, grid, damping=damping,
+                  max_iters=max_iters, tol=tol)
     return JKernel(grid=grid, t0=solution.u.t0, values=out,
-                   mollifier_width=width)
+                   mollifier_width=2.0 * max(grid.dx))
 
 
 def save_j_kernel(path, jk: JKernel) -> None:

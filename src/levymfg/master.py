@@ -22,30 +22,27 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .coupling import Conv, LocalComposite, Zero, eval_F
-from .errors import (BudgetError, DivergenceError, GridMismatchError,
-                     InstabilityError, SpectralResidueError)
+from .coupling import Zero, _check_derivative_couplings, eval_F
+from .errors import (DivergenceError, GridMismatchError, InstabilityError,
+                     SpectralResidueError)
 from .grid import Field, Grid
-from .hjb import _batch_gradient, _gradient_multipliers, _solver_order, \
-    step_budget
+from .hjb import _batch_gradient, _check_step
 from .kernels import KernelCache
-from .linearized import JKernel, j_field, j_field_batch, linearize, \
+from .linearized import JKernel, _j_rows, j_field_batch, linearize, \
     solve_linear_system
 from .measures import Measure, d0_distance
 from .mfg import IterationPolicy, MfgProblem, MfgSolution, optimal_drift, \
     solve_mfg
 
-_COUPLING_TYPES = (Zero, Conv, LocalComposite)
 _TERMINAL_TIME_TOL = 1e-12
 _SLOPE_THRESHOLD = 1.2
 _DEFECT_FLOOR = 1e-13   # quotient defects below this are float noise
 _CONSTANT_KILL_TOL = 1e-12
 _Y_BATCH_CAP = 128
-_RESIDUE_TOL = 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -75,23 +72,9 @@ class Scenario:
     def __post_init__(self):
         if not (np.isfinite(self.T) and self.T > 0.0):
             raise ValueError("horizon T must be positive and finite")
-        order = _solver_order(self.kernel)
-        budget = step_budget(order, self.grid)
-        if not 0.0 < self.dt_cap <= budget * (1.0 + 1e-12):
-            raise BudgetError(
-                f"dt_cap={self.dt_cap:.3e} outside the stepping budget "
-                f"{budget:.3e} (0.5*dx^alpha, alpha={order:g})")
-        for name, coupling in (("running", self.running_cost),
-                               ("terminal", self.terminal_cost)):
-            if not isinstance(coupling, _COUPLING_TYPES):
-                raise TypeError(
-                    f"{name} coupling {type(coupling).__name__} has no "
-                    "measure-derivative action")
-            kern = getattr(coupling, "phi", None) or \
-                getattr(coupling, "phi2", None)
-            if kern is not None and kern.grid != self.grid:
-                raise GridMismatchError(f"{name} coupling kernel grid "
-                                        "!= scenario grid")
+        _check_step(self.kernel, self.dt_cap)
+        _check_derivative_couplings(self.grid, "scenario", self.running_cost,
+                                    self.terminal_cost)
 
     @property
     def grid(self) -> Grid:
@@ -264,20 +247,6 @@ def derivative_check(scenario: Scenario, t0: float, m0: Measure,
 # residual of the full evolution equation
 
 
-def _generator_apply(symbol: np.ndarray, values: np.ndarray,
-                     dims: int) -> np.ndarray:
-    """Apply the generator spectrally along the leading ``dims`` axes."""
-    axes = tuple(range(dims))
-    mult = (-symbol).reshape(symbol.shape + (1,) * (values.ndim - dims))
-    out = np.fft.ifftn(mult * np.fft.fftn(values, axes=axes), axes=axes)
-    scale = max(1.0, float(np.max(np.abs(out.real))))
-    residue = float(np.max(np.abs(out.imag)))
-    if residue > _RESIDUE_TOL * scale:
-        raise SpectralResidueError(
-            f"imaginary residue {residue:.3e} applying the symbol")
-    return out.real
-
-
 def _aligned_stride(n: int, cap: int) -> int:
     stride = int(math.ceil(n / cap))
     while n % stride:
@@ -301,12 +270,7 @@ def _tabulate_j(scenario: Scenario, solution: MfgSolution, cap: int
     warnings.warn(
         f"y-batch over {grid.n} nodes exceeds the {cap}-per-axis budget; "
         f"tabulating on every {stride}-th node instead", RuntimeWarning)
-    out = np.empty(coarse.shape + grid.shape)
-    axes = coarse.meshgrid()
-    for iy in np.ndindex(coarse.shape):
-        y = tuple(float(ax[iy]) for ax in axes)
-        out[iy] = j_field(solution, None, y).values
-    return out, coarse, stride
+    return _j_rows(solution, None, coarse), coarse, stride
 
 
 @dataclass(frozen=True)
@@ -342,14 +306,19 @@ class MasterResidualReport:
         }
 
 
-def _sampled(grid: Grid, values: np.ndarray, sample_points
-             ) -> tuple[tuple[tuple[float, ...], float], ...]:
-    out = []
+def _residual_report(mode: str, grid: Grid, residual: np.ndarray,
+                     sample_points, delta_t: float, y_stride: int,
+                     term_sups: dict) -> MasterResidualReport:
+    samples = []
     for point in sample_points:
         pt = tuple(float(c) for c in np.atleast_1d(
             np.asarray(point, dtype=float)))
-        out.append((pt, float(values[grid.nearest_index(pt)])))
-    return tuple(out)
+        samples.append((pt, float(residual[grid.nearest_index(pt)])))
+    return MasterResidualReport(
+        mode=mode, residual=Field(grid, residual), samples=tuple(samples),
+        sup_sampled=max((abs(v) for _, v in samples), default=0.0),
+        sup_grid=float(np.max(np.abs(residual))), delta_t=delta_t,
+        y_stride=y_stride, term_sups=term_sups)
 
 
 def master_residual(scenario: Scenario, t0: float, m0: Measure,
@@ -375,13 +344,8 @@ def master_residual(scenario: Scenario, t0: float, m0: Measure,
     if abs(scenario.T - t0) <= _TERMINAL_TIME_TOL:
         gap = eval_U(scenario, scenario.T, m0).values - \
             eval_F(scenario.terminal_cost, m0).values
-        samples = _sampled(grid, gap, sample_points)
-        return MasterResidualReport(
-            mode="terminal-identity", residual=Field(grid, gap),
-            samples=samples,
-            sup_sampled=max((abs(v) for _, v in samples), default=0.0),
-            sup_grid=float(np.max(np.abs(gap))), delta_t=0.0, y_stride=1,
-            term_sups={})
+        return _residual_report("terminal-identity", grid, gap,
+                                sample_points, 0.0, 1, {})
 
     base = solve_scenario(scenario, t0, m0)
     dt = base.u.dt
@@ -396,17 +360,17 @@ def master_residual(scenario: Scenario, t0: float, m0: Measure,
     time_term = (u_plus - u_minus) / (2.0 * delta_t)
 
     u0 = base.u.initial.values
-    gen_term = _generator_apply(scenario.kernel.symbol, u0, grid.dims)
-    grads = np.stack(_batch_gradient(grid, u0, _gradient_multipliers(grid)))
+    gen_term = scenario.kernel.apply_generator(u0)
+    grads = np.stack(_batch_gradient(grid, u0))
     ham_term = np.asarray(
         scenario.hamiltonian.value(grid.meshgrid(), u0, grads), dtype=float)
 
     j_values, y_grid, stride = _tabulate_j(scenario, base, y_batch_cap)
-    y_symbol = scenario.kernel.symbol if stride == 1 else KernelCache(
-        scenario.kernel.triplet, y_grid).symbol
+    y_kernel = scenario.kernel if stride == 1 else KernelCache(
+        scenario.kernel.triplet, y_grid)
     d = grid.dims
-    killed = float(np.max(np.abs(_generator_apply(
-        y_symbol, np.ones(y_grid.shape), d))))
+    killed = float(np.max(np.abs(y_kernel.apply_generator(
+        np.ones(y_grid.shape)))))
     if killed > _CONSTANT_KILL_TOL:
         raise SpectralResidueError(
             f"probe-variable generator moves constants by {killed:.3e}; "
@@ -416,9 +380,11 @@ def master_residual(scenario: Scenario, t0: float, m0: Measure,
     sub = tuple(slice(None, None, stride) for _ in range(d))
     weights = m0.values[sub] * y_grid.cell_volume
     y_axes = tuple(range(d))
-    nonlocal_term = np.tensordot(
-        weights, _generator_apply(y_symbol, j_values, d),
-        axes=(y_axes, y_axes))
+    x_axes = tuple(range(d, 2 * d))
+    # the generator acts on the trailing axes: move y there and back
+    j_gen = np.moveaxis(y_kernel.apply_generator(
+        np.moveaxis(j_values, y_axes, x_axes)), x_axes, y_axes)
+    nonlocal_term = np.tensordot(weights, j_gen, axes=(y_axes, y_axes))
 
     drift0 = optimal_drift(scenario.hamiltonian, base.u).values[0]
     transport_term = np.zeros(grid.shape)
@@ -432,13 +398,8 @@ def master_residual(scenario: Scenario, t0: float, m0: Measure,
 
     residual = (time_term + gen_term - ham_term + nonlocal_term
                 - transport_term + coupling_term)
-    samples = _sampled(grid, residual, sample_points)
-    return MasterResidualReport(
-        mode="interior", residual=Field(grid, residual), samples=samples,
-        sup_sampled=max((abs(v) for _, v in samples), default=0.0),
-        sup_grid=float(np.max(np.abs(residual))), delta_t=delta_t,
-        y_stride=stride,
-        term_sups={
+    return _residual_report(
+        "interior", grid, residual, sample_points, delta_t, stride, {
             "time": float(np.max(np.abs(time_term))),
             "generator": float(np.max(np.abs(gen_term))),
             "hamiltonian": float(np.max(np.abs(ham_term))),
@@ -497,13 +458,8 @@ def flow_consistency(scenario: Scenario, t0: float, m0: Measure,
     k = min(max(int(round((s - t0) / dt)), 0), n - 1)
     s_snap = t0 + k * dt
 
-    fresh_problem = MfgProblem(
-        kernel=scenario.kernel, hamiltonian=scenario.hamiltonian,
-        running_cost=scenario.running_cost,
-        terminal_cost=scenario.terminal_cost,
-        m0=base.measure_at(k), t0=s_snap, T=scenario.T, n_steps=n - k,
-        policy=scenario.policy)
-    fresh = solve_mfg(fresh_problem)
+    fresh = solve_mfg(replace(base.problem, m0=base.measure_at(k), t0=s_snap,
+                              n_steps=n - k))
     if not fresh.converged:
         raise DivergenceError(
             f"restart solve from s={s_snap:g} stalled at gap "

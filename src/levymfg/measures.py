@@ -28,6 +28,7 @@ from scipy.sparse import coo_matrix
 
 from .errors import QuadratureError, ResolutionError
 from .grid import Field, Grid, load_field, periodic_convolve, save_field
+from .levy import _jump_densities
 
 _CLAMP_TOL = 1e-14
 _NEGATIVITY_TOL = 1e-12
@@ -161,29 +162,20 @@ def verify_psi_jump_moment(triplet) -> float:
     Raises ``QuadratureError`` when a tail fails to converge.
     """
     total = 0.0
-    for jump in triplet.jumps:
-        densities = []
-        if hasattr(jump, "density"):
-            densities.append(jump.density)
-        else:
-            alphas = getattr(jump, "alphas", None) or (jump.alpha,)
-            for a in alphas:
-                densities.append(lambda z, a=a: np.abs(z) ** (-1.0 - a))
-        for dens in densities:
-            for sign in (1.0, -1.0):
-                val, err = quad(
-                    lambda z: psi_profile(z) * float(dens(sign * z)),
-                    1.0,
-                    np.inf,
-                    epsabs=1e-10,
-                    epsrel=1e-8,
-                    limit=400,
-                )
-                if not np.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
-                    raise QuadratureError(
-                        "tightness weight is not integrable against the big jumps"
-                    )
-                total += val
+    for dens in _jump_densities(triplet):
+        val, err = quad(
+            lambda z: psi_profile(z) * dens(z),
+            1.0,
+            np.inf,
+            epsabs=1e-10,
+            epsrel=1e-8,
+            limit=400,
+        )
+        if not np.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
+            raise QuadratureError(
+                "tightness weight is not integrable against the big jumps"
+            )
+        total += val
     return total
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .coupling import Zero, eval_F
 from .errors import DivergenceError, GridMismatchError, InstabilityError
 from .grid import Field, Grid
-from .hjb import Trajectory, _batch_gradient, _gradient_multipliers, solve_hjb
+from .hjb import Trajectory, _batch_gradient, solve_hjb
 from .fp import solve_fp
 from .kernels import KernelCache
 from .measures import Measure, d0_distance
@@ -156,7 +156,7 @@ def optimal_drift(hamiltonian, u: Trajectory) -> Trajectory:
         raise ValueError("optimal drift needs a scalar value trajectory")
     grid = u.grid
     mesh = grid.meshgrid()
-    grads = _batch_gradient(grid, u.values, _gradient_multipliers(grid))
+    grads = _batch_gradient(grid, u.values)
     comps = hamiltonian.grad_p(mesh, u.values, grads)
     stacked = np.stack(
         [np.broadcast_to(np.asarray(c, dtype=float), u.values.shape)
@@ -403,14 +403,13 @@ def lasry_lions_check(sol1: MfgSolution, sol2: MfgSolution,
     ham = p1.hamiltonian
     grid = p1.grid
     mesh = grid.meshgrid()
-    mults = _gradient_multipliers(grid)
     vol = grid.cell_volume
     dt = sol1.u.dt
 
     u1, u2 = sol1.u.values, sol2.u.values
     m1, m2 = sol1.m.values, sol2.m.values
-    du1 = _batch_gradient(grid, u1, mults)
-    du2 = _batch_gradient(grid, u2, mults)
+    du1 = _batch_gradient(grid, u1)
+    du2 = _batch_gradient(grid, u2)
 
     tail = tuple(range(1, 1 + grid.dims))
     gap_against_m2 = _bregman_gap(ham, mesh, u2, du1, du2)

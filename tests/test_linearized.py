@@ -16,17 +16,16 @@ import pytest
 
 from levymfg.coupling import Conv, Zero, apply_dmF
 from levymfg.errors import BudgetError, GridMismatchError, InstabilityError
-from levymfg.fp import mass_series, solve_fp
+from levymfg.fp import _march_forward, mass_series, solve_fp
 from levymfg.grid import Field, Grid
 from levymfg.hjb import (QuadraticHamiltonian, Trajectory, drift_hamiltonian,
                          solve_hjb)
 from levymfg.kernels import KernelCache, semigroup_apply
 from levymfg.levy import FractionalLaplacian, LevyTriplet
 from levymfg.linearized import (JKernel, LinSystem, _forward_flux,
-                                _linear_forward, duality_report, j_field,
-                                j_field_batch, linearize, load_j_kernel,
-                                mollified_delta, save_j_kernel,
-                                solve_linear_system)
+                                duality_report, j_field, j_field_batch,
+                                linearize, load_j_kernel, mollified_delta,
+                                save_j_kernel, solve_linear_system)
 from levymfg.measures import Measure
 from levymfg.mfg import MfgProblem, MfgSolution, optimal_drift, solve_mfg
 
@@ -281,9 +280,9 @@ class TestOneWayTransport:
 
     def test_forward_leg_bitwise_matches_module_march(self, one_way_solved):
         system, (z, rho, _) = one_way_solved
-        standalone = _linear_forward(
+        standalone = _march_forward(
             system.kernel, system.drift, _forward_flux(system, z.values),
-            system.rho0)
+            system.rho0, 0.0, T_END, N_STEPS, 2)
         assert np.array_equal(rho.values, standalone.values)
 
     def test_forward_leg_tracks_divergence_form_march(

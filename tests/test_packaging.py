@@ -1,0 +1,58 @@
+"""Packaging metadata in pyproject.toml against the source tree.
+
+Every declared console script must import to a callable, every
+package-data pattern must match a shipped file, and every runtime
+dependency must be imported by some module of the package.
+"""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src"
+PACKAGE = SOURCE / "levymfg"
+PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())
+
+
+def imported_top_level_modules() -> set[str]:
+    names = set()
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_console_scripts_import_to_callables():
+    for name, target in PROJECT["project"].get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), f"script {name} -> {target} is not callable"
+
+
+def test_package_data_patterns_match_files():
+    package_data = PROJECT.get("tool", {}).get("setuptools", {}).get(
+        "package-data", {})
+    for package, patterns in package_data.items():
+        base = SOURCE / package.replace(".", "/")
+        for pattern in patterns:
+            assert list(base.glob(pattern)), \
+                f"package-data pattern {pattern!r} matches no file in {base}"
+
+
+def test_runtime_dependencies_are_imported():
+    imported = imported_top_level_modules()
+    for requirement in PROJECT["project"].get("dependencies", []):
+        name = re.match(r"[A-Za-z0-9][A-Za-z0-9._-]*", requirement).group(0)
+        module = name.lower().replace("-", "_")
+        assert module in imported, f"dependency {name} is never imported"

@@ -3,7 +3,8 @@
 Oracles
 -------
 * dense LP: the metric's defining program with one constraint per node pair
-  (built independently, dense matrix) cross-checks the chain formulation.
+  (built independently, dense matrix) cross-checks the 1D chain and the 2D
+  near-pair formulations.
 * adaptive quadrature: the tightness moment of the uniform law on [-1, 1]
   equals 0.5 * Int_{-1}^{1} psi = 0.0695999934791408 (frozen; quad err ~1e-15).
 * closed-form deltas: d0 between two point masses is min(distance, 2).
@@ -43,20 +44,25 @@ UNIFORM_PSI_MOMENT = 0.0695999934791408  # 0.5 * quad(psi, -1, 1), frozen
 
 
 def dense_lp_oracle(grid, a_vals, b_vals):
-    """All-pairs LP for the metric, built densely and independently."""
-    x = grid.axis(0)
-    n = len(x)
-    w = grid.cell_volume * (b_vals - a_vals)
+    """All-pairs LP for the metric, built densely and independently.
+
+    Every node pair of any grid gets the constraint |phi_j - phi_k| <= its
+    Euclidean distance; nothing is dropped at the cap 2.
+    """
+    pts = np.stack([x.ravel() for x in grid.meshgrid()], axis=1)
+    n = pts.shape[0]
+    w = grid.cell_volume * (np.ravel(b_vals) - np.ravel(a_vals))
     rows = []
     rhs = []
     for j in range(n):
         for k in range(j + 1, n):
             r = np.zeros(n)
             r[j], r[k] = 1.0, -1.0
+            dist = float(np.sqrt(np.sum((pts[j] - pts[k]) ** 2)))
             rows.append(r)
-            rhs.append(abs(x[j] - x[k]))
+            rhs.append(dist)
             rows.append(-r)
-            rhs.append(abs(x[j] - x[k]))
+            rhs.append(dist)
     res = linprog(-w, A_ub=np.array(rows), b_ub=np.array(rhs),
                   bounds=(-1.0, 1.0), method="highs")
     assert res.success
@@ -198,6 +204,20 @@ class TestD0Distance:
         a = Measure.delta(grid, (-0.875, -0.875))
         b = Measure.delta(grid, (0.875, 0.875))
         assert d0_distance(a, b) == pytest.approx(2.0, abs=1e-7)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_2d_pairs_match_dense_oracle(self, seed):
+        # 8x8 nodes on half-width 1: the corner pairs lie beyond the cap 2,
+        # so the oracle also checks that dropping them loses nothing.
+        grid = Grid((8, 8), (1.0, 1.0))
+        a, b = random_measure(grid, seed), random_measure(grid, seed + 100)
+        oracle = dense_lp_oracle(grid, a.values, b.values)
+        assert abs(d0_distance(a, b) - oracle) <= 1e-9
+        rng = np.random.default_rng(seed)
+        f = Field(grid, rng.standard_normal(grid.shape))
+        zero = np.zeros(grid.shape)
+        assert abs(signed_dual_norm(f) - dense_lp_oracle(
+            grid, zero, f.values)) <= 1e-9
 
     def test_2d_fine_grid_interval(self):
         grid = Grid((64, 64), (1.0, 1.0))

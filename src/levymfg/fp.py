@@ -155,6 +155,30 @@ def mass_series(rho: Trajectory) -> np.ndarray:
     return rho.grid.cell_volume * np.sum(rho.values, axis=axes)
 
 
+def _project_slices(grid: Grid, values: np.ndarray,
+                    budget: float = _RENORM_BUDGET, first: int = 0
+                    ) -> tuple[np.ndarray, float, float]:
+    """Clamp each slice to a probability density; returns defects too.
+
+    Negative undershoot is clipped, each slice renormalized to unit mass,
+    and a clamp that moves more than ``budget`` mass rejects the path as
+    corrupted; the message numbers the slices from ``first``.  Returns the
+    projected slices, the worst defect and the deepest clipped value.
+    """
+    clipped = np.maximum(values, 0.0)
+    neg_clip = max(0.0, -float(np.min(values)))
+    masses = grid.cell_volume * clipped.reshape(clipped.shape[0], -1).sum(axis=1)
+    defects = np.abs(masses - 1.0)
+    worst = int(np.argmax(defects))
+    if defects[worst] > budget:
+        raise InstabilityError(
+            f"slice {first + worst} clamps to mass {float(masses[worst])!r}; "
+            f"renormalization defect {defects[worst]:.3e} exceeds the "
+            f"{budget:g} budget")
+    shape = (values.shape[0],) + (1,) * grid.dims
+    return clipped / masses.reshape(shape), float(defects[worst]), neg_clip
+
+
 def slice_measure(rho: Trajectory, k: int,
                   budget: float = _RENORM_BUDGET) -> tuple[Measure, float]:
     """Clamp one slice to a probability measure; returns (measure, defect).
@@ -162,14 +186,9 @@ def slice_measure(rho: Trajectory, k: int,
     The defect records how much mass the clamp-and-renormalize step moved;
     it must stay within ``budget`` or the slice is rejected as corrupted.
     """
-    vals = np.maximum(rho.values[k], 0.0)
-    mass = rho.grid.cell_volume * float(np.sum(vals))
-    defect = abs(mass - 1.0)
-    if defect > budget:
-        raise InstabilityError(
-            f"slice {k} clamps to mass {mass!r}; renormalization defect "
-            f"{defect:.3e} exceeds the {budget:g} budget")
-    return Measure.from_values(rho.grid, vals / mass), defect
+    vals, defect, _ = _project_slices(rho.grid, rho.values[k][None], budget,
+                                      first=k)
+    return Measure.from_values(rho.grid, vals[0]), defect
 
 
 # --------------------------------------------------------------------------

@@ -3,12 +3,14 @@
 The metric pairs signed densities with test functions bounded by 1 and
 1-Lipschitz in the node positions.  On a 1D grid the Lipschitz constraints
 between adjacent nodes imply all others, so the supremum is an exact linear
-program over chain constraints.  In 2D the program is exact while the grid
-is small enough (every node pair closer than the cap 2 contributes a
-constraint); on finer grids we report a certified bracket instead: a lower
-bound from an interpolated coarse-grid optimizer re-certified on the fine
-grid, and an upper bound from the adjacent-difference relaxation capped by
-twice the total variation.
+program over chain constraints on every grid.  In 2D the program is exact
+while the grid is small enough (every node pair closer than the cap 2
+contributes a constraint); on finer grids we report a certified bracket
+instead: a lower bound from a coarse-grid optimizer lifted by clamped (not
+periodic) linear interpolation and re-certified on the fine grid, and an
+upper bound from the adjacent-difference relaxation capped by twice the
+total variation.  One linear program serves every case; the callers only
+choose which node pairs it constrains.
 
 The tightness weight psi(x) = log(1 + sqrt(1 + |x|^2)) - log 2 is a smooth
 stand-in for log(1 + |x|): nonnegative, zero at the origin, radially
@@ -17,6 +19,7 @@ nondecreasing, and subadditive up to an additive slack of 0.7.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +29,7 @@ from scipy.integrate import quad
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from .errors import QuadratureError, ResolutionError
+from .errors import GridMismatchError, QuadratureError, ResolutionError
 from .grid import Field, Grid, load_field, periodic_convolve, save_field
 from .levy import _jump_densities
 
@@ -36,7 +39,6 @@ _MASS_TOL = 1e-9
 _MASS_MATCH_TOL = 1e-8
 _PSI_EPS = 1.0
 SUBADDITIVITY_SLACK = 0.7
-_EXACT_LP_NODES_1D = 16384
 _EXACT_LP_NODES_2D = 32 * 32
 _PHI_CAP = 1.0  # test functions bounded by 1, so any d0 value is <= 2
 
@@ -148,8 +150,6 @@ class TightnessFn:
 def generalized_moment(m: Measure, psi: TightnessFn) -> float:
     """Grid integral of the tightness weight against the measure."""
     if psi.psi.grid != m.grid:
-        from .errors import GridMismatchError
-
         raise GridMismatchError("tightness weight sampled on a different grid")
     return float(m.grid.cell_volume * np.sum(psi.psi.values * m.values))
 
@@ -195,8 +195,6 @@ def _check_pair(m, m_prime) -> tuple[Grid, np.ndarray]:
     grid_a, a = _as_values(m)
     grid_b, b = _as_values(m_prime)
     if grid_a != grid_b:
-        from .errors import GridMismatchError
-
         raise GridMismatchError("measures live on different grids")
     mass_gap = abs(float(np.sum(a - b))) * grid_a.cell_volume
     if mass_gap > _MASS_MATCH_TOL:
@@ -214,58 +212,65 @@ def _objective_scale(weights: np.ndarray) -> float:
     return float(np.max(np.abs(weights)))
 
 
-def _chain_lp_1d(grid: Grid, weights: np.ndarray) -> tuple[float, np.ndarray]:
-    # maximize w.phi subject to |phi| <= 1, |phi_{j+1} - phi_j| <= dx.
-    scale = _objective_scale(weights)
-    if scale == 0.0:
-        return 0.0, np.zeros(grid.n[0])
-    n = grid.n[0]
-    dx = grid.dx[0]
-    rows, cols, data = [], [], []
-    for j in range(n - 1):
-        rows += [2 * j, 2 * j, 2 * j + 1, 2 * j + 1]
-        cols += [j + 1, j, j + 1, j]
-        data += [1.0, -1.0, -1.0, 1.0]
-    a_ub = coo_matrix((data, (rows, cols)), shape=(2 * (n - 1), n))
-    res = linprog(
-        -weights.ravel() / scale,
-        A_ub=a_ub.tocsr(),
-        b_ub=np.full(2 * (n - 1), dx),
-        bounds=(-_PHI_CAP, _PHI_CAP),
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"bounded-Lipschitz LP failed: {res.message}")
-    return scale * float(-res.fun), res.x
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
-def _pair_lp_2d(grid: Grid, weights: np.ndarray) -> tuple[float, np.ndarray]:
-    # Generic LP: one constraint pair per node pair closer than the cap 2
-    # (farther pairs are already covered by the box bound |phi| <= 1).
+@functools.lru_cache(maxsize=16)
+def _adjacent_pairs(grid: Grid) -> tuple[np.ndarray, ...]:
+    """(higher, lower, dx) for non-wrapping neighbours along each axis.
+
+    In 1D these are the chain constraints, which imply all others, so the
+    program is exact; in 2D they relax the Euclidean constraints (path
+    metric >= Euclidean) to an upper bound.  Cached, read-only.
+    """
+    idx = np.arange(grid.node_count).reshape(grid.shape)
+    higher, lower, dist = [], [], []
+    for ax, n in enumerate(grid.n):
+        higher.append(idx.take(range(1, n), axis=ax).ravel())
+        lower.append(idx.take(range(n - 1), axis=ax).ravel())
+        dist.append(np.full(higher[-1].size, grid.dx[ax]))
+    return _frozen(*(np.concatenate(a) for a in (higher, lower, dist)))
+
+
+@functools.lru_cache(maxsize=4)
+def _near_pairs(grid: Grid) -> tuple[np.ndarray, ...]:
+    """(first, second, distance) for node pairs closer than the cap 2.
+
+    Farther pairs are already covered by the box bound |phi| <= 1, so the
+    program is exact in any dimension.  Pairs come in ``triu`` order.
+    Cached, read-only (a 32x32 grid holds about half a million pairs).
+    """
+    pts = np.stack([m.ravel() for m in grid.meshgrid()], axis=1)
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt(np.sum(diff ** 2, axis=2))
+    iu, ju = np.triu_indices(pts.shape[0], k=1)
+    d = dist[iu, ju]
+    keep = d < 2.0 * _PHI_CAP
+    return _frozen(iu[keep], ju[keep], d[keep])
+
+
+def _lipschitz_lp(grid: Grid, weights: np.ndarray,
+                  pairs: tuple[np.ndarray, ...]) -> tuple[float, np.ndarray]:
+    """Maximize w.phi over |phi| <= 1 and |phi_p - phi_q| <= d on ``pairs``.
+
+    Returns the optimum and the optimizer shaped like the grid.
+    """
     scale = _objective_scale(weights)
     if scale == 0.0:
         return 0.0, np.zeros(grid.shape)
-    mesh = grid.meshgrid()
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    n = pts.shape[0]
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff ** 2, axis=2))
-    iu, ju = np.triu_indices(n, k=1)
-    keep = dist[iu, ju] < 2.0 * _PHI_CAP
-    iu, ju, d = iu[keep], ju[keep], dist[iu, ju][keep]
-    m_rows = len(iu)
+    first, second, dist = pairs
+    m_rows = dist.size
     rows = np.repeat(np.arange(2 * m_rows), 2)
-    cols = np.empty(4 * m_rows, dtype=int)
-    data = np.empty(4 * m_rows)
-    cols[0::4], cols[1::4] = iu, ju
-    data[0::4], data[1::4] = 1.0, -1.0
-    cols[2::4], cols[3::4] = iu, ju
-    data[2::4], data[3::4] = -1.0, 1.0
-    a_ub = coo_matrix((data, (rows, cols)), shape=(2 * m_rows, n))
+    cols = np.stack([first, second, first, second], axis=1).ravel()
+    data = np.tile([1.0, -1.0, -1.0, 1.0], m_rows)
+    a_ub = coo_matrix((data, (rows, cols)), shape=(2 * m_rows, grid.node_count))
     res = linprog(
         -weights.ravel() / scale,
         A_ub=a_ub.tocsr(),
-        b_ub=np.repeat(d, 2),
+        b_ub=np.repeat(dist, 2),
         bounds=(-_PHI_CAP, _PHI_CAP),
         method="highs",
     )
@@ -274,41 +279,19 @@ def _pair_lp_2d(grid: Grid, weights: np.ndarray) -> tuple[float, np.ndarray]:
     return scale * float(-res.fun), res.x.reshape(grid.shape)
 
 
-def _adjacent_lp(grid: Grid, weights: np.ndarray) -> float:
-    # Relaxation: only 4-neighbor constraints (path metric >= Euclidean),
-    # hence an upper bound for the metric in any dimension.
-    scale = _objective_scale(weights)
-    if scale == 0.0:
-        return 0.0
-    shape = grid.shape
-    n = grid.node_count
-    idx = np.arange(n).reshape(shape)
-    rows, cols, data, rhs = [], [], [], []
-    row = 0
-    for ax in range(grid.dims):
-        left = idx
-        right = np.roll(idx, -1, axis=ax)
-        sel = [slice(None)] * grid.dims
-        sel[ax] = slice(0, shape[ax] - 1)  # skip the periodic wrap pair
-        li = left[tuple(sel)].ravel()
-        ri = right[tuple(sel)].ravel()
-        for a_node, b_node in zip(li, ri):
-            rows += [row, row, row + 1, row + 1]
-            cols += [int(b_node), int(a_node), int(b_node), int(a_node)]
-            data += [1.0, -1.0, -1.0, 1.0]
-            rhs += [grid.dx[ax], grid.dx[ax]]
-            row += 2
-    a_ub = coo_matrix((data, (rows, cols)), shape=(row, n))
-    res = linprog(
-        -weights.ravel() / scale,
-        A_ub=a_ub.tocsr(),
-        b_ub=np.asarray(rhs),
-        bounds=(-_PHI_CAP, _PHI_CAP),
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"bounded-Lipschitz LP failed: {res.message}")
-    return scale * float(-res.fun)
+def _upper_or_exact(grid: Grid, weights: np.ndarray) -> tuple[float, bool]:
+    """Supremum of the metric program, flagged True where it is exact.
+
+    Exact programs: the chain on every 1D grid, the near pairs on 2D grids
+    up to 32x32.  Elsewhere the adjacent-difference relaxation capped by
+    the L1 norm gives an upper bound, flagged False.
+    """
+    if grid.dims == 1:
+        return _lipschitz_lp(grid, weights, _adjacent_pairs(grid))[0], True
+    if grid.node_count <= _EXACT_LP_NODES_2D:
+        return _lipschitz_lp(grid, weights, _near_pairs(grid))[0], True
+    relaxed, _ = _lipschitz_lp(grid, weights, _adjacent_pairs(grid))
+    return min(relaxed, float(np.sum(np.abs(weights)))), False
 
 
 def _coarsen(values: np.ndarray, factor: tuple[int, ...]) -> np.ndarray:
@@ -323,29 +306,20 @@ def _coarsen(values: np.ndarray, factor: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _interp_axis(fine_x, coarse_x, values, axis, period):
-    moved = np.moveaxis(values, axis, -1)
-    flat = moved.reshape(-1, moved.shape[-1])
-    out = np.empty((flat.shape[0], len(fine_x)))
-    for i in range(flat.shape[0]):
-        out[i] = np.interp(fine_x, coarse_x, flat[i], period=period)
-    return np.moveaxis(out.reshape(moved.shape[:-1] + (len(fine_x),)), -1, axis)
-
-
 def _certified_lower_2d(grid: Grid, weights: np.ndarray) -> float:
-    # Solve on a pooled coarse grid, lift the optimizer by periodic linear
-    # interpolation, then rescale until it verifiably satisfies the fine-grid
-    # constraints: the resulting functional value is a true lower bound.
-    # 16 nodes per axis keeps the pooled program well under a second.
+    # Solve on a pooled coarse grid, lift the optimizer by clamped linear
+    # interpolation (the metric is not periodic, so the lift must not ramp
+    # across the wrap cell), then rescale until it verifiably satisfies the
+    # fine-grid constraints: the resulting functional value is a true lower
+    # bound.  16 nodes per axis keeps the pooled program well under a second.
     factor = tuple(max(1, n // 16) for n in grid.n)
     coarse = Grid(tuple(n // f for n, f in zip(grid.n, factor)), grid.half_width)
-    coarse_w = _coarsen(weights, factor)
-    _, phi = _pair_lp_2d(coarse, coarse_w)
-    lifted = phi
+    _, lifted = _lipschitz_lp(coarse, _coarsen(weights, factor),
+                              _near_pairs(coarse))
     for ax in range(grid.dims):
-        lifted = _interp_axis(
-            grid.axis(ax), coarse.axis(ax), lifted, ax, 2.0 * grid.half_width[ax]
-        )
+        fine_x, coarse_x = grid.axis(ax), coarse.axis(ax)
+        lifted = np.apply_along_axis(
+            lambda v: np.interp(fine_x, coarse_x, v), ax, lifted)
     scale = max(1.0, float(np.max(np.abs(lifted))) / _PHI_CAP)
     for ax in range(grid.dims):
         diffs = np.abs(np.diff(lifted, axis=ax)) / grid.dx[ax]
@@ -378,40 +352,22 @@ def d0_interval(m, m_prime) -> tuple[float, float]:
     adjacent-difference relaxation capped by 2 TV above.
     """
     grid, weights = _check_pair(m, m_prime)
-    if grid.dims == 1:
-        if grid.node_count <= _EXACT_LP_NODES_1D:
-            v, _ = _chain_lp_1d(grid, weights)
-            return v, v
-        factor = (grid.n[0] // _EXACT_LP_NODES_1D * 2,)
-        coarse = Grid(grid.n[0] // factor[0], grid.half_width)
-        _, phi = _chain_lp_1d(coarse, _coarsen(weights, factor))
-        lifted = np.interp(
-            grid.axis(0), coarse.axis(0), phi, period=2.0 * grid.half_width[0]
-        )
-        scale = max(1.0, float(np.max(np.abs(lifted))))
-        diffs = np.abs(np.diff(lifted)) / grid.dx[0]
-        scale = max(scale, float(np.max(diffs)))
-        lower = max(float(np.sum(lifted / scale * weights)), 0.0)
-        upper = float(np.sum(np.abs(weights)))
-        return lower, max(upper, lower)
-    if grid.node_count <= _EXACT_LP_NODES_2D:
-        v, _ = _pair_lp_2d(grid, weights)
-        return v, v
+    upper, exact = _upper_or_exact(grid, weights)
+    if exact:
+        return upper, upper
     lower = _certified_lower_2d(grid, weights)
-    upper = min(_adjacent_lp(grid, weights), float(np.sum(np.abs(weights))))
     return lower, max(upper, lower)
 
 
 def d0_distance(m, m_prime) -> float:
     """Bounded-Lipschitz distance between equal-mass signed grid densities.
 
-    Exact where the linear program is tractable (all 1D grids up to
-    16384 nodes, 2D up to 32x32); beyond that the certified upper bound of
-    ``d0_interval`` is returned, which is the conservative choice for every
-    tolerance check in this package.
+    Exact on every 1D grid and on 2D grids up to 32x32; beyond that the
+    certified upper bound of ``d0_interval`` is returned, which is the
+    conservative choice for every tolerance check in this package.
     """
-    lo, hi = d0_interval(m, m_prime)
-    return hi
+    grid, weights = _check_pair(m, m_prime)
+    return _upper_or_exact(grid, weights)[0]
 
 
 def signed_dual_norm(f: Field) -> float:
@@ -425,14 +381,7 @@ def signed_dual_norm(f: Field) -> float:
     relaxation capped by the L1 norm, an upper bound.
     """
     grid, values = _as_values(f)
-    weights = grid.cell_volume * values
-    if grid.dims == 1 and grid.node_count <= _EXACT_LP_NODES_1D:
-        v, _ = _chain_lp_1d(grid, weights)
-        return v
-    if grid.dims == 2 and grid.node_count <= _EXACT_LP_NODES_2D:
-        v, _ = _pair_lp_2d(grid, weights)
-        return v
-    return min(_adjacent_lp(grid, weights), float(np.sum(np.abs(weights))))
+    return _upper_or_exact(grid, grid.cell_volume * values)[0]
 
 
 # --------------------------------------------------------------------------

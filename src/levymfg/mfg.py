@@ -25,11 +25,10 @@ from .coupling import Zero, eval_F
 from .errors import DivergenceError, GridMismatchError, InstabilityError
 from .grid import Field, Grid
 from .hjb import Trajectory, _batch_gradient, solve_hjb
-from .fp import solve_fp
+from .fp import _project_slices, solve_fp
 from .kernels import KernelCache
 from .measures import Measure, d0_distance
 
-_RENORM_BUDGET = 1e-8
 _SLICE_MASS_TOL = 1e-9
 _DEGENERATE_D0 = 1e-12
 _GAP_RISE_STREAK = 5
@@ -162,29 +161,6 @@ def optimal_drift(hamiltonian, u: Trajectory) -> Trajectory:
         [np.broadcast_to(np.asarray(c, dtype=float), u.values.shape)
          for c in comps], axis=1)
     return Trajectory(grid, u.t0, u.T, stacked)
-
-
-def _project_slices(grid: Grid, values: np.ndarray,
-                    budget: float = _RENORM_BUDGET
-                    ) -> tuple[np.ndarray, float, float]:
-    """Clamp each slice to a probability density; returns defects too.
-
-    Same contract as ``fp.slice_measure`` but vectorized over the whole
-    path: negative undershoot is clipped, each slice renormalized to unit
-    mass, and a clamp that moves more than ``budget`` mass rejects the
-    path as corrupted.
-    """
-    clipped = np.maximum(values, 0.0)
-    neg_clip = max(0.0, -float(np.min(values)))
-    masses = grid.cell_volume * clipped.reshape(clipped.shape[0], -1).sum(axis=1)
-    defects = np.abs(masses - 1.0)
-    worst = int(np.argmax(defects))
-    if defects[worst] > budget:
-        raise InstabilityError(
-            f"slice {worst} clamps to mass {masses[worst]!r}; renormalization "
-            f"defect {defects[worst]:.3e} exceeds the {budget:g} budget")
-    shape = (values.shape[0],) + (1,) * grid.dims
-    return clipped / masses.reshape(shape), float(defects[worst]), neg_clip
 
 
 def _source_trajectory(coupling, grid: Grid, path: np.ndarray, t0: float,

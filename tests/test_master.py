@@ -19,7 +19,8 @@ from levymfg.grid import Field, Grid
 from levymfg.hjb import QuadraticHamiltonian
 from levymfg.kernels import KernelCache
 from levymfg.levy import FractionalLaplacian, LevyTriplet
-from levymfg.master import Scenario, eval_U, master_residual
+from levymfg.master import (Scenario, derivative_check, eval_U,
+                            flow_consistency, master_residual)
 from levymfg.measures import Measure
 
 GRID = Grid(16, 2.0)
@@ -105,6 +106,30 @@ class TestInteriorResidual:
         assert coarse.y_stride == 2
         shift = abs(coarse.sup_grid - interior.sup_grid)
         assert 0.0 < shift <= 2e-7  # measured: 9.37e-8
+
+
+class TestDerivativeCheck:
+    def test_mixture_quotients_decay_superlinearly(self, scenario, m0):
+        shifted = Measure.normalized(Field.from_function(
+            GRID, lambda x: np.exp(-2.0 * (x - 0.5) ** 2)))
+        report = derivative_check(scenario, 0.0, m0, shifted,
+                                  [0.2, 0.1, 0.05, 0.025])
+        assert report.passed
+        assert 1.45 < report.slope < 1.65  # measured: 1.5361
+        defects = [defect for _, defect in report.rows]
+        assert all(b < a for a, b in zip(defects, defects[1:]))
+        assert 1.5e-7 < defects[0] < 1.8e-7  # measured: 1.65e-7
+        assert 6e-9 < defects[-1] < 7.5e-9  # measured: 6.8e-9
+
+
+class TestFlowConsistency:
+    def test_restart_from_the_midpoint_reproduces_the_flow(
+            self, scenario, m0):
+        report = flow_consistency(scenario, 0.0, m0, 0.25)
+        assert report.passed
+        assert report.restart_index == 8
+        assert report.tolerance == pytest.approx(2e-5)
+        assert report.gap <= 1e-7  # measured: 8.39e-9
 
 
 class TestValidation:

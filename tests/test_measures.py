@@ -227,7 +227,9 @@ class TestD0Distance:
         lo, hi = d0_interval(a, b)
         assert 0.0 <= lo <= hi
         assert hi <= 2.0 * tv_distance(a, b) + 1e-9
-        assert lo > 0.02  # translated bumps are certifiably far apart
+        # translated bumps are certifiably far apart, and the bracket is tight
+        assert lo >= 0.555  # measured: 0.5583 (periodic lift gave 0.0360)
+        assert hi - lo <= 5e-3  # measured: 1.26e-3
         assert d0_distance(a, b) == pytest.approx(hi)
 
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import linprog
+from scipy.sparse import diags, vstack
 
 from levymfg.errors import GridMismatchError, ResolutionError
 from levymfg.grid import Field, Grid, periodic_convolve
@@ -67,6 +68,32 @@ def dense_lp_oracle(grid, a_vals, b_vals):
                   bounds=(-1.0, 1.0), method="highs")
     assert res.success
     return float(-res.fun)
+
+
+def chain_lp_oracle(grid, weights):
+    """HiGHS on the 1D program with chain constraints only, built sparsely.
+
+    The objective is scaled to unit maximum first, so the solver's dual
+    tolerance cannot stop it at a suboptimal vertex.
+    """
+    n = grid.n[0]
+    scale = float(np.max(np.abs(weights)))
+    diff = diags([np.ones(n - 1), -np.ones(n - 1)], [1, 0], shape=(n - 1, n))
+    res = linprog(-np.asarray(weights) / scale, A_ub=vstack([diff, -diff]),
+                  b_ub=np.full(2 * (n - 1), grid.dx[0]),
+                  bounds=(-1.0, 1.0), method="highs")
+    assert res.success
+    return scale * float(-res.fun)
+
+
+def highs_oracle_1d(grid, a_vals, b_vals):
+    """sup (b - a).phi by HiGHS: all pairs up to 64 nodes, the chain above."""
+    w = grid.cell_volume * (np.ravel(b_vals) - np.ravel(a_vals))
+    if grid.n[0] > 64:
+        return chain_lp_oracle(grid, w)
+    scale = float(np.max(np.abs(w)))
+    return scale * dense_lp_oracle(grid, np.ravel(a_vals) / scale,
+                                   np.ravel(b_vals) / scale)
 
 
 def random_measure(grid, seed, smooth=False):
@@ -231,6 +258,48 @@ class TestD0Distance:
         assert lo >= 0.555  # measured: 0.5583 (periodic lift gave 0.0360)
         assert hi - lo <= 5e-3  # measured: 1.26e-3
         assert d0_distance(a, b) == pytest.approx(hi)
+
+
+CHAIN_SIZES = [8, 16, 64, 256, 1024]
+# 0.9 and 1.7 give spacings dx that do not divide 2
+CHAIN_HALF_WIDTHS = [0.9, 1.7, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("half_width", CHAIN_HALF_WIDTHS)
+@pytest.mark.parametrize("n", CHAIN_SIZES)
+class TestChainAgainstHighs:
+    """The 1D metric against HiGHS to 1e-12 relative on every grid size."""
+
+    def test_random_pair(self, n, half_width):
+        grid = Grid(n, half_width)
+        a, b = random_measure(grid, n), random_measure(grid, n + 1)
+        oracle = highs_oracle_1d(grid, a.values, b.values)
+        assert abs(d0_distance(a, b) - oracle) <= 1e-12 * oracle
+
+    def test_signed_field_at_every_scale(self, n, half_width):
+        # 1e-7 and 1e-12 sit at and far below the solver's tolerances
+        grid = Grid(n, half_width)
+        f = np.random.default_rng(n).standard_normal(n)
+        oracle = highs_oracle_1d(grid, np.zeros(n), f)
+        for scale in (1.0, 1e-7, 1e-12):
+            norm = signed_dual_norm(Field(grid, scale * f))
+            assert abs(norm - scale * oracle) <= 1e-12 * scale * oracle
+
+    def test_delta_pair(self, n, half_width):
+        grid = Grid(n, half_width)
+        x = grid.axis(0)
+        a = Measure.delta(grid, (x[n // 8],))
+        b = Measure.delta(grid, (x[n - 1],))
+        oracle = highs_oracle_1d(grid, a.values, b.values)
+        assert abs(d0_distance(a, b) - oracle) <= 1e-12 * oracle
+        closed_form = min(x[n - 1] - x[n // 8], 2.0)
+        assert d0_distance(a, b) == pytest.approx(closed_form, rel=1e-12)
+
+    def test_zero_weights(self, n, half_width):
+        grid = Grid(n, half_width)
+        m = random_measure(grid, n)
+        assert d0_distance(m, m) == 0.0
+        assert signed_dual_norm(Field.constant(grid, 0.0)) == 0.0
 
 
 class TestSignedDualNorm:

@@ -50,7 +50,8 @@ from .grid import Field, Grid
 from .hjb import (Trajectory, _batch_gradient, _check_operand,
                   _march_backward)
 from .kernels import KernelCache
-from .measures import Measure, mollifier_field, signed_dual_norm
+from .measures import Measure, mollifier_field, path_metric, \
+    signed_dual_norm
 from .mfg import MfgSolution, optimal_drift
 
 _SYMMETRY_TOL = 1e-12
@@ -269,7 +270,7 @@ class LinearReport:
 
 def _sup_dual(grid: Grid, values: np.ndarray) -> float:
     """Largest bounded-Lipschitz dual norm over the slices of a path."""
-    return max(signed_dual_norm(Field(grid, v)) for v in values)
+    return float(np.max(path_metric(grid, values)))
 
 
 def _wrap_inner(exc, iteration: int):

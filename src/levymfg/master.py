@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -34,7 +35,7 @@ from .hjb import _batch_gradient, _check_step
 from .kernels import KernelCache
 from .linearized import JKernel, _j_rows, j_field_batch, linearize, \
     solve_linear_system
-from .measures import Measure, d0_distance
+from .measures import Measure, path_metric
 from .mfg import IterationPolicy, MfgProblem, MfgSolution, optimal_drift, \
     solve_mfg
 
@@ -43,6 +44,7 @@ _SLOPE_THRESHOLD = 1.2
 _DEFECT_FLOOR = 1e-13   # quotient defects below this are float noise
 _CONSTANT_KILL_TOL = 1e-12
 _Y_BATCH_CAP = 128
+_MEMO_CAP = 32  # solves a Scenario keeps; the least recently used go first
 
 
 # --------------------------------------------------------------------------
@@ -57,7 +59,8 @@ class Scenario:
     ceil((T - t0)/dt_cap) steps, so slabs whose length is an exact multiple
     of the cap all march with the same dt and their time lattices nest.
     The memo maps (t0, m0-bytes) to the converged solution, so repeated
-    evaluations (difference quotients, time probes) reuse solves.
+    evaluations (difference quotients, time probes) reuse solves; it keeps
+    the ``_MEMO_CAP`` most recently used solves.
     """
 
     kernel: KernelCache
@@ -67,7 +70,8 @@ class Scenario:
     T: float
     dt_cap: float
     policy: IterationPolicy = dc_field(default_factory=IterationPolicy)
-    _memo: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    _memo: OrderedDict = dc_field(default_factory=OrderedDict, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.T) and self.T > 0.0):
@@ -106,8 +110,10 @@ def solve_scenario(scenario: Scenario, t0: float, m0: Measure
     if m0.grid != scenario.grid:
         raise GridMismatchError("initial measure grid != scenario grid")
     key = (float(t0), m0.values.tobytes())
-    hit = scenario._memo.get(key)
+    memo = scenario._memo
+    hit = memo.get(key)
     if hit is not None:
+        memo.move_to_end(key)
         return hit
     solution = solve_mfg(scenario.problem(t0, m0))
     if not solution.converged:
@@ -115,7 +121,9 @@ def solve_scenario(scenario: Scenario, t0: float, m0: Measure
             f"coupled solve from t0={t0:g} stalled at gap "
             f"{solution.gap_history[-1]:.3e} after {solution.iterations} "
             "iterations")
-    scenario._memo[key] = solution
+    memo[key] = solution
+    if len(memo) > _MEMO_CAP:
+        memo.popitem(last=False)
     return solution
 
 
@@ -465,13 +473,13 @@ def flow_consistency(scenario: Scenario, t0: float, m0: Measure,
             f"restart solve from s={s_snap:g} stalled at gap "
             f"{fresh.gap_history[-1]:.3e}")
 
-    value_gap = measure_gap = gap = 0.0
-    for j in range(n - k + 1):
-        v = float(np.max(np.abs(fresh.u.values[j] - base.u.values[k + j])))
-        m = d0_distance(fresh.measure_at(j), base.measure_at(k + j))
-        value_gap = max(value_gap, v)
-        measure_gap = max(measure_gap, m)
-        gap = max(gap, v + m)
+    value_gaps = np.max(np.abs(fresh.u.values - base.u.values[k:]),
+                        axis=tuple(range(1, fresh.u.values.ndim)))
+    measure_gaps = path_metric(scenario.grid, fresh.m.values,
+                               base.m.values[k:])
+    value_gap = float(np.max(value_gaps))
+    measure_gap = float(np.max(measure_gaps))
+    gap = float(np.max(value_gaps + measure_gaps))
     tolerance = 20.0 * scenario.policy.tol_d0
     return FlowConsistencyReport(
         restart_time=s_snap, restart_index=k, value_gap=value_gap,

@@ -2,15 +2,17 @@
 
 The metric pairs signed densities with test functions bounded by 1 and
 1-Lipschitz in the node positions.  On a 1D grid the Lipschitz constraints
-between adjacent nodes imply all others, so the supremum is an exact linear
-program over chain constraints on every grid.  In 2D the program is exact
-while the grid is small enough (every node pair closer than the cap 2
-contributes a constraint); on finer grids we report a certified bracket
-instead: a lower bound from a coarse-grid optimizer lifted by clamped (not
-periodic) linear interpolation and re-certified on the fine grid, and an
-upper bound from the adjacent-difference relaxation capped by twice the
-total variation.  One linear program serves every case; the callers only
-choose which node pairs it constrains.
+between adjacent nodes imply all others, and a dynamic program over the
+finitely many values an optimal test function can take solves the chain
+exactly on every grid, batched over the slices of a path (``path_metric``).
+The linear program serves only 2D.  There it is exact while the grid is
+small enough (every node pair closer than the cap 2 contributes a
+constraint); on finer grids we report a certified bracket instead: a lower
+bound from a coarse-grid optimizer lifted by clamped (not periodic) linear
+interpolation and re-certified on the fine grid, and an upper bound from
+the adjacent-difference relaxation capped by twice the total variation.
+The callers of the linear program only choose which node pairs it
+constrains.
 
 The tightness weight psi(x) = log(1 + sqrt(1 + |x|^2)) - log 2 is a smooth
 stand-in for log(1 + |x|): nonnegative, zero at the origin, radially
@@ -196,11 +198,18 @@ def _check_pair(m, m_prime) -> tuple[Grid, np.ndarray]:
     grid_b, b = _as_values(m_prime)
     if grid_a != grid_b:
         raise GridMismatchError("measures live on different grids")
-    mass_gap = abs(float(np.sum(a - b))) * grid_a.cell_volume
-    if mass_gap > _MASS_MATCH_TOL:
-        raise ValueError(f"total masses differ by {mass_gap:.3e}; metric undefined")
-    weights = grid_a.cell_volume * (b - a)
-    return grid_a, weights
+    return grid_a, _matched_weights(grid_a, a[None], b[None])[0]
+
+
+def _matched_weights(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Weights cell_volume * (b - a) per slice, once every mass matches."""
+    axes = tuple(range(1, a.ndim))
+    mass_gaps = np.abs(np.sum(a - b, axis=axes)) * grid.cell_volume
+    for mass_gap in mass_gaps:
+        if mass_gap > _MASS_MATCH_TOL:
+            raise ValueError(
+                f"total masses differ by {mass_gap:.3e}; metric undefined")
+    return grid.cell_volume * (b - a)
 
 
 def _objective_scale(weights: np.ndarray) -> float:
@@ -222,9 +231,8 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def _adjacent_pairs(grid: Grid) -> tuple[np.ndarray, ...]:
     """(higher, lower, dx) for non-wrapping neighbours along each axis.
 
-    In 1D these are the chain constraints, which imply all others, so the
-    program is exact; in 2D they relax the Euclidean constraints (path
-    metric >= Euclidean) to an upper bound.  Cached, read-only.
+    On a 2D grid these relax the Euclidean constraints (path metric >=
+    Euclidean) to an upper bound.  Cached, read-only.
     """
     idx = np.arange(grid.node_count).reshape(grid.shape)
     higher, lower, dist = [], [], []
@@ -279,19 +287,53 @@ def _lipschitz_lp(grid: Grid, weights: np.ndarray,
     return scale * float(-res.fun), res.x.reshape(grid.shape)
 
 
-def _upper_or_exact(grid: Grid, weights: np.ndarray) -> tuple[float, bool]:
-    """Supremum of the metric program, flagged True where it is exact.
+def _chain_sup(weights: np.ndarray, dx: float) -> np.ndarray:
+    """Maximize w.phi over |phi_j| <= 1 and |phi_{j+1} - phi_j| <= dx.
 
-    Exact programs: the chain on every 1D grid, the near pairs on 2D grids
-    up to 32x32.  Elsewhere the adjacent-difference relaxation capped by
-    the L1 norm gives an upper bound, flagged False.
+    One value per row of ``weights`` (shape (slices, nodes)).  At a vertex
+    of this program every phi_j is joined by tight Lipschitz constraints to
+    a node at +-1, so it lies on the lattice {1 - k dx} u {-1 + k dx} inside
+    [-1, 1], and a max-plus dynamic program over that lattice is exact.
+    Sorted, the two sub-lattices alternate, so the points within dx of a
+    lattice point are the two on either side of it.  Rows only meet in
+    elementwise operations: a row of a batch equals its single-row call
+    bitwise.
+    """
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("bounded-Lipschitz weights must be finite")
+    k = np.arange(int(2.0 / dx) + 1)
+    lattice = np.empty(2 * k.size)
+    lattice[0::2] = np.minimum(-1.0 + k * dx, 1.0)
+    lattice[1::2] = np.maximum(1.0 - k[::-1] * dx, -1.0)
+    # value of the best prefix ending at each lattice point, padded by
+    # two -inf columns per side so the window needs no edge cases
+    best = np.full((weights.shape[0], lattice.size + 4), -np.inf)
+    core = best[:, 2:-2]
+    np.multiply(weights[:, :1], lattice, out=core)
+    for j in range(1, weights.shape[1]):
+        pair = np.maximum(best[:, :-1], best[:, 1:])
+        triple = np.maximum(pair[:, :-1], pair[:, 1:])
+        np.maximum(triple[:, :-2], triple[:, 2:], out=core)
+        core += weights[:, j:j + 1] * lattice
+    return core.max(axis=1)
+
+
+def _upper_or_exact(grid: Grid, weights: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Supremum of the metric program per slice, flagged True where exact.
+
+    ``weights`` carries a leading slice axis.  Exact programs: the chain
+    dynamic program on every 1D grid (one call for all slices), the near
+    pairs on 2D grids up to 32x32.  Elsewhere the adjacent-difference
+    relaxation capped by the L1 norm gives an upper bound, flagged False.
     """
     if grid.dims == 1:
-        return _lipschitz_lp(grid, weights, _adjacent_pairs(grid))[0], True
+        return _chain_sup(weights, grid.dx[0]), True
     if grid.node_count <= _EXACT_LP_NODES_2D:
-        return _lipschitz_lp(grid, weights, _near_pairs(grid))[0], True
-    relaxed, _ = _lipschitz_lp(grid, weights, _adjacent_pairs(grid))
-    return min(relaxed, float(np.sum(np.abs(weights)))), False
+        return np.array([_lipschitz_lp(grid, w, _near_pairs(grid))[0]
+                         for w in weights]), True
+    return np.array([
+        min(_lipschitz_lp(grid, w, _adjacent_pairs(grid))[0],
+            float(np.sum(np.abs(w)))) for w in weights]), False
 
 
 def _coarsen(values: np.ndarray, factor: tuple[int, ...]) -> np.ndarray:
@@ -312,12 +354,15 @@ def _certified_lower_2d(grid: Grid, weights: np.ndarray) -> float:
     # across the wrap cell), then rescale until it verifiably satisfies the
     # fine-grid constraints: the resulting functional value is a true lower
     # bound.  16 nodes per axis keeps the pooled program well under a second.
+    # Coarse node i pools fine nodes i*f .. i*f + f - 1, so the lift places
+    # it at their centre, (f - 1)/2 fine cells past fine node i*f.
     factor = tuple(max(1, n // 16) for n in grid.n)
     coarse = Grid(tuple(n // f for n, f in zip(grid.n, factor)), grid.half_width)
     _, lifted = _lipschitz_lp(coarse, _coarsen(weights, factor),
                               _near_pairs(coarse))
     for ax in range(grid.dims):
-        fine_x, coarse_x = grid.axis(ax), coarse.axis(ax)
+        fine_x = grid.axis(ax)
+        coarse_x = coarse.axis(ax) + 0.5 * (factor[ax] - 1) * grid.dx[ax]
         lifted = np.apply_along_axis(
             lambda v: np.interp(fine_x, coarse_x, v), ax, lifted)
     scale = max(1.0, float(np.max(np.abs(lifted))) / _PHI_CAP)
@@ -352,7 +397,8 @@ def d0_interval(m, m_prime) -> tuple[float, float]:
     adjacent-difference relaxation capped by 2 TV above.
     """
     grid, weights = _check_pair(m, m_prime)
-    upper, exact = _upper_or_exact(grid, weights)
+    uppers, exact = _upper_or_exact(grid, weights[None])
+    upper = float(uppers[0])
     if exact:
         return upper, upper
     lower = _certified_lower_2d(grid, weights)
@@ -362,12 +408,13 @@ def d0_interval(m, m_prime) -> tuple[float, float]:
 def d0_distance(m, m_prime) -> float:
     """Bounded-Lipschitz distance between equal-mass signed grid densities.
 
-    Exact on every 1D grid and on 2D grids up to 32x32; beyond that the
-    certified upper bound of ``d0_interval`` is returned, which is the
-    conservative choice for every tolerance check in this package.
+    Exact on every 1D grid, by the chain dynamic program, and on 2D grids up
+    to 32x32, by the linear program; beyond that the certified upper bound
+    of ``d0_interval`` is returned, which is the conservative choice for
+    every tolerance check in this package.
     """
     grid, weights = _check_pair(m, m_prime)
-    return _upper_or_exact(grid, weights)[0]
+    return float(_upper_or_exact(grid, weights[None])[0][0])
 
 
 def signed_dual_norm(f: Field) -> float:
@@ -377,11 +424,31 @@ def signed_dual_norm(f: Field) -> float:
     1-Lipschitz, with no mass-matching requirement: the norm of a field of
     total mass mu is at least |mu| (take phi constant).  For two densities
     of equal mass, the norm of their difference is ``d0_distance``.  Exact
-    where the metric LP is exact; otherwise the adjacent-difference
+    where the metric is exact; otherwise the adjacent-difference
     relaxation capped by the L1 norm, an upper bound.
     """
     grid, values = _as_values(f)
-    return _upper_or_exact(grid, grid.cell_volume * values)[0]
+    return float(_upper_or_exact(grid, grid.cell_volume * values[None])[0][0])
+
+
+def path_metric(grid: Grid, path, reference=None) -> np.ndarray:
+    """The metric slice by slice along the leading axis of ``path``.
+
+    With ``reference`` (same shape), entry k is ``d0_distance`` between
+    ``path[k]`` and ``reference[k]``, and every pair must match in mass;
+    without it, entry k is ``signed_dual_norm(path[k])``.  Values equal
+    the single-slice calls; a 1D path costs one dynamic-program call.
+    """
+    path = np.asarray(path, dtype=float)
+    if path.shape[1:] != grid.shape or (
+            reference is not None and np.shape(reference) != path.shape):
+        raise GridMismatchError("measures live on different grids")
+    if reference is None:
+        weights = grid.cell_volume * path
+    else:
+        weights = _matched_weights(grid, path,
+                                   np.asarray(reference, dtype=float))
+    return _upper_or_exact(grid, weights)[0]
 
 
 # --------------------------------------------------------------------------

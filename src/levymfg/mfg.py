@@ -23,11 +23,11 @@ import numpy as np
 
 from .coupling import Zero, eval_F
 from .errors import DivergenceError, GridMismatchError, InstabilityError
-from .grid import Field, Grid
+from .grid import Grid
 from .hjb import Trajectory, _batch_gradient, solve_hjb
 from .fp import _project_slices, solve_fp
 from .kernels import KernelCache
-from .measures import Measure, d0_distance
+from .measures import Measure, d0_distance, path_metric
 
 _SLICE_MASS_TOL = 1e-9
 _DEGENERATE_D0 = 1e-12
@@ -194,9 +194,7 @@ def _best_response(problem: MfgProblem, path: np.ndarray
 
 def _path_gap(grid: Grid, new: np.ndarray, old: np.ndarray) -> float:
     """sup over time slices of the bounded-Lipschitz distance."""
-    return max(
-        d0_distance(Field(grid, new[k]), Field(grid, old[k]))
-        for k in range(new.shape[0]))
+    return float(np.max(path_metric(grid, new, old)))
 
 
 def next_damping(gap_history: Sequence[float], damping: float,

@@ -4,8 +4,10 @@ Order-1.5 jumps on a box of half-width 2, quadratic momentum cost of
 weight 0.5, a compactly supported bump convolution as running cost, no
 terminal cost, T = 0.5 and dt_cap = 0.03125 (half the 0.0625 budget of
 this grid).  One scenario is shared by the whole module so its memo reuses
-the solves across tests.  Expected values were measured once and frozen;
-comments record the raw measurements.
+the solves across tests; the refinement check builds a 32-node copy with
+half the step, and the decoupled and memo checks drop the running cost.
+Expected values were measured once and frozen; comments record the raw
+measurements.
 """
 
 import warnings
@@ -19,8 +21,8 @@ from levymfg.grid import Field, Grid
 from levymfg.hjb import QuadraticHamiltonian
 from levymfg.kernels import KernelCache
 from levymfg.levy import FractionalLaplacian, LevyTriplet
-from levymfg.master import (Scenario, derivative_check, eval_U,
-                            flow_consistency, master_residual)
+from levymfg.master import (_MEMO_CAP, Scenario, derivative_check, eval_U,
+                            flow_consistency, master_residual, solve_scenario)
 from levymfg.measures import Measure
 
 GRID = Grid(16, 2.0)
@@ -30,14 +32,19 @@ DT_CAP = 0.03125
 SAMPLES = [(0.0,), (0.5,), (-1.0,)]
 
 
-def bump_kernel() -> Field:
+def bump_kernel(grid: Grid = GRID) -> Field:
     # exactly compactly supported; a Gaussian tail trips the Conv edge guard
     def bump(x):
         inside = x * x < 1.0
         return np.where(
             inside, 0.25 * np.exp(-1.0 / np.maximum(1.0 - x * x, 1e-300)),
             0.0)
-    return Field.from_function(GRID, bump)
+    return Field.from_function(grid, bump)
+
+
+def gaussian(grid: Grid, centre: float) -> Measure:
+    return Measure.normalized(Field.from_function(
+        grid, lambda x: np.exp(-2.0 * (x - centre) ** 2)))
 
 
 def make_scenario(**overrides) -> Scenario:
@@ -60,8 +67,12 @@ def scenario():
 
 @pytest.fixture(scope="module")
 def m0():
-    return Measure.normalized(Field.from_function(
-        GRID, lambda x: np.exp(-2.0 * x * x)))
+    return gaussian(GRID, 0.0)
+
+
+@pytest.fixture(scope="module")
+def shifted():
+    return gaussian(GRID, 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -108,10 +119,53 @@ class TestInteriorResidual:
         assert 0.0 < shift <= 2e-7  # measured: 9.37e-8
 
 
+class TestRefinement:
+    def test_residual_at_32_nodes(self, interior):
+        # twice the nodes and half the step of the module scenario
+        grid = Grid(32, 2.0)
+        fine = make_scenario(kernel=KernelCache(TRIPLET, grid),
+                             running_cost=Conv(bump_kernel(grid)),
+                             dt_cap=DT_CAP / 2)
+        report = master_residual(fine, 0.25, gaussian(grid, 0.0), SAMPLES)
+        assert report.mode == "interior"
+        assert report.y_stride == 1
+        assert 9.6e-5 < report.sup_grid < 1.01e-4  # measured: 9.8775e-5
+        ratio = interior.sup_grid / report.sup_grid
+        assert 3.7 < ratio < 3.95  # measured: 3.820
+
+
+class TestDecoupled:
+    def test_field_ignores_the_measure_and_quotients_are_exact(
+            self, m0, shifted):
+        free = make_scenario(running_cost=Zero())
+        u_a = eval_U(free, 0.0, m0).values
+        u_b = eval_U(free, 0.0, shifted).values
+        assert float(np.max(np.abs(u_a - u_b))) == 0.0  # measured: 0.0
+        report = derivative_check(free, 0.0, m0, shifted,
+                                  [0.2, 0.1, 0.05, 0.025])
+        assert report.passed
+        assert report.slope == float("inf")
+        assert [defect for _, defect in report.rows] == [0.0] * 4
+
+
+class TestMemo:
+    def test_memo_stops_growing_at_the_cap(self, m0):
+        free = make_scenario(running_cost=Zero())
+        first = solve_scenario(free, 0.0, m0)
+        oldest = solve_scenario(free, 0.01, m0)
+        for k in range(2, _MEMO_CAP + 2):
+            solve_scenario(free, 0.01 * k, m0)
+            # a repeated (t0, m0) is a hit and becomes the most recent
+            assert solve_scenario(free, 0.0, m0) is first
+        assert len(free._memo) == _MEMO_CAP
+        # the least recently used solve was dropped and is solved afresh
+        assert solve_scenario(free, 0.01, m0) is not oldest
+        assert len(free._memo) == _MEMO_CAP
+
+
 class TestDerivativeCheck:
-    def test_mixture_quotients_decay_superlinearly(self, scenario, m0):
-        shifted = Measure.normalized(Field.from_function(
-            GRID, lambda x: np.exp(-2.0 * (x - 0.5) ** 2)))
+    def test_mixture_quotients_decay_superlinearly(self, scenario, m0,
+                                                   shifted):
         report = derivative_check(scenario, 0.0, m0, shifted,
                                   [0.2, 0.1, 0.05, 0.025])
         assert report.passed

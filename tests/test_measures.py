@@ -5,6 +5,8 @@ Oracles
 * dense LP: the metric's defining program with one constraint per node pair
   (built independently, dense matrix) cross-checks the 1D chain and the 2D
   near-pair formulations.
+* HiGHS on 1D grids of 8 to 1024 nodes (the dense program up to 64 nodes, a
+  sparse chain program above): the 1D metric agrees to 1e-12 relative.
 * adaptive quadrature: the tightness moment of the uniform law on [-1, 1]
   equals 0.5 * Int_{-1}^{1} psi = 0.0695999934791408 (frozen; quad err ~1e-15).
 * closed-form deltas: d0 between two point masses is min(distance, 2).
@@ -33,6 +35,7 @@ from levymfg.measures import (
     load_measure,
     mollifier_field,
     mollify,
+    path_metric,
     psi_profile,
     save_measure,
     signed_dual_norm,
@@ -255,8 +258,10 @@ class TestD0Distance:
         assert 0.0 <= lo <= hi
         assert hi <= 2.0 * tv_distance(a, b) + 1e-9
         # translated bumps are certifiably far apart, and the bracket is tight
-        assert lo >= 0.555  # measured: 0.5583 (periodic lift gave 0.0360)
-        assert hi - lo <= 5e-3  # measured: 1.26e-3
+        # measured: 0.55882 (uncentred coarse nodes gave 0.55828, the
+        # periodic lift 0.0360)
+        assert lo >= 0.5585
+        assert hi - lo <= 8e-4  # measured: 7.20e-4 (uncentred: 1.26e-3)
         assert d0_distance(a, b) == pytest.approx(hi)
 
 
@@ -302,6 +307,38 @@ class TestChainAgainstHighs:
         assert signed_dual_norm(Field.constant(grid, 0.0)) == 0.0
 
 
+class TestPathMetric:
+    """One call for every slice of a path, equal to the per-slice calls."""
+
+    @pytest.mark.parametrize("grid", [Grid(64, 1.7), Grid((8, 8), (1.0, 1.0))],
+                             ids=["1d", "2d"])
+    def test_rows_bitwise_match_single_calls(self, grid):
+        path = np.stack([random_measure(grid, s).values for s in range(5)])
+        ref = np.stack([random_measure(grid, s + 50).values for s in range(5)])
+        distances = path_metric(grid, path, ref)
+        norms = path_metric(grid, path - ref)
+        for k in range(5):
+            assert distances[k] == d0_distance(Field(grid, path[k]),
+                                               Field(grid, ref[k]))
+            assert norms[k] == signed_dual_norm(Field(grid, path[k] - ref[k]))
+
+    def test_bad_slice_mass_rejected(self):
+        grid = Grid(64, 2.0)
+        path = np.stack([random_measure(grid, s).values for s in range(4)])
+        ref = path[::-1].copy()
+        ref[2] *= 1.5
+        with pytest.raises(ValueError, match="total masses differ by"):
+            path_metric(grid, path, ref)
+
+    def test_grid_mismatch_rejected(self):
+        grid = Grid(64, 2.0)
+        path = np.full((3, 64), 0.25)
+        with pytest.raises(GridMismatchError):
+            path_metric(Grid(128, 2.0), path)
+        with pytest.raises(GridMismatchError):
+            path_metric(grid, path, path[:2])
+
+
 class TestSignedDualNorm:
     def test_zero_field(self):
         assert signed_dual_norm(Field.constant(Grid(64, 2.0), 0.0)) == 0.0
@@ -328,6 +365,12 @@ class TestSignedDualNorm:
         f = Field.from_function(grid, lambda x: np.sin(np.pi * x) - 0.2)
         assert signed_dual_norm(f) == pytest.approx(
             signed_dual_norm(Field(grid, -f.values)), abs=1e-12)
+
+    def test_non_finite_field_rejected(self):
+        vals = np.zeros(64)
+        vals[5] = np.nan
+        with pytest.raises(ValueError):
+            signed_dual_norm(Field(Grid(64, 2.0), vals))
 
     def test_2d_delta(self):
         grid = Grid((16, 16), (1.0, 1.0))

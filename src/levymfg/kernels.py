@@ -123,7 +123,7 @@ class KernelCache:
         scale = max(1.0, float(np.max(np.abs(out.real))))
         residue = float(np.max(np.abs(out.imag)))
         if residue > _RESIDUE_TOL * scale:
-            raise SpectralResidueError(f"imaginary residue {residue:.3e} {what}")
+            raise SpectralResidueError(f"imaginary residue {residue!r} {what}")
         return out.real
 
     def nyquist_tail(self, t: float, adjoint: bool = False) -> float:

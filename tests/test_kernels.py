@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from levymfg.errors import ResolutionError
+from levymfg.errors import ResolutionError, SpectralResidueError
 from levymfg.grid import Field, Grid
 from levymfg.kernels import KernelCache, kernel_field, semigroup_apply, verify_K_assumption
 from levymfg.levy import parse_operator
@@ -195,6 +195,64 @@ class TestSemigroupApply:
         f = Field.from_function(grid, lambda x: np.exp(-((x - shift) ** 2)))
         out = semigroup_apply(cache, t, f)
         assert abs(out.integral() - f.integral()) <= 1e-12
+
+
+class TestResidueGuard:
+    """An asymmetric symbol is not conjugate-symmetric on the Nyquist bin
+    (xi = -pi/dx stands for both signs), so a real input with content there
+    leaks an imaginary part that the apply must refuse.  Residues measured
+    on Grid(64, 2.0) as max |Im| of the complex-FFT apply."""
+
+    grid = Grid(64, 2.0)
+    x = grid.axis(0)
+    alternating = (-1.0) ** np.arange(64)
+    cases = [
+        # measured: 4.411e-4; the Nyquist bin alone, so exact
+        ("riesz_feller{1.6}", "array", alternating, 4.410665455311339e-04, 1e-12),
+        # measured: 2.678e-2
+        ("cgmy{0.7,3,6,1.3}", "array", alternating, 2.6782130713610394e-02, 1e-12),
+        # measured: 2.187e-5; the complex FFT adds rounding of the other
+        # bins (1.5e-9 relative) to the Nyquist leak
+        ("riesz_feller{1.6}", "generator", np.exp(-3.0 * x ** 2),
+         2.186623038041399e-05, 1e-8),
+    ]
+
+    @staticmethod
+    def _apply(name, how, values, t=0.0078125):
+        cache = KernelCache(parse_operator(name), TestResidueGuard.grid)
+        if how == "generator":
+            return cache.apply_generator(values)
+        return cache.apply_array(t, values)
+
+    @pytest.mark.parametrize("name, how, values, residue, rel", cases)
+    def test_nyquist_leak_raises_with_residue(self, name, how, values,
+                                              residue, rel):
+        with pytest.raises(SpectralResidueError,
+                           match="imaginary residue") as exc:
+            self._apply(name, how, values)
+        reported = float(str(exc.value).split()[2])
+        assert abs(reported - residue) <= rel * residue
+
+    @pytest.mark.parametrize("how, values", [(how, values)
+                                             for _, how, values, _, _ in cases])
+    def test_symmetric_generator_never_raises(self, how, values):
+        out = self._apply("frac{1.5}", how, values)
+        assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("name", ["riesz_feller{1.6}", "cgmy{0.7,3,6,1.3}"])
+    def test_asymmetric_apply_on_resolved_inputs(self, name):
+        rng = np.random.default_rng(5)
+        noise = rng.standard_normal(64)
+        for adjoint in (False, True):
+            out = KernelCache(parse_operator(name), self.grid).apply_array(
+                0.1, noise, adjoint)
+            assert np.all(np.isfinite(out))
+
+    def test_asymmetric_apply_on_narrow_bump(self):
+        bump = np.exp(-8.0 * self.x ** 2)
+        for how in ("array", "generator"):
+            out = self._apply("riesz_feller{1.6}", how, bump)
+            assert np.all(np.isfinite(out))
 
 
 class TestDecayCertification:

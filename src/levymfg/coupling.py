@@ -28,7 +28,8 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import GridMismatchError
-from .grid import Field, Grid, load_field, periodic_convolve
+from .grid import (Field, Grid, _nyquist_shell_max, load_field,
+                   periodic_convolve)
 from .measures import Measure, mollify
 
 _MATRIX_AXIS_CAP = 256
@@ -67,11 +68,10 @@ class Conv:
     @property
     def is_positive_semidefinite(self) -> bool:
         """Bochner criterion on the grid: real, nonnegative DFT."""
-        vals = self.phi.values
-        for ax in range(self.phi.grid.dims):
-            # align the kernel origin with index 0 before transforming
-            vals = np.roll(vals, -(self.phi.grid.n[ax] // 2), axis=ax)
-        spec = np.fft.fftn(vals)
+        grid = self.phi.grid
+        # align the kernel origin with index 0 before transforming
+        spec = np.fft.fftn(np.roll(self.phi.values, [-(ni // 2) for ni in grid.n],
+                                   axis=tuple(range(grid.dims))))
         tol = 1e-12 * max(float(np.max(np.abs(spec))), 1e-300)
         return bool(
             np.max(np.abs(spec.imag)) <= tol and float(np.min(spec.real)) >= -tol
@@ -153,6 +153,12 @@ def _translation_matrix(grid: Grid, phi_vals: np.ndarray) -> np.ndarray:
     return phi_vals[big0, big1]
 
 
+def _centred_on(grid: Grid, phi_vals: np.ndarray, i: int) -> np.ndarray:
+    """phi moved to centre on node i: phi(x_j - x_i) over the nodes x_j."""
+    shift = [p - ni // 2 for p, ni in zip(np.unravel_index(i, grid.shape), grid.n)]
+    return np.roll(phi_vals, shift, axis=tuple(range(grid.dims)))
+
+
 def _guard_matrix(grid: Grid, lazy: bool) -> None:
     if lazy:
         return
@@ -223,17 +229,7 @@ def eval_dmF(coupling, m: Measure, lazy: bool = False):
         if coupling.phi.grid != grid:
             raise GridMismatchError("coupling kernel lives on a different grid")
         if lazy:
-            flat = coupling.phi.values
-            shape = grid.shape
-
-            def row(i: int) -> np.ndarray:
-                multi = np.unravel_index(i, shape)
-                shifted = flat
-                for ax, pos in enumerate(multi):
-                    shifted = np.roll(shifted, pos - grid.n[ax] // 2, axis=ax)
-                return shifted.ravel()
-
-            return row
+            return lambda i: _centred_on(grid, coupling.phi.values, i).ravel()
         return _translation_matrix(grid, coupling.phi.values)
     if isinstance(coupling, LocalComposite):
         if coupling.phi2.grid != grid:
@@ -245,10 +241,7 @@ def eval_dmF(coupling, m: Measure, lazy: bool = False):
         ).ravel()
         if lazy:
             def row(i: int) -> np.ndarray:
-                multi = np.unravel_index(i, grid.shape)
-                shifted = coupling.phi2.values
-                for ax, pos in enumerate(multi):
-                    shifted = np.roll(shifted, pos - grid.n[ax] // 2, axis=ax)
+                shifted = _centred_on(grid, coupling.phi2.values, i)
                 # contract against phi2(z - y) by one convolution pass
                 zfield = Field(grid, shifted * weight.reshape(grid.shape))
                 return periodic_convolve(zfield, coupling.phi2).values.ravel()
@@ -369,11 +362,7 @@ def resolved_derivatives(phi: Field, max_order: int = 4) -> int:
             shape[ax] = len(xi)
             weighted = weighted * (1.0 + np.abs(xi.reshape(shape)) ** order)
         peak = float(np.max(np.abs(weighted)))
-        tail = 0.0
-        for ax in range(phi.grid.dims):
-            sl = [slice(None)] * phi.grid.dims
-            sl[ax] = phi.grid.n[ax] // 2
-            tail = max(tail, float(np.max(np.abs(weighted[tuple(sl)]))))
+        tail = _nyquist_shell_max(phi.grid, weighted)
         if peak == 0.0 or tail <= 1e-6 * peak:
             budget = order
         else:

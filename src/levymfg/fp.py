@@ -25,9 +25,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import GridMismatchError, InstabilityError, QuadratureError
-from .grid import Field, Grid, gradient
-from .hjb import (Trajectory, _check_operand, _check_step,
-                  _gradient_multipliers)
+from .grid import Field, Grid, _divergence, gradient
+from .hjb import Trajectory, _check_operand, _check_step
 from .kernels import KernelCache
 from .levy import _jump_densities
 from .measures import Measure, TightnessFn
@@ -39,18 +38,6 @@ _RENORM_BUDGET = 1e-8
 
 # --------------------------------------------------------------------------
 # solver
-
-
-def _divergence(grid: Grid, vec_values: np.ndarray) -> np.ndarray:
-    """Spectral divergence of a (..., d, *grid.shape) vector sample."""
-    d = grid.dims
-    axes = tuple(range(vec_values.ndim - d, vec_values.ndim))
-    spec = np.moveaxis(np.fft.rfftn(vec_values, axes=axes), -1 - d, 0)
-    mults = _gradient_multipliers(grid)
-    acc = mults[0] * spec[0]
-    for i in range(1, d):
-        acc = acc + mults[i] * spec[i]
-    return np.fft.irfftn(acc, s=grid.shape, axes=tuple(a - 1 for a in axes))
 
 
 def _march_forward(kernel: KernelCache, drift: Trajectory | None,

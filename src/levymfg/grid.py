@@ -3,10 +3,16 @@
 The domain is the periodic box prod_i [-L_i, L_i) with n_i nodes per axis
 (powers of two). All solvers use trigonometric interpolation on this box, so
 everything downstream inherits the row-major layout fixed here.
+
+Fields are real, so every Fourier multiplier (derivatives, convolutions, the
+semigroups of ``kernels``) acts on the ``rfftn`` half-spectrum layout: FFT
+order on the leading axes, the n_last//2 + 1 nonnegative frequencies on the
+last.  The complex ``fftn`` is left to diagnostics of the DFT itself.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -188,12 +194,8 @@ def _derivative_multiplier_half(grid: Grid, beta: tuple[int, ...]) -> np.ndarray
     Nyquist planes are zeroed on axes with odd beta (their sign is not
     representable for a real field), which keeps D skew-adjoint.
     """
-    axes = []
-    for i in range(grid.dims):
-        if i == grid.dims - 1:
-            axes.append(2.0 * np.pi * np.fft.rfftfreq(grid.n[i], d=grid.dx[i]))
-        else:
-            axes.append(grid.wavenumber(i))
+    axes = [grid.wavenumber(i) for i in range(grid.dims - 1)]
+    axes.append(2.0 * np.pi * np.fft.rfftfreq(grid.n[-1], d=grid.dx[-1]))
     mesh = np.meshgrid(*axes, indexing="ij")
     mult = np.ones(mesh[0].shape, dtype=complex)
     nyquist = np.pi / np.asarray(grid.dx)
@@ -232,13 +234,49 @@ def spectral_derivative(f: Field, beta) -> Field:
     return Field(f.grid, out)
 
 
+@functools.lru_cache(maxsize=16)
+def _gradient_multipliers(grid: Grid) -> tuple[np.ndarray, ...]:
+    """Half-spectrum multipliers of the first partials (cached, read-only)."""
+    mults = []
+    for i in range(grid.dims):
+        beta = tuple(1 if j == i else 0 for j in range(grid.dims))
+        mult = _derivative_multiplier_half(grid, beta)
+        mult.setflags(write=False)
+        mults.append(mult)
+    return tuple(mults)
+
+
+def _batch_gradient(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """First partials over the trailing grid axes (leading axes batch)."""
+    axes = tuple(range(values.ndim - grid.dims, values.ndim))
+    spec = np.fft.rfftn(values, axes=axes)
+    return tuple(
+        np.fft.irfftn(spec * m, s=grid.shape, axes=axes)
+        for m in _gradient_multipliers(grid))
+
+
+def _divergence(grid: Grid, vec_values: np.ndarray) -> np.ndarray:
+    """Spectral divergence of a (..., d, *grid.shape) vector sample."""
+    d = grid.dims
+    axes = tuple(range(vec_values.ndim - d, vec_values.ndim))
+    spec = np.moveaxis(np.fft.rfftn(vec_values, axes=axes), -1 - d, 0)
+    mults = _gradient_multipliers(grid)
+    acc = mults[0] * spec[0]
+    for i in range(1, d):
+        acc = acc + mults[i] * spec[i]
+    return np.fft.irfftn(acc, s=grid.shape, axes=tuple(a - 1 for a in axes))
+
+
+def _nyquist_shell_max(grid: Grid, spec: np.ndarray) -> float:
+    """Largest magnitude on the Nyquist planes (fftn or rfftn layout)."""
+    return max(float(np.max(np.abs(np.take(spec, grid.n[ax] // 2, axis=ax))))
+               for ax in range(grid.dims))
+
+
 def gradient(f: Field) -> list[Field]:
     """All first partials of f as a list of Fields."""
-    out = []
-    for i in range(f.grid.dims):
-        beta = tuple(1 if j == i else 0 for j in range(f.grid.dims))
-        out.append(spectral_derivative(f, beta))
-    return out
+    _require_finite(f.values)
+    return [Field(f.grid, g) for g in _batch_gradient(f.grid, f.values)]
 
 
 def periodic_convolve(f: Field, g: Field) -> Field:
@@ -253,13 +291,14 @@ def periodic_convolve(f: Field, g: Field) -> Field:
     _require_same_grid(f, g)
     _require_finite(f.values, "left operand")
     _require_finite(g.values, "right operand")
-    fs = np.fft.fftn(f.values)
-    gs = np.fft.fftn(g.values)
+    grid = f.grid
+    axes = tuple(range(grid.dims))
+    fs = np.fft.rfftn(f.values)
+    gs = np.fft.rfftn(g.values)
     spec = 0.5 * (fs * gs + gs * fs)
-    out = np.fft.ifftn(spec).real * f.grid.cell_volume
-    out = np.roll(out, [ni // 2 for ni in f.grid.n],
-                  axis=tuple(range(f.grid.dims)))
-    return Field(f.grid, out)
+    out = np.fft.irfftn(spec, s=grid.shape, axes=axes) * grid.cell_volume
+    out = np.roll(out, [ni // 2 for ni in grid.n], axis=axes)
+    return Field(grid, out)
 
 
 def parseval_gap(f: Field) -> float:

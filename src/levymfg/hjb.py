@@ -19,7 +19,6 @@ indexed in physical time.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -34,8 +33,9 @@ from .errors import (
     NonFiniteFieldError,
     UnsupportedOrderError,
 )
-from .grid import Field, Grid, _derivative_multiplier_half
-from .kernels import KernelCache, _nyquist_shell_max
+from .grid import (Field, Grid, _batch_gradient, _derivative_multiplier_half,
+                   _nyquist_shell_max)
+from .kernels import KernelCache
 from .levy import order_alpha
 
 _BLOWUP_SUP = 1e6
@@ -423,8 +423,8 @@ def _check_operand(name: str, tr: Trajectory, grid: Grid, t0: float,
         raise GridMismatchError(f"{name} grid != kernel grid")
     tr.check_slab(f"{name} trajectory", t0, T, n_steps)
     if tr.is_vector != vector:
-        kind = "vector" if vector else "scalar"
-        raise ValueError(f"{name} must be a {kind} trajectory")
+        kind, other = ("vector", "scalar") if vector else ("scalar", "vector")
+        raise ValueError(f"{name} must be {kind}, not a {other} trajectory")
 
 
 # --------------------------------------------------------------------------
@@ -465,32 +465,11 @@ def _solver_order(cache: KernelCache) -> float:
 
 def _nyquist_fraction(f: Field) -> float:
     """Spectral mass fraction on the Nyquist shell (resolution indicator)."""
-    spec = np.fft.fftn(f.values)
+    spec = np.fft.rfftn(f.values)
     peak = float(np.max(np.abs(spec)))
     if peak == 0.0:
         return 0.0
     return _nyquist_shell_max(f.grid, spec) / peak
-
-
-@functools.lru_cache(maxsize=16)
-def _gradient_multipliers(grid: Grid) -> tuple[np.ndarray, ...]:
-    """Half-spectrum multipliers of the first partials (cached, read-only)."""
-    mults = []
-    for i in range(grid.dims):
-        beta = tuple(1 if j == i else 0 for j in range(grid.dims))
-        mult = _derivative_multiplier_half(grid, beta)
-        mult.setflags(write=False)
-        mults.append(mult)
-    return tuple(mults)
-
-
-def _batch_gradient(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """First partials over the trailing grid axes (leading axes batch)."""
-    axes = tuple(range(values.ndim - grid.dims, values.ndim))
-    spec = np.fft.rfftn(values, axes=axes)
-    return tuple(
-        np.fft.irfftn(spec * m, s=grid.shape, axes=axes)
-        for m in _gradient_multipliers(grid))
 
 
 def _guard(slice_values: np.ndarray, reversed_index: int, n_steps: int,
@@ -568,11 +547,7 @@ def solve_hjb(kernel: KernelCache, hamiltonian, source: Trajectory | None,
     if picard_sweeps < 0:
         raise ValueError("picard_sweeps must be >= 0")
     if source is not None:
-        if source.grid != grid:
-            raise GridMismatchError("source grid != kernel grid")
-        if source.is_vector:
-            raise ValueError("source trajectory must be scalar")
-        source.check_slab("source trajectory", t0, T, n_steps)
+        _check_operand("source", source, grid, t0, T, n_steps, vector=False)
     mesh = grid.meshgrid()
 
     def drive(values: np.ndarray, phys) -> np.ndarray:

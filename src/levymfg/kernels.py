@@ -1,11 +1,14 @@
 """Spectral heat kernels for Levy generators on the periodic box.
 
 The semigroup e^{tL} acts diagonally in Fourier space through the multiplier
-e^{-t Psi(xi)}.  A ``KernelCache`` stores the symbol once per (triplet, grid)
-pair plus the multiplier for one preferred step size; arbitrary times are
-composed by binary exponentiation of the cached step multiplier and at most
-one directly exponentiated fractional step.  The adjoint semigroup uses the
-conjugate symbol, which in physical space is the reflected kernel.
+e^{-t Psi(xi)} on the ``rfftn`` half-spectrum layout of ``grid``, taken
+directly for each time (no composition step).  The adjoint semigroup uses
+the conjugate symbol, which in physical space is the reflected kernel.
+
+A real generator has Psi(-xi) = conj Psi(xi) except on the Nyquist planes,
+where xi = -pi/dx stands for both signs; an asymmetric symbol there has no
+real action, and an apply that leaks more than 1e-10 of its output scale
+through it raises ``SpectralResidueError``.
 
 Kernel fields are only handed out when the multiplier has decayed below
 1e-12 at the Nyquist shell; otherwise the grid cannot represent the kernel
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import (GridMismatchError, NonFiniteFieldError, ResolutionError,
                      SpectralResidueError)
-from .grid import Field, Grid, spectral_derivative
+from .grid import Field, Grid, _nyquist_shell_max, spectral_derivative
 from .levy import LevyTriplet, UnsupportedOrderError, order_alpha, symbol_eval
 
 _NYQUIST_TOL = 1e-12
@@ -30,46 +33,45 @@ _RESIDUE_TOL = 1e-10
 _MEMO_LIMIT = 64
 
 
-def _nyquist_shell_max(grid: Grid, spec: np.ndarray) -> float:
-    """Largest magnitude on the Nyquist planes of an fftn-layout array."""
-    return max(float(np.max(np.abs(np.take(spec, grid.n[ax] // 2, axis=ax))))
-               for ax in range(grid.dims))
-
-
 class KernelCache:
-    """Cached Fourier multipliers of e^{tL} for one generator on one grid.
+    """Cached half-spectrum multipliers of e^{tL} for one generator on one grid.
 
-    ``dt`` is the preferred composition step: multipliers for t = q*dt + r
-    are built as ``step**q * exp(-r*Psi)``.  Without a dt every requested
-    time is exponentiated directly.
+    Each multiplier M is memoized with its leak: the weighted non-Hermitian
+    defect |M(k) - conj M(-k)|/2 on the Nyquist-plane bins where the symbol
+    is not conjugate-symmetric, or None when there is none (every symmetric
+    generator).
     """
 
-    def __init__(self, triplet: LevyTriplet, grid: Grid, dt: float | None = None):
+    def __init__(self, triplet: LevyTriplet, grid: Grid):
         if triplet.dims != grid.dims:
             raise ValueError(
                 f"triplet dimension {triplet.dims} != grid dimension {grid.dims}"
             )
-        if dt is not None and dt <= 0.0:
-            raise ValueError("step size dt must be positive")
         self.triplet = triplet
         self.grid = grid
-        self.dt = dt
-        sym = np.ascontiguousarray(symbol_eval(triplet, grid))
-        origin = (0,) * grid.dims
-        sym[origin] = 0.0  # conserved mass: DC multiplier stays exactly 1
-        self.symbol = sym
-        self._step_mult = None if dt is None else self._direct_multiplier(dt)
-        self._memo: dict[tuple[float, bool], np.ndarray] = {}
+        full = symbol_eval(triplet, grid)
+        full[(0,) * grid.dims] = 0.0  # conserved mass: DC multiplier stays exactly 1
+        axes = tuple(range(grid.dims))
+        half = (Ellipsis, slice(0, grid.n[-1] // 2 + 1))
+        mirror = np.conj(np.roll(np.flip(full), 1, axis=axes))[half]  # conj Psi(-k)
+        self.symbol = np.ascontiguousarray(full[half])
+        on_plane = np.zeros(self.symbol.shape, dtype=bool)
+        for ax in axes:
+            np.moveaxis(on_plane, ax, 0)[grid.n[ax] // 2] = True
+        self._bins = np.nonzero(on_plane & (self.symbol != mirror))
+        last = self._bins[-1]  # a bin whose mirror is not stored counts twice
+        weight = np.where((last == 0) | (last == grid.n[-1] // 2), 0.5, 1.0)
+        self._defect = (self.symbol[self._bins], mirror[self._bins], weight)
+        self._generator_leak = self._leak(np.negative)
+        self._memo: dict[tuple[float, bool], tuple] = {}
 
-    # -- multiplier assembly -------------------------------------------------
+    def _leak(self, fn):
+        """Weighted defect of the multiplier fn(Psi), None when it vanishes."""
+        psi, mirror, weight = self._defect
+        leak = weight * np.abs(fn(psi) - fn(mirror))
+        return leak if np.any(leak) else None
 
-    def _direct_multiplier(self, t: float) -> np.ndarray:
-        mult = np.exp(-t * self.symbol)
-        mult[(0,) * self.grid.dims] = 1.0
-        return mult
-
-    def multiplier(self, t: float, adjoint: bool = False) -> np.ndarray:
-        """Fourier multiplier of e^{tL} (or its adjoint) at time t >= 0."""
+    def _entry(self, t: float, adjoint: bool) -> tuple:
         if t < 0.0:
             raise ValueError("semigroup time must be nonnegative")
         key = (float(t), bool(adjoint))
@@ -77,54 +79,49 @@ class KernelCache:
         if hit is not None:
             return hit
         if adjoint:
-            mult = np.conj(self.multiplier(t, adjoint=False))
-        elif t == 0.0:
-            mult = np.ones(self.grid.shape, dtype=complex)
-        elif self.dt is not None and t == self.dt:
-            mult = self._step_mult
-        elif self.dt is None:
-            mult = self._direct_multiplier(t)
+            mult, leak = self._entry(t, False)
+            entry = (np.conj(mult), leak)  # |conj D| = |D|
         else:
-            q = int(np.floor(t / self.dt + 1e-12))
-            r = max(t - q * self.dt, 0.0)
-            mult = np.ones(self.grid.shape, dtype=complex)
-            power = self._step_mult
-            while q:
-                if q & 1:
-                    mult = mult * power
-                power = power * power
-                q >>= 1
-            if r > 0.0:
-                mult = mult * self._direct_multiplier(r)
-            mult[(0,) * self.grid.dims] = 1.0
+            entry = (np.exp(-t * self.symbol),
+                     self._leak(lambda psi: np.exp(-t * psi)))
         if len(self._memo) >= _MEMO_LIMIT:
             self._memo.pop(next(iter(self._memo)))
-        self._memo[key] = mult
-        return mult
+        self._memo[key] = entry
+        return entry
 
-    # -- application ---------------------------------------------------------
+    def multiplier(self, t: float, adjoint: bool = False) -> np.ndarray:
+        """Half-spectrum multiplier of e^{tL} (or its adjoint) at time t >= 0."""
+        return self._entry(t, adjoint)[0]
 
     def apply_array(self, t: float, values: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """Smooth raw values (grid axes last; leading axes broadcast)."""
-        return self._apply_multiplier(
-            self.multiplier(t, adjoint), values, "after semigroup application")
+        return self._apply(*self._entry(t, adjoint), values,
+                           "after semigroup application")
 
     def apply_generator(self, values: np.ndarray) -> np.ndarray:
         """L applied through its symbol (grid axes last; leading axes broadcast)."""
-        return self._apply_multiplier(-self.symbol, values, "applying the symbol")
+        return self._apply(-self.symbol, self._generator_leak, values,
+                           "applying the symbol")
 
-    def _apply_multiplier(self, mult: np.ndarray, values: np.ndarray,
-                          what: str) -> np.ndarray:
-        """Real part of a multiplier applied over the trailing grid axes;
-        an imaginary residue above 1e-10 of the output scale raises."""
-        axes = tuple(range(values.ndim - self.grid.dims, values.ndim))
-        spec = np.fft.fftn(values, axes=axes) * mult
-        out = np.fft.ifftn(spec, axes=axes)
-        scale = max(1.0, float(np.max(np.abs(out.real))))
-        residue = float(np.max(np.abs(out.imag)))
-        if residue > _RESIDUE_TOL * scale:
-            raise SpectralResidueError(f"imaginary residue {residue!r} {what}")
-        return out.real
+    def _apply(self, mult: np.ndarray, leak: np.ndarray | None,
+               values: np.ndarray, what: str) -> np.ndarray:
+        """irfftn(rfftn(values) * mult) over the trailing grid axes.
+
+        With a leak, (1/N) sum_k |X(k)| |D(k)| bounds the imaginary part of
+        the full complex apply (equals it in 1D) and must stay below 1e-10
+        of max(1, sup|out|).
+        """
+        grid = self.grid
+        axes = tuple(range(values.ndim - grid.dims, values.ndim))
+        spec = np.fft.rfftn(values, axes=axes)
+        out = np.fft.irfftn(spec * mult, s=grid.shape, axes=axes)
+        if leak is not None:
+            residue = float(np.max(np.abs(spec[(Ellipsis,) + self._bins]) @ leak)
+                            ) / grid.node_count
+            if residue > _RESIDUE_TOL * max(1.0, float(np.max(np.abs(out)))):
+                raise SpectralResidueError(
+                    f"imaginary residue {residue!r} {what}")
+        return out
 
     def nyquist_tail(self, t: float, adjoint: bool = False) -> float:
         """Largest multiplier magnitude on the Nyquist shell."""
@@ -165,17 +162,10 @@ def kernel_field(cache: KernelCache, t: float, adjoint: bool = False) -> Field:
             f"kernel at t={t:g} unresolved: Nyquist multiplier {tail:.3e} "
             f">= {_NYQUIST_TOL:g}; need n >= {cache._required_n(t, tail)} per axis"
         )
-    mult = cache.multiplier(t, adjoint)
-    raw = np.fft.ifftn(mult)
-    scale = max(float(np.max(np.abs(raw.real))), 1e-300)
-    residue = float(np.max(np.abs(raw.imag)))
-    if residue > _RESIDUE_TOL * scale:
-        raise SpectralResidueError(
-            f"imaginary residue {residue:.3e} in kernel synthesis"
-        )
-    vals = raw.real
-    for ax in range(grid.dims):
-        vals = np.roll(vals, grid.n[ax] // 2, axis=ax)
+    impulse = np.zeros(grid.shape)
+    impulse[(0,) * grid.dims] = 1.0
+    vals = cache.apply_array(t, impulse, adjoint)
+    vals = np.roll(vals, [ni // 2 for ni in grid.n], axis=tuple(range(grid.dims)))
     vals = vals / grid.cell_volume
     if not np.all(np.isfinite(vals)):
         raise NonFiniteFieldError("kernel synthesis produced non-finite values")
@@ -196,8 +186,6 @@ def semigroup_apply(cache: KernelCache, t: float, f: Field, adjoint: bool = Fals
     """Evolve a field by e^{tL} (adjoint=True: by the adjoint semigroup)."""
     if f.grid != cache.grid:
         raise GridMismatchError("field grid does not match kernel cache grid")
-    if t < 0.0:
-        raise ValueError("semigroup time must be nonnegative")
     if t == 0.0:
         return f
     out = cache.apply_array(t, f.values, adjoint)

@@ -46,9 +46,8 @@ from .errors import (
     InstabilityError,
 )
 from .fp import _march_forward
-from .grid import Field, Grid
-from .hjb import (Trajectory, _batch_gradient, _check_operand,
-                  _march_backward)
+from .grid import Field, Grid, _batch_gradient
+from .hjb import Trajectory, _check_operand, _march_backward
 from .kernels import KernelCache
 from .measures import Measure, mollifier_field, path_metric, \
     signed_dual_norm
@@ -342,11 +341,8 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
             except (DivergenceError, InstabilityError) as exc:
                 _wrap_inner(exc, 0)
         else:
-            if initial_rho.grid != grid:
-                raise GridMismatchError("warm-start path grid != system grid")
-            if initial_rho.is_vector:
-                raise ValueError("warm-start path must be scalar")
-            initial_rho.check_slab("warm-start path", t0, T, n)
+            _check_operand("warm-start path", initial_rho, grid, t0, T, n,
+                           vector=False)
             rho_path = initial_rho.values.copy()
 
         gaps = []

@@ -30,8 +30,8 @@ import numpy as np
 from .coupling import Zero, _check_derivative_couplings, eval_F
 from .errors import (DivergenceError, GridMismatchError, InstabilityError,
                      SpectralResidueError)
-from .grid import Field, Grid
-from .hjb import _batch_gradient, _check_step
+from .grid import Field, Grid, _batch_gradient
+from .hjb import _check_step
 from .kernels import KernelCache
 from .linearized import JKernel, _j_rows, j_field_batch, linearize, \
     solve_linear_system

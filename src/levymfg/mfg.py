@@ -23,8 +23,8 @@ import numpy as np
 
 from .coupling import Zero, eval_F
 from .errors import DivergenceError, GridMismatchError, InstabilityError
-from .grid import Grid
-from .hjb import Trajectory, _batch_gradient, solve_hjb
+from .grid import Grid, _batch_gradient
+from .hjb import Trajectory, _check_operand, solve_hjb
 from .fp import _project_slices, solve_fp
 from .kernels import KernelCache
 from .measures import Measure, d0_distance, path_metric
@@ -251,13 +251,8 @@ def solve_mfg(problem: MfgProblem,
         path = np.broadcast_to(
             problem.m0.values, (n_slices,) + grid.shape).copy()
     else:
-        if initial_path.grid != grid:
-            raise GridMismatchError("initial path lives on a different grid")
-        if initial_path.is_vector:
-            raise ValueError("initial path must be a scalar trajectory")
-        if (initial_path.t0, initial_path.T, initial_path.n_steps) != (
-                problem.t0, problem.T, problem.n_steps):
-            raise ValueError("initial path must share the problem's time slab")
+        _check_operand("initial path", initial_path, grid, problem.t0,
+                       problem.T, problem.n_steps, vector=False)
         path, _, _ = _project_slices(grid, initial_path.values)
 
     policy = problem.policy

@@ -20,7 +20,7 @@ from scipy.integrate import quad
 from levymfg.errors import ResolutionError, SpectralResidueError
 from levymfg.grid import Field, Grid
 from levymfg.kernels import KernelCache, kernel_field, semigroup_apply, verify_K_assumption
-from levymfg.levy import parse_operator
+from levymfg.levy import LevyTriplet, parse_operator, symbol_eval
 
 INV_SQRT_PI = 0.5641895835477563  # 1/sqrt(pi), frozen
 
@@ -130,7 +130,7 @@ class TestSemigroupApply:
     )
     def test_composition_identity(self, name):
         grid = Grid(512, 15.0)
-        cache = KernelCache(parse_operator(name), grid, dt=0.05)
+        cache = KernelCache(parse_operator(name), grid)
         x = grid.axis(0)
         f = Field(grid, np.cos(np.pi * x / 15.0) + np.exp(-x ** 2))
         for s, t in ((0.1, 0.35), (0.07, 0.07), (0.4, 0.13)):
@@ -141,16 +141,6 @@ class TestSemigroupApply:
                                adjoint=True)
         adj1 = semigroup_apply(cache, 0.3, f, adjoint=True)
         assert np.max(np.abs(adj2.values - adj1.values)) <= 1e-12
-
-    def test_step_multiplier_matches_direct_exponential(self):
-        grid = Grid(512, 15.0)
-        op = parse_operator("frac{1.5}")
-        stepped = KernelCache(op, grid, dt=0.01)
-        direct = KernelCache(op, grid)
-        for t in (0.16, 0.035, 0.01, 0.2471):
-            a = stepped.multiplier(t)
-            b = direct.multiplier(t)
-            assert np.max(np.abs(a - b)) <= 1e-13
 
     def test_time_zero_is_identity(self):
         grid = Grid(256, 10.0)
@@ -177,7 +167,7 @@ class TestSemigroupApply:
 
     def test_dc_multiplier_exactly_one(self):
         grid = Grid(256, 10.0)
-        cache = KernelCache(parse_operator("cgmy{0.7,3,6,1.3}"), grid, dt=0.02)
+        cache = KernelCache(parse_operator("cgmy{0.7,3,6,1.3}"), grid)
         for t in (0.02, 0.17, 1.0):
             assert cache.multiplier(t)[0] == 1.0 + 0.0j
 
@@ -247,6 +237,27 @@ class TestResidueGuard:
             out = KernelCache(parse_operator(name), self.grid).apply_array(
                 0.1, noise, adjoint)
             assert np.all(np.isfinite(out))
+
+    def test_2d_leak_sums_full_spectrum_defect(self):
+        # the half-layout sum, weighted by whether a bin's mirror is stored,
+        # equals (1/N) sum_k |X(k)| |D(k)| over the full fftn layout and
+        # bounds the imaginary part of the complex apply
+        grid = Grid((8, 16), (2.0, 3.0))
+        triplet = LevyTriplet(dims=2, drift=(0.7, -0.4),
+                              diffusion=((1.0, 0.0), (0.0, 1.0)))
+        values = np.random.default_rng(3).standard_normal(grid.shape)
+        with pytest.raises(SpectralResidueError) as exc:
+            KernelCache(triplet, grid).apply_array(0.05, values)
+        reported = float(str(exc.value).split()[2])
+        psi = symbol_eval(triplet, grid)
+        psi[0, 0] = 0.0
+        mult = np.exp(-0.05 * psi)
+        mirror = np.roll(np.flip(mult), 1, axis=(0, 1))
+        spec = np.fft.fftn(values)
+        leak = np.sum(np.abs(spec) * np.abs(mult - np.conj(mirror)) / 2.0)
+        assert abs(reported - leak / grid.node_count) <= 1e-12 * reported
+        imaginary = np.max(np.abs(np.fft.ifftn(spec * mult).imag))
+        assert imaginary <= reported
 
     def test_asymmetric_apply_on_narrow_bump(self):
         bump = np.exp(-8.0 * self.x ** 2)

@@ -17,7 +17,7 @@ import pytest
 from levymfg.coupling import Conv, Zero, apply_dmF
 from levymfg.errors import BudgetError, GridMismatchError, InstabilityError
 from levymfg.fp import _march_forward, mass_series, solve_fp
-from levymfg.grid import Field, Grid
+from levymfg.grid import Field, Grid, gradient
 from levymfg.hjb import (QuadraticHamiltonian, Trajectory, drift_hamiltonian,
                          solve_hjb)
 from levymfg.kernels import KernelCache, semigroup_apply
@@ -279,9 +279,16 @@ class TestOneWayTransport:
         assert np.array_equal(z.values, u.values)
 
     def test_forward_leg_bitwise_matches_module_march(self, one_way_solved):
+        # the flux m Gamma Dz + c is assembled here from the system's parts,
+        # so this pins the solver's flux assembly as well as its march call
         system, (z, rho, _) = one_way_solved
+        dz = np.stack([[g.values for g in gradient(z.slice_field(k))]
+                       for k in range(N_STEPS + 1)])
+        gamma_dz = np.sum(system.curvature * dz[:, None], axis=2)
+        flux = (system.density.values[:, None] * gamma_dz
+                + system.flux_forcing.values)
         standalone = _march_forward(
-            system.kernel, system.drift, _forward_flux(system, z.values),
+            system.kernel, system.drift, Trajectory(GRID, 0.0, T_END, flux),
             system.rho0, 0.0, T_END, N_STEPS, 2)
         assert np.array_equal(rho.values, standalone.values)
 

@@ -59,7 +59,7 @@ class KernelCache:
         for ax in axes:
             np.moveaxis(on_plane, ax, 0)[grid.n[ax] // 2] = True
         self._bins = np.nonzero(on_plane & (self.symbol != mirror))
-        last = self._bins[-1]  # a bin whose mirror is not stored counts twice
+        last = self._bins[-1]  # the 1/2 of D, doubled where -k is not stored
         weight = np.where((last == 0) | (last == grid.n[-1] // 2), 0.5, 1.0)
         self._defect = (self.symbol[self._bins], mirror[self._bins], weight)
         self._generator_leak = self._leak(np.negative)
@@ -72,6 +72,7 @@ class KernelCache:
         return leak if np.any(leak) else None
 
     def _entry(self, t: float, adjoint: bool) -> tuple:
+        """(multiplier, leak) at time t, memoized."""
         if t < 0.0:
             raise ValueError("semigroup time must be nonnegative")
         key = (float(t), bool(adjoint))

@@ -28,8 +28,8 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import GridMismatchError
-from .grid import (Field, Grid, _nyquist_shell_max, load_field,
-                   periodic_convolve)
+from .grid import (Field, Grid, _convolve_values, _nyquist_shell_max,
+                   _require_finite, load_field, periodic_convolve)
 from .measures import Measure, mollify
 
 _MATRIX_AXIS_CAP = 256
@@ -181,21 +181,52 @@ def apply_dmF(coupling, m: Measure, rho: Field) -> Field:
         raise GridMismatchError("density lives on a different grid")
     if isinstance(coupling, Zero):
         return Field.constant(m.grid, 0.0)
+    kern = _derivative_kernel(coupling)
+    if kern.grid != m.grid:
+        raise GridMismatchError("coupling kernel lives on a different grid")
+    _require_finite(kern.values, "left operand")
+    _require_finite(rho.values, "right operand")
+    return Field(m.grid, _dmF_action(coupling, _action_weight(coupling, m),
+                                     rho.values))
+
+
+def _derivative_kernel(coupling) -> Field:
     if isinstance(coupling, Conv):
-        if coupling.phi.grid != m.grid:
-            raise GridMismatchError("coupling kernel lives on a different grid")
-        return periodic_convolve(coupling.phi, rho)
+        return coupling.phi
     if isinstance(coupling, LocalComposite):
-        if coupling.phi2.grid != m.grid:
-            raise GridMismatchError("coupling kernel lives on a different grid")
-        mesh = m.grid.meshgrid()
-        smoothed_m = periodic_convolve(coupling.phi2, m.density)
-        weight = np.asarray(
-            coupling.dPhi_ds(mesh, smoothed_m.values), dtype=float)
-        smoothed_rho = periodic_convolve(coupling.phi2, rho)
-        return periodic_convolve(
-            coupling.phi2, Field(m.grid, weight * smoothed_rho.values))
+        return coupling.phi2
     raise TypeError(f"unknown coupling variant {type(coupling).__name__}")
+
+
+def _action_weight(coupling, m: Measure) -> np.ndarray | None:
+    """The measure-dependent factor of the derivative action at m.
+
+    dPhi/ds of the smoothed density for a local composite; None for a
+    convolution, whose action does not depend on m.
+    """
+    if not isinstance(coupling, LocalComposite):
+        return None
+    smoothed_m = periodic_convolve(coupling.phi2, m.density)
+    weight = np.asarray(
+        coupling.dPhi_ds(m.grid.meshgrid(), smoothed_m.values), dtype=float)
+    # the weighted density is the right operand of the outer convolution
+    _require_finite(weight, "right operand")
+    return weight
+
+
+def _dmF_action(coupling, weight: np.ndarray | None,
+                rho: np.ndarray) -> np.ndarray:
+    """``apply_dmF`` on raw values over the trailing grid axes.
+
+    Leading axes of ``rho`` batch, and ``weight`` (from ``_action_weight``)
+    must broadcast against them; a row of a batch equals its single-row
+    action bitwise.
+    """
+    kern = _derivative_kernel(coupling)
+    if weight is None:
+        return _convolve_values(kern.grid, kern.values, rho)
+    smoothed = _convolve_values(kern.grid, kern.values, rho)
+    return _convolve_values(kern.grid, kern.values, weight * smoothed)
 
 
 def _check_derivative_couplings(grid: Grid, owner: str, running,

@@ -5,7 +5,7 @@ The equation marched here is
     d(rho)/dt = L* rho + div(b rho + c),    rho(t0) = rho0,
 
 for the adjoint L* of the generator held by a KernelCache, a vector drift b
-and an optional vector source c.  One step of ``_march_forward`` smooths
+and an optional vector source c.  One step of ``_forward_values`` smooths
 both the state and the flux with the adjoint kernel and adds the spectral
 divergence of the flux:
 
@@ -43,53 +43,76 @@ _RENORM_BUDGET = 1e-8
 def _march_forward(kernel: KernelCache, drift: Trajectory | None,
                    flux: Trajectory | None, rho0: Field, t0: float, T: float,
                    n_steps: int, picard_sweeps: int) -> Trajectory:
+    """``_forward_values`` on trajectories: one density, no batch axes."""
+    return Trajectory(kernel.grid, t0, T, _forward_values(
+        kernel, None if drift is None else drift.values,
+        None if flux is None else flux.values, rho0.values, t0, T, n_steps,
+        picard_sweeps))
+
+
+def _forward_values(kernel: KernelCache, drift: np.ndarray | None,
+                    flux: np.ndarray | None, rho0: np.ndarray, t0: float,
+                    T: float, n_steps: int, picard_sweeps: int
+                    ) -> np.ndarray:
     """March d(rho)/dt = L* rho + div(b rho + c) from rho(t0) = rho0.
 
-    ``drift`` b and ``flux`` c are vector trajectories on the slab (None
-    means zero).  The first pass is the one-step divergence-form march;
-    each Picard sweep then rebuilds the path with the flux divergence of
-    the previous pass under the composite trapezoid.  With neither drift
-    nor flux the first pass is the adjoint semigroup itself, exact in time,
-    and no sweep runs.  Raises InstabilityError when the running mass
-    drifts past 1e-6, a slice stops being finite, or its sup-norm passes
-    1e6 (all symptoms of an oversized step).
+    Works on raw values, time axis first.  Axes of ``rho0`` before the
+    trailing grid axes batch independent densities: the drift b, shape
+    (n_steps+1, d, *grid), is shared by all of them, and the flux c
+    carries the batch axes, shape (n_steps+1, *batch, d, *grid); None
+    means zero for either.  The first pass is the one-step
+    divergence-form march; each Picard sweep then rebuilds the path with
+    the flux divergence of the previous pass under the composite
+    trapezoid.  With neither drift nor flux the first pass is the adjoint
+    semigroup itself, exact in time, and no sweep runs.  Raises
+    InstabilityError when the running mass of a density drifts past 1e-6,
+    a slice stops being finite, or its sup-norm passes 1e6 (all symptoms
+    of an oversized step).
     """
     grid = kernel.grid
     dt = (T - t0) / n_steps
     _check_step(kernel, dt, T - t0)
     vol = grid.cell_volume
-    mass0 = vol * float(np.sum(rho0.values))
-    scale = max(1.0, abs(mass0))
+    axes = tuple(range(-grid.dims, 0))
+    comp = -1 - grid.dims  # the vector component axis of a flux
+    first = (Ellipsis, 0) + (slice(None),) * grid.dims
+    rest = (Ellipsis, slice(1, None)) + (slice(None),) * grid.dims
+    mass0 = vol * np.sum(rho0, axis=axes)
+    limit = _MASS_DRIFT_TOL * np.maximum(1.0, np.abs(mass0))
+    if drift is not None and rho0.ndim > grid.dims:
+        batch = (1,) * (rho0.ndim - grid.dims)
+        drift = drift.reshape(drift.shape[:1] + batch + drift.shape[1:])
 
     def monitor(values: np.ndarray, k: int) -> None:
-        sup = float(np.max(np.abs(values)))
-        mass = vol * float(np.sum(values))
-        if not np.isfinite(sup) or sup > _BLOWUP_SUP or \
-                not np.isfinite(mass) or abs(mass - mass0) > _MASS_DRIFT_TOL * scale:
+        sup = float(np.abs(values).max())
+        shift = vol * values.sum(axis=axes) - mass0
+        if not (sup <= _BLOWUP_SUP and (abs(shift) <= limit).all()):
+            worst = np.ravel(shift)[np.argmax(np.abs(shift))]
             raise InstabilityError(
                 f"forward march destabilized at step {k}/{n_steps} "
-                f"(sup {sup:.3e}, mass drift {mass - mass0:.3e}); "
+                f"(sup {sup:.3e}, mass drift {worst:.3e}); "
                 "use a smaller dt")
 
     def total_flux(k, rho: np.ndarray) -> np.ndarray | None:
         """b rho + c at slice k (an index, or slice(None) for every slice)."""
         out = None
         if drift is not None:
-            out = drift.values[k] * np.expand_dims(rho, -1 - grid.dims)
+            out = drift[k] * np.expand_dims(rho, comp)
         if flux is not None:
-            out = flux.values[k] if out is None else out + flux.values[k]
+            out = flux[k] if out is None else out + flux[k]
         return out
 
-    w = np.empty((n_steps + 1,) + grid.shape)
-    w[0] = rho0.values
+    w = np.empty((n_steps + 1,) + rho0.shape)
+    w[0] = rho0
     for k in range(n_steps):
         vec = total_flux(k, w[k])
         if vec is None:
             w[k + 1] = kernel.apply_array(dt, w[k], adjoint=True)
         else:
-            stack = np.concatenate([w[k][None], vec], axis=0)
+            stack = np.concatenate([np.expand_dims(w[k], comp), vec],
+                                   axis=comp)
             smooth = kernel.apply_array(dt, stack, adjoint=True)
-            w[k + 1] = smooth[0] + dt * _divergence(grid, smooth[1:])
+            w[k + 1] = smooth[first] + dt * _divergence(grid, smooth[rest])
         monitor(w[k + 1], k + 1)
 
     half = 0.5 * dt
@@ -99,7 +122,7 @@ def _march_forward(kernel: KernelCache, drift: Trajectory | None,
             break
         h_all = _divergence(grid, vec_all)
         fresh = np.empty_like(w)
-        fresh[0] = rho0.values
+        fresh[0] = rho0
         for k in range(n_steps):
             propagated = kernel.apply_array(
                 dt, fresh[k] + half * h_all[k], adjoint=True)
@@ -107,7 +130,7 @@ def _march_forward(kernel: KernelCache, drift: Trajectory | None,
             monitor(fresh[k + 1], k + 1)
         w = fresh
 
-    return Trajectory(grid, t0, T, w)
+    return w
 
 
 def solve_fp(kernel: KernelCache, drift: Trajectory | None, rho0: Field,

@@ -33,8 +33,7 @@ from .errors import (
     NonFiniteFieldError,
     UnsupportedOrderError,
 )
-from .grid import (Field, Grid, _batch_gradient, _derivative_multiplier_half,
-                   _nyquist_shell_max)
+from .grid import Field, Grid, _batch_gradient, _derivative_multiplier_half
 from .kernels import KernelCache
 from .levy import order_alpha
 
@@ -463,13 +462,20 @@ def _solver_order(cache: KernelCache) -> float:
     return alpha
 
 
-def _nyquist_fraction(f: Field) -> float:
-    """Spectral mass fraction on the Nyquist shell (resolution indicator)."""
-    spec = np.fft.rfftn(f.values)
-    peak = float(np.max(np.abs(spec)))
-    if peak == 0.0:
-        return 0.0
-    return _nyquist_shell_max(f.grid, spec) / peak
+def _nyquist_fraction(grid: Grid, values: np.ndarray) -> float:
+    """Spectral mass fraction on the Nyquist shell (resolution indicator).
+
+    Leading axes of ``values`` batch; the largest fraction is returned.
+    """
+    axes = tuple(range(-grid.dims, 0))
+    spec = np.abs(np.fft.rfftn(values, s=grid.shape, axes=axes))
+    peak = np.max(spec, axis=axes)
+    shell = np.zeros_like(peak)
+    for ax in range(grid.dims):
+        plane = np.take(spec, grid.n[ax] // 2, axis=ax - grid.dims)
+        shell = np.maximum(shell, np.max(plane, axis=axes[1:]))
+    frac = np.divide(shell, peak, out=np.zeros_like(shell), where=peak > 0.0)
+    return float(np.max(frac))
 
 
 def _guard(slice_values: np.ndarray, reversed_index: int, n_steps: int,
@@ -483,31 +489,34 @@ def _guard(slice_values: np.ndarray, reversed_index: int, n_steps: int,
             f"index {stable} of {n_steps}")
 
 
-def _march_backward(kernel: KernelCache, terminal: Field, t0: float,
+def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
                     T: float, n_steps: int, picard_sweeps: int,
-                    drive: Callable) -> Trajectory:
+                    drive: Callable) -> np.ndarray:
     """Mild march of -du/dt - Lu = N(t, u) from u(T) = terminal.
 
-    ``drive(values, phys)`` returns the Duhamel integrand N for one slice
-    at physical index ``phys``, or for the whole reversed stack when
+    ``terminal`` holds raw values; axes before the trailing grid axes batch
+    independent problems on the same slab.  ``drive(values, phys)``
+    returns the Duhamel integrand N for one slice at physical index
+    ``phys``, or for the whole reversed stack (time axis first) when
     ``phys`` is ``slice(None, None, -1)``.  The first pass is exponential
     Euler in the reversed clock, integrand evaluated slice by slice; each
     Picard sweep then rebuilds the trajectory with the integrand of the
     previous pass, batched over all slices, under the composite trapezoid.
-    Raises BudgetError when dt exceeds the 0.5*dx^alpha budget and
+    Returns the values in physical time order, time axis first.  Raises
+    BudgetError when dt exceeds the 0.5*dx^alpha budget and
     DivergenceError when a slice's sup-norm passes 1e6.
     """
     grid = kernel.grid
     dt = (T - t0) / n_steps
     _check_step(kernel, dt, T - t0)
-    if _nyquist_fraction(terminal) > _TERMINAL_TAIL_TOL:
+    if _nyquist_fraction(grid, terminal) > _TERMINAL_TAIL_TOL:
         warnings.warn(
             "terminal data is marginally resolved: Nyquist spectral "
             "fraction exceeds 1e-6; expect degraded accuracy", stacklevel=3)
 
     # exponential Euler in the reversed clock (w[j] sits at T - j*dt)
-    w = np.empty((n_steps + 1,) + grid.shape)
-    w[0] = terminal.values
+    w = np.empty((n_steps + 1,) + terminal.shape)
+    w[0] = terminal
     for j in range(n_steps):
         rhs = w[j] + dt * drive(w[j], n_steps - j)
         w[j + 1] = kernel.apply_array(dt, rhs)
@@ -518,14 +527,14 @@ def _march_backward(kernel: KernelCache, terminal: Field, t0: float,
     for _ in range(picard_sweeps):
         n_all = drive(w, slice(None, None, -1))
         fresh = np.empty_like(w)
-        fresh[0] = terminal.values
+        fresh[0] = terminal
         for j in range(n_steps):
             propagated = kernel.apply_array(dt, fresh[j] + half * n_all[j])
             fresh[j + 1] = propagated + half * n_all[j + 1]
             _guard(fresh[j + 1], j + 1, n_steps, T, dt)
         w = fresh
 
-    return Trajectory(grid, t0, T, w[::-1])
+    return w[::-1]
 
 
 def solve_hjb(kernel: KernelCache, hamiltonian, source: Trajectory | None,
@@ -556,8 +565,8 @@ def solve_hjb(kernel: KernelCache, hamiltonian, source: Trajectory | None,
             return -np.asarray(ham, dtype=float)
         return source.values[phys] - ham
 
-    return _march_backward(kernel, terminal, t0, T, n_steps, picard_sweeps,
-                           drive)
+    return Trajectory(grid, t0, T, _march_backward(
+        kernel, terminal.values, t0, T, n_steps, picard_sweeps, drive))
 
 
 # --------------------------------------------------------------------------

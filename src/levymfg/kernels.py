@@ -114,7 +114,7 @@ class KernelCache:
         """
         grid = self.grid
         axes = tuple(range(values.ndim - grid.dims, values.ndim))
-        spec = np.fft.rfftn(values, axes=axes)
+        spec = np.fft.rfftn(values, s=grid.shape, axes=axes)
         out = np.fft.irfftn(spec * mult, s=grid.shape, axes=axes)
         if leak is not None:
             residue = float(np.max(np.abs(spec[(Ellipsis,) + self._bins]) @ leak)

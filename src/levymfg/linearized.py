@@ -26,8 +26,15 @@ only closes at O(dt^2) when both sides are integrated at matching order;
 the plain first-order march leaves an O(dt) energy defect that no
 affordable step count brings under the certification tolerances.
 
-The y-batch assembling the full kernel is embarrassingly parallel in y but
-runs sequentially here; each (z, rho) alternation is inherently ordered.
+The y-batch assembling the full kernel shares one linearization and runs
+all its columns through one alternation: both legs carry a column axis
+after the time axis, so every FFT, gradient and metric call serves all
+columns at once.  Each column keeps its own stopping test and leaves the
+batch at the iteration where its single solve would stop, so every row
+equals its single solve bitwise.  Columns go in blocks of at most
+``_BLOCK_VALUES`` values per (slice, column, node) array, which bounds the
+batch's memory without a tuning knob; the iterations within one
+alternation stay inherently ordered.
 """
 
 from __future__ import annotations
@@ -38,14 +45,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .coupling import Zero, _check_derivative_couplings, apply_dmF
+from .coupling import (LocalComposite, Zero, _action_weight,
+                       _check_derivative_couplings, _dmF_action)
 from .errors import (
     BudgetError,
     DivergenceError,
     GridMismatchError,
     InstabilityError,
 )
-from .fp import _march_forward
+from .fp import _forward_values
 from .grid import Field, Grid, _batch_gradient
 from .hjb import Trajectory, _check_operand, _march_backward
 from .kernels import KernelCache
@@ -58,6 +66,9 @@ _ELLIPTICITY_TOL = 1e-9
 _DENSITY_NEG_TOL = 1e-12
 _DENSITY_MASS_TOL = 1e-9
 _BATCH_NODE_CAP = 128
+# values in one (slice, column, node) array of a J block: 2 MiB of float64;
+# the legs peak at about 24 such arrays (measured on a full 2D block)
+_BLOCK_VALUES = 1 << 18
 _JKERNEL_FORMAT = "levymfg-jkernel"
 
 
@@ -173,49 +184,111 @@ class LinSystem:
 # assembly helpers
 
 
-def _coupling_actions(system: LinSystem, rho_values: np.ndarray | None
+def _coupling_weights(system: LinSystem
+                      ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Measure-dependent factors of the running and terminal actions.
+
+    They depend on the base path only, so a solve builds the per-slice
+    measures once, not on every alternation; None where the action does
+    not read the measure (Zero and convolution couplings).
+    """
+    grid, dens = system.grid, system.density.values
+    running = terminal = None
+    if isinstance(system.running_coupling, LocalComposite):
+        running = np.stack([
+            _action_weight(system.running_coupling,
+                           Measure.from_values(grid, slice_values))
+            for slice_values in dens])
+    if isinstance(system.terminal_coupling, LocalComposite):
+        terminal = _action_weight(system.terminal_coupling,
+                                  Measure.from_values(grid, dens[-1]))
+    return running, terminal
+
+
+def _coupling_actions(system: LinSystem, weights: tuple,
+                      rho_values: np.ndarray | None
                       ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Derivative actions of the running (per slice) and terminal couplings.
 
     Returns <dF/dm(x, m(t)), rho(t)> over all slices and <dG/dm(x, m(T)),
     rho(T)>, each None when its coupling is Zero (rho is then not read).
+    ``rho_values`` has its time axis first; axes between it and the grid
+    axes batch columns.  ``weights`` comes from ``_coupling_weights``.
     """
-    grid = system.grid
+    running_weight, terminal_weight = weights
     running = terminal = None
     if not isinstance(system.running_coupling, Zero):
-        running = np.empty_like(rho_values)
-        for k in range(rho_values.shape[0]):
-            m_k = Measure.from_values(grid, system.density.values[k])
-            running[k] = apply_dmF(system.running_coupling, m_k,
-                                   Field(grid, rho_values[k])).values
+        if running_weight is not None:
+            running_weight = _per_slice(running_weight, rho_values.ndim)
+        running = _dmF_action(system.running_coupling, running_weight,
+                              rho_values)
     if not isinstance(system.terminal_coupling, Zero):
-        m_T = Measure.from_values(grid, system.density.values[-1])
-        terminal = apply_dmF(system.terminal_coupling, m_T,
-                             Field(grid, rho_values[-1])).values
+        terminal = _dmF_action(system.terminal_coupling, terminal_weight,
+                               rho_values[-1])
     return running, terminal
 
 
-def _backward_data(system: LinSystem, rho_values: np.ndarray | None
-                   ) -> tuple[np.ndarray | None, Field]:
-    """Source array and terminal field of the z-equation given rho."""
-    running, terminal = _coupling_actions(system, rho_values)
-    source = None if system.forcing is None else system.forcing.values
+def _per_slice(values: np.ndarray, ndim: int) -> np.ndarray:
+    """Per-slice data (time axis first) broadcastable over column axes.
+
+    ``ndim`` is that of the batched array the data meets; the column axes
+    sit right after time, and the data keeps its own trailing axes.
+    """
+    missing = ndim - values.ndim
+    return values.reshape(values.shape[:1] + (1,) * missing + values.shape[1:])
+
+
+def _backward_data(system: LinSystem, weights: tuple,
+                   rho_values: np.ndarray | None, columns: int
+                   ) -> tuple[np.ndarray | None, np.ndarray]:
+    """Source array and terminal values of the z-equation given rho.
+
+    Both carry a column axis after time (the source may broadcast over
+    it); the terminal values have shape (columns, *grid).
+    """
+    running, terminal = _coupling_actions(system, weights, rho_values)
+    source = None
+    if system.forcing is not None:
+        source = system.forcing.values[:, None]
     if running is not None:
         source = running if source is None else source + running
-    if terminal is None:
-        return source, system.terminal
-    return source, Field(system.grid, system.terminal.values + terminal)
+    end = system.terminal.values
+    if terminal is not None:
+        end = end + terminal
+    return source, np.broadcast_to(end, (columns,) + system.grid.shape)
+
+
+def _flux_values(system: LinSystem, z_values: np.ndarray) -> np.ndarray:
+    """Vector source m Gamma Dz + c of the forward equation.
+
+    ``z_values`` has its time axis first; axes between it and the grid
+    axes batch columns, and the flux gets its vector axis right before
+    the grid axes.
+    """
+    grid = system.grid
+    grads = _batch_gradient(grid, z_values)
+    ndim = z_values.ndim
+
+    def gamma(i: int, j: int) -> np.ndarray:
+        return _per_slice(system.curvature[:, i, j], ndim)
+
+    density = _per_slice(system.density.values, ndim)
+    comps = []
+    for i in range(grid.dims):
+        acc = gamma(i, 0) * grads[0]
+        for j in range(1, grid.dims):
+            acc = acc + gamma(i, j) * grads[j]
+        comps.append(density * acc)
+    flux = np.stack(comps, axis=-1 - grid.dims)
+    if system.flux_forcing is not None:
+        flux = flux + _per_slice(system.flux_forcing.values, ndim + 1)
+    return flux
 
 
 def _forward_flux(system: LinSystem, z_values: np.ndarray) -> Trajectory:
-    """Vector source m Gamma Dz + c of the forward equation."""
-    grid = system.grid
-    grads = np.stack(_batch_gradient(grid, z_values), axis=1)
-    flux = np.einsum("tij...,tj...->ti...", system.curvature, grads)
-    flux = system.density.values[:, None] * flux
-    if system.flux_forcing is not None:
-        flux = flux + system.flux_forcing.values
-    return Trajectory(grid, system.t0, system.T, flux)
+    """``_flux_values`` of one z history as a vector trajectory."""
+    return Trajectory(system.grid, system.t0, system.T,
+                      _flux_values(system, z_values))
 
 
 def _data_norm(system: LinSystem) -> float:
@@ -293,8 +366,52 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
     measured.  On convergence the returned pair is the last raw response
     (a consistent backward/forward pair); a one-way system (both coupling
     derivatives zero) is solved in a single undamped pass.  Both legs run
-    the shared marches ``hjb._march_backward`` and ``fp._march_forward``
+    the shared marches ``hjb._march_backward`` and ``fp._forward_values``
     with ``picard_sweeps`` trapezoid sweeps each.
+    """
+    grid = system.grid
+    run = _alternate(system, system.rho0.values[None], damping, max_iters,
+                     tol, initial_rho, picard_sweeps)
+    z = Trajectory(grid, system.t0, system.T, run.z[:, 0])
+    rho = Trajectory(grid, system.t0, system.T, run.rho[:, 0])
+    gaps = run.gaps[0]
+    data = _data_norm(system)
+    out = float(np.max(np.abs(z.values))) + _sup_dual(grid, rho.values)
+    report = LinearReport(
+        converged=bool(run.converged[0]), iterations=len(gaps),
+        gap_history=tuple(gaps),
+        damping=1.0 if system.one_way else damping, data_norm=data,
+        output_norm=out, apriori_ratio=(out / data if data > 0.0 else 0.0),
+        one_way=system.one_way)
+    return z, rho, report
+
+
+@dataclass(frozen=True)
+class _Columns:
+    """Outcome of one alternation over a batch of initial data.
+
+    ``z`` and ``rho`` have shape (n_steps+1, columns, *grid) and hold each
+    column's last raw response; ``gaps[c]`` is column c's gap history.
+    """
+
+    z: np.ndarray
+    rho: np.ndarray
+    gaps: list
+    converged: np.ndarray
+
+
+def _alternate(system: LinSystem, rho0: np.ndarray, damping: float,
+               max_iters: int, tol: float, initial_rho: Trajectory | None,
+               picard_sweeps: int) -> _Columns:
+    """The alternation of ``solve_linear_system`` for a batch of rho0.
+
+    ``rho0`` has shape (columns, *grid) and replaces the system's own
+    initial data; every other datum is shared.  The columns run as one
+    march with a column axis after the time axis, and each has its own
+    stopping test: a column leaves the batch at the iteration where its
+    own solve would stop, keeping that iteration's raw response, and only
+    the columns still running enter the next legs.  Every operation acts
+    row by row, so each column equals its batch-of-one solve bitwise.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -303,13 +420,16 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     grid = system.grid
-    kernel, V = system.kernel, system.drift.values
+    kernel, drift = system.kernel, system.drift.values
     t0, T, n = system.t0, system.T, system.n_steps
+    V = drift[:, :, None]  # (time, d, column, *grid) broadcast
+    weights = _coupling_weights(system)
 
-    def legs(rho_values: np.ndarray | None, it: int
-             ) -> tuple[Trajectory, Trajectory]:
+    def legs(rho_values: np.ndarray | None, starts: np.ndarray, it: int
+             ) -> tuple[np.ndarray, np.ndarray]:
         """z backward against a frozen rho, then rho forward against z."""
-        source, terminal = _backward_data(system, rho_values)
+        source, terminal = _backward_data(system, weights, rho_values,
+                                          len(starts))
 
         def drive(values: np.ndarray, phys) -> np.ndarray:
             grads = _batch_gradient(grid, values)
@@ -321,48 +441,55 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
         try:
             z = _march_backward(kernel, terminal, t0, T, n, picard_sweeps,
                                 drive)
-            rho = _march_forward(kernel, system.drift,
-                                 _forward_flux(system, z.values),
-                                 system.rho0, t0, T, n, picard_sweeps)
+            rho = _forward_values(kernel, drift, _flux_values(system, z),
+                                  starts, t0, T, n, picard_sweeps)
         except (DivergenceError, InstabilityError) as exc:
             _wrap_inner(exc, it)
         return z, rho
 
+    columns = len(rho0)
     if system.one_way:
         # zero coupling derivatives: the z-equation never reads rho
-        z, rho = legs(None, 1)
-        damping, gaps, converged = 1.0, [0.0], True
+        z, rho = legs(None, rho0, 1)
+        return _Columns(z, rho, [[0.0] for _ in range(columns)],
+                        np.ones(columns, dtype=bool))
+
+    if initial_rho is None:
+        flux = system.flux_forcing
+        if flux is not None:
+            flux = np.broadcast_to(flux.values[:, None], (
+                n + 1, columns) + flux.values.shape[1:])
+        try:
+            rho_path = _forward_values(kernel, drift, flux, rho0, t0, T, n,
+                                       picard_sweeps)
+        except (DivergenceError, InstabilityError) as exc:
+            _wrap_inner(exc, 0)
     else:
-        if initial_rho is None:
-            try:
-                rho_path = _march_forward(
-                    kernel, system.drift, system.flux_forcing, system.rho0,
-                    t0, T, n, picard_sweeps).values.copy()
-            except (DivergenceError, InstabilityError) as exc:
-                _wrap_inner(exc, 0)
-        else:
-            _check_operand("warm-start path", initial_rho, grid, t0, T, n,
-                           vector=False)
-            rho_path = initial_rho.values.copy()
+        _check_operand("warm-start path", initial_rho, grid, t0, T, n,
+                       vector=False)
+        rho_path = np.repeat(initial_rho.values[:, None], columns, axis=1)
 
-        gaps = []
-        converged = False
-        for it in range(1, max_iters + 1):
-            z, rho = legs(rho_path, it)
-            gaps.append(damping * _sup_dual(grid, rho.values - rho_path))
-            if gaps[-1] < tol:
-                converged = True
-                break
-            rho_path = (1.0 - damping) * rho_path + damping * rho.values
-
-    data = _data_norm(system)
-    out = float(np.max(np.abs(z.values))) + _sup_dual(grid, rho.values)
-    report = LinearReport(
-        converged=converged, iterations=len(gaps), gap_history=tuple(gaps),
-        damping=damping, data_norm=data, output_norm=out,
-        apriori_ratio=(out / data if data > 0.0 else 0.0),
-        one_way=system.one_way)
-    return z, rho, report
+    z_out = np.empty((n + 1,) + rho0.shape)
+    rho_out = np.empty_like(z_out)
+    gaps = [[] for _ in range(columns)]
+    converged = np.zeros(columns, dtype=bool)
+    active = np.arange(columns)
+    for it in range(1, max_iters + 1):
+        z, rho = legs(rho_path, rho0[active], it)
+        z_out[:, active], rho_out[:, active] = z, rho
+        diff = (rho - rho_path).reshape((-1,) + grid.shape)
+        gap = damping * np.max(
+            path_metric(grid, diff).reshape(n + 1, -1), axis=0)
+        for c, g in zip(active, gap):
+            gaps[c].append(float(g))
+        done = gap < tol
+        converged[active[done]] = True
+        active = active[~done]
+        if not active.size:
+            break
+        rho_path = (1.0 - damping) * rho_path[:, ~done] \
+            + damping * rho[:, ~done]
+    return _Columns(z_out, rho_out, gaps, converged)
 
 
 # --------------------------------------------------------------------------
@@ -443,7 +570,8 @@ def duality_report(system: LinSystem, z: Trajectory, rho: Trajectory,
                               axis=(1,) + tuple(a + 1 for a in axes))
         flux_term = float(np.trapezoid(series, dx=dt))
 
-    running, terminal = _coupling_actions(system, rho.values)
+    running, terminal = _coupling_actions(
+        system, _coupling_weights(system), rho.values)
     quad_running = quad_terminal = 0.0
     if running is not None:
         series = vol * np.sum(running * rho.values, axis=axes)
@@ -553,24 +681,45 @@ def j_field(solution: MfgSolution, couplings, y, *, damping: float = 0.5,
     component at t0.  ``couplings`` is a (running, terminal) pair of
     derivative carriers or None to reuse the solution's own costs.
     """
-    if couplings is None:
-        running = terminal = None
-    else:
-        running, terminal = couplings
-    rho0 = mollified_delta(solution.problem.grid, y)
-    system = linearize(solution, rho0, running_coupling=running,
-                       terminal_coupling=terminal)
+    system = _derivative_system(solution, couplings, y)
+    rows = _solve_rows(system, [y], damping=damping, max_iters=max_iters,
+                       tol=tol)
+    return Field(system.grid, rows[0])
+
+
+def _derivative_system(solution: MfgSolution, couplings, y) -> LinSystem:
+    """The linear system of the J column at y; other columns share it."""
+    running, terminal = (None, None) if couplings is None else couplings
+    return linearize(solution, mollified_delta(solution.problem.grid, y),
+                     running_coupling=running, terminal_coupling=terminal)
+
+
+def _solve_rows(system: LinSystem, ys: list, damping: float = 0.5,
+                max_iters: int = 40, tol: float = 1e-9) -> np.ndarray:
+    """J rows at the points ``ys`` in one alternation, shape (len(ys), *grid).
+
+    Each row's initial data is the mollified delta at its y.  A failure is
+    tagged with its y: a stalled column by its own gap history, and a leg
+    that fails for a batch is re-solved one column at a time in ``ys``
+    order, so the error raised is the one a sequential loop would meet
+    first.
+    """
+    grid = system.grid
+    rho0 = np.stack([mollified_delta(grid, y).values for y in ys])
     try:
-        z, _, report = solve_linear_system(
-            system, damping=damping, max_iters=max_iters, tol=tol)
+        run = _alternate(system, rho0, damping, max_iters, tol, None, 2)
     except (DivergenceError, InstabilityError) as exc:
-        raise type(exc)(f"derivative solve at y={y}: {exc}") from exc
-    if not report.converged:
-        raise InstabilityError(
-            f"derivative solve at y={y}: alternation stalled at gap "
-            f"{report.gap_history[-1]:.3e} after {report.iterations} "
-            "iterations")
-    return z.initial
+        if len(ys) > 1:
+            return np.concatenate([
+                _solve_rows(system, [y], damping, max_iters, tol)
+                for y in ys])
+        raise type(exc)(f"derivative solve at y={ys[0]}: {exc}") from exc
+    for y, ok, gaps in zip(ys, run.converged, run.gaps):
+        if not ok:
+            raise InstabilityError(
+                f"derivative solve at y={y}: alternation stalled at gap "
+                f"{gaps[-1]:.3e} after {len(gaps)} iterations")
+    return run.z[0]
 
 
 @dataclass(frozen=True)
@@ -616,13 +765,22 @@ class JKernel:
 
 def _j_rows(solution: MfgSolution, couplings, y_grid: Grid,
             **solve_options) -> np.ndarray:
-    """J rows at every node of ``y_grid``: y axes first, x axes last."""
-    out = np.empty(y_grid.shape + solution.problem.grid.shape)
+    """J rows at every node of ``y_grid``: y axes first, x axes last.
+
+    One linear system serves the whole batch; its columns are solved in
+    blocks of at most ``_BLOCK_VALUES`` values per (slice, column, node)
+    array.
+    """
+    grid = solution.problem.grid
     axes = y_grid.meshgrid()
-    for iy in np.ndindex(y_grid.shape):
-        y = tuple(float(ax[iy]) for ax in axes)
-        out[iy] = j_field(solution, couplings, y, **solve_options).values
-    return out
+    ys = [tuple(float(ax[iy]) for ax in axes)
+          for iy in np.ndindex(y_grid.shape)]
+    system = _derivative_system(solution, couplings, ys[0])
+    block = max(1, _BLOCK_VALUES // ((system.n_steps + 1) * grid.node_count))
+    rows = np.concatenate([
+        _solve_rows(system, ys[start:start + block], **solve_options)
+        for start in range(0, len(ys), block)])
+    return rows.reshape(y_grid.shape + grid.shape)
 
 
 def j_field_batch(solution: MfgSolution, couplings=None, *,
@@ -630,9 +788,14 @@ def j_field_batch(solution: MfgSolution, couplings=None, *,
                   tol: float = 1e-9) -> JKernel:
     """Tabulate J(t0, x, m0, y) for every grid node y.
 
-    Each y is an independent linear solve (the loop is trivially
-    parallelizable; it runs sequentially here).  Refuses grids beyond 128
-    nodes per axis, where the batch would run for hours.
+    Each y is an independent linear solve around one shared
+    linearization.  The columns run together as one damped alternation,
+    each stopping where its own solve would, in blocks bounded by
+    ``_BLOCK_VALUES`` so that a block's working arrays stay near 50 MB;
+    every row equals its single ``j_field`` solve bitwise.
+    Refuses grids beyond 128 nodes per axis: the table holds node_count^2
+    values (2 GiB at 128x128), and the step budget dt <= 0.5*dx^alpha
+    lengthens every column's march as the grid refines.
     """
     grid = solution.problem.grid
     if any(ni > _BATCH_NODE_CAP for ni in grid.n):

@@ -15,16 +15,19 @@ import numpy as np
 import pytest
 
 from levymfg.coupling import Conv, Zero, apply_dmF
-from levymfg.errors import BudgetError, GridMismatchError, InstabilityError
+from levymfg.errors import (BudgetError, DivergenceError, GridMismatchError,
+                            InstabilityError)
 from levymfg.fp import _march_forward, mass_series, solve_fp
 from levymfg.grid import Field, Grid, gradient
 from levymfg.hjb import (QuadraticHamiltonian, Trajectory, drift_hamiltonian,
                          solve_hjb)
 from levymfg.kernels import KernelCache, semigroup_apply
 from levymfg.levy import FractionalLaplacian, LevyTriplet
-from levymfg.linearized import (JKernel, LinSystem, _forward_flux,
-                                duality_report, j_field, j_field_batch,
-                                linearize, load_j_kernel, mollified_delta,
+from levymfg import linearized
+from levymfg.linearized import (JKernel, LinSystem, _alternate,
+                                _forward_flux, _solve_rows, duality_report,
+                                j_field, j_field_batch, linearize,
+                                load_j_kernel, mollified_delta,
                                 save_j_kernel, solve_linear_system)
 from levymfg.measures import Measure
 from levymfg.mfg import MfgProblem, MfgSolution, optimal_drift, solve_mfg
@@ -611,6 +614,72 @@ class TestDerivativeKernelBatch:
             assert np.array_equal(batch.values[iy], single.values)
             assert np.array_equal(batch.field_at(y).values, single.values)
 
+    def test_columns_stop_at_their_own_iteration(self, coarse_solution):
+        # under damping 0.5 the columns need different iteration counts, so
+        # each row is only right if its column left the batch on time
+        ys = [(float(x),) for x in CGRID.meshgrid()[0]]
+        rho0 = np.stack([mollified_delta(CGRID, y).values for y in ys])
+        system = linearize(coarse_solution, mollified_delta(CGRID, ys[0]))
+        run = _alternate(system, rho0, 0.5, 40, 1e-9, None, 2)
+        counts = [len(gaps) for gaps in run.gaps]
+        assert run.converged.all()
+        assert len(set(counts)) > 1  # measured: 19 at the rims, 20 inside
+        rows = j_field_batch(coarse_solution, damping=0.5).values
+        singles = []
+        for row, y in zip(rows, ys):
+            z, _, report = solve_linear_system(
+                linearize(coarse_solution, mollified_delta(CGRID, y)))
+            assert np.array_equal(row, z.initial.values)
+            singles.append(report.iterations)
+        assert singles == counts
+
+    def test_one_linearization_and_one_block_per_batch(
+            self, coarse_solution, batch, monkeypatch):
+        calls = {"linearize": 0, "alternate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(linearized, "linearize",
+                            counted("linearize", linearize))
+        monkeypatch.setattr(linearized, "_alternate",
+                            counted("alternate", _alternate))
+        again = j_field_batch(coarse_solution, damping=1.0)
+        assert calls == {"linearize": 1, "alternate": 1}
+        assert np.array_equal(again.values, batch.values)
+
+        # a block cap of three columns splits the 16 into six blocks
+        monkeypatch.setattr(linearized, "_BLOCK_VALUES",
+                            3 * (CN_STEPS + 1) * CGRID.node_count)
+        split = j_field_batch(coarse_solution, damping=1.0)
+        assert calls == {"linearize": 2, "alternate": 7}
+        assert np.array_equal(split.values, batch.values)
+
+    def test_batch_stall_is_tagged_with_the_first_stalled_point(
+            self, coarse_solution):
+        with pytest.raises(InstabilityError,
+                           match=r"derivative solve at y=\(-2\.0,\): "
+                                 "alternation stalled"):
+            j_field_batch(coarse_solution, max_iters=1, tol=1e-300)
+
+    def test_batch_leg_failure_is_the_sequential_one(self, coarse_solution):
+        # an oversized coupling makes every column blow up, column 0 at
+        # alternation 7 and some later columns already at 6; the batch
+        # must report what a loop over y in order meets first
+        loud = (Conv(Field(CGRID, 1e4 * coarse_bump_kernel().values)),
+                Zero())
+        with pytest.raises((DivergenceError, InstabilityError)) as single:
+            j_field(coarse_solution, loud, (-2.0,))
+        with pytest.raises((DivergenceError, InstabilityError)) as batched:
+            j_field_batch(coarse_solution, loud)
+        assert type(batched.value) is type(single.value)
+        assert str(batched.value) == str(single.value)
+        assert str(batched.value).startswith(
+            "derivative solve at y=(-2.0,): alternation iteration 7: ")
+
     def test_y_gradient_is_central_differencing(self, batch):
         grad = batch.y_gradient()
         assert grad.shape == (1,) + CGRID.shape + CGRID.shape
@@ -674,3 +743,47 @@ class TestDerivativeKernelBatch:
         target.write_bytes(raw[:-8])
         with pytest.raises(ValueError, match="payload"):
             load_j_kernel(target)
+
+
+# -- a 2D derivative batch ---------------------------------------------------
+
+SGRID = Grid(8, 2.0, dims=2)
+
+
+def square_bump(x, y):
+    r2 = x * x + y * y
+    return np.where(
+        r2 < 1.0, 0.25 * np.exp(-1.0 / np.maximum(1.0 - r2, 1e-300)), 0.0)
+
+
+@pytest.fixture(scope="module")
+def square_solution():
+    problem = MfgProblem(
+        kernel=KernelCache(
+            LevyTriplet(dims=2, jumps=(FractionalLaplacian(1.5),)), SGRID),
+        hamiltonian=QuadraticHamiltonian(0.5),
+        running_cost=Conv(Field.from_function(SGRID, square_bump)),
+        terminal_cost=Zero(),
+        m0=Measure.normalized(Field.from_function(
+            SGRID, lambda x, y: np.exp(-2.0 * ((x - 0.3) ** 2 + y * y)))),
+        t0=0.0,
+        T=T_END,
+        n_steps=2,  # dt = 0.125 < 0.177 budget
+    )
+    return solve_mfg(problem)
+
+
+class TestDerivativeKernel2D:
+    def test_rows_bitwise_match_single_solves(self, square_solution):
+        # a 2x2 lattice of probe points; a full 64-column batch would spend
+        # most of its time in the 2D metric programs
+        ys = [(a, b) for a in (-0.5, 0.5) for b in (-1.0, 0.5)]
+        system = linearize(square_solution, mollified_delta(SGRID, ys[0]))
+        rows = _solve_rows(system, ys, damping=1.0)
+        assert rows.shape == (4,) + SGRID.shape
+        for row, y in zip(rows, ys):
+            single = j_field(square_solution, None, y, damping=1.0)
+            assert np.array_equal(row, single.values)
+        # signal, not noise; measured sups 8.953e-3 .. 8.957e-3
+        assert float(np.min(np.abs(rows).max(axis=(1, 2)))) > 5e-3
+        assert not np.array_equal(rows[0], rows[3])

@@ -393,7 +393,7 @@ def resolved_derivatives(phi: Field, max_order: int = 4) -> int:
             shape[ax] = len(xi)
             weighted = weighted * (1.0 + np.abs(xi.reshape(shape)) ** order)
         peak = float(np.max(np.abs(weighted)))
-        tail = _nyquist_shell_max(phi.grid, weighted)
+        tail = float(_nyquist_shell_max(phi.grid, weighted))
         if peak == 0.0 or tail <= 1e-6 * peak:
             budget = order
         else:

@@ -271,10 +271,17 @@ def _divergence(grid: Grid, vec_values: np.ndarray) -> np.ndarray:
     return np.fft.irfftn(acc, s=grid.shape, axes=tuple(a - 1 for a in axes))
 
 
-def _nyquist_shell_max(grid: Grid, spec: np.ndarray) -> float:
-    """Largest magnitude on the Nyquist planes (fftn or rfftn layout)."""
-    return max(float(np.max(np.abs(np.take(spec, grid.n[ax] // 2, axis=ax))))
-               for ax in range(grid.dims))
+def _nyquist_shell_max(grid: Grid, spec: np.ndarray) -> np.ndarray:
+    """Largest magnitude on the Nyquist planes (fftn or rfftn layout).
+
+    Reduces over the trailing grid axes only: leading axes batch, with one
+    value per row (a 0-d array for a single spectrum).
+    """
+    rest = tuple(range(1 - grid.dims, 0))
+    mag = np.abs(spec)
+    return np.max([np.max(np.take(mag, grid.n[ax] // 2, axis=ax - grid.dims),
+                          axis=rest)
+                   for ax in range(grid.dims)], axis=0)
 
 
 def gradient(f: Field) -> list[Field]:

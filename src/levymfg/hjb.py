@@ -33,7 +33,8 @@ from .errors import (
     NonFiniteFieldError,
     UnsupportedOrderError,
 )
-from .grid import Field, Grid, _batch_gradient, _derivative_multiplier_half
+from .grid import (Field, Grid, _batch_gradient, _derivative_multiplier_half,
+                   _nyquist_shell_max)
 from .kernels import KernelCache
 from .levy import order_alpha
 
@@ -470,10 +471,7 @@ def _nyquist_fraction(grid: Grid, values: np.ndarray) -> float:
     axes = tuple(range(-grid.dims, 0))
     spec = np.abs(np.fft.rfftn(values, s=grid.shape, axes=axes))
     peak = np.max(spec, axis=axes)
-    shell = np.zeros_like(peak)
-    for ax in range(grid.dims):
-        plane = np.take(spec, grid.n[ax] // 2, axis=ax - grid.dims)
-        shell = np.maximum(shell, np.max(plane, axis=axes[1:]))
+    shell = _nyquist_shell_max(grid, spec)
     frac = np.divide(shell, peak, out=np.zeros_like(shell), where=peak > 0.0)
     return float(np.max(frac))
 

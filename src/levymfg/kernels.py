@@ -126,7 +126,8 @@ class KernelCache:
 
     def nyquist_tail(self, t: float, adjoint: bool = False) -> float:
         """Largest multiplier magnitude on the Nyquist shell."""
-        return _nyquist_shell_max(self.grid, self.multiplier(t, adjoint))
+        return float(_nyquist_shell_max(self.grid,
+                                        self.multiplier(t, adjoint)))
 
     def _required_n(self, t: float, tail: float) -> int:
         """Estimate a power-of-two n that would push the tail below tolerance."""

@@ -285,12 +285,6 @@ def _flux_values(system: LinSystem, z_values: np.ndarray) -> np.ndarray:
     return flux
 
 
-def _forward_flux(system: LinSystem, z_values: np.ndarray) -> Trajectory:
-    """``_flux_values`` of one z history as a vector trajectory."""
-    return Trajectory(system.grid, system.t0, system.T,
-                      _flux_values(system, z_values))
-
-
 def _data_norm(system: LinSystem) -> float:
     """Size of the system data: |z_T|_inf + |rho0|_dual + sup|b| + int |c|."""
     total = system.terminal.max_norm + signed_dual_norm(system.rho0)

@@ -15,6 +15,7 @@ from levymfg.errors import (
 from levymfg.grid import (
     Field,
     Grid,
+    _nyquist_shell_max,
     boundary_shell_mass,
     dft_roundtrip,
     load_field,
@@ -218,6 +219,30 @@ class TestParseval:
         g = Grid((16, 16), (1.0, 2.0))
         f = Field(g, rng.standard_normal((16, 16)))
         assert parseval_gap(f) <= 1e-12
+
+
+class TestNyquistShell:
+    def test_batch_rows_match_single_spectra_2d(self):
+        # rows reduce over the trailing grid axes only, in both layouts
+        rng = np.random.default_rng(5)
+        g = Grid((8, 16), (1.0, 2.0))
+        values = rng.standard_normal((3, 2, 8, 16))
+        for spec in (np.fft.rfftn(values, axes=(-2, -1)),
+                     np.fft.fftn(values, axes=(-2, -1))):
+            batch = _nyquist_shell_max(g, spec)
+            assert batch.shape == (3, 2)
+            for row in np.ndindex(3, 2):
+                single = _nyquist_shell_max(g, spec[row])
+                assert single.shape == ()
+                assert batch[row] == single
+                planes = np.concatenate([np.abs(spec[row][4]),
+                                         np.abs(spec[row][:, 8])])
+                assert single == np.max(planes)
+
+    def test_single_spectrum_1d(self):
+        g = Grid((16,), (2.0,))
+        spec = np.arange(9.0) - 4.0j
+        assert _nyquist_shell_max(g, spec) == abs(spec[8])
 
 
 class TestBoundaryMonitor:

@@ -25,7 +25,7 @@ from levymfg.kernels import KernelCache, semigroup_apply
 from levymfg.levy import FractionalLaplacian, LevyTriplet
 from levymfg import linearized
 from levymfg.linearized import (JKernel, LinSystem, _alternate,
-                                _forward_flux, _solve_rows, duality_report,
+                                _flux_values, _solve_rows, duality_report,
                                 j_field, j_field_batch, linearize,
                                 load_j_kernel, mollified_delta,
                                 save_j_kernel, solve_linear_system)
@@ -301,7 +301,8 @@ class TestOneWayTransport:
         # sweeps only move the path by O(dt)
         system, (z, rho, _) = one_way_solved
         direct = solve_fp(kernel, system.drift, system.rho0,
-                          _forward_flux(system, z.values),
+                          Trajectory(GRID, 0.0, T_END,
+                                     _flux_values(system, z.values)),
                           0.0, T_END, N_STEPS)
         gap = float(np.max(np.abs(rho.values - direct.values)))
         assert gap <= 5e-3  # measured: 2.36e-3

@@ -20,7 +20,6 @@ counterexample.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,7 +28,7 @@ from scipy.linalg import eigh
 
 from .errors import GridMismatchError
 from .grid import (Field, Grid, _convolve_values, _nyquist_shell_max,
-                   _require_finite, load_field, periodic_convolve)
+                   _require_finite, periodic_convolve)
 from .measures import Measure, mollify
 
 _MATRIX_AXIS_CAP = 256
@@ -411,63 +410,3 @@ def require_smooth(coupling, order: int = 4) -> None:
         raise ValueError(
             f"coupling kernel resolves only {have} derivatives; {order} required"
         )
-
-
-# --------------------------------------------------------------------------
-# config builders
-
-
-def _parse_phi(spec, grid: Grid) -> Field:
-    if isinstance(spec, str):
-        match = re.fullmatch(r"gauss\(([^)]+)\)", spec.strip())
-        if match:
-            sigma = float(match.group(1))
-            if sigma <= 0:
-                raise ValueError("gaussian width must be positive")
-            mesh = grid.meshgrid()
-            r_sq = sum(x ** 2 for x in mesh)
-            return Field(grid, np.exp(-r_sq / (2.0 * sigma ** 2)))
-        match = re.fullmatch(r"odd_sine\(([^)]+)\)", spec.strip())
-        if match:
-            # compactly supported odd kernel: sin scaled under a bump window
-            width = float(match.group(1))
-            mesh = grid.meshgrid()
-            r_sq = sum(x ** 2 for x in mesh) / width ** 2
-            window = np.where(r_sq < 1.0, np.exp(-1.0 / np.maximum(1.0 - r_sq, 1e-300)), 0.0)
-            return Field(grid, np.sin(np.pi * mesh[0] / width) * window)
-        return load_field(spec)
-    raise TypeError("kernel spec must be a string")
-
-
-def _parse_Phi(spec: str):
-    match = re.fullmatch(r"power\(([^)]+)\)", spec.strip())
-    if not match:
-        raise ValueError(f"unknown local nonlinearity {spec!r}")
-    p = float(match.group(1))
-    if p < 1:
-        raise ValueError("power must be >= 1 to keep the derivative bounded")
-
-    def Phi(mesh, s):
-        return np.sign(s) * np.abs(s) ** p / p
-
-    def dPhi_ds(mesh, s):
-        return np.abs(s) ** (p - 1.0)
-
-    return Phi, dPhi_ds
-
-
-def build_coupling(cfg: dict, grid: Grid):
-    """Construct a coupling from its config dictionary."""
-    kind = cfg.get("type")
-    if kind == "zero":
-        return Zero()
-    if kind == "conv":
-        return Conv(phi=_parse_phi(cfg["phi"], grid))
-    if kind == "local":
-        phi_fns = _parse_Phi(cfg["Phi"])
-        return LocalComposite(
-            phi2=_parse_phi(cfg["phi2"], grid),
-            Phi=phi_fns[0],
-            dPhi_ds=phi_fns[1],
-        )
-    raise ValueError(f"unknown coupling type {kind!r}")

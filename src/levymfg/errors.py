@@ -18,7 +18,11 @@ class UnsupportedOrderError(LevyMfgError):
 
 
 class SpectralResidueError(LevyMfgError):
-    """Imaginary residue after a real spectral operation exceeded tolerance."""
+    """A spectral operator broke a conservation it must keep exactly.
+
+    Raised when a synthesized heat kernel's mass leaves 1, and when the
+    master residual's generator moves constants.
+    """
 
 
 class QuadratureError(LevyMfgError):

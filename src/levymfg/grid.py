@@ -1,4 +1,4 @@
-"""Periodic spectral substrate: grids, fields, DFT helpers, binary I/O.
+"""Periodic spectral substrate: grids, fields, DFT helpers.
 
 The domain is the periodic box prod_i [-L_i, L_i) with n_i nodes per axis
 (powers of two). All solvers use trigonometric interpolation on this box, so
@@ -16,7 +16,6 @@ the same, but numpy then skips a shape lookup that costs about half of a
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +25,6 @@ from .errors import (
     NonFiniteFieldError,
     UnsupportedOrderError,
 )
-
-_MAGIC = b"LMFG"
-_VERSION = 1
 
 
 def _as_tuple(value, dims: int, caster) -> tuple:
@@ -225,8 +221,7 @@ def _normalize_beta(grid: Grid, beta) -> tuple[int, ...]:
 def spectral_derivative(f: Field, beta) -> Field:
     """D^beta f via (i*xi)^beta in Fourier space.
 
-    Uses the half-complex transform so the result is exactly real (imaginary
-    residue identically zero, well inside the 1e-10*||f||_inf contract).
+    Uses the half-complex transform, so the result is exactly real.
     """
     _require_finite(f.values)
     bt = _normalize_beta(f.grid, beta)
@@ -345,32 +340,3 @@ def boundary_shell_mass(f: Field, shell_fraction: float = 0.1) -> float:
         shape[i] = f.grid.n[i]
         mask |= axis_mask.reshape(shape)
     return float(f.grid.cell_volume * np.sum(np.abs(f.values[mask])))
-
-
-def save_field(path, f: Field) -> None:
-    """Write the LMFG binary format (little-endian, row-major)."""
-    g = f.grid
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<B", g.dims))
-        for ni in g.n:
-            fh.write(struct.pack("<I", ni))
-        for li in g.half_width:
-            fh.write(struct.pack("<d", li))
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
-
-
-def load_field(path) -> Field:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not an LMFG field file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _VERSION:
-            raise ValueError(f"unsupported LMFG version {version}")
-        (dims,) = struct.unpack("<B", fh.read(1))
-        n = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(dims))
-        hw = tuple(struct.unpack("<d", fh.read(8))[0] for _ in range(dims))
-        grid = Grid(n, hw)
-        data = np.frombuffer(fh.read(8 * grid.node_count), dtype="<f8")
-        return Field(grid, data.reshape(grid.shape))

@@ -6,9 +6,11 @@ directly for each time (no composition step).  The adjoint semigroup uses
 the conjugate symbol, which in physical space is the reflected kernel.
 
 A real generator has Psi(-xi) = conj Psi(xi) except on the Nyquist planes,
-where xi = -pi/dx stands for both signs; an asymmetric symbol there has no
-real action, and an apply that leaks more than 1e-10 of its output scale
-through it raises ``SpectralResidueError``.
+where xi = -pi/dx stands for both signs.  There the symbol is replaced by
+its Hermitian part (Psi(k) + conj Psi(-k))/2, the rule that
+``grid._derivative_multiplier_half`` applies to odd derivatives, so every
+multiplier and the generator are real operators that agree on every bin.
+The symbols of symmetric generators are kept bitwise.
 
 Kernel fields are only handed out when the multiplier has decayed below
 1e-12 at the Nyquist shell; otherwise the grid cannot represent the kernel
@@ -29,18 +31,11 @@ from .levy import LevyTriplet, UnsupportedOrderError, order_alpha, symbol_eval
 _NYQUIST_TOL = 1e-12
 _MASS_TOL = 1e-10
 _RINGING_TOL = 1e-9
-_RESIDUE_TOL = 1e-10
 _MEMO_LIMIT = 64
 
 
 class KernelCache:
-    """Cached half-spectrum multipliers of e^{tL} for one generator on one grid.
-
-    Each multiplier M is memoized with its leak: the weighted non-Hermitian
-    defect |M(k) - conj M(-k)|/2 on the Nyquist-plane bins where the symbol
-    is not conjugate-symmetric, or None when there is none (every symmetric
-    generator).
-    """
+    """Cached half-spectrum multipliers of e^{tL} for one generator on one grid."""
 
     def __init__(self, triplet: LevyTriplet, grid: Grid):
         if triplet.dims != grid.dims:
@@ -54,25 +49,17 @@ class KernelCache:
         axes = tuple(range(grid.dims))
         half = (Ellipsis, slice(0, grid.n[-1] // 2 + 1))
         mirror = np.conj(np.roll(np.flip(full), 1, axis=axes))[half]  # conj Psi(-k)
-        self.symbol = np.ascontiguousarray(full[half])
-        on_plane = np.zeros(self.symbol.shape, dtype=bool)
+        symbol = np.ascontiguousarray(full[half])
+        on_plane = np.zeros(symbol.shape, dtype=bool)
         for ax in axes:
             np.moveaxis(on_plane, ax, 0)[grid.n[ax] // 2] = True
-        self._bins = np.nonzero(on_plane & (self.symbol != mirror))
-        last = self._bins[-1]  # the 1/2 of D, doubled where -k is not stored
-        weight = np.where((last == 0) | (last == grid.n[-1] // 2), 0.5, 1.0)
-        self._defect = (self.symbol[self._bins], mirror[self._bins], weight)
-        self._generator_leak = self._leak(np.negative)
-        self._memo: dict[tuple[float, bool], tuple] = {}
+        skew = on_plane & (symbol != mirror)
+        symbol[skew] = 0.5 * (symbol[skew] + mirror[skew])
+        self.symbol = symbol
+        self._memo: dict[tuple[float, bool], np.ndarray] = {}
 
-    def _leak(self, fn):
-        """Weighted defect of the multiplier fn(Psi), None when it vanishes."""
-        psi, mirror, weight = self._defect
-        leak = weight * np.abs(fn(psi) - fn(mirror))
-        return leak if np.any(leak) else None
-
-    def _entry(self, t: float, adjoint: bool) -> tuple:
-        """(multiplier, leak) at time t, memoized."""
+    def multiplier(self, t: float, adjoint: bool = False) -> np.ndarray:
+        """Half-spectrum multiplier of e^{tL} (or its adjoint) at time t >= 0."""
         if t < 0.0:
             raise ValueError("semigroup time must be nonnegative")
         key = (float(t), bool(adjoint))
@@ -80,49 +67,28 @@ class KernelCache:
         if hit is not None:
             return hit
         if adjoint:
-            mult, leak = self._entry(t, False)
-            entry = (np.conj(mult), leak)  # |conj D| = |D|
+            mult = np.conj(self.multiplier(t, False))
         else:
-            entry = (np.exp(-t * self.symbol),
-                     self._leak(lambda psi: np.exp(-t * psi)))
+            mult = np.exp(-t * self.symbol)
         if len(self._memo) >= _MEMO_LIMIT:
             self._memo.pop(next(iter(self._memo)))
-        self._memo[key] = entry
-        return entry
-
-    def multiplier(self, t: float, adjoint: bool = False) -> np.ndarray:
-        """Half-spectrum multiplier of e^{tL} (or its adjoint) at time t >= 0."""
-        return self._entry(t, adjoint)[0]
+        self._memo[key] = mult
+        return mult
 
     def apply_array(self, t: float, values: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """Smooth raw values (grid axes last; leading axes broadcast)."""
-        return self._apply(*self._entry(t, adjoint), values,
-                           "after semigroup application")
+        return self._apply(self.multiplier(t, adjoint), values)
 
     def apply_generator(self, values: np.ndarray) -> np.ndarray:
         """L applied through its symbol (grid axes last; leading axes broadcast)."""
-        return self._apply(-self.symbol, self._generator_leak, values,
-                           "applying the symbol")
+        return self._apply(-self.symbol, values)
 
-    def _apply(self, mult: np.ndarray, leak: np.ndarray | None,
-               values: np.ndarray, what: str) -> np.ndarray:
-        """irfftn(rfftn(values) * mult) over the trailing grid axes.
-
-        With a leak, (1/N) sum_k |X(k)| |D(k)| bounds the imaginary part of
-        the full complex apply (equals it in 1D) and must stay below 1e-10
-        of max(1, sup|out|).
-        """
+    def _apply(self, mult: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """irfftn(rfftn(values) * mult) over the trailing grid axes."""
         grid = self.grid
         axes = tuple(range(values.ndim - grid.dims, values.ndim))
         spec = np.fft.rfftn(values, s=grid.shape, axes=axes)
-        out = np.fft.irfftn(spec * mult, s=grid.shape, axes=axes)
-        if leak is not None:
-            residue = float(np.max(np.abs(spec[(Ellipsis,) + self._bins]) @ leak)
-                            ) / grid.node_count
-            if residue > _RESIDUE_TOL * max(1.0, float(np.max(np.abs(out)))):
-                raise SpectralResidueError(
-                    f"imaginary residue {residue!r} {what}")
-        return out
+        return np.fft.irfftn(spec * mult, s=grid.shape, axes=axes)
 
     def nyquist_tail(self, t: float, adjoint: bool = False) -> float:
         """Largest multiplier magnitude on the Nyquist shell."""

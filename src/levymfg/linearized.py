@@ -39,9 +39,7 @@ alternation stay inherently ordered.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
 
 import numpy as np
 
@@ -69,7 +67,6 @@ _BATCH_NODE_CAP = 128
 # values in one (slice, column, node) array of a J block: 2 MiB of float64;
 # the legs peak at about 24 such arrays (measured on a full 2D block)
 _BLOCK_VALUES = 1 << 18
-_JKERNEL_FORMAT = "levymfg-jkernel"
 
 
 # --------------------------------------------------------------------------
@@ -800,41 +797,3 @@ def j_field_batch(solution: MfgSolution, couplings=None, *,
                   max_iters=max_iters, tol=tol)
     return JKernel(grid=grid, t0=solution.u.t0, values=out,
                    mollifier_width=2.0 * max(grid.dx))
-
-
-def save_j_kernel(path, jk: JKernel) -> None:
-    """Raw little-endian float64 matrix plus a JSON sidecar of axes."""
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(jk.values, dtype="<f8").tobytes())
-    sidecar = {
-        "format": _JKERNEL_FORMAT,
-        "version": 1,
-        "axis_roles": ["y"] * jk.grid.dims + ["x"] * jk.grid.dims,
-        "shape": list(jk.values.shape),
-        "n": list(jk.grid.n),
-        "half_width": [float(h) for h in jk.grid.half_width],
-        "t0": jk.t0,
-        "mollifier_width": jk.mollifier_width,
-        "dtype": "<f8",
-        "order": "C",
-    }
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-
-
-def load_j_kernel(path) -> JKernel:
-    path = Path(path)
-    with open(str(path) + ".json") as fh:
-        sidecar = json.load(fh)
-    if sidecar.get("format") != _JKERNEL_FORMAT or sidecar.get("version") != 1:
-        raise ValueError("not a derivative-kernel file")
-    grid = Grid(tuple(sidecar["n"]), tuple(sidecar["half_width"]))
-    raw = np.fromfile(path, dtype="<f8")
-    want = grid.node_count ** 2
-    if raw.size != want:
-        raise ValueError(
-            f"kernel payload holds {raw.size} values, expected {want}")
-    return JKernel(grid=grid, t0=float(sidecar["t0"]),
-                   values=raw.reshape(grid.shape + grid.shape),
-                   mollifier_width=float(sidecar["mollifier_width"]))

@@ -22,9 +22,7 @@ nondecreasing, and subadditive up to an additive slack of 0.7.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
@@ -32,7 +30,7 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
 from .errors import GridMismatchError, QuadratureError, ResolutionError
-from .grid import Field, Grid, load_field, periodic_convolve, save_field
+from .grid import Field, Grid, periodic_convolve
 from .levy import _jump_densities
 
 _CLAMP_TOL = 1e-14
@@ -478,34 +476,3 @@ def mollify(m: Measure, eps: float) -> Measure:
     vals[np.abs(vals) < _CLAMP_TOL] = 0.0
     np.maximum(vals, 0.0, out=vals)
     return Measure(Field(m.grid, vals))
-
-
-# --------------------------------------------------------------------------
-# persistence: binary density + JSON sidecar
-
-
-def save_measure(path, m: Measure, psi: TightnessFn | None = None) -> None:
-    path = Path(path)
-    save_field(path, m.density)
-    sidecar = {
-        "mass": m.mass,
-        "min": float(np.min(m.values)),
-        "psi_moment": generalized_moment(
-            m, psi if psi is not None else TightnessFn.on_grid(m.grid)
-        ),
-    }
-    with open(str(path) + ".json", "w") as handle:
-        json.dump(sidecar, handle, indent=2, sort_keys=True)
-
-
-def load_measure(path) -> Measure:
-    path = Path(path)
-    density = load_field(path)
-    measure = Measure(density)
-    sidecar_path = Path(str(path) + ".json")
-    if sidecar_path.exists():
-        with open(sidecar_path) as handle:
-            sidecar = json.load(handle)
-        if abs(sidecar["mass"] - measure.mass) > _MASS_TOL:
-            raise ValueError("sidecar mass disagrees with stored density")
-    return measure

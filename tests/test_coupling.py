@@ -20,7 +20,6 @@ from levymfg.coupling import (
     M1Report,
     Zero,
     apply_dmF,
-    build_coupling,
     check_M1,
     check_M2,
     eval_F,
@@ -379,37 +378,3 @@ class TestSmoothnessBudget:
         assert resolved_derivatives(rough) < 4
         with pytest.raises(ValueError, match="derivatives"):
             require_smooth(Conv(rough))
-
-
-class TestConfigBuilders:
-    def test_conv_from_config(self):
-        grid = Grid(64, 2.0)
-        coupling = build_coupling({"type": "conv", "phi": "gauss(0.25)"}, grid)
-        assert isinstance(coupling, Conv)
-        assert coupling.phi.values[grid.nearest_index((0.0,))] == 1.0
-
-    def test_local_from_config(self):
-        grid = Grid(64, 2.0)
-        coupling = build_coupling(
-            {"type": "local", "Phi": "power(2)", "phi2": "gauss(0.2)"}, grid
-        )
-        assert isinstance(coupling, LocalComposite)
-        m = random_measure(grid, 22)
-        s = periodic_convolve(coupling.phi2, m.density).values
-        assert np.allclose(coupling.dPhi_ds(grid.meshgrid(), s), s)
-
-    def test_zero_and_unknown(self):
-        grid = Grid(64, 2.0)
-        assert isinstance(build_coupling({"type": "zero"}, grid), Zero)
-        with pytest.raises(ValueError):
-            build_coupling({"type": "mystery"}, grid)
-
-    def test_phi_from_file(self, tmp_path):
-        from levymfg.grid import save_field
-
-        grid = Grid(64, 2.0)
-        phi = gauss_kernel(grid)
-        path = tmp_path / "phi.lmfg"
-        save_field(path, phi)
-        coupling = build_coupling({"type": "conv", "phi": str(path)}, grid)
-        assert np.array_equal(coupling.phi.values, phi.values)

@@ -1,4 +1,4 @@
-"""Grid/DFT substrate tests: round trips, derivatives, convolution, I/O."""
+"""Grid/DFT substrate tests: round trips, derivatives, convolution."""
 
 import math
 
@@ -18,10 +18,8 @@ from levymfg.grid import (
     _nyquist_shell_max,
     boundary_shell_mass,
     dft_roundtrip,
-    load_field,
     parseval_gap,
     periodic_convolve,
-    save_field,
     spectral_derivative,
 )
 
@@ -255,42 +253,3 @@ class TestBoundaryMonitor:
         g = Grid((128,), (8.0,))
         f = gaussian_1d(g, 0.5, center=7.5)
         assert boundary_shell_mass(f) > 1e-3
-
-
-class TestBinaryFormat:
-    def test_roundtrip_1d(self, tmp_path):
-        g = Grid((32,), (2.5,))
-        rng = np.random.default_rng(5)
-        f = Field(g, rng.standard_normal(32))
-        p = tmp_path / "f.lmfg"
-        save_field(p, f)
-        back = load_field(p)
-        assert back.grid == g
-        assert np.array_equal(back.values, f.values)
-
-    def test_roundtrip_2d(self, tmp_path):
-        g = Grid((16, 8), (1.0, 3.0))
-        rng = np.random.default_rng(6)
-        f = Field(g, rng.standard_normal((16, 8)))
-        p = tmp_path / "f2.lmfg"
-        save_field(p, f)
-        back = load_field(p)
-        assert back.grid == g
-        assert np.array_equal(back.values, f.values)
-
-    def test_header_bytes(self, tmp_path):
-        g = Grid((8,), (1.0,))
-        f = Field.constant(g, 0.0)
-        p = tmp_path / "h.lmfg"
-        save_field(p, f)
-        raw = p.read_bytes()
-        assert raw[:4] == b"LMFG"
-        assert int.from_bytes(raw[4:8], "little") == 1
-        assert raw[8] == 1  # dims
-        assert int.from_bytes(raw[9:13], "little") == 8
-
-    def test_magic_rejected(self, tmp_path):
-        p = tmp_path / "bad.lmfg"
-        p.write_bytes(b"NOPE" + b"\x00" * 100)
-        with pytest.raises(ValueError):
-            load_field(p)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from levymfg.errors import ResolutionError, SpectralResidueError
+from levymfg.errors import ResolutionError
 from levymfg.grid import Field, Grid
 from levymfg.kernels import KernelCache, kernel_field, semigroup_apply, verify_K_assumption
 from levymfg.levy import LevyTriplet, parse_operator, symbol_eval
@@ -187,46 +187,113 @@ class TestSemigroupApply:
         assert abs(out.integral() - f.integral()) <= 1e-12
 
 
+def projected_symbol(triplet: LevyTriplet, grid: Grid) -> np.ndarray:
+    """Full fftn-layout symbol, Hermitian part (Psi(k) + conj Psi(-k))/2 on
+    the Nyquist planes, zero at DC."""
+    axes = tuple(range(grid.dims))
+    psi = symbol_eval(triplet, grid)
+    psi[(0,) * grid.dims] = 0.0
+    mirror = np.conj(np.roll(np.flip(psi), 1, axis=axes))
+    plane = np.zeros(grid.shape, dtype=bool)
+    for ax in axes:
+        plane |= np.abs(grid.wavenumber_grids()[ax]) == np.pi / grid.dx[ax]
+    return np.where(plane, 0.5 * (psi + mirror), psi)
+
+
 class TestResidueGuard:
-    """An asymmetric symbol is not conjugate-symmetric on the Nyquist bin
-    (xi = -pi/dx stands for both signs), so a real input with content there
-    leaks an imaginary part that the apply must refuse.  Residues measured
-    on Grid(64, 2.0) as max |Im| of the complex-FFT apply."""
+    """An asymmetric symbol is not conjugate-symmetric on the Nyquist planes
+    (xi = -pi/dx stands for both signs).  The cache stores its Hermitian
+    part there, so every apply is a real operator: the half-spectrum apply
+    equals the complex ``fftn`` apply of the projected symbol, whose
+    imaginary part is rounding only.  Unit-normal noise and a narrow bump
+    as inputs; one ulp of the O(1) outputs is 2.2e-16."""
 
     grid = Grid(64, 2.0)
     x = grid.axis(0)
     alternating = (-1.0) ** np.arange(64)
-    cases = [
-        # measured: 4.411e-4; the Nyquist bin alone, so exact
-        ("riesz_feller{1.6}", "array", alternating, 4.410665455311339e-04, 1e-12),
-        # measured: 2.678e-2
-        ("cgmy{0.7,3,6,1.3}", "array", alternating, 2.6782130713610394e-02, 1e-12),
-        # measured: 2.187e-5; the complex FFT adds rounding of the other
-        # bins (1.5e-9 relative) to the Nyquist leak
-        ("riesz_feller{1.6}", "generator", np.exp(-3.0 * x ** 2),
-         2.186623038041399e-05, 1e-8),
+    asymmetric = [
+        (parse_operator("riesz_feller{1.6}"), grid),
+        (parse_operator("cgmy{0.7,3,6,1.3}"), grid),
+        (LevyTriplet(dims=2, drift=(0.7, -0.4),
+                     diffusion=((1.0, 0.0), (0.0, 1.0))),
+         Grid((8, 16), (2.0, 3.0))),
+        # the cross term xi_0 xi_1 is odd on each Nyquist plane
+        (LevyTriplet(dims=2, diffusion=((1.0, 0.3), (0.3, 2.0))),
+         Grid((8, 16), (2.0, 3.0))),
     ]
+    asymmetric_ids = ["riesz_feller", "cgmy", "drift_2d", "cross_diffusion_2d"]
 
     @staticmethod
-    def _apply(name, how, values, t=0.0078125):
-        cache = KernelCache(parse_operator(name), TestResidueGuard.grid)
-        if how == "generator":
-            return cache.apply_generator(values)
-        return cache.apply_array(t, values)
+    def _inputs(grid):
+        noise = np.random.default_rng(5).standard_normal(grid.shape)
+        bump = np.exp(-8.0 * sum(axis ** 2 for axis in grid.meshgrid()))
+        return noise, bump
 
-    @pytest.mark.parametrize("name, how, values, residue, rel", cases)
-    def test_nyquist_leak_raises_with_residue(self, name, how, values,
-                                              residue, rel):
-        with pytest.raises(SpectralResidueError,
-                           match="imaginary residue") as exc:
-            self._apply(name, how, values)
-        reported = float(str(exc.value).split()[2])
-        assert abs(reported - residue) <= rel * residue
+    @staticmethod
+    def _complex_apply(mult, values):
+        out = np.fft.ifftn(np.fft.fftn(values) * mult)
+        # measured: 1.6e-15 relative
+        assert np.max(np.abs(out.imag)) <= 1e-14 * np.max(np.abs(out.real))
+        return out.real
 
-    @pytest.mark.parametrize("how, values", [(how, values)
-                                             for _, how, values, _, _ in cases])
+    @pytest.mark.parametrize("triplet, grid", asymmetric, ids=asymmetric_ids)
+    def test_half_apply_matches_complex_projected_apply(self, triplet, grid):
+        cache = KernelCache(triplet, grid)
+        psi = projected_symbol(triplet, grid)
+        for values in self._inputs(grid):
+            for adjoint in (False, True):
+                mult = np.exp(-0.05 * (np.conj(psi) if adjoint else psi))
+                want = self._complex_apply(mult, values)
+                got = cache.apply_array(0.05, values, adjoint)
+                # measured: 2.2e-16
+                assert np.max(np.abs(got - want)) <= 5e-16
+
+    @pytest.mark.parametrize("triplet, grid", asymmetric, ids=asymmetric_ids)
+    def test_semigroup_composes(self, triplet, grid):
+        cache = KernelCache(triplet, grid)
+        for values in self._inputs(grid):
+            for adjoint in (False, True):
+                twice = cache.apply_array(
+                    0.03, cache.apply_array(0.02, values, adjoint), adjoint)
+                once = cache.apply_array(0.05, values, adjoint)
+                # measured: 3.2e-16
+                assert np.max(np.abs(twice - once)) <= 6e-16
+
+    @pytest.mark.parametrize("triplet, grid", asymmetric, ids=asymmetric_ids)
+    def test_generator_matches_complex_projected_apply(self, triplet, grid):
+        cache = KernelCache(triplet, grid)
+        psi = projected_symbol(triplet, grid)
+        for values in self._inputs(grid):
+            got = cache.apply_generator(values)
+            want = self._complex_apply(-psi, values)
+            scale = np.max(np.abs(got))
+            # measured: 5.5e-15 relative, on the bump under cgmy
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("triplet, grid", [
+        (parse_operator("frac{1.5}"), grid),
+        (parse_operator("mix{laplacian+frac{1.5}}"), grid),
+        (parse_operator("cgmy{1,5,5,1.5}"), grid),
+        (LevyTriplet(dims=2, diffusion=((1.0, 0.0), (0.0, 2.0))),
+         Grid((8, 16), (2.0, 3.0))),
+    ], ids=["frac", "mix", "cgmy_symmetric", "diffusion_2d"])
+    def test_symmetric_symbol_is_not_projected(self, triplet, grid):
+        full = symbol_eval(triplet, grid)
+        full[(0,) * grid.dims] = 0.0
+        half = full[..., :grid.n[-1] // 2 + 1]
+        assert np.array_equal(KernelCache(triplet, grid).symbol, half)
+
+    @pytest.mark.parametrize("how, values", [
+        ("array", alternating),
+        ("array", np.random.default_rng(5).standard_normal(64)),
+        ("generator", np.exp(-3.0 * x ** 2)),
+    ])
     def test_symmetric_generator_never_raises(self, how, values):
-        out = self._apply("frac{1.5}", how, values)
+        cache = KernelCache(parse_operator("frac{1.5}"), self.grid)
+        if how == "generator":
+            out = cache.apply_generator(values)
+        else:
+            out = cache.apply_array(0.0078125, values)
         assert np.all(np.isfinite(out))
 
     @pytest.mark.parametrize("name", ["riesz_feller{1.6}", "cgmy{0.7,3,6,1.3}"])
@@ -238,31 +305,11 @@ class TestResidueGuard:
                 0.1, noise, adjoint)
             assert np.all(np.isfinite(out))
 
-    def test_2d_leak_sums_full_spectrum_defect(self):
-        # the half-layout sum, weighted by whether a bin's mirror is stored,
-        # equals (1/N) sum_k |X(k)| |D(k)| over the full fftn layout and
-        # bounds the imaginary part of the complex apply
-        grid = Grid((8, 16), (2.0, 3.0))
-        triplet = LevyTriplet(dims=2, drift=(0.7, -0.4),
-                              diffusion=((1.0, 0.0), (0.0, 1.0)))
-        values = np.random.default_rng(3).standard_normal(grid.shape)
-        with pytest.raises(SpectralResidueError) as exc:
-            KernelCache(triplet, grid).apply_array(0.05, values)
-        reported = float(str(exc.value).split()[2])
-        psi = symbol_eval(triplet, grid)
-        psi[0, 0] = 0.0
-        mult = np.exp(-0.05 * psi)
-        mirror = np.roll(np.flip(mult), 1, axis=(0, 1))
-        spec = np.fft.fftn(values)
-        leak = np.sum(np.abs(spec) * np.abs(mult - np.conj(mirror)) / 2.0)
-        assert abs(reported - leak / grid.node_count) <= 1e-12 * reported
-        imaginary = np.max(np.abs(np.fft.ifftn(spec * mult).imag))
-        assert imaginary <= reported
-
     def test_asymmetric_apply_on_narrow_bump(self):
         bump = np.exp(-8.0 * self.x ** 2)
-        for how in ("array", "generator"):
-            out = self._apply("riesz_feller{1.6}", how, bump)
+        cache = KernelCache(parse_operator("riesz_feller{1.6}"), self.grid)
+        for out in (cache.apply_array(0.0078125, bump),
+                    cache.apply_generator(bump)):
             assert np.all(np.isfinite(out))
 
 

@@ -8,7 +8,6 @@ that grid's 0.0625 budget.  Expected values were measured once and frozen;
 comments record the raw measurements.
 """
 
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -27,8 +26,7 @@ from levymfg import linearized
 from levymfg.linearized import (JKernel, LinSystem, _alternate,
                                 _flux_values, _solve_rows, duality_report,
                                 j_field, j_field_batch, linearize,
-                                load_j_kernel, mollified_delta,
-                                save_j_kernel, solve_linear_system)
+                                mollified_delta, solve_linear_system)
 from levymfg.measures import Measure
 from levymfg.mfg import MfgProblem, MfgSolution, optimal_drift, solve_mfg
 
@@ -710,40 +708,6 @@ class TestDerivativeKernelBatch:
             damping_history=(1.0,), diagnostics={}, problem=problem)
         with pytest.raises(BudgetError, match="per-axis budget"):
             j_field_batch(fabricated)
-
-    def test_save_load_roundtrip_with_sidecar(self, batch, tmp_path):
-        target = tmp_path / "derivative.jker"
-        save_j_kernel(target, batch)
-        sidecar = json.loads((tmp_path / "derivative.jker.json").read_text())
-        assert sidecar["format"] == "levymfg-jkernel"
-        assert sidecar["version"] == 1
-        assert sidecar["axis_roles"] == ["y", "x"]
-        assert sidecar["n"] == [16]
-        assert sidecar["half_width"] == [2.0]
-        assert sidecar["shape"] == [16, 16]
-        assert sidecar["dtype"] == "<f8"
-        loaded = load_j_kernel(target)
-        assert loaded.grid == CGRID
-        assert loaded.t0 == batch.t0
-        assert loaded.mollifier_width == batch.mollifier_width
-        assert np.array_equal(loaded.values, batch.values)
-
-    def test_load_rejects_foreign_and_truncated_files(self, batch, tmp_path):
-        target = tmp_path / "derivative.jker"
-        save_j_kernel(target, batch)
-        sidecar_path = tmp_path / "derivative.jker.json"
-        sidecar = json.loads(sidecar_path.read_text())
-
-        foreign = dict(sidecar, format="levymfg-field")
-        sidecar_path.write_text(json.dumps(foreign))
-        with pytest.raises(ValueError, match="not a derivative-kernel"):
-            load_j_kernel(target)
-
-        sidecar_path.write_text(json.dumps(sidecar))
-        raw = target.read_bytes()
-        target.write_bytes(raw[:-8])
-        with pytest.raises(ValueError, match="payload"):
-            load_j_kernel(target)
 
 
 # -- a 2D derivative batch ---------------------------------------------------

@@ -20,7 +20,7 @@ from levymfg.errors import BudgetError
 from levymfg.grid import Field, Grid
 from levymfg.hjb import QuadraticHamiltonian
 from levymfg.kernels import KernelCache
-from levymfg.levy import FractionalLaplacian, LevyTriplet
+from levymfg.levy import FractionalLaplacian, LevyTriplet, parse_operator
 from levymfg.master import (_MEMO_CAP, Scenario, derivative_check, eval_U,
                             flow_consistency, master_residual, solve_scenario)
 from levymfg.measures import Measure
@@ -132,6 +132,48 @@ class TestRefinement:
         assert 9.6e-5 < report.sup_grid < 1.01e-4  # measured: 9.8775e-5
         ratio = interior.sup_grid / report.sup_grid
         assert 3.7 < ratio < 3.95  # measured: 3.820
+
+
+class TestPaperOperators:
+    """The module scenario under the asymmetric and mixed generators.
+
+    The asymmetric symbols are projected on the Nyquist bin, so their
+    solves and residuals run as for the symmetric case.
+    """
+
+    drift_frac = LevyTriplet(drift=(0.3,), jumps=(FractionalLaplacian(1.5),))
+
+    @pytest.mark.parametrize("triplet, low, high", [
+        # measured: 4.4800e-4
+        (drift_frac, 4.35e-4, 4.6e-4),
+        # measured: 5.5586e-4
+        (parse_operator("riesz_feller{1.6}"), 5.4e-4, 5.7e-4),
+        # measured: 3.4205e-4
+        (parse_operator("cgmy{0.7,3,6,1.5}"), 3.3e-4, 3.5e-4),
+        # measured: 4.5043e-4
+        (parse_operator("mix{laplacian+frac{1.5}}"), 4.35e-4, 4.65e-4),
+    ], ids=["drift_frac", "riesz_feller", "cgmy", "mix"])
+    def test_interior_residual(self, triplet, low, high, m0):
+        report = master_residual(make_scenario(
+            kernel=KernelCache(triplet, GRID)), 0.25, m0, SAMPLES)
+        assert report.mode == "interior"
+        assert report.y_stride == 1
+        assert low < report.sup_grid < high
+        assert report.sup_sampled <= report.sup_grid
+
+    def test_drift_residual_refines(self, m0):
+        coarse = master_residual(make_scenario(
+            kernel=KernelCache(self.drift_frac, GRID)), 0.25, m0, SAMPLES)
+        grid = Grid(32, 2.0)
+        fine = master_residual(
+            make_scenario(kernel=KernelCache(self.drift_frac, grid),
+                          running_cost=Conv(bump_kernel(grid)),
+                          dt_cap=DT_CAP / 2),
+            0.25, gaussian(grid, 0.0), SAMPLES)
+        assert fine.mode == "interior"
+        assert 1.25e-4 < fine.sup_grid < 1.31e-4  # measured: 1.2808e-4
+        ratio = coarse.sup_grid / fine.sup_grid
+        assert 3.4 < ratio < 3.6  # measured: 3.498
 
 
 class TestDecoupled:

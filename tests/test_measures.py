@@ -12,8 +12,6 @@ Oracles
 * closed-form deltas: d0 between two point masses is min(distance, 2).
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,12 +30,10 @@ from levymfg.measures import (
     d0_distance,
     d0_interval,
     generalized_moment,
-    load_measure,
     mollifier_field,
     mollify,
     path_metric,
     psi_profile,
-    save_measure,
     signed_dual_norm,
     tv_distance,
     verify_psi_jump_moment,
@@ -467,30 +463,3 @@ class TestTightness:
         assert verify_psi_jump_moment(parse_operator("cgmy{1,5,5,1.5}")) > 0.0
         mixed = verify_psi_jump_moment(parse_operator("mix{laplacian+frac{1.2}}"))
         assert np.isfinite(mixed) and mixed > 0.0
-
-
-class TestPersistence:
-    def test_round_trip_with_sidecar(self, tmp_path):
-        grid = Grid(64, 2.0)
-        m = random_measure(grid, 11)
-        path = tmp_path / "m.lmfg"
-        save_measure(path, m)
-        back = load_measure(path)
-        assert np.array_equal(back.values, m.values)
-        with open(str(path) + ".json") as handle:
-            sidecar = json.load(handle)
-        assert set(sidecar) == {"mass", "min", "psi_moment"}
-        assert sidecar["mass"] == pytest.approx(1.0, abs=1e-9)
-
-    def test_corrupted_sidecar_rejected(self, tmp_path):
-        grid = Grid(64, 2.0)
-        m = random_measure(grid, 12)
-        path = tmp_path / "m.lmfg"
-        save_measure(path, m)
-        with open(str(path) + ".json") as handle:
-            sidecar = json.load(handle)
-        sidecar["mass"] = 2.0
-        with open(str(path) + ".json", "w") as handle:
-            json.dump(sidecar, handle)
-        with pytest.raises(ValueError):
-            load_measure(path)

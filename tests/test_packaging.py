@@ -2,7 +2,8 @@
 
 Every declared console script must import to a callable, every
 package-data pattern must match a shipped file, and every runtime
-dependency must be imported by some module of the package.
+dependency must be imported by some module of the package.  Every
+top-level import of a package module must be used by that module.
 """
 
 import ast
@@ -56,3 +57,42 @@ def test_runtime_dependencies_are_imported():
         name = re.match(r"[A-Za-z0-9][A-Za-z0-9._-]*", requirement).group(0)
         module = name.lower().replace("-", "_")
         assert module in imported, f"dependency {name} is never imported"
+
+
+def unused_top_level_imports(tree: ast.Module) -> list[str]:
+    """Names bound by module-level imports that the module never reads.
+
+    A name counts as read when it appears as a load anywhere in the module
+    or is listed in ``__all__``; ``from __future__`` imports are exempt.
+    """
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in bound.items()
+                  if name not in read)
+
+
+def test_unused_import_scan_flags_unread_names():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import json\nimport re\nfrom os import path as p, sep\n"
+                     "__all__ = ['sep']\nre.compile(p.join('a'))\n")
+    assert unused_top_level_imports(tree) == ["json (line 2)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_top_level_imports_are_used(path):
+    unused = unused_top_level_imports(ast.parse(path.read_text()))
+    assert not unused, f"{path.name} imports but never uses {unused}"

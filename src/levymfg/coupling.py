@@ -236,9 +236,8 @@ def _check_derivative_couplings(grid: Grid, owner: str, running,
             raise TypeError(
                 f"{name} coupling {type(coupling).__name__} has no "
                 "measure-derivative action")
-        kern = getattr(coupling, "phi", None) or \
-            getattr(coupling, "phi2", None)
-        if kern is not None and kern.grid != grid:
+        if not isinstance(coupling, Zero) and \
+                _derivative_kernel(coupling).grid != grid:
             raise GridMismatchError(f"{name} coupling kernel grid "
                                     f"!= {owner} grid")
 
@@ -264,11 +263,7 @@ def eval_dmF(coupling, m: Measure, lazy: bool = False):
     if isinstance(coupling, LocalComposite):
         if coupling.phi2.grid != grid:
             raise GridMismatchError("coupling kernel lives on a different grid")
-        mesh = grid.meshgrid()
-        smoothed = periodic_convolve(coupling.phi2, m.density)
-        weight = np.asarray(
-            coupling.dPhi_ds(mesh, smoothed.values), dtype=float
-        ).ravel()
+        weight = _action_weight(coupling, m).ravel()
         if lazy:
             def row(i: int) -> np.ndarray:
                 shifted = _centred_on(grid, coupling.phi2.values, i)
@@ -322,7 +317,7 @@ def check_M1(coupling, trials: int, seed: int = 0) -> M1Report:
     if isinstance(coupling, Zero):
         return M1Report(min_value=0.0, max_abs=0.0, passed=True,
                         trials=trials, seed=seed)
-    grid = coupling.phi.grid if isinstance(coupling, Conv) else coupling.phi2.grid
+    grid = _derivative_kernel(coupling).grid
     rng = np.random.default_rng(seed)
     worst = np.inf
     biggest = 0.0
@@ -404,8 +399,7 @@ def require_smooth(coupling, order: int = 4) -> None:
     """Terminal couplings need the stated number of usable derivatives."""
     if isinstance(coupling, Zero):
         return
-    phi = coupling.phi if isinstance(coupling, Conv) else coupling.phi2
-    have = resolved_derivatives(phi, order)
+    have = resolved_derivatives(_derivative_kernel(coupling), order)
     if have < order:
         raise ValueError(
             f"coupling kernel resolves only {have} derivatives; {order} required"

@@ -5,15 +5,17 @@ The equation marched here is
     d(rho)/dt = L* rho + div(b rho + c),    rho(t0) = rho0,
 
 for the adjoint L* of the generator held by a KernelCache, a vector drift b
-and an optional vector source c.  One step of ``_forward_values`` smooths
-both the state and the flux with the adjoint kernel and adds the spectral
-divergence of the flux:
+and an optional vector source c.  ``_forward_values`` runs the mild march
+of the ``hjb`` module with the adjoint kernel and the Duhamel integrand
+div(b rho + c); one exponential-Euler step adds the spectral divergence of
+the flux and then smooths:
 
-    rho_{k+1} = S*_dt rho_k + dt * div( S*_dt (b_k rho_k + c_k) ).
+    rho_{k+1} = S*_dt ( rho_k + dt * div(b_k rho_k + c_k) ),
 
-``solve_fp`` runs this first-order march alone; the forward leg of the
-linearized system adds whole-interval trapezoid Picard sweeps to it.  The
-divergence carries no mean, so total mass is conserved for every input;
+the same step the backward march takes.  ``solve_fp`` runs this
+first-order pass alone; the forward leg of the linearized system adds the
+march's whole-interval trapezoid Picard sweeps.  The divergence carries no
+mean and S*_dt keeps the mean, so total mass is conserved for every input;
 negative undershoots are reported but never clipped inside the march.
 """
 
@@ -26,7 +28,7 @@ from scipy.integrate import quad
 
 from .errors import GridMismatchError, InstabilityError, QuadratureError
 from .grid import Field, Grid, _divergence, gradient
-from .hjb import Trajectory, _check_operand, _check_step
+from .hjb import Trajectory, _check_operand, _mild_march
 from .kernels import KernelCache
 from .levy import _jump_densities
 from .measures import Measure, TightnessFn
@@ -40,16 +42,6 @@ _RENORM_BUDGET = 1e-8
 # solver
 
 
-def _march_forward(kernel: KernelCache, drift: Trajectory | None,
-                   flux: Trajectory | None, rho0: Field, t0: float, T: float,
-                   n_steps: int, picard_sweeps: int) -> Trajectory:
-    """``_forward_values`` on trajectories: one density, no batch axes."""
-    return Trajectory(kernel.grid, t0, T, _forward_values(
-        kernel, None if drift is None else drift.values,
-        None if flux is None else flux.values, rho0.values, t0, T, n_steps,
-        picard_sweeps))
-
-
 def _forward_values(kernel: KernelCache, drift: np.ndarray | None,
                     flux: np.ndarray | None, rho0: np.ndarray, t0: float,
                     T: float, n_steps: int, picard_sweeps: int
@@ -60,23 +52,17 @@ def _forward_values(kernel: KernelCache, drift: np.ndarray | None,
     trailing grid axes batch independent densities: the drift b, shape
     (n_steps+1, d, *grid), is shared by all of them, and the flux c
     carries the batch axes, shape (n_steps+1, *batch, d, *grid); None
-    means zero for either.  The first pass is the one-step
-    divergence-form march; each Picard sweep then rebuilds the path with
-    the flux divergence of the previous pass under the composite
-    trapezoid.  With neither drift nor flux the first pass is the adjoint
-    semigroup itself, exact in time, and no sweep runs.  Raises
+    means zero for either.  Runs ``hjb._mild_march`` with the adjoint
+    kernel and the integrand div(b rho + c), so with neither drift nor
+    flux the march is the adjoint semigroup itself.  Raises
     InstabilityError when the running mass of a density drifts past 1e-6,
     a slice stops being finite, or its sup-norm passes 1e6 (all symptoms
     of an oversized step).
     """
     grid = kernel.grid
-    dt = (T - t0) / n_steps
-    _check_step(kernel, dt, T - t0)
     vol = grid.cell_volume
     axes = tuple(range(-grid.dims, 0))
     comp = -1 - grid.dims  # the vector component axis of a flux
-    first = (Ellipsis, 0) + (slice(None),) * grid.dims
-    rest = (Ellipsis, slice(1, None)) + (slice(None),) * grid.dims
     mass0 = vol * np.sum(rho0, axis=axes)
     limit = _MASS_DRIFT_TOL * np.maximum(1.0, np.abs(mass0))
     if drift is not None and rho0.ndim > grid.dims:
@@ -93,44 +79,17 @@ def _forward_values(kernel: KernelCache, drift: np.ndarray | None,
                 f"(sup {sup:.3e}, mass drift {worst:.3e}); "
                 "use a smaller dt")
 
-    def total_flux(k, rho: np.ndarray) -> np.ndarray | None:
-        """b rho + c at slice k (an index, or slice(None) for every slice)."""
-        out = None
+    def drive(rho: np.ndarray, k) -> np.ndarray | None:
+        """div(b rho + c) at slice k (an index, or slice(None) for all)."""
+        vec = None
         if drift is not None:
-            out = drift[k] * np.expand_dims(rho, comp)
+            vec = drift[k] * np.expand_dims(rho, comp)
         if flux is not None:
-            out = flux[k] if out is None else out + flux[k]
-        return out
+            vec = flux[k] if vec is None else vec + flux[k]
+        return None if vec is None else _divergence(grid, vec)
 
-    w = np.empty((n_steps + 1,) + rho0.shape)
-    w[0] = rho0
-    for k in range(n_steps):
-        vec = total_flux(k, w[k])
-        if vec is None:
-            w[k + 1] = kernel.apply_array(dt, w[k], adjoint=True)
-        else:
-            stack = np.concatenate([np.expand_dims(w[k], comp), vec],
-                                   axis=comp)
-            smooth = kernel.apply_array(dt, stack, adjoint=True)
-            w[k + 1] = smooth[first] + dt * _divergence(grid, smooth[rest])
-        monitor(w[k + 1], k + 1)
-
-    half = 0.5 * dt
-    for _ in range(picard_sweeps):
-        vec_all = total_flux(slice(None), w)
-        if vec_all is None:
-            break
-        h_all = _divergence(grid, vec_all)
-        fresh = np.empty_like(w)
-        fresh[0] = rho0
-        for k in range(n_steps):
-            propagated = kernel.apply_array(
-                dt, fresh[k] + half * h_all[k], adjoint=True)
-            fresh[k + 1] = propagated + half * h_all[k + 1]
-            monitor(fresh[k + 1], k + 1)
-        w = fresh
-
-    return w
+    return _mild_march(kernel, rho0, t0, T, n_steps, picard_sweeps, drive,
+                       monitor, adjoint=True)
 
 
 def solve_fp(kernel: KernelCache, drift: Trajectory | None, rho0: Field,
@@ -138,11 +97,12 @@ def solve_fp(kernel: KernelCache, drift: Trajectory | None, rho0: Field,
              n_steps: int) -> Trajectory:
     """March the forward equation; returns the scalar density trajectory.
 
-    Runs the first-order pass of ``_march_forward``.  Probability inputs
-    with zero source keep unit mass to 1e-10 and stay above -1e-7 of their
-    peak.  Raises InstabilityError when the running mass drifts past 1e-6,
-    a slice stops being finite, or its sup-norm passes 1e6 (all symptoms
-    of an oversized step).
+    Runs the exponential-Euler pass of ``_forward_values`` alone, the
+    one-step march rho_{k+1} = S*_dt (rho_k + dt div(b_k rho_k + c_k)).
+    Probability inputs with zero source keep unit mass to 1e-10 and stay
+    above -1e-7 of their peak.  Raises InstabilityError when the running
+    mass drifts past 1e-6, a slice stops being finite, or its sup-norm
+    passes 1e6 (all symptoms of an oversized step).
     """
     grid = kernel.grid
     if rho0.grid != grid:
@@ -154,7 +114,10 @@ def solve_fp(kernel: KernelCache, drift: Trajectory | None, rho0: Field,
     for name, tr in (("drift", drift), ("source", source)):
         if tr is not None:
             _check_operand(name, tr, grid, t0, T, n_steps, vector=True)
-    return _march_forward(kernel, drift, source, rho0, t0, T, n_steps, 0)
+    return Trajectory(grid, t0, T, _forward_values(
+        kernel, None if drift is None else drift.values,
+        None if source is None else source.values, rho0.values, t0, T,
+        n_steps, 0))
 
 
 def mass_series(rho: Trajectory) -> np.ndarray:

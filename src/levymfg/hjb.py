@@ -10,11 +10,13 @@ forward in the reversed clock s = T - t, where the mild (Duhamel) form
     v(s) = K_s * g + int_0^s K_{s-r} * [f(T-r) - H(x, v(r), Dv(r))] dr
 
 is discretized by exponential Euler and then corrected by whole-interval
-Picard sweeps with a trapezoidal quadrature of the integral.  That march,
-``_march_backward``, takes the Duhamel integrand as a callback: ``solve_hjb``
-passes f - H, and the backward leg of the linearized system passes its
-source minus the transport term V . Dz.  All public trajectories are
-indexed in physical time.
+Picard sweeps with a trapezoidal quadrature of the integral.  That scheme,
+``_mild_march``, is the one march of the package: it takes the Duhamel
+integrand as a callback and runs with the generator here and with its
+adjoint in the ``fp`` module.  ``_march_backward`` adapts it to the
+reversed clock: ``solve_hjb`` passes the integrand f - H, and the backward
+leg of the linearized system passes its source minus the transport term
+V . Dz.  All public trajectories are indexed in physical time.
 """
 
 from __future__ import annotations
@@ -476,15 +478,49 @@ def _nyquist_fraction(grid: Grid, values: np.ndarray) -> float:
     return float(np.max(frac))
 
 
-def _guard(slice_values: np.ndarray, reversed_index: int, n_steps: int,
-           T: float, dt: float) -> None:
-    sup = float(np.max(np.abs(slice_values)))
-    if not np.isfinite(sup) or sup > _BLOWUP_SUP:
-        stable = n_steps - (reversed_index - 1)
-        raise DivergenceError(
-            f"backward solve blew up (sup {sup:.3e}) at t="
-            f"{T - reversed_index * dt:.6g}; last stable physical slice "
-            f"index {stable} of {n_steps}")
+def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
+                n_steps: int, picard_sweeps: int, drive: Callable,
+                check: Callable, adjoint: bool = False) -> np.ndarray:
+    """Mild march of dw/ds = L w + N(s, w) from w(0) = start.
+
+    s is the marching clock and ``adjoint`` swaps L for L*.  ``start``
+    holds raw values; axes before the trailing grid axes batch
+    independent problems on the same slab.  ``drive(values, k)`` returns
+    the Duhamel integrand N at march index k, or for the whole stack (time
+    axis first) when k is ``slice(None)``; it returns None for N = 0.  The
+    first pass is exponential Euler, w[k+1] = S_dt (w[k] + dt N[k]), with
+    the integrand evaluated slice by slice; each Picard sweep then rebuilds
+    the path with the integrand of the previous pass, batched over all
+    slices, under the composite trapezoid.  With N = 0 the first pass is
+    the semigroup itself, exact in time, and no sweep runs.
+    ``check(values, k)`` vets every new slice k.  Returns the values in
+    marching order, time axis first; raises BudgetError when dt exceeds
+    the 0.5*dx^alpha budget.
+    """
+    dt = (T - t0) / n_steps
+    _check_step(kernel, dt, T - t0)
+    w = np.empty((n_steps + 1,) + start.shape)
+    w[0] = start
+    for k in range(n_steps):
+        integrand = drive(w[k], k)
+        rhs = w[k] if integrand is None else w[k] + dt * integrand
+        w[k + 1] = kernel.apply_array(dt, rhs, adjoint)
+        check(w[k + 1], k + 1)
+
+    half = 0.5 * dt
+    for _ in range(picard_sweeps):
+        n_all = drive(w, slice(None))
+        if n_all is None:
+            break
+        fresh = np.empty_like(w)
+        fresh[0] = start
+        for k in range(n_steps):
+            propagated = kernel.apply_array(
+                dt, fresh[k] + half * n_all[k], adjoint)
+            fresh[k + 1] = propagated + half * n_all[k + 1]
+            check(fresh[k + 1], k + 1)
+        w = fresh
+    return w
 
 
 def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
@@ -492,47 +528,35 @@ def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
                     drive: Callable) -> np.ndarray:
     """Mild march of -du/dt - Lu = N(t, u) from u(T) = terminal.
 
-    ``terminal`` holds raw values; axes before the trailing grid axes batch
-    independent problems on the same slab.  ``drive(values, phys)``
-    returns the Duhamel integrand N for one slice at physical index
-    ``phys``, or for the whole reversed stack (time axis first) when
-    ``phys`` is ``slice(None, None, -1)``.  The first pass is exponential
-    Euler in the reversed clock, integrand evaluated slice by slice; each
-    Picard sweep then rebuilds the trajectory with the integrand of the
-    previous pass, batched over all slices, under the composite trapezoid.
-    Returns the values in physical time order, time axis first.  Raises
-    BudgetError when dt exceeds the 0.5*dx^alpha budget and
-    DivergenceError when a slice's sup-norm passes 1e6.
+    ``_mild_march`` in the reversed clock s = T - t.  ``drive(values,
+    phys)`` returns the Duhamel integrand N for one slice at physical
+    index ``phys``, or for the whole reversed stack (time axis first) when
+    ``phys`` is ``slice(None, None, -1)``.  Returns the values in physical
+    time order, time axis first.  Raises BudgetError when dt exceeds the
+    0.5*dx^alpha budget and DivergenceError when a slice's sup-norm passes
+    1e6.
     """
-    grid = kernel.grid
     dt = (T - t0) / n_steps
-    _check_step(kernel, dt, T - t0)
-    if _nyquist_fraction(grid, terminal) > _TERMINAL_TAIL_TOL:
+    if _nyquist_fraction(kernel.grid, terminal) > _TERMINAL_TAIL_TOL:
         warnings.warn(
             "terminal data is marginally resolved: Nyquist spectral "
             "fraction exceeds 1e-6; expect degraded accuracy", stacklevel=3)
 
-    # exponential Euler in the reversed clock (w[j] sits at T - j*dt)
-    w = np.empty((n_steps + 1,) + terminal.shape)
-    w[0] = terminal
-    for j in range(n_steps):
-        rhs = w[j] + dt * drive(w[j], n_steps - j)
-        w[j + 1] = kernel.apply_array(dt, rhs)
-        _guard(w[j + 1], j + 1, n_steps, T, dt)
+    def reversed_drive(values: np.ndarray, k) -> np.ndarray:
+        if isinstance(k, slice):
+            return drive(values, slice(None, None, -1))
+        return drive(values, n_steps - k)
 
-    # whole-interval corrections: trapezoidal integrand from the last sweep
-    half = 0.5 * dt
-    for _ in range(picard_sweeps):
-        n_all = drive(w, slice(None, None, -1))
-        fresh = np.empty_like(w)
-        fresh[0] = terminal
-        for j in range(n_steps):
-            propagated = kernel.apply_array(dt, fresh[j] + half * n_all[j])
-            fresh[j + 1] = propagated + half * n_all[j + 1]
-            _guard(fresh[j + 1], j + 1, n_steps, T, dt)
-        w = fresh
+    def guard(values: np.ndarray, k: int) -> None:
+        sup = float(np.max(np.abs(values)))
+        if not np.isfinite(sup) or sup > _BLOWUP_SUP:
+            raise DivergenceError(
+                f"backward solve blew up (sup {sup:.3e}) at t="
+                f"{T - k * dt:.6g}; last stable physical slice "
+                f"index {n_steps - (k - 1)} of {n_steps}")
 
-    return w[::-1]
+    return _mild_march(kernel, terminal, t0, T, n_steps, picard_sweeps,
+                       reversed_drive, guard)[::-1]
 
 
 def solve_hjb(kernel: KernelCache, hamiltonian, source: Trajectory | None,

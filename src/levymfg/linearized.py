@@ -18,12 +18,13 @@ terminal costs) the solution map rho0 -> z(t0, .) is the derivative of the
 equilibrium value in its initial measure; with rho0 a mollified grid delta
 at y, z(t0, x) is the derivative kernel J(t0, x, m0, y).
 
-Both legs run the shared mild marches: z the backward march of the
-``hjb`` module with the integrand b + <dF/dm, rho> - V . Dz, rho the
-forward march of the ``fp`` module with its trapezoid Picard sweeps.  The
-forward leg needs the sweeps because the duality pairing of the two legs
-only closes at O(dt^2) when both sides are integrated at matching order;
-the plain first-order march leaves an O(dt) energy defect that no
+Both legs run the one mild march of the ``hjb`` module, exponential Euler
+plus two trapezoid Picard sweeps: z in the reversed clock with the
+integrand b + <dF/dm, rho> - V . Dz, rho forward with the adjoint kernel
+and the integrand div(rho V + m Gamma Dz + c).  The forward leg needs the
+sweeps as much as the backward one: the duality pairing of the two legs
+only closes at O(dt^2) when both sides are integrated at matching order,
+and the plain first-order pass leaves an O(dt) energy defect that no
 affordable step count brings under the certification tolerances.
 
 The y-batch assembling the full kernel shares one linearization and runs
@@ -67,6 +68,8 @@ _BATCH_NODE_CAP = 128
 # values in one (slice, column, node) array of a J block: 2 MiB of float64;
 # the legs peak at about 24 such arrays (measured on a full 2D block)
 _BLOCK_VALUES = 1 << 18
+# trapezoid Picard sweeps of both legs (matching order; see above)
+_PICARD_SWEEPS = 2
 
 
 # --------------------------------------------------------------------------
@@ -341,28 +344,25 @@ def _wrap_inner(exc, iteration: int):
 
 
 def solve_linear_system(system: LinSystem, damping: float = 0.5,
-                        max_iters: int = 40, tol: float = 1e-9,
-                        initial_rho: Trajectory | None = None,
-                        picard_sweeps: int = 2
+                        max_iters: int = 40, tol: float = 1e-9
                         ) -> tuple[Trajectory, Trajectory, LinearReport]:
     """Damped alternation between the backward and forward legs.
 
-    Starting from ``initial_rho`` (default: the forward flow of rho0 with
-    the z-feedback flux dropped), each pass solves z backward against the
-    frozen rho, rebuilds rho forward against that z, and blends with the
-    damping weight.  Stops when sup over slices of the bounded-Lipschitz
-    dual norm of the iterate difference falls below ``tol``; the blended
-    difference is damping times the response difference exactly (the dual
-    norm is positively homogeneous), so the response gap is what is
-    measured.  On convergence the returned pair is the last raw response
-    (a consistent backward/forward pair); a one-way system (both coupling
-    derivatives zero) is solved in a single undamped pass.  Both legs run
-    the shared marches ``hjb._march_backward`` and ``fp._forward_values``
-    with ``picard_sweeps`` trapezoid sweeps each.
+    Starting from the forward flow of rho0 with the z-feedback flux
+    dropped, each pass solves z backward against the frozen rho, rebuilds
+    rho forward against that z, and blends with the damping weight.  Stops
+    when sup over slices of the bounded-Lipschitz dual norm of the iterate
+    difference falls below ``tol``; the blended difference is damping
+    times the response difference exactly (the dual norm is positively
+    homogeneous), so the response gap is what is measured.  On
+    convergence the returned pair is the last raw response (a consistent
+    backward/forward pair); a one-way system (both coupling derivatives
+    zero) is solved in a single undamped pass.  Both legs run the one mild
+    march ``hjb._mild_march``, z through ``_march_backward`` and rho
+    through ``fp._forward_values``, with two trapezoid Picard sweeps each.
     """
     grid = system.grid
-    run = _alternate(system, system.rho0.values[None], damping, max_iters,
-                     tol, initial_rho, picard_sweeps)
+    run = _alternate(system, system.rho0.values[None], damping, max_iters, tol)
     z = Trajectory(grid, system.t0, system.T, run.z[:, 0])
     rho = Trajectory(grid, system.t0, system.T, run.rho[:, 0])
     gaps = run.gaps[0]
@@ -392,8 +392,7 @@ class _Columns:
 
 
 def _alternate(system: LinSystem, rho0: np.ndarray, damping: float,
-               max_iters: int, tol: float, initial_rho: Trajectory | None,
-               picard_sweeps: int) -> _Columns:
+               max_iters: int, tol: float) -> _Columns:
     """The alternation of ``solve_linear_system`` for a batch of rho0.
 
     ``rho0`` has shape (columns, *grid) and replaces the system's own
@@ -430,10 +429,10 @@ def _alternate(system: LinSystem, rho0: np.ndarray, damping: float,
             return -adv if source is None else source[phys] - adv
 
         try:
-            z = _march_backward(kernel, terminal, t0, T, n, picard_sweeps,
+            z = _march_backward(kernel, terminal, t0, T, n, _PICARD_SWEEPS,
                                 drive)
             rho = _forward_values(kernel, drift, _flux_values(system, z),
-                                  starts, t0, T, n, picard_sweeps)
+                                  starts, t0, T, n, _PICARD_SWEEPS)
         except (DivergenceError, InstabilityError) as exc:
             _wrap_inner(exc, it)
         return z, rho
@@ -445,20 +444,15 @@ def _alternate(system: LinSystem, rho0: np.ndarray, damping: float,
         return _Columns(z, rho, [[0.0] for _ in range(columns)],
                         np.ones(columns, dtype=bool))
 
-    if initial_rho is None:
-        flux = system.flux_forcing
-        if flux is not None:
-            flux = np.broadcast_to(flux.values[:, None], (
-                n + 1, columns) + flux.values.shape[1:])
-        try:
-            rho_path = _forward_values(kernel, drift, flux, rho0, t0, T, n,
-                                       picard_sweeps)
-        except (DivergenceError, InstabilityError) as exc:
-            _wrap_inner(exc, 0)
-    else:
-        _check_operand("warm-start path", initial_rho, grid, t0, T, n,
-                       vector=False)
-        rho_path = np.repeat(initial_rho.values[:, None], columns, axis=1)
+    flux = system.flux_forcing
+    if flux is not None:
+        flux = np.broadcast_to(flux.values[:, None], (
+            n + 1, columns) + flux.values.shape[1:])
+    try:
+        rho_path = _forward_values(kernel, drift, flux, rho0, t0, T, n,
+                                   _PICARD_SWEEPS)
+    except (DivergenceError, InstabilityError) as exc:
+        _wrap_inner(exc, 0)
 
     z_out = np.empty((n + 1,) + rho0.shape)
     rho_out = np.empty_like(z_out)
@@ -698,7 +692,7 @@ def _solve_rows(system: LinSystem, ys: list, damping: float = 0.5,
     grid = system.grid
     rho0 = np.stack([mollified_delta(grid, y).values for y in ys])
     try:
-        run = _alternate(system, rho0, damping, max_iters, tol, None, 2)
+        run = _alternate(system, rho0, damping, max_iters, tol)
     except (DivergenceError, InstabilityError) as exc:
         if len(ys) > 1:
             return np.concatenate([

@@ -45,7 +45,6 @@ class IterationPolicy:
     damping: float = 0.5
     max_iters: int = 40
     tol_d0: float = 1e-6
-    picard_sweeps: int = 2
 
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
@@ -54,8 +53,6 @@ class IterationPolicy:
             raise ValueError("need at least one outer iteration")
         if not self.tol_d0 > 0.0:
             raise ValueError("stopping gap tol_d0 must be positive")
-        if self.picard_sweeps < 0:
-            raise ValueError("picard_sweeps must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -182,8 +179,7 @@ def _best_response(problem: MfgProblem, path: np.ndarray
     terminal = eval_F(
         problem.terminal_cost, Measure.from_values(grid, path[-1]))
     u = solve_hjb(problem.kernel, problem.hamiltonian, source, terminal,
-                  problem.t0, problem.T, problem.n_steps,
-                  picard_sweeps=problem.policy.picard_sweeps)
+                  problem.t0, problem.T, problem.n_steps)
     drift = optimal_drift(problem.hamiltonian, u)
     rho = solve_fp(problem.kernel, drift, problem.m0.density, None,
                    problem.t0, problem.T, problem.n_steps)

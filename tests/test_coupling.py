@@ -17,7 +17,6 @@ from levymfg.grid import Field, Grid, gradient, periodic_convolve
 from levymfg.coupling import (
     Conv,
     LocalComposite,
-    M1Report,
     Zero,
     apply_dmF,
     check_M1,

@@ -241,6 +241,31 @@ class TestSolveHjb:
             worst = max(worst, float(np.max(np.abs(u.values[k] - ref))))
         assert worst <= 1e-10
 
+    @pytest.mark.parametrize("sweeps", [0, 1, 2])
+    def test_time_dependent_source_is_read_in_physical_time(self, sweeps):
+        # f(t) = t with zero terminal value: u(t) = (T^2 - t^2)/2 exactly.
+        # L kills constants, so the march is pure quadrature of f: the
+        # trapezoid sweeps are exact on a linear f, and exponential Euler
+        # alone takes the left point of the reversed clock, f at t + dt,
+        # an excess of dt (T - t)/2.  A march reading f at the mirrored
+        # index would miss both.
+        grid = Grid(32, 2.0)
+        cache = KernelCache(LevyTriplet(jumps=(FractionalLaplacian(1.5),)),
+                            grid)
+        T, n_steps = 0.25, 16
+        dt = T / n_steps
+        times = dt * np.arange(n_steps + 1)
+        src = Trajectory(grid, 0.0, T, np.broadcast_to(
+            times[:, None], (n_steps + 1,) + grid.shape))
+        u = solve_hjb(cache, zero_hamiltonian(), src,
+                      Field.constant(grid, 0.0), 0.0, T, n_steps,
+                      picard_sweeps=sweeps)
+        want = 0.5 * (T ** 2 - times ** 2)
+        if sweeps == 0:
+            want = want + 0.5 * dt * (T - times)
+        # measured: 0.0 for each sweep count
+        assert np.max(np.abs(u.values - want[:, None])) <= 1e-15
+
     def test_terminal_slice_is_exact(self):
         u = solve_hjb(self.cache, QuadraticHamiltonian(), None, self.g,
                       0.0, 0.05, 32)

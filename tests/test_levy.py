@@ -12,7 +12,6 @@ from levymfg.errors import QuadratureError, UnsupportedOrderError
 from levymfg.grid import Grid
 from levymfg.levy import (
     CGMY,
-    AnisotropicStable,
     FractionalLaplacian,
     LevyTriplet,
     NumericDensity,

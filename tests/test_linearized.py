@@ -16,7 +16,7 @@ import pytest
 from levymfg.coupling import Conv, Zero, apply_dmF
 from levymfg.errors import (BudgetError, DivergenceError, GridMismatchError,
                             InstabilityError)
-from levymfg.fp import _march_forward, mass_series, solve_fp
+from levymfg.fp import _forward_values, mass_series, solve_fp
 from levymfg.grid import Field, Grid, gradient
 from levymfg.hjb import (QuadraticHamiltonian, Trajectory, drift_hamiltonian,
                          solve_hjb)
@@ -288,10 +288,10 @@ class TestOneWayTransport:
         gamma_dz = np.sum(system.curvature * dz[:, None], axis=2)
         flux = (system.density.values[:, None] * gamma_dz
                 + system.flux_forcing.values)
-        standalone = _march_forward(
-            system.kernel, system.drift, Trajectory(GRID, 0.0, T_END, flux),
-            system.rho0, 0.0, T_END, N_STEPS, 2)
-        assert np.array_equal(rho.values, standalone.values)
+        standalone = _forward_values(
+            system.kernel, system.drift.values, flux, system.rho0.values,
+            0.0, T_END, N_STEPS, 2)
+        assert np.array_equal(rho.values, standalone)
 
     def test_forward_leg_tracks_divergence_form_march(
             self, kernel, one_way_solved):
@@ -392,19 +392,6 @@ class TestSolveLinearSystem:
             # contract allows 1e-9; powers of two scale bitwise
             assert np.array_equal(z_s.values, s * base_z.values)
             assert np.array_equal(rho_s.values, s * base_rho.values)
-
-    def test_warm_start_validation(self, delta_system):
-        good_vals = np.zeros((N_STEPS + 1,) + GRID.shape)
-        with pytest.raises(GridMismatchError, match="warm-start"):
-            solve_linear_system(delta_system, initial_rho=Trajectory(
-                Grid(32, 2.0), 0.0, T_END,
-                np.zeros((N_STEPS + 1, 32))))
-        with pytest.raises(ValueError, match="must be scalar"):
-            solve_linear_system(delta_system, initial_rho=Trajectory(
-                GRID, 0.0, T_END, good_vals[:, None]))
-        with pytest.raises(ValueError, match="share the time slab"):
-            solve_linear_system(delta_system, initial_rho=Trajectory(
-                GRID, 0.0, 2.0 * T_END, good_vals))
 
     def test_parameter_validation(self, delta_system):
         with pytest.raises(ValueError, match="damping"):
@@ -619,7 +606,7 @@ class TestDerivativeKernelBatch:
         ys = [(float(x),) for x in CGRID.meshgrid()[0]]
         rho0 = np.stack([mollified_delta(CGRID, y).values for y in ys])
         system = linearize(coarse_solution, mollified_delta(CGRID, ys[0]))
-        run = _alternate(system, rho0, 0.5, 40, 1e-9, None, 2)
+        run = _alternate(system, rho0, 0.5, 40, 1e-9)
         counts = [len(gaps) for gaps in run.gaps]
         assert run.converged.all()
         assert len(set(counts)) > 1  # measured: 19 at the rims, 20 inside

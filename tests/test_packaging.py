@@ -3,7 +3,7 @@
 Every declared console script must import to a callable, every
 package-data pattern must match a shipped file, and every runtime
 dependency must be imported by some module of the package.  Every
-top-level import of a package module must be used by that module.
+top-level import of a package or test module must be used by that module.
 """
 
 import ast
@@ -18,6 +18,7 @@ tomllib = pytest.importorskip("tomllib")
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src"
 PACKAGE = SOURCE / "levymfg"
+TESTS = ROOT / "tests"
 PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())
 
 
@@ -91,8 +92,9 @@ def test_unused_import_scan_flags_unread_names():
     assert unused_top_level_imports(tree) == ["json (line 2)"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda path: path.name)
 def test_top_level_imports_are_used(path):
     unused = unused_top_level_imports(ast.parse(path.read_text()))
     assert not unused, f"{path.name} imports but never uses {unused}"

@@ -29,7 +29,7 @@ from scipy.linalg import eigh
 from .errors import GridMismatchError
 from .grid import (Field, Grid, _convolve_values, _nyquist_shell_max,
                    _require_finite, periodic_convolve)
-from .measures import Measure, mollify
+from .measures import Measure, _density_rows, mollify
 
 _MATRIX_AXIS_CAP = 256
 _MATRIX_ELEMENT_CAP = 1 << 26
@@ -109,30 +109,73 @@ def _boundary_magnitude(f: Field) -> float:
 
 
 def eval_F(coupling, m: Measure) -> Field:
-    """Cost field F(., m) on the measure's grid."""
+    """Cost field F(., m) on the measure's grid.
+
+    The one-slice case of ``_eval_F_path``, which holds every check.
+    """
+    return Field(m.grid, _eval_F_path(coupling, m.grid, m.values[None])[0])
+
+
+def _eval_F_path(coupling, grid: Grid, path: np.ndarray) -> np.ndarray:
+    """Cost fields F(., m_k) of every density slice m_k of a path.
+
+    ``path`` has its slice axis first.  Each slice is validated and
+    clamped as ``Measure`` does, the convolutions run once over the whole
+    stack, and each slice keeps its own sup-norm budget, so every row
+    equals ``eval_F`` of that slice's ``Measure`` bitwise and a path with
+    one bad slice raises what that slice raises alone.  ``Phi`` of a local
+    composite is called slice by slice.
+    """
     if isinstance(coupling, Zero):
-        return Field.constant(m.grid, 0.0)
+        _density_rows(grid, path)
+        return np.zeros(path.shape)
+    axes = tuple(range(1, 1 + grid.dims))
     if isinstance(coupling, Conv):
-        if coupling.phi.grid != m.grid:
-            raise GridMismatchError("coupling kernel lives on a different grid")
-        out = periodic_convolve(coupling.phi, m.density)
-        bound = coupling.phi.max_norm * m.mass * (1.0 + 1e-12) + 1e-12
-        if out.max_norm > bound:
+        rows, masses = _kernel_rows(coupling.phi, grid, path)
+        out = _convolve_values(grid, coupling.phi.values, rows)
+        bound = coupling.phi.max_norm * masses * (1.0 + 1e-12) + 1e-12
+        if np.any(np.max(np.abs(out), axis=axes) > bound):
             raise AssertionError("convolution exceeded its sup-norm budget")
         return out
     if isinstance(coupling, LocalComposite):
-        if coupling.phi2.grid != m.grid:
-            raise GridMismatchError("coupling kernel lives on a different grid")
-        mesh = m.grid.meshgrid()
-        smoothed = periodic_convolve(coupling.phi2, m.density)
-        inner = Field(m.grid, np.asarray(coupling.Phi(mesh, smoothed.values), dtype=float))
-        out = periodic_convolve(coupling.phi2, inner)
-        l1 = m.grid.cell_volume * float(np.sum(np.abs(coupling.phi2.values)))
-        bound = l1 * inner.max_norm * (1.0 + 1e-12) + 1e-12
-        if out.max_norm > bound:
-            raise AssertionError("composite coupling exceeded its sup-norm budget")
+        phi2 = coupling.phi2
+        rows, _ = _kernel_rows(phi2, grid, path)
+        mesh = grid.meshgrid()
+        inner = np.stack([
+            np.asarray(coupling.Phi(mesh, s), dtype=float).reshape(grid.shape)
+            for s in _convolve_values(grid, phi2.values, rows)])
+        _require_finite_rows(inner, "right operand")
+        out = _convolve_values(grid, phi2.values, inner)
+        l1 = grid.cell_volume * float(np.sum(np.abs(phi2.values)))
+        bound = l1 * np.max(np.abs(inner), axis=axes) * (1.0 + 1e-12) + 1e-12
+        if np.any(np.max(np.abs(out), axis=axes) > bound):
+            raise AssertionError(
+                "composite coupling exceeded its sup-norm budget")
         return out
     raise TypeError(f"unknown coupling variant {type(coupling).__name__}")
+
+
+def _kernel_rows(kernel: Field, grid: Grid, path: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Density slices checked for convolution with a coupling kernel.
+
+    Returns the slices clamped by ``measures._density_rows`` and their
+    masses, after the checks ``periodic_convolve`` makes of a kernel on
+    ``grid`` and a finite right operand.
+    """
+    if kernel.grid != grid:
+        raise GridMismatchError("coupling kernel lives on a different grid")
+    rows, masses = _density_rows(grid, path)
+    _require_finite(kernel.values, "left operand")
+    _require_finite_rows(rows, "right operand")
+    return rows, masses
+
+
+def _require_finite_rows(rows: np.ndarray, what: str) -> None:
+    """``_require_finite`` of each row in turn: the first bad row raises."""
+    if not np.all(np.isfinite(rows)):
+        for row in rows:
+            _require_finite(row, what)
 
 
 def _translation_matrix(grid: Grid, phi_vals: np.ndarray) -> np.ndarray:
@@ -200,17 +243,31 @@ def _derivative_kernel(coupling) -> Field:
 def _action_weight(coupling, m: Measure) -> np.ndarray | None:
     """The measure-dependent factor of the derivative action at m.
 
-    dPhi/ds of the smoothed density for a local composite; None for a
-    convolution, whose action does not depend on m.
+    dPhi/ds of the smoothed density for a local composite
+    (``_action_weights`` of one slice); None for a convolution, whose
+    action does not depend on m.
     """
     if not isinstance(coupling, LocalComposite):
         return None
-    smoothed_m = periodic_convolve(coupling.phi2, m.density)
-    weight = np.asarray(
-        coupling.dPhi_ds(m.grid.meshgrid(), smoothed_m.values), dtype=float)
+    return _action_weights(coupling, m.grid, m.values[None])[0]
+
+
+def _action_weights(coupling: LocalComposite, grid: Grid,
+                    path: np.ndarray) -> np.ndarray:
+    """``_action_weight`` of every density slice of a path (slices first).
+
+    The slices are validated as ``_eval_F_path`` validates them and
+    smoothed by one convolution over the stack; ``dPhi_ds`` is called
+    slice by slice.  Each row equals its one-slice weight bitwise.
+    """
+    rows, _ = _kernel_rows(coupling.phi2, grid, path)
+    mesh = grid.meshgrid()
+    weights = np.stack([
+        np.asarray(coupling.dPhi_ds(mesh, s), dtype=float)
+        for s in _convolve_values(grid, coupling.phi2.values, rows)])
     # the weighted density is the right operand of the outer convolution
-    _require_finite(weight, "right operand")
-    return weight
+    _require_finite_rows(weights, "right operand")
+    return weights
 
 
 def _dmF_action(coupling, weight: np.ndarray | None,

@@ -14,9 +14,11 @@ the flux and then smooths:
 
 the same step the backward march takes.  ``solve_fp`` runs this
 first-order pass alone; the forward leg of the linearized system adds the
-march's whole-interval trapezoid Picard sweeps.  The divergence carries no
-mean and S*_dt keeps the mean, so total mass is conserved for every input;
-negative undershoots are reported but never clipped inside the march.
+march's whole-interval trapezoid Picard sweeps, each one recurrence on the
+Fourier coefficients of the whole path (see ``hjb._mild_march``).  The
+divergence carries no mean and S*_dt keeps the mean, so total mass is
+conserved for every input; negative undershoots are reported but never
+clipped inside the march.
 """
 
 from __future__ import annotations

@@ -10,13 +10,17 @@ forward in the reversed clock s = T - t, where the mild (Duhamel) form
     v(s) = K_s * g + int_0^s K_{s-r} * [f(T-r) - H(x, v(r), Dv(r))] dr
 
 is discretized by exponential Euler and then corrected by whole-interval
-Picard sweeps with a trapezoidal quadrature of the integral.  That scheme,
-``_mild_march``, is the one march of the package: it takes the Duhamel
-integrand as a callback and runs with the generator here and with its
-adjoint in the ``fp`` module.  ``_march_backward`` adapts it to the
-reversed clock: ``solve_hjb`` passes the integrand f - H, and the backward
-leg of the linearized system passes its source minus the transport term
-V . Dz.  All public trajectories are indexed in physical time.
+Picard sweeps with a trapezoidal quadrature of the integral.  The first
+pass is nonlinear and steps slice by slice; a sweep is linear in the
+slices once its integrand is fixed, so it runs as one recurrence on the
+Fourier coefficients of the whole path, two transform calls however many
+steps.  That scheme, ``_mild_march``, is the one march of the package: it
+takes the Duhamel integrand as a callback and runs with the generator here
+and with its adjoint in the ``fp`` module.  ``_march_backward`` adapts it
+to the reversed clock: ``solve_hjb`` passes the integrand f - H, and the
+backward leg of the linearized system passes its source minus the
+transport term V . Dz.  All public trajectories are indexed in physical
+time.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ _TERMINAL_TAIL_TOL = 1e-6
 _PROBE_GRAD_TOL = 1e-6
 _PROBE_EIG_TOL = 1e-8
 _FD_STEP = 1e-5
+# trapezoid Picard sweeps of solve_hjb: second order in time
+_PICARD_SWEEPS = 2
 
 
 # --------------------------------------------------------------------------
@@ -487,15 +493,24 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
     holds raw values; axes before the trailing grid axes batch
     independent problems on the same slab.  ``drive(values, k)`` returns
     the Duhamel integrand N at march index k, or for the whole stack (time
-    axis first) when k is ``slice(None)``; it returns None for N = 0.  The
-    first pass is exponential Euler, w[k+1] = S_dt (w[k] + dt N[k]), with
-    the integrand evaluated slice by slice; each Picard sweep then rebuilds
-    the path with the integrand of the previous pass, batched over all
-    slices, under the composite trapezoid.  With N = 0 the first pass is
-    the semigroup itself, exact in time, and no sweep runs.
-    ``check(values, k)`` vets every new slice k.  Returns the values in
-    marching order, time axis first; raises BudgetError when dt exceeds
-    the 0.5*dx^alpha budget.
+    axis first) when k is ``slice(None)``; it returns None for N = 0.
+
+    The first pass is exponential Euler, w[k+1] = S_dt (w[k] + dt N[k]),
+    with the integrand evaluated slice by slice.  Each Picard sweep then
+    rebuilds the path under the composite trapezoid,
+
+        w[k+1] = S_dt (w[k] + dt/2 N[k]) + dt/2 N[k+1],
+
+    with the integrand of the previous pass.  That recurrence is linear in
+    the slices, so it runs in Fourier space: one transform of dt/2 N (with
+    ``start`` folded into slice 0), the steps f[k+1] = M (f[k] + n[k]) +
+    n[k+1] with M the multiplier of S_dt, and one inverse transform of the
+    stack; slice 0 is then set to ``start`` exactly.  A sweep thus makes
+    two transform calls, whatever ``n_steps``.  With N = 0 the first pass
+    is the semigroup itself, exact in time, and no sweep runs.
+    ``check(values, k)`` vets every new slice k, in order.  Returns the
+    values in marching order, time axis first; raises BudgetError when dt
+    exceeds the 0.5*dx^alpha budget.
     """
     dt = (T - t0) / n_steps
     _check_step(kernel, dt, T - t0)
@@ -507,19 +522,26 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
         w[k + 1] = kernel.apply_array(dt, rhs, adjoint)
         check(w[k + 1], k + 1)
 
-    half = 0.5 * dt
+    grid = kernel.grid
+    axes = tuple(range(w.ndim - grid.dims, w.ndim))
+    mult = kernel.multiplier(dt, adjoint)
     for _ in range(picard_sweeps):
         n_all = drive(w, slice(None))
         if n_all is None:
             break
-        fresh = np.empty_like(w)
-        fresh[0] = start
-        for k in range(n_steps):
-            propagated = kernel.apply_array(
-                dt, fresh[k] + half * n_all[k], adjoint)
-            fresh[k + 1] = propagated + half * n_all[k + 1]
-            check(fresh[k + 1], k + 1)
-        w = fresh
+        half_n = np.multiply(0.5 * dt, n_all, out=np.empty_like(w))
+        half_n[0] += start
+        spec = np.fft.rfftn(half_n, s=grid.shape, axes=axes)
+        carry = spec[0]  # f[0] + n[0]
+        for k in range(1, n_steps + 1):
+            step = mult * carry
+            step += spec[k]
+            carry = step + spec[k]
+            spec[k] = step
+        w = np.fft.irfftn(spec, s=grid.shape, axes=axes)
+        w[0] = start
+        for k in range(1, n_steps + 1):
+            check(w[k], k)
     return w
 
 
@@ -559,26 +581,13 @@ def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
                        reversed_drive, guard)[::-1]
 
 
-def solve_hjb(kernel: KernelCache, hamiltonian, source: Trajectory | None,
-              terminal: Field, t0: float, T: float, n_steps: int,
-              picard_sweeps: int = 2) -> Trajectory:
-    """Solve the terminal-value problem -du/dt - Lu + H(x,u,Du) = f.
+def _value_drive(grid: Grid, hamiltonian, source: Trajectory | None
+                 ) -> Callable:
+    """The Duhamel integrand f - H(x, u, Du) of ``solve_hjb``.
 
-    Runs ``_march_backward`` with the integrand f - H(x, u, Du).  Raises
-    BudgetError when dt exceeds the 0.5*dx^alpha budget and
-    DivergenceError when a slice's sup-norm passes 1e6.
+    A ``drive`` for ``_march_backward``: one slice at a physical index,
+    or the whole stack for a slice of indices.
     """
-    grid = kernel.grid
-    if terminal.grid != grid:
-        raise GridMismatchError("terminal data grid != kernel grid")
-    if not T > t0:
-        raise ValueError("need T > t0")
-    if n_steps < 1:
-        raise ValueError("need at least one step")
-    if picard_sweeps < 0:
-        raise ValueError("picard_sweeps must be >= 0")
-    if source is not None:
-        _check_operand("source", source, grid, t0, T, n_steps, vector=False)
     mesh = grid.meshgrid()
 
     def drive(values: np.ndarray, phys) -> np.ndarray:
@@ -587,8 +596,30 @@ def solve_hjb(kernel: KernelCache, hamiltonian, source: Trajectory | None,
             return -np.asarray(ham, dtype=float)
         return source.values[phys] - ham
 
+    return drive
+
+
+def solve_hjb(kernel: KernelCache, hamiltonian, source: Trajectory | None,
+              terminal: Field, t0: float, T: float, n_steps: int
+              ) -> Trajectory:
+    """Solve the terminal-value problem -du/dt - Lu + H(x,u,Du) = f.
+
+    Runs ``_march_backward`` with the integrand f - H(x, u, Du) and two
+    Picard sweeps.  Raises BudgetError when dt exceeds the 0.5*dx^alpha
+    budget and DivergenceError when a slice's sup-norm passes 1e6.
+    """
+    grid = kernel.grid
+    if terminal.grid != grid:
+        raise GridMismatchError("terminal data grid != kernel grid")
+    if not T > t0:
+        raise ValueError("need T > t0")
+    if n_steps < 1:
+        raise ValueError("need at least one step")
+    if source is not None:
+        _check_operand("source", source, grid, t0, T, n_steps, vector=False)
     return Trajectory(grid, t0, T, _march_backward(
-        kernel, terminal.values, t0, T, n_steps, picard_sweeps, drive))
+        kernel, terminal.values, t0, T, n_steps, _PICARD_SWEEPS,
+        _value_drive(grid, hamiltonian, source)))
 
 
 # --------------------------------------------------------------------------

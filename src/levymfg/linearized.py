@@ -44,7 +44,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .coupling import (LocalComposite, Zero, _action_weight,
+from .coupling import (LocalComposite, Zero, _action_weights,
                        _check_derivative_couplings, _dmF_action)
 from .errors import (
     BudgetError,
@@ -56,8 +56,7 @@ from .fp import _forward_values
 from .grid import Field, Grid, _batch_gradient
 from .hjb import Trajectory, _check_operand, _march_backward
 from .kernels import KernelCache
-from .measures import Measure, mollifier_field, path_metric, \
-    signed_dual_norm
+from .measures import mollifier_field, path_metric, signed_dual_norm
 from .mfg import MfgSolution, optimal_drift
 
 _SYMMETRY_TOL = 1e-12
@@ -188,20 +187,18 @@ def _coupling_weights(system: LinSystem
                       ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Measure-dependent factors of the running and terminal actions.
 
-    They depend on the base path only, so a solve builds the per-slice
-    measures once, not on every alternation; None where the action does
-    not read the measure (Zero and convolution couplings).
+    They depend on the base path only, so a solve computes them once, not
+    on every alternation, with one smoothing convolution over all slices;
+    None where the action does not read the measure (Zero and convolution
+    couplings).
     """
     grid, dens = system.grid, system.density.values
     running = terminal = None
     if isinstance(system.running_coupling, LocalComposite):
-        running = np.stack([
-            _action_weight(system.running_coupling,
-                           Measure.from_values(grid, slice_values))
-            for slice_values in dens])
+        running = _action_weights(system.running_coupling, grid, dens)
     if isinstance(system.terminal_coupling, LocalComposite):
-        terminal = _action_weight(system.terminal_coupling,
-                                  Measure.from_values(grid, dens[-1]))
+        terminal = _action_weights(system.terminal_coupling, grid,
+                                   dens[-1:])[0]
     return running, terminal
 
 

@@ -54,18 +54,11 @@ class Measure:
     density: Field
 
     def __post_init__(self):
-        vals = self.density.values.copy()
-        tiny = np.abs(vals) < _CLAMP_TOL
-        if np.any(tiny):
-            vals[tiny] = 0.0
-            vals.setflags(write=False)
-            object.__setattr__(self, "density", self.density.with_values(vals))
-        low = float(np.min(self.density.values))
-        if low < -_NEGATIVITY_TOL:
-            raise ValueError(f"density has negative values down to {low:.3e}")
-        mass = self.density.integral()
-        if abs(mass - 1.0) > _MASS_TOL:
-            raise ValueError(f"density mass {mass!r} deviates from 1 beyond {_MASS_TOL}")
+        rows = self.density.values[None]
+        clamped, _ = _density_rows(self.grid, rows)
+        if clamped is not rows:
+            object.__setattr__(self, "density",
+                               self.density.with_values(clamped[0]))
 
     @property
     def grid(self) -> Grid:
@@ -110,6 +103,34 @@ class Measure:
             raise ValueError("no grid nodes inside the requested box")
         vals = np.where(inside, 1.0 / (count * grid.cell_volume), 0.0)
         return cls(Field(grid, vals))
+
+
+def _density_rows(grid: Grid, rows: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a stack of grid densities as ``Measure`` validates one.
+
+    ``rows`` has one leading axis of densities before the grid axes.
+    Entries below 1e-14 in magnitude are set to zero (``rows`` itself is
+    returned when none is); then the first row with a value below -1e-12
+    or a mass off 1 by more than 1e-9 raises ValueError.  Returns the
+    clamped rows and their masses, each bitwise what ``Measure`` and
+    ``Measure.mass`` give for that row alone.
+    """
+    tiny = np.abs(rows) < _CLAMP_TOL
+    if np.any(tiny):
+        rows = np.where(tiny, 0.0, rows)
+    flat = rows.reshape(len(rows), -1)
+    lows = np.min(flat, axis=1)
+    masses = grid.cell_volume * np.sum(flat, axis=1)
+    bad = (lows < -_NEGATIVITY_TOL) | (np.abs(masses - 1.0) > _MASS_TOL)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        if lows[k] < -_NEGATIVITY_TOL:
+            raise ValueError(
+                f"density has negative values down to {float(lows[k]):.3e}")
+        raise ValueError(f"density mass {float(masses[k])!r} deviates from "
+                         f"1 beyond {_MASS_TOL}")
+    return rows, masses
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coupling import Zero, eval_F
+from .coupling import Zero, _eval_F_path, eval_F
 from .errors import DivergenceError, GridMismatchError, InstabilityError
 from .grid import Grid, _batch_gradient
 from .hjb import Trajectory, _check_operand, solve_hjb
@@ -162,12 +162,10 @@ def optimal_drift(hamiltonian, u: Trajectory) -> Trajectory:
 
 def _source_trajectory(coupling, grid: Grid, path: np.ndarray, t0: float,
                        T: float) -> Trajectory | None:
+    """Running cost F(., m_k) of every slice of a density path, or None."""
     if isinstance(coupling, Zero):
         return None
-    slices = np.stack([
-        eval_F(coupling, Measure.from_values(grid, path[k])).values
-        for k in range(path.shape[0])])
-    return Trajectory(grid, t0, T, slices)
+    return Trajectory(grid, t0, T, _eval_F_path(coupling, grid, path))
 
 
 def _best_response(problem: MfgProblem, path: np.ndarray

@@ -13,6 +13,8 @@ Oracles
 import numpy as np
 import pytest
 
+from levymfg import coupling as coupling_module
+from levymfg.errors import NonFiniteFieldError
 from levymfg.grid import Field, Grid, gradient, periodic_convolve
 from levymfg.coupling import (
     Conv,
@@ -26,6 +28,7 @@ from levymfg.coupling import (
     require_smooth,
     resolved_derivatives,
 )
+from levymfg.coupling import _action_weight, _action_weights, _eval_F_path
 from levymfg.measures import Measure, mollify
 
 
@@ -100,6 +103,115 @@ class TestEvalF:
         bad = Field(grid, -gauss_kernel(grid).values)
         with pytest.raises(ValueError, match="nonnegative"):
             LocalComposite(bad, *power_maps(2))
+
+
+def path_coupling(kind, grid):
+    if kind == "conv":
+        return Conv(gauss_kernel(grid))
+    return LocalComposite(gauss_kernel(grid, 0.2), *power_maps(2))
+
+
+def random_path(grid, slices=5):
+    """Density slices with a few entries under the 1e-14 clamp."""
+    path = np.stack([random_measure(grid, s).values for s in range(slices)])
+    flat = path.reshape(slices, -1)
+    flat[1, :3] = [4e-15, -6e-15, 0.0]
+    flat[1] /= grid.cell_volume * np.sum(flat[1])
+    return path
+
+
+def per_slice_F(coupling, grid, path):
+    return np.stack([eval_F(coupling, Measure.from_values(grid, row)).values
+                     for row in path])
+
+
+def raised(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+PATH_GRIDS = {1: Grid(64, 2.0), 2: Grid(16, 2.0, dims=2)}
+
+
+class TestPathPricing:
+    """``_eval_F_path`` against the per-slice ``eval_F`` loop it replaces."""
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("kind", ["conv", "composite"])
+    def test_rows_match_per_slice_bitwise(self, kind, dims):
+        grid = PATH_GRIDS[dims]
+        coupling = path_coupling(kind, grid)
+        path = random_path(grid)
+        assert np.array_equal(_eval_F_path(coupling, grid, path),
+                              per_slice_F(coupling, grid, path))
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_action_weights_match_per_slice_bitwise(self, dims):
+        grid = PATH_GRIDS[dims]
+        coupling = path_coupling("composite", grid)
+        path = random_path(grid)
+        want = np.stack([
+            _action_weight(coupling, Measure.from_values(grid, row))
+            for row in path])
+        assert np.array_equal(_action_weights(coupling, grid, path), want)
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("kind", ["conv", "composite"])
+    @pytest.mark.parametrize("defect, error, message", [
+        ("negative", ValueError, "density has negative values down to "
+                                 "-1.000e-03"),
+        ("mass", ValueError, "density mass 1.01"),
+        ("nan", NonFiniteFieldError, "right operand has 1 non-finite"),
+    ])
+    def test_one_bad_slice_raises_as_alone(self, kind, dims, defect, error,
+                                           message):
+        grid = PATH_GRIDS[dims]
+        coupling = path_coupling(kind, grid)
+        path = random_path(grid)
+        bad = path[3].reshape(-1)
+        if defect == "negative":
+            bad[5] = -1e-3
+        elif defect == "mass":
+            bad *= 1.01
+        else:
+            bad[5] = np.nan
+        got = raised(lambda: _eval_F_path(coupling, grid, path))
+        assert got == raised(lambda: per_slice_F(coupling, grid, path))
+        assert got[0] is error and got[1].startswith(message)
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("kind", ["conv", "composite"])
+    def test_budget_breach_on_one_slice(self, kind, dims, monkeypatch):
+        # No valid measure can push a convolution past its budget, so the
+        # convolution is inflated on the rows whose right operand is slice
+        # 3's: its density for Conv, Phi of its smoothed density for the
+        # composite (power_maps(2) gives s^2 / 2).
+        grid = PATH_GRIDS[dims]
+        coupling = path_coupling(kind, grid)
+        path = random_path(grid)
+        if kind == "conv":
+            marked = path[3]
+        else:
+            smoothed = periodic_convolve(coupling.phi2, Field(grid, path[3]))
+            marked = coupling.Phi(None, smoothed.values)
+        mark = marked.reshape(-1)[0]
+        real = coupling_module._convolve_values
+
+        def inflated(grid, f, g):
+            out = real(grid, f, g)
+            first = g.reshape(g.shape[:g.ndim - grid.dims] + (-1,))[..., 0]
+            hit = (first == mark).reshape(first.shape + (1,) * grid.dims)
+            return np.where(hit, 1e3 * out, out)
+
+        monkeypatch.setattr(coupling_module, "_convolve_values", inflated)
+        got = raised(lambda: _eval_F_path(coupling, grid, path))
+        assert got == raised(lambda: per_slice_F(coupling, grid, path))
+        assert got[0] is AssertionError and "sup-norm budget" in got[1]
+        # the healthy slices alone stay within budget
+        assert np.array_equal(
+            _eval_F_path(coupling, grid, np.delete(path, 3, axis=0)),
+            per_slice_F(coupling, grid, np.delete(path, 3, axis=0)))
 
 
 class TestDerivativeKernel:

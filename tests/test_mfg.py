@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from levymfg.coupling import Conv, Zero, check_M1
+from levymfg.coupling import Conv, LocalComposite, Zero, check_M1
 from levymfg.errors import DivergenceError, GridMismatchError
 from levymfg.fp import solve_fp, tightness_report
 from levymfg.grid import Field, Grid
@@ -22,9 +22,10 @@ from levymfg.levy import FractionalLaplacian, LevyTriplet
 from levymfg.measures import (Measure, TightnessFn, d0_distance,
                               verify_psi_jump_moment)
 from levymfg.mfg import (IterationPolicy, MfgProblem, MfgSolution,
-                         _project_slices, diffused_initial_path,
-                         lasry_lions_check, lipschitz_stability_probe,
-                         next_damping, optimal_drift, solve_mfg)
+                         _project_slices, _source_trajectory,
+                         diffused_initial_path, lasry_lions_check,
+                         lipschitz_stability_probe, next_damping,
+                         optimal_drift, solve_mfg)
 
 GRID = Grid(64, 2.0)
 TRIPLET = LevyTriplet(jumps=(FractionalLaplacian(1.5),))
@@ -200,7 +201,7 @@ class TestSolveMfg:
         sol = solve_mfg(prob)
         assert sol.converged and sol.iterations == 1
         ref_u = solve_hjb(kernel, ham, None, Field.constant(GRID, 0.0),
-                          0.0, T_END, N_STEPS, picard_sweeps=2)
+                          0.0, T_END, N_STEPS)
         assert np.array_equal(sol.u.values, ref_u.values)
         ref_rho = solve_fp(kernel, optimal_drift(ham, ref_u),
                            bump_measure().density, None, 0.0, T_END, N_STEPS)
@@ -289,6 +290,26 @@ class TestSolveMfg:
         vec = Trajectory.zero(GRID, 0.0, T_END, N_STEPS, vector=True)
         with pytest.raises(ValueError, match="scalar"):
             solve_mfg(prob, initial_path=vec)
+
+
+@pytest.mark.parametrize("kind, calls", [("conv", 3), ("composite", 6)])
+def test_pricing_transform_calls_do_not_grow_with_slices(
+        kernel, transform_calls, kind, calls):
+    # one convolution is two forward transforms and one inverse; the
+    # composite convolves twice
+    if kind == "conv":
+        coupling = smoothing_coupling(0.4)
+    else:
+        coupling = LocalComposite(
+            Field.from_function(GRID, lambda x: np.exp(-8.0 * x * x)),
+            lambda mesh, s: s * s, lambda mesh, s: 2.0 * s)
+    for n_steps in (32, 128):
+        path = diffused_initial_path(kernel, bump_measure(), 0.0, T_END,
+                                     n_steps).values
+        transform_calls["n"] = 0
+        source = _source_trajectory(coupling, GRID, path, 0.0, T_END)
+        assert source.n_steps == n_steps
+        assert transform_calls["n"] == calls
 
 
 class TestDampingSchedule:

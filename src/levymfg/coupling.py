@@ -28,13 +28,14 @@ from scipy.linalg import eigh
 
 from .errors import GridMismatchError
 from .grid import (Field, Grid, _convolve_values, _nyquist_shell_max,
-                   _require_finite, periodic_convolve)
+                   _require_finite, _require_finite_rows)
 from .measures import Measure, _density_rows, mollify
 
 _MATRIX_AXIS_CAP = 256
 _MATRIX_ELEMENT_CAP = 1 << 26
 _M1_TOL = 1e-10
 _M2_TOL = 1e-10
+_SMOOTH_ORDER = 4  # derivatives a coupling kernel must resolve
 
 
 # --------------------------------------------------------------------------
@@ -51,7 +52,6 @@ class Conv:
     """Smoothing coupling by convolution with a fixed even-or-not kernel."""
 
     phi: Field
-    smoothness: int = 4
 
     def __post_init__(self):
         peak = self.phi.max_norm
@@ -84,7 +84,6 @@ class LocalComposite:
     phi2: Field
     Phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dPhi_ds: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    smoothness: int = 4
 
     def __post_init__(self):
         vals = self.phi2.values
@@ -159,23 +158,15 @@ def _kernel_rows(kernel: Field, grid: Grid, path: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Density slices checked for convolution with a coupling kernel.
 
-    Returns the slices clamped by ``measures._density_rows`` and their
-    masses, after the checks ``periodic_convolve`` makes of a kernel on
-    ``grid`` and a finite right operand.
+    Returns the slices clamped by ``measures._density_rows``, which
+    rejects a non-finite slice, and their masses, after the check
+    ``periodic_convolve`` makes of a kernel on ``grid``.
     """
     if kernel.grid != grid:
         raise GridMismatchError("coupling kernel lives on a different grid")
     rows, masses = _density_rows(grid, path)
     _require_finite(kernel.values, "left operand")
-    _require_finite_rows(rows, "right operand")
     return rows, masses
-
-
-def _require_finite_rows(rows: np.ndarray, what: str) -> None:
-    """``_require_finite`` of each row in turn: the first bad row raises."""
-    if not np.all(np.isfinite(rows)):
-        for row in rows:
-            _require_finite(row, what)
 
 
 def _translation_matrix(grid: Grid, phi_vals: np.ndarray) -> np.ndarray:
@@ -195,19 +186,11 @@ def _translation_matrix(grid: Grid, phi_vals: np.ndarray) -> np.ndarray:
     return phi_vals[big0, big1]
 
 
-def _centred_on(grid: Grid, phi_vals: np.ndarray, i: int) -> np.ndarray:
-    """phi moved to centre on node i: phi(x_j - x_i) over the nodes x_j."""
-    shift = [p - ni // 2 for p, ni in zip(np.unravel_index(i, grid.shape), grid.n)]
-    return np.roll(phi_vals, shift, axis=tuple(range(grid.dims)))
-
-
-def _guard_matrix(grid: Grid, lazy: bool) -> None:
-    if lazy:
-        return
+def _guard_matrix(grid: Grid) -> None:
     if max(grid.n) > _MATRIX_AXIS_CAP or grid.node_count ** 2 > _MATRIX_ELEMENT_CAP:
         raise ValueError(
             f"derivative matrix for {grid.node_count} nodes exceeds the "
-            f"materialization guard; request lazy row evaluation"
+            "materialization guard"
         )
 
 
@@ -299,35 +282,24 @@ def _check_derivative_couplings(grid: Grid, owner: str, running,
                                     f"!= {owner} grid")
 
 
-def eval_dmF(coupling, m: Measure, lazy: bool = False):
-    """Measure-derivative kernel as a dense (x, y) matrix or a row callable.
+def eval_dmF(coupling, m: Measure) -> np.ndarray:
+    """Measure-derivative kernel as a dense (x, y) matrix.
 
-    The dense form is guarded to <= 256 nodes per axis and 2^26 matrix
-    elements; pass ``lazy=True`` to get ``row(i) -> ndarray`` instead.
+    Guarded to <= 256 nodes per axis and 2^26 matrix elements; beyond
+    that ``apply_dmF`` gives the action without the matrix.
     """
     grid = m.grid
-    _guard_matrix(grid, lazy)
+    _guard_matrix(grid)
     if isinstance(coupling, Zero):
-        if lazy:
-            return lambda i: np.zeros(grid.node_count)
         return np.zeros((grid.node_count, grid.node_count))
     if isinstance(coupling, Conv):
         if coupling.phi.grid != grid:
             raise GridMismatchError("coupling kernel lives on a different grid")
-        if lazy:
-            return lambda i: _centred_on(grid, coupling.phi.values, i).ravel()
         return _translation_matrix(grid, coupling.phi.values)
     if isinstance(coupling, LocalComposite):
         if coupling.phi2.grid != grid:
             raise GridMismatchError("coupling kernel lives on a different grid")
         weight = _action_weight(coupling, m).ravel()
-        if lazy:
-            def row(i: int) -> np.ndarray:
-                shifted = _centred_on(grid, coupling.phi2.values, i)
-                # contract against phi2(z - y) by one convolution pass
-                zfield = Field(grid, shifted * weight.reshape(grid.shape))
-                return periodic_convolve(zfield, coupling.phi2).values.ravel()
-            return row
         a = _translation_matrix(grid, coupling.phi2.values)
         return (a * (weight * grid.cell_volume)[None, :]) @ a
     raise TypeError(f"unknown coupling variant {type(coupling).__name__}")
@@ -427,8 +399,8 @@ def check_M2(coupling, m: Measure, version: str = "as_provided") -> M2Report:
 # smoothness budget
 
 
-def resolved_derivatives(phi: Field, max_order: int = 4) -> int:
-    """Largest k <= max_order with a spectrally resolved k-th derivative.
+def resolved_derivatives(phi: Field) -> int:
+    """Largest k <= 4 with a spectrally resolved k-th derivative.
 
     A derivative order counts as resolved when the Nyquist-shell content of
     xi^k phi-hat stays below 1e-6 of its peak, i.e. differentiating has not
@@ -436,7 +408,7 @@ def resolved_derivatives(phi: Field, max_order: int = 4) -> int:
     """
     spec = np.fft.fftn(phi.values)
     budget = 0
-    for order in range(1, max_order + 1):
+    for order in range(1, _SMOOTH_ORDER + 1):
         weighted = spec.copy()
         for ax in range(phi.grid.dims):
             xi = phi.grid.wavenumber(ax)
@@ -452,12 +424,13 @@ def resolved_derivatives(phi: Field, max_order: int = 4) -> int:
     return budget
 
 
-def require_smooth(coupling, order: int = 4) -> None:
-    """Terminal couplings need the stated number of usable derivatives."""
+def require_smooth(coupling) -> None:
+    """Terminal couplings need four usable derivatives."""
     if isinstance(coupling, Zero):
         return
-    have = resolved_derivatives(_derivative_kernel(coupling), order)
-    if have < order:
+    have = resolved_derivatives(_derivative_kernel(coupling))
+    if have < _SMOOTH_ORDER:
         raise ValueError(
-            f"coupling kernel resolves only {have} derivatives; {order} required"
+            f"coupling kernel resolves only {have} derivatives; "
+            f"{_SMOOTH_ORDER} required"
         )

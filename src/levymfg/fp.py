@@ -30,14 +30,14 @@ from scipy.integrate import quad
 
 from .errors import GridMismatchError, InstabilityError, QuadratureError
 from .grid import Field, Grid, _divergence, gradient
-from .hjb import Trajectory, _check_operand, _mild_march
+from .hjb import _BLOWUP_SUP, Trajectory, _check_operand, _mild_march
 from .kernels import KernelCache
 from .levy import _jump_densities
 from .measures import Measure, TightnessFn
 
 _MASS_DRIFT_TOL = 1e-6
-_BLOWUP_SUP = 1e6
 _RENORM_BUDGET = 1e-8
+_TIGHTNESS_TOL = 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -71,15 +71,20 @@ def _forward_values(kernel: KernelCache, drift: np.ndarray | None,
         batch = (1,) * (rho0.ndim - grid.dims)
         drift = drift.reshape(drift.shape[:1] + batch + drift.shape[1:])
 
-    def monitor(values: np.ndarray, k: int) -> None:
-        sup = float(np.abs(values).max())
+    def monitor(values: np.ndarray, first: int) -> None:
+        """Raise for the first slice that blew up or drifted in mass."""
         shift = vol * values.sum(axis=axes) - mass0
-        if not (sup <= _BLOWUP_SUP and (abs(shift) <= limit).all()):
-            worst = np.ravel(shift)[np.argmax(np.abs(shift))]
-            raise InstabilityError(
-                f"forward march destabilized at step {k}/{n_steps} "
-                f"(sup {sup:.3e}, mass drift {worst:.3e}); "
-                "use a smaller dt")
+        steady = abs(shift) <= limit
+        if np.abs(values).max() <= _BLOWUP_SUP and steady.all():
+            return
+        sups = np.abs(values).reshape(len(values), -1).max(axis=1)
+        steady = steady.reshape(len(values), -1).all(axis=1)
+        j = int(np.argmax(~((sups <= _BLOWUP_SUP) & steady)))
+        worst = np.ravel(shift[j])[np.argmax(np.abs(shift[j]))]
+        raise InstabilityError(
+            f"forward march destabilized at step {first + j}/{n_steps} "
+            f"(sup {float(sups[j]):.3e}, mass drift {worst:.3e}); "
+            "use a smaller dt")
 
     def drive(rho: np.ndarray, k) -> np.ndarray | None:
         """div(b rho + c) at slice k (an index, or slice(None) for all)."""
@@ -130,13 +135,12 @@ def mass_series(rho: Trajectory) -> np.ndarray:
     return rho.grid.cell_volume * np.sum(rho.values, axis=axes)
 
 
-def _project_slices(grid: Grid, values: np.ndarray,
-                    budget: float = _RENORM_BUDGET, first: int = 0
+def _project_slices(grid: Grid, values: np.ndarray, first: int = 0
                     ) -> tuple[np.ndarray, float, float]:
     """Clamp each slice to a probability density; returns defects too.
 
     Negative undershoot is clipped, each slice renormalized to unit mass,
-    and a clamp that moves more than ``budget`` mass rejects the path as
+    and a clamp that moves more than 1e-8 mass rejects the path as
     corrupted; the message numbers the slices from ``first``.  Returns the
     projected slices, the worst defect and the deepest clipped value.
     """
@@ -145,24 +149,22 @@ def _project_slices(grid: Grid, values: np.ndarray,
     masses = grid.cell_volume * clipped.reshape(clipped.shape[0], -1).sum(axis=1)
     defects = np.abs(masses - 1.0)
     worst = int(np.argmax(defects))
-    if defects[worst] > budget:
+    if defects[worst] > _RENORM_BUDGET:
         raise InstabilityError(
             f"slice {first + worst} clamps to mass {float(masses[worst])!r}; "
             f"renormalization defect {defects[worst]:.3e} exceeds the "
-            f"{budget:g} budget")
+            f"{_RENORM_BUDGET:g} budget")
     shape = (values.shape[0],) + (1,) * grid.dims
     return clipped / masses.reshape(shape), float(defects[worst]), neg_clip
 
 
-def slice_measure(rho: Trajectory, k: int,
-                  budget: float = _RENORM_BUDGET) -> tuple[Measure, float]:
+def slice_measure(rho: Trajectory, k: int) -> tuple[Measure, float]:
     """Clamp one slice to a probability measure; returns (measure, defect).
 
     The defect records how much mass the clamp-and-renormalize step moved;
-    it must stay within ``budget`` or the slice is rejected as corrupted.
+    it must stay within 1e-8 or the slice is rejected as corrupted.
     """
-    vals, defect, _ = _project_slices(rho.grid, rho.values[k][None], budget,
-                                      first=k)
+    vals, defect, _ = _project_slices(rho.grid, rho.values[k][None], first=k)
     return Measure.from_values(rho.grid, vals[0]), defect
 
 
@@ -258,8 +260,8 @@ def small_jump_second_moment(triplet) -> float:
 
 
 def tightness_report(rho: Trajectory, psi: TightnessFn, nu_tail: float,
-                     *, triplet=None, drift_sup: float = 0.0,
-                     tol: float = 1e-9) -> TightnessSeriesReport:
+                     *, triplet=None, drift_sup: float = 0.0
+                     ) -> TightnessSeriesReport:
     """Moment series t -> int psi d(rho(t)) with an affine growth budget.
 
     ``nu_tail`` is the caller's allowance for the big jumps (the psi tail
@@ -267,7 +269,7 @@ def tightness_report(rho: Trajectory, psi: TightnessFn, nu_tail: float,
     diffusion and small-jump pieces are assembled from ``triplet`` and
     ``drift_sup``.  The flagged bound is
 
-        series(t) <= series(t0) + slope_budget * (t - t0) + tol.
+        series(t) <= series(t0) + slope_budget * (t - t0) + 1e-9.
     """
     if rho.is_vector:
         raise ValueError("tightness series needs a scalar trajectory")
@@ -289,4 +291,4 @@ def tightness_report(rho: Trajectory, psi: TightnessFn, nu_tail: float,
     excess = float(np.max(series - line))
     return TightnessSeriesReport(
         times=times, series=series, slope_budget=float(slope),
-        excess=excess, passed=bool(excess <= tol))
+        excess=excess, passed=bool(excess <= _TIGHTNESS_TOL))

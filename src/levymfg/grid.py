@@ -26,6 +26,8 @@ from .errors import (
     UnsupportedOrderError,
 )
 
+_SHELL_FRACTION = 0.1  # outer share of each half-width in the boundary shell
+
 
 def _as_tuple(value, dims: int, caster) -> tuple:
     if np.isscalar(value):
@@ -180,6 +182,13 @@ def _require_finite(values: np.ndarray, what: str = "field") -> None:
         raise NonFiniteFieldError(f"{what} has {bad} non-finite values")
 
 
+def _require_finite_rows(rows: np.ndarray, what: str) -> None:
+    """``_require_finite`` of each row in turn: the first bad row raises."""
+    if not np.all(np.isfinite(rows)):
+        for row in rows:
+            _require_finite(row, what)
+
+
 def dft_roundtrip(f: Field) -> Field:
     """inverse-DFT(DFT(field)); deviation <= 1e-12 * max(1, ||f||_inf)."""
     _require_finite(f.values)
@@ -324,8 +333,8 @@ def parseval_gap(f: Field) -> float:
     return abs(phys - spectral) / denom
 
 
-def boundary_shell_mass(f: Field, shell_fraction: float = 0.1) -> float:
-    """|f| mass in the outer shell (within shell_fraction of the boundary).
+def boundary_shell_mass(f: Field) -> float:
+    """|f| mass in the outer shell (the outer tenth of each half-width).
 
     A diagnostic for callers: the periodic box is a stand-in for free
     space, so wrap-around is negligible only while this stays small (1e-6
@@ -334,7 +343,7 @@ def boundary_shell_mass(f: Field, shell_fraction: float = 0.1) -> float:
     mask = np.zeros(f.grid.shape, dtype=bool)
     for i in range(f.grid.dims):
         x = np.abs(f.grid.axis(i))
-        cut = (1.0 - shell_fraction) * f.grid.half_width[i]
+        cut = (1.0 - _SHELL_FRACTION) * f.grid.half_width[i]
         axis_mask = x >= cut
         shape = [1] * f.grid.dims
         shape[i] = f.grid.n[i]

@@ -50,6 +50,9 @@ _TERMINAL_TAIL_TOL = 1e-6
 _PROBE_GRAD_TOL = 1e-6
 _PROBE_EIG_TOL = 1e-8
 _FD_STEP = 1e-5
+_PROBE_SEED = 0
+_PROBE_TRIALS = 64
+_PROBE_BOX = 2.0
 # trapezoid Picard sweeps of solve_hjb: second order in time
 _PICARD_SWEEPS = 2
 
@@ -242,18 +245,19 @@ class HamiltonianProbeReport:
         }
 
 
-def probe_hamiltonian(hamiltonian, dims: int, seed: int = 0, trials: int = 64,
-                      box: float = 2.0) -> HamiltonianProbeReport:
+def probe_hamiltonian(hamiltonian, dims: int) -> HamiltonianProbeReport:
     """Check grad_p against finite differences and any declared bounds.
 
-    Probes are uniform in [-box, box] for each coordinate, value and
-    momentum component.  A Hamiltonian flagged ``uniformly_convex`` must
-    have curvature eigenvalues inside [1/c, c] for c = convexity_bound; a
-    declared ``monotone_rate`` gamma requires u_slope >= gamma everywhere.
+    64 probes drawn with seed 0 are uniform in [-2, 2] for each
+    coordinate, value and momentum component.  A Hamiltonian flagged
+    ``uniformly_convex`` must have curvature eigenvalues inside [1/c, c]
+    for c = convexity_bound; a declared ``monotone_rate`` gamma requires
+    u_slope >= gamma everywhere.
     """
     if dims not in (1, 2):
         raise ValueError("only d in {1, 2}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_PROBE_SEED)
+    box, trials = _PROBE_BOX, _PROBE_TRIALS
     x = tuple(rng.uniform(-box, box, size=trials) for _ in range(dims))
     u = rng.uniform(-box, box, size=trials)
     p = tuple(rng.uniform(-box, box, size=trials) for _ in range(dims))
@@ -303,7 +307,7 @@ def probe_hamiltonian(hamiltonian, dims: int, seed: int = 0, trials: int = 64,
         min_u_slope=min_slope,
         passed=bool(ok),
         trials=trials,
-        seed=seed,
+        seed=_PROBE_SEED,
     )
 
 
@@ -508,9 +512,12 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
     stack; slice 0 is then set to ``start`` exactly.  A sweep thus makes
     two transform calls, whatever ``n_steps``.  With N = 0 the first pass
     is the semigroup itself, exact in time, and no sweep runs.
-    ``check(values, k)`` vets every new slice k, in order.  Returns the
-    values in marching order, time axis first; raises BudgetError when dt
-    exceeds the 0.5*dx^alpha budget.
+    ``check(values, first)`` vets a run of new slices, time axis first,
+    the first of which is march index ``first``: the first pass vets each
+    slice as it is made, so ``drive`` never sees a slice that failed, and
+    each sweep vets its whole stack in one call.  Returns the values in
+    marching order, time axis first; raises BudgetError when dt exceeds
+    the 0.5*dx^alpha budget.
     """
     dt = (T - t0) / n_steps
     _check_step(kernel, dt, T - t0)
@@ -520,7 +527,7 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
         integrand = drive(w[k], k)
         rhs = w[k] if integrand is None else w[k] + dt * integrand
         w[k + 1] = kernel.apply_array(dt, rhs, adjoint)
-        check(w[k + 1], k + 1)
+        check(w[k + 1:k + 2], k + 1)
 
     grid = kernel.grid
     axes = tuple(range(w.ndim - grid.dims, w.ndim))
@@ -540,8 +547,7 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
             spec[k] = step
         w = np.fft.irfftn(spec, s=grid.shape, axes=axes)
         w[0] = start
-        for k in range(1, n_steps + 1):
-            check(w[k], k)
+        check(w[1:], 1)
     return w
 
 
@@ -569,13 +575,17 @@ def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
             return drive(values, slice(None, None, -1))
         return drive(values, n_steps - k)
 
-    def guard(values: np.ndarray, k: int) -> None:
-        sup = float(np.max(np.abs(values)))
-        if not np.isfinite(sup) or sup > _BLOWUP_SUP:
-            raise DivergenceError(
-                f"backward solve blew up (sup {sup:.3e}) at t="
-                f"{T - k * dt:.6g}; last stable physical slice "
-                f"index {n_steps - (k - 1)} of {n_steps}")
+    def guard(values: np.ndarray, first: int) -> None:
+        """Raise for the first slice whose sup-norm is not within 1e6."""
+        if np.abs(values).max() <= _BLOWUP_SUP:
+            return
+        sups = np.abs(values).reshape(len(values), -1).max(axis=1)
+        j = int(np.argmax(~(sups <= _BLOWUP_SUP)))
+        k = first + j
+        raise DivergenceError(
+            f"backward solve blew up (sup {float(sups[j]):.3e}) at t="
+            f"{T - k * dt:.6g}; last stable physical slice "
+            f"index {n_steps - (k - 1)} of {n_steps}")
 
     return _mild_march(kernel, terminal, t0, T, n_steps, picard_sweeps,
                        reversed_drive, guard)[::-1]

@@ -273,19 +273,6 @@ class LevyTriplet:
     def diffusion_matrix(self) -> np.ndarray:
         return np.asarray(self.diffusion, dtype=float)
 
-    def is_symmetric(self) -> bool:
-        """True when the symbol is real (B = 0 and even jump measure)."""
-        if np.any(self.drift_vector != 0.0):
-            return False
-        for j in self.jumps:
-            if isinstance(j, (RieszFeller,)):
-                return False
-            if isinstance(j, CGMY) and j.G != j.M:
-                return False
-            if isinstance(j, NumericDensity):
-                return False  # unknown parity; treat as asymmetric
-        return True
-
 
 def _jump_densities(triplet: LevyTriplet):
     """One-sided jump densities z -> nu(sign * z), z > 0, sign = +1 then -1.

@@ -63,7 +63,7 @@ _SYMMETRY_TOL = 1e-12
 _ELLIPTICITY_TOL = 1e-9
 _DENSITY_NEG_TOL = 1e-12
 _DENSITY_MASS_TOL = 1e-9
-_BATCH_NODE_CAP = 128
+_BATCH_NODE_CAP = 128  # y nodes per axis of a full J batch (master reads it)
 # values in one (slice, column, node) array of a J block: 2 MiB of float64;
 # the legs peak at about 24 such arrays (measured on a full 2D block)
 _BLOCK_VALUES = 1 << 18

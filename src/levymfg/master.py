@@ -27,14 +27,14 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .coupling import Zero, _check_derivative_couplings, eval_F
+from .coupling import _check_derivative_couplings, eval_F
 from .errors import (DivergenceError, GridMismatchError, InstabilityError,
                      SpectralResidueError)
 from .grid import Field, Grid, _batch_gradient
 from .hjb import _check_step
 from .kernels import KernelCache
-from .linearized import JKernel, _j_rows, j_field_batch, linearize, \
-    solve_linear_system
+from .linearized import _BATCH_NODE_CAP, _j_rows, j_field_batch, \
+    linearize, solve_linear_system
 from .measures import Measure, path_metric
 from .mfg import IterationPolicy, MfgProblem, MfgSolution, optimal_drift, \
     solve_mfg
@@ -43,7 +43,6 @@ _TERMINAL_TIME_TOL = 1e-12
 _SLOPE_THRESHOLD = 1.2
 _DEFECT_FLOOR = 1e-13   # quotient defects below this are float noise
 _CONSTANT_KILL_TOL = 1e-12
-_Y_BATCH_CAP = 128
 _MEMO_CAP = 32  # solves a Scenario keeps; the least recently used go first
 
 
@@ -83,11 +82,6 @@ class Scenario:
     @property
     def grid(self) -> Grid:
         return self.kernel.grid
-
-    @property
-    def decoupled(self) -> bool:
-        return isinstance(self.running_cost, Zero) and isinstance(
-            self.terminal_cost, Zero)
 
     def steps_for(self, t0: float) -> int:
         span = self.T - t0
@@ -171,24 +165,18 @@ class DerivativeCheckReport:
 
 
 def derivative_check(scenario: Scenario, t0: float, m0: Measure,
-                     m0_prime: Measure, h_list,
-                     j_kernel: JKernel | None = None
-                     ) -> DerivativeCheckReport:
+                     m0_prime: Measure, h_list) -> DerivativeCheckReport:
     """Check the measure derivative against finite mixture quotients.
 
     For each h the base measure is blended toward the probe measure and
     the field re-evaluated by a full solve; the defect is the sup distance
-    to the first-order prediction through the derivative pairing.  By
-    default the pairing against the signed difference is the linearized
-    solve with that difference as initial perturbation — by superposition
-    that is exactly the kernel integrated against the difference, computed
-    without first tabulating the kernel at mollified point masses (node
-    quadrature against such a tabulation smears the pairing by the
-    mollifier width, an h-independent bias that caps the observable decay
-    rate at one).  ``j_kernel`` may be supplied to force the quadrature
-    route against an existing tabulation, e.g. to probe the additive
-    normalization freedom: shifting the kernel by a constant cannot move
-    the pairing against a zero-mass difference.
+    to the first-order prediction through the derivative pairing.  The
+    pairing against the signed difference is the linearized solve with
+    that difference as initial perturbation — by superposition that is
+    exactly the kernel integrated against the difference, computed without
+    first tabulating the kernel at mollified point masses (node quadrature
+    against such a tabulation smears the pairing by the mollifier width,
+    an h-independent bias that caps the observable decay rate at one).
     """
     grid = scenario.grid
     if m0.grid != grid or m0_prime.grid != grid:
@@ -206,27 +194,19 @@ def derivative_check(scenario: Scenario, t0: float, m0: Measure,
 
     base = solve_scenario(scenario, t0, m0)
     diff = m0_prime.values - m0.values
-    if j_kernel is None:
-        system = linearize(base, Field(grid, diff))
-        try:
-            z, _, report = solve_linear_system(
-                system, damping=scenario.policy.damping,
-                max_iters=scenario.policy.max_iters)
-        except (DivergenceError, InstabilityError) as exc:
-            raise type(exc)(f"derivative pairing solve: {exc}") from exc
-        if not report.converged:
-            raise DivergenceError(
-                "derivative pairing solve stalled at gap "
-                f"{report.gap_history[-1]:.3e} after {report.iterations} "
-                "iterations")
-        paired = z.initial.values
-    else:
-        if j_kernel.grid != grid:
-            raise GridMismatchError(
-                "derivative kernel grid != scenario grid")
-        d = grid.dims
-        paired = grid.cell_volume * np.tensordot(
-            diff, j_kernel.values, axes=(tuple(range(d)), tuple(range(d))))
+    system = linearize(base, Field(grid, diff))
+    try:
+        z, _, report = solve_linear_system(
+            system, damping=scenario.policy.damping,
+            max_iters=scenario.policy.max_iters)
+    except (DivergenceError, InstabilityError) as exc:
+        raise type(exc)(f"derivative pairing solve: {exc}") from exc
+    if not report.converged:
+        raise DivergenceError(
+            "derivative pairing solve stalled at gap "
+            f"{report.gap_history[-1]:.3e} after {report.iterations} "
+            "iterations")
+    paired = z.initial.values
     u0 = base.u.initial.values
 
     rows = []
@@ -262,22 +242,24 @@ def _aligned_stride(n: int, cap: int) -> int:
     return stride
 
 
-def _tabulate_j(scenario: Scenario, solution: MfgSolution, cap: int
+def _tabulate_j(scenario: Scenario, solution: MfgSolution
                 ) -> tuple[np.ndarray, Grid, int]:
     """Derivative-kernel values (y axes first), their y-lattice, stride.
 
-    Beyond ``cap`` nodes per axis the full y-batch is unaffordable; the
-    fallback keeps every stride-th node, which is itself a periodic grid
-    of the same box, and warns.  The x axes always stay at full resolution.
+    Beyond ``linearized._BATCH_NODE_CAP`` nodes per axis the full y-batch
+    is unaffordable; the fallback keeps every stride-th node, which is
+    itself a periodic grid of the same box, and warns.  The x axes always
+    stay at full resolution.
     """
     grid = scenario.grid
-    if all(ni <= cap for ni in grid.n):
+    if all(ni <= _BATCH_NODE_CAP for ni in grid.n):
         return j_field_batch(solution).values, grid, 1
-    stride = max(_aligned_stride(ni, cap) for ni in grid.n)
+    stride = max(_aligned_stride(ni, _BATCH_NODE_CAP) for ni in grid.n)
     coarse = Grid(tuple(ni // stride for ni in grid.n), grid.half_width)
     warnings.warn(
-        f"y-batch over {grid.n} nodes exceeds the {cap}-per-axis budget; "
-        f"tabulating on every {stride}-th node instead", RuntimeWarning)
+        f"y-batch over {grid.n} nodes exceeds the {_BATCH_NODE_CAP}-per-axis "
+        f"budget; tabulating on every {stride}-th node instead",
+        RuntimeWarning)
     return _j_rows(solution, None, coarse), coarse, stride
 
 
@@ -330,8 +312,8 @@ def _residual_report(mode: str, grid: Grid, residual: np.ndarray,
 
 
 def master_residual(scenario: Scenario, t0: float, m0: Measure,
-                    sample_points, time_probe_steps: int = 4,
-                    y_batch_cap: int = _Y_BATCH_CAP) -> MasterResidualReport:
+                    sample_points, time_probe_steps: int = 4
+                    ) -> MasterResidualReport:
     """Residual of the evolution equation in (t, x, m) at one probe point.
 
     The time slope is a centered quotient over t0 +- time_probe_steps*dt
@@ -373,7 +355,7 @@ def master_residual(scenario: Scenario, t0: float, m0: Measure,
     ham_term = np.asarray(
         scenario.hamiltonian.value(grid.meshgrid(), u0, grads), dtype=float)
 
-    j_values, y_grid, stride = _tabulate_j(scenario, base, y_batch_cap)
+    j_values, y_grid, stride = _tabulate_j(scenario, base)
     y_kernel = scenario.kernel if stride == 1 else KernelCache(
         scenario.kernel.triplet, y_grid)
     d = grid.dims

@@ -30,7 +30,7 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
 from .errors import GridMismatchError, QuadratureError, ResolutionError
-from .grid import Field, Grid, periodic_convolve
+from .grid import Field, Grid, _require_finite_rows, periodic_convolve
 from .levy import _jump_densities
 
 _CLAMP_TOL = 1e-14
@@ -110,12 +110,14 @@ def _density_rows(grid: Grid, rows: np.ndarray
     """Validate a stack of grid densities as ``Measure`` validates one.
 
     ``rows`` has one leading axis of densities before the grid axes.
+    The first row with a NaN or infinite entry raises NonFiniteFieldError.
     Entries below 1e-14 in magnitude are set to zero (``rows`` itself is
     returned when none is); then the first row with a value below -1e-12
     or a mass off 1 by more than 1e-9 raises ValueError.  Returns the
     clamped rows and their masses, each bitwise what ``Measure`` and
     ``Measure.mass`` give for that row alone.
     """
+    _require_finite_rows(rows, "density")
     tiny = np.abs(rows) < _CLAMP_TOL
     if np.any(tiny):
         rows = np.where(tiny, 0.0, rows)

@@ -32,6 +32,8 @@ from .measures import Measure, d0_distance, path_metric
 _SLICE_MASS_TOL = 1e-9
 _DEGENERATE_D0 = 1e-12
 _GAP_RISE_STREAK = 5
+_LL_UPPER_SLACK = 1e-7  # float slack of the Lasry-Lions inequality
+_LL_LOWER_SLACK = 1e-8
 
 
 # --------------------------------------------------------------------------
@@ -345,9 +347,8 @@ def _bregman_gap(ham, mesh, u_vals, p_first, p_second):
     return gap
 
 
-def lasry_lions_check(sol1: MfgSolution, sol2: MfgSolution,
-                      upper_slack: float = 1e-7,
-                      lower_slack: float = 1e-8) -> CrossMonotonicityReport:
+def lasry_lions_check(sol1: MfgSolution, sol2: MfgSolution
+                      ) -> CrossMonotonicityReport:
     """Evaluate the two-solution monotonicity inequality on computed runs.
 
     Both solutions must share the grid, the time slab, and the
@@ -398,7 +399,7 @@ def lasry_lions_check(sol1: MfgSolution, sol2: MfgSolution,
         rhs = float(bracket[0]) + slope * float(np.trapezoid(bracket, dx=dt))
         variant = "split-positive-part"
 
-    passed = (cross <= rhs + upper_slack) and (cross >= -lower_slack)
+    passed = (cross <= rhs + _LL_UPPER_SLACK) and (cross >= -_LL_LOWER_SLACK)
     return CrossMonotonicityReport(
         cross_term=cross, rhs=rhs, variant=variant, passed=passed)
 

@@ -9,6 +9,7 @@ from levymfg.errors import (
     BudgetError,
     DivergenceError,
     GridMismatchError,
+    InstabilityError,
     NonFiniteFieldError,
     UnsupportedOrderError,
 )
@@ -523,6 +524,62 @@ def test_sweep_transform_calls_do_not_grow_with_steps(transform_calls):
     assert counts[16, 2] - counts[8, 2] == 8 * 4
     assert counts[8, 2] - counts[8, 0] == 2 * 4
     assert counts[16, 2] - counts[16, 0] == 2 * 4
+
+
+def test_check_vets_each_step_then_each_sweep_stack():
+    # The first pass hands every new slice over alone, before it drives
+    # the next step; each sweep hands over its whole stack at once.
+    grid = Grid(32, 2.0)
+    cache = KernelCache(skewed_triplet(1), grid)
+    g = np.exp(-4.0 * grid.axis(0) ** 2)
+    drive = _value_drive(grid, QuadraticHamiltonian(), None)
+    seen = []
+
+    def check(values, first):
+        seen.append((first, values.copy()))
+
+    w = _mild_march(cache, g, 0.0, 0.125, 8, 2, drive, check)
+    assert [(first, len(v)) for first, v in seen] == \
+        [(k, 1) for k in range(1, 9)] + [(1, 8), (1, 8)]
+    assert np.array_equal(seen[-1][1], w[1:])
+
+
+def test_sweep_blowup_names_its_first_bad_slice():
+    # Only a sweep sees the spike the integrand puts on march slice 3, and
+    # slices 3..8 of its stack all fail: the guard names slice 3.
+    grid = Grid(32, 1.0)
+    cache = KernelCache(laplacian_triplet(), grid)
+    n_steps, T = 8, 0.01
+    dt = T / n_steps
+
+    def drive(values, phys):
+        out = np.zeros(values.shape)
+        if isinstance(phys, slice):
+            out[3] = 1e10
+        return out
+
+    g = np.zeros(grid.shape)
+    _march_backward(cache, g, 0.0, T, n_steps, 0, drive)
+    with pytest.raises(DivergenceError, match=(
+            f"at t={T - 3 * dt:.6g}; last stable physical slice index 6 ")):
+        _march_backward(cache, g, 0.0, T, n_steps, 1, drive)
+
+
+def test_sweep_instability_names_its_first_bad_slice():
+    # A sweep adds dt/2 of the raw flux divergence to the flux's own slice;
+    # the first pass adds dt of it to the next slice after S*_dt, which
+    # damps this near-Nyquist mode about 40-fold.  So only the sweep
+    # passes the 1e6 sup-norm, on slice 3 of its 8, and is named there.
+    grid = Grid(32, 1.0)
+    cache = KernelCache(laplacian_triplet(), grid)
+    n_steps = 8
+    T = n_steps * step_budget(2.0, grid)
+    flux = np.zeros((n_steps + 1, 1) + grid.shape)
+    flux[3, 0] = 1e8 * np.sin(15 * np.pi * grid.axis(0))
+    rho0 = np.full(grid.shape, 0.5)
+    _forward_values(cache, None, flux, rho0, 0.0, T, n_steps, 0)
+    with pytest.raises(InstabilityError, match="at step 3/8 "):
+        _forward_values(cache, None, flux, rho0, 0.0, T, n_steps, 1)
 
 
 # ---------------------------------------------------------------------------

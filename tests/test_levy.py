@@ -167,12 +167,6 @@ class TestSymbolInvariants:
         psi = symbol_eval(t, g)
         assert np.max(np.abs(psi.imag)) <= 1e-12 * max(1.0, np.max(np.abs(psi)))
 
-    def test_symmetric_flag(self):
-        assert parse_operator("laplacian").is_symmetric()
-        assert parse_operator("cgmy{1,5,5,1.5}").is_symmetric()
-        assert not parse_operator("cgmy{1,3,5,1.5}").is_symmetric()
-        assert not parse_operator("riesz_feller{1.5}").is_symmetric()
-
     def test_stable_scaling(self):
         # Psi(lambda xi) = lambda^alpha Psi(xi) across nested grids
         a = 1.5

@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+from levymfg import master as master_module
 from levymfg.coupling import Conv, Zero, eval_F
 from levymfg.errors import BudgetError
 from levymfg.grid import Field, Grid
@@ -107,11 +108,12 @@ class TestInteriorResidual:
             "time", "generator", "hamiltonian", "nonlocal_probe",
             "transport_probe", "coupling"}
 
-    def test_coarse_batch_fallback(self, scenario, m0, interior):
+    def test_coarse_batch_fallback(self, scenario, m0, interior,
+                                   monkeypatch):
+        monkeypatch.setattr(master_module, "_BATCH_NODE_CAP", 8)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            coarse = master_residual(scenario, 0.25, m0, SAMPLES,
-                                     y_batch_cap=8)
+            coarse = master_residual(scenario, 0.25, m0, SAMPLES)
         assert [w.category for w in caught] == [RuntimeWarning]
         assert "per-axis budget" in str(caught[0].message)
         assert coarse.y_stride == 2

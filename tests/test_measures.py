@@ -20,7 +20,8 @@ from scipy.integrate import quad
 from scipy.optimize import linprog
 from scipy.sparse import diags, vstack
 
-from levymfg.errors import GridMismatchError, ResolutionError
+from levymfg.errors import (GridMismatchError, NonFiniteFieldError,
+                            ResolutionError)
 from levymfg.grid import Field, Grid, periodic_convolve
 from levymfg.levy import parse_operator
 from levymfg.measures import (
@@ -126,6 +127,16 @@ class TestMeasureType:
         grid = Grid(64, 2.0)
         with pytest.raises(ValueError):
             Measure(Field.constant(grid, 1.0))  # mass 4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_density_rejected(self, bad):
+        # a NaN node used to pass: the sign and mass checks compare false
+        grid = Grid(16, 2.0)
+        vals = np.full(grid.shape, 0.25)
+        vals[5] = bad
+        with pytest.raises(NonFiniteFieldError,
+                           match="density has 1 non-finite"):
+            Measure.from_values(grid, vals)
 
     def test_delta_and_uniform(self):
         grid = Grid(64, 2.0)

@@ -3,7 +3,9 @@
 Every declared console script must import to a callable, every
 package-data pattern must match a shipped file, and every runtime
 dependency must be imported by some module of the package.  Every
-top-level import of a package or test module must be used by that module.
+top-level import of a package or test module must be used by that module,
+and every defaulted parameter of a public function of the package must be
+passed by some call in the source, the tests or the benchmark harness.
 """
 
 import ast
@@ -19,6 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src"
 PACKAGE = SOURCE / "levymfg"
 TESTS = ROOT / "tests"
+BENCH = ROOT / "bench"
 PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())
 
 
@@ -98,3 +101,83 @@ def test_unused_import_scan_flags_unread_names():
 def test_top_level_imports_are_used(path):
     unused = unused_top_level_imports(ast.parse(path.read_text()))
     assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+def defaulted_parameters(tree: ast.Module
+                         ) -> list[tuple[str, str, int | None]]:
+    """(function, parameter, call position) of each defaulted parameter.
+
+    Covers the module's public functions and the public methods of its
+    public classes; the position counts the call's positional arguments
+    (``self`` or ``cls`` excluded) and is None for a keyword-only one.
+    """
+    found = []
+
+    def visit(fn: ast.FunctionDef, bound: bool) -> None:
+        if fn.name.startswith("_"):
+            return
+        positional = fn.args.posonlyargs + fn.args.args
+        skip = int(bound and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in fn.decorator_list))
+        first = len(positional) - len(fn.args.defaults)
+        found.extend((fn.name, arg.arg, i - skip)
+                     for i, arg in enumerate(positional) if i >= first)
+        found.extend((fn.name, arg.arg, None) for arg, default in zip(
+            fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None)
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            visit(node, False)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    visit(item, True)
+    return found
+
+
+def unset_parameters(tree: ast.Module, callers: list[ast.Module]
+                     ) -> list[str]:
+    """Defaulted public parameters of ``tree`` that no call passes.
+
+    Calls are matched by the called name alone (``f(...)`` or
+    ``obj.f(...)``); a call passes a parameter by keyword, by position,
+    or through ``*args`` / ``**kwargs``.
+    """
+    calls: dict[str, list[ast.Call]] = {}
+    for caller in callers:
+        for node in ast.walk(caller):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                calls.setdefault(name, []).append(node)
+
+    def passed(call: ast.Call, param: str, position: int | None) -> bool:
+        if any(kw.arg in (param, None) for kw in call.keywords):
+            return True
+        return position is not None and (len(call.args) > position or any(
+            isinstance(arg, ast.Starred) for arg in call.args))
+
+    return [f"{fn}({param}=)" for fn, param, position in
+            defaulted_parameters(tree)
+            if not any(passed(call, param, position)
+                       for call in calls.get(fn, []))]
+
+
+def test_knob_scan_flags_unpassed_defaults():
+    tree = ast.parse("def f(a, b=1, *, c=2): pass\n"
+                     "def g(a=0, b=1): pass\n"
+                     "def _h(a=0): pass\n"
+                     "class K:\n"
+                     "    def m(self, x=0, y=1): pass\n")
+    callers = [ast.parse("f(0, c=3)\ng(*xs)\nk.m(1)\n")]
+    assert unset_parameters(tree, callers) == ["f(b=)", "m(y=)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_default_is_passed_somewhere(path):
+    callers = [ast.parse(p.read_text())
+               for base in (SOURCE, TESTS, BENCH) for p in base.rglob("*.py")]
+    unset = unset_parameters(ast.parse(path.read_text()), callers)
+    assert not unset, f"{path.name}: nothing passes {unset}"

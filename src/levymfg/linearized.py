@@ -10,13 +10,14 @@ with the forward divergence-form equation its duality pairing singles out,
     d(rho)/dt = L* rho + div(rho V) + div(m Gamma Dz + c),
     rho(t0, x) = rho0(x),
 
-and resolves the two-way coupling by damped alternation: freeze rho, solve
-z backward; freeze z, rebuild rho forward; blend.  Around a converged MFG
-solution (V the optimal drift, Gamma the momentum curvature of the
-Hamiltonian, the couplings the measure derivatives of the running and
-terminal costs) the solution map rho0 -> z(t0, .) is the derivative of the
-equilibrium value in its initial measure; with rho0 a mollified grid delta
-at y, z(t0, x) is the derivative kernel J(t0, x, m0, y).
+and resolves the two-way coupling by Anderson-mixed alternation: freeze
+rho, solve z backward; freeze z, rebuild rho forward; take one Anderson
+step of mixing weight ``damping`` on rho (``mfg._anderson``).  Around a
+converged MFG solution (V the optimal drift, Gamma the momentum curvature
+of the Hamiltonian, the couplings the measure derivatives of the running
+and terminal costs) the solution map rho0 -> z(t0, .) is the derivative
+of the equilibrium value in its initial measure; with rho0 a mollified
+grid delta at y, z(t0, x) is the derivative kernel J(t0, x, m0, y).
 
 Both legs run the one mild march of the ``hjb`` module, exponential Euler
 plus two trapezoid Picard sweeps: z in the reversed clock with the
@@ -30,12 +31,13 @@ affordable step count brings under the certification tolerances.
 The y-batch assembling the full kernel shares one linearization and runs
 all its columns through one alternation: both legs carry a column axis
 after the time axis, so every FFT, gradient and metric call serves all
-columns at once.  Each column keeps its own stopping test and leaves the
-batch at the iteration where its single solve would stop, so every row
-equals its single solve bitwise.  Columns go in blocks of at most
-``_BLOCK_VALUES`` values per (slice, column, node) array, which bounds the
-batch's memory without a tuning knob; the iterations within one
-alternation stay inherently ordered.
+columns at once.  Each column keeps its own Anderson history, least
+squares and stopping test, and leaves the batch at the iteration where
+its single solve would stop, so every row equals its single solve
+bitwise.  Columns go in blocks of at most ``_BLOCK_VALUES`` values per
+(slice, column, node) array, which bounds the batch's memory without a
+tuning knob; the iterations within one alternation stay inherently
+ordered.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .grid import Field, Grid, _batch_gradient
 from .hjb import Trajectory, _check_operand, _march_backward
 from .kernels import KernelCache
 from .measures import mollifier_field, path_metric, signed_dual_norm
-from .mfg import MfgSolution, optimal_drift
+from .mfg import MfgSolution, _anderson, optimal_drift
 
 _SYMMETRY_TOL = 1e-12
 _ELLIPTICITY_TOL = 1e-9
@@ -65,7 +67,8 @@ _DENSITY_NEG_TOL = 1e-12
 _DENSITY_MASS_TOL = 1e-9
 _BATCH_NODE_CAP = 128  # y nodes per axis of a full J batch (master reads it)
 # values in one (slice, column, node) array of a J block: 2 MiB of float64;
-# the legs peak at about 24 such arrays (measured on a full 2D block)
+# the legs peak at about 24 such arrays (measured on a full 2D block), and
+# the Anderson histories hold 2 * mfg._ANDERSON_DEPTH more
 _BLOCK_VALUES = 1 << 18
 # trapezoid Picard sweeps of both legs (matching order; see above)
 _PICARD_SWEEPS = 2
@@ -296,7 +299,7 @@ def _data_norm(system: LinSystem) -> float:
 
 
 # --------------------------------------------------------------------------
-# the damped alternation
+# the Anderson-mixed alternation
 
 
 @dataclass(frozen=True)
@@ -343,15 +346,16 @@ def _wrap_inner(exc, iteration: int):
 def solve_linear_system(system: LinSystem, damping: float = 0.5,
                         max_iters: int = 40, tol: float = 1e-9
                         ) -> tuple[Trajectory, Trajectory, LinearReport]:
-    """Damped alternation between the backward and forward legs.
+    """Anderson-mixed alternation between the backward and forward legs.
 
     Starting from the forward flow of rho0 with the z-feedback flux
     dropped, each pass solves z backward against the frozen rho, rebuilds
-    rho forward against that z, and blends with the damping weight.  Stops
-    when sup over slices of the bounded-Lipschitz dual norm of the iterate
-    difference falls below ``tol``; the blended difference is damping
-    times the response difference exactly (the dual norm is positively
-    homogeneous), so the response gap is what is measured.  On
+    rho forward against that z, and takes one Anderson step of mixing
+    weight ``damping`` over the last ``mfg._ANDERSON_DEPTH`` residuals
+    (response minus iterate).  ``gap_history[k]`` is damping times the
+    sup over slices of the bounded-Lipschitz dual norm of the residual
+    (the size of a plain damped update; the dual norm is positively
+    homogeneous), and the loop stops once it falls below ``tol``.  On
     convergence the returned pair is the last raw response (a consistent
     backward/forward pair); a one-way system (both coupling derivatives
     zero) is solved in a single undamped pass.  Both legs run the one mild
@@ -397,8 +401,10 @@ def _alternate(system: LinSystem, rho0: np.ndarray, damping: float,
     march with a column axis after the time axis, and each has its own
     stopping test: a column leaves the batch at the iteration where its
     own solve would stop, keeping that iteration's raw response, and only
-    the columns still running enter the next legs.  Every operation acts
-    row by row, so each column equals its batch-of-one solve bitwise.
+    the columns still running enter the next legs.  Each column also keeps
+    its own Anderson history and least squares, stepped in a loop over
+    the running columns.  Every operation acts row by row, so each column
+    equals its batch-of-one solve bitwise.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -454,23 +460,27 @@ def _alternate(system: LinSystem, rho0: np.ndarray, damping: float,
     z_out = np.empty((n + 1,) + rho0.shape)
     rho_out = np.empty_like(z_out)
     gaps = [[] for _ in range(columns)]
+    paths = [[] for _ in range(columns)]
+    residuals = [[] for _ in range(columns)]
     converged = np.zeros(columns, dtype=bool)
     active = np.arange(columns)
     for it in range(1, max_iters + 1):
         z, rho = legs(rho_path, rho0[active], it)
         z_out[:, active], rho_out[:, active] = z, rho
-        diff = (rho - rho_path).reshape((-1,) + grid.shape)
-        gap = damping * np.max(
-            path_metric(grid, diff).reshape(n + 1, -1), axis=0)
+        diff = rho - rho_path
+        gap = damping * np.max(path_metric(
+            grid, diff.reshape((-1,) + grid.shape)).reshape(n + 1, -1), axis=0)
         for c, g in zip(active, gap):
             gaps[c].append(float(g))
         done = gap < tol
         converged[active[done]] = True
-        active = active[~done]
-        if not active.size:
+        if done.all():
             break
-        rho_path = (1.0 - damping) * rho_path[:, ~done] \
-            + damping * rho[:, ~done]
+        rho_path = np.stack([
+            _anderson(rho_path[:, i], diff[:, i], paths[c], residuals[c],
+                      damping)
+            for i, c in enumerate(active) if not done[i]], axis=1)
+        active = active[~done]
     return _Columns(z_out, rho_out, gaps, converged)
 
 
@@ -771,10 +781,12 @@ def j_field_batch(solution: MfgSolution, couplings=None, *,
     """Tabulate J(t0, x, m0, y) for every grid node y.
 
     Each y is an independent linear solve around one shared
-    linearization.  The columns run together as one damped alternation,
-    each stopping where its own solve would, in blocks bounded by
-    ``_BLOCK_VALUES`` so that a block's working arrays stay near 50 MB;
-    every row equals its single ``j_field`` solve bitwise.
+    linearization.  The columns run together as one Anderson-mixed
+    alternation of mixing weight ``damping``, each with its own history
+    and least squares and each stopping where its own solve would, in
+    blocks bounded by ``_BLOCK_VALUES`` so that a block's working arrays
+    and histories stay near 70 MB; every row equals its single
+    ``j_field`` solve bitwise.
     Refuses grids beyond 128 nodes per axis: the table holds node_count^2
     values (2 GiB at 128x128), and the step budget dt <= 0.5*dx^alpha
     lengthens every column's march as the grid refines.

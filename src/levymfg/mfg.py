@@ -1,11 +1,13 @@
-"""Coupled mean field game solve by damped best-response iteration.
+"""Coupled mean field game solve by Anderson-mixed best-response iteration.
 
 The equilibrium pair is found by iterating on the density path: given a
 guess for the crowd's evolution, the backward value solve prices it, the
 value's momentum gradient yields the optimal control drift, and the forward
-density solve transports the initial crowd under that drift.  The new path
-is blended with the old one (damping) and the loop stops once consecutive
-paths agree uniformly in time under the bounded-Lipschitz metric.
+density solve transports the initial crowd under that drift.  The next path
+is an Anderson mix (Walker & Ni, SIAM J. Numer. Anal. 2011) of the recent
+paths and best responses with mixing weight ``damping``, and the loop stops
+once the best response and the path it answered agree uniformly in time
+under the bounded-Lipschitz metric.
 
 Convergence is monitored, never assumed: a run that exhausts its iteration
 budget returns a report carrying the best iterate and the full gap history
@@ -32,6 +34,7 @@ from .measures import Measure, d0_distance, path_metric
 _SLICE_MASS_TOL = 1e-9
 _DEGENERATE_D0 = 1e-12
 _GAP_RISE_STREAK = 5
+_ANDERSON_DEPTH = 5  # residual differences in one Anderson least squares
 _LL_UPPER_SLACK = 1e-7  # float slack of the Lasry-Lions inequality
 _LL_LOWER_SLACK = 1e-8
 
@@ -42,7 +45,13 @@ _LL_LOWER_SLACK = 1e-8
 
 @dataclass(frozen=True)
 class IterationPolicy:
-    """Outer-loop controls: blend weight, budget, and stopping gap."""
+    """Outer-loop controls: Anderson mixing weight, budget, stopping gap.
+
+    ``damping`` is the mixing weight of the Anderson step; with no history
+    the step is the damped update path + damping * (response - path).
+    The loop stops once damping times the response gap falls below
+    ``tol_d0``.
+    """
 
     damping: float = 0.5
     max_iters: int = 40
@@ -103,8 +112,13 @@ class MfgSolution:
     ``m`` holds unit-mass nonnegative density slices; ``u`` is the value
     trajectory computed against the path that generated ``m``, so the pair
     is an exactly consistent backward/forward solve.  ``gap_history[k]``
-    is the damped path update's sup-in-time bounded-Lipschitz size at
-    outer iteration k, and ``damping_history[k]`` the blend weight used.
+    is the stopping quantity at outer iteration k: the mixing weight times
+    the sup-in-time bounded-Lipschitz gap between the best response and
+    the path it answered (the size of a plain damped update).
+    ``damping_history[k]`` is the Anderson mixing weight used.
+    ``diagnostics`` carries ``extrapolation_clip_max``, the deepest
+    negative entry of any extrapolated path before its clip, and
+    ``anderson_resets``, how often the mixing history was cleared.
     """
 
     u: Trajectory
@@ -195,11 +209,12 @@ def _path_gap(grid: Grid, new: np.ndarray, old: np.ndarray) -> float:
 
 def next_damping(gap_history: Sequence[float], damping: float,
                  streak: int) -> tuple[float, int, bool]:
-    """Damping schedule: halve after a persistent gap increase.
+    """Mixing-weight schedule: halve after a persistent gap increase.
 
     ``streak`` counts consecutive iterations whose gap grew; once it
-    reaches five the blend weight is halved and the streak resets.
-    Returns (new damping, new streak, whether a halving fired).
+    reaches five the Anderson mixing weight is halved and the streak
+    resets (the caller then clears the mixing history).  Returns (new
+    damping, new streak, whether a halving fired).
     """
     if len(gap_history) >= 2 and gap_history[-1] > gap_history[-2]:
         streak += 1
@@ -208,6 +223,31 @@ def next_damping(gap_history: Sequence[float], damping: float,
     if streak >= _GAP_RISE_STREAK:
         return 0.5 * damping, 0, True
     return damping, streak, False
+
+
+def _anderson(x: np.ndarray, f: np.ndarray, xs: list, fs: list,
+              weight: float) -> np.ndarray:
+    """One Anderson (type II) step of mixing weight ``weight``.
+
+    ``x`` is the current iterate and ``f`` its residual (map value minus
+    iterate); ``xs`` and ``fs`` hold the previous iterates and residuals,
+    oldest first.  The coefficients gamma minimize |f - dF gamma| over the
+    differences dF of consecutive residuals, and the step is
+    x + weight * f - (dX + weight * dF) gamma, with dX the differences of
+    the iterates; an empty history leaves x + weight * f.  The step then
+    appends ``x`` and ``f`` to the history and keeps its last
+    ``_ANDERSON_DEPTH`` entries; the caller must not mutate them later.
+    """
+    step = x + weight * f
+    if xs:
+        dx = np.diff(np.stack(xs + [x]).reshape(len(xs) + 1, -1), axis=0).T
+        df = np.diff(np.stack(fs + [f]).reshape(len(fs) + 1, -1), axis=0).T
+        gamma = np.linalg.lstsq(df, f.reshape(-1), rcond=None)[0]
+        step = step - ((dx + weight * df) @ gamma).reshape(x.shape)
+    xs.append(x)
+    fs.append(f)
+    del xs[:-_ANDERSON_DEPTH], fs[:-_ANDERSON_DEPTH]
+    return step
 
 
 def diffused_initial_path(kernel: KernelCache, m0: Measure, t0: float,
@@ -224,18 +264,24 @@ def diffused_initial_path(kernel: KernelCache, m0: Measure, t0: float,
 
 def solve_mfg(problem: MfgProblem,
               initial_path: Trajectory | None = None) -> MfgSolution:
-    """Damped fixed-point iteration on the crowd's density path.
+    """Anderson-mixed fixed-point iteration on the crowd's density path.
 
     Starting from a constant-in-time path at ``m0`` (or the supplied
     guess), each iteration computes the best response — backward value
     solve with crowd-dependent source and terminal data, then forward
-    transport under the optimal drift — and blends it into the current
-    path with weight ``policy.damping``.  The loop stops when the blended
-    update is uniformly smaller than ``policy.tol_d0`` in the
-    bounded-Lipschitz metric; exhausting ``max_iters`` returns the best
-    iterate with ``converged=False`` rather than raising.  Solver
-    blow-ups inside an iteration propagate with the iterate index
-    prefixed.
+    transport under the optimal drift — and takes one Anderson step of
+    mixing weight ``policy.damping`` over the last ``_ANDERSON_DEPTH``
+    residuals (response minus path).  The extrapolated path is clipped at
+    zero and renormalized slice by slice; a clip that would move more
+    than the ``fp`` renormalization budget of mass instead takes the plain
+    damped step path + damping * (response - path), a convex mix of
+    densities, and clears the history, as does a halving of the mixing
+    weight by ``next_damping``.  The loop stops when ``gap_history[k]``,
+    damping times the sup-in-time bounded-Lipschitz gap between the
+    response and its path, falls below ``policy.tol_d0``; exhausting
+    ``max_iters`` returns the best iterate with ``converged=False``
+    rather than raising.  Solver blow-ups inside an iteration propagate
+    with the iterate index prefixed.
 
     A crowd-independent system (both couplings ``Zero``) is recognized
     and solved in a single undamped iteration, so its value trajectory is
@@ -257,8 +303,11 @@ def solve_mfg(problem: MfgProblem,
     gap_history: list[float] = []
     damping_history: list[float] = []
     damping_events: list[dict] = []
+    paths: list[np.ndarray] = []
+    residuals: list[np.ndarray] = []
     best: tuple[float, Trajectory, np.ndarray] | None = None
-    diagnostics: dict = {"decoupled": problem.decoupled}
+    diagnostics: dict = {"decoupled": problem.decoupled,
+                         "extrapolation_clip_max": 0.0, "anderson_resets": 0}
     converged = False
     u = None
     response = path
@@ -270,7 +319,8 @@ def solve_mfg(problem: MfgProblem,
         except (DivergenceError, InstabilityError) as exc:
             raise type(exc)(f"outer iteration {k}: {exc}") from exc
         # The metric is positively homogeneous in the signed difference,
-        # so the damped update's gap is exactly damping * (response gap).
+        # so damping * (response gap) is the size of a plain damped update.
+        residual = response - path
         response_gap = _path_gap(grid, response, path)
         gap = damping * response_gap
         gap_history.append(gap)
@@ -281,13 +331,26 @@ def solve_mfg(problem: MfgProblem,
         if best is None or gap < best[0]:
             best = (gap, u, response)
             diagnostics["best_iteration"] = k
-        path = path + damping * (response - path)
         if problem.decoupled or gap < policy.tol_d0:
             converged = True
             break
+        step = _anderson(path, residual, paths, residuals, damping)
+        diagnostics["extrapolation_clip_max"] = max(
+            diagnostics["extrapolation_clip_max"], -float(np.min(step)))
+        reset = False
+        try:
+            path, _, _ = _project_slices(grid, step)
+        except InstabilityError:
+            # the plain damped step mixes two densities: never negative
+            path = path + damping * residual
+            reset = True
         damping, streak, halved = next_damping(gap_history, damping, streak)
         if halved:
             damping_events.append({"iteration": k, "new_damping": damping})
+        if reset or halved:
+            paths.clear()
+            residuals.clear()
+            diagnostics["anderson_resets"] += 1
 
     diagnostics["damping_events"] = tuple(
         (e["iteration"], e["new_damping"]) for e in damping_events)

@@ -341,10 +341,12 @@ class TestSolveLinearSystem:
         assert report.converged
         assert not report.one_way
         assert report.damping == 0.5
-        assert 15 <= report.iterations <= 30  # measured: 23
+        # measured: 6 under Anderson mixing at weight 0.5 (23 under plain
+        # damping)
+        assert 5 <= report.iterations <= 7
         gaps = np.asarray(report.gap_history)
         assert gaps[-1] < 1e-9
-        # measured contraction ~0.48 per pass
+        # measured contraction 0.48 on the first pass, below 0.023 after
         assert np.all(gaps[1:] / gaps[:-1] < 0.7)
         # delta data: dual norm of a unit-mass bump is its mass
         assert abs(report.data_norm - 1.0) <= 1e-7
@@ -601,20 +603,21 @@ class TestDerivativeKernelBatch:
             assert np.array_equal(batch.field_at(y).values, single.values)
 
     def test_columns_stop_at_their_own_iteration(self, coarse_solution):
-        # under damping 0.5 the columns need different iteration counts, so
+        # at tol 1e-11 the columns need different iteration counts, so
         # each row is only right if its column left the batch on time
         ys = [(float(x),) for x in CGRID.meshgrid()[0]]
         rho0 = np.stack([mollified_delta(CGRID, y).values for y in ys])
         system = linearize(coarse_solution, mollified_delta(CGRID, ys[0]))
-        run = _alternate(system, rho0, 0.5, 40, 1e-9)
+        run = _alternate(system, rho0, 0.5, 40, 1e-11)
         counts = [len(gaps) for gaps in run.gaps]
         assert run.converged.all()
-        assert len(set(counts)) > 1  # measured: 19 at the rims, 20 inside
-        rows = j_field_batch(coarse_solution, damping=0.5).values
+        assert len(set(counts)) > 1  # measured: 4 and 5 (all 4 at 1e-9)
+        rows = j_field_batch(coarse_solution, damping=0.5, tol=1e-11).values
         singles = []
         for row, y in zip(rows, ys):
             z, _, report = solve_linear_system(
-                linearize(coarse_solution, mollified_delta(CGRID, y)))
+                linearize(coarse_solution, mollified_delta(CGRID, y)),
+                tol=1e-11)
             assert np.array_equal(row, z.initial.values)
             singles.append(report.iterations)
         assert singles == counts
@@ -653,9 +656,10 @@ class TestDerivativeKernelBatch:
 
     def test_batch_leg_failure_is_the_sequential_one(self, coarse_solution):
         # an oversized coupling makes every column blow up, column 0 at
-        # alternation 7 and some later columns already at 6; the batch
-        # must report what a loop over y in order meets first
-        loud = (Conv(Field(CGRID, 1e4 * coarse_bump_kernel().values)),
+        # alternation 20 and some later columns already at 14; the batch
+        # must report what a loop over y in order meets first (at x1e4
+        # the mixed alternation stalls instead: gap 5.3e-4 after 40 legs)
+        loud = (Conv(Field(CGRID, 3e5 * coarse_bump_kernel().values)),
                 Zero())
         with pytest.raises((DivergenceError, InstabilityError)) as single:
             j_field(coarse_solution, loud, (-2.0,))
@@ -664,7 +668,7 @@ class TestDerivativeKernelBatch:
         assert type(batched.value) is type(single.value)
         assert str(batched.value) == str(single.value)
         assert str(batched.value).startswith(
-            "derivative solve at y=(-2.0,): alternation iteration 7: ")
+            "derivative solve at y=(-2.0,): alternation iteration 20: ")
 
     def test_y_gradient_is_central_differencing(self, batch):
         grad = batch.y_gradient()

@@ -7,8 +7,9 @@ The equation marched here is
 for the adjoint L* of the generator held by a KernelCache, a vector drift b
 and an optional vector source c.  ``_forward_values`` runs the mild march
 of the ``hjb`` module with the adjoint kernel and the Duhamel integrand
-div(b rho + c); one exponential-Euler step adds the spectral divergence of
-the flux and then smooths:
+div(b rho + c): its drive only forms the flux b rho + c, and the march
+takes the divergence on the Fourier coefficients it carries, inside the
+transform pair of its step.  One exponential-Euler step reads
 
     rho_{k+1} = S*_dt ( rho_k + dt * div(b_k rho_k + c_k) ),
 
@@ -29,7 +30,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import GridMismatchError, InstabilityError, QuadratureError
-from .grid import Field, Grid, _divergence, gradient
+from .grid import Field, Grid, gradient
 from .hjb import _BLOWUP_SUP, Trajectory, _check_operand, _mild_march
 from .kernels import KernelCache
 from .levy import _jump_densities
@@ -55,8 +56,9 @@ def _forward_values(kernel: KernelCache, drift: np.ndarray | None,
     (n_steps+1, d, *grid), is shared by all of them, and the flux c
     carries the batch axes, shape (n_steps+1, *batch, d, *grid); None
     means zero for either.  Runs ``hjb._mild_march`` with the adjoint
-    kernel and the integrand div(b rho + c), so with neither drift nor
-    flux the march is the adjoint semigroup itself.  Raises
+    kernel and a drive that returns the flux b rho + c and no source, so
+    the integrand is div(b rho + c), taken spectrally by the march; with
+    neither drift nor flux the march is the adjoint semigroup itself.  Raises
     InstabilityError when the running mass of a density drifts past 1e-6,
     a slice stops being finite, or its sup-norm passes 1e6 (all symptoms
     of an oversized step).
@@ -64,7 +66,8 @@ def _forward_values(kernel: KernelCache, drift: np.ndarray | None,
     grid = kernel.grid
     vol = grid.cell_volume
     axes = tuple(range(-grid.dims, 0))
-    comp = -1 - grid.dims  # the vector component axis of a flux
+    # insert the vector component axis of a flux before the grid axes
+    component = (Ellipsis, None) + (slice(None),) * grid.dims
     mass0 = vol * np.sum(rho0, axis=axes)
     limit = _MASS_DRIFT_TOL * np.maximum(1.0, np.abs(mass0))
     if drift is not None and rho0.ndim > grid.dims:
@@ -86,14 +89,14 @@ def _forward_values(kernel: KernelCache, drift: np.ndarray | None,
             f"(sup {float(sups[j]):.3e}, mass drift {worst:.3e}); "
             "use a smaller dt")
 
-    def drive(rho: np.ndarray, k) -> np.ndarray | None:
-        """div(b rho + c) at slice k (an index, or slice(None) for all)."""
+    def drive(rho: np.ndarray, grads: tuple, k) -> tuple:
+        """No source and the flux b rho + c at slice k (or slice(None))."""
         vec = None
         if drift is not None:
-            vec = drift[k] * np.expand_dims(rho, comp)
+            vec = drift[k] * rho[component]
         if flux is not None:
             vec = flux[k] if vec is None else vec + flux[k]
-        return None if vec is None else _divergence(grid, vec)
+        return None, vec
 
     return _mild_march(kernel, rho0, t0, T, n_steps, picard_sweeps, drive,
                        monitor, adjoint=True)

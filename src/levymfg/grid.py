@@ -262,19 +262,6 @@ def _batch_gradient(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
         for m in _gradient_multipliers(grid))
 
 
-def _divergence(grid: Grid, vec_values: np.ndarray) -> np.ndarray:
-    """Spectral divergence of a (..., d, *grid.shape) vector sample."""
-    d = grid.dims
-    axes = tuple(range(vec_values.ndim - d, vec_values.ndim))
-    spec = np.fft.rfftn(vec_values, s=grid.shape, axes=axes)
-    spec = np.moveaxis(spec, -1 - d, 0)
-    mults = _gradient_multipliers(grid)
-    acc = mults[0] * spec[0]
-    for i in range(1, d):
-        acc = acc + mults[i] * spec[i]
-    return np.fft.irfftn(acc, s=grid.shape, axes=tuple(a - 1 for a in axes))
-
-
 def _nyquist_shell_max(grid: Grid, spec: np.ndarray) -> np.ndarray:
     """Largest magnitude on the Nyquist planes (fftn or rfftn layout).
 

@@ -10,17 +10,24 @@ forward in the reversed clock s = T - t, where the mild (Duhamel) form
     v(s) = K_s * g + int_0^s K_{s-r} * [f(T-r) - H(x, v(r), Dv(r))] dr
 
 is discretized by exponential Euler and then corrected by whole-interval
-Picard sweeps with a trapezoidal quadrature of the integral.  The first
-pass is nonlinear and steps slice by slice; a sweep is linear in the
-slices once its integrand is fixed, so it runs as one recurrence on the
-Fourier coefficients of the whole path, two transform calls however many
-steps.  That scheme, ``_mild_march``, is the one march of the package: it
-takes the Duhamel integrand as a callback and runs with the generator here
-and with its adjoint in the ``fp`` module.  ``_march_backward`` adapts it
-to the reversed clock: ``solve_hjb`` passes the integrand f - H, and the
-backward leg of the linearized system passes its source minus the
-transport term V . Dz.  All public trajectories are indexed in physical
-time.
+Picard sweeps with a trapezoidal quadrature of the integral.  The
+semigroup is diagonal in Fourier space, so the march carries the Fourier
+coefficients of the path.  The first pass is nonlinear and steps slice by
+slice, two transform calls a step: one inverse transform gives a slice's
+values and gradient together, and one forward transform gives the
+spectrum of its integrand.  A sweep is linear in the slices once its
+integrand is fixed, so it runs as one recurrence on the coefficients of
+the whole path, two transform calls however many steps.
+
+That scheme, ``_mild_march``, is the one march of the package, run with
+the generator here and with its adjoint in the ``fp`` module.  It takes
+the Duhamel integrand as a callback that does pointwise algebra only: the
+callback reads the values and gradient the march hands it and returns a
+source and a flux, with integrand N = source + div flux.
+``_march_backward`` adapts it to the reversed clock: ``solve_hjb`` passes
+the source f - H, and the backward leg of the linearized system passes
+its source minus the transport term V . Dz.  All public trajectories are
+indexed in physical time.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .grid import (Field, Grid, _batch_gradient, _derivative_multiplier_half,
-                   _nyquist_shell_max)
+                   _gradient_multipliers, _nyquist_shell_max)
 from .kernels import KernelCache
 from .levy import order_alpha
 
@@ -495,57 +502,106 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
 
     s is the marching clock and ``adjoint`` swaps L for L*.  ``start``
     holds raw values; axes before the trailing grid axes batch
-    independent problems on the same slab.  ``drive(values, k)`` returns
-    the Duhamel integrand N at march index k, or for the whole stack (time
-    axis first) when k is ``slice(None)``; it returns None for N = 0.
+    independent problems on the same slab.  ``drive(values, grads, k)``
+    sees the values and the d-tuple of first partials at march index k,
+    or of the whole stack (time axis first) when k is ``slice(None)``.
+    It returns ``(source, flux)``, either of them None, and the Duhamel
+    integrand is N = source + div flux, with the vector axis of the flux
+    right before the grid axes; (None, None) means N = 0.  A drive does
+    pointwise algebra only: the march owns every transform.
 
-    The first pass is exponential Euler, w[k+1] = S_dt (w[k] + dt N[k]),
-    with the integrand evaluated slice by slice.  Each Picard sweep then
-    rebuilds the path under the composite trapezoid,
+    The march carries the half spectrum of the path, on which S_dt is the
+    multiplier M.  The first pass is exponential Euler,
+
+        f[k+1] = M (f[k] + dt N^[k]),   N^ = s^ + sum_i (i xi_i) c^_i,
+
+    and a step makes two transform calls: one ``irfftn`` of the rows
+    [1, d_1, ..., d_d] times f[k] gives the values and gradient the drive
+    reads, and one ``rfftn`` of the part of N present (two when a drive
+    returns both) gives N^[k].  Each Picard sweep then rebuilds the path
+    under the composite trapezoid,
 
         w[k+1] = S_dt (w[k] + dt/2 N[k]) + dt/2 N[k+1],
 
-    with the integrand of the previous pass.  That recurrence is linear in
-    the slices, so it runs in Fourier space: one transform of dt/2 N (with
-    ``start`` folded into slice 0), the steps f[k+1] = M (f[k] + n[k]) +
-    n[k+1] with M the multiplier of S_dt, and one inverse transform of the
-    stack; slice 0 is then set to ``start`` exactly.  A sweep thus makes
-    two transform calls, whatever ``n_steps``.  With N = 0 the first pass
-    is the semigroup itself, exact in time, and no sweep runs.
-    ``check(values, first)`` vets a run of new slices, time axis first,
-    the first of which is march index ``first``: the first pass vets each
-    slice as it is made, so ``drive`` never sees a slice that failed, and
-    each sweep vets its whole stack in one call.  Returns the values in
-    marching order, time axis first; raises BudgetError when dt exceeds
-    the 0.5*dx^alpha budget.
+    with the integrand of the previous pass: one ``rfftn`` of the whole
+    stack's integrand, the linear recurrence f[k+1] = M (f[k] + n[k]) +
+    n[k+1] on n = dt/2 N^ (``start``'s spectrum folded into slice 0), and
+    one ``irfftn`` of the new stack, of the rows when a later sweep reads
+    its gradient.  Slice 0 is then reset to ``start`` and its spectrum
+    exactly.  A sweep thus makes two transform calls, whatever
+    ``n_steps``.  With N = 0 the first pass is the semigroup itself, exact
+    in time, and no sweep runs.  ``check(values, first)`` vets a run of
+    new slices, time axis first, the first of which is march index
+    ``first``: the first pass vets each slice as it is made, so ``drive``
+    never sees a slice that failed, and each sweep vets its whole stack in
+    one call.  Returns the values in marching order, time axis first;
+    raises BudgetError when dt exceeds the 0.5*dx^alpha budget.
     """
     dt = (T - t0) / n_steps
     _check_step(kernel, dt, T - t0)
+    grid = kernel.grid
+    d = grid.dims
+    axes = tuple(range(-d, 0))
+    mults = _gradient_multipliers(grid)
+    rows = np.stack((np.ones(mults[0].shape),) + mults)
+    rows = rows.reshape((1 + d,) + (1,) * (start.ndim - d) + rows.shape[1:])
+    mult = kernel.multiplier(dt, adjoint)
+    # component i of a flux spectrum: its vector axis sits before the grid
+    components = [(Ellipsis, i) + (slice(None),) * d for i in range(d)]
+
+    def integrand(source, flux) -> np.ndarray | None:
+        """Half spectrum of N = source + div flux (None when N = 0)."""
+        out = None
+        if flux is not None:
+            part = np.fft.rfftn(flux, s=grid.shape, axes=axes)
+            out = mults[0] * part[components[0]]
+            for i in range(1, d):
+                out += mults[i] * part[components[i]]
+        if source is not None:
+            part = np.fft.rfftn(source, s=grid.shape, axes=axes)
+            out = part if out is None else out + part
+        return out
+
+    spec = np.empty((n_steps + 1,) + start.shape[:-d] + mult.shape,
+                    dtype=complex)
+    spec[0] = np.fft.rfftn(start, s=grid.shape, axes=axes)
     w = np.empty((n_steps + 1,) + start.shape)
-    w[0] = start
+    grads = np.empty((d,) + w.shape)
+    phys = np.fft.irfftn(rows * spec[0], s=grid.shape, axes=axes)
+    w[0], grads[:, 0] = start, phys[1:]
     for k in range(n_steps):
-        integrand = drive(w[k], k)
-        rhs = w[k] if integrand is None else w[k] + dt * integrand
-        w[k + 1] = kernel.apply_array(dt, rhs, adjoint)
+        n_hat = integrand(*drive(w[k], tuple(grads[:, k]), k))
+        if n_hat is None:
+            np.multiply(mult, spec[k], out=spec[k + 1])
+        else:
+            n_hat *= dt
+            n_hat += spec[k]
+            np.multiply(mult, n_hat, out=spec[k + 1])
+        phys = np.fft.irfftn(rows * spec[k + 1], s=grid.shape, axes=axes)
+        w[k + 1], grads[:, k + 1] = phys[0], phys[1:]
         check(w[k + 1:k + 2], k + 1)
 
-    grid = kernel.grid
-    axes = tuple(range(w.ndim - grid.dims, w.ndim))
-    mult = kernel.multiplier(dt, adjoint)
-    for _ in range(picard_sweeps):
-        n_all = drive(w, slice(None))
-        if n_all is None:
+    grads = tuple(grads)
+    for sweep in range(picard_sweeps):
+        n_hat = integrand(*drive(w, grads, slice(None)))
+        if n_hat is None:
             break
-        half_n = np.multiply(0.5 * dt, n_all, out=np.empty_like(w))
-        half_n[0] += start
-        spec = np.fft.rfftn(half_n, s=grid.shape, axes=axes)
-        carry = spec[0]  # f[0] + n[0]
+        n_hat *= 0.5 * dt
+        n_hat[0] += spec[0]
+        carry = n_hat[0]  # f[0] + n[0]
         for k in range(1, n_steps + 1):
             step = mult * carry
-            step += spec[k]
-            carry = step + spec[k]
-            spec[k] = step
-        w = np.fft.irfftn(spec, s=grid.shape, axes=axes)
+            step += n_hat[k]
+            carry = step + n_hat[k]
+            n_hat[k] = step
+        n_hat[0] = spec[0]
+        spec, w, grads = n_hat, None, None  # free the old stack first
+        if sweep + 1 < picard_sweeps:
+            phys = np.fft.irfftn(rows[:, None] * spec, s=grid.shape,
+                                 axes=axes)
+            w, grads = phys[0], tuple(phys[1:])
+        else:
+            w = np.fft.irfftn(spec, s=grid.shape, axes=axes)
         w[0] = start
         check(w[1:], 1)
     return w
@@ -557,12 +613,12 @@ def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
     """Mild march of -du/dt - Lu = N(t, u) from u(T) = terminal.
 
     ``_mild_march`` in the reversed clock s = T - t.  ``drive(values,
-    phys)`` returns the Duhamel integrand N for one slice at physical
-    index ``phys``, or for the whole reversed stack (time axis first) when
-    ``phys`` is ``slice(None, None, -1)``.  Returns the values in physical
-    time order, time axis first.  Raises BudgetError when dt exceeds the
-    0.5*dx^alpha budget and DivergenceError when a slice's sup-norm passes
-    1e6.
+    grads, phys)`` returns the ``(source, flux)`` pair of the Duhamel
+    integrand N for one slice at physical index ``phys``, or for the whole
+    reversed stack (time axis first) when ``phys`` is ``slice(None, None,
+    -1)``.  Returns the values in physical time order, time axis first.
+    Raises BudgetError when dt exceeds the 0.5*dx^alpha budget and
+    DivergenceError when a slice's sup-norm passes 1e6.
     """
     dt = (T - t0) / n_steps
     if _nyquist_fraction(kernel.grid, terminal) > _TERMINAL_TAIL_TOL:
@@ -570,10 +626,10 @@ def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
             "terminal data is marginally resolved: Nyquist spectral "
             "fraction exceeds 1e-6; expect degraded accuracy", stacklevel=3)
 
-    def reversed_drive(values: np.ndarray, k) -> np.ndarray:
+    def reversed_drive(values: np.ndarray, grads: tuple, k) -> tuple:
         if isinstance(k, slice):
-            return drive(values, slice(None, None, -1))
-        return drive(values, n_steps - k)
+            return drive(values, grads, slice(None, None, -1))
+        return drive(values, grads, n_steps - k)
 
     def guard(values: np.ndarray, first: int) -> None:
         """Raise for the first slice whose sup-norm is not within 1e6."""
@@ -596,15 +652,17 @@ def _value_drive(grid: Grid, hamiltonian, source: Trajectory | None
     """The Duhamel integrand f - H(x, u, Du) of ``solve_hjb``.
 
     A ``drive`` for ``_march_backward``: one slice at a physical index,
-    or the whole stack for a slice of indices.
+    or the whole stack for a slice of indices.  It evaluates H on the
+    values and gradient the march hands over and returns f - H as the
+    source, with no flux.
     """
     mesh = grid.meshgrid()
 
-    def drive(values: np.ndarray, phys) -> np.ndarray:
-        ham = hamiltonian.value(mesh, values, _batch_gradient(grid, values))
+    def drive(values: np.ndarray, grads: tuple, phys) -> tuple:
+        ham = hamiltonian.value(mesh, values, grads)
         if source is None:
-            return -np.asarray(ham, dtype=float)
-        return source.values[phys] - ham
+            return -np.asarray(ham, dtype=float), None
+        return source.values[phys] - ham, None
 
     return drive
 

@@ -424,12 +424,12 @@ def _alternate(system: LinSystem, rho0: np.ndarray, damping: float,
         source, terminal = _backward_data(system, weights, rho_values,
                                           len(starts))
 
-        def drive(values: np.ndarray, phys) -> np.ndarray:
-            grads = _batch_gradient(grid, values)
+        def drive(values: np.ndarray, grads: tuple, phys) -> tuple:
+            """Source b + <dF/dm, rho> - V . Dz from the march's Dz."""
             adv = V[phys, 0] * grads[0]
             for i in range(1, grid.dims):
                 adv = adv + V[phys, i] * grads[i]
-            return -adv if source is None else source[phys] - adv
+            return (-adv if source is None else source[phys] - adv), None
 
         try:
             z = _march_backward(kernel, terminal, t0, T, n, _PICARD_SWEEPS,

@@ -14,7 +14,7 @@ from levymfg.errors import (
     UnsupportedOrderError,
 )
 from levymfg.fp import _forward_values
-from levymfg.grid import Field, Grid, _divergence
+from levymfg.grid import Field, Grid, _batch_gradient, _gradient_multipliers
 from levymfg.hjb import (
     GeneralHamiltonian,
     GradientBoundReport,
@@ -417,19 +417,47 @@ class TestSolveHjb:
 # spectral Picard sweeps
 
 
-def stepped_march(kernel, start, T, n_steps, sweeps, drive, adjoint=False):
-    """The mild march on [0, T] with every sweep stepped through apply_array.
+def divergence(grid, vec_values):
+    """Spectral divergence of a (..., d, *grid.shape) vector sample."""
+    d = grid.dims
+    axes = tuple(range(vec_values.ndim - d, vec_values.ndim))
+    spec = np.fft.rfftn(vec_values, s=grid.shape, axes=axes)
+    spec = np.moveaxis(spec, -1 - d, 0)
+    mults = _gradient_multipliers(grid)
+    acc = mults[0] * spec[0]
+    for i in range(1, d):
+        acc = acc + mults[i] * spec[i]
+    return np.fft.irfftn(acc, s=grid.shape, axes=tuple(a - 1 for a in axes))
 
-    Exponential Euler, then each trapezoid sweep one slice at a time:
+
+def stepped_march(kernel, start, T, n_steps, sweeps, drive, adjoint=False):
+    """The mild march on [0, T] with every step taken through apply_array.
+
+    The integrand N = source + div flux of the march ``drive`` is built in
+    physical space, with the gradient from ``_batch_gradient`` and the
+    divergence from ``divergence``.  Exponential Euler, then each
+    trapezoid sweep one slice at a time:
     w[k+1] = S_dt (w[k] + dt/2 N[k]) + dt/2 N[k+1].
     """
+    grid = kernel.grid
     dt = T / n_steps
+
+    def integrand(values, k):
+        source, flux = drive(values, _batch_gradient(grid, values), k)
+        out = np.zeros(values.shape)
+        if source is not None:
+            out = out + source
+        if flux is not None:
+            out = out + divergence(grid, flux)
+        return out
+
     w = np.empty((n_steps + 1,) + start.shape)
     w[0] = start
     for k in range(n_steps):
-        w[k + 1] = kernel.apply_array(dt, w[k] + dt * drive(w[k], k), adjoint)
+        w[k + 1] = kernel.apply_array(dt, w[k] + dt * integrand(w[k], k),
+                                      adjoint)
     for _ in range(sweeps):
-        n_all = drive(w, slice(None))
+        n_all = integrand(w, slice(None))
         fresh = np.empty_like(w)
         fresh[0] = start
         for k in range(n_steps):
@@ -442,10 +470,10 @@ def stepped_march(kernel, start, T, n_steps, sweeps, drive, adjoint=False):
 
 def reversed_clock(drive, n_steps):
     """A physical-time drive read in the reversed clock of _march_backward."""
-    def rev(values, k):
+    def rev(values, grads, k):
         if isinstance(k, slice):
-            return drive(values, slice(None, None, -1))
-        return drive(values, n_steps - k)
+            return drive(values, grads, slice(None, None, -1))
+        return drive(values, grads, n_steps - k)
     return rev
 
 
@@ -459,71 +487,151 @@ def relative_gap(a, b):
     return float(np.max(np.abs(a - b))) / float(np.max(np.abs(b)))
 
 
+def backward_case(dims, sweeps):
+    """The value march with a source, and its stepped oracle."""
+    grid = Grid(64, 2.0) if dims == 1 else Grid(32, 2.0, dims=2)
+    cache = KernelCache(skewed_triplet(dims), grid)
+    T, n_steps = 0.125, 16
+    mesh = grid.meshgrid()
+    g = Field(grid, 0.8 * np.exp(-4.0 * sum(x * x for x in mesh)))
+    times = np.linspace(0.0, T, n_steps + 1)
+    src = Trajectory(grid, 0.0, T, np.stack([
+        (1.0 + t) * np.cos(np.pi * mesh[0] / 2.0) for t in times]))
+    drive = _value_drive(grid, QuadraticHamiltonian(), src)
+    got = _march_backward(cache, g.values, 0.0, T, n_steps, sweeps, drive)
+    want = stepped_march(cache, g.values, T, n_steps, sweeps,
+                         reversed_clock(drive, n_steps))[::-1]
+    assert np.array_equal(got[-1], g.values)
+    return got, want
+
+
+def forward_case(sweeps, with_flux):
+    """Three densities under a shared drift (and a flux), and the oracle."""
+    grid = Grid(32, 2.0)
+    cache = KernelCache(skewed_triplet(1), grid)
+    T, n_steps = 0.125, 16
+    x = grid.axis(0)
+    times = np.linspace(0.0, T, n_steps + 1)
+    drift = np.stack([[0.5 * np.sin(np.pi * x / 2.0) * (1.0 + t)]
+                      for t in times])
+    centers = (-0.5, 0.0, 0.4)
+    rho0 = np.stack([np.exp(-8.0 * (x - c) ** 2) for c in centers])
+    rho0 /= grid.cell_volume * rho0.sum(axis=1, keepdims=True)
+    flux = None
+    if with_flux:
+        flux = np.stack([[[0.2 * (1.0 - t) * np.exp(-4.0 * (x + c) ** 2)]
+                          for c in centers] for t in times])
+    got = _forward_values(cache, drift, flux, rho0, 0.0, T, n_steps, sweeps)
+
+    def drive(rho, grads, k):
+        vec = drift[k][..., None, :, :] * np.expand_dims(rho, -2)
+        return None, (vec if flux is None else vec + flux[k])
+
+    want = stepped_march(cache, rho0, T, n_steps, sweeps, drive, adjoint=True)
+    assert got.shape == (n_steps + 1, 3) + grid.shape
+    assert np.array_equal(got[0], rho0)
+    return got, want
+
+
 class TestSpectralSweep:
-    """Sweeps in Fourier space against the per-step apply_array sweep."""
+    """The spectral march against the per-step apply_array march."""
 
     @pytest.mark.parametrize("dims", [1, 2])
     def test_backward_matches_stepped_sweep(self, dims):
-        grid = Grid(64, 2.0) if dims == 1 else Grid(32, 2.0, dims=2)
-        cache = KernelCache(skewed_triplet(dims), grid)
-        T, n_steps = 0.125, 16
-        mesh = grid.meshgrid()
-        g = Field(grid, 0.8 * np.exp(-4.0 * sum(x * x for x in mesh)))
-        times = np.linspace(0.0, T, n_steps + 1)
-        src = Trajectory(grid, 0.0, T, np.stack([
-            (1.0 + t) * np.cos(np.pi * mesh[0] / 2.0) for t in times]))
-        drive = _value_drive(grid, QuadraticHamiltonian(), src)
-        got = _march_backward(cache, g.values, 0.0, T, n_steps, 2, drive)
-        want = stepped_march(cache, g.values, T, n_steps, 2,
-                             reversed_clock(drive, n_steps))[::-1]
-        assert np.array_equal(got[-1], g.values)
-        # measured: 6.4e-16 (1D), 4.9e-16 (2D); the sweeps move the path
+        got, want = backward_case(dims, 2)
+        # measured: 5.7e-16 (1D), 4.2e-16 (2D); the sweeps move the path
         # by 4e-3 relative, so a wrong recurrence cannot hide under this
         assert relative_gap(got, want) <= 2e-15
 
     def test_forward_adjoint_leg_with_columns(self):
-        grid = Grid(32, 2.0)
-        cache = KernelCache(skewed_triplet(1), grid)
-        T, n_steps = 0.125, 16
-        x = grid.axis(0)
-        times = np.linspace(0.0, T, n_steps + 1)
-        drift = np.stack([[0.5 * np.sin(np.pi * x / 2.0) * (1.0 + t)]
-                          for t in times])
-        rho0 = np.stack([np.exp(-8.0 * (x - c) ** 2)
-                         for c in (-0.5, 0.0, 0.4)])
-        rho0 /= grid.cell_volume * rho0.sum(axis=1, keepdims=True)
-        got = _forward_values(cache, drift, None, rho0, 0.0, T, n_steps, 2)
+        got, want = forward_case(2, with_flux=False)
+        # measured: 4.9e-16 (the adjoint and plain marches differ by 6e-2)
+        assert relative_gap(got, want) <= 2e-15
 
-        def drive(rho, k):
-            return _divergence(grid, drift[k][..., None, :, :]
-                               * np.expand_dims(rho, -2))
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_backward_first_pass_matches_stepped_march(self, dims):
+        got, want = backward_case(dims, 0)
+        # measured: 6.2e-16 (1D), 4.5e-16 (2D)
+        assert relative_gap(got, want) <= 2e-15
 
-        want = stepped_march(cache, rho0, T, n_steps, 2, drive, adjoint=True)
-        assert got.shape == (n_steps + 1, 3) + grid.shape
-        assert np.array_equal(got[0], rho0)
-        # measured: 5.9e-16 (the adjoint and plain marches differ by 6e-2)
+    def test_forward_first_pass_with_columns_drift_and_flux(self):
+        got, want = forward_case(0, with_flux=True)
+        # measured: 4.9e-16
         assert relative_gap(got, want) <= 2e-15
 
 
-def test_sweep_transform_calls_do_not_grow_with_steps(transform_calls):
-    # A first-pass step makes 4 calls: the gradient of H (rfftn, irfftn)
-    # and the semigroup apply (rfftn, irfftn).  Each sweep adds the
-    # gradient of the whole stack and its own two transforms, whatever
-    # the step count.
-    grid = Grid(32, 2.0)
-    cache = KernelCache(skewed_triplet(1), grid)
-    g = np.exp(-4.0 * grid.axis(0) ** 2)
-    drive = _value_drive(grid, QuadraticHamiltonian(), None)
+def march_transform_calls(transform_calls, march):
+    """Transform calls of ``march(n_steps, sweeps)`` for 8 and 16 steps."""
     counts = {}
     for n_steps in (8, 16):
         for sweeps in (0, 2):
             transform_calls["n"] = 0
-            _mild_march(cache, g, 0.0, 0.125, n_steps, sweeps, drive,
-                        lambda values, k: None)
+            march(n_steps, sweeps)
             counts[n_steps, sweeps] = transform_calls["n"]
-    assert counts[16, 2] - counts[8, 2] == 8 * 4
-    assert counts[8, 2] - counts[8, 0] == 2 * 4
-    assert counts[16, 2] - counts[16, 0] == 2 * 4
+    return counts
+
+
+def test_sweep_transform_calls_do_not_grow_with_steps(transform_calls):
+    # A first-pass step makes 2 calls: one irfftn of the carried spectrum
+    # gives the slice and its gradient, one rfftn gives the spectrum of
+    # f - H.  Each sweep makes 2 calls whatever the step count: one rfftn
+    # of the whole stack's integrand and one irfftn of the new stack.
+    grid = Grid(32, 2.0)
+    cache = KernelCache(skewed_triplet(1), grid)
+    g = np.exp(-4.0 * grid.axis(0) ** 2)
+    drive = _value_drive(grid, QuadraticHamiltonian(), None)
+    counts = march_transform_calls(transform_calls, lambda n, sweeps: (
+        _mild_march(cache, g, 0.0, 0.125, n, sweeps, drive,
+                    lambda values, k: None)))
+    assert counts[16, 2] - counts[8, 2] == 8 * 2
+    assert counts[8, 2] - counts[8, 0] == 2 * 2
+    assert counts[16, 2] - counts[16, 0] == 2 * 2
+
+
+def test_forward_transform_calls_do_not_grow_with_steps(transform_calls):
+    # With a drift and a flux the forward drive still only forms the
+    # vector b rho + c: its divergence costs no transform of its own.
+    grid = Grid(32, 2.0)
+    cache = KernelCache(skewed_triplet(1), grid)
+    x = grid.axis(0)
+    rho0 = np.exp(-4.0 * x ** 2)
+    rho0 /= grid.cell_volume * rho0.sum()
+
+    def march(n_steps, sweeps):
+        drift = np.broadcast_to(0.5 * np.sin(np.pi * x / 2.0),
+                                (n_steps + 1, 1) + grid.shape)
+        flux = np.broadcast_to(0.2 * np.exp(-4.0 * x ** 2),
+                               (n_steps + 1, 1) + grid.shape)
+        _forward_values(cache, drift, flux, rho0, 0.0, 0.125, n_steps,
+                        sweeps)
+
+    counts = march_transform_calls(transform_calls, march)
+    assert counts[16, 2] - counts[8, 2] == 8 * 2
+    assert counts[8, 2] - counts[8, 0] == 2 * 2
+    assert counts[16, 2] - counts[16, 0] == 2 * 2
+
+
+def test_transform_calls_do_not_grow_with_columns(transform_calls):
+    # Columns ride along the batch axes of every transform call.
+    grid = Grid(32, 2.0)
+    cache = KernelCache(skewed_triplet(1), grid)
+    x = grid.axis(0)
+    n_steps = 8
+    drift = np.broadcast_to(0.5 * np.sin(np.pi * x / 2.0),
+                            (n_steps + 1, 1) + grid.shape)
+    counts = []
+    for columns in (1, 5):
+        rho0 = np.stack([np.exp(-8.0 * (x - 0.1 * c) ** 2)
+                         for c in range(columns)])
+        rho0 /= grid.cell_volume * rho0.sum(axis=1, keepdims=True)
+        flux = np.broadcast_to(0.2 * rho0[:, None],
+                               (n_steps + 1, columns, 1) + grid.shape)
+        transform_calls["n"] = 0
+        _forward_values(cache, drift, flux, rho0, 0.0, 0.125, n_steps, 2)
+        _march_backward(cache, rho0, 0.0, 0.125, n_steps, 2, _value_drive(
+            grid, QuadraticHamiltonian(), None))
+        counts.append(transform_calls["n"])
+    assert counts[0] == counts[1]
 
 
 def test_check_vets_each_step_then_each_sweep_stack():
@@ -552,11 +660,11 @@ def test_sweep_blowup_names_its_first_bad_slice():
     n_steps, T = 8, 0.01
     dt = T / n_steps
 
-    def drive(values, phys):
+    def drive(values, grads, phys):
         out = np.zeros(values.shape)
         if isinstance(phys, slice):
             out[3] = 1e10
-        return out
+        return out, None
 
     g = np.zeros(grid.shape)
     _march_backward(cache, g, 0.0, T, n_steps, 0, drive)

@@ -7,9 +7,11 @@ The equation marched here is
 for the adjoint L* of the generator held by a KernelCache, a vector drift b
 and an optional vector source c.  ``_forward_values`` runs the mild march
 of the ``hjb`` module with the adjoint kernel and the Duhamel integrand
-div(b rho + c): its drive only forms the flux b rho + c, and the march
-takes the divergence on the Fourier coefficients it carries, inside the
-transform pair of its step.  One exponential-Euler step reads
+div(b rho + c): its drive only forms the flux b rho + c from the values,
+and the march takes the divergence on the Fourier coefficients it carries,
+inside the transform pair of its step.  The drive reads no gradient, so
+each inverse transform of the march carries the values row alone.  One
+exponential-Euler step reads
 
     rho_{k+1} = S*_dt ( rho_k + dt * div(b_k rho_k + c_k) ),
 
@@ -56,8 +58,9 @@ def _forward_values(kernel: KernelCache, drift: np.ndarray | None,
     (n_steps+1, d, *grid), is shared by all of them, and the flux c
     carries the batch axes, shape (n_steps+1, *batch, d, *grid); None
     means zero for either.  Runs ``hjb._mild_march`` with the adjoint
-    kernel and a drive that returns the flux b rho + c and no source, so
-    the integrand is div(b rho + c), taken spectrally by the march; with
+    kernel and a drive that reads the values only (no gradient is
+    transformed) and returns the flux b rho + c and no source, so the
+    integrand is div(b rho + c), taken spectrally by the march; with
     neither drift nor flux the march is the adjoint semigroup itself.  Raises
     InstabilityError when the running mass of a density drifts past 1e-6,
     a slice stops being finite, or its sup-norm passes 1e6 (all symptoms
@@ -99,7 +102,7 @@ def _forward_values(kernel: KernelCache, drift: np.ndarray | None,
         return None, vec
 
     return _mild_march(kernel, rho0, t0, T, n_steps, picard_sweeps, drive,
-                       monitor, adjoint=True)
+                       monitor, adjoint=True, gradients=False)
 
 
 def solve_fp(kernel: KernelCache, drift: Trajectory | None, rho0: Field,

@@ -7,10 +7,10 @@ everything downstream inherits the row-major layout fixed here.
 Fields are real, so every Fourier multiplier (derivatives, convolutions, the
 semigroups of ``kernels``) acts on the ``rfftn`` half-spectrum layout: FFT
 order on the leading axes, the n_last//2 + 1 nonnegative frequencies on the
-last.  The complex ``fftn`` is left to diagnostics of the DFT itself.  Hot
-transforms pass ``s=grid.shape`` along with their axes: the transform is
-the same, but numpy then skips a shape lookup that costs about half of a
-64-node ``rfftn`` call.
+last.  The complex ``fftn`` is left to kernel diagnostics that read the
+whole spectrum (``coupling``).  Hot transforms pass ``s=grid.shape`` along
+with their axes: the transform is the same, but numpy then skips a shape
+lookup that costs about half of a 64-node ``rfftn`` call.
 """
 
 from __future__ import annotations
@@ -189,13 +189,6 @@ def _require_finite_rows(rows: np.ndarray, what: str) -> None:
             _require_finite(row, what)
 
 
-def dft_roundtrip(f: Field) -> Field:
-    """inverse-DFT(DFT(field)); deviation <= 1e-12 * max(1, ||f||_inf)."""
-    _require_finite(f.values)
-    back = np.fft.ifftn(np.fft.fftn(f.values)).real
-    return Field(f.grid, back)
-
-
 def _derivative_multiplier_half(grid: Grid, beta: tuple[int, ...]) -> np.ndarray:
     """(i*xi)^beta on the rfftn half-spectrum layout.
 
@@ -308,16 +301,6 @@ def _convolve_values(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     spec = 0.5 * (fs * gs + gs * fs)
     out = np.fft.irfftn(spec, s=grid.shape, axes=axes) * grid.cell_volume
     return np.roll(out, [ni // 2 for ni in grid.n], axis=axes)
-
-
-def parseval_gap(f: Field) -> float:
-    """Relative gap between physical and spectral energies."""
-    phys = f.grid.cell_volume * float(np.sum(f.values ** 2))
-    spec = np.fft.fftn(f.values)
-    spectral = (f.grid.cell_volume / f.grid.node_count) * float(
-        np.sum(np.abs(spec) ** 2))
-    denom = max(abs(phys), abs(spectral), 1e-300)
-    return abs(phys - spectral) / denom
 
 
 def boundary_shell_mass(f: Field) -> float:

@@ -14,20 +14,23 @@ Picard sweeps with a trapezoidal quadrature of the integral.  The
 semigroup is diagonal in Fourier space, so the march carries the Fourier
 coefficients of the path.  The first pass is nonlinear and steps slice by
 slice, two transform calls a step: one inverse transform gives a slice's
-values and gradient together, and one forward transform gives the
-spectrum of its integrand.  A sweep is linear in the slices once its
-integrand is fixed, so it runs as one recurrence on the coefficients of
-the whole path, two transform calls however many steps.
+values, together with its gradient when the integrand reads one, and one
+forward transform gives the spectrum of its integrand.  A sweep is linear
+in the slices once its integrand is fixed, so it runs as one recurrence on
+the coefficients of the whole path, two transform calls however many
+steps.
 
 That scheme, ``_mild_march``, is the one march of the package, run with
 the generator here and with its adjoint in the ``fp`` module.  It takes
 the Duhamel integrand as a callback that does pointwise algebra only: the
-callback reads the values and gradient the march hands it and returns a
-source and a flux, with integrand N = source + div flux.
-``_march_backward`` adapts it to the reversed clock: ``solve_hjb`` passes
-the source f - H, and the backward leg of the linearized system passes
-its source minus the transport term V . Dz.  All public trajectories are
-indexed in physical time.
+callback reads the values, and the gradient if its caller asks the march
+for one, and returns a source and a flux, with integrand N = source +
+div flux.  ``_march_backward`` adapts it to the reversed clock and asks for
+the gradient: ``solve_hjb`` passes the source f - H(x, u, Du), and the
+backward leg of the linearized system passes its source minus the
+transport term V . Dz.  The forward march of ``fp`` reads values only, so
+its inverse transforms carry the values row alone.  All public
+trajectories are indexed in physical time.
 """
 
 from __future__ import annotations
@@ -497,7 +500,8 @@ def _nyquist_fraction(grid: Grid, values: np.ndarray) -> float:
 
 def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
                 n_steps: int, picard_sweeps: int, drive: Callable,
-                check: Callable, adjoint: bool = False) -> np.ndarray:
+                check: Callable, adjoint: bool = False, *,
+                gradients: bool) -> np.ndarray:
     """Mild march of dw/ds = L w + N(s, w) from w(0) = start.
 
     s is the marching clock and ``adjoint`` swaps L for L*.  ``start``
@@ -508,7 +512,9 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
     It returns ``(source, flux)``, either of them None, and the Duhamel
     integrand is N = source + div flux, with the vector axis of the flux
     right before the grid axes; (None, None) means N = 0.  A drive does
-    pointwise algebra only: the march owns every transform.
+    pointwise algebra only: the march owns every transform.  The caller
+    says with ``gradients`` whether its drive reads the partials: without
+    them ``grads`` is the empty tuple and no partial is transformed.
 
     The march carries the half spectrum of the path, on which S_dt is the
     multiplier M.  The first pass is exponential Euler,
@@ -517,9 +523,10 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
 
     and a step makes two transform calls: one ``irfftn`` of the rows
     [1, d_1, ..., d_d] times f[k] gives the values and gradient the drive
-    reads, and one ``rfftn`` of the part of N present (two when a drive
-    returns both) gives N^[k].  Each Picard sweep then rebuilds the path
-    under the composite trapezoid,
+    reads (of the values row f[k] alone without ``gradients``), and one
+    ``rfftn`` of the part of N present (two when a drive returns both)
+    gives N^[k].  Each Picard sweep then rebuilds the path under the
+    composite trapezoid,
 
         w[k+1] = S_dt (w[k] + dt/2 N[k]) + dt/2 N[k+1],
 
@@ -527,15 +534,16 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
     stack's integrand, the linear recurrence f[k+1] = M (f[k] + n[k]) +
     n[k+1] on n = dt/2 N^ (``start``'s spectrum folded into slice 0), and
     one ``irfftn`` of the new stack, of the rows when a later sweep reads
-    its gradient.  Slice 0 is then reset to ``start`` and its spectrum
-    exactly.  A sweep thus makes two transform calls, whatever
-    ``n_steps``.  With N = 0 the first pass is the semigroup itself, exact
-    in time, and no sweep runs.  ``check(values, first)`` vets a run of
-    new slices, time axis first, the first of which is march index
-    ``first``: the first pass vets each slice as it is made, so ``drive``
-    never sees a slice that failed, and each sweep vets its whole stack in
-    one call.  Returns the values in marching order, time axis first;
-    raises BudgetError when dt exceeds the 0.5*dx^alpha budget.
+    its gradient, of the values row otherwise.  Slice 0 is then reset to
+    ``start`` and its spectrum exactly.  A sweep thus makes two transform
+    calls, whatever ``n_steps``.  With N = 0 the first pass is the
+    semigroup itself, exact in time, and no sweep runs.  ``check(values,
+    first)`` vets a run of new slices, time axis first, the first of which
+    is march index ``first``: the first pass vets each slice as it is
+    made, so ``drive`` never sees a slice that failed, and each sweep vets
+    its whole stack in one call.  Returns the values in marching order,
+    time axis first; raises BudgetError when dt exceeds the 0.5*dx^alpha
+    budget.
     """
     dt = (T - t0) / n_steps
     _check_step(kernel, dt, T - t0)
@@ -543,8 +551,10 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
     d = grid.dims
     axes = tuple(range(-d, 0))
     mults = _gradient_multipliers(grid)
-    rows = np.stack((np.ones(mults[0].shape),) + mults)
-    rows = rows.reshape((1 + d,) + (1,) * (start.ndim - d) + rows.shape[1:])
+    if gradients:
+        rows = np.stack((np.ones(mults[0].shape),) + mults)
+        rows = rows.reshape((1 + d,) + (1,) * (start.ndim - d)
+                            + rows.shape[1:])
     mult = kernel.multiplier(dt, adjoint)
     # component i of a flux spectrum: its vector axis sits before the grid
     components = [(Ellipsis, i) + (slice(None),) * d for i in range(d)]
@@ -566,9 +576,11 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
                     dtype=complex)
     spec[0] = np.fft.rfftn(start, s=grid.shape, axes=axes)
     w = np.empty((n_steps + 1,) + start.shape)
-    grads = np.empty((d,) + w.shape)
-    phys = np.fft.irfftn(rows * spec[0], s=grid.shape, axes=axes)
-    w[0], grads[:, 0] = start, phys[1:]
+    grads = np.empty((d if gradients else 0,) + w.shape)
+    w[0] = start
+    if gradients:
+        grads[:, 0] = np.fft.irfftn(rows[1:] * spec[0], s=grid.shape,
+                                    axes=axes)
     for k in range(n_steps):
         n_hat = integrand(*drive(w[k], tuple(grads[:, k]), k))
         if n_hat is None:
@@ -577,8 +589,11 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
             n_hat *= dt
             n_hat += spec[k]
             np.multiply(mult, n_hat, out=spec[k + 1])
-        phys = np.fft.irfftn(rows * spec[k + 1], s=grid.shape, axes=axes)
-        w[k + 1], grads[:, k + 1] = phys[0], phys[1:]
+        if gradients:
+            phys = np.fft.irfftn(rows * spec[k + 1], s=grid.shape, axes=axes)
+            w[k + 1], grads[:, k + 1] = phys[0], phys[1:]
+        else:
+            w[k + 1] = np.fft.irfftn(spec[k + 1], s=grid.shape, axes=axes)
         check(w[k + 1:k + 2], k + 1)
 
     grads = tuple(grads)
@@ -596,12 +611,12 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
             n_hat[k] = step
         n_hat[0] = spec[0]
         spec, w, grads = n_hat, None, None  # free the old stack first
-        if sweep + 1 < picard_sweeps:
+        if gradients and sweep + 1 < picard_sweeps:
             phys = np.fft.irfftn(rows[:, None] * spec, s=grid.shape,
                                  axes=axes)
             w, grads = phys[0], tuple(phys[1:])
         else:
-            w = np.fft.irfftn(spec, s=grid.shape, axes=axes)
+            w, grads = np.fft.irfftn(spec, s=grid.shape, axes=axes), ()
         w[0] = start
         check(w[1:], 1)
     return w
@@ -644,7 +659,7 @@ def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
             f"index {n_steps - (k - 1)} of {n_steps}")
 
     return _mild_march(kernel, terminal, t0, T, n_steps, picard_sweeps,
-                       reversed_drive, guard)[::-1]
+                       reversed_drive, guard, gradients=True)[::-1]
 
 
 def _value_drive(grid: Grid, hamiltonian, source: Trajectory | None

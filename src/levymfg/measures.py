@@ -315,28 +315,50 @@ def _chain_sup(weights: np.ndarray, dx: float) -> np.ndarray:
     of this program every phi_j is joined by tight Lipschitz constraints to
     a node at +-1, so it lies on the lattice {1 - k dx} u {-1 + k dx} inside
     [-1, 1], and a max-plus dynamic program over that lattice is exact.
-    Sorted, the two sub-lattices alternate, so the points within dx of a
-    lattice point are the two on either side of it.  Rows only meet in
-    elementwise operations: a row of a batch equals its single-row call
-    bitwise.
+
+    When the two sub-lattices are bitwise equal (every dyadic dx), the
+    program runs on one copy, and the points within dx of a lattice point
+    are its neighbours, a reach of 1.  Otherwise the sorted sub-lattices
+    alternate, and the points within dx are the two on either side, a
+    reach of 2.  Both copies of a value in the interleaved lattice see the
+    same window {v - dx, v, v + dx}, so the two lattices give the same
+    value bitwise.  The prefix values are held lattice-major, shape
+    (lattice + 2 reach, slices), so every shifted window is one contiguous
+    block; the node's gain w_j * lattice is formed node by node into a
+    buffer of the same size, so memory stays O(slices x lattice).  Rows
+    only meet in elementwise operations: a row of a batch equals its
+    single-row call bitwise.
     """
     if not np.all(np.isfinite(weights)):
         raise ValueError("bounded-Lipschitz weights must be finite")
     k = np.arange(int(2.0 / dx) + 1)
-    lattice = np.empty(2 * k.size)
-    lattice[0::2] = np.minimum(-1.0 + k * dx, 1.0)
-    lattice[1::2] = np.maximum(1.0 - k[::-1] * dx, -1.0)
+    rising = np.minimum(-1.0 + k * dx, 1.0)
+    falling = np.maximum(1.0 - k[::-1] * dx, -1.0)
+    if np.array_equal(rising, falling):
+        lattice, reach = rising, 1
+    else:
+        lattice, reach = np.empty(2 * k.size), 2
+        lattice[0::2], lattice[1::2] = rising, falling
+    size = lattice.size
+    lattice = lattice[:, None]
+    nodes = np.ascontiguousarray(weights.T)
     # value of the best prefix ending at each lattice point, padded by
-    # two -inf columns per side so the window needs no edge cases
-    best = np.full((weights.shape[0], lattice.size + 4), -np.inf)
-    core = best[:, 2:-2]
-    np.multiply(weights[:, :1], lattice, out=core)
-    for j in range(1, weights.shape[1]):
-        pair = np.maximum(best[:, :-1], best[:, 1:])
-        triple = np.maximum(pair[:, :-1], pair[:, 1:])
-        np.maximum(triple[:, :-2], triple[:, 2:], out=core)
-        core += weights[:, j:j + 1] * lattice
-    return core.max(axis=1)
+    # reach -inf rows per side so the window needs no edge cases
+    best = np.full((size + 2 * reach, nodes.shape[1]), -np.inf)
+    core = best[reach:reach + size]
+    pair = np.empty((size + 2 * reach - 1, nodes.shape[1]))
+    window = np.empty((size, nodes.shape[1]))
+    gain = np.empty_like(window)
+    np.multiply(nodes[0], lattice, out=core)
+    for w in nodes[1:]:
+        # window of lattice point i: best[i .. i + 2 reach], padded index
+        np.maximum(best[:-1], best[1:], out=pair)
+        np.maximum(pair[:size], best[2 * reach:], out=window)
+        for s in range(1, reach):
+            np.maximum(window, pair[2 * s:2 * s + size], out=window)
+        np.multiply(w, lattice, out=gain)
+        np.add(window, gain, out=core)
+    return core.max(axis=0)
 
 
 def _upper_or_exact(grid: Grid, weights: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -1,15 +1,12 @@
-"""Grid/DFT substrate tests: round trips, derivatives, convolution."""
+"""Grid/DFT substrate tests: construction, derivatives, convolution."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from levymfg.errors import (
     GridMismatchError,
-    NonFiniteFieldError,
     UnsupportedOrderError,
 )
 from levymfg.grid import (
@@ -17,8 +14,6 @@ from levymfg.grid import (
     Grid,
     _nyquist_shell_max,
     boundary_shell_mass,
-    dft_roundtrip,
-    parseval_gap,
     periodic_convolve,
     spectral_derivative,
 )
@@ -65,44 +60,6 @@ class TestGridConstruction:
         # FFT storage order: k = 0, 1, ..., 7, -8, ..., -1
         assert xi[1] == pytest.approx(math.pi / 2.0)
         assert xi[8] == pytest.approx(-8 * math.pi / 2.0)
-
-
-class TestRoundTrip:
-    def test_constant(self):
-        g = Grid((32,), (1.0,))
-        f = Field.constant(g, 1.0)
-        out = dft_roundtrip(f)
-        assert np.max(np.abs(out.values - 1.0)) <= 1e-12
-
-    def test_cosine_mode(self):
-        g = Grid((64,), (1.5,))
-        f = Field.from_function(g, lambda x: np.cos(math.pi * x / 1.5))
-        out = dft_roundtrip(f)
-        assert np.max(np.abs(out.values - f.values)) <= 1e-12
-
-    def test_seeded_random_field(self):
-        rng = np.random.default_rng(42)
-        g = Grid((64,), (1.0,))
-        vals = rng.standard_normal(64)
-        f = Field(g, vals)
-        out = dft_roundtrip(f)
-        assert np.max(np.abs(out.values - vals)) <= 1e-12 * max(1.0, f.max_norm)
-
-    def test_rejects_nan(self):
-        g = Grid((16,), (1.0,))
-        vals = np.zeros(16)
-        vals[3] = np.nan
-        with pytest.raises(NonFiniteFieldError):
-            dft_roundtrip(Field(g, vals))
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1))
-    def test_roundtrip_property(self, seed):
-        rng = np.random.default_rng(seed)
-        g = Grid((32,), (2.0,))
-        f = Field(g, rng.standard_normal(32))
-        out = dft_roundtrip(f)
-        assert np.max(np.abs(out.values - f.values)) <= 1e-12 * max(1.0, f.max_norm)
 
 
 class TestSpectralDerivative:
@@ -201,22 +158,6 @@ class TestConvolution:
         left = spectral_derivative(periodic_convolve(f, h), 1)
         right = periodic_convolve(spectral_derivative(f, 1), h)
         assert np.max(np.abs(left.values - right.values)) <= 1e-10
-
-
-class TestParseval:
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1))
-    def test_energy_identity(self, seed):
-        rng = np.random.default_rng(seed)
-        g = Grid((64,), (3.0,))
-        f = Field(g, rng.standard_normal(64))
-        assert parseval_gap(f) <= 1e-12
-
-    def test_energy_identity_2d(self):
-        rng = np.random.default_rng(11)
-        g = Grid((16, 16), (1.0, 2.0))
-        f = Field(g, rng.standard_normal((16, 16)))
-        assert parseval_gap(f) <= 1e-12
 
 
 class TestNyquistShell:

@@ -561,28 +561,33 @@ class TestSpectralSweep:
 
 
 def march_transform_calls(transform_calls, march):
-    """Transform calls of ``march(n_steps, sweeps)`` for 8 and 16 steps."""
-    counts = {}
+    """Transform calls and inverted rows of ``march(n_steps, sweeps)``.
+
+    Both dicts are keyed by (n_steps, sweeps) for 8 and 16 steps.
+    """
+    counts, rows = {}, {}
     for n_steps in (8, 16):
         for sweeps in (0, 2):
-            transform_calls["n"] = 0
+            transform_calls["n"] = transform_calls["rows"] = 0
             march(n_steps, sweeps)
             counts[n_steps, sweeps] = transform_calls["n"]
-    return counts
+            rows[n_steps, sweeps] = transform_calls["rows"]
+    return counts, rows
 
 
 def test_sweep_transform_calls_do_not_grow_with_steps(transform_calls):
     # A first-pass step makes 2 calls: one irfftn of the carried spectrum
-    # gives the slice and its gradient, one rfftn gives the spectrum of
-    # f - H.  Each sweep makes 2 calls whatever the step count: one rfftn
-    # of the whole stack's integrand and one irfftn of the new stack.
+    # gives the slice and its gradient (1 + d rows), one rfftn gives the
+    # spectrum of f - H.  Each sweep makes 2 calls whatever the step
+    # count: one rfftn of the whole stack's integrand and one irfftn of
+    # the new stack.
     grid = Grid(32, 2.0)
     cache = KernelCache(skewed_triplet(1), grid)
     g = np.exp(-4.0 * grid.axis(0) ** 2)
     drive = _value_drive(grid, QuadraticHamiltonian(), None)
-    counts = march_transform_calls(transform_calls, lambda n, sweeps: (
-        _mild_march(cache, g, 0.0, 0.125, n, sweeps, drive,
-                    lambda values, k: None)))
+    counts, rows = march_transform_calls(transform_calls, lambda n, sweeps: (
+        _march_backward(cache, g, 0.0, 0.125, n, sweeps, drive)))
+    assert rows[16, 0] - rows[8, 0] == 8 * (1 + grid.dims)
     assert counts[16, 2] - counts[8, 2] == 8 * 2
     assert counts[8, 2] - counts[8, 0] == 2 * 2
     assert counts[16, 2] - counts[16, 0] == 2 * 2
@@ -590,7 +595,8 @@ def test_sweep_transform_calls_do_not_grow_with_steps(transform_calls):
 
 def test_forward_transform_calls_do_not_grow_with_steps(transform_calls):
     # With a drift and a flux the forward drive still only forms the
-    # vector b rho + c: its divergence costs no transform of its own.
+    # vector b rho + c: its divergence costs no transform of its own, and
+    # as it reads no gradient a first-pass step inverts the values only.
     grid = Grid(32, 2.0)
     cache = KernelCache(skewed_triplet(1), grid)
     x = grid.axis(0)
@@ -605,7 +611,8 @@ def test_forward_transform_calls_do_not_grow_with_steps(transform_calls):
         _forward_values(cache, drift, flux, rho0, 0.0, 0.125, n_steps,
                         sweeps)
 
-    counts = march_transform_calls(transform_calls, march)
+    counts, rows = march_transform_calls(transform_calls, march)
+    assert rows[16, 0] - rows[8, 0] == 8 * 1
     assert counts[16, 2] - counts[8, 2] == 8 * 2
     assert counts[8, 2] - counts[8, 0] == 2 * 2
     assert counts[16, 2] - counts[16, 0] == 2 * 2
@@ -646,7 +653,8 @@ def test_check_vets_each_step_then_each_sweep_stack():
     def check(values, first):
         seen.append((first, values.copy()))
 
-    w = _mild_march(cache, g, 0.0, 0.125, 8, 2, drive, check)
+    w = _mild_march(cache, g, 0.0, 0.125, 8, 2, drive, check,
+                    gradients=True)
     assert [(first, len(v)) for first, v in seen] == \
         [(k, 1) for k in range(1, 9)] + [(1, 8), (1, 8)]
     assert np.array_equal(seen[-1][1], w[1:])

@@ -10,6 +10,9 @@ Oracles
 * adaptive quadrature: the tightness moment of the uniform law on [-1, 1]
   equals 0.5 * Int_{-1}^{1} psi = 0.0695999934791408 (frozen; quad err ~1e-15).
 * closed-form deltas: d0 between two point masses is min(distance, 2).
+* interleaved chain: the dynamic program on both sub-lattices interleaved,
+  with a window of two points per side, on every dx; the chain must match
+  it bitwise, whichever lattice it runs on.
 """
 
 import numpy as np
@@ -28,6 +31,7 @@ from levymfg.measures import (
     Measure,
     SUBADDITIVITY_SLACK,
     TightnessFn,
+    _chain_sup,
     d0_distance,
     d0_interval,
     generalized_moment,
@@ -94,6 +98,28 @@ def highs_oracle_1d(grid, a_vals, b_vals):
     scale = float(np.max(np.abs(w)))
     return scale * dense_lp_oracle(grid, np.ravel(a_vals) / scale,
                                    np.ravel(b_vals) / scale)
+
+
+def interleaved_chain_oracle(weights, dx):
+    """The chain program on the interleaved lattice {1 - k dx} u {-1 + k dx}.
+
+    Slices first, as ``_chain_sup`` takes them.  Sorted, the two
+    sub-lattices alternate, so the points within dx of a lattice point are
+    the two on either side of it, even where the sub-lattices coincide.
+    """
+    k = np.arange(int(2.0 / dx) + 1)
+    lattice = np.empty(2 * k.size)
+    lattice[0::2] = np.minimum(-1.0 + k * dx, 1.0)
+    lattice[1::2] = np.maximum(1.0 - k[::-1] * dx, -1.0)
+    best = np.full((weights.shape[0], lattice.size + 4), -np.inf)
+    core = best[:, 2:-2]
+    np.multiply(weights[:, :1], lattice, out=core)
+    for j in range(1, weights.shape[1]):
+        pair = np.maximum(best[:, :-1], best[:, 1:])
+        triple = np.maximum(pair[:, :-1], pair[:, 1:])
+        np.maximum(triple[:, :-2], triple[:, 2:], out=core)
+        core += weights[:, j:j + 1] * lattice
+    return core.max(axis=1)
 
 
 def random_measure(grid, seed, smooth=False):
@@ -273,7 +299,8 @@ class TestD0Distance:
 
 
 CHAIN_SIZES = [8, 16, 64, 256, 1024]
-# 0.9 and 1.7 give spacings dx that do not divide 2
+# 0.9, 1.7 and 3.0 give spacings dx that do not divide 2, so the two
+# sub-lattices differ; at 2.0 they coincide bitwise
 CHAIN_HALF_WIDTHS = [0.9, 1.7, 2.0, 3.0]
 
 
@@ -313,12 +340,20 @@ class TestChainAgainstHighs:
         assert d0_distance(m, m) == 0.0
         assert signed_dual_norm(Field.constant(grid, 0.0)) == 0.0
 
+    def test_batch_bitwise_matches_interleaved_oracle(self, n, half_width):
+        grid = Grid(n, half_width)
+        rng = np.random.default_rng(n)
+        weights = rng.standard_normal((4, n)) * [[1.0], [1e-7], [1e-12], [0]]
+        assert np.array_equal(_chain_sup(weights, grid.dx[0]),
+                              interleaved_chain_oracle(weights, grid.dx[0]))
+
 
 class TestPathMetric:
     """One call for every slice of a path, equal to the per-slice calls."""
 
-    @pytest.mark.parametrize("grid", [Grid(64, 1.7), Grid((8, 8), (1.0, 1.0))],
-                             ids=["1d", "2d"])
+    @pytest.mark.parametrize(
+        "grid", [Grid(64, 1.7), Grid(64, 2.0), Grid((8, 8), (1.0, 1.0))],
+        ids=["1d", "1d-dyadic", "2d"])
     def test_rows_bitwise_match_single_calls(self, grid):
         path = np.stack([random_measure(grid, s).values for s in range(5)])
         ref = np.stack([random_measure(grid, s + 50).values for s in range(5)])

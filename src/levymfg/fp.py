@@ -36,7 +36,7 @@ from .grid import Field, Grid, gradient
 from .hjb import _BLOWUP_SUP, Trajectory, _check_operand, _mild_march
 from .kernels import KernelCache
 from .levy import _jump_densities
-from .measures import Measure, TightnessFn
+from .measures import TightnessFn
 
 _MASS_DRIFT_TOL = 1e-6
 _RENORM_BUDGET = 1e-8
@@ -141,14 +141,14 @@ def mass_series(rho: Trajectory) -> np.ndarray:
     return rho.grid.cell_volume * np.sum(rho.values, axis=axes)
 
 
-def _project_slices(grid: Grid, values: np.ndarray, first: int = 0
+def _project_slices(grid: Grid, values: np.ndarray
                     ) -> tuple[np.ndarray, float, float]:
     """Clamp each slice to a probability density; returns defects too.
 
     Negative undershoot is clipped, each slice renormalized to unit mass,
     and a clamp that moves more than 1e-8 mass rejects the path as
-    corrupted; the message numbers the slices from ``first``.  Returns the
-    projected slices, the worst defect and the deepest clipped value.
+    corrupted.  Returns the projected slices, the worst defect and the
+    deepest clipped value.
     """
     clipped = np.maximum(values, 0.0)
     neg_clip = max(0.0, -float(np.min(values)))
@@ -157,21 +157,11 @@ def _project_slices(grid: Grid, values: np.ndarray, first: int = 0
     worst = int(np.argmax(defects))
     if defects[worst] > _RENORM_BUDGET:
         raise InstabilityError(
-            f"slice {first + worst} clamps to mass {float(masses[worst])!r}; "
+            f"slice {worst} clamps to mass {float(masses[worst])!r}; "
             f"renormalization defect {defects[worst]:.3e} exceeds the "
             f"{_RENORM_BUDGET:g} budget")
     shape = (values.shape[0],) + (1,) * grid.dims
     return clipped / masses.reshape(shape), float(defects[worst]), neg_clip
-
-
-def slice_measure(rho: Trajectory, k: int) -> tuple[Measure, float]:
-    """Clamp one slice to a probability measure; returns (measure, defect).
-
-    The defect records how much mass the clamp-and-renormalize step moved;
-    it must stay within 1e-8 or the slice is rejected as corrupted.
-    """
-    vals, defect, _ = _project_slices(rho.grid, rho.values[k][None], first=k)
-    return Measure.from_values(rho.grid, vals[0]), defect
 
 
 # --------------------------------------------------------------------------

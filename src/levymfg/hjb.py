@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -74,8 +74,12 @@ _PICARD_SWEEPS = 2
 # arrays, ``u`` an array broadcastable against them, ``p`` a tuple of d
 # arrays (one per gradient component).  ``value`` returns H(x, u, p) and
 # ``grad_p`` its momentum gradient as a d-tuple.  ``curvature`` (second
-# momentum derivative, shape (..., d, d)) and ``u_slope`` (derivative in
-# the value argument) are optional and power the probe checks below.
+# momentum derivative, shape (..., d, d)) may return None; the probe
+# checks below and ``linearized.linearize`` read it.  ``u_slope`` is None
+# or the callback (x, u, p) -> dH/du; the probe checks and the
+# Lasry-Lions check of ``mfg`` read it.  ``QuadraticHamiltonian`` is the
+# one closed form; every other H, value-dependent ones included, is a
+# ``GeneralHamiltonian`` of callbacks.
 
 
 @dataclass(frozen=True)
@@ -115,38 +119,6 @@ class QuadraticHamiltonian:
 
 
 @dataclass(frozen=True)
-class SeparableHamiltonian:
-    """H(x, u, p) = h1(x, p) + h2(x, u): momentum and value parts split.
-
-    ``monotone_rate`` declares a lower bound on d(h2)/du to be certified by
-    ``probe_hamiltonian``; leave None for no monotonicity claim.
-    """
-
-    h1: Callable
-    dp_h1: Callable
-    h2: Callable
-    du_h2: Callable
-    monotone_rate: float | None = None
-    uniformly_convex: bool = False
-    convexity_bound: float = math.inf
-    hess_h1: Callable | None = None
-
-    def value(self, x, u, p):
-        return self.h1(x, p) + self.h2(x, u)
-
-    def grad_p(self, x, u, p):
-        return tuple(self.dp_h1(x, p))
-
-    def curvature(self, x, u, p):
-        if self.hess_h1 is None:
-            return None
-        return self.hess_h1(x, p)
-
-    def u_slope(self, x, u, p):
-        return self.du_h2(x, u)
-
-
-@dataclass(frozen=True)
 class GeneralHamiltonian:
     """Fully general H via callbacks (x, u, p) -> array.
 
@@ -175,52 +147,7 @@ class GeneralHamiltonian:
 
     @property
     def u_slope(self):
-        if self.du is None:
-            return None
-        return lambda x, u, p: self.du(x, u, p)
-
-
-def zero_hamiltonian() -> GeneralHamiltonian:
-    """H identically zero: the solver degenerates to the linear flow."""
-    return GeneralHamiltonian(
-        h=lambda x, u, p: np.zeros(np.broadcast(u, *p).shape),
-        grad=lambda x, u, p: tuple(np.zeros_like(pi) for pi in p),
-        hess=None,
-        du=None,
-    )
-
-
-def drift_hamiltonian(velocity: Sequence) -> GeneralHamiltonian:
-    """H(x, u, p) = b(x) . p for a velocity with constant or callable parts.
-
-    Each entry of ``velocity`` is a float or a callable taking the unpacked
-    coordinate arrays (the Field.from_function convention).  The momentum
-    gradient of this H is exactly b, which makes the solved equation the
-    dual of forward transport with drift b.
-    """
-    comps = tuple(velocity)
-
-    def b(x, i):
-        vi = comps[i]
-        return vi(*x) if callable(vi) else float(vi)
-
-    def h(x, u, p):
-        out = b(x, 0) * p[0]
-        for i in range(1, len(p)):
-            out = out + b(x, i) * p[i]
-        return out
-
-    def grad(x, u, p):
-        return tuple(np.broadcast_to(np.asarray(b(x, i), dtype=float),
-                                     np.broadcast(u, *p).shape)
-                     for i in range(len(p)))
-
-    def hess(x, u, p):
-        d = len(p)
-        batch = np.broadcast(u, *p).shape
-        return np.broadcast_to(np.zeros((d, d)), batch + (d, d))
-
-    return GeneralHamiltonian(h=h, grad=grad, hess=hess, du=None)
+        return self.du
 
 
 # --------------------------------------------------------------------------
@@ -413,17 +340,6 @@ class Trajectory:
         if k < 0 or k > self.n_steps or abs(self.t0 + k * self.dt - t) > 1e-9:
             raise ValueError(f"time {t} is not a slice of [{self.t0}, {self.T}]")
         return k
-
-    @classmethod
-    def from_fields(cls, fields: Sequence[Field], t0: float, T: float
-                    ) -> "Trajectory":
-        if not fields:
-            raise ValueError("no slices given")
-        g = fields[0].grid
-        for f in fields[1:]:
-            if f.grid != g:
-                raise GridMismatchError("slices live on different grids")
-        return cls(g, t0, T, np.stack([f.values for f in fields]))
 
     @classmethod
     def constant(cls, f: Field, t0: float, T: float, n_steps: int

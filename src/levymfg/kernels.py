@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (GridMismatchError, NonFiniteFieldError, ResolutionError,
+from .errors import (NonFiniteFieldError, ResolutionError,
                      SpectralResidueError)
 from .grid import Field, Grid, _nyquist_shell_max, spectral_derivative
 from .levy import LevyTriplet, UnsupportedOrderError, order_alpha, symbol_eval
@@ -148,18 +148,6 @@ def kernel_field(cache: KernelCache, t: float, adjoint: bool = False) -> Field:
     if abs(mass - 1.0) > _MASS_TOL:
         raise SpectralResidueError(f"kernel mass {mass!r} deviates from 1")
     return field
-
-
-def semigroup_apply(cache: KernelCache, t: float, f: Field, adjoint: bool = False) -> Field:
-    """Evolve a field by e^{tL} (adjoint=True: by the adjoint semigroup)."""
-    if f.grid != cache.grid:
-        raise GridMismatchError("field grid does not match kernel cache grid")
-    if t == 0.0:
-        return f
-    out = cache.apply_array(t, f.values, adjoint)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteFieldError("semigroup application produced non-finite values")
-    return f.with_values(out)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Levy triplets, Fourier symbols, and the operator catalog.
+"""Levy triplets and their Fourier symbols.
 
 A generator is described by a triplet (B, A, jumps): drift vector, symmetric
 PSD diffusion matrix, and a list of jump specifications. Its symbol is
@@ -6,14 +6,16 @@ PSD diffusion matrix, and a list of jump specifications. Its symbol is
     Psi(xi) = -i B.xi + xi.A xi + sum_jumps Int (1 - e^{i xi z} + i xi z 1_{|z|<1}) nu(dz)
 
 so the semigroup multiplier is e^{-t Psi(xi)} and the adjoint generator has
-the conjugate symbol. Closed forms are used for the catalog entries; a
-numeric-density fallback integrates the compensated integrand directly.
+the conjugate symbol. The stable families (fractional, anisotropic,
+one-sided Riesz-Feller) and CGMY have closed-form symbols; a numeric-density
+fallback integrates the compensated integrand directly. A triplet is built
+from its parts, e.g. ``LevyTriplet(jumps=FractionalLaplacian(1.5))`` or
+``LevyTriplet(dims=d, diffusion=np.eye(d))`` for the Laplacian.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -350,68 +352,3 @@ def symbol_eval(triplet: LevyTriplet, grid: Grid) -> np.ndarray:
         raise QuadratureError(
             f"symbol has negative real part: {float(np.min(psi.real)):.3e}")
     return psi
-
-
-# --------------------------------------------------------------------------
-# catalog parsing
-
-
-def _parse_args(body: str) -> list[float]:
-    return [float(tok) for tok in body.split(",") if tok.strip()]
-
-
-def parse_operator(name: str, dims: int = 1) -> LevyTriplet:
-    """Build a catalog triplet from its config name.
-
-    Accepted: "laplacian", "frac{a}", "aniso{a1,a2}", "riesz_feller{a}",
-    "cgmy{C,G,M,Y}", and "mix{spec+spec}".
-    """
-    name = name.strip()
-    m = re.fullmatch(r"(\w+)(?:\{(.*)\})?", name)
-    if m is None:
-        raise ValueError(f"cannot parse operator name {name!r}")
-    kind, body = m.group(1), m.group(2) or ""
-    if kind == "laplacian":
-        return LevyTriplet(dims=dims, diffusion=np.eye(dims))
-    if kind == "frac":
-        (a,) = _parse_args(body)
-        return LevyTriplet(dims=dims, jumps=FractionalLaplacian(a))
-    if kind == "aniso":
-        alphas = _parse_args(body)
-        if len(alphas) != dims:
-            raise ValueError("aniso needs one order per axis")
-        return LevyTriplet(dims=dims, jumps=AnisotropicStable(tuple(alphas)))
-    if kind == "riesz_feller":
-        (a,) = _parse_args(body)
-        if dims != 1:
-            raise ValueError("riesz_feller is one-dimensional")
-        return LevyTriplet(dims=1, jumps=RieszFeller(a))
-    if kind == "cgmy":
-        C, G, M, Y = _parse_args(body)
-        if dims != 1:
-            raise ValueError("cgmy is one-dimensional")
-        return LevyTriplet(dims=1, jumps=CGMY(C, G, M, Y))
-    if kind == "mix":
-        parts = _split_mix(body)
-        trips = [parse_operator(p, dims=dims) for p in parts]
-        A = sum((t.diffusion_matrix for t in trips), np.zeros((dims, dims)))
-        B = sum((t.drift_vector for t in trips), np.zeros(dims))
-        jumps = tuple(j for t in trips for j in t.jumps)
-        return LevyTriplet(dims=dims, drift=B, diffusion=A, jumps=jumps)
-    raise ValueError(f"unknown operator kind {kind!r}")
-
-
-def _split_mix(body: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in body:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        if ch == "+" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]

@@ -172,10 +172,6 @@ class LinSystem:
         return self.drift.n_steps
 
     @property
-    def rho0_mass(self) -> float:
-        return self.rho0.integral()
-
-    @property
     def one_way(self) -> bool:
         """True when z never sees rho: both coupling derivatives vanish."""
         return isinstance(self.running_coupling, Zero) and \
@@ -740,19 +736,6 @@ class JKernel:
     def field_at(self, y) -> Field:
         """The x-slice at the node nearest y."""
         return Field(self.grid, self.values[self.grid.nearest_index(y)])
-
-    def y_gradient(self) -> np.ndarray:
-        """Central differences along the y axes (spacing dx, periodic).
-
-        Differencing the tabulated kernel is quieter than re-solving with
-        derivative-of-delta data; returns shape (d, *y_shape, *x_shape).
-        """
-        comps = []
-        for ax in range(self.grid.dims):
-            ahead = np.roll(self.values, -1, axis=ax)
-            behind = np.roll(self.values, 1, axis=ax)
-            comps.append((ahead - behind) / (2.0 * self.grid.dx[ax]))
-        return np.stack(comps, axis=0)
 
 
 def _j_rows(solution: MfgSolution, couplings, y_grid: Grid,

@@ -337,13 +337,14 @@ def master_residual(scenario: Scenario, t0: float, m0: Measure,
         return _residual_report("terminal-identity", grid, gap,
                                 sample_points, 0.0, 1, {})
 
-    base = solve_scenario(scenario, t0, m0)
-    dt = base.u.dt
+    # the base solve's step, known before it runs
+    dt = (scenario.T - t0) / scenario.steps_for(t0)
     delta_t = time_probe_steps * dt
     if t0 - delta_t < -1e-12 or not t0 + delta_t < scenario.T:
         raise ValueError(
             f"centered time probe t0 +- {delta_t:g} leaves [0, T); shrink "
             "time_probe_steps or move t0 inward")
+    base = solve_scenario(scenario, t0, m0)
 
     u_plus = eval_U(scenario, t0 + delta_t, m0).values
     u_minus = eval_U(scenario, t0 - delta_t, m0).values
@@ -441,10 +442,10 @@ def flow_consistency(scenario: Scenario, t0: float, m0: Measure,
     with no interpolation.  Passes when the gap stays within twenty times
     the fixed-point stopping tolerance.
     """
-    base = solve_scenario(scenario, t0, m0)
-    n, dt = base.u.n_steps, base.u.dt
     if not (t0 - 1e-12 <= s < scenario.T):
         raise ValueError(f"restart time {s!r} outside [t0, T)")
+    base = solve_scenario(scenario, t0, m0)
+    n, dt = base.u.n_steps, base.u.dt
     k = min(max(int(round((s - t0) / dt)), 0), n - 1)
     s_snap = t0 + k * dt
 

@@ -170,13 +170,6 @@ class TightnessFn:
         )
 
 
-def generalized_moment(m: Measure, psi: TightnessFn) -> float:
-    """Grid integral of the tightness weight against the measure."""
-    if psi.psi.grid != m.grid:
-        raise GridMismatchError("tightness weight sampled on a different grid")
-    return float(m.grid.cell_volume * np.sum(psi.psi.values * m.values))
-
-
 def verify_psi_jump_moment(triplet) -> float:
     """Numeric check that the big-jump part integrates the tightness weight.
 
@@ -416,20 +409,6 @@ def _certified_lower_2d(grid: Grid, weights: np.ndarray) -> float:
     lifted = lifted / scale
     lower = float(np.sum(lifted * weights))
     return max(lower, 0.0)
-
-
-def tv_distance(m, m_prime) -> float:
-    """Grid total-variation distance (half the L1 gap)."""
-    grid, weights = _check_pair(m, m_prime)
-    return 0.5 * float(np.sum(np.abs(weights)))
-
-
-def w1_distance_1d(m, m_prime) -> float:
-    """Grid 1-Wasserstein distance in 1D via the CDF formula."""
-    grid, weights = _check_pair(m, m_prime)
-    if grid.dims != 1:
-        raise ValueError("the CDF formula is one-dimensional")
-    return float(grid.dx[0] * np.sum(np.abs(np.cumsum(weights))))
 
 
 def d0_interval(m, m_prime) -> tuple[float, float]:

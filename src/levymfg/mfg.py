@@ -250,14 +250,6 @@ def _anderson(x: np.ndarray, f: np.ndarray, xs: list, fs: list,
     return step
 
 
-def diffused_initial_path(kernel: KernelCache, m0: Measure, t0: float,
-                          T: float, n_steps: int) -> Trajectory:
-    """Drift-free evolution of ``m0``: a cheap non-constant initial guess."""
-    rho = solve_fp(kernel, None, m0.density, None, t0, T, n_steps)
-    cleaned, _, _ = _project_slices(kernel.grid, rho.values)
-    return Trajectory(kernel.grid, t0, T, cleaned)
-
-
 # --------------------------------------------------------------------------
 # the coupled solve
 

@@ -12,25 +12,25 @@ from levymfg.errors import (
 )
 from levymfg.fp import (
     TightnessSeriesReport,
+    _project_slices,
     mass_series,
-    slice_measure,
     small_jump_second_moment,
     solve_fp,
     tightness_report,
     weak_residual,
 )
 from levymfg.grid import Field, Grid
-from levymfg.hjb import Trajectory, drift_hamiltonian, solve_hjb, step_budget
+from levymfg.hjb import Trajectory, solve_hjb, step_budget
 from levymfg.kernels import KernelCache
 from levymfg.levy import FractionalLaplacian, LevyTriplet
 from levymfg.measures import (
     Measure,
     TightnessFn,
     d0_distance,
-    generalized_moment,
     mollify,
     verify_psi_jump_moment,
 )
+from oracles import drift_hamiltonian, generalized_moment, laplacian_triplet
 
 # ---------------------------------------------------------------------------
 # oracles and builders
@@ -39,10 +39,6 @@ from levymfg.measures import (
 def heat_density(x, t, a):
     """Heat flow of the unit-mass Gaussian with variance parameter a."""
     return np.exp(-(x**2) / (4.0 * (a + t))) / np.sqrt(4.0 * np.pi * (a + t))
-
-
-def laplacian_triplet(dims=1):
-    return LevyTriplet(dims=dims, diffusion=np.eye(dims).tolist())
 
 
 def vector_drift(grid, t0, T, n_steps, components):
@@ -194,7 +190,8 @@ class TestSolveFp:
         cache = KernelCache(laplacian_triplet(), grid)
         rho0 = Field.from_function(grid, lambda x: heat_density(x, 0.0, GAUSS_A))
         rho = solve_fp(cache, None, rho0, None, 0.0, 0.02, 64)
-        m, defect = slice_measure(rho, 32)
+        vals, defect, _ = _project_slices(grid, rho.values[32][None])
+        m = Measure.from_values(grid, vals[0])
         assert isinstance(m, Measure)
         assert defect <= 1e-8
         assert m.mass == pytest.approx(1.0, abs=1e-12)
@@ -203,7 +200,7 @@ class TestSolveFp:
         grid = Grid(64, 2.0)
         tr = Trajectory(grid, 0.0, 1.0, np.full((3, 64), 0.9 * 0.25))
         with pytest.raises(InstabilityError, match="defect"):
-            slice_measure(tr, 1)
+            _project_slices(grid, tr.values[1][None])
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +296,11 @@ class TestTimeContinuity:
                              [lambda x: b_sup * np.sin(np.pi * x / 4.0)])
         rho0 = Field.from_function(grid, lambda x: heat_density(x, 0.0, GAUSS_A))
         rho = solve_fp(cache, drift, rho0, None, 0.0, T, n_steps)
-        m0, _ = slice_measure(rho, 0)
+        slices, _, _ = _project_slices(grid, rho.values)
+        m0 = Measure.from_values(grid, slices[0])
         c0 = 0.0
         for k in (1, 2, 4, n_steps // 4, n_steps // 2, n_steps):
-            mk, _ = slice_measure(rho, k)
+            mk = Measure.from_values(grid, slices[k])
             gap = d0_distance(m0, mk)
             c0 = max(c0, gap / ((1.0 + b_sup) * np.sqrt(k * rho.dt)))
         return c0

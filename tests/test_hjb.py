@@ -19,20 +19,19 @@ from levymfg.hjb import (
     GeneralHamiltonian,
     GradientBoundReport,
     QuadraticHamiltonian,
-    SeparableHamiltonian,
     Trajectory,
     _march_backward,
     _mild_march,
     _value_drive,
-    drift_hamiltonian,
     gradient_bound_report,
     probe_hamiltonian,
     solve_hjb,
     step_budget,
-    zero_hamiltonian,
 )
-from levymfg.kernels import KernelCache, semigroup_apply
+from levymfg.kernels import KernelCache
 from levymfg.levy import FractionalLaplacian, LevyTriplet
+from oracles import (drift_hamiltonian, laplacian_triplet, semigroup_apply,
+                     zero_hamiltonian)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -57,11 +56,6 @@ def log_transform_oracle(cache, terminal, t0, T, n_slices):
         s = T - (t0 + k * dt)
         out[k] = -np.log(cache.apply_array(s, w0))
     return out
-
-
-def laplacian_triplet(dims=1):
-    eye = np.eye(dims).tolist()
-    return LevyTriplet(dims=dims, diffusion=eye)
 
 
 GAUSS_WIDTH = 0.5  # the "a" in exp(-x^2/(4a))
@@ -108,11 +102,10 @@ class TestHamiltonianProbes:
         assert rep.curvature_eig_range[0] == pytest.approx(0.1)
 
     def test_separable_monotone_rate_certified(self):
-        ham = SeparableHamiltonian(
-            h1=lambda x, p: p[0] ** 2,
-            dp_h1=lambda x, p: (2.0 * p[0],),
-            h2=lambda x, u: 0.8 * u,
-            du_h2=lambda x, u: np.full(np.shape(u), 0.8),
+        ham = GeneralHamiltonian(
+            h=lambda x, u, p: p[0] ** 2 + 0.8 * u,
+            grad=lambda x, u, p: (2.0 * p[0],),
+            du=lambda x, u, p: np.full(np.shape(u), 0.8),
             monotone_rate=0.8,
         )
         rep = probe_hamiltonian(ham, dims=1)
@@ -120,11 +113,10 @@ class TestHamiltonianProbes:
         assert rep.min_u_slope == pytest.approx(0.8)
 
     def test_overclaimed_monotone_rate_fails(self):
-        ham = SeparableHamiltonian(
-            h1=lambda x, p: np.zeros(np.shape(p[0])),
-            dp_h1=lambda x, p: (np.zeros(np.shape(p[0])),),
-            h2=lambda x, u: 0.8 * u,
-            du_h2=lambda x, u: np.full(np.shape(u), 0.8),
+        ham = GeneralHamiltonian(
+            h=lambda x, u, p: np.zeros(np.shape(p[0])) + 0.8 * u,
+            grad=lambda x, u, p: (np.zeros(np.shape(p[0])),),
+            du=lambda x, u, p: np.full(np.shape(u), 0.8),
             monotone_rate=1.3,
         )
         assert not probe_hamiltonian(ham, dims=1).passed
@@ -163,7 +155,8 @@ class TestTrajectory:
 
     def test_from_fields_roundtrip(self):
         fields = [Field.constant(self.grid, float(k)) for k in range(4)]
-        tr = Trajectory.from_fields(fields, 0.0, 0.3, )
+        tr = Trajectory(self.grid, 0.0, 0.3,
+                        np.stack([f.values for f in fields]))
         assert tr.n_steps == 3
         assert np.array_equal(tr.slice_field(2).values, fields[2].values)
         assert np.array_equal(tr.initial.values, fields[0].values)
@@ -340,11 +333,10 @@ class TestSolveHjb:
         # H2(x, u) = 0.8 u damps but never reorders terminal comparisons.
         grid = Grid(128, 2.0)
         cache = KernelCache(laplacian_triplet(), grid)
-        ham = SeparableHamiltonian(
-            h1=lambda x, p: np.zeros(np.shape(p[0])),
-            dp_h1=lambda x, p: (np.zeros(np.shape(p[0])),),
-            h2=lambda x, u: 0.8 * u,
-            du_h2=lambda x, u: np.full(np.shape(u), 0.8),
+        ham = GeneralHamiltonian(
+            h=lambda x, u, p: np.zeros(np.shape(p[0])) + 0.8 * u,
+            grad=lambda x, u, p: (np.zeros(np.shape(p[0])),),
+            du=lambda x, u, p: np.full(np.shape(u), 0.8),
             monotone_rate=0.8,
         )
         T, n_steps, c = 0.25, 512, 0.4
@@ -747,7 +739,7 @@ class TestGradientBounds:
         grid = Grid(32, 2.0, dims=2)
         f = Field.from_function(
             grid, lambda x, y: np.sin(np.pi * x / 2.0) * np.cos(np.pi * y / 2.0))
-        tr = Trajectory.from_fields([f, f], 0.0, 1.0)
+        tr = Trajectory(grid, 0.0, 1.0, np.stack([f.values, f.values]))
         rep = gradient_bound_report(tr)
         k = np.pi / 2.0
         assert rep.sup_u[0] == pytest.approx(1.0, abs=1e-6)

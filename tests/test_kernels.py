@@ -19,10 +19,20 @@ from scipy.integrate import quad
 
 from levymfg.errors import ResolutionError
 from levymfg.grid import Field, Grid
-from levymfg.kernels import KernelCache, kernel_field, semigroup_apply, verify_K_assumption
-from levymfg.levy import LevyTriplet, parse_operator, symbol_eval
+from levymfg.kernels import KernelCache, kernel_field, verify_K_assumption
+from levymfg.levy import (CGMY, FractionalLaplacian, LevyTriplet, RieszFeller,
+                          symbol_eval)
+from oracles import laplacian_triplet, semigroup_apply
 
 INV_SQRT_PI = 0.5641895835477563  # 1/sqrt(pi), frozen
+
+# one generator of each family, keyed by a short name
+OPERATORS = {
+    "laplacian": laplacian_triplet(),
+    "frac{1.5}": LevyTriplet(jumps=FractionalLaplacian(1.5)),
+    "riesz_feller{1.6}": LevyTriplet(jumps=RieszFeller(1.6)),
+    "cgmy{1,5,5,1.5}": LevyTriplet(jumps=CGMY(1.0, 5.0, 5.0, 1.5)),
+}
 
 
 def gaussian_kernel(x, t):
@@ -49,7 +59,7 @@ def cauchy_quadrature_oracle(x, t):
 class TestKernelSynthesis:
     def test_gaussian_closed_form(self):
         grid = Grid(1024, 20.0)
-        cache = KernelCache(parse_operator("laplacian"), grid)
+        cache = KernelCache(laplacian_triplet(), grid)
         k = kernel_field(cache, 1.0)
         exact = gaussian_kernel(grid.axis(0), 1.0)
         assert np.max(np.abs(k.values - exact)) <= 1e-8
@@ -57,7 +67,7 @@ class TestKernelSynthesis:
     def test_cauchy_closed_form_and_quadrature(self):
         # Heavy tails need a huge box to beat periodic wrap-around below 1e-6.
         grid = Grid(65536, 2000.0)
-        cache = KernelCache(parse_operator("frac{1.0}"), grid)
+        cache = KernelCache(LevyTriplet(jumps=FractionalLaplacian(1.0)), grid)
         k = kernel_field(cache, 1.0)
         x = grid.axis(0)
         closed = (1.0 / np.pi) / (1.0 + x ** 2)
@@ -70,22 +80,22 @@ class TestKernelSynthesis:
             assert abs(k.values[idx] - oracle) <= 1e-6
 
     def test_mass_is_one(self):
-        for name in ("laplacian", "frac{1.5}", "riesz_feller{1.6}", "cgmy{1,5,5,1.5}"):
+        for triplet in OPERATORS.values():
             grid = Grid(1024, 20.0)
-            cache = KernelCache(parse_operator(name), grid)
+            cache = KernelCache(triplet, grid)
             k = kernel_field(cache, 0.5)
             assert abs(k.integral() - 1.0) <= 1e-10
 
     def test_ringing_bounded(self):
         grid = Grid(1024, 20.0)
-        cache = KernelCache(parse_operator("frac{1.5}"), grid)
+        cache = KernelCache(LevyTriplet(jumps=FractionalLaplacian(1.5)), grid)
         k = kernel_field(cache, 0.25)
         assert float(np.min(k.values)) >= -1e-9 * float(np.max(k.values))
 
     def test_adjoint_kernel_is_reflection(self):
         # Riesz-Feller is genuinely asymmetric, so this is not vacuous.
         grid = Grid(1024, 20.0)
-        cache = KernelCache(parse_operator("riesz_feller{1.6}"), grid)
+        cache = KernelCache(LevyTriplet(jumps=RieszFeller(1.6)), grid)
         k = kernel_field(cache, 0.7)
         k_adj = kernel_field(cache, 0.7, adjoint=True)
         # x_j -> -x_j is index j -> (n - j) mod n on [-L, L)
@@ -95,7 +105,7 @@ class TestKernelSynthesis:
 
     def test_unresolved_kernel_raises_with_required_n(self):
         grid = Grid(64, 3.0)
-        cache = KernelCache(parse_operator("laplacian"), grid)
+        cache = KernelCache(laplacian_triplet(), grid)
         with pytest.raises(ResolutionError) as exc:
             kernel_field(cache, 1e-4)
         msg = str(exc.value)
@@ -104,10 +114,10 @@ class TestKernelSynthesis:
 
     def test_2d_kernel_matches_product_of_1d(self):
         grid2 = Grid((128, 128), (10.0, 10.0))
-        cache2 = KernelCache(parse_operator("laplacian", dims=2), grid2)
+        cache2 = KernelCache(laplacian_triplet(2), grid2)
         k2 = kernel_field(cache2, 0.5)
         grid1 = Grid(128, 10.0)
-        cache1 = KernelCache(parse_operator("laplacian"), grid1)
+        cache1 = KernelCache(laplacian_triplet(), grid1)
         k1 = kernel_field(cache1, 0.5).values
         assert np.max(np.abs(k2.values - np.outer(k1, k1))) <= 1e-12
 
@@ -115,7 +125,7 @@ class TestKernelSynthesis:
 class TestSemigroupApply:
     def test_gaussian_variance_flow(self):
         grid = Grid(1024, 20.0)
-        cache = KernelCache(parse_operator("laplacian"), grid)
+        cache = KernelCache(laplacian_triplet(), grid)
         x = grid.axis(0)
         sigma0_sq, t = 0.25, 0.4
         f = Field(grid, np.exp(-((x - 0.3) ** 2) / (2 * sigma0_sq))
@@ -125,12 +135,11 @@ class TestSemigroupApply:
         exact = np.exp(-((x - 0.3) ** 2) / (2 * sigma_sq)) / np.sqrt(2 * np.pi * sigma_sq)
         assert np.max(np.abs(out.values - exact)) <= 1e-8
 
-    @pytest.mark.parametrize(
-        "name", ["laplacian", "frac{1.5}", "riesz_feller{1.6}", "cgmy{1,5,5,1.5}"]
-    )
-    def test_composition_identity(self, name):
+    @pytest.mark.parametrize("triplet", OPERATORS.values(),
+                             ids=OPERATORS.keys())
+    def test_composition_identity(self, triplet):
         grid = Grid(512, 15.0)
-        cache = KernelCache(parse_operator(name), grid)
+        cache = KernelCache(triplet, grid)
         x = grid.axis(0)
         f = Field(grid, np.cos(np.pi * x / 15.0) + np.exp(-x ** 2))
         for s, t in ((0.1, 0.35), (0.07, 0.07), (0.4, 0.13)):
@@ -144,20 +153,20 @@ class TestSemigroupApply:
 
     def test_time_zero_is_identity(self):
         grid = Grid(256, 10.0)
-        cache = KernelCache(parse_operator("laplacian"), grid)
+        cache = KernelCache(laplacian_triplet(), grid)
         f = Field.from_function(grid, np.sin)
         assert semigroup_apply(cache, 0.0, f) is f
 
     def test_negative_time_rejected(self):
         grid = Grid(256, 10.0)
-        cache = KernelCache(parse_operator("laplacian"), grid)
+        cache = KernelCache(laplacian_triplet(), grid)
         f = Field.constant(grid, 1.0)
         with pytest.raises(ValueError):
             semigroup_apply(cache, -0.1, f)
 
     def test_batched_apply_matches_loop(self):
         grid = Grid(256, 10.0)
-        cache = KernelCache(parse_operator("frac{1.3}"), grid)
+        cache = KernelCache(LevyTriplet(jumps=FractionalLaplacian(1.3)), grid)
         rng = np.random.default_rng(11)
         batch = rng.standard_normal((3, 256))
         smoothed = cache.apply_array(0.2, batch)
@@ -167,13 +176,13 @@ class TestSemigroupApply:
 
     def test_dc_multiplier_exactly_one(self):
         grid = Grid(256, 10.0)
-        cache = KernelCache(parse_operator("cgmy{0.7,3,6,1.3}"), grid)
+        cache = KernelCache(LevyTriplet(jumps=CGMY(0.7, 3.0, 6.0, 1.3)), grid)
         for t in (0.02, 0.17, 1.0):
             assert cache.multiplier(t)[0] == 1.0 + 0.0j
 
     def test_multiplier_memoized(self):
         grid = Grid(256, 10.0)
-        cache = KernelCache(parse_operator("laplacian"), grid)
+        cache = KernelCache(laplacian_triplet(), grid)
         assert cache.multiplier(0.3) is cache.multiplier(0.3)
 
     @settings(max_examples=20, deadline=None)
@@ -181,7 +190,7 @@ class TestSemigroupApply:
            shift=st.floats(min_value=-3.0, max_value=3.0))
     def test_mass_conserved(self, t, shift):
         grid = Grid(256, 10.0)
-        cache = KernelCache(parse_operator("frac{1.5}"), grid)
+        cache = KernelCache(LevyTriplet(jumps=FractionalLaplacian(1.5)), grid)
         f = Field.from_function(grid, lambda x: np.exp(-((x - shift) ** 2)))
         out = semigroup_apply(cache, t, f)
         assert abs(out.integral() - f.integral()) <= 1e-12
@@ -212,8 +221,8 @@ class TestResidueGuard:
     x = grid.axis(0)
     alternating = (-1.0) ** np.arange(64)
     asymmetric = [
-        (parse_operator("riesz_feller{1.6}"), grid),
-        (parse_operator("cgmy{0.7,3,6,1.3}"), grid),
+        (LevyTriplet(jumps=RieszFeller(1.6)), grid),
+        (LevyTriplet(jumps=CGMY(0.7, 3.0, 6.0, 1.3)), grid),
         (LevyTriplet(dims=2, drift=(0.7, -0.4),
                      diffusion=((1.0, 0.0), (0.0, 1.0))),
          Grid((8, 16), (2.0, 3.0))),
@@ -272,9 +281,10 @@ class TestResidueGuard:
             assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
     @pytest.mark.parametrize("triplet, grid", [
-        (parse_operator("frac{1.5}"), grid),
-        (parse_operator("mix{laplacian+frac{1.5}}"), grid),
-        (parse_operator("cgmy{1,5,5,1.5}"), grid),
+        (LevyTriplet(jumps=FractionalLaplacian(1.5)), grid),
+        (LevyTriplet(diffusion=np.eye(1), jumps=FractionalLaplacian(1.5)),
+         grid),
+        (LevyTriplet(jumps=CGMY(1.0, 5.0, 5.0, 1.5)), grid),
         (LevyTriplet(dims=2, diffusion=((1.0, 0.0), (0.0, 2.0))),
          Grid((8, 16), (2.0, 3.0))),
     ], ids=["frac", "mix", "cgmy_symmetric", "diffusion_2d"])
@@ -290,7 +300,7 @@ class TestResidueGuard:
         ("generator", np.exp(-3.0 * x ** 2)),
     ])
     def test_symmetric_generator_never_raises(self, how, values):
-        cache = KernelCache(parse_operator("frac{1.5}"), self.grid)
+        cache = KernelCache(LevyTriplet(jumps=FractionalLaplacian(1.5)), self.grid)
         if how == "generator":
             out = cache.apply_generator(values)
         else:
@@ -309,7 +319,7 @@ class TestDecayCertification:
         oracle = grid.dx[0] * np.sum(np.abs(-x / 2.0 * gaussian_kernel(x, 1.0)))
         assert abs(oracle - INV_SQRT_PI) <= 5e-5
         report = verify_K_assumption(
-            parse_operator("laplacian"), grid, (1,), [0.25, 0.5, 1.0]
+            laplacian_triplet(), grid, (1,), [0.25, 0.5, 1.0]
         )
         norm_at_1 = report.norms[report.times.index(1.0)]
         assert abs(norm_at_1 - oracle) <= 1e-10
@@ -318,7 +328,7 @@ class TestDecayCertification:
     def test_laplacian_slope_beta1(self):
         grid = Grid(1024, 20.0)
         report = verify_K_assumption(
-            parse_operator("laplacian"), grid, (1,), [0.0125, 0.05, 0.2, 0.8]
+            laplacian_triplet(), grid, (1,), [0.0125, 0.05, 0.2, 0.8]
         )
         assert report.alpha == 2.0
         assert report.target_slope == -0.5
@@ -330,7 +340,7 @@ class TestDecayCertification:
     def test_laplacian_slope_beta2(self):
         grid = Grid(1024, 20.0)
         report = verify_K_assumption(
-            parse_operator("laplacian"), grid, (2,), [0.0125, 0.05, 0.2, 0.8]
+            laplacian_triplet(), grid, (2,), [0.0125, 0.05, 0.2, 0.8]
         )
         assert abs(report.slope + 1.0) <= 0.02
         assert report.passed
@@ -338,7 +348,7 @@ class TestDecayCertification:
     def test_fractional_slope(self):
         grid = Grid(2048, 40.0)
         report = verify_K_assumption(
-            parse_operator("frac{1.5}"), grid, (1,), [0.05, 0.15, 0.45]
+            LevyTriplet(jumps=FractionalLaplacian(1.5)), grid, (1,), [0.05, 0.15, 0.45]
         )
         assert report.target_slope == pytest.approx(-2.0 / 3.0)
         assert abs(report.slope - report.target_slope) <= 0.02
@@ -348,7 +358,7 @@ class TestDecayCertification:
     def test_beta_zero_is_flat(self):
         grid = Grid(1024, 20.0)
         report = verify_K_assumption(
-            parse_operator("frac{1.5}"), grid, (0,), [0.1, 0.4, 1.6]
+            LevyTriplet(jumps=FractionalLaplacian(1.5)), grid, (0,), [0.1, 0.4, 1.6]
         )
         assert abs(report.slope) <= 1e-8
         assert report.k_hat == pytest.approx(1.0, abs=1e-10)
@@ -357,12 +367,12 @@ class TestDecayCertification:
     def test_unresolved_smallest_time_raises(self):
         grid = Grid(64, 3.0)
         with pytest.raises(ResolutionError):
-            verify_K_assumption(parse_operator("laplacian"), grid, (1,), [1e-4, 1.0])
+            verify_K_assumption(laplacian_triplet(), grid, (1,), [1e-4, 1.0])
 
     def test_report_dict_round_trip(self):
         grid = Grid(512, 15.0)
         report = verify_K_assumption(
-            parse_operator("laplacian"), grid, (1,), [0.1, 0.4]
+            laplacian_triplet(), grid, (1,), [0.1, 0.4]
         )
         d = report.to_dict()
         assert set(d) == {"alpha", "beta", "times", "l1_norms", "K_hat",

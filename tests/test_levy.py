@@ -12,14 +12,15 @@ from levymfg.errors import QuadratureError, UnsupportedOrderError
 from levymfg.grid import Grid
 from levymfg.levy import (
     CGMY,
+    AnisotropicStable,
     FractionalLaplacian,
     LevyTriplet,
     NumericDensity,
     RieszFeller,
     order_alpha,
-    parse_operator,
     symbol_eval,
 )
+from oracles import laplacian_triplet
 
 
 def lk_quadrature_oracle(density_pos, density_neg, u, tail=np.inf):
@@ -71,21 +72,21 @@ def lk_quadrature_oracle(density_pos, density_neg, u, tail=np.inf):
 class TestCatalogSymbols:
     def test_laplacian(self):
         g = Grid((64,), (3.0,))
-        t = parse_operator("laplacian")
+        t = laplacian_triplet()
         psi = symbol_eval(t, g)
         xi = g.wavenumber(0)
         assert np.max(np.abs(psi - xi**2)) <= 1e-12 * np.max(xi**2)
 
     def test_fractional(self):
         g = Grid((64,), (3.0,))
-        t = parse_operator("frac{1.5}")
+        t = LevyTriplet(jumps=FractionalLaplacian(1.5))
         psi = symbol_eval(t, g)
         xi = g.wavenumber(0)
         assert np.max(np.abs(psi - np.abs(xi) ** 1.5)) <= 1e-12 * np.max(np.abs(xi) ** 1.5)
 
     def test_anisotropic_2d(self):
         g = Grid((16, 16), (2.0, 2.0))
-        t = parse_operator("aniso{1.4,1.8}", dims=2)
+        t = LevyTriplet(dims=2, jumps=AnisotropicStable((1.4, 1.8)))
         psi = symbol_eval(t, g)
         x1, x2 = g.wavenumber_grids()
         expect = np.abs(x1) ** 1.4 + np.abs(x2) ** 1.8
@@ -179,27 +180,32 @@ class TestSymbolInvariants:
 
     def test_origin_and_positivity(self):
         g = Grid((64,), (5.0,))
-        for name in ("laplacian", "frac{1.2}", "riesz_feller{1.7}",
-                     "cgmy{1,5,5,1.5}", "mix{laplacian+frac{1.5}}"):
-            psi = symbol_eval(parse_operator(name), g)
+        for triplet in (laplacian_triplet(),
+                        LevyTriplet(jumps=FractionalLaplacian(1.2)),
+                        LevyTriplet(jumps=RieszFeller(1.7)),
+                        LevyTriplet(jumps=CGMY(1, 5, 5, 1.5)),
+                        LevyTriplet(diffusion=np.eye(1),
+                                    jumps=FractionalLaplacian(1.5))):
+            psi = symbol_eval(triplet, g)
             assert abs(psi[0]) <= 1e-12 * max(1.0, np.max(np.abs(psi)))
             assert np.min(psi.real) >= -1e-12 * max(1.0, np.max(np.abs(psi)))
 
 
 class TestOrderAlpha:
     def test_laplacian_is_two(self):
-        assert order_alpha(parse_operator("laplacian")) == 2.0
+        assert order_alpha(laplacian_triplet()) == 2.0
 
     def test_aniso_minimum(self):
-        t = parse_operator("aniso{1.4,1.8}", dims=2)
+        t = LevyTriplet(dims=2, jumps=AnisotropicStable((1.4, 1.8)))
         assert order_alpha(t) == pytest.approx(1.4)
 
     def test_mix_with_laplacian_forces_two(self):
-        t = parse_operator("mix{laplacian+frac{1.5}}")
+        t = LevyTriplet(diffusion=np.eye(1), jumps=FractionalLaplacian(1.5))
         assert order_alpha(t) == 2.0
 
     def test_pure_jump_mix_takes_minimum(self):
-        t = parse_operator("mix{frac{1.3}+frac{1.9}}")
+        t = LevyTriplet(jumps=(FractionalLaplacian(1.3),
+                               FractionalLaplacian(1.9)))
         assert order_alpha(t) == pytest.approx(1.3)
 
     def test_numeric_density_requires_declared_order(self):
@@ -222,11 +228,11 @@ class TestTripletValidation:
             LevyTriplet(dims=1, diffusion=((-0.5,),))
 
     def test_bad_catalog_names(self):
-        for bad in ("frac", "frac{2.5}", "nonsense{1}", "aniso{1.5}",
-                    "riesz_feller{0.5}"):
-            with pytest.raises((ValueError, TypeError)):
-                parse_operator(bad, dims=2 if bad.startswith("aniso") else 1)
-
-    def test_mix_parsing_nested(self):
-        t = parse_operator("mix{cgmy{1,5,5,1.5}+frac{1.2}}")
-        assert len(t.jumps) == 2
+        with pytest.raises(ValueError):
+            FractionalLaplacian(2.5)
+        with pytest.raises(ValueError):
+            RieszFeller(0.5)
+        aniso = LevyTriplet(dims=2, jumps=AnisotropicStable((1.5,)))
+        with pytest.raises(ValueError,
+                           match="anisotropic spec dimension mismatch"):
+            symbol_eval(aniso, Grid((8, 8), (1.0, 1.0)))

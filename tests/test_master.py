@@ -21,7 +21,7 @@ from levymfg.errors import BudgetError
 from levymfg.grid import Field, Grid
 from levymfg.hjb import QuadraticHamiltonian
 from levymfg.kernels import KernelCache
-from levymfg.levy import FractionalLaplacian, LevyTriplet, parse_operator
+from levymfg.levy import CGMY, FractionalLaplacian, LevyTriplet, RieszFeller
 from levymfg.master import (_MEMO_CAP, Scenario, derivative_check, eval_U,
                             flow_consistency, master_residual, solve_scenario)
 from levymfg.measures import Measure
@@ -149,11 +149,12 @@ class TestPaperOperators:
         # measured: 4.4800e-4
         (drift_frac, 4.35e-4, 4.6e-4),
         # measured: 5.5586e-4
-        (parse_operator("riesz_feller{1.6}"), 5.4e-4, 5.7e-4),
+        (LevyTriplet(jumps=RieszFeller(1.6)), 5.4e-4, 5.7e-4),
         # measured: 3.4205e-4
-        (parse_operator("cgmy{0.7,3,6,1.5}"), 3.3e-4, 3.5e-4),
+        (LevyTriplet(jumps=CGMY(0.7, 3.0, 6.0, 1.5)), 3.3e-4, 3.5e-4),
         # measured: 4.5043e-4
-        (parse_operator("mix{laplacian+frac{1.5}}"), 4.35e-4, 4.65e-4),
+        (LevyTriplet(diffusion=np.eye(1), jumps=FractionalLaplacian(1.5)),
+         4.35e-4, 4.65e-4),
     ], ids=["drift_frac", "riesz_feller", "cgmy", "mix"])
     def test_interior_residual(self, triplet, low, high, m0):
         report = master_residual(make_scenario(
@@ -239,6 +240,19 @@ class TestValidation:
         # 8 steps of 0.03125 from t0 = 0.25 reach T itself
         with pytest.raises(ValueError, match=r"leaves \[0, T\)"):
             master_residual(scenario, 0.25, m0, SAMPLES, time_probe_steps=8)
+
+    def test_bad_time_probe_solves_nothing(self, m0):
+        fresh = make_scenario()
+        with pytest.raises(ValueError, match=r"leaves \[0, T\)"):
+            master_residual(fresh, 0.25, m0, SAMPLES, time_probe_steps=8)
+        assert len(fresh._memo) == 0
+
+    @pytest.mark.parametrize("s", [-0.1, T_END])
+    def test_bad_restart_time_solves_nothing(self, m0, s):
+        fresh = make_scenario()
+        with pytest.raises(ValueError, match=r"outside \[t0, T\)"):
+            flow_consistency(fresh, 0.0, m0, s)
+        assert len(fresh._memo) == 0
 
     @pytest.mark.parametrize("dt_cap", [0.1, 0.0])
     def test_dt_cap_outside_the_budget(self, dt_cap):

@@ -26,7 +26,7 @@ from scipy.sparse import diags, vstack
 from levymfg.errors import (GridMismatchError, NonFiniteFieldError,
                             ResolutionError)
 from levymfg.grid import Field, Grid, periodic_convolve
-from levymfg.levy import parse_operator
+from levymfg.levy import CGMY, FractionalLaplacian, LevyTriplet
 from levymfg.measures import (
     Measure,
     SUBADDITIVITY_SLACK,
@@ -34,16 +34,15 @@ from levymfg.measures import (
     _chain_sup,
     d0_distance,
     d0_interval,
-    generalized_moment,
     mollifier_field,
     mollify,
     path_metric,
     psi_profile,
     signed_dual_norm,
-    tv_distance,
     verify_psi_jump_moment,
-    w1_distance_1d,
 )
+from oracles import (generalized_moment, laplacian_triplet, tv_distance,
+                     w1_distance_1d)
 
 UNIFORM_PSI_MOMENT = 0.0695999934791408  # 0.5 * quad(psi, -1, 1), frozen
 
@@ -504,8 +503,11 @@ class TestTightness:
             + float(psi_profile(shift)) + SUBADDITIVITY_SLACK
 
     def test_big_jump_moment_finite(self):
-        assert verify_psi_jump_moment(parse_operator("laplacian")) == 0.0
-        assert verify_psi_jump_moment(parse_operator("frac{1.5}")) > 0.0
-        assert verify_psi_jump_moment(parse_operator("cgmy{1,5,5,1.5}")) > 0.0
-        mixed = verify_psi_jump_moment(parse_operator("mix{laplacian+frac{1.2}}"))
+        assert verify_psi_jump_moment(laplacian_triplet()) == 0.0
+        assert verify_psi_jump_moment(
+            LevyTriplet(jumps=FractionalLaplacian(1.5))) > 0.0
+        assert verify_psi_jump_moment(
+            LevyTriplet(jumps=CGMY(1.0, 5.0, 5.0, 1.5))) > 0.0
+        mixed = verify_psi_jump_moment(LevyTriplet(
+            diffusion=np.eye(1), jumps=FractionalLaplacian(1.2)))
         assert np.isfinite(mixed) and mixed > 0.0

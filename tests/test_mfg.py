@@ -16,7 +16,7 @@ from levymfg.errors import DivergenceError, GridMismatchError
 from levymfg.fp import solve_fp, tightness_report
 from levymfg.grid import Field, Grid
 from levymfg.hjb import (GeneralHamiltonian, QuadraticHamiltonian,
-                         SeparableHamiltonian, Trajectory, solve_hjb)
+                         Trajectory, solve_hjb)
 from levymfg.kernels import KernelCache
 from levymfg.levy import FractionalLaplacian, LevyTriplet
 from levymfg.measures import (Measure, TightnessFn, d0_distance,
@@ -24,9 +24,10 @@ from levymfg.measures import (Measure, TightnessFn, d0_distance,
 from levymfg import mfg
 from levymfg.mfg import (_ANDERSON_DEPTH, IterationPolicy, MfgProblem,
                          MfgSolution, _anderson, _project_slices,
-                         _source_trajectory, diffused_initial_path,
-                         lasry_lions_check, lipschitz_stability_probe,
-                         next_damping, optimal_drift, solve_mfg)
+                         _source_trajectory, lasry_lions_check,
+                         lipschitz_stability_probe, next_damping,
+                         optimal_drift, solve_mfg)
+from oracles import diffused_initial_path
 
 GRID = Grid(64, 2.0)
 TRIPLET = LevyTriplet(jumps=(FractionalLaplacian(1.5),))
@@ -87,13 +88,12 @@ def state_cost_hamiltonian() -> GeneralHamiltonian:
                               convexity_bound=2.0)
 
 
-def value_coupled_hamiltonian() -> SeparableHamiltonian:
+def value_coupled_hamiltonian() -> GeneralHamiltonian:
     """0.5|p|^2 + u: unit value slope, for the split-bracket variant."""
-    return SeparableHamiltonian(
-        h1=lambda x, p: 0.5 * sum(pi * pi for pi in p),
-        dp_h1=lambda x, p: tuple(pi for pi in p),
-        h2=lambda x, u: u,
-        du_h2=lambda x, u: 1.0 + 0.0 * u,
+    return GeneralHamiltonian(
+        h=lambda x, u, p: 0.5 * sum(pi * pi for pi in p) + u,
+        grad=lambda x, u, p: tuple(pi for pi in p),
+        du=lambda x, u, p: 1.0 + 0.0 * u,
         monotone_rate=1.0)
 
 
@@ -293,11 +293,10 @@ class TestSolveMfg:
         # value slope -lam with lam*dt = 2.5 makes the backward solve grow
         # by 3.5x per step from the terminal coupling's nonzero data.
         lam = 2.5 * N_STEPS / T_END
-        ham = SeparableHamiltonian(
-            h1=lambda x, p: 0.0 * p[0],
-            dp_h1=lambda x, p: tuple(0.0 * pi for pi in p),
-            h2=lambda x, u: -lam * u,
-            du_h2=lambda x, u: -lam + 0.0 * u)
+        ham = GeneralHamiltonian(
+            h=lambda x, u, p: 0.0 * p[0] - lam * u,
+            grad=lambda x, u, p: tuple(0.0 * pi for pi in p),
+            du=lambda x, u, p: -lam + 0.0 * u)
         prob = standard_problem(kernel, hamiltonian=ham)
         with pytest.raises(DivergenceError, match="outer iteration 0"):
             solve_mfg(prob)

@@ -6,6 +6,13 @@ dependency must be imported by some module of the package.  Every
 top-level import of a package or test module must be used by that module,
 and every defaulted parameter of a public function of the package must be
 passed by some call in the source, the tests or the benchmark harness.
+
+The public surface is what the solvers and the benchmark reach, plus the
+checks that turn a statement of the paper into a computation.  Every
+public module-level function of the package must be read in the
+source outside its own body, or in the benchmark harness, or be named in
+``UNCALLED_BY_DESIGN`` with its reason.  Test-only reference code lives in
+``tests/oracles.py``, not in the package.
 """
 
 import ast
@@ -181,3 +188,103 @@ def test_every_default_is_passed_somewhere(path):
                for base in (SOURCE, TESTS, BENCH) for p in base.rglob("*.py")]
     unset = unset_parameters(ast.parse(path.read_text()), callers)
     assert not unset, f"{path.name}: nothing passes {unset}"
+
+
+# Public functions that nothing in the source or the benchmark calls.  The
+# certificates each check a statement of the paper; the rest give a reason.
+UNCALLED_BY_DESIGN = (
+    "check_M1",  # Lasry-Lions monotonicity (M1) of a coupling
+    "check_M2",  # sign of the coupling's measure-derivative kernel (M2)
+    "require_smooth",  # four derivatives of the terminal coupling
+    "verify_K_assumption",  # L1 decay of D^beta K_t like t^(-|beta|/alpha)
+    "verify_psi_jump_moment",  # big jumps integrate the tightness weight
+    "probe_hamiltonian",  # gradient, convexity and monotonicity of H
+    "gradient_bound_report",  # C^3 bounds of the value along the flow
+    "weak_residual",  # the Fokker-Planck solution is a weak solution
+    "tightness_report",  # affine growth of the tightness moment
+    "duality_report",  # energy identity of the linearized system
+    "d0_interval",  # certified bracket of the bounded-Lipschitz metric
+    "lasry_lions_check",  # Lasry-Lions inequality between two equilibria
+    "lipschitz_stability_probe",  # Lipschitz dependence on the initial law
+    "derivative_check",  # J is the measure derivative of the master field
+    "flow_consistency",  # restarting on the flow reproduces it (uniqueness)
+    # the single-column J that every column of j_field_batch must equal
+    # bitwise
+    "j_field",
+    # run diagnostics, kept for the per-iteration records of the solvers
+    "mass_series",
+    "boundary_shell_mass",
+)
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """Names loaded and attributes accessed anywhere under ``node``."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+    return found
+
+
+def unreached_public(package: dict[str, ast.Module],
+                     bench: list[ast.Module], exempt: tuple[str, ...]
+                     ) -> list[str]:
+    """``module.name`` of each public top-level function nothing reaches.
+
+    A package function is reached when another top-level statement of
+    any package module reads its name (its own body does not count), or
+    when a benchmark module reads it or holds it in a dotted string such
+    as the tracer's ("coupling", "apply_dmF") entries.  Names are matched
+    alone, whatever module they come from; ``exempt`` names pass.
+    """
+    bench_names = set()
+    for tree in bench:
+        bench_names |= names_read(tree)
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                    and _DOTTED.fullmatch(sub.value):
+                bench_names.update(sub.value.split("."))
+    statements = [(module, node, names_read(node))
+                  for module, tree in package.items() for node in tree.body]
+    found = []
+    for module, node, _ in statements:
+        if not isinstance(node, ast.FunctionDef) or \
+                node.name.startswith("_") or node.name in exempt or \
+                node.name in bench_names:
+            continue
+        if not any(node.name in read for _, other, read in statements
+                   if other is not node):
+            found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_reachability_scan_flags_self_callers():
+    package = {
+        "a": ast.parse("def lonely(n):\n    return lonely(n - 1)\n"
+                       "def lasry_lions_check():\n    pass\n"
+                       "def used():\n    pass\n"
+                       "def _helper():\n    pass\n"),
+        "b": ast.parse("from . import a\n"
+                       "def traced():\n    return a.used()\n"),
+    }
+    bench = [ast.parse("ENTRY_POINTS = (('b', 'traced', None),)\n")]
+    assert unreached_public(package, bench, ()) == [
+        "a.lasry_lions_check", "a.lonely"]
+    assert unreached_public(package, bench, UNCALLED_BY_DESIGN) == [
+        "a.lonely"]
+
+
+def test_every_public_function_is_reached_or_named():
+    package = {path.stem: ast.parse(path.read_text())
+               for path in sorted(PACKAGE.glob("*.py"))}
+    bench = [ast.parse(path.read_text()) for path in BENCH.rglob("*.py")]
+    stray = unreached_public(package, bench, UNCALLED_BY_DESIGN)
+    assert not stray, f"nothing in src/ or bench/ calls {stray}"
+    # an entry whose function gained a caller or was deleted must go
+    named = sorted(name.rsplit(".", 1)[1]
+                   for name in unreached_public(package, bench, ()))
+    assert named == sorted(UNCALLED_BY_DESIGN)

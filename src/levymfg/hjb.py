@@ -11,14 +11,16 @@ forward in the reversed clock s = T - t, where the mild (Duhamel) form
 
 is discretized by exponential Euler and then corrected by whole-interval
 Picard sweeps with a trapezoidal quadrature of the integral.  The
-semigroup is diagonal in Fourier space, so the march carries the Fourier
-coefficients of the path.  The first pass is nonlinear and steps slice by
-slice, two transform calls a step: one inverse transform gives a slice's
-values, together with its gradient when the integrand reads one, and one
-forward transform gives the spectrum of its integrand.  A sweep is linear
-in the slices once its integrand is fixed, so it runs as one recurrence on
-the coefficients of the whole path, two transform calls however many
-steps.
+semigroup is diagonal in Fourier space.  The first pass is nonlinear and
+steps slice by slice.  On small grids a step is one memoized dense real
+operator applied in physical space, which maps a slice and its integrand
+to the next slice and its gradient with no transform call.  On larger
+grids the march carries the Fourier coefficients of the path, at two
+transform calls a step: one inverse transform gives a slice's values,
+together with its gradient when the integrand reads one, and one forward
+transform gives the spectrum of its integrand.  A sweep is linear in the
+slices once its integrand is fixed, so it runs as one recurrence on the
+coefficients of the whole path, two transform calls however many steps.
 
 That scheme, ``_mild_march``, is the one march of the package, run with
 the generator here and with its adjoint in the ``fp`` module.  It takes
@@ -65,6 +67,21 @@ _PROBE_TRIALS = 64
 _PROBE_BOX = 2.0
 # trapezoid Picard sweeps of solve_hjb: second order in time
 _PICARD_SWEEPS = 2
+# grids of at most this many nodes take the dense first-pass step (see
+# _mild_march).  measured per step, one core, warm memo, best of three
+# alternations; dense vs spectral, gradient-source drive / flux drive, us:
+#   1D n=16   1 row  11 vs 37 / 11 vs 37    16 rows  17 vs 40 / 15 vs 29
+#   1D n=32   1 row   9 vs 37 / 12 vs 27    32 rows  29 vs 64 / 24 vs 55
+#   1D n=64   1 row  10 vs 27 / 11 vs 32    32 rows  67 vs 85 / 62 vs 70
+#                                           64 rows 116 vs 123 / 105 vs 70
+#   1D n=128  1 row  18 vs 39 / 16 vs 40    16 rows  82 vs 75 / 71 vs 61
+#                                           32 rows 243 vs 113 / 207 vs 91
+#   2D 8x8    1 row  14 vs 49 / 20 vs 48    64 rows 155 vs 503 / 163 vs 393
+# At 1D n=64 the 64-row flux step loses, yet j_field_batch at 1D n=64 with
+# 32 steps, all 64 columns in one block, ran faster dense end to end
+# (median 0.27 vs 0.32 s over 6 alternating runs); at n=128 a 16-row batch
+# already loses on both drives.
+_DENSE_STEP_NODES = 64
 
 
 # --------------------------------------------------------------------------
@@ -311,13 +328,8 @@ class Trajectory:
     def slice_field(self, k: int) -> Field:
         if self.is_vector:
             raise ValueError("slice_field is for scalar trajectories; "
-                             "use component_field")
+                             "index values[k, i] for component i")
         return Field(self.grid, self.values[k])
-
-    def component_field(self, k: int, i: int) -> Field:
-        if not self.is_vector:
-            raise ValueError("component_field needs a vector trajectory")
-        return Field(self.grid, self.values[k, i])
 
     @property
     def initial(self) -> Field:
@@ -432,17 +444,45 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
     says with ``gradients`` whether its drive reads the partials: without
     them ``grads`` is the empty tuple and no partial is transformed.
 
-    The march carries the half spectrum of the path, on which S_dt is the
-    multiplier M.  The first pass is exponential Euler,
+    On the half spectrum S_dt is the multiplier M, and the first pass is
+    exponential Euler,
 
-        f[k+1] = M (f[k] + dt N^[k]),   N^ = s^ + sum_i (i xi_i) c^_i,
+        f[k+1] = M (f[k] + dt N^[k]),   N^ = s^ + sum_i (i xi_i) c^_i.
 
-    and a step makes two transform calls: one ``irfftn`` of the rows
-    [1, d_1, ..., d_d] times f[k] gives the values and gradient the drive
-    reads (of the values row f[k] alone without ``gradients``), and one
-    ``rfftn`` of the part of N present (two when a drive returns both)
-    gives N^[k].  Each Picard sweep then rebuilds the path under the
-    composite trapezoid,
+    The step is one fixed real linear map from the rows (w[k] + dt s,
+    dt c_1, ..., dt c_d) to w[k+1] and, with ``gradients``, its partials.
+    It takes one of two forms, chosen by the grid alone:
+
+    * Dense, on grids of at most ``_DENSE_STEP_NODES`` = 64 nodes (1D
+      n <= 64, 2D 8x8).  The map is the matrix
+      ``KernelCache.step_operator`` builds by pushing the identity through
+      M and the partial multipliers, so it is the spectral step up to
+      rounding, Nyquist rules and adjoint included.  ``_dense_first_pass``
+      applies it with one BLAS matrix-vector product per batch row and
+      output row, and makes no transform call.  Each row gets the call a
+      single-row march makes, so it equals that march bitwise; one
+      matrix-matrix product over the batch would not, as OpenBLAS sums a
+      row of a multi-row product in another order than a single row.
+      Only the spectrum of ``start`` is kept for the sweeps.
+    * Spectral otherwise: the march carries the half spectrum of the path,
+      and a step makes two transform calls.  One ``irfftn`` of the rows
+      [1, d_1, ..., d_d] times f[k] gives the values and gradient the drive
+      reads (of the values row f[k] alone without ``gradients``), and one
+      ``rfftn`` of the part of N present (two when a drive returns both)
+      gives N^[k].  It is the only form that fits large grids: at 1D
+      n = 16384 a dense step would take 2 GB.
+
+    The form does not depend on the batch, so that a column of a J batch
+    equals its single-column solve and each linearized leg equals the
+    nonlinear march it mirrors, bitwise.  A dense step costs O(N^2) per
+    row, a spectral one O(N log N) per row plus a call overhead of about
+    10 us per step that the whole batch shares.  The node bound is thus
+    the largest measured grid on which the widest batch the package
+    marches, a J batch of one row per node, still runs no slower end to
+    end with the dense step (measurements at the constant).
+
+    Each Picard sweep then rebuilds the path under the composite
+    trapezoid,
 
         w[k+1] = S_dt (w[k] + dt/2 N[k]) + dt/2 N[k+1],
 
@@ -452,14 +492,14 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
     one ``irfftn`` of the new stack, of the rows when a later sweep reads
     its gradient, of the values row otherwise.  Slice 0 is then reset to
     ``start`` and its spectrum exactly.  A sweep thus makes two transform
-    calls, whatever ``n_steps``.  With N = 0 the first pass is the
-    semigroup itself, exact in time, and no sweep runs.  ``check(values,
-    first)`` vets a run of new slices, time axis first, the first of which
-    is march index ``first``: the first pass vets each slice as it is
-    made, so ``drive`` never sees a slice that failed, and each sweep vets
-    its whole stack in one call.  Returns the values in marching order,
-    time axis first; raises BudgetError when dt exceeds the 0.5*dx^alpha
-    budget.
+    calls, whatever ``n_steps`` and on either form.  With N = 0 the first
+    pass is the semigroup itself, exact in time, and no sweep runs.
+    ``check(values, first)`` vets a run of new slices, time axis first,
+    the first of which is march index ``first``: the first pass vets each
+    slice as it is made, so ``drive`` never sees a slice that failed, and
+    each sweep vets its whole stack in one call.  Returns the values in
+    marching order, time axis first; raises BudgetError when dt exceeds
+    the 0.5*dx^alpha budget.
     """
     dt = (T - t0) / n_steps
     _check_step(kernel, dt, T - t0)
@@ -488,29 +528,35 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
             out = part if out is None else out + part
         return out
 
-    spec = np.empty((n_steps + 1,) + start.shape[:-d] + mult.shape,
-                    dtype=complex)
-    spec[0] = np.fft.rfftn(start, s=grid.shape, axes=axes)
-    w = np.empty((n_steps + 1,) + start.shape)
-    grads = np.empty((d if gradients else 0,) + w.shape)
+    spec0 = np.fft.rfftn(start, s=grid.shape, axes=axes)
+    # row 0 holds the values, rows 1..d the partials when the drive reads them
+    stack = np.empty((1 + d if gradients else 1, n_steps + 1) + start.shape)
+    w, grads = stack[0], stack[1:]
     w[0] = start
     if gradients:
-        grads[:, 0] = np.fft.irfftn(rows[1:] * spec[0], s=grid.shape,
-                                    axes=axes)
-    for k in range(n_steps):
-        n_hat = integrand(*drive(w[k], tuple(grads[:, k]), k))
-        if n_hat is None:
-            np.multiply(mult, spec[k], out=spec[k + 1])
-        else:
-            n_hat *= dt
-            n_hat += spec[k]
-            np.multiply(mult, n_hat, out=spec[k + 1])
-        if gradients:
-            phys = np.fft.irfftn(rows * spec[k + 1], s=grid.shape, axes=axes)
-            w[k + 1], grads[:, k + 1] = phys[0], phys[1:]
-        else:
-            w[k + 1] = np.fft.irfftn(spec[k + 1], s=grid.shape, axes=axes)
-        check(w[k + 1:k + 2], k + 1)
+        grads[:, 0] = np.fft.irfftn(rows[1:] * spec0, s=grid.shape, axes=axes)
+    if grid.node_count <= _DENSE_STEP_NODES:
+        _dense_first_pass(kernel, stack, dt, drive, check, adjoint,
+                          gradients)
+    else:
+        spec = np.empty((n_steps + 1,) + spec0.shape, dtype=complex)
+        spec[0] = spec0
+        for k in range(n_steps):
+            n_hat = integrand(*drive(w[k], tuple(grads[:, k]), k))
+            if n_hat is None:
+                np.multiply(mult, spec[k], out=spec[k + 1])
+            else:
+                n_hat *= dt
+                n_hat += spec[k]
+                np.multiply(mult, n_hat, out=spec[k + 1])
+            if gradients:
+                stack[:, k + 1] = np.fft.irfftn(rows * spec[k + 1],
+                                                s=grid.shape, axes=axes)
+            else:
+                w[k + 1] = np.fft.irfftn(spec[k + 1], s=grid.shape,
+                                         axes=axes)
+            check(w[k + 1:k + 2], k + 1)
+        spec = None
 
     grads = tuple(grads)
     for sweep in range(picard_sweeps):
@@ -518,24 +564,62 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
         if n_hat is None:
             break
         n_hat *= 0.5 * dt
-        n_hat[0] += spec[0]
+        n_hat[0] += spec0
         carry = n_hat[0]  # f[0] + n[0]
         for k in range(1, n_steps + 1):
             step = mult * carry
             step += n_hat[k]
             carry = step + n_hat[k]
             n_hat[k] = step
-        n_hat[0] = spec[0]
-        spec, w, grads = n_hat, None, None  # free the old stack first
+        n_hat[0] = spec0
+        stack = w = grads = None  # free the old stack first
         if gradients and sweep + 1 < picard_sweeps:
-            phys = np.fft.irfftn(rows[:, None] * spec, s=grid.shape,
-                                 axes=axes)
-            w, grads = phys[0], tuple(phys[1:])
+            stack = np.fft.irfftn(rows[:, None] * n_hat, s=grid.shape,
+                                  axes=axes)
+            w, grads = stack[0], tuple(stack[1:])
         else:
-            w, grads = np.fft.irfftn(spec, s=grid.shape, axes=axes), ()
+            w, grads = np.fft.irfftn(n_hat, s=grid.shape, axes=axes), ()
+        n_hat = None
         w[0] = start
         check(w[1:], 1)
     return w
+
+
+def _dense_first_pass(kernel: KernelCache, stack: np.ndarray, dt: float,
+                      drive: Callable, check: Callable, adjoint: bool,
+                      gradients: bool) -> None:
+    """The first pass of ``_mild_march`` on the dense step.
+
+    ``stack`` holds the values row, then the partials with ``gradients``,
+    each with the time axis first and the batch axes after it; slice 0 is
+    set and this fills the rest.  A step applies the memoized
+    ``KernelCache.step_operator`` to the rows (w + dt s, dt c_1, ...,
+    dt c_d), or its source block to w + dt s alone when the drive returns
+    no flux, with one BLAS matrix-vector product per batch row and output
+    row.
+    """
+    grid = kernel.grid
+    size = grid.node_count
+    op = kernel.step_operator(dt, adjoint, gradients)
+    source_block = op[:, None, :, :size]
+    op = op[:, None]
+    batch = stack[0, 0].size // size
+    # out[o, k, b, :, None] is output row o of batch row b at slice k
+    out = stack.reshape(stack.shape[:2] + (batch, size, 1))
+    inputs = np.empty((batch, 1 + grid.dims, size))
+    w, grads = stack[0], stack[1:]
+    for k in range(stack.shape[1] - 1):
+        source, flux = drive(w[k], tuple(grads[:, k]), k)
+        head = w[k] if source is None else w[k] + dt * source
+        if flux is None:
+            np.matmul(source_block, head.reshape(batch, size, 1),
+                      out=out[:, k + 1])
+        else:
+            inputs[:, 0] = head.reshape(batch, size)
+            np.multiply(flux.reshape(batch, grid.dims, size), dt,
+                        out=inputs[:, 1:])
+            np.matmul(op, inputs.reshape(batch, -1, 1), out=out[:, k + 1])
+        check(w[k + 1:k + 2], k + 1)
 
 
 def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,

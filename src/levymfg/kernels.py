@@ -25,17 +25,28 @@ import numpy as np
 
 from .errors import (NonFiniteFieldError, ResolutionError,
                      SpectralResidueError)
-from .grid import Field, Grid, _nyquist_shell_max, spectral_derivative
+from .grid import (Field, Grid, _gradient_multipliers, _nyquist_shell_max,
+                   spectral_derivative)
 from .levy import LevyTriplet, UnsupportedOrderError, order_alpha, symbol_eval
 
 _NYQUIST_TOL = 1e-12
 _MASS_TOL = 1e-10
 _RINGING_TOL = 1e-9
 _MEMO_LIMIT = 64
+# dense step operators are up to 288 KB each (see hjb._DENSE_STEP_NODES)
+_STEP_MEMO_LIMIT = 8
 
 
 class KernelCache:
-    """Cached half-spectrum multipliers of e^{tL} for one generator on one grid."""
+    """Cached half-spectrum multipliers of e^{tL} for one generator on one grid.
+
+    ``multiplier`` memoizes up to 64 multipliers, keyed by (t, adjoint).
+    ``step_operator`` memoizes, apart from them, up to 8 dense step
+    operators of the mild march, keyed by (t, adjoint, gradients): the
+    march only builds them on grids of at most 64 nodes, where one holds
+    at most 36,864 entries (288 KB, 2D 8x8 with gradients), so the memo
+    holds at most 2.3 MB.  Both memos drop their oldest entry when full.
+    """
 
     def __init__(self, triplet: LevyTriplet, grid: Grid):
         if triplet.dims != grid.dims:
@@ -57,6 +68,7 @@ class KernelCache:
         symbol[skew] = 0.5 * (symbol[skew] + mirror[skew])
         self.symbol = symbol
         self._memo: dict[tuple[float, bool], np.ndarray] = {}
+        self._steps: dict[tuple[float, bool, bool], np.ndarray] = {}
 
     def multiplier(self, t: float, adjoint: bool = False) -> np.ndarray:
         """Half-spectrum multiplier of e^{tL} (or its adjoint) at time t >= 0."""
@@ -74,6 +86,45 @@ class KernelCache:
             self._memo.pop(next(iter(self._memo)))
         self._memo[key] = mult
         return mult
+
+    def step_operator(self, t: float, adjoint: bool, gradients: bool
+                      ) -> np.ndarray:
+        """One exponential Euler step of length t as a dense real operator.
+
+        The step maps the 1 + d input rows (w + t s, t c_1, ..., t c_d),
+        each a flattened grid slice, to S_t (w + t (s + div c)) and, with
+        ``gradients``, its d first partials: the multiplier of e^{tL} (or
+        its adjoint) and the partial multipliers of
+        ``grid._gradient_multipliers`` pushed through the identity, so the
+        Nyquist rules and the adjoint are those of the spectral step.  The
+        array has shape (rows out, N, (1 + d) N) for N grid nodes, the
+        input rows concatenated along the last axis; a read-only array is
+        memoized per (t, adjoint, gradients).
+        """
+        key = (float(t), bool(adjoint), bool(gradients))
+        hit = self._steps.get(key)
+        if hit is not None:
+            return hit
+        grid = self.grid
+        size = grid.node_count
+        axes = tuple(range(-grid.dims, 0))
+        step = self.multiplier(t, adjoint)
+        mults = _gradient_multipliers(grid)
+        ins = np.stack((step,) + tuple(step * m for m in mults))
+        outs = np.stack((np.ones(step.shape),) + (mults if gradients else ()))
+        basis = np.fft.rfftn(np.eye(size).reshape((size,) + grid.shape),
+                             axes=axes)
+        # resp[o, i, m]: output row o of the unit vector m of input row i
+        resp = np.fft.irfftn(outs[:, None, None] * ins[:, None] * basis,
+                             s=grid.shape, axes=axes)
+        op = np.ascontiguousarray(
+            resp.reshape(len(outs), len(ins), size, size).transpose(0, 3, 1, 2)
+        ).reshape(len(outs), size, len(ins) * size)
+        op.setflags(write=False)
+        if len(self._steps) >= _STEP_MEMO_LIMIT:
+            self._steps.pop(next(iter(self._steps)))
+        self._steps[key] = op
+        return op
 
     def apply_array(self, t: float, values: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """Smooth raw values (grid axes last; leading axes broadcast)."""

@@ -733,10 +733,6 @@ class JKernel:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def field_at(self, y) -> Field:
-        """The x-slice at the node nearest y."""
-        return Field(self.grid, self.values[self.grid.nearest_index(y)])
-
 
 def _j_rows(solution: MfgSolution, couplings, y_grid: Grid,
             **solve_options) -> np.ndarray:

@@ -28,6 +28,7 @@ from levymfg.hjb import (
     solve_hjb,
     step_budget,
 )
+from levymfg import hjb, kernels
 from levymfg.kernels import KernelCache
 from levymfg.levy import FractionalLaplacian, LevyTriplet
 from oracles import (drift_hamiltonian, laplacian_triplet, semigroup_apply,
@@ -173,8 +174,7 @@ class TestTrajectory:
         tr = Trajectory.zero(g2, 0.0, 1.0, 4, vector=True)
         assert tr.is_vector
         assert tr.values.shape == (5, 2, 16, 16)
-        assert tr.component_field(2, 1).values.shape == (16, 16)
-        with pytest.raises(ValueError, match="component_field"):
+        with pytest.raises(ValueError, match="index values\\[k, i\\]"):
             tr.slice_field(0)
 
     def test_nonfinite_rejected(self):
@@ -552,6 +552,11 @@ class TestSpectralSweep:
         assert relative_gap(got, want) <= 2e-15
 
 
+# a horizon that 8 steps cover within the budget 0.5 * dx^1.5 of a
+# skewed_triplet on Grid(256, 2.0), a grid the first pass steps spectrally
+SPECTRAL_T = 0.0075
+
+
 def march_transform_calls(transform_calls, march):
     """Transform calls and inverted rows of ``march(n_steps, sweeps)``.
 
@@ -572,13 +577,13 @@ def test_sweep_transform_calls_do_not_grow_with_steps(transform_calls):
     # gives the slice and its gradient (1 + d rows), one rfftn gives the
     # spectrum of f - H.  Each sweep makes 2 calls whatever the step
     # count: one rfftn of the whole stack's integrand and one irfftn of
-    # the new stack.
-    grid = Grid(32, 2.0)
+    # the new stack.  At n = 256 the first pass steps spectrally.
+    grid = Grid(256, 2.0)
     cache = KernelCache(skewed_triplet(1), grid)
     g = np.exp(-4.0 * grid.axis(0) ** 2)
     drive = _value_drive(grid, QuadraticHamiltonian(), None)
     counts, rows = march_transform_calls(transform_calls, lambda n, sweeps: (
-        _march_backward(cache, g, 0.0, 0.125, n, sweeps, drive)))
+        _march_backward(cache, g, 0.0, SPECTRAL_T, n, sweeps, drive)))
     assert rows[16, 0] - rows[8, 0] == 8 * (1 + grid.dims)
     assert counts[16, 2] - counts[8, 2] == 8 * 2
     assert counts[8, 2] - counts[8, 0] == 2 * 2
@@ -589,7 +594,7 @@ def test_forward_transform_calls_do_not_grow_with_steps(transform_calls):
     # With a drift and a flux the forward drive still only forms the
     # vector b rho + c: its divergence costs no transform of its own, and
     # as it reads no gradient a first-pass step inverts the values only.
-    grid = Grid(32, 2.0)
+    grid = Grid(256, 2.0)
     cache = KernelCache(skewed_triplet(1), grid)
     x = grid.axis(0)
     rho0 = np.exp(-4.0 * x ** 2)
@@ -600,7 +605,7 @@ def test_forward_transform_calls_do_not_grow_with_steps(transform_calls):
                                 (n_steps + 1, 1) + grid.shape)
         flux = np.broadcast_to(0.2 * np.exp(-4.0 * x ** 2),
                                (n_steps + 1, 1) + grid.shape)
-        _forward_values(cache, drift, flux, rho0, 0.0, 0.125, n_steps,
+        _forward_values(cache, drift, flux, rho0, 0.0, SPECTRAL_T, n_steps,
                         sweeps)
 
     counts, rows = march_transform_calls(transform_calls, march)
@@ -612,7 +617,7 @@ def test_forward_transform_calls_do_not_grow_with_steps(transform_calls):
 
 def test_transform_calls_do_not_grow_with_columns(transform_calls):
     # Columns ride along the batch axes of every transform call.
-    grid = Grid(32, 2.0)
+    grid = Grid(256, 2.0)
     cache = KernelCache(skewed_triplet(1), grid)
     x = grid.axis(0)
     n_steps = 8
@@ -626,11 +631,114 @@ def test_transform_calls_do_not_grow_with_columns(transform_calls):
         flux = np.broadcast_to(0.2 * rho0[:, None],
                                (n_steps + 1, columns, 1) + grid.shape)
         transform_calls["n"] = 0
-        _forward_values(cache, drift, flux, rho0, 0.0, 0.125, n_steps, 2)
-        _march_backward(cache, rho0, 0.0, 0.125, n_steps, 2, _value_drive(
-            grid, QuadraticHamiltonian(), None))
+        _forward_values(cache, drift, flux, rho0, 0.0, SPECTRAL_T, n_steps,
+                        2)
+        _march_backward(cache, rho0, 0.0, SPECTRAL_T, n_steps, 2,
+                        _value_drive(grid, QuadraticHamiltonian(), None))
         counts.append(transform_calls["n"])
     assert counts[0] == counts[1]
+
+
+def test_dense_step_makes_no_transform_call(transform_calls):
+    # At n = 32 the first pass steps with the memoized dense operator: once
+    # it is built, a step makes no transform call, and a sweep still makes
+    # 2.  A march with a memoized (dt, adjoint, gradients) key reuses its
+    # operator, and the memo holds at most its cap.
+    grid = Grid(32, 2.0)
+    cache = KernelCache(skewed_triplet(1), grid)
+    g = np.exp(-4.0 * grid.axis(0) ** 2)
+    drive = _value_drive(grid, QuadraticHamiltonian(), None)
+
+    def march(n_steps, sweeps):
+        _march_backward(cache, g, 0.0, 0.125, n_steps, sweeps, drive)
+
+    for n_steps in (8, 16):
+        march(n_steps, 0)
+    built = dict(cache._steps)
+    assert len(built) == 2
+    counts, rows = march_transform_calls(transform_calls, march)
+    assert all(cache._steps[key] is op for key, op in built.items())
+    assert counts[16, 0] == counts[8, 0]
+    assert rows[16, 0] == rows[8, 0]
+    assert counts[8, 2] - counts[8, 0] == 2 * 2
+    assert counts[16, 2] - counts[16, 0] == 2 * 2
+    for n_steps in range(17, 17 + kernels._STEP_MEMO_LIMIT):
+        march(n_steps, 0)
+        assert len(cache._steps) <= kernels._STEP_MEMO_LIMIT
+    assert len(cache._steps) == kernels._STEP_MEMO_LIMIT
+
+
+def dense_case_march(monkeypatch, dense, kernel, form, adjoint, start):
+    """``_mild_march`` with its first pass forced dense or spectral.
+
+    ``form`` picks the drive: "source" reads the gradient and returns a
+    source only (the HJB form), "flux" reads the values and returns a flux
+    only (the FP form), "both" reads the gradient and returns both.
+    """
+    monkeypatch.setattr(hjb, "_DENSE_STEP_NODES",
+                        1 << 62 if dense else 0)
+    grid = kernel.grid
+    mesh = grid.meshgrid()
+    d = grid.dims
+    bump = np.cos(np.pi * mesh[0] / 2.0)
+    wind = np.stack([0.5 * np.sin(np.pi * x / 2.0) for x in mesh])
+
+    def drive(values, grads, k):
+        source = flux = None
+        if form != "flux":
+            source = 0.5 * bump - sum(gi * gi for gi in grads)
+        if form != "source":
+            flux = wind * np.expand_dims(values, -1 - d)
+        return source, flux
+
+    n_steps = 8
+    T = n_steps * step_budget(1.5, grid)
+    return _mild_march(kernel, start, 0.0, T, n_steps, 2, drive,
+                       lambda values, first: None, adjoint,
+                       gradients=form != "flux")
+
+
+def dense_case_start(grid, rows):
+    mesh = grid.meshgrid()
+    return np.stack([np.exp(np.cos(np.pi * (mesh[0] - 0.3 * r) / 2.0))
+                     * (1.0 + 0.1 * r) for r in range(rows)])
+
+
+DENSE_GRIDS = [Grid(64, 2.0), Grid(8, 2.0, dims=2)]
+
+
+@pytest.mark.parametrize("grid", DENSE_GRIDS, ids=["1d64", "2d8x8"])
+@pytest.mark.parametrize("form", ["source", "flux", "both"])
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("generator", ["frac", "skewed"])
+def test_dense_and_spectral_steps_agree(monkeypatch, grid, form, adjoint,
+                                        generator):
+    kernel = KernelCache(
+        skewed_triplet(grid.dims) if generator == "skewed" else
+        LevyTriplet(dims=grid.dims, jumps=FractionalLaplacian(1.5)), grid)
+    start = dense_case_start(grid, 5)
+    got = dense_case_march(monkeypatch, True, kernel, form, adjoint, start)
+    want = dense_case_march(monkeypatch, False, kernel, form, adjoint, start)
+    assert got.shape == want.shape == (9, 5) + grid.shape
+    # measured: at most 3.5e-16 relative over the 24 cases (1D skewed,
+    # both terms, adjoint); the two sweeps move the path by 5e-4 to 0.16
+    # relative, so a wrong step operator cannot hide under this bound
+    assert relative_gap(got, want) <= 2e-15
+
+
+@pytest.mark.parametrize("grid", DENSE_GRIDS, ids=["1d64", "2d8x8"])
+@pytest.mark.parametrize("form", ["source", "flux"])
+def test_dense_rows_match_single_row_marches(monkeypatch, grid, form):
+    # The dense step makes one matrix-vector product per row, the call a
+    # single-row march makes, so a batched march equals its single-row
+    # marches bitwise; one matrix-matrix product over the batch need not.
+    start = dense_case_start(grid, 5)
+    kernel = KernelCache(skewed_triplet(grid.dims), grid)
+    batch = dense_case_march(monkeypatch, True, kernel, form, True, start)
+    for r in range(5):
+        single = dense_case_march(monkeypatch, True, kernel, form, True,
+                                  start[r])
+        assert np.array_equal(batch[:, r], single)
 
 
 def test_check_vets_each_step_then_each_sweep_stack():

@@ -495,10 +495,11 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
     calls, whatever ``n_steps`` and on either form.  With N = 0 the first
     pass is the semigroup itself, exact in time, and no sweep runs.
     ``check(values, first)`` vets a run of new slices, time axis first,
-    the first of which is march index ``first``: the first pass vets each
-    slice as it is made, so ``drive`` never sees a slice that failed, and
-    each sweep vets its whole stack in one call.  Returns the values in
-    marching order, time axis first; raises BudgetError when dt exceeds
+    the first of which is march index ``first``: the first pass and each
+    sweep hand over their finished stack in one call, so a first-pass
+    ``drive`` may see a slice that failed, but no sweep and no caller
+    does, and the check names the first failing slice.  Returns the values
+    in marching order, time axis first; raises BudgetError when dt exceeds
     the 0.5*dx^alpha budget.
     """
     dt = (T - t0) / n_steps
@@ -536,8 +537,7 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
     if gradients:
         grads[:, 0] = np.fft.irfftn(rows[1:] * spec0, s=grid.shape, axes=axes)
     if grid.node_count <= _DENSE_STEP_NODES:
-        _dense_first_pass(kernel, stack, dt, drive, check, adjoint,
-                          gradients)
+        _dense_first_pass(kernel, stack, dt, drive, adjoint, gradients)
     else:
         spec = np.empty((n_steps + 1,) + spec0.shape, dtype=complex)
         spec[0] = spec0
@@ -555,8 +555,8 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
             else:
                 w[k + 1] = np.fft.irfftn(spec[k + 1], s=grid.shape,
                                          axes=axes)
-            check(w[k + 1:k + 2], k + 1)
         spec = None
+    check(w[1:], 1)
 
     grads = tuple(grads)
     for sweep in range(picard_sweeps):
@@ -586,8 +586,8 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
 
 
 def _dense_first_pass(kernel: KernelCache, stack: np.ndarray, dt: float,
-                      drive: Callable, check: Callable, adjoint: bool,
-                      gradients: bool) -> None:
+                      drive: Callable, adjoint: bool, gradients: bool
+                      ) -> None:
     """The first pass of ``_mild_march`` on the dense step.
 
     ``stack`` holds the values row, then the partials with ``gradients``,
@@ -619,7 +619,6 @@ def _dense_first_pass(kernel: KernelCache, stack: np.ndarray, dt: float,
             np.multiply(flux.reshape(batch, grid.dims, size), dt,
                         out=inputs[:, 1:])
             np.matmul(op, inputs.reshape(batch, -1, 1), out=out[:, k + 1])
-        check(w[k + 1:k + 2], k + 1)
 
 
 def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,

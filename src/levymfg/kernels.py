@@ -130,9 +130,15 @@ class KernelCache:
         """Smooth raw values (grid axes last; leading axes broadcast)."""
         return self._apply(self.multiplier(t, adjoint), values)
 
-    def apply_generator(self, values: np.ndarray) -> np.ndarray:
-        """L applied through its symbol (grid axes last; leading axes broadcast)."""
-        return self._apply(-self.symbol, values)
+    def apply_generator(self, values: np.ndarray, adjoint: bool = False
+                        ) -> np.ndarray:
+        """L (or its adjoint, through the conjugate symbol) applied to values.
+
+        Grid axes last; leading axes broadcast.  The adjoint is the
+        transpose under the plain node sum, as for ``multiplier``.
+        """
+        return self._apply(-(np.conj(self.symbol) if adjoint else self.symbol),
+                           values)
 
     def _apply(self, mult: np.ndarray, values: np.ndarray) -> np.ndarray:
         """irfftn(rfftn(values) * mult) over the trailing grid axes."""

@@ -65,7 +65,7 @@ _SYMMETRY_TOL = 1e-12
 _ELLIPTICITY_TOL = 1e-9
 _DENSITY_NEG_TOL = 1e-12
 _DENSITY_MASS_TOL = 1e-9
-_BATCH_NODE_CAP = 128  # y nodes per axis of a full J batch (master reads it)
+_BATCH_NODE_CAP = 128  # y nodes per axis of a full J batch
 # values in one (slice, column, node) array of a J block: 2 MiB of float64;
 # the legs peak at about 24 such arrays (measured on a full 2D block), and
 # the Anderson histories hold 2 * mfg._ANDERSON_DEPTH more
@@ -686,27 +686,39 @@ def _solve_rows(system: LinSystem, ys: list, damping: float = 0.5,
                 max_iters: int = 40, tol: float = 1e-9) -> np.ndarray:
     """J rows at the points ``ys`` in one alternation, shape (len(ys), *grid).
 
-    Each row's initial data is the mollified delta at its y.  A failure is
-    tagged with its y: a stalled column by its own gap history, and a leg
-    that fails for a batch is re-solved one column at a time in ``ys``
-    order, so the error raised is the one a sequential loop would meet
-    first.
+    Each row's initial data is the mollified delta at its y, and a failure
+    is tagged with that y (see ``_solve_columns``).
     """
-    grid = system.grid
-    rho0 = np.stack([mollified_delta(grid, y).values for y in ys])
+    rho0 = np.stack([mollified_delta(system.grid, y).values for y in ys])
+    return _solve_columns(system, rho0,
+                          [f"derivative solve at y={y}" for y in ys],
+                          damping, max_iters, tol)
+
+
+def _solve_columns(system: LinSystem, rho0: np.ndarray, labels: list,
+                   damping: float = 0.5, max_iters: int = 40,
+                   tol: float = 1e-9) -> np.ndarray:
+    """z(t0) of one alternation over the rows of ``rho0``, same shape.
+
+    A failure is tagged with its column's label: a stalled column by its
+    own gap history, and a leg that fails for a batch is re-solved one
+    column at a time in row order, so the error raised is the one a
+    sequential loop would meet first.
+    """
     try:
         run = _alternate(system, rho0, damping, max_iters, tol)
     except (DivergenceError, InstabilityError) as exc:
-        if len(ys) > 1:
+        if len(rho0) > 1:
             return np.concatenate([
-                _solve_rows(system, [y], damping, max_iters, tol)
-                for y in ys])
-        raise type(exc)(f"derivative solve at y={ys[0]}: {exc}") from exc
-    for y, ok, gaps in zip(ys, run.converged, run.gaps):
+                _solve_columns(system, rho0[i:i + 1], labels[i:i + 1],
+                               damping, max_iters, tol)
+                for i in range(len(rho0))])
+        raise type(exc)(f"{labels[0]}: {exc}") from exc
+    for label, ok, gaps in zip(labels, run.converged, run.gaps):
         if not ok:
             raise InstabilityError(
-                f"derivative solve at y={y}: alternation stalled at gap "
-                f"{gaps[-1]:.3e} after {len(gaps)} iterations")
+                f"{label}: alternation stalled at gap {gaps[-1]:.3e} "
+                f"after {len(gaps)} iterations")
     return run.z[0]
 
 

@@ -8,20 +8,21 @@ them share (generator, costs, horizon, step policy) and a memo keeps the
 solves reusable across checks.
 
 Four certificates are offered: the difference-quotient check that the
-tabulated derivative kernel is the actual measure derivative (superlinear
-defect decay), the residual of the full evolution equation in ``(t, x, m)``
+linearized solve is the actual measure derivative (superlinear defect
+decay), the residual of the full evolution equation in ``(t, x, m)``
 assembled from fresh solves and the derivative kernel, the flow-consistency
 (restart) gap behind uniqueness, and a terminal identity.  The equation
 residual combines five pieces: a centered time quotient, the generator and
 the Hamiltonian acting in the state variable, and two measure integrals of
 the derivative kernel — its generator in the probe variable and its probe
-gradient against the equilibrium drift.
+gradient against the equilibrium drift.  Neither certificate tabulates the
+kernel: by superposition, a pairing of the kernel with a fixed zero-mass
+direction is one linear solve with that direction as initial data.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field, replace
 
@@ -33,8 +34,8 @@ from .errors import (DivergenceError, GridMismatchError, InstabilityError,
 from .grid import Field, Grid, _batch_gradient
 from .hjb import _check_step
 from .kernels import KernelCache
-from .linearized import _BATCH_NODE_CAP, _j_rows, j_field_batch, \
-    linearize, solve_linear_system
+from .linearized import _solve_columns, linearize, mollified_delta, \
+    solve_linear_system
 from .measures import Measure, path_metric
 from .mfg import IterationPolicy, MfgProblem, MfgSolution, optimal_drift, \
     solve_mfg
@@ -235,32 +236,48 @@ def derivative_check(scenario: Scenario, t0: float, m0: Measure,
 # residual of the full evolution equation
 
 
-def _aligned_stride(n: int, cap: int) -> int:
-    stride = int(math.ceil(n / cap))
-    while n % stride:
-        stride += 1
-    return stride
+def _measure_terms(scenario: Scenario, base: MfgSolution, m0: Measure
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The two measure integrals of the residual, from one linear solve.
 
-
-def _tabulate_j(scenario: Scenario, solution: MfgSolution
-                ) -> tuple[np.ndarray, Grid, int]:
-    """Derivative-kernel values (y axes first), their y-lattice, stride.
-
-    Beyond ``linearized._BATCH_NODE_CAP`` nodes per axis the full y-batch
-    is unaffordable; the fallback keeps every stride-th node, which is
-    itself a periodic grid of the same box, and warns.  The x axes always
-    stay at full resolution.
+    With w = m0 * cell_volume, b the drift at t0, D the central
+    difference and L^T the adjoint generator, the terms are
+    <w, L_y J(x, .)> = <L^T w, J(x, .)> and <b w, D_y J(x, .)> =
+    -<D(b w), J(x, .)>.  J(x, y) is z(t0, x) of the linear system whose
+    initial data is the mollified delta at y, so by superposition each
+    pairing is z(t0) for the initial data sum_y c(y) mollified_delta(y):
+    c = L^T w and c = D(b w) run as the two columns of one alternation,
+    with the settings of a J batch, and J is never tabulated.  Both
+    directions carry no mass, so J's additive normalization cancels,
+    provided the generator annihilates constants (asserted here).
     """
-    grid = scenario.grid
-    if all(ni <= _BATCH_NODE_CAP for ni in grid.n):
-        return j_field_batch(solution).values, grid, 1
-    stride = max(_aligned_stride(ni, _BATCH_NODE_CAP) for ni in grid.n)
-    coarse = Grid(tuple(ni // stride for ni in grid.n), grid.half_width)
-    warnings.warn(
-        f"y-batch over {grid.n} nodes exceeds the {_BATCH_NODE_CAP}-per-axis "
-        f"budget; tabulating on every {stride}-th node instead",
-        RuntimeWarning)
-    return _j_rows(solution, None, coarse), coarse, stride
+    grid, kernel = scenario.grid, scenario.kernel
+    killed = float(np.max(np.abs(kernel.apply_generator(
+        np.ones(grid.shape)))))
+    if killed > _CONSTANT_KILL_TOL:
+        raise SpectralResidueError(
+            f"probe-variable generator moves constants by {killed:.3e}; "
+            "the kernel's additive normalization would leak into the "
+            "residual")
+    weights = m0.values * grid.cell_volume
+    drift0 = optimal_drift(scenario.hamiltonian, base.u).values[0]
+    outflow = np.zeros(grid.shape)
+    for ax in range(grid.dims):
+        flow = weights * drift0[ax]
+        outflow += (np.roll(flow, -1, axis=ax)
+                    - np.roll(flow, 1, axis=ax)) / (2.0 * grid.dx[ax])
+    directions = np.stack(
+        (kernel.apply_generator(weights, adjoint=True), outflow))
+    # mollified_delta(y) is this corner profile rolled by the index of y
+    corner = mollified_delta(grid, [-h for h in grid.half_width]).values
+    rho0 = np.zeros_like(directions)
+    axes = tuple(range(1, 1 + grid.dims))
+    for shift in zip(*np.nonzero(corner)):
+        rho0 += corner[shift] * np.roll(directions, shift, axis=axes)
+    paired = _solve_columns(linearize(base, Field(grid, rho0[0])), rho0,
+                            ["nonlocal direction solve",
+                             "transport direction solve"])
+    return paired[0], -paired[1]
 
 
 @dataclass(frozen=True)
@@ -271,8 +288,9 @@ class MasterResidualReport:
     "terminal-identity" at t0 = T, where the equation degenerates to the
     boundary condition and the residual is the field minus the terminal
     cost.  ``term_sups`` records the sup of each assembled piece so a
-    large residual can be traced; ``y_stride`` > 1 flags the coarse-batch
-    fallback.
+    large residual can be traced.  ``y_stride`` is always 1, as the
+    measure terms need no y-lattice; the benchmark's master check reads
+    it.
     """
 
     mode: str
@@ -297,8 +315,8 @@ class MasterResidualReport:
 
 
 def _residual_report(mode: str, grid: Grid, residual: np.ndarray,
-                     sample_points, delta_t: float, y_stride: int,
-                     term_sups: dict) -> MasterResidualReport:
+                     sample_points, delta_t: float, term_sups: dict
+                     ) -> MasterResidualReport:
     samples = []
     for point in sample_points:
         pt = tuple(float(c) for c in np.atleast_1d(
@@ -308,7 +326,7 @@ def _residual_report(mode: str, grid: Grid, residual: np.ndarray,
         mode=mode, residual=Field(grid, residual), samples=tuple(samples),
         sup_sampled=max((abs(v) for _, v in samples), default=0.0),
         sup_grid=float(np.max(np.abs(residual))), delta_t=delta_t,
-        y_stride=y_stride, term_sups=term_sups)
+        y_stride=1, term_sups=term_sups)
 
 
 def master_residual(scenario: Scenario, t0: float, m0: Measure,
@@ -318,12 +336,12 @@ def master_residual(scenario: Scenario, t0: float, m0: Measure,
 
     The time slope is a centered quotient over t0 +- time_probe_steps*dt
     via fresh solves with the same m0 (the equation must hold off the flow,
-    so interior slices of one solve would prove too little).  The measure
-    integrals pair the tabulated derivative kernel — its probe-variable
-    generator image and its probe gradient against the equilibrium drift —
-    with m0 under the grid quadrature.  The kernel's additive normalization
-    is killed by the generator; that the discrete generator annihilates
-    constants is asserted before use.
+    so interior slices of one solve would prove too little).  The two
+    measure integrals pair the derivative kernel's probe-variable
+    generator image and its probe gradient against the equilibrium drift
+    with m0 under the grid quadrature; ``_measure_terms`` moves both
+    operators onto m0 and gets the pairings from one two-column linear
+    solve, without tabulating the kernel.
     """
     grid = scenario.grid
     if m0.grid != grid:
@@ -335,7 +353,7 @@ def master_residual(scenario: Scenario, t0: float, m0: Measure,
         gap = eval_U(scenario, scenario.T, m0).values - \
             eval_F(scenario.terminal_cost, m0).values
         return _residual_report("terminal-identity", grid, gap,
-                                sample_points, 0.0, 1, {})
+                                sample_points, 0.0, {})
 
     # the base solve's step, known before it runs
     dt = (scenario.T - t0) / scenario.steps_for(t0)
@@ -356,41 +374,13 @@ def master_residual(scenario: Scenario, t0: float, m0: Measure,
     ham_term = np.asarray(
         scenario.hamiltonian.value(grid.meshgrid(), u0, grads), dtype=float)
 
-    j_values, y_grid, stride = _tabulate_j(scenario, base)
-    y_kernel = scenario.kernel if stride == 1 else KernelCache(
-        scenario.kernel.triplet, y_grid)
-    d = grid.dims
-    killed = float(np.max(np.abs(y_kernel.apply_generator(
-        np.ones(y_grid.shape)))))
-    if killed > _CONSTANT_KILL_TOL:
-        raise SpectralResidueError(
-            f"probe-variable generator moves constants by {killed:.3e}; "
-            "the kernel's additive normalization would leak into the "
-            "residual")
-
-    sub = tuple(slice(None, None, stride) for _ in range(d))
-    weights = m0.values[sub] * y_grid.cell_volume
-    y_axes = tuple(range(d))
-    x_axes = tuple(range(d, 2 * d))
-    # the generator acts on the trailing axes: move y there and back
-    j_gen = np.moveaxis(y_kernel.apply_generator(
-        np.moveaxis(j_values, y_axes, x_axes)), x_axes, y_axes)
-    nonlocal_term = np.tensordot(weights, j_gen, axes=(y_axes, y_axes))
-
-    drift0 = optimal_drift(scenario.hamiltonian, base.u).values[0]
-    transport_term = np.zeros(grid.shape)
-    for ax in range(d):
-        d_y = (np.roll(j_values, -1, axis=ax)
-               - np.roll(j_values, 1, axis=ax)) / (2.0 * y_grid.dx[ax])
-        transport_term += np.tensordot(
-            weights * drift0[ax][sub], d_y, axes=(y_axes, y_axes))
-
+    nonlocal_term, transport_term = _measure_terms(scenario, base, m0)
     coupling_term = eval_F(scenario.running_cost, m0).values
 
     residual = (time_term + gen_term - ham_term + nonlocal_term
                 - transport_term + coupling_term)
     return _residual_report(
-        "interior", grid, residual, sample_points, delta_t, stride, {
+        "interior", grid, residual, sample_points, delta_t, {
             "time": float(np.max(np.abs(time_term))),
             "generator": float(np.max(np.abs(gen_term))),
             "hamiltonian": float(np.max(np.abs(ham_term))),

@@ -1,7 +1,8 @@
 """Reference implementations the test modules compare the package against.
 
 Closed-form metrics, the one-shot semigroup apply, toy Hamiltonians, the
-Laplacian triplet and a drift-free initial path: code that only the tests
+Laplacian triplet, a drift-free initial path and the master residual's
+measure terms from a full derivative-kernel table: code that only the tests
 call, kept out of the package's public surface.
 """
 
@@ -15,7 +16,9 @@ from levymfg.grid import Field
 from levymfg.hjb import GeneralHamiltonian, Trajectory
 from levymfg.kernels import KernelCache
 from levymfg.levy import LevyTriplet
+from levymfg.linearized import j_field_batch
 from levymfg.measures import Measure, TightnessFn, _check_pair
+from levymfg.mfg import MfgSolution, optimal_drift
 
 
 def laplacian_triplet(dims=1):
@@ -105,3 +108,31 @@ def diffused_initial_path(kernel: KernelCache, m0: Measure, t0: float,
     rho = solve_fp(kernel, None, m0.density, None, t0, T, n_steps)
     cleaned, _, _ = _project_slices(kernel.grid, rho.values)
     return Trajectory(kernel.grid, t0, T, cleaned)
+
+
+def tabulated_measure_terms(scenario, base: MfgSolution, m0: Measure
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """The master residual's two measure integrals from a full J table.
+
+    Tabulates J(x, y) at every node y, applies the generator in y and the
+    central y-difference, and pairs both with m0 under the grid
+    quadrature: the nonlocal term <w, L_y J(x, .)> and the transport term
+    <b w, D_y J(x, .)>, with w = m0 * cell_volume and b the drift at t0.
+    """
+    grid = scenario.grid
+    j_values = j_field_batch(base).values  # y axes first, x axes last
+    weights = m0.values * grid.cell_volume
+    y_axes = tuple(range(grid.dims))
+    x_axes = tuple(range(grid.dims, 2 * grid.dims))
+    # the generator acts on the trailing axes: move y there and back
+    j_gen = np.moveaxis(scenario.kernel.apply_generator(
+        np.moveaxis(j_values, y_axes, x_axes)), x_axes, y_axes)
+    nonlocal_term = np.tensordot(weights, j_gen, axes=(y_axes, y_axes))
+    drift0 = optimal_drift(scenario.hamiltonian, base.u).values[0]
+    transport_term = np.zeros(grid.shape)
+    for ax in y_axes:
+        d_y = (np.roll(j_values, -1, axis=ax)
+               - np.roll(j_values, 1, axis=ax)) / (2.0 * grid.dx[ax])
+        transport_term += np.tensordot(weights * drift0[ax], d_y,
+                                       axes=(y_axes, y_axes))
+    return nonlocal_term, transport_term

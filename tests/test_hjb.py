@@ -741,9 +741,8 @@ def test_dense_rows_match_single_row_marches(monkeypatch, grid, form):
         assert np.array_equal(batch[:, r], single)
 
 
-def test_check_vets_each_step_then_each_sweep_stack():
-    # The first pass hands every new slice over alone, before it drives
-    # the next step; each sweep hands over its whole stack at once.
+def test_check_vets_each_pass_stack_once():
+    # The first pass and each sweep hand their whole stack over at once.
     grid = Grid(32, 2.0)
     cache = KernelCache(skewed_triplet(1), grid)
     g = np.exp(-4.0 * grid.axis(0) ** 2)
@@ -755,9 +754,31 @@ def test_check_vets_each_step_then_each_sweep_stack():
 
     w = _mild_march(cache, g, 0.0, 0.125, 8, 2, drive, check,
                     gradients=True)
-    assert [(first, len(v)) for first, v in seen] == \
-        [(k, 1) for k in range(1, 9)] + [(1, 8), (1, 8)]
+    assert [(first, len(v)) for first, v in seen] == [(1, 8), (1, 8), (1, 8)]
     assert np.array_equal(seen[-1][1], w[1:])
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "spectral"])
+def test_first_pass_blowup_names_its_first_bad_slice(monkeypatch, dense):
+    # The integrand spikes at march index 2 on the first pass only, so
+    # slice 3 and every later one fail; the stack is vetted after the
+    # pass has run on, and the guard still names slice 3.
+    monkeypatch.setattr(hjb, "_DENSE_STEP_NODES", 1 << 62 if dense else 0)
+    grid = Grid(32, 1.0)
+    cache = KernelCache(laplacian_triplet(), grid)
+    n_steps, T = 8, 0.01
+    dt = T / n_steps
+
+    def drive(values, grads, phys):
+        out = np.zeros(values.shape)
+        if phys == n_steps - 2:
+            out[...] = 1e10
+        return out, None
+
+    g = np.zeros(grid.shape)
+    with pytest.raises(DivergenceError, match=(
+            f"at t={T - 3 * dt:.6g}; last stable physical slice index 6 ")):
+        _march_backward(cache, g, 0.0, T, n_steps, 0, drive)
 
 
 def test_sweep_blowup_names_its_first_bad_slice():

@@ -5,26 +5,26 @@ weight 0.5, a compactly supported bump convolution as running cost, no
 terminal cost, T = 0.5 and dt_cap = 0.03125 (half the 0.0625 budget of
 this grid).  One scenario is shared by the whole module so its memo reuses
 the solves across tests; the refinement check builds a 32-node copy with
-half the step, and the decoupled and memo checks drop the running cost.
+half the step, the decoupled and memo checks drop the running cost, and
+one check runs the mixed generator on a 2D 8x8 grid.
 Expected values were measured once and frozen; comments record the raw
 measurements.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
-from levymfg import master as master_module
 from levymfg.coupling import Conv, Zero, eval_F
 from levymfg.errors import BudgetError
 from levymfg.grid import Field, Grid
 from levymfg.hjb import QuadraticHamiltonian
 from levymfg.kernels import KernelCache
 from levymfg.levy import CGMY, FractionalLaplacian, LevyTriplet, RieszFeller
-from levymfg.master import (_MEMO_CAP, Scenario, derivative_check, eval_U,
-                            flow_consistency, master_residual, solve_scenario)
+from levymfg.master import (_MEMO_CAP, Scenario, _measure_terms,
+                            derivative_check, eval_U, flow_consistency,
+                            master_residual, solve_scenario)
 from levymfg.measures import Measure
+from oracles import tabulated_measure_terms
 
 GRID = Grid(16, 2.0)
 TRIPLET = LevyTriplet(jumps=(FractionalLaplacian(1.5),))
@@ -108,17 +108,21 @@ class TestInteriorResidual:
             "time", "generator", "hamiltonian", "nonlocal_probe",
             "transport_probe", "coupling"}
 
-    def test_coarse_batch_fallback(self, scenario, m0, interior,
-                                   monkeypatch):
-        monkeypatch.setattr(master_module, "_BATCH_NODE_CAP", 8)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            coarse = master_residual(scenario, 0.25, m0, SAMPLES)
-        assert [w.category for w in caught] == [RuntimeWarning]
-        assert "per-axis budget" in str(caught[0].message)
-        assert coarse.y_stride == 2
-        shift = abs(coarse.sup_grid - interior.sup_grid)
-        assert 0.0 < shift <= 2e-7  # measured: 9.37e-8
+    @pytest.mark.parametrize("triplet", [
+        TRIPLET, LevyTriplet(jumps=RieszFeller(1.6))],
+        ids=["frac", "riesz_feller"])
+    def test_measure_terms_match_the_tabulated_kernel(self, triplet, m0):
+        scenario = make_scenario(kernel=KernelCache(triplet, GRID))
+        report = master_residual(scenario, 0.25, m0, SAMPLES)
+        base = solve_scenario(scenario, 0.25, m0)
+        got = _measure_terms(scenario, base, m0)
+        want = tabulated_measure_terms(scenario, base, m0)
+        for key, g, w in zip(("nonlocal_probe", "transport_probe"), got,
+                             want):
+            # measured: at most 3.3e-12 (frac, transport; sups 1.3e-2 and
+            # 5.4e-5), the columns' alternations stopping at 1e-9
+            assert float(np.max(np.abs(g - w))) <= 1e-11
+            assert report.term_sups[key] == float(np.max(np.abs(g)))
 
 
 class TestRefinement:
@@ -177,6 +181,41 @@ class TestPaperOperators:
         assert 1.25e-4 < fine.sup_grid < 1.31e-4  # measured: 1.2808e-4
         ratio = coarse.sup_grid / fine.sup_grid
         assert 3.4 < ratio < 3.6  # measured: 3.498
+
+
+class TestMixed2D:
+    """The paper's mixed generator, Brownian plus order-1.5 jumps, in 2D.
+
+    An 8x8 grid of half-width 2 with the radius-1 bump convolution of the
+    module scenario as running cost, the same horizon and step cap.
+    """
+
+    def test_interior_residual(self):
+        grid = Grid(8, 2.0, dims=2)
+
+        def bump(x, y):
+            r2 = x * x + y * y
+            return np.where(r2 < 1.0, 0.25 * np.exp(
+                -1.0 / np.maximum(1.0 - r2, 1e-300)), 0.0)
+
+        scenario = make_scenario(
+            kernel=KernelCache(LevyTriplet(
+                dims=2, diffusion=np.eye(2),
+                jumps=FractionalLaplacian(1.5)), grid),
+            running_cost=Conv(Field.from_function(grid, bump)))
+        m0 = Measure.normalized(Field.from_function(
+            grid, lambda x, y: np.exp(-2.0 * (x * x + y * y))))
+        report = master_residual(scenario, 0.25, m0,
+                                 [(0.0, 0.0), (0.5, -0.5)])
+        assert report.mode == "interior"
+        assert report.y_stride == 1
+        # measured: 4.3030e-3 (4.2705e-3 without the Brownian part)
+        assert 4.2e-3 < report.sup_grid < 4.4e-3
+        assert report.sup_sampled <= report.sup_grid
+        # the Brownian part shows in both variables; measured: 1.9744e-2
+        # and 1.3391e-2 (1.5376e-2 and 1.0176e-2 without it)
+        assert 1.9e-2 < report.term_sups["generator"] < 2.05e-2
+        assert 1.3e-2 < report.term_sups["nonlocal_probe"] < 1.38e-2
 
 
 class TestDecoupled:

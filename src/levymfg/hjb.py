@@ -68,19 +68,14 @@ _PROBE_BOX = 2.0
 # trapezoid Picard sweeps of solve_hjb: second order in time
 _PICARD_SWEEPS = 2
 # grids of at most this many nodes take the dense first-pass step (see
-# _mild_march).  measured per step, one core, warm memo, best of three
-# alternations; dense vs spectral, gradient-source drive / flux drive, us:
-#   1D n=16   1 row  11 vs 37 / 11 vs 37    16 rows  17 vs 40 / 15 vs 29
-#   1D n=32   1 row   9 vs 37 / 12 vs 27    32 rows  29 vs 64 / 24 vs 55
-#   1D n=64   1 row  10 vs 27 / 11 vs 32    32 rows  67 vs 85 / 62 vs 70
-#                                           64 rows 116 vs 123 / 105 vs 70
-#   1D n=128  1 row  18 vs 39 / 16 vs 40    16 rows  82 vs 75 / 71 vs 61
-#                                           32 rows 243 vs 113 / 207 vs 91
-#   2D 8x8    1 row  14 vs 49 / 20 vs 48    64 rows 155 vs 503 / 163 vs 393
-# At 1D n=64 the 64-row flux step loses, yet j_field_batch at 1D n=64 with
-# 32 steps, all 64 columns in one block, ran faster dense end to end
-# (median 0.27 vs 0.32 s over 6 alternating runs); at n=128 a 16-row batch
-# already loses on both drives.
+# _mild_march).  measured per step of one row, one core, warm memo, best of
+# three alternations; dense vs spectral, gradient-source drive / flux
+# drive, us:
+#   1D n=16   11 vs 37 / 11 vs 37
+#   1D n=32    9 vs 37 / 12 vs 27
+#   1D n=64   10 vs 27 / 11 vs 32
+#   1D n=128  18 vs 39 / 16 vs 40
+#   2D 8x8    14 vs 49 / 20 vs 48
 _DENSE_STEP_NODES = 64
 
 
@@ -472,14 +467,15 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
       gives N^[k].  It is the only form that fits large grids: at 1D
       n = 16384 a dense step would take 2 GB.
 
-    The form does not depend on the batch, so that a column of a J batch
-    equals its single-column solve and each linearized leg equals the
-    nonlinear march it mirrors, bitwise.  A dense step costs O(N^2) per
-    row, a spectral one O(N log N) per row plus a call overhead of about
-    10 us per step that the whole batch shares.  The node bound is thus
-    the largest measured grid on which the widest batch the package
-    marches, a J batch of one row per node, still runs no slower end to
-    end with the dense step (measurements at the constant).
+    The form does not depend on the batch, so that a column of a
+    multi-column alternation equals its single-column solve and each
+    linearized leg equals the nonlinear march it mirrors, bitwise.  A
+    dense step costs O(N^2) per row, a spectral one O(N log N) per row
+    plus a call overhead of about 10 us per step that the whole batch
+    shares.  The widest batch the package marches has two rows (the
+    master residual's two directions), and a one-row step runs faster
+    dense on every measured grid up to the bound (measurements at the
+    constant).
 
     Each Picard sweep then rebuilds the path under the composite
     trapezoid,

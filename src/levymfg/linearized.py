@@ -28,16 +28,10 @@ only closes at O(dt^2) when both sides are integrated at matching order,
 and the plain first-order pass leaves an O(dt) energy defect that no
 affordable step count brings under the certification tolerances.
 
-The y-batch assembling the full kernel shares one linearization and runs
-all its columns through one alternation: both legs carry a column axis
-after the time axis, so every FFT, gradient and metric call serves all
-columns at once.  Each column keeps its own Anderson history, least
-squares and stopping test, and leaves the batch at the iteration where
-its single solve would stop, so every row equals its single solve
-bitwise.  Columns go in blocks of at most ``_BLOCK_VALUES`` values per
-(slice, column, node) array, which bounds the batch's memory without a
-tuning knob; the iterations within one alternation stay inherently
-ordered.
+Several initial data may share one alternation as columns after the time
+axis (the master residual's two directions).  Each column keeps its own
+Anderson history and stopping test, so it equals its single solve
+bitwise.
 """
 
 from __future__ import annotations
@@ -66,10 +60,6 @@ _ELLIPTICITY_TOL = 1e-9
 _DENSITY_NEG_TOL = 1e-12
 _DENSITY_MASS_TOL = 1e-9
 _BATCH_NODE_CAP = 128  # y nodes per axis of a full J batch
-# values in one (slice, column, node) array of a J block: 2 MiB of float64;
-# the legs peak at about 24 such arrays (measured on a full 2D block), and
-# the Anderson histories hold 2 * mfg._ANDERSON_DEPTH more
-_BLOCK_VALUES = 1 << 18
 # trapezoid Picard sweeps of both legs (matching order; see above)
 _PICARD_SWEEPS = 2
 
@@ -669,30 +659,14 @@ def j_field(solution: MfgSolution, couplings, y, *, damping: float = 0.5,
     component at t0.  ``couplings`` is a (running, terminal) pair of
     derivative carriers or None to reuse the solution's own costs.
     """
-    system = _derivative_system(solution, couplings, y)
-    rows = _solve_rows(system, [y], damping=damping, max_iters=max_iters,
-                       tol=tol)
-    return Field(system.grid, rows[0])
-
-
-def _derivative_system(solution: MfgSolution, couplings, y) -> LinSystem:
-    """The linear system of the J column at y; other columns share it."""
     running, terminal = (None, None) if couplings is None else couplings
-    return linearize(solution, mollified_delta(solution.problem.grid, y),
-                     running_coupling=running, terminal_coupling=terminal)
-
-
-def _solve_rows(system: LinSystem, ys: list, damping: float = 0.5,
-                max_iters: int = 40, tol: float = 1e-9) -> np.ndarray:
-    """J rows at the points ``ys`` in one alternation, shape (len(ys), *grid).
-
-    Each row's initial data is the mollified delta at its y, and a failure
-    is tagged with that y (see ``_solve_columns``).
-    """
-    rho0 = np.stack([mollified_delta(system.grid, y).values for y in ys])
-    return _solve_columns(system, rho0,
-                          [f"derivative solve at y={y}" for y in ys],
-                          damping, max_iters, tol)
+    rho0 = mollified_delta(solution.problem.grid, y)
+    system = linearize(solution, rho0, running_coupling=running,
+                       terminal_coupling=terminal)
+    rows = _solve_columns(system, rho0.values[None],
+                          [f"derivative solve at y={y}"], damping, max_iters,
+                          tol)
+    return Field(system.grid, rows[0])
 
 
 def _solve_columns(system: LinSystem, rho0: np.ndarray, labels: list,
@@ -746,48 +720,24 @@ class JKernel:
         object.__setattr__(self, "values", vals)
 
 
-def _j_rows(solution: MfgSolution, couplings, y_grid: Grid,
-            **solve_options) -> np.ndarray:
-    """J rows at every node of ``y_grid``: y axes first, x axes last.
-
-    One linear system serves the whole batch; its columns are solved in
-    blocks of at most ``_BLOCK_VALUES`` values per (slice, column, node)
-    array.
-    """
-    grid = solution.problem.grid
-    axes = y_grid.meshgrid()
-    ys = [tuple(float(ax[iy]) for ax in axes)
-          for iy in np.ndindex(y_grid.shape)]
-    system = _derivative_system(solution, couplings, ys[0])
-    block = max(1, _BLOCK_VALUES // ((system.n_steps + 1) * grid.node_count))
-    rows = np.concatenate([
-        _solve_rows(system, ys[start:start + block], **solve_options)
-        for start in range(0, len(ys), block)])
-    return rows.reshape(y_grid.shape + grid.shape)
-
-
-def j_field_batch(solution: MfgSolution, couplings=None, *,
-                  damping: float = 0.5, max_iters: int = 40,
-                  tol: float = 1e-9) -> JKernel:
+def j_field_batch(solution: MfgSolution, *, damping: float = 0.5) -> JKernel:
     """Tabulate J(t0, x, m0, y) for every grid node y.
 
-    Each y is an independent linear solve around one shared
-    linearization.  The columns run together as one Anderson-mixed
-    alternation of mixing weight ``damping``, each with its own history
-    and least squares and each stopping where its own solve would, in
-    blocks bounded by ``_BLOCK_VALUES`` so that a block's working arrays
-    and histories stay near 70 MB; every row equals its single
-    ``j_field`` solve bitwise.
-    Refuses grids beyond 128 nodes per axis: the table holds node_count^2
-    values (2 GiB at 128x128), and the step budget dt <= 0.5*dx^alpha
-    lengthens every column's march as the grid refines.
+    Each row is one ``j_field`` solve with the solution's own costs, taken
+    at the nodes in row-major order.  Refuses grids beyond 128 nodes per
+    axis: the table holds node_count^2 values (2 GiB at 128x128), and the
+    step budget dt <= 0.5*dx^alpha lengthens every row's march as the grid
+    refines.
     """
     grid = solution.problem.grid
     if any(ni > _BATCH_NODE_CAP for ni in grid.n):
         raise BudgetError(
             f"y-batch over {grid.n} nodes exceeds the "
             f"{_BATCH_NODE_CAP}-per-axis budget")
-    out = _j_rows(solution, couplings, grid, damping=damping,
-                  max_iters=max_iters, tol=tol)
+    axes = grid.meshgrid()
+    rows = [j_field(solution, None, tuple(float(ax[iy]) for ax in axes),
+                    damping=damping).values
+            for iy in np.ndindex(grid.shape)]
+    out = np.stack(rows).reshape(grid.shape + grid.shape)
     return JKernel(grid=grid, t0=solution.u.t0, values=out,
                    mollifier_width=2.0 * max(grid.dx))

@@ -247,9 +247,10 @@ def _measure_terms(scenario: Scenario, base: MfgSolution, m0: Measure
     initial data is the mollified delta at y, so by superposition each
     pairing is z(t0) for the initial data sum_y c(y) mollified_delta(y):
     c = L^T w and c = D(b w) run as the two columns of one alternation,
-    with the settings of a J batch, and J is never tabulated.  Both
-    directions carry no mass, so J's additive normalization cancels,
-    provided the generator annihilates constants (asserted here).
+    with the default settings of ``_solve_columns``, and J is never
+    tabulated.  Both directions carry no mass, so J's additive
+    normalization cancels, provided the generator annihilates constants
+    (asserted here).
     """
     grid, kernel = scenario.grid, scenario.kernel
     killed = float(np.max(np.abs(kernel.apply_generator(

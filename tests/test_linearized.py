@@ -21,9 +21,8 @@ from levymfg.grid import Field, Grid, gradient
 from levymfg.hjb import QuadraticHamiltonian, Trajectory, solve_hjb
 from levymfg.kernels import KernelCache
 from levymfg.levy import FractionalLaplacian, LevyTriplet
-from levymfg import linearized
 from levymfg.linearized import (JKernel, LinSystem, _alternate,
-                                _flux_values, _solve_rows, duality_report,
+                                _flux_values, _solve_columns, duality_report,
                                 j_field, j_field_batch, linearize,
                                 mollified_delta, solve_linear_system)
 from levymfg.measures import Measure
@@ -590,6 +589,16 @@ def batch(coarse_solution):
     return j_field_batch(coarse_solution, damping=1.0)
 
 
+def probe_columns(solution, ys, couplings=(None, None)):
+    """System, stacked deltas and labels of a multi-column J solve."""
+    grid = solution.problem.grid
+    rho0 = np.stack([mollified_delta(grid, y).values for y in ys])
+    system = linearize(solution, mollified_delta(grid, ys[0]),
+                       running_coupling=couplings[0],
+                       terminal_coupling=couplings[1])
+    return system, rho0, [f"derivative solve at y={y}" for y in ys]
+
+
 class TestDerivativeKernelBatch:
     def test_rows_bitwise_match_single_solves(self, coarse_solution, batch):
         assert batch.values.shape == CGRID.shape + CGRID.shape
@@ -605,15 +614,13 @@ class TestDerivativeKernelBatch:
         # at tol 1e-11 the columns need different iteration counts, so
         # each row is only right if its column left the batch on time
         ys = [(float(x),) for x in CGRID.meshgrid()[0]]
-        rho0 = np.stack([mollified_delta(CGRID, y).values for y in ys])
-        system = linearize(coarse_solution, mollified_delta(CGRID, ys[0]))
+        system, rho0, _ = probe_columns(coarse_solution, ys)
         run = _alternate(system, rho0, 0.5, 40, 1e-11)
         counts = [len(gaps) for gaps in run.gaps]
         assert run.converged.all()
         assert len(set(counts)) > 1  # measured: 4 and 5 (all 4 at 1e-9)
-        rows = j_field_batch(coarse_solution, damping=0.5, tol=1e-11).values
         singles = []
-        for row, y in zip(rows, ys):
+        for row, y in zip(run.z[0], ys):
             z, _, report = solve_linear_system(
                 linearize(coarse_solution, mollified_delta(CGRID, y)),
                 tol=1e-11)
@@ -621,49 +628,29 @@ class TestDerivativeKernelBatch:
             singles.append(report.iterations)
         assert singles == counts
 
-    def test_one_linearization_and_one_block_per_batch(
-            self, coarse_solution, batch, monkeypatch):
-        calls = {"linearize": 0, "alternate": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(linearized, "linearize",
-                            counted("linearize", linearize))
-        monkeypatch.setattr(linearized, "_alternate",
-                            counted("alternate", _alternate))
-        again = j_field_batch(coarse_solution, damping=1.0)
-        assert calls == {"linearize": 1, "alternate": 1}
-        assert np.array_equal(again.values, batch.values)
-
-        # a block cap of three columns splits the 16 into six blocks
-        monkeypatch.setattr(linearized, "_BLOCK_VALUES",
-                            3 * (CN_STEPS + 1) * CGRID.node_count)
-        split = j_field_batch(coarse_solution, damping=1.0)
-        assert calls == {"linearize": 2, "alternate": 7}
-        assert np.array_equal(split.values, batch.values)
-
     def test_batch_stall_is_tagged_with_the_first_stalled_point(
             self, coarse_solution):
+        # both columns stall; the first in row order is reported
+        system, rho0, labels = probe_columns(coarse_solution,
+                                             [(-2.0,), (0.5,)])
         with pytest.raises(InstabilityError,
                            match=r"derivative solve at y=\(-2\.0,\): "
                                  "alternation stalled"):
-            j_field_batch(coarse_solution, max_iters=1, tol=1e-300)
+            _solve_columns(system, rho0, labels, max_iters=1, tol=1e-300)
 
     def test_batch_leg_failure_is_the_sequential_one(self, coarse_solution):
-        # an oversized coupling makes every column blow up, column 0 at
-        # alternation 20 and some later columns already at 14; the batch
-        # must report what a loop over y in order meets first (at x1e4
-        # the mixed alternation stalls instead: gap 5.3e-4 after 40 legs)
+        # an oversized coupling makes both columns blow up, column 0 at
+        # alternation 20 and column 1 already at 14; the pair must report
+        # what a loop over y in order meets first (at x1e4 the mixed
+        # alternation stalls instead: gap 5.3e-4 after 40 legs)
         loud = (Conv(Field(CGRID, 3e5 * coarse_bump_kernel().values)),
                 Zero())
         with pytest.raises((DivergenceError, InstabilityError)) as single:
             j_field(coarse_solution, loud, (-2.0,))
+        system, rho0, labels = probe_columns(coarse_solution,
+                                             [(-2.0,), (-1.75,)], loud)
         with pytest.raises((DivergenceError, InstabilityError)) as batched:
-            j_field_batch(coarse_solution, loud)
+            _solve_columns(system, rho0, labels)
         assert type(batched.value) is type(single.value)
         assert str(batched.value) == str(single.value)
         assert str(batched.value).startswith(
@@ -726,8 +713,8 @@ class TestDerivativeKernel2D:
         # a 2x2 lattice of probe points; a full 64-column batch would spend
         # most of its time in the 2D metric programs
         ys = [(a, b) for a in (-0.5, 0.5) for b in (-1.0, 0.5)]
-        system = linearize(square_solution, mollified_delta(SGRID, ys[0]))
-        rows = _solve_rows(system, ys, damping=1.0)
+        rows = _solve_columns(*probe_columns(square_solution, ys),
+                              damping=1.0)
         assert rows.shape == (4,) + SGRID.shape
         for row, y in zip(rows, ys):
             single = j_field(square_solution, None, y, damping=1.0)

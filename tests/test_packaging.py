@@ -208,9 +208,6 @@ UNCALLED_BY_DESIGN = (
     "lipschitz_stability_probe",  # Lipschitz dependence on the initial law
     "derivative_check",  # J is the measure derivative of the master field
     "flow_consistency",  # restarting on the flow reproduces it (uniqueness)
-    # the single-column J that every column of j_field_batch must equal
-    # bitwise
-    "j_field",
     # run diagnostics, kept for the per-iteration records of the solvers
     "mass_series",
     "boundary_shell_mass",

@@ -53,29 +53,24 @@ def _forward_values(kernel: KernelCache, drift: np.ndarray | None,
                     ) -> np.ndarray:
     """March d(rho)/dt = L* rho + div(b rho + c) from rho(t0) = rho0.
 
-    Works on raw values, time axis first.  Axes of ``rho0`` before the
-    trailing grid axes batch independent densities: the drift b, shape
-    (n_steps+1, d, *grid), is shared by all of them, and the flux c
-    carries the batch axes, shape (n_steps+1, *batch, d, *grid); None
+    Works on raw values, time axis first: ``rho0`` is one density, the
+    drift b and the flux c have shape (n_steps+1, d, *grid), and None
     means zero for either.  Runs ``hjb._mild_march`` with the adjoint
     kernel and a drive that reads the values only (no gradient is
     transformed) and returns the flux b rho + c and no source, so the
     integrand is div(b rho + c), taken spectrally by the march; with
     neither drift nor flux the march is the adjoint semigroup itself.  Raises
-    InstabilityError when the running mass of a density drifts past 1e-6,
-    a slice stops being finite, or its sup-norm passes 1e6 (all symptoms
-    of an oversized step).
+    InstabilityError when the running mass drifts past 1e-6, a slice
+    stops being finite, or its sup-norm passes 1e6 (all symptoms of an
+    oversized step).
     """
     grid = kernel.grid
     vol = grid.cell_volume
     axes = tuple(range(-grid.dims, 0))
     # insert the vector component axis of a flux before the grid axes
     component = (Ellipsis, None) + (slice(None),) * grid.dims
-    mass0 = vol * np.sum(rho0, axis=axes)
-    limit = _MASS_DRIFT_TOL * np.maximum(1.0, np.abs(mass0))
-    if drift is not None and rho0.ndim > grid.dims:
-        batch = (1,) * (rho0.ndim - grid.dims)
-        drift = drift.reshape(drift.shape[:1] + batch + drift.shape[1:])
+    mass0 = vol * np.sum(rho0)
+    limit = _MASS_DRIFT_TOL * max(1.0, abs(mass0))
 
     def monitor(values: np.ndarray, first: int) -> None:
         """Raise for the first slice that blew up or drifted in mass."""
@@ -84,12 +79,10 @@ def _forward_values(kernel: KernelCache, drift: np.ndarray | None,
         if np.abs(values).max() <= _BLOWUP_SUP and steady.all():
             return
         sups = np.abs(values).reshape(len(values), -1).max(axis=1)
-        steady = steady.reshape(len(values), -1).all(axis=1)
         j = int(np.argmax(~((sups <= _BLOWUP_SUP) & steady)))
-        worst = np.ravel(shift[j])[np.argmax(np.abs(shift[j]))]
         raise InstabilityError(
             f"forward march destabilized at step {first + j}/{n_steps} "
-            f"(sup {float(sups[j]):.3e}, mass drift {worst:.3e}); "
+            f"(sup {float(sups[j]):.3e}, mass drift {shift[j]:.3e}); "
             "use a smaller dt")
 
     def drive(rho: np.ndarray, grads: tuple, k) -> tuple:

@@ -68,9 +68,8 @@ _PROBE_BOX = 2.0
 # trapezoid Picard sweeps of solve_hjb: second order in time
 _PICARD_SWEEPS = 2
 # grids of at most this many nodes take the dense first-pass step (see
-# _mild_march).  measured per step of one row, one core, warm memo, best of
-# three alternations; dense vs spectral, gradient-source drive / flux
-# drive, us:
+# _mild_march).  measured per step, one core, warm memo, best of three
+# alternations; dense vs spectral, gradient-source drive / flux drive, us:
 #   1D n=16   11 vs 37 / 11 vs 37
 #   1D n=32    9 vs 37 / 12 vs 27
 #   1D n=64   10 vs 27 / 11 vs 32
@@ -409,16 +408,10 @@ def _solver_order(cache: KernelCache) -> float:
 
 
 def _nyquist_fraction(grid: Grid, values: np.ndarray) -> float:
-    """Spectral mass fraction on the Nyquist shell (resolution indicator).
-
-    Leading axes of ``values`` batch; the largest fraction is returned.
-    """
-    axes = tuple(range(-grid.dims, 0))
-    spec = np.abs(np.fft.rfftn(values, s=grid.shape, axes=axes))
-    peak = np.max(spec, axis=axes)
-    shell = _nyquist_shell_max(grid, spec)
-    frac = np.divide(shell, peak, out=np.zeros_like(shell), where=peak > 0.0)
-    return float(np.max(frac))
+    """Spectral mass fraction on the Nyquist shell (resolution indicator)."""
+    spec = np.abs(np.fft.rfftn(values))
+    peak = float(np.max(spec))
+    return float(_nyquist_shell_max(grid, spec)) / peak if peak > 0.0 else 0.0
 
 
 def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
@@ -428,8 +421,7 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
     """Mild march of dw/ds = L w + N(s, w) from w(0) = start.
 
     s is the marching clock and ``adjoint`` swaps L for L*.  ``start``
-    holds raw values; axes before the trailing grid axes batch
-    independent problems on the same slab.  ``drive(values, grads, k)``
+    holds the raw values of one slice.  ``drive(values, grads, k)``
     sees the values and the d-tuple of first partials at march index k,
     or of the whole stack (time axis first) when k is ``slice(None)``.
     It returns ``(source, flux)``, either of them None, and the Duhamel
@@ -453,12 +445,9 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
       ``KernelCache.step_operator`` builds by pushing the identity through
       M and the partial multipliers, so it is the spectral step up to
       rounding, Nyquist rules and adjoint included.  ``_dense_first_pass``
-      applies it with one BLAS matrix-vector product per batch row and
-      output row, and makes no transform call.  Each row gets the call a
-      single-row march makes, so it equals that march bitwise; one
-      matrix-matrix product over the batch would not, as OpenBLAS sums a
-      row of a multi-row product in another order than a single row.
-      Only the spectrum of ``start`` is kept for the sweeps.
+      applies it with one BLAS matrix-vector product per output row and
+      makes no transform call.  Only the spectrum of ``start`` is kept for
+      the sweeps.
     * Spectral otherwise: the march carries the half spectrum of the path,
       and a step makes two transform calls.  One ``irfftn`` of the rows
       [1, d_1, ..., d_d] times f[k] gives the values and gradient the drive
@@ -467,15 +456,11 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
       gives N^[k].  It is the only form that fits large grids: at 1D
       n = 16384 a dense step would take 2 GB.
 
-    The form does not depend on the batch, so that a column of a
-    multi-column alternation equals its single-column solve and each
-    linearized leg equals the nonlinear march it mirrors, bitwise.  A
-    dense step costs O(N^2) per row, a spectral one O(N log N) per row
-    plus a call overhead of about 10 us per step that the whole batch
-    shares.  The widest batch the package marches has two rows (the
-    master residual's two directions), and a one-row step runs faster
-    dense on every measured grid up to the bound (measurements at the
-    constant).
+    As the grid alone picks the form, each linearized leg equals the
+    nonlinear march it mirrors, bitwise.  A dense step costs O(N^2), a
+    spectral one O(N log N) plus a call overhead of about 10 us, and the
+    dense step runs faster on every measured grid up to the bound
+    (measurements at the constant).
 
     Each Picard sweep then rebuilds the path under the composite
     trapezoid,
@@ -506,8 +491,6 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
     mults = _gradient_multipliers(grid)
     if gradients:
         rows = np.stack((np.ones(mults[0].shape),) + mults)
-        rows = rows.reshape((1 + d,) + (1,) * (start.ndim - d)
-                            + rows.shape[1:])
     mult = kernel.multiplier(dt, adjoint)
     # component i of a flux spectrum: its vector axis sits before the grid
     components = [(Ellipsis, i) + (slice(None),) * d for i in range(d)]
@@ -587,34 +570,29 @@ def _dense_first_pass(kernel: KernelCache, stack: np.ndarray, dt: float,
     """The first pass of ``_mild_march`` on the dense step.
 
     ``stack`` holds the values row, then the partials with ``gradients``,
-    each with the time axis first and the batch axes after it; slice 0 is
-    set and this fills the rest.  A step applies the memoized
-    ``KernelCache.step_operator`` to the rows (w + dt s, dt c_1, ...,
-    dt c_d), or its source block to w + dt s alone when the drive returns
-    no flux, with one BLAS matrix-vector product per batch row and output
-    row.
+    each with the time axis first; slice 0 is set and this fills the rest.
+    A step applies the memoized ``KernelCache.step_operator`` to the rows
+    (w + dt s, dt c_1, ..., dt c_d), or its source block to w + dt s alone
+    when the drive returns no flux, with one BLAS matrix-vector product
+    per output row.
     """
     grid = kernel.grid
     size = grid.node_count
     op = kernel.step_operator(dt, adjoint, gradients)
-    source_block = op[:, None, :, :size]
-    op = op[:, None]
-    batch = stack[0, 0].size // size
-    # out[o, k, b, :, None] is output row o of batch row b at slice k
-    out = stack.reshape(stack.shape[:2] + (batch, size, 1))
-    inputs = np.empty((batch, 1 + grid.dims, size))
+    source_block = op[:, :, :size]
+    # out[o, k] is output row o at slice k, as a column
+    out = stack.reshape(stack.shape[:2] + (size, 1))
+    inputs = np.empty((1 + grid.dims, size))
     w, grads = stack[0], stack[1:]
     for k in range(stack.shape[1] - 1):
         source, flux = drive(w[k], tuple(grads[:, k]), k)
         head = w[k] if source is None else w[k] + dt * source
         if flux is None:
-            np.matmul(source_block, head.reshape(batch, size, 1),
-                      out=out[:, k + 1])
+            np.matmul(source_block, head.reshape(size, 1), out=out[:, k + 1])
         else:
-            inputs[:, 0] = head.reshape(batch, size)
-            np.multiply(flux.reshape(batch, grid.dims, size), dt,
-                        out=inputs[:, 1:])
-            np.matmul(op, inputs.reshape(batch, -1, 1), out=out[:, k + 1])
+            inputs[0] = head.reshape(size)
+            np.multiply(flux.reshape(grid.dims, size), dt, out=inputs[1:])
+            np.matmul(op, inputs.reshape(-1, 1), out=out[:, k + 1])
 
 
 def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,

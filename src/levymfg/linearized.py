@@ -28,10 +28,10 @@ only closes at O(dt^2) when both sides are integrated at matching order,
 and the plain first-order pass leaves an O(dt) energy defect that no
 affordable step count brings under the certification tolerances.
 
-Several initial data may share one alternation as columns after the time
-axis (the master residual's two directions).  Each column keeps its own
-Anderson history and stopping test, so it equals its single solve
-bitwise.
+A solve takes one initial datum rho0.  A pairing of J with a fixed
+zero-mass direction is, by superposition, one solve with the direction
+(mollified) as rho0, so neither the derivative kernel nor the master
+residual needs more than one datum per alternation.
 """
 
 from __future__ import annotations
@@ -198,14 +198,12 @@ def _coupling_actions(system: LinSystem, weights: tuple,
 
     Returns <dF/dm(x, m(t)), rho(t)> over all slices and <dG/dm(x, m(T)),
     rho(T)>, each None when its coupling is Zero (rho is then not read).
-    ``rho_values`` has its time axis first; axes between it and the grid
-    axes batch columns.  ``weights`` comes from ``_coupling_weights``.
+    ``rho_values`` has its time axis first; ``weights`` comes from
+    ``_coupling_weights``.
     """
     running_weight, terminal_weight = weights
     running = terminal = None
     if not isinstance(system.running_coupling, Zero):
-        if running_weight is not None:
-            running_weight = _per_slice(running_weight, rho_values.ndim)
         running = _dmF_action(system.running_coupling, running_weight,
                               rho_values)
     if not isinstance(system.terminal_coupling, Zero):
@@ -214,60 +212,39 @@ def _coupling_actions(system: LinSystem, weights: tuple,
     return running, terminal
 
 
-def _per_slice(values: np.ndarray, ndim: int) -> np.ndarray:
-    """Per-slice data (time axis first) broadcastable over column axes.
-
-    ``ndim`` is that of the batched array the data meets; the column axes
-    sit right after time, and the data keeps its own trailing axes.
-    """
-    missing = ndim - values.ndim
-    return values.reshape(values.shape[:1] + (1,) * missing + values.shape[1:])
-
-
 def _backward_data(system: LinSystem, weights: tuple,
-                   rho_values: np.ndarray | None, columns: int
+                   rho_values: np.ndarray | None
                    ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Source array and terminal values of the z-equation given rho.
-
-    Both carry a column axis after time (the source may broadcast over
-    it); the terminal values have shape (columns, *grid).
-    """
+    """Source array (time axis first) and terminal values of the
+    z-equation given rho."""
     running, terminal = _coupling_actions(system, weights, rho_values)
-    source = None
-    if system.forcing is not None:
-        source = system.forcing.values[:, None]
+    source = None if system.forcing is None else system.forcing.values
     if running is not None:
         source = running if source is None else source + running
     end = system.terminal.values
     if terminal is not None:
         end = end + terminal
-    return source, np.broadcast_to(end, (columns,) + system.grid.shape)
+    return source, end
 
 
 def _flux_values(system: LinSystem, z_values: np.ndarray) -> np.ndarray:
     """Vector source m Gamma Dz + c of the forward equation.
 
-    ``z_values`` has its time axis first; axes between it and the grid
-    axes batch columns, and the flux gets its vector axis right before
-    the grid axes.
+    ``z_values`` has its time axis first, and the flux gets its vector
+    axis right after it.
     """
     grid = system.grid
     grads = _batch_gradient(grid, z_values)
-    ndim = z_values.ndim
-
-    def gamma(i: int, j: int) -> np.ndarray:
-        return _per_slice(system.curvature[:, i, j], ndim)
-
-    density = _per_slice(system.density.values, ndim)
+    gamma, density = system.curvature, system.density.values
     comps = []
     for i in range(grid.dims):
-        acc = gamma(i, 0) * grads[0]
+        acc = gamma[:, i, 0] * grads[0]
         for j in range(1, grid.dims):
-            acc = acc + gamma(i, j) * grads[j]
+            acc = acc + gamma[:, i, j] * grads[j]
         comps.append(density * acc)
-    flux = np.stack(comps, axis=-1 - grid.dims)
+    flux = np.stack(comps, axis=1)
     if system.flux_forcing is not None:
-        flux = flux + _per_slice(system.flux_forcing.values, ndim + 1)
+        flux = flux + system.flux_forcing.values
     return flux
 
 
@@ -348,50 +325,6 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
     march ``hjb._mild_march``, z through ``_march_backward`` and rho
     through ``fp._forward_values``, with two trapezoid Picard sweeps each.
     """
-    grid = system.grid
-    run = _alternate(system, system.rho0.values[None], damping, max_iters, tol)
-    z = Trajectory(grid, system.t0, system.T, run.z[:, 0])
-    rho = Trajectory(grid, system.t0, system.T, run.rho[:, 0])
-    gaps = run.gaps[0]
-    data = _data_norm(system)
-    out = float(np.max(np.abs(z.values))) + _sup_dual(grid, rho.values)
-    report = LinearReport(
-        converged=bool(run.converged[0]), iterations=len(gaps),
-        gap_history=tuple(gaps),
-        damping=1.0 if system.one_way else damping, data_norm=data,
-        output_norm=out, apriori_ratio=(out / data if data > 0.0 else 0.0),
-        one_way=system.one_way)
-    return z, rho, report
-
-
-@dataclass(frozen=True)
-class _Columns:
-    """Outcome of one alternation over a batch of initial data.
-
-    ``z`` and ``rho`` have shape (n_steps+1, columns, *grid) and hold each
-    column's last raw response; ``gaps[c]`` is column c's gap history.
-    """
-
-    z: np.ndarray
-    rho: np.ndarray
-    gaps: list
-    converged: np.ndarray
-
-
-def _alternate(system: LinSystem, rho0: np.ndarray, damping: float,
-               max_iters: int, tol: float) -> _Columns:
-    """The alternation of ``solve_linear_system`` for a batch of rho0.
-
-    ``rho0`` has shape (columns, *grid) and replaces the system's own
-    initial data; every other datum is shared.  The columns run as one
-    march with a column axis after the time axis, and each has its own
-    stopping test: a column leaves the batch at the iteration where its
-    own solve would stop, keeping that iteration's raw response, and only
-    the columns still running enter the next legs.  Each column also keeps
-    its own Anderson history and least squares, stepped in a loop over
-    the running columns.  Every operation acts row by row, so each column
-    equals its batch-of-one solve bitwise.
-    """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
     if max_iters < 1:
@@ -399,75 +332,65 @@ def _alternate(system: LinSystem, rho0: np.ndarray, damping: float,
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     grid = system.grid
-    kernel, drift = system.kernel, system.drift.values
+    kernel, drift, rho0 = system.kernel, system.drift.values, system.rho0.values
     t0, T, n = system.t0, system.T, system.n_steps
-    V = drift[:, :, None]  # (time, d, column, *grid) broadcast
     weights = _coupling_weights(system)
 
-    def legs(rho_values: np.ndarray | None, starts: np.ndarray, it: int
+    def legs(rho_values: np.ndarray | None, it: int
              ) -> tuple[np.ndarray, np.ndarray]:
         """z backward against a frozen rho, then rho forward against z."""
-        source, terminal = _backward_data(system, weights, rho_values,
-                                          len(starts))
+        source, terminal = _backward_data(system, weights, rho_values)
 
         def drive(values: np.ndarray, grads: tuple, phys) -> tuple:
             """Source b + <dF/dm, rho> - V . Dz from the march's Dz."""
-            adv = V[phys, 0] * grads[0]
+            adv = drift[phys, 0] * grads[0]
             for i in range(1, grid.dims):
-                adv = adv + V[phys, i] * grads[i]
+                adv = adv + drift[phys, i] * grads[i]
             return (-adv if source is None else source[phys] - adv), None
 
         try:
             z = _march_backward(kernel, terminal, t0, T, n, _PICARD_SWEEPS,
                                 drive)
             rho = _forward_values(kernel, drift, _flux_values(system, z),
-                                  starts, t0, T, n, _PICARD_SWEEPS)
+                                  rho0, t0, T, n, _PICARD_SWEEPS)
         except (DivergenceError, InstabilityError) as exc:
             _wrap_inner(exc, it)
         return z, rho
 
-    columns = len(rho0)
+    converged = True
     if system.one_way:
         # zero coupling derivatives: the z-equation never reads rho
-        z, rho = legs(None, rho0, 1)
-        return _Columns(z, rho, [[0.0] for _ in range(columns)],
-                        np.ones(columns, dtype=bool))
+        z, rho = legs(None, 1)
+        gaps = [0.0]
+    else:
+        flux = system.flux_forcing
+        try:
+            rho_path = _forward_values(
+                kernel, drift, None if flux is None else flux.values, rho0,
+                t0, T, n, _PICARD_SWEEPS)
+        except (DivergenceError, InstabilityError) as exc:
+            _wrap_inner(exc, 0)
+        gaps, paths, residuals = [], [], []
+        for it in range(1, max_iters + 1):
+            z, rho = legs(rho_path, it)
+            diff = rho - rho_path
+            gaps.append(damping * _sup_dual(grid, diff))
+            if gaps[-1] < tol:
+                break
+            rho_path = _anderson(rho_path, diff, paths, residuals, damping)
+        else:
+            converged = False
 
-    flux = system.flux_forcing
-    if flux is not None:
-        flux = np.broadcast_to(flux.values[:, None], (
-            n + 1, columns) + flux.values.shape[1:])
-    try:
-        rho_path = _forward_values(kernel, drift, flux, rho0, t0, T, n,
-                                   _PICARD_SWEEPS)
-    except (DivergenceError, InstabilityError) as exc:
-        _wrap_inner(exc, 0)
-
-    z_out = np.empty((n + 1,) + rho0.shape)
-    rho_out = np.empty_like(z_out)
-    gaps = [[] for _ in range(columns)]
-    paths = [[] for _ in range(columns)]
-    residuals = [[] for _ in range(columns)]
-    converged = np.zeros(columns, dtype=bool)
-    active = np.arange(columns)
-    for it in range(1, max_iters + 1):
-        z, rho = legs(rho_path, rho0[active], it)
-        z_out[:, active], rho_out[:, active] = z, rho
-        diff = rho - rho_path
-        gap = damping * np.max(path_metric(
-            grid, diff.reshape((-1,) + grid.shape)).reshape(n + 1, -1), axis=0)
-        for c, g in zip(active, gap):
-            gaps[c].append(float(g))
-        done = gap < tol
-        converged[active[done]] = True
-        if done.all():
-            break
-        rho_path = np.stack([
-            _anderson(rho_path[:, i], diff[:, i], paths[c], residuals[c],
-                      damping)
-            for i, c in enumerate(active) if not done[i]], axis=1)
-        active = active[~done]
-    return _Columns(z_out, rho_out, gaps, converged)
+    z = Trajectory(grid, t0, T, z)
+    rho = Trajectory(grid, t0, T, rho)
+    data = _data_norm(system)
+    out = float(np.max(np.abs(z.values))) + _sup_dual(grid, rho.values)
+    report = LinearReport(
+        converged=converged, iterations=len(gaps), gap_history=tuple(gaps),
+        damping=1.0 if system.one_way else damping, data_norm=data,
+        output_norm=out, apriori_ratio=(out / data if data > 0.0 else 0.0),
+        one_way=system.one_way)
+    return z, rho, report
 
 
 # --------------------------------------------------------------------------
@@ -663,37 +586,26 @@ def j_field(solution: MfgSolution, couplings, y, *, damping: float = 0.5,
     rho0 = mollified_delta(solution.problem.grid, y)
     system = linearize(solution, rho0, running_coupling=running,
                        terminal_coupling=terminal)
-    rows = _solve_columns(system, rho0.values[None],
-                          [f"derivative solve at y={y}"], damping, max_iters,
-                          tol)
-    return Field(system.grid, rows[0])
+    return _solved_initial(system, f"derivative solve at y={y}", damping,
+                           max_iters, tol)
 
 
-def _solve_columns(system: LinSystem, rho0: np.ndarray, labels: list,
-                   damping: float = 0.5, max_iters: int = 40,
-                   tol: float = 1e-9) -> np.ndarray:
-    """z(t0) of one alternation over the rows of ``rho0``, same shape.
+def _solved_initial(system: LinSystem, label: str, damping: float = 0.5,
+                    max_iters: int = 40, tol: float = 1e-9) -> Field:
+    """z(t0) of ``solve_linear_system``, failures tagged with ``label``.
 
-    A failure is tagged with its column's label: a stalled column by its
-    own gap history, and a leg that fails for a batch is re-solved one
-    column at a time in row order, so the error raised is the one a
-    sequential loop would meet first.
+    A leg's error gets the label in front; a stall raises InstabilityError.
     """
     try:
-        run = _alternate(system, rho0, damping, max_iters, tol)
+        z, _, report = solve_linear_system(system, damping, max_iters, tol)
     except (DivergenceError, InstabilityError) as exc:
-        if len(rho0) > 1:
-            return np.concatenate([
-                _solve_columns(system, rho0[i:i + 1], labels[i:i + 1],
-                               damping, max_iters, tol)
-                for i in range(len(rho0))])
-        raise type(exc)(f"{labels[0]}: {exc}") from exc
-    for label, ok, gaps in zip(labels, run.converged, run.gaps):
-        if not ok:
-            raise InstabilityError(
-                f"{label}: alternation stalled at gap {gaps[-1]:.3e} "
-                f"after {len(gaps)} iterations")
-    return run.z[0]
+        raise type(exc)(f"{label}: {exc}") from exc
+    if not report.converged:
+        raise InstabilityError(
+            f"{label}: alternation stalled at gap "
+            f"{report.gap_history[-1]:.3e} after {report.iterations} "
+            "iterations")
+    return z.initial
 
 
 @dataclass(frozen=True)

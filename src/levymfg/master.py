@@ -13,11 +13,14 @@ decay), the residual of the full evolution equation in ``(t, x, m)``
 assembled from fresh solves and the derivative kernel, the flow-consistency
 (restart) gap behind uniqueness, and a terminal identity.  The equation
 residual combines five pieces: a centered time quotient, the generator and
-the Hamiltonian acting in the state variable, and two measure integrals of
-the derivative kernel — its generator in the probe variable and its probe
-gradient against the equilibrium drift.  Neither certificate tabulates the
-kernel: by superposition, a pairing of the kernel with a fixed zero-mass
-direction is one linear solve with that direction as initial data.
+the Hamiltonian acting in the state variable, the running coupling, and
+the equation's two measure integrals of the derivative kernel (its
+generator in the probe variable and its probe gradient against the
+equilibrium drift) as one pairing of the kernel with m0's Fokker-Planck
+velocity L*m0 + div(m0 D_pH), the derivative of the field along m0's own
+flow.  Neither certificate tabulates the kernel: by superposition, a
+pairing of the kernel with a fixed zero-mass direction is one linear solve
+with that direction as initial data.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import (DivergenceError, GridMismatchError, InstabilityError,
 from .grid import Field, Grid, _batch_gradient
 from .hjb import _check_step
 from .kernels import KernelCache
-from .linearized import _solve_columns, linearize, mollified_delta, \
+from .linearized import _solved_initial, linearize, mollified_delta, \
     solve_linear_system
 from .measures import Measure, path_metric
 from .mfg import IterationPolicy, MfgProblem, MfgSolution, optimal_drift, \
@@ -237,20 +240,20 @@ def derivative_check(scenario: Scenario, t0: float, m0: Measure,
 
 
 def _measure_terms(scenario: Scenario, base: MfgSolution, m0: Measure
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The two measure integrals of the residual, from one linear solve.
+                   ) -> np.ndarray:
+    """The residual's measure integrals, from one linear solve.
 
     With w = m0 * cell_volume, b the drift at t0, D the central
-    difference and L^T the adjoint generator, the terms are
-    <w, L_y J(x, .)> = <L^T w, J(x, .)> and <b w, D_y J(x, .)> =
-    -<D(b w), J(x, .)>.  J(x, y) is z(t0, x) of the linear system whose
-    initial data is the mollified delta at y, so by superposition each
-    pairing is z(t0) for the initial data sum_y c(y) mollified_delta(y):
-    c = L^T w and c = D(b w) run as the two columns of one alternation,
-    with the default settings of ``_solve_columns``, and J is never
-    tabulated.  Both directions carry no mass, so J's additive
-    normalization cancels, provided the generator annihilates constants
-    (asserted here).
+    difference and L^T the adjoint generator, the two integrals sum to
+    <w, L_y J(x, .)> - <b w, D_y J(x, .)> = <v, J(x, .)> for
+    v = L^T w + D(b w), the right side of the Fokker-Planck equation at
+    (t0, m0), so the sum is the derivative of U along m0's own flow.  J(x, y) is z(t0, x)
+    of the linear system whose initial data is the mollified delta at y,
+    so by superposition the pairing is z(t0) for the initial data
+    sum_y v(y) mollified_delta(y), one solve with the default settings of
+    ``solve_linear_system``, and J is never tabulated.  v carries no
+    mass, so J's additive normalization cancels, provided the generator
+    annihilates constants (asserted here).
     """
     grid, kernel = scenario.grid, scenario.kernel
     killed = float(np.max(np.abs(kernel.apply_generator(
@@ -262,23 +265,19 @@ def _measure_terms(scenario: Scenario, base: MfgSolution, m0: Measure
             "residual")
     weights = m0.values * grid.cell_volume
     drift0 = optimal_drift(scenario.hamiltonian, base.u).values[0]
-    outflow = np.zeros(grid.shape)
+    velocity = kernel.apply_generator(weights, adjoint=True)
     for ax in range(grid.dims):
         flow = weights * drift0[ax]
-        outflow += (np.roll(flow, -1, axis=ax)
-                    - np.roll(flow, 1, axis=ax)) / (2.0 * grid.dx[ax])
-    directions = np.stack(
-        (kernel.apply_generator(weights, adjoint=True), outflow))
+        velocity += (np.roll(flow, -1, axis=ax)
+                     - np.roll(flow, 1, axis=ax)) / (2.0 * grid.dx[ax])
     # mollified_delta(y) is this corner profile rolled by the index of y
     corner = mollified_delta(grid, [-h for h in grid.half_width]).values
-    rho0 = np.zeros_like(directions)
-    axes = tuple(range(1, 1 + grid.dims))
+    rho0 = np.zeros(grid.shape)
+    axes = tuple(range(grid.dims))
     for shift in zip(*np.nonzero(corner)):
-        rho0 += corner[shift] * np.roll(directions, shift, axis=axes)
-    paired = _solve_columns(linearize(base, Field(grid, rho0[0])), rho0,
-                            ["nonlocal direction solve",
-                             "transport direction solve"])
-    return paired[0], -paired[1]
+        rho0 += corner[shift] * np.roll(velocity, shift, axis=axes)
+    return _solved_initial(linearize(base, Field(grid, rho0)),
+                           "measure flow solve").values
 
 
 @dataclass(frozen=True)
@@ -289,7 +288,8 @@ class MasterResidualReport:
     "terminal-identity" at t0 = T, where the equation degenerates to the
     boundary condition and the residual is the field minus the terminal
     cost.  ``term_sups`` records the sup of each assembled piece so a
-    large residual can be traced.  ``y_stride`` is always 1, as the
+    large residual can be traced; ``measure_flow`` is the sum of the two
+    measure integrals, the only form in which the equation has them.  ``y_stride`` is always 1, as the
     measure terms need no y-lattice; the benchmark's master check reads
     it.
     """
@@ -341,8 +341,9 @@ def master_residual(scenario: Scenario, t0: float, m0: Measure,
     measure integrals pair the derivative kernel's probe-variable
     generator image and its probe gradient against the equilibrium drift
     with m0 under the grid quadrature; ``_measure_terms`` moves both
-    operators onto m0 and gets the pairings from one two-column linear
-    solve, without tabulating the kernel.
+    operators onto m0, where they sum to m0's Fokker-Planck velocity, and
+    gets the pairing from one linear solve, without tabulating the
+    kernel.
     """
     grid = scenario.grid
     if m0.grid != grid:
@@ -375,18 +376,17 @@ def master_residual(scenario: Scenario, t0: float, m0: Measure,
     ham_term = np.asarray(
         scenario.hamiltonian.value(grid.meshgrid(), u0, grads), dtype=float)
 
-    nonlocal_term, transport_term = _measure_terms(scenario, base, m0)
+    measure_term = _measure_terms(scenario, base, m0)
     coupling_term = eval_F(scenario.running_cost, m0).values
 
-    residual = (time_term + gen_term - ham_term + nonlocal_term
-                - transport_term + coupling_term)
+    residual = (time_term + gen_term - ham_term + measure_term
+                + coupling_term)
     return _residual_report(
         "interior", grid, residual, sample_points, delta_t, {
             "time": float(np.max(np.abs(time_term))),
             "generator": float(np.max(np.abs(gen_term))),
             "hamiltonian": float(np.max(np.abs(ham_term))),
-            "nonlocal_probe": float(np.max(np.abs(nonlocal_term))),
-            "transport_probe": float(np.max(np.abs(transport_term))),
+            "measure_flow": float(np.max(np.abs(measure_term))),
             "coupling": float(np.max(np.abs(coupling_term))),
         })
 

@@ -498,7 +498,8 @@ def backward_case(dims, sweeps):
 
 
 def forward_case(sweeps, with_flux):
-    """Three densities under a shared drift (and a flux), and the oracle."""
+    """Three densities under a shared drift (and a flux), one march each,
+    and the oracle; both stacked with the density axis after time."""
     grid = Grid(32, 2.0)
     cache = KernelCache(skewed_triplet(1), grid)
     T, n_steps = 0.125, 16
@@ -506,23 +507,25 @@ def forward_case(sweeps, with_flux):
     times = np.linspace(0.0, T, n_steps + 1)
     drift = np.stack([[0.5 * np.sin(np.pi * x / 2.0) * (1.0 + t)]
                       for t in times])
-    centers = (-0.5, 0.0, 0.4)
-    rho0 = np.stack([np.exp(-8.0 * (x - c) ** 2) for c in centers])
-    rho0 /= grid.cell_volume * rho0.sum(axis=1, keepdims=True)
-    flux = None
-    if with_flux:
-        flux = np.stack([[[0.2 * (1.0 - t) * np.exp(-4.0 * (x + c) ** 2)]
-                          for c in centers] for t in times])
-    got = _forward_values(cache, drift, flux, rho0, 0.0, T, n_steps, sweeps)
+    got, want = [], []
+    for c in (-0.5, 0.0, 0.4):
+        rho0 = np.exp(-8.0 * (x - c) ** 2)
+        rho0 /= grid.cell_volume * rho0.sum()
+        flux = None
+        if with_flux:
+            flux = np.stack([[0.2 * (1.0 - t) * np.exp(-4.0 * (x + c) ** 2)]
+                             for t in times])
+        got.append(_forward_values(cache, drift, flux, rho0, 0.0, T, n_steps,
+                                   sweeps))
+        assert np.array_equal(got[-1][0], rho0)
 
-    def drive(rho, grads, k):
-        vec = drift[k][..., None, :, :] * np.expand_dims(rho, -2)
-        return None, (vec if flux is None else vec + flux[k])
+        def drive(rho, grads, k, flux=flux):
+            vec = drift[k] * np.expand_dims(rho, -2)
+            return None, (vec if flux is None else vec + flux[k])
 
-    want = stepped_march(cache, rho0, T, n_steps, sweeps, drive, adjoint=True)
-    assert got.shape == (n_steps + 1, 3) + grid.shape
-    assert np.array_equal(got[0], rho0)
-    return got, want
+        want.append(stepped_march(cache, rho0, T, n_steps, sweeps, drive,
+                                  adjoint=True))
+    return np.stack(got, axis=1), np.stack(want, axis=1)
 
 
 class TestSpectralSweep:
@@ -537,7 +540,7 @@ class TestSpectralSweep:
 
     def test_forward_adjoint_leg_with_columns(self):
         got, want = forward_case(2, with_flux=False)
-        # measured: 4.9e-16 (the adjoint and plain marches differ by 6e-2)
+        # measured: 5.9e-16 (the adjoint and plain marches differ by 6e-2)
         assert relative_gap(got, want) <= 2e-15
 
     @pytest.mark.parametrize("dims", [1, 2])
@@ -548,7 +551,7 @@ class TestSpectralSweep:
 
     def test_forward_first_pass_with_columns_drift_and_flux(self):
         got, want = forward_case(0, with_flux=True)
-        # measured: 4.9e-16
+        # measured: 7.0e-16
         assert relative_gap(got, want) <= 2e-15
 
 
@@ -615,30 +618,6 @@ def test_forward_transform_calls_do_not_grow_with_steps(transform_calls):
     assert counts[16, 2] - counts[16, 0] == 2 * 2
 
 
-def test_transform_calls_do_not_grow_with_columns(transform_calls):
-    # Columns ride along the batch axes of every transform call.
-    grid = Grid(256, 2.0)
-    cache = KernelCache(skewed_triplet(1), grid)
-    x = grid.axis(0)
-    n_steps = 8
-    drift = np.broadcast_to(0.5 * np.sin(np.pi * x / 2.0),
-                            (n_steps + 1, 1) + grid.shape)
-    counts = []
-    for columns in (1, 5):
-        rho0 = np.stack([np.exp(-8.0 * (x - 0.1 * c) ** 2)
-                         for c in range(columns)])
-        rho0 /= grid.cell_volume * rho0.sum(axis=1, keepdims=True)
-        flux = np.broadcast_to(0.2 * rho0[:, None],
-                               (n_steps + 1, columns, 1) + grid.shape)
-        transform_calls["n"] = 0
-        _forward_values(cache, drift, flux, rho0, 0.0, SPECTRAL_T, n_steps,
-                        2)
-        _march_backward(cache, rho0, 0.0, SPECTRAL_T, n_steps, 2,
-                        _value_drive(grid, QuadraticHamiltonian(), None))
-        counts.append(transform_calls["n"])
-    assert counts[0] == counts[1]
-
-
 def test_dense_step_makes_no_transform_call(transform_calls):
     # At n = 32 the first pass steps with the memoized dense operator: once
     # it is built, a step makes no transform call, and a sweep still makes
@@ -698,10 +677,10 @@ def dense_case_march(monkeypatch, dense, kernel, form, adjoint, start):
                        gradients=form != "flux")
 
 
-def dense_case_start(grid, rows):
+def dense_case_start(grid, r):
     mesh = grid.meshgrid()
-    return np.stack([np.exp(np.cos(np.pi * (mesh[0] - 0.3 * r) / 2.0))
-                     * (1.0 + 0.1 * r) for r in range(rows)])
+    return (np.exp(np.cos(np.pi * (mesh[0] - 0.3 * r) / 2.0))
+            * (1.0 + 0.1 * r))
 
 
 DENSE_GRIDS = [Grid(64, 2.0), Grid(8, 2.0, dims=2)]
@@ -716,29 +695,19 @@ def test_dense_and_spectral_steps_agree(monkeypatch, grid, form, adjoint,
     kernel = KernelCache(
         skewed_triplet(grid.dims) if generator == "skewed" else
         LevyTriplet(dims=grid.dims, jumps=FractionalLaplacian(1.5)), grid)
-    start = dense_case_start(grid, 5)
-    got = dense_case_march(monkeypatch, True, kernel, form, adjoint, start)
-    want = dense_case_march(monkeypatch, False, kernel, form, adjoint, start)
+    got, want = [], []
+    for r in range(5):
+        start = dense_case_start(grid, r)
+        got.append(dense_case_march(monkeypatch, True, kernel, form, adjoint,
+                                    start))
+        want.append(dense_case_march(monkeypatch, False, kernel, form,
+                                     adjoint, start))
+    got, want = np.stack(got, axis=1), np.stack(want, axis=1)
     assert got.shape == want.shape == (9, 5) + grid.shape
     # measured: at most 3.5e-16 relative over the 24 cases (1D skewed,
     # both terms, adjoint); the two sweeps move the path by 5e-4 to 0.16
     # relative, so a wrong step operator cannot hide under this bound
     assert relative_gap(got, want) <= 2e-15
-
-
-@pytest.mark.parametrize("grid", DENSE_GRIDS, ids=["1d64", "2d8x8"])
-@pytest.mark.parametrize("form", ["source", "flux"])
-def test_dense_rows_match_single_row_marches(monkeypatch, grid, form):
-    # The dense step makes one matrix-vector product per row, the call a
-    # single-row march makes, so a batched march equals its single-row
-    # marches bitwise; one matrix-matrix product over the batch need not.
-    start = dense_case_start(grid, 5)
-    kernel = KernelCache(skewed_triplet(grid.dims), grid)
-    batch = dense_case_march(monkeypatch, True, kernel, form, True, start)
-    for r in range(5):
-        single = dense_case_march(monkeypatch, True, kernel, form, True,
-                                  start[r])
-        assert np.array_equal(batch[:, r], single)
 
 
 def test_check_vets_each_pass_stack_once():

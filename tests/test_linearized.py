@@ -21,10 +21,10 @@ from levymfg.grid import Field, Grid, gradient
 from levymfg.hjb import QuadraticHamiltonian, Trajectory, solve_hjb
 from levymfg.kernels import KernelCache
 from levymfg.levy import FractionalLaplacian, LevyTriplet
-from levymfg.linearized import (JKernel, LinSystem, _alternate,
-                                _flux_values, _solve_columns, duality_report,
-                                j_field, j_field_batch, linearize,
-                                mollified_delta, solve_linear_system)
+from levymfg.linearized import (JKernel, LinSystem, _flux_values,
+                                duality_report, j_field, j_field_batch,
+                                linearize, mollified_delta,
+                                solve_linear_system)
 from levymfg.measures import Measure
 from levymfg.mfg import MfgProblem, MfgSolution, optimal_drift, solve_mfg
 from oracles import drift_hamiltonian, semigroup_apply
@@ -589,16 +589,6 @@ def batch(coarse_solution):
     return j_field_batch(coarse_solution, damping=1.0)
 
 
-def probe_columns(solution, ys, couplings=(None, None)):
-    """System, stacked deltas and labels of a multi-column J solve."""
-    grid = solution.problem.grid
-    rho0 = np.stack([mollified_delta(grid, y).values for y in ys])
-    system = linearize(solution, mollified_delta(grid, ys[0]),
-                       running_coupling=couplings[0],
-                       terminal_coupling=couplings[1])
-    return system, rho0, [f"derivative solve at y={y}" for y in ys]
-
-
 class TestDerivativeKernelBatch:
     def test_rows_bitwise_match_single_solves(self, coarse_solution, batch):
         assert batch.values.shape == CGRID.shape + CGRID.shape
@@ -610,50 +600,24 @@ class TestDerivativeKernelBatch:
             single = j_field(coarse_solution, None, y, damping=1.0)
             assert np.array_equal(batch.values[iy], single.values)
 
-    def test_columns_stop_at_their_own_iteration(self, coarse_solution):
-        # at tol 1e-11 the columns need different iteration counts, so
-        # each row is only right if its column left the batch on time
-        ys = [(float(x),) for x in CGRID.meshgrid()[0]]
-        system, rho0, _ = probe_columns(coarse_solution, ys)
-        run = _alternate(system, rho0, 0.5, 40, 1e-11)
-        counts = [len(gaps) for gaps in run.gaps]
-        assert run.converged.all()
-        assert len(set(counts)) > 1  # measured: 4 and 5 (all 4 at 1e-9)
-        singles = []
-        for row, y in zip(run.z[0], ys):
-            z, _, report = solve_linear_system(
-                linearize(coarse_solution, mollified_delta(CGRID, y)),
-                tol=1e-11)
-            assert np.array_equal(row, z.initial.values)
-            singles.append(report.iterations)
-        assert singles == counts
-
     def test_batch_stall_is_tagged_with_the_first_stalled_point(
             self, coarse_solution):
-        # both columns stall; the first in row order is reported
-        system, rho0, labels = probe_columns(coarse_solution,
-                                             [(-2.0,), (0.5,)])
+        # the first node of the table; a stall names its probe point
         with pytest.raises(InstabilityError,
                            match=r"derivative solve at y=\(-2\.0,\): "
                                  "alternation stalled"):
-            _solve_columns(system, rho0, labels, max_iters=1, tol=1e-300)
+            j_field(coarse_solution, None, (-2.0,), max_iters=1, tol=1e-300)
 
     def test_batch_leg_failure_is_the_sequential_one(self, coarse_solution):
-        # an oversized coupling makes both columns blow up, column 0 at
-        # alternation 20 and column 1 already at 14; the pair must report
-        # what a loop over y in order meets first (at x1e4 the mixed
-        # alternation stalls instead: gap 5.3e-4 after 40 legs)
+        # an oversized coupling makes the solve at the first node blow up
+        # at alternation 20; the leg's error carries the probe point and
+        # the alternation (at x1e4 the mixed alternation stalls instead:
+        # gap 5.3e-4 after 40 legs)
         loud = (Conv(Field(CGRID, 3e5 * coarse_bump_kernel().values)),
                 Zero())
         with pytest.raises((DivergenceError, InstabilityError)) as single:
             j_field(coarse_solution, loud, (-2.0,))
-        system, rho0, labels = probe_columns(coarse_solution,
-                                             [(-2.0,), (-1.75,)], loud)
-        with pytest.raises((DivergenceError, InstabilityError)) as batched:
-            _solve_columns(system, rho0, labels)
-        assert type(batched.value) is type(single.value)
-        assert str(batched.value) == str(single.value)
-        assert str(batched.value).startswith(
+        assert str(single.value).startswith(
             "derivative solve at y=(-2.0,): alternation iteration 20: ")
 
     def test_kernel_shape_is_validated(self):
@@ -710,15 +674,16 @@ def square_solution():
 
 class TestDerivativeKernel2D:
     def test_rows_bitwise_match_single_solves(self, square_solution):
-        # a 2x2 lattice of probe points; a full 64-column batch would spend
+        # a 2x2 lattice of probe points; a full 64-node table would spend
         # most of its time in the 2D metric programs
         ys = [(a, b) for a in (-0.5, 0.5) for b in (-1.0, 0.5)]
-        rows = _solve_columns(*probe_columns(square_solution, ys),
-                              damping=1.0)
+        rows = np.stack([j_field(square_solution, None, y, damping=1.0).values
+                         for y in ys])
         assert rows.shape == (4,) + SGRID.shape
         for row, y in zip(rows, ys):
-            single = j_field(square_solution, None, y, damping=1.0)
-            assert np.array_equal(row, single.values)
+            z, _, _ = solve_linear_system(linearize(
+                square_solution, mollified_delta(SGRID, y)), damping=1.0)
+            assert np.array_equal(row, z.initial.values)
         # signal, not noise; measured sups 8.953e-3 .. 8.957e-3
         assert float(np.min(np.abs(rows).max(axis=(1, 2)))) > 5e-3
         assert not np.array_equal(rows[0], rows[3])

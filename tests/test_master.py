@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from levymfg.coupling import Conv, Zero, eval_F
-from levymfg.errors import BudgetError
+from levymfg.errors import BudgetError, SpectralResidueError
 from levymfg.grid import Field, Grid
 from levymfg.hjb import QuadraticHamiltonian
 from levymfg.kernels import KernelCache
@@ -105,8 +105,7 @@ class TestInteriorResidual:
         assert 3.7e-4 < interior.sup_grid < 3.85e-4  # measured: 3.7731e-4
         assert interior.sup_sampled <= interior.sup_grid
         assert set(interior.term_sups) == {
-            "time", "generator", "hamiltonian", "nonlocal_probe",
-            "transport_probe", "coupling"}
+            "time", "generator", "hamiltonian", "measure_flow", "coupling"}
 
     @pytest.mark.parametrize("triplet", [
         TRIPLET, LevyTriplet(jumps=RieszFeller(1.6))],
@@ -116,13 +115,25 @@ class TestInteriorResidual:
         report = master_residual(scenario, 0.25, m0, SAMPLES)
         base = solve_scenario(scenario, 0.25, m0)
         got = _measure_terms(scenario, base, m0)
-        want = tabulated_measure_terms(scenario, base, m0)
-        for key, g, w in zip(("nonlocal_probe", "transport_probe"), got,
-                             want):
-            # measured: at most 3.3e-12 (frac, transport; sups 1.3e-2 and
-            # 5.4e-5), the columns' alternations stopping at 1e-9
-            assert float(np.max(np.abs(g - w))) <= 1e-11
-            assert report.term_sups[key] == float(np.max(np.abs(g)))
+        nonlocal_term, transport_term = tabulated_measure_terms(
+            scenario, base, m0)
+        # measured: 2.8e-13 (frac, sup 1.26e-2) and 5.2e-14 (riesz_feller,
+        # sup 1.65e-2), every alternation stopping at 1e-9
+        assert float(np.max(np.abs(
+            got - (nonlocal_term - transport_term)))) <= 6e-13
+        assert report.term_sups["measure_flow"] == float(np.max(np.abs(got)))
+
+    def test_generator_that_moves_constants_is_refused(
+            self, scenario, m0, interior, monkeypatch):
+        # the interior fixture memoized the three solves, so only the
+        # residual's own generator applications see the offset
+        original = scenario.kernel.apply_generator
+        monkeypatch.setattr(
+            scenario.kernel, "apply_generator",
+            lambda values, adjoint=False: original(values, adjoint) + 1e-9)
+        with pytest.raises(SpectralResidueError,
+                           match="moves constants by 1.000e-09"):
+            master_residual(scenario, 0.25, m0, SAMPLES)
 
 
 class TestRefinement:
@@ -213,9 +224,9 @@ class TestMixed2D:
         assert 4.2e-3 < report.sup_grid < 4.4e-3
         assert report.sup_sampled <= report.sup_grid
         # the Brownian part shows in both variables; measured: 1.9744e-2
-        # and 1.3391e-2 (1.5376e-2 and 1.0176e-2 without it)
+        # and 1.3397e-2 (1.5376e-2 and 1.0197e-2 without it)
         assert 1.9e-2 < report.term_sups["generator"] < 2.05e-2
-        assert 1.3e-2 < report.term_sups["nonlocal_probe"] < 1.38e-2
+        assert 1.3e-2 < report.term_sups["measure_flow"] < 1.38e-2
 
 
 class TestDecoupled:

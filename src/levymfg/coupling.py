@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import GridMismatchError
 from .grid import (Field, Grid, _convolve_values, _nyquist_shell_max,
@@ -371,6 +370,8 @@ def check_M2(coupling, m: Measure, version: str = "as_provided") -> M2Report:
     which an odd smoothing kernel probed at a point mass yields the strictly
     negative value phi(0) - phi(x0).
     """
+    from scipy.linalg import eigh
+
     if version not in ("as_provided", "normalized"):
         raise ValueError("version must be 'as_provided' or 'normalized'")
     grid = m.grid

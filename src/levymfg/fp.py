@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import GridMismatchError, InstabilityError, QuadratureError
 from .grid import Field, Grid, gradient
@@ -236,6 +235,8 @@ def small_jump_second_moment(triplet) -> float:
     |z|^{-1-alpha}, which overestimates the true constant and keeps the
     resulting budgets on the safe side.
     """
+    from scipy.integrate import quad
+
     total = 0.0
     for dens in _jump_densities(triplet):
         val, err = quad(

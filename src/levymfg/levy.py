@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
 
 from .errors import QuadratureError, UnsupportedOrderError
 from .grid import Grid
@@ -93,6 +91,8 @@ class RieszFeller:
         return self.alpha
 
     def symbol(self, xi: tuple[np.ndarray, ...]) -> np.ndarray:
+        from scipy.special import gamma as gamma_fn
+
         if len(xi) != 1:
             raise ValueError("one-sided stable jumps are one-dimensional")
         u = xi[0].astype(complex)
@@ -133,6 +133,8 @@ class CGMY:
 
     def big_jump_mean(self) -> float:
         """Int_{|z|>=1} z nu(dz), used to undo the full compensation."""
+        from scipy.integrate import quad
+
         pos, _ = quad(lambda z: z * self.C * math.exp(-self.M * z) * z ** (-1 - self.Y),
                       1.0, np.inf)
         neg, _ = quad(lambda z: z * self.C * math.exp(-self.G * z) * z ** (-1 - self.Y),
@@ -140,6 +142,8 @@ class CGMY:
         return pos - neg
 
     def symbol(self, xi: tuple[np.ndarray, ...]) -> np.ndarray:
+        from scipy.special import gamma as gamma_fn
+
         if len(xi) != 1:
             raise ValueError("CGMY jumps are one-dimensional")
         u = xi[0].astype(complex)

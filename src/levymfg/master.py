@@ -32,13 +32,11 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .coupling import _check_derivative_couplings, eval_F
-from .errors import (DivergenceError, GridMismatchError, InstabilityError,
-                     SpectralResidueError)
+from .errors import DivergenceError, GridMismatchError, SpectralResidueError
 from .grid import Field, Grid, _batch_gradient
 from .hjb import _check_step
 from .kernels import KernelCache
-from .linearized import _solved_initial, linearize, mollified_delta, \
-    solve_linear_system
+from .linearized import _solved_initial, linearize, mollified_delta
 from .measures import Measure, path_metric
 from .mfg import IterationPolicy, MfgProblem, MfgSolution, optimal_drift, \
     solve_mfg
@@ -198,19 +196,10 @@ def derivative_check(scenario: Scenario, t0: float, m0: Measure,
 
     base = solve_scenario(scenario, t0, m0)
     diff = m0_prime.values - m0.values
-    system = linearize(base, Field(grid, diff))
-    try:
-        z, _, report = solve_linear_system(
-            system, damping=scenario.policy.damping,
-            max_iters=scenario.policy.max_iters)
-    except (DivergenceError, InstabilityError) as exc:
-        raise type(exc)(f"derivative pairing solve: {exc}") from exc
-    if not report.converged:
-        raise DivergenceError(
-            "derivative pairing solve stalled at gap "
-            f"{report.gap_history[-1]:.3e} after {report.iterations} "
-            "iterations")
-    paired = z.initial.values
+    paired = _solved_initial(
+        linearize(base, Field(grid, diff)), "derivative pairing solve",
+        damping=scenario.policy.damping,
+        max_iters=scenario.policy.max_iters).values
     u0 = base.u.initial.values
 
     rows = []

@@ -25,9 +25,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
 
 from .errors import GridMismatchError, QuadratureError, ResolutionError
 from .grid import Field, Grid, _require_finite_rows, periodic_convolve
@@ -177,6 +174,8 @@ def verify_psi_jump_moment(triplet) -> float:
     psi over |z| >= 1 against each jump measure, summed over jump parts.
     Raises ``QuadratureError`` when a tail fails to converge.
     """
+    from scipy.integrate import quad
+
     total = 0.0
     for dens in _jump_densities(triplet):
         val, err = quad(
@@ -280,6 +279,9 @@ def _lipschitz_lp(grid: Grid, weights: np.ndarray,
 
     Returns the optimum and the optimizer shaped like the grid.
     """
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
     scale = _objective_scale(weights)
     if scale == 0.0:
         return 0.0, np.zeros(grid.shape)

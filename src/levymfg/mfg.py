@@ -23,9 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .coupling import Zero, _eval_F_path, eval_F
+from .coupling import Zero, _eval_F_path
 from .errors import DivergenceError, GridMismatchError, InstabilityError
-from .grid import Grid, _batch_gradient
+from .grid import Field, Grid, _batch_gradient
 from .hjb import Trajectory, _check_operand, solve_hjb
 from .fp import _project_slices, solve_fp
 from .kernels import KernelCache
@@ -190,8 +190,8 @@ def _best_response(problem: MfgProblem, path: np.ndarray
     grid = problem.grid
     source = _source_trajectory(
         problem.running_cost, grid, path, problem.t0, problem.T)
-    terminal = eval_F(
-        problem.terminal_cost, Measure.from_values(grid, path[-1]))
+    terminal = Field(grid, _eval_F_path(problem.terminal_cost, grid,
+                                        path[-1:])[0])
     u = solve_hjb(problem.kernel, problem.hamiltonian, source, terminal,
                   problem.t0, problem.T, problem.n_steps)
     drift = optimal_drift(problem.hamiltonian, u)

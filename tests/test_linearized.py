@@ -575,10 +575,17 @@ class TestDerivativeField:
         assert gap <= 1e-8  # measured: 1.3e-16
         assert 0.05 < float(np.max(np.abs(j_plus.values))) < 0.5  # 0.128
 
-    def test_stall_is_tagged_with_the_probe_point(self, standard_solution):
-        with pytest.raises(InstabilityError, match="derivative solve at y="):
-            j_field(standard_solution, None, (0.5,), max_iters=1,
-                    tol=1e-300)
+    @pytest.mark.parametrize("solution, y, message", [
+        ("standard_solution", 0.5, "derivative solve at y="),
+        # the first node of the coarse table
+        ("coarse_solution", -2.0,
+         r"derivative solve at y=\(-2\.0,\): alternation stalled"),
+    ], ids=["standard", "coarse"])
+    def test_stall_is_tagged_with_the_probe_point(self, request, solution, y,
+                                                  message):
+        with pytest.raises(InstabilityError, match=message):
+            j_field(request.getfixturevalue(solution), None, (y,),
+                    max_iters=1, tol=1e-300)
 
 
 # -- tabulated derivative kernel ---------------------------------------------
@@ -599,14 +606,6 @@ class TestDerivativeKernelBatch:
             y = (float(nodes[iy]),)
             single = j_field(coarse_solution, None, y, damping=1.0)
             assert np.array_equal(batch.values[iy], single.values)
-
-    def test_batch_stall_is_tagged_with_the_first_stalled_point(
-            self, coarse_solution):
-        # the first node of the table; a stall names its probe point
-        with pytest.raises(InstabilityError,
-                           match=r"derivative solve at y=\(-2\.0,\): "
-                                 "alternation stalled"):
-            j_field(coarse_solution, None, (-2.0,), max_iters=1, tol=1e-300)
 
     def test_batch_leg_failure_is_the_sequential_one(self, coarse_solution):
         # an oversized coupling makes the solve at the first node blow up

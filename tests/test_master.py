@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from levymfg.coupling import Conv, Zero, eval_F
-from levymfg.errors import BudgetError, SpectralResidueError
+from levymfg.errors import BudgetError, InstabilityError, SpectralResidueError
 from levymfg.grid import Field, Grid
 from levymfg.hjb import QuadraticHamiltonian
 from levymfg.kernels import KernelCache
@@ -24,6 +24,7 @@ from levymfg.master import (_MEMO_CAP, Scenario, _measure_terms,
                             derivative_check, eval_U, flow_consistency,
                             master_residual, solve_scenario)
 from levymfg.measures import Measure
+from levymfg.mfg import IterationPolicy
 from oracles import tabulated_measure_terms
 
 GRID = Grid(16, 2.0)
@@ -269,6 +270,16 @@ class TestDerivativeCheck:
         assert all(b < a for a, b in zip(defects, defects[1:]))
         assert 1.5e-7 < defects[0] < 1.8e-7  # measured: 1.65e-7
         assert 6e-9 < defects[-1] < 7.5e-9  # measured: 6.8e-9
+
+    def test_pairing_stall_is_an_instability(self, m0, shifted):
+        # one alternation cannot close the pairing solve; measured gap
+        # 5.091e-4 after that iteration
+        stalling = make_scenario(policy=IterationPolicy(max_iters=1,
+                                                        tol_d0=1.0))
+        with pytest.raises(InstabilityError,
+                           match=r"^derivative pairing solve: alternation "
+                                 r"stalled at gap"):
+            derivative_check(stalling, 0.0, m0, shifted, [0.2, 0.1])
 
 
 class TestFlowConsistency:

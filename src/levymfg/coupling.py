@@ -20,14 +20,15 @@ counterexample.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import GridMismatchError
-from .grid import (Field, Grid, _convolve_values, _nyquist_shell_max,
-                   _require_finite, _require_finite_rows)
+from .grid import (Field, Grid, _convolve_spectrum, _convolve_values,
+                   _nyquist_shell_max, _require_finite, _require_finite_rows)
 from .measures import Measure, _density_rows, mollify
 
 _MATRIX_AXIS_CAP = 256
@@ -62,6 +63,20 @@ class Conv:
                 f"kernel not compactly supported on the grid: edge magnitude "
                 f"{edge:.3e} vs peak {peak:.3e}"
             )
+
+    @functools.cached_property
+    def _kernel_terms(self) -> tuple[np.ndarray, float]:
+        """The kernel's half spectrum and sup-norm, once it is checked finite.
+
+        Taken on first use and kept, which is safe as ``phi``'s values are
+        read-only: a pricing or derivative action then transforms the
+        density side alone.
+        """
+        grid = self.phi.grid
+        _require_finite(self.phi.values, "left operand")
+        spectrum = np.fft.rfftn(self.phi.values, s=grid.shape,
+                                axes=tuple(range(-grid.dims, 0)))
+        return spectrum, self.phi.max_norm
 
     @property
     def is_positive_semidefinite(self) -> bool:
@@ -130,14 +145,16 @@ def _eval_F_path(coupling, grid: Grid, path: np.ndarray) -> np.ndarray:
     axes = tuple(range(1, 1 + grid.dims))
     if isinstance(coupling, Conv):
         rows, masses = _kernel_rows(coupling.phi, grid, path)
-        out = _convolve_values(grid, coupling.phi.values, rows)
-        bound = coupling.phi.max_norm * masses * (1.0 + 1e-12) + 1e-12
+        spectrum, peak = coupling._kernel_terms
+        out = _convolve_spectrum(grid, spectrum, rows)
+        bound = peak * masses * (1.0 + 1e-12) + 1e-12
         if np.any(np.max(np.abs(out), axis=axes) > bound):
             raise AssertionError("convolution exceeded its sup-norm budget")
         return out
     if isinstance(coupling, LocalComposite):
         phi2 = coupling.phi2
         rows, _ = _kernel_rows(phi2, grid, path)
+        _require_finite(phi2.values, "left operand")
         mesh = grid.meshgrid()
         inner = np.stack([
             np.asarray(coupling.Phi(mesh, s), dtype=float).reshape(grid.shape)
@@ -158,14 +175,13 @@ def _kernel_rows(kernel: Field, grid: Grid, path: np.ndarray
     """Density slices checked for convolution with a coupling kernel.
 
     Returns the slices clamped by ``measures._density_rows``, which
-    rejects a non-finite slice, and their masses, after the check
-    ``periodic_convolve`` makes of a kernel on ``grid``.
+    rejects a non-finite slice, and their masses, once the kernel is on
+    ``grid``.  The caller then checks the kernel finite, as
+    ``periodic_convolve`` does: ``Conv._kernel_terms`` once per coupling.
     """
     if kernel.grid != grid:
         raise GridMismatchError("coupling kernel lives on a different grid")
-    rows, masses = _density_rows(grid, path)
-    _require_finite(kernel.values, "left operand")
-    return rows, masses
+    return _density_rows(grid, path)
 
 
 def _translation_matrix(grid: Grid, phi_vals: np.ndarray) -> np.ndarray:
@@ -243,6 +259,7 @@ def _action_weights(coupling: LocalComposite, grid: Grid,
     slice by slice.  Each row equals its one-slice weight bitwise.
     """
     rows, _ = _kernel_rows(coupling.phi2, grid, path)
+    _require_finite(coupling.phi2.values, "left operand")
     mesh = grid.meshgrid()
     weights = np.stack([
         np.asarray(coupling.dPhi_ds(mesh, s), dtype=float)
@@ -262,7 +279,7 @@ def _dmF_action(coupling, weight: np.ndarray | None,
     """
     kern = _derivative_kernel(coupling)
     if weight is None:
-        return _convolve_values(kern.grid, kern.values, rho)
+        return _convolve_spectrum(kern.grid, coupling._kernel_terms[0], rho)
     smoothed = _convolve_values(kern.grid, kern.values, rho)
     return _convolve_values(kern.grid, kern.values, weight * smoothed)
 

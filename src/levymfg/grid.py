@@ -296,7 +296,18 @@ def _convolve_values(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     single-row convolution bitwise.
     """
     axes = tuple(range(-grid.dims, 0))
-    fs = np.fft.rfftn(f, s=grid.shape, axes=axes)
+    return _convolve_spectrum(grid, np.fft.rfftn(f, s=grid.shape, axes=axes),
+                              g)
+
+
+def _convolve_spectrum(grid: Grid, fs: np.ndarray, g: np.ndarray
+                       ) -> np.ndarray:
+    """``_convolve_values`` with the left operand given by its half spectrum.
+
+    ``fs`` is ``rfftn`` of the left operand over the trailing grid axes, so
+    a caller that convolves with one fixed field transforms it once.
+    """
+    axes = tuple(range(-grid.dims, 0))
     gs = np.fft.rfftn(g, s=grid.shape, axes=axes)
     spec = 0.5 * (fs * gs + gs * fs)
     out = np.fft.irfftn(spec, s=grid.shape, axes=axes) * grid.cell_volume

@@ -37,6 +37,7 @@ trajectories are indexed in physical time.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -407,9 +408,12 @@ def _solver_order(cache: KernelCache) -> float:
     return alpha
 
 
-def _nyquist_fraction(grid: Grid, values: np.ndarray) -> float:
-    """Spectral mass fraction on the Nyquist shell (resolution indicator)."""
-    spec = np.abs(np.fft.rfftn(values))
+def _nyquist_fraction(grid: Grid, spectrum: np.ndarray) -> float:
+    """Spectral mass fraction on the Nyquist shell (resolution indicator).
+
+    ``spectrum`` is the ``rfftn`` of one slice.
+    """
+    spec = np.abs(spectrum)
     peak = float(np.max(spec))
     return float(_nyquist_shell_max(grid, spec)) / peak if peak > 0.0 else 0.0
 
@@ -417,7 +421,8 @@ def _nyquist_fraction(grid: Grid, values: np.ndarray) -> float:
 def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
                 n_steps: int, picard_sweeps: int, drive: Callable,
                 check: Callable, adjoint: bool = False, *,
-                gradients: bool) -> np.ndarray:
+                gradients: bool, spectrum: np.ndarray | None = None
+                ) -> np.ndarray:
     """Mild march of dw/ds = L w + N(s, w) from w(0) = start.
 
     s is the marching clock and ``adjoint`` swaps L for L*.  ``start``
@@ -429,7 +434,9 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
     right before the grid axes; (None, None) means N = 0.  A drive does
     pointwise algebra only: the march owns every transform.  The caller
     says with ``gradients`` whether its drive reads the partials: without
-    them ``grads`` is the empty tuple and no partial is transformed.
+    them ``grads`` is the empty tuple and no partial is transformed.  A
+    caller that has taken the half spectrum of ``start`` passes it as
+    ``spectrum``; otherwise the march takes it where it reads it.
 
     On the half spectrum S_dt is the multiplier M, and the first pass is
     exponential Euler,
@@ -445,9 +452,10 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
       ``KernelCache.step_operator`` builds by pushing the identity through
       M and the partial multipliers, so it is the spectral step up to
       rounding, Nyquist rules and adjoint included.  ``_dense_first_pass``
-      applies it with one BLAS matrix-vector product per output row and
-      makes no transform call.  Only the spectrum of ``start`` is kept for
-      the sweeps.
+      applies it, flattened to one matrix, with one BLAS matrix-vector
+      product a step and makes no transform call.  The spectrum of
+      ``start`` is taken only when the partials of slice 0 or a sweep
+      read it.
     * Spectral otherwise: the march carries the half spectrum of the path,
       and a step makes two transform calls.  One ``irfftn`` of the rows
       [1, d_1, ..., d_d] times f[k] gives the values and gradient the drive
@@ -508,14 +516,18 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
             out = part if out is None else out + part
         return out
 
-    spec0 = np.fft.rfftn(start, s=grid.shape, axes=axes)
+    dense = grid.node_count <= _DENSE_STEP_NODES
+    # a dense first pass with no sweep never reads the start's spectrum
+    spec0 = spectrum
+    if spec0 is None and (gradients or picard_sweeps or not dense):
+        spec0 = np.fft.rfftn(start, s=grid.shape, axes=axes)
     # row 0 holds the values, rows 1..d the partials when the drive reads them
     stack = np.empty((1 + d if gradients else 1, n_steps + 1) + start.shape)
     w, grads = stack[0], stack[1:]
     w[0] = start
     if gradients:
         grads[:, 0] = np.fft.irfftn(rows[1:] * spec0, s=grid.shape, axes=axes)
-    if grid.node_count <= _DENSE_STEP_NODES:
+    if dense:
         _dense_first_pass(kernel, stack, dt, drive, adjoint, gradients)
     else:
         spec = np.empty((n_steps + 1,) + spec0.shape, dtype=complex)
@@ -571,28 +583,46 @@ def _dense_first_pass(kernel: KernelCache, stack: np.ndarray, dt: float,
 
     ``stack`` holds the values row, then the partials with ``gradients``,
     each with the time axis first; slice 0 is set and this fills the rest.
-    A step applies the memoized ``KernelCache.step_operator`` to the rows
-    (w + dt s, dt c_1, ..., dt c_d), or its source block to w + dt s alone
-    when the drive returns no flux, with one BLAS matrix-vector product
-    per output row.
+    A step applies the memoized ``KernelCache.step_operator``, flattened to
+    one matrix, to the rows (w + dt s, dt c_1, ..., dt c_d), or a
+    contiguous copy of its source block to w + dt s alone when the drive
+    returns no flux: one BLAS matrix-vector product a step.  A one-row
+    march writes it straight into the stack; a march with partials writes
+    it to a buffer and copies that into the stack.
     """
     grid = kernel.grid
     size = grid.node_count
     op = kernel.step_operator(dt, adjoint, gradients)
-    source_block = op[:, :, :size]
-    # out[o, k] is output row o at slice k, as a column
-    out = stack.reshape(stack.shape[:2] + (size, 1))
+    full = op.reshape(-1, op.shape[2])
+    source_op = None
     inputs = np.empty((1 + grid.dims, size))
-    w, grads = stack[0], stack[1:]
-    for k in range(stack.shape[1] - 1):
-        source, flux = drive(w[k], tuple(grads[:, k]), k)
-        head = w[k] if source is None else w[k] + dt * source
-        if flux is None:
-            np.matmul(source_block, head.reshape(size, 1), out=out[:, k + 1])
+    packed = inputs.reshape(-1)
+    # w + dt s, as a slice for the drive's arrays and flat for the product
+    head, fluxes = inputs[0].reshape(grid.shape), inputs[1:]
+    # out[o, k] is output row o at slice k, flattened
+    out = stack.reshape(stack.shape[:2] + (size,))
+    buffer = np.empty(op.shape[:2]) if gradients else None
+    flat = None if buffer is None else buffer.reshape(-1)
+    w = stack[0]
+    steps = zip(*stack[1:]) if gradients else itertools.repeat(())
+    for k, grads in zip(range(stack.shape[1] - 1), steps):
+        source, flux = drive(w[k], grads, k)
+        target = out[0, k + 1] if buffer is None else flat
+        if source is None:
+            head[...] = w[k]
         else:
-            inputs[0] = head.reshape(size)
-            np.multiply(flux.reshape(grid.dims, size), dt, out=inputs[1:])
-            np.matmul(op, inputs.reshape(-1, 1), out=out[:, k + 1])
+            np.multiply(source, dt, out=head)
+            np.add(w[k], head, out=head)
+        if flux is None:
+            if source_op is None:
+                source_op = np.ascontiguousarray(
+                    op[:, :, :size]).reshape(-1, size)
+            np.dot(source_op, inputs[0], out=target)
+        else:
+            np.multiply(flux.reshape(grid.dims, size), dt, out=fluxes)
+            np.dot(full, packed, out=target)
+        if buffer is not None:
+            out[:, k + 1] = buffer
 
 
 def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
@@ -609,7 +639,10 @@ def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
     DivergenceError when a slice's sup-norm passes 1e6.
     """
     dt = (T - t0) / n_steps
-    if _nyquist_fraction(kernel.grid, terminal) > _TERMINAL_TAIL_TOL:
+    grid = kernel.grid
+    spectrum = np.fft.rfftn(terminal, s=grid.shape,
+                            axes=tuple(range(-grid.dims, 0)))
+    if _nyquist_fraction(grid, spectrum) > _TERMINAL_TAIL_TOL:
         warnings.warn(
             "terminal data is marginally resolved: Nyquist spectral "
             "fraction exceeds 1e-6; expect degraded accuracy", stacklevel=3)
@@ -632,7 +665,8 @@ def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
             f"index {n_steps - (k - 1)} of {n_steps}")
 
     return _mild_march(kernel, terminal, t0, T, n_steps, picard_sweeps,
-                       reversed_drive, guard, gradients=True)[::-1]
+                       reversed_drive, guard, gradients=True,
+                       spectrum=spectrum)[::-1]
 
 
 def _value_drive(grid: Grid, hamiltonian, source: Trajectory | None

@@ -236,13 +236,13 @@ def _measure_terms(scenario: Scenario, base: MfgSolution, m0: Measure
     difference and L^T the adjoint generator, the two integrals sum to
     <w, L_y J(x, .)> - <b w, D_y J(x, .)> = <v, J(x, .)> for
     v = L^T w + D(b w), the right side of the Fokker-Planck equation at
-    (t0, m0), so the sum is the derivative of U along m0's own flow.  J(x, y) is z(t0, x)
-    of the linear system whose initial data is the mollified delta at y,
-    so by superposition the pairing is z(t0) for the initial data
-    sum_y v(y) mollified_delta(y), one solve with the default settings of
-    ``solve_linear_system``, and J is never tabulated.  v carries no
-    mass, so J's additive normalization cancels, provided the generator
-    annihilates constants (asserted here).
+    (t0, m0), so the sum is the derivative of U along m0's own flow.
+    J(x, y) is z(t0, x) of the linear system whose initial data is the
+    mollified delta at y, so by superposition the pairing is z(t0) for
+    the initial data sum_y v(y) mollified_delta(y), one solve with the
+    default settings of ``solve_linear_system``, and J is never
+    tabulated.  v carries no mass, so J's additive normalization cancels,
+    provided the generator annihilates constants (asserted here).
     """
     grid, kernel = scenario.grid, scenario.kernel
     killed = float(np.max(np.abs(kernel.apply_generator(
@@ -278,9 +278,9 @@ class MasterResidualReport:
     boundary condition and the residual is the field minus the terminal
     cost.  ``term_sups`` records the sup of each assembled piece so a
     large residual can be traced; ``measure_flow`` is the sum of the two
-    measure integrals, the only form in which the equation has them.  ``y_stride`` is always 1, as the
-    measure terms need no y-lattice; the benchmark's master check reads
-    it.
+    measure integrals, the only form in which the equation has them.
+    ``y_stride`` is always 1, as the measure terms need no y-lattice; the
+    benchmark's master check reads it.
     """
 
     mode: str

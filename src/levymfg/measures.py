@@ -38,6 +38,8 @@ _PSI_EPS = 1.0
 SUBADDITIVITY_SLACK = 0.7
 _EXACT_LP_NODES_2D = 32 * 32
 _PHI_CAP = 1.0  # test functions bounded by 1, so any d0 value is <= 2
+# nodes whose chain gains _chain_sup forms in one product
+_CHAIN_BLOCK = 16
 
 
 # --------------------------------------------------------------------------
@@ -303,56 +305,96 @@ def _lipschitz_lp(grid: Grid, weights: np.ndarray,
     return scale * float(-res.fun), res.x.reshape(grid.shape)
 
 
+@functools.lru_cache(maxsize=16)
+def _chain_lattice(dx: float, nodes: int
+                   ) -> tuple[np.ndarray, int, np.ndarray | None]:
+    """The sorted lattice of ``_chain_sup``, its window reach, its holes.
+
+    A vertex value 1 - k dx or -1 + k dx is joined to its node at +-1 by a
+    chain of at most ``nodes`` - 1 tight steps, so only k <= nodes - 1 is
+    kept: at most 2 ``nodes`` points, against about 4/dx uncapped.  When
+    the two sub-lattices are bitwise equal (every dyadic dx), the lattice
+    is one copy, and the points within dx of a lattice point are its
+    neighbours, a reach of 1.  Otherwise the sorted sub-lattices alternate
+    and the points within dx are the two on either side, a reach of 2.
+
+    Where the cap binds, a kept point of one sub-lattice can lose the
+    partner the interleaving gives it, and the two ends of the lattice
+    stop interleaving or, farther apart, stop meeting.  The lattice keeps
+    the uncapped layout there with a hole in each dropped slot, and a run
+    of slots with no kept point shrinks to one row of holes, which leaves
+    the points either side of it more than the reach apart.  Returns the
+    holes as a boolean mask of the slots, None when there are none: the
+    lattice is then the uncapped one.  Cached, read-only.
+    """
+    k = np.arange(int(2.0 / dx) + 1)
+    rising = np.minimum(-1.0 + k * dx, 1.0)
+    falling = np.maximum(1.0 - k[::-1] * dx, -1.0)
+    # rising[i] lies i steps from -1, falling[i] k.size - 1 - i from +1
+    near = (k <= nodes - 1, k[::-1] <= nodes - 1)
+    if np.array_equal(rising, falling):
+        slots, kept, reach = rising[:, None], (near[0] | near[1])[:, None], 1
+    else:
+        slots, kept, reach = (np.stack((rising, falling), axis=1),
+                              np.stack(near, axis=1), 2)
+    filled = kept.any(axis=1)
+    rows = filled.copy()
+    rows[1:] |= filled[:-1]
+    lattice, holes = _frozen(slots[rows].ravel(), ~kept[rows].ravel())
+    return lattice, reach, (holes if holes.any() else None)
+
+
 def _chain_sup(weights: np.ndarray, dx: float) -> np.ndarray:
     """Maximize w.phi over |phi_j| <= 1 and |phi_{j+1} - phi_j| <= dx.
 
     One value per row of ``weights`` (shape (slices, nodes)).  At a vertex
     of this program every phi_j is joined by tight Lipschitz constraints to
-    a node at +-1, so it lies on the lattice {1 - k dx} u {-1 + k dx} inside
-    [-1, 1], and a max-plus dynamic program over that lattice is exact.
+    a node at +-1, so it lies on the lattice {1 - k dx} u {-1 + k dx}
+    inside [-1, 1], and a max-plus dynamic program over that lattice is
+    exact; ``_chain_lattice`` builds the lattice and says which lattice
+    points lie within dx of each other.  Both copies of a value in the
+    interleaved lattice see the same window {v - dx, v, v + dx}, so a
+    one-copy and an interleaved lattice give the same value bitwise.
 
-    When the two sub-lattices are bitwise equal (every dyadic dx), the
-    program runs on one copy, and the points within dx of a lattice point
-    are its neighbours, a reach of 1.  Otherwise the sorted sub-lattices
-    alternate, and the points within dx are the two on either side, a
-    reach of 2.  Both copies of a value in the interleaved lattice see the
-    same window {v - dx, v, v + dx}, so the two lattices give the same
-    value bitwise.  The prefix values are held lattice-major, shape
-    (lattice + 2 reach, slices), so every shifted window is one contiguous
-    block; the node's gain w_j * lattice is formed node by node into a
-    buffer of the same size, so memory stays O(slices x lattice).  Rows
-    only meet in elementwise operations: a row of a batch equals its
+    The prefix values are held lattice-major, shape (lattice + 2 reach,
+    slices), so every shifted window is one contiguous block, a view made
+    once.  The gains w_j * lattice come from one product per block of
+    ``_CHAIN_BLOCK`` nodes, with -inf in the lattice's holes, so a node
+    costs 1 + reach maximum calls and one add (three ufunc calls on one
+    lattice copy, four on two), and memory stays O(slices x lattice).
+    Rows only meet in elementwise operations: a row of a batch equals its
     single-row call bitwise.
     """
     if not np.all(np.isfinite(weights)):
         raise ValueError("bounded-Lipschitz weights must be finite")
-    k = np.arange(int(2.0 / dx) + 1)
-    rising = np.minimum(-1.0 + k * dx, 1.0)
-    falling = np.maximum(1.0 - k[::-1] * dx, -1.0)
-    if np.array_equal(rising, falling):
-        lattice, reach = rising, 1
-    else:
-        lattice, reach = np.empty(2 * k.size), 2
-        lattice[0::2], lattice[1::2] = rising, falling
+    nodes = np.ascontiguousarray(weights.T)
+    lattice, reach, holes = _chain_lattice(dx, len(nodes))
     size = lattice.size
     lattice = lattice[:, None]
-    nodes = np.ascontiguousarray(weights.T)
     # value of the best prefix ending at each lattice point, padded by
     # reach -inf rows per side so the window needs no edge cases
     best = np.full((size + 2 * reach, nodes.shape[1]), -np.inf)
     core = best[reach:reach + size]
     pair = np.empty((size + 2 * reach - 1, nodes.shape[1]))
     window = np.empty((size, nodes.shape[1]))
-    gain = np.empty_like(window)
-    np.multiply(nodes[0], lattice, out=core)
-    for w in nodes[1:]:
-        # window of lattice point i: best[i .. i + 2 reach], padded index
-        np.maximum(best[:-1], best[1:], out=pair)
-        np.maximum(pair[:size], best[2 * reach:], out=window)
-        for s in range(1, reach):
-            np.maximum(window, pair[2 * s:2 * s + size], out=window)
-        np.multiply(w, lattice, out=gain)
-        np.add(window, gain, out=core)
+    # window of lattice point i: best[i .. i + 2 reach], padded index
+    lower, upper, last = best[:-1], best[1:], best[2 * reach:]
+    spans = [pair[2 * s:2 * s + size] for s in range(reach)]
+    gains = np.empty((min(_CHAIN_BLOCK, len(nodes)),) + window.shape)
+    for first in range(0, len(nodes), _CHAIN_BLOCK):
+        block = gains[:len(nodes) - first]
+        np.multiply(nodes[first:first + len(block), None], lattice, out=block)
+        if holes is not None:
+            block[:, holes] = -np.inf
+        if first == 0:
+            core[...] = block[0]
+            block = block[1:]
+        for gain in block:
+            np.maximum(lower, upper, out=pair)
+            np.maximum(spans[0], last, out=window)
+            for span in spans[1:]:
+                np.maximum(window, span, out=window)
+            np.add(window, gain, out=core)
     return core.max(axis=0)
 
 

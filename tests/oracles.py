@@ -1,8 +1,9 @@
 """Reference implementations the test modules compare the package against.
 
 Closed-form metrics, the one-shot semigroup apply, toy Hamiltonians, the
-Laplacian triplet, a drift-free initial path and the master residual's
-measure terms from a full derivative-kernel table: code that only the tests
+Laplacian triplet, a drift-free initial path, the master residual's
+measure terms from a full derivative-kernel table, the uncapped chain
+program and the stacked dense first-pass step: code that only the tests
 call, kept out of the package's public surface.
 """
 
@@ -136,3 +137,65 @@ def tabulated_measure_terms(scenario, base: MfgSolution, m0: Measure
         transport_term += np.tensordot(weights * drift0[ax], d_y,
                                        axes=(y_axes, y_axes))
     return nonlocal_term, transport_term
+
+
+def uncapped_chain_sup(weights: np.ndarray, dx: float) -> np.ndarray:
+    """The chain program's dynamic program on the whole lattice.
+
+    ``measures._chain_sup`` before its lattice kept only the points within
+    (nodes - 1) dx of +-1: every lattice point {1 - k dx} u {-1 + k dx} in
+    [-1, 1], about 4/dx of them, and the gains w_j * lattice formed node by
+    node.  Slices first, one value per row.
+    """
+    k = np.arange(int(2.0 / dx) + 1)
+    rising = np.minimum(-1.0 + k * dx, 1.0)
+    falling = np.maximum(1.0 - k[::-1] * dx, -1.0)
+    if np.array_equal(rising, falling):
+        lattice, reach = rising, 1
+    else:
+        lattice, reach = np.empty(2 * k.size), 2
+        lattice[0::2], lattice[1::2] = rising, falling
+    size = lattice.size
+    lattice = lattice[:, None]
+    nodes = np.ascontiguousarray(weights.T)
+    best = np.full((size + 2 * reach, nodes.shape[1]), -np.inf)
+    core = best[reach:reach + size]
+    pair = np.empty((size + 2 * reach - 1, nodes.shape[1]))
+    window = np.empty((size, nodes.shape[1]))
+    gain = np.empty_like(window)
+    np.multiply(nodes[0], lattice, out=core)
+    for w in nodes[1:]:
+        np.maximum(best[:-1], best[1:], out=pair)
+        np.maximum(pair[:size], best[2 * reach:], out=window)
+        for s in range(1, reach):
+            np.maximum(window, pair[2 * s:2 * s + size], out=window)
+        np.multiply(w, lattice, out=gain)
+        np.add(window, gain, out=core)
+    return core.max(axis=0)
+
+
+def stacked_dense_first_pass(kernel: KernelCache, stack: np.ndarray,
+                             dt: float, drive, adjoint: bool,
+                             gradients: bool) -> None:
+    """``hjb._dense_first_pass`` as one stacked ``matmul`` a step.
+
+    Applies the (rows out, N, (1 + d) N) step operator, or its strided
+    source block when the drive returns no flux, to the input column and
+    writes the output rows of each slice straight into ``stack``.
+    """
+    grid = kernel.grid
+    size = grid.node_count
+    op = kernel.step_operator(dt, adjoint, gradients)
+    source_block = op[:, :, :size]
+    out = stack.reshape(stack.shape[:2] + (size, 1))
+    inputs = np.empty((1 + grid.dims, size))
+    w, grads = stack[0], stack[1:]
+    for k in range(stack.shape[1] - 1):
+        source, flux = drive(w[k], tuple(grads[:, k]), k)
+        head = w[k] if source is None else w[k] + dt * source
+        if flux is None:
+            np.matmul(source_block, head.reshape(size, 1), out=out[:, k + 1])
+        else:
+            inputs[0] = head.reshape(size)
+            np.multiply(flux.reshape(grid.dims, size), dt, out=inputs[1:])
+            np.matmul(op, inputs.reshape(-1, 1), out=out[:, k + 1])

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from levymfg import coupling as coupling_module
-from levymfg.errors import NonFiniteFieldError
+from levymfg.errors import GridMismatchError, NonFiniteFieldError
 from levymfg.grid import Field, Grid, gradient, periodic_convolve
 from levymfg.coupling import (
     Conv,
@@ -88,6 +88,41 @@ class TestEvalF:
         out = eval_F(coupling, m)
         oracle = periodic_convolve(phi2, periodic_convolve(phi2, m.density))
         assert np.max(np.abs(out.values - oracle.values)) <= 1e-10
+
+    def test_conv_memo_keeps_eval_bitwise(self, transform_calls):
+        # the first pricing transforms the kernel and keeps its spectrum,
+        # so a repeat pricing transforms the density and inverts, 2 calls
+        grid = Grid(64, 2.0)
+        coupling = Conv(gauss_kernel(grid))
+        calls = []
+        for seed in (2, 2, 3):
+            m = random_measure(grid, seed)
+            want = periodic_convolve(m.density, coupling.phi).values
+            transform_calls["n"] = 0
+            got = eval_F(coupling, m).values
+            calls.append(transform_calls["n"])
+            assert np.array_equal(got, want)
+        assert calls == [3, 2, 2]
+
+    @pytest.mark.parametrize("kind", ["conv", "composite"])
+    def test_non_finite_kernel_fails_every_pricing(self, kind):
+        # after the grid and density checks, on a repeat call too
+        grid = Grid(64, 2.0)
+        vals = gauss_kernel(grid, 0.2).values.copy()
+        vals[10] = np.nan
+        kernel = Field(grid, vals)
+        coupling = (Conv(kernel) if kind == "conv"
+                    else LocalComposite(kernel, *power_maps(2)))
+        m = random_measure(grid, 4)
+        for _ in range(2):
+            with pytest.raises(NonFiniteFieldError, match="left operand"):
+                eval_F(coupling, m)
+        negative = m.values.copy()
+        negative[3] = -1e-3
+        with pytest.raises(ValueError, match="negative values"):
+            _eval_F_path(coupling, grid, negative[None])
+        with pytest.raises(GridMismatchError):
+            eval_F(coupling, random_measure(Grid(32, 2.0), 4))
 
     def test_conv_requires_compact_support(self):
         grid = Grid(64, 2.0)
@@ -196,15 +231,20 @@ class TestPathPricing:
             smoothed = periodic_convolve(coupling.phi2, Field(grid, path[3]))
             marked = coupling.Phi(None, smoothed.values)
         mark = marked.reshape(-1)[0]
-        real = coupling_module._convolve_values
 
-        def inflated(grid, f, g):
-            out = real(grid, f, g)
-            first = g.reshape(g.shape[:g.ndim - grid.dims] + (-1,))[..., 0]
-            hit = (first == mark).reshape(first.shape + (1,) * grid.dims)
-            return np.where(hit, 1e3 * out, out)
+        def inflate(real):
+            def inflated(grid, f, g):
+                out = real(grid, f, g)
+                first = g.reshape(g.shape[:g.ndim - grid.dims] + (-1,))[..., 0]
+                hit = (first == mark).reshape(first.shape + (1,) * grid.dims)
+                return np.where(hit, 1e3 * out, out)
+            return inflated
 
-        monkeypatch.setattr(coupling_module, "_convolve_values", inflated)
+        # Conv convolves with its kernel's kept spectrum, the composite
+        # with the kernel's values
+        for name in ("_convolve_spectrum", "_convolve_values"):
+            monkeypatch.setattr(coupling_module, name,
+                                inflate(getattr(coupling_module, name)))
         got = raised(lambda: _eval_F_path(coupling, grid, path))
         assert got == raised(lambda: per_slice_F(coupling, grid, path))
         assert got[0] is AssertionError and "sup-norm budget" in got[1]
@@ -365,8 +405,6 @@ class TestDerivativeAction:
         assert np.array_equal(out.values, np.zeros(grid.shape))
 
     def test_grid_mismatch_rejected(self):
-        from levymfg.errors import GridMismatchError
-
         grid = Grid(64, 2.0)
         m = random_measure(grid, 25)
         with pytest.raises(GridMismatchError):

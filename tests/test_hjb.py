@@ -1,5 +1,7 @@
 """Backward solver tests against closed-form and log-transform oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,7 +34,7 @@ from levymfg import hjb, kernels
 from levymfg.kernels import KernelCache
 from levymfg.levy import FractionalLaplacian, LevyTriplet
 from oracles import (drift_hamiltonian, laplacian_triplet, semigroup_apply,
-                     zero_hamiltonian)
+                     stacked_dense_first_pass, zero_hamiltonian)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -380,6 +382,18 @@ class TestSolveHjb:
         with pytest.warns(UserWarning, match="resolved"):
             solve_hjb(cache, zero_hamiltonian(), None, g, 0.0, 0.01, 16)
 
+    def test_smooth_terminal_does_not_warn(self):
+        # a few resolved modes leave the Nyquist shell empty to rounding
+        grid = Grid(32, 1.0)
+        cache = KernelCache(laplacian_triplet(), grid)
+        g = Field.from_function(grid, lambda x: 0.3 + np.cos(np.pi * x)
+                                - 0.2 * np.sin(3.0 * np.pi * x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = solve_hjb(cache, QuadraticHamiltonian(), None, g, 0.0, 0.01,
+                          16)
+        assert np.array_equal(u.terminal.values, g.values)
+
     def test_source_mesh_mismatch_rejected(self):
         src = Trajectory.zero(self.grid, 0.0, 0.1, 32)
         with pytest.raises(ValueError, match="time slab"):
@@ -657,6 +671,16 @@ def dense_case_march(monkeypatch, dense, kernel, form, adjoint, start):
     monkeypatch.setattr(hjb, "_DENSE_STEP_NODES",
                         1 << 62 if dense else 0)
     grid = kernel.grid
+    n_steps = 8
+    T = n_steps * step_budget(1.5, grid)
+    return _mild_march(kernel, start, 0.0, T, n_steps, 2,
+                       dense_case_drive(grid, form),
+                       lambda values, first: None, adjoint,
+                       gradients=form != "flux")
+
+
+def dense_case_drive(grid, form):
+    """The drive of ``dense_case_march`` for ``form``."""
     mesh = grid.meshgrid()
     d = grid.dims
     bump = np.cos(np.pi * mesh[0] / 2.0)
@@ -670,11 +694,7 @@ def dense_case_march(monkeypatch, dense, kernel, form, adjoint, start):
             flux = wind * np.expand_dims(values, -1 - d)
         return source, flux
 
-    n_steps = 8
-    T = n_steps * step_budget(1.5, grid)
-    return _mild_march(kernel, start, 0.0, T, n_steps, 2, drive,
-                       lambda values, first: None, adjoint,
-                       gradients=form != "flux")
+    return drive
 
 
 def dense_case_start(grid, r):
@@ -708,6 +728,32 @@ def test_dense_and_spectral_steps_agree(monkeypatch, grid, form, adjoint,
     # both terms, adjoint); the two sweeps move the path by 5e-4 to 0.16
     # relative, so a wrong step operator cannot hide under this bound
     assert relative_gap(got, want) <= 2e-15
+
+
+@pytest.mark.parametrize("case", ["1d64-source", "1d64-flux", "2d8x8-flux"])
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_dense_first_pass_matches_stacked_matmul_bitwise(case, adjoint):
+    # the flattened operator and its contiguous source block give the
+    # stacked matmul of each step bit for bit: a source drive reading the
+    # gradient rows (the HJB shape), a flux drive (the FP shape), and a
+    # 2D flux of two components
+    grid = Grid(64, 2.0) if case.startswith("1d") else Grid(8, 2.0, dims=2)
+    form = case.split("-")[1]
+    gradients = form == "source"
+    kernel = KernelCache(skewed_triplet(grid.dims), grid)
+    drive = dense_case_drive(grid, form)
+    n_steps = 8
+    stack = np.zeros((1 + grid.dims if gradients else 1, n_steps + 1)
+                     + grid.shape)
+    stack[0, 0] = dense_case_start(grid, 1)
+    if gradients:
+        stack[1:, 0] = _batch_gradient(grid, stack[0, 0])
+    want = stack.copy()
+    dt = step_budget(1.5, grid)
+    hjb._dense_first_pass(kernel, stack, dt, drive, adjoint, gradients)
+    stacked_dense_first_pass(kernel, want, dt, drive, adjoint, gradients)
+    assert np.all(np.isfinite(want)) and np.ptp(want[0, -1]) > 0.0
+    assert np.array_equal(stack, want)
 
 
 def test_check_vets_each_pass_stack_once():

@@ -312,24 +312,26 @@ class TestSolveMfg:
             solve_mfg(prob, initial_path=vec)
 
 
-@pytest.mark.parametrize("kind, calls", [("conv", 3), ("composite", 6)])
+@pytest.mark.parametrize("kind, calls", [("conv", 2), ("composite", 6)])
 def test_pricing_transform_calls_do_not_grow_with_slices(
         kernel, transform_calls, kind, calls):
-    # one convolution is two forward transforms and one inverse; the
-    # composite convolves twice
+    # one convolution is two forward transforms and one inverse, but a
+    # Conv keeps its kernel's spectrum from its first pricing on (that
+    # pricing makes one call more); the composite convolves twice
     if kind == "conv":
         coupling = smoothing_coupling(0.4)
     else:
         coupling = LocalComposite(
             Field.from_function(GRID, lambda x: np.exp(-8.0 * x * x)),
             lambda mesh, s: s * s, lambda mesh, s: 2.0 * s)
-    for n_steps in (32, 128):
+    for n_steps in (32, 64, 128):
         path = diffused_initial_path(kernel, bump_measure(), 0.0, T_END,
                                      n_steps).values
         transform_calls["n"] = 0
         source = _source_trajectory(coupling, GRID, path, 0.0, T_END)
         assert source.n_steps == n_steps
-        assert transform_calls["n"] == calls
+        first_conv = kind == "conv" and n_steps == 32
+        assert transform_calls["n"] == calls + first_conv
 
 
 class TestDampingSchedule:

@@ -27,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridMismatchError
-from .grid import (Field, Grid, _convolve_spectrum, _convolve_values,
-                   _nyquist_shell_max, _require_finite, _require_finite_rows)
+from .grid import (Field, Grid, _convolve_spectrum, _nyquist_shell_max,
+                   _require_finite, _require_finite_rows)
 from .measures import Measure, _density_rows, mollify
 
 _MATRIX_AXIS_CAP = 256
@@ -108,6 +108,21 @@ class LocalComposite:
             if np.max(np.abs(vals - flipped)) > 1e-12 * max(float(np.max(vals)), 1e-300):
                 raise ValueError("inner kernel must be even")
 
+    @functools.cached_property
+    def _kernel_terms(self) -> tuple[np.ndarray, float]:
+        """``phi2``'s half spectrum and L1 norm, once it is checked finite.
+
+        Kept from first use on, as ``Conv`` keeps its kernel's: both
+        convolutions of a pricing or derivative action then transform the
+        density side alone.
+        """
+        grid = self.phi2.grid
+        _require_finite(self.phi2.values, "left operand")
+        spectrum = np.fft.rfftn(self.phi2.values, s=grid.shape,
+                                axes=tuple(range(-grid.dims, 0)))
+        return spectrum, grid.cell_volume * float(np.sum(np.abs(
+            self.phi2.values)))
+
 
 def _boundary_magnitude(f: Field) -> float:
     worst = 0.0
@@ -152,16 +167,14 @@ def _eval_F_path(coupling, grid: Grid, path: np.ndarray) -> np.ndarray:
             raise AssertionError("convolution exceeded its sup-norm budget")
         return out
     if isinstance(coupling, LocalComposite):
-        phi2 = coupling.phi2
-        rows, _ = _kernel_rows(phi2, grid, path)
-        _require_finite(phi2.values, "left operand")
+        rows, _ = _kernel_rows(coupling.phi2, grid, path)
+        spectrum, l1 = coupling._kernel_terms
         mesh = grid.meshgrid()
         inner = np.stack([
             np.asarray(coupling.Phi(mesh, s), dtype=float).reshape(grid.shape)
-            for s in _convolve_values(grid, phi2.values, rows)])
+            for s in _convolve_spectrum(grid, spectrum, rows)])
         _require_finite_rows(inner, "right operand")
-        out = _convolve_values(grid, phi2.values, inner)
-        l1 = grid.cell_volume * float(np.sum(np.abs(phi2.values)))
+        out = _convolve_spectrum(grid, spectrum, inner)
         bound = l1 * np.max(np.abs(inner), axis=axes) * (1.0 + 1e-12) + 1e-12
         if np.any(np.max(np.abs(out), axis=axes) > bound):
             raise AssertionError(
@@ -177,7 +190,7 @@ def _kernel_rows(kernel: Field, grid: Grid, path: np.ndarray
     Returns the slices clamped by ``measures._density_rows``, which
     rejects a non-finite slice, and their masses, once the kernel is on
     ``grid``.  The caller then checks the kernel finite, as
-    ``periodic_convolve`` does: ``Conv._kernel_terms`` once per coupling.
+    ``periodic_convolve`` does: ``_kernel_terms`` once per coupling.
     """
     if kernel.grid != grid:
         raise GridMismatchError("coupling kernel lives on a different grid")
@@ -259,11 +272,11 @@ def _action_weights(coupling: LocalComposite, grid: Grid,
     slice by slice.  Each row equals its one-slice weight bitwise.
     """
     rows, _ = _kernel_rows(coupling.phi2, grid, path)
-    _require_finite(coupling.phi2.values, "left operand")
+    spectrum = coupling._kernel_terms[0]
     mesh = grid.meshgrid()
     weights = np.stack([
         np.asarray(coupling.dPhi_ds(mesh, s), dtype=float)
-        for s in _convolve_values(grid, coupling.phi2.values, rows)])
+        for s in _convolve_spectrum(grid, spectrum, rows)])
     # the weighted density is the right operand of the outer convolution
     _require_finite_rows(weights, "right operand")
     return weights
@@ -277,11 +290,12 @@ def _dmF_action(coupling, weight: np.ndarray | None,
     must broadcast against them; a row of a batch equals its single-row
     action bitwise.
     """
-    kern = _derivative_kernel(coupling)
+    grid = _derivative_kernel(coupling).grid
+    spectrum = coupling._kernel_terms[0]
     if weight is None:
-        return _convolve_spectrum(kern.grid, coupling._kernel_terms[0], rho)
-    smoothed = _convolve_values(kern.grid, kern.values, rho)
-    return _convolve_values(kern.grid, kern.values, weight * smoothed)
+        return _convolve_spectrum(grid, spectrum, rho)
+    smoothed = _convolve_spectrum(grid, spectrum, rho)
+    return _convolve_spectrum(grid, spectrum, weight * smoothed)
 
 
 def _check_derivative_couplings(grid: Grid, owner: str, running,

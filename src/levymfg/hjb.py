@@ -630,13 +630,15 @@ def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
                     drive: Callable) -> np.ndarray:
     """Mild march of -du/dt - Lu = N(t, u) from u(T) = terminal.
 
-    ``_mild_march`` in the reversed clock s = T - t.  ``drive(values,
-    grads, phys)`` returns the ``(source, flux)`` pair of the Duhamel
-    integrand N for one slice at physical index ``phys``, or for the whole
-    reversed stack (time axis first) when ``phys`` is ``slice(None, None,
-    -1)``.  Returns the values in physical time order, time axis first.
-    Raises BudgetError when dt exceeds the 0.5*dx^alpha budget and
-    DivergenceError when a slice's sup-norm passes 1e6.
+    ``_mild_march`` in the reversed clock s = T - t, handed ``drive``
+    as it is: ``drive(values, grads, k)`` returns the ``(source, flux)``
+    pair of the Duhamel integrand N at march index k, physical index
+    ``n_steps - k``, or of the whole stack in march order when k is
+    ``slice(None)``.  A drive with operands in physical time therefore
+    reads them through reversed views, ``operand[::-1][k]``.  Returns the
+    values in physical time order, time axis first.  Raises BudgetError
+    when dt exceeds the 0.5*dx^alpha budget and DivergenceError when a
+    slice's sup-norm passes 1e6.
     """
     dt = (T - t0) / n_steps
     grid = kernel.grid
@@ -646,11 +648,6 @@ def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
         warnings.warn(
             "terminal data is marginally resolved: Nyquist spectral "
             "fraction exceeds 1e-6; expect degraded accuracy", stacklevel=3)
-
-    def reversed_drive(values: np.ndarray, grads: tuple, k) -> tuple:
-        if isinstance(k, slice):
-            return drive(values, grads, slice(None, None, -1))
-        return drive(values, grads, n_steps - k)
 
     def guard(values: np.ndarray, first: int) -> None:
         """Raise for the first slice whose sup-norm is not within 1e6."""
@@ -665,7 +662,7 @@ def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
             f"index {n_steps - (k - 1)} of {n_steps}")
 
     return _mild_march(kernel, terminal, t0, T, n_steps, picard_sweeps,
-                       reversed_drive, guard, gradients=True,
+                       drive, guard, gradients=True,
                        spectrum=spectrum)[::-1]
 
 
@@ -673,18 +670,19 @@ def _value_drive(grid: Grid, hamiltonian, source: Trajectory | None
                  ) -> Callable:
     """The Duhamel integrand f - H(x, u, Du) of ``solve_hjb``.
 
-    A ``drive`` for ``_march_backward``: one slice at a physical index,
-    or the whole stack for a slice of indices.  It evaluates H on the
-    values and gradient the march hands over and returns f - H as the
-    source, with no flux.
+    A ``drive`` for ``_march_backward``: one slice at a march index, or
+    the whole stack for ``slice(None)``, with f read in march order.  It
+    evaluates H on the values and gradient the march hands over and
+    returns f - H as the source, with no flux.
     """
     mesh = grid.meshgrid()
+    marched = None if source is None else source.values[::-1]
 
-    def drive(values: np.ndarray, grads: tuple, phys) -> tuple:
+    def drive(values: np.ndarray, grads: tuple, k) -> tuple:
         ham = hamiltonian.value(mesh, values, grads)
-        if source is None:
+        if marched is None:
             return -np.asarray(ham, dtype=float), None
-        return source.values[phys] - ham, None
+        return marched[k] - ham, None
 
     return drive
 

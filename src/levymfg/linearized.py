@@ -335,18 +335,21 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
     kernel, drift, rho0 = system.kernel, system.drift.values, system.rho0.values
     t0, T, n = system.t0, system.T, system.n_steps
     weights = _coupling_weights(system)
+    # the backward leg's drive reads its operands in march order
+    marched_drift = drift[::-1]
 
     def legs(rho_values: np.ndarray | None, it: int
              ) -> tuple[np.ndarray, np.ndarray]:
         """z backward against a frozen rho, then rho forward against z."""
         source, terminal = _backward_data(system, weights, rho_values)
+        marched = None if source is None else source[::-1]
 
-        def drive(values: np.ndarray, grads: tuple, phys) -> tuple:
+        def drive(values: np.ndarray, grads: tuple, k) -> tuple:
             """Source b + <dF/dm, rho> - V . Dz from the march's Dz."""
-            adv = drift[phys, 0] * grads[0]
+            adv = marched_drift[k, 0] * grads[0]
             for i in range(1, grid.dims):
-                adv = adv + drift[phys, i] * grads[i]
-            return (-adv if source is None else source[phys] - adv), None
+                adv = adv + marched_drift[k, i] * grads[i]
+            return (-adv if marched is None else marched[k] - adv), None
 
         try:
             z = _march_backward(kernel, terminal, t0, T, n, _PICARD_SWEEPS,

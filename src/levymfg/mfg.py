@@ -278,6 +278,13 @@ def solve_mfg(problem: MfgProblem,
     A crowd-independent system (both couplings ``Zero``) is recognized
     and solved in a single undamped iteration, so its value trajectory is
     bit-identical to a standalone backward solve.
+
+    The master layer (``master.py``) passes m0's free flow, the
+    Fokker-Planck march of m0 with zero drift, as ``initial_path``, which
+    saves it an outer iteration per solve.  The default start stays the
+    constant path: on a 64-node 1D problem the free-flow start cuts 6
+    iterations to 4 but stops with a larger final response gap (3.5e-7
+    to 4.3e-7 against about 4e-8).
     """
     grid = problem.grid
     n_slices = problem.n_steps + 1

@@ -240,11 +240,9 @@ class TestPathPricing:
                 return np.where(hit, 1e3 * out, out)
             return inflated
 
-        # Conv convolves with its kernel's kept spectrum, the composite
-        # with the kernel's values
-        for name in ("_convolve_spectrum", "_convolve_values"):
-            monkeypatch.setattr(coupling_module, name,
-                                inflate(getattr(coupling_module, name)))
+        # both couplings convolve with their kernel's kept spectrum
+        monkeypatch.setattr(coupling_module, "_convolve_spectrum",
+                            inflate(coupling_module._convolve_spectrum))
         got = raised(lambda: _eval_F_path(coupling, grid, path))
         assert got == raised(lambda: per_slice_F(coupling, grid, path))
         assert got[0] is AssertionError and "sup-norm budget" in got[1]

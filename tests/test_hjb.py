@@ -474,15 +474,6 @@ def stepped_march(kernel, start, T, n_steps, sweeps, drive, adjoint=False):
     return w
 
 
-def reversed_clock(drive, n_steps):
-    """A physical-time drive read in the reversed clock of _march_backward."""
-    def rev(values, grads, k):
-        if isinstance(k, slice):
-            return drive(values, grads, slice(None, None, -1))
-        return drive(values, grads, n_steps - k)
-    return rev
-
-
 def skewed_triplet(dims):
     # a drift makes L* differ from L, so the adjoint leg is exercised
     return LevyTriplet(dims=dims, drift=[0.3] * dims,
@@ -505,8 +496,8 @@ def backward_case(dims, sweeps):
         (1.0 + t) * np.cos(np.pi * mesh[0] / 2.0) for t in times]))
     drive = _value_drive(grid, QuadraticHamiltonian(), src)
     got = _march_backward(cache, g.values, 0.0, T, n_steps, sweeps, drive)
-    want = stepped_march(cache, g.values, T, n_steps, sweeps,
-                         reversed_clock(drive, n_steps))[::-1]
+    # the drive reads its source in march order, as _march_backward calls it
+    want = stepped_march(cache, g.values, T, n_steps, sweeps, drive)[::-1]
     assert np.array_equal(got[-1], g.values)
     return got, want
 
@@ -784,9 +775,9 @@ def test_first_pass_blowup_names_its_first_bad_slice(monkeypatch, dense):
     n_steps, T = 8, 0.01
     dt = T / n_steps
 
-    def drive(values, grads, phys):
+    def drive(values, grads, k):
         out = np.zeros(values.shape)
-        if phys == n_steps - 2:
+        if k == 2:
             out[...] = 1e10
         return out, None
 
@@ -804,9 +795,9 @@ def test_sweep_blowup_names_its_first_bad_slice():
     n_steps, T = 8, 0.01
     dt = T / n_steps
 
-    def drive(values, grads, phys):
+    def drive(values, grads, k):
         out = np.zeros(values.shape)
-        if isinstance(phys, slice):
+        if isinstance(k, slice):
             out[3] = 1e10
         return out, None
 

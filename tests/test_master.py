@@ -23,8 +23,8 @@ from levymfg.levy import CGMY, FractionalLaplacian, LevyTriplet, RieszFeller
 from levymfg.master import (_MEMO_CAP, Scenario, _measure_terms,
                             derivative_check, eval_U, flow_consistency,
                             master_residual, solve_scenario)
-from levymfg.measures import Measure
-from levymfg.mfg import IterationPolicy
+from levymfg.measures import Measure, path_metric
+from levymfg.mfg import IterationPolicy, solve_mfg
 from oracles import tabulated_measure_terms
 
 GRID = Grid(16, 2.0)
@@ -96,6 +96,7 @@ class TestTerminalIdentity:
         assert report.sup_sampled == 0.0
         assert report.delta_t == 0.0
         assert report.y_stride == 1
+        assert report.solve_iterations == ()
 
 
 class TestInteriorResidual:
@@ -103,10 +104,13 @@ class TestInteriorResidual:
         assert interior.mode == "interior"
         assert interior.y_stride == 1
         assert interior.delta_t == pytest.approx(4 * DT_CAP)
-        assert 3.7e-4 < interior.sup_grid < 3.85e-4  # measured: 3.7731e-4
+        assert 3.7e-4 < interior.sup_grid < 3.85e-4  # measured: 3.7729e-4
         assert interior.sup_sampled <= interior.sup_grid
         assert set(interior.term_sups) == {
             "time", "generator", "hamiltonian", "measure_flow", "coupling"}
+        # base, t0 + delta_t and t0 - delta_t, each from m0's free flow
+        assert interior.solve_iterations == (3, 3, 3)
+        assert interior.to_dict()["solve_iterations"] == [3, 3, 3]
 
     @pytest.mark.parametrize("triplet", [
         TRIPLET, LevyTriplet(jumps=RieszFeller(1.6))],
@@ -137,6 +141,23 @@ class TestInteriorResidual:
             master_residual(scenario, 0.25, m0, SAMPLES)
 
 
+class TestFreeFlowStart:
+    def test_reaches_the_fixed_point_of_the_constant_start(
+            self, scenario, m0, interior):
+        # the interior fixture memoized the t0 = 0.25 solve
+        free = solve_scenario(scenario, 0.25, m0)
+        constant = solve_mfg(scenario.problem(0.25, m0))
+        assert free.converged and constant.converged
+        # measured: 7.68e-10 and 6.65e-11, against tol_d0 = 1e-6
+        assert float(np.max(np.abs(
+            free.u.initial.values - constant.u.initial.values))) <= 4e-9
+        assert float(np.max(path_metric(
+            GRID, free.m.values, constant.m.values))) <= 4e-10
+        # measured gaps: 2.6e-4, 1.3e-4, 3.4e-8 against 1.2e-1, 6.0e-2,
+        # 2.9e-5, 1.1e-8
+        assert (free.iterations, constant.iterations) == (3, 4)
+
+
 class TestRefinement:
     def test_residual_at_32_nodes(self, interior):
         # twice the nodes and half the step of the module scenario
@@ -147,7 +168,7 @@ class TestRefinement:
         report = master_residual(fine, 0.25, gaussian(grid, 0.0), SAMPLES)
         assert report.mode == "interior"
         assert report.y_stride == 1
-        assert 9.6e-5 < report.sup_grid < 1.01e-4  # measured: 9.8775e-5
+        assert 9.6e-5 < report.sup_grid < 1.01e-4  # measured: 9.8770e-5
         ratio = interior.sup_grid / report.sup_grid
         assert 3.7 < ratio < 3.95  # measured: 3.820
 
@@ -265,7 +286,7 @@ class TestDerivativeCheck:
         report = derivative_check(scenario, 0.0, m0, shifted,
                                   [0.2, 0.1, 0.05, 0.025])
         assert report.passed
-        assert 1.45 < report.slope < 1.65  # measured: 1.5361
+        assert 1.45 < report.slope < 1.65  # measured: 1.5355
         defects = [defect for _, defect in report.rows]
         assert all(b < a for a, b in zip(defects, defects[1:]))
         assert 1.5e-7 < defects[0] < 1.8e-7  # measured: 1.65e-7
@@ -289,7 +310,7 @@ class TestFlowConsistency:
         assert report.passed
         assert report.restart_index == 8
         assert report.tolerance == pytest.approx(2e-5)
-        assert report.gap <= 1e-7  # measured: 8.39e-9
+        assert report.gap <= 1e-7  # measured: 1.72e-9
 
 
 class TestValidation:

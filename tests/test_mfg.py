@@ -312,12 +312,12 @@ class TestSolveMfg:
             solve_mfg(prob, initial_path=vec)
 
 
-@pytest.mark.parametrize("kind, calls", [("conv", 2), ("composite", 6)])
+@pytest.mark.parametrize("kind, calls", [("conv", 2), ("composite", 4)])
 def test_pricing_transform_calls_do_not_grow_with_slices(
         kernel, transform_calls, kind, calls):
-    # one convolution is two forward transforms and one inverse, but a
-    # Conv keeps its kernel's spectrum from its first pricing on (that
-    # pricing makes one call more); the composite convolves twice
+    # one convolution is two forward transforms and one inverse, but both
+    # couplings keep their kernel's spectrum from their first pricing on
+    # (that pricing makes one call more); the composite convolves twice
     if kind == "conv":
         coupling = smoothing_coupling(0.4)
     else:
@@ -330,8 +330,7 @@ def test_pricing_transform_calls_do_not_grow_with_slices(
         transform_calls["n"] = 0
         source = _source_trajectory(coupling, GRID, path, 0.0, T_END)
         assert source.n_steps == n_steps
-        first_conv = kind == "conv" and n_steps == 32
-        assert transform_calls["n"] == calls + first_conv
+        assert transform_calls["n"] == calls + (n_steps == 32)
 
 
 class TestDampingSchedule:

@@ -27,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridMismatchError
-from .grid import (Field, Grid, _convolve_spectrum, _nyquist_shell_max,
-                   _require_finite, _require_finite_rows)
+from .grid import (Field, Grid, _convolve_spectra, _half_spectrum,
+                   _nyquist_shell_max, _require_finite, _require_finite_rows)
 from .measures import Measure, _density_rows, mollify
 
 _MATRIX_AXIS_CAP = 256
@@ -74,8 +74,7 @@ class Conv:
         """
         grid = self.phi.grid
         _require_finite(self.phi.values, "left operand")
-        spectrum = np.fft.rfftn(self.phi.values, s=grid.shape,
-                                axes=tuple(range(-grid.dims, 0)))
+        spectrum = _half_spectrum(grid, self.phi.values)
         return spectrum, self.phi.max_norm
 
     @property
@@ -118,8 +117,7 @@ class LocalComposite:
         """
         grid = self.phi2.grid
         _require_finite(self.phi2.values, "left operand")
-        spectrum = np.fft.rfftn(self.phi2.values, s=grid.shape,
-                                axes=tuple(range(-grid.dims, 0)))
+        spectrum = _half_spectrum(grid, self.phi2.values)
         return spectrum, grid.cell_volume * float(np.sum(np.abs(
             self.phi2.values)))
 
@@ -147,54 +145,84 @@ def eval_F(coupling, m: Measure) -> Field:
 def _eval_F_path(coupling, grid: Grid, path: np.ndarray) -> np.ndarray:
     """Cost fields F(., m_k) of every density slice m_k of a path.
 
-    ``path`` has its slice axis first.  Each slice is validated and
-    clamped as ``Measure`` does, the convolutions run once over the whole
-    stack, and each slice keeps its own sup-norm budget, so every row
-    equals ``eval_F`` of that slice's ``Measure`` bitwise and a path with
-    one bad slice raises what that slice raises alone.  ``Phi`` of a local
-    composite is called slice by slice.
+    ``path`` has its slice axis first.  Once the coupling's kernel is
+    checked on ``grid``, each slice is validated and clamped as
+    ``Measure`` does and the stack is transformed once; ``_price_spectra``
+    then prices it, each slice within its own sup-norm budget.  So every
+    row equals ``eval_F`` of that slice's ``Measure`` bitwise, and a path
+    with one bad slice raises what that slice raises alone.
+    """
+    _check_kernel_grid(coupling, grid)
+    rows, masses = _density_rows(grid, path)
+    spectra = None
+    if not isinstance(coupling, Zero):
+        spectra = _half_spectrum(grid, rows)
+    return _price_spectra(coupling, grid, masses, spectra)
+
+
+def _price_path(running, terminal, grid: Grid, path: np.ndarray
+                ) -> tuple[np.ndarray | None, np.ndarray]:
+    """Running cost of every slice of a path and terminal cost of its last.
+
+    Returns ``_eval_F_path(running, grid, path)`` (None for ``Zero``) and
+    ``_eval_F_path(terminal, grid, path[-1:])[0]``, bitwise, from one
+    validation and one transform of the path: the terminal cost prices
+    the last row of the running cost's spectra.  Every slice is validated
+    first, whatever the running cost; errors otherwise come in the order
+    of those two calls.
+    """
+    _check_kernel_grid(running, grid)
+    rows, masses = _density_rows(grid, path)
+    source = spectra = None
+    if not isinstance(running, Zero):
+        spectra = _half_spectrum(grid, rows)
+        source = _price_spectra(running, grid, masses, spectra)
+    elif not isinstance(terminal, Zero):
+        spectra = _half_spectrum(grid, rows[-1:])
+    _check_kernel_grid(terminal, grid)
+    last = None if spectra is None else spectra[-1:]
+    return source, _price_spectra(terminal, grid, masses[-1:], last)[0]
+
+
+def _check_kernel_grid(coupling, grid: Grid) -> None:
+    """Require a known coupling whose kernel lives on ``grid``."""
+    if not isinstance(coupling, Zero) and \
+            _derivative_kernel(coupling).grid != grid:
+        raise GridMismatchError("coupling kernel lives on a different grid")
+
+
+def _price_spectra(coupling, grid: Grid, masses: np.ndarray,
+                   spectra: np.ndarray | None) -> np.ndarray:
+    """F(., m_k) of validated density slices from their half spectra.
+
+    ``masses`` and ``spectra`` come from ``measures._density_rows`` and
+    ``grid._half_spectrum`` of the slices (``spectra`` is unused for
+    ``Zero``).  The kernel is checked finite on first use, as
+    ``periodic_convolve`` checks it, and each slice keeps its own
+    sup-norm budget.  ``Phi`` of a local composite is called slice by
+    slice.
     """
     if isinstance(coupling, Zero):
-        _density_rows(grid, path)
-        return np.zeros(path.shape)
+        return np.zeros((len(masses),) + grid.shape)
     axes = tuple(range(1, 1 + grid.dims))
     if isinstance(coupling, Conv):
-        rows, masses = _kernel_rows(coupling.phi, grid, path)
         spectrum, peak = coupling._kernel_terms
-        out = _convolve_spectrum(grid, spectrum, rows)
+        out = _convolve_spectra(grid, spectrum, spectra)
         bound = peak * masses * (1.0 + 1e-12) + 1e-12
         if np.any(np.max(np.abs(out), axis=axes) > bound):
             raise AssertionError("convolution exceeded its sup-norm budget")
         return out
-    if isinstance(coupling, LocalComposite):
-        rows, _ = _kernel_rows(coupling.phi2, grid, path)
-        spectrum, l1 = coupling._kernel_terms
-        mesh = grid.meshgrid()
-        inner = np.stack([
-            np.asarray(coupling.Phi(mesh, s), dtype=float).reshape(grid.shape)
-            for s in _convolve_spectrum(grid, spectrum, rows)])
-        _require_finite_rows(inner, "right operand")
-        out = _convolve_spectrum(grid, spectrum, inner)
-        bound = l1 * np.max(np.abs(inner), axis=axes) * (1.0 + 1e-12) + 1e-12
-        if np.any(np.max(np.abs(out), axis=axes) > bound):
-            raise AssertionError(
-                "composite coupling exceeded its sup-norm budget")
-        return out
-    raise TypeError(f"unknown coupling variant {type(coupling).__name__}")
-
-
-def _kernel_rows(kernel: Field, grid: Grid, path: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Density slices checked for convolution with a coupling kernel.
-
-    Returns the slices clamped by ``measures._density_rows``, which
-    rejects a non-finite slice, and their masses, once the kernel is on
-    ``grid``.  The caller then checks the kernel finite, as
-    ``periodic_convolve`` does: ``_kernel_terms`` once per coupling.
-    """
-    if kernel.grid != grid:
-        raise GridMismatchError("coupling kernel lives on a different grid")
-    return _density_rows(grid, path)
+    spectrum, l1 = coupling._kernel_terms
+    mesh = grid.meshgrid()
+    inner = np.stack([
+        np.asarray(coupling.Phi(mesh, s), dtype=float).reshape(grid.shape)
+        for s in _convolve_spectra(grid, spectrum, spectra)])
+    _require_finite_rows(inner, "right operand")
+    out = _convolve_spectra(grid, spectrum, _half_spectrum(grid, inner))
+    bound = l1 * np.max(np.abs(inner), axis=axes) * (1.0 + 1e-12) + 1e-12
+    if np.any(np.max(np.abs(out), axis=axes) > bound):
+        raise AssertionError("composite coupling exceeded its sup-norm budget")
+    return out
 
 
 def _translation_matrix(grid: Grid, phi_vals: np.ndarray) -> np.ndarray:
@@ -271,12 +299,13 @@ def _action_weights(coupling: LocalComposite, grid: Grid,
     smoothed by one convolution over the stack; ``dPhi_ds`` is called
     slice by slice.  Each row equals its one-slice weight bitwise.
     """
-    rows, _ = _kernel_rows(coupling.phi2, grid, path)
-    spectrum = coupling._kernel_terms[0]
+    _check_kernel_grid(coupling, grid)
+    rows, _ = _density_rows(grid, path)
+    smoothed = _convolve_spectra(grid, coupling._kernel_terms[0],
+                                 _half_spectrum(grid, rows))
     mesh = grid.meshgrid()
-    weights = np.stack([
-        np.asarray(coupling.dPhi_ds(mesh, s), dtype=float)
-        for s in _convolve_spectrum(grid, spectrum, rows)])
+    weights = np.stack([np.asarray(coupling.dPhi_ds(mesh, s), dtype=float)
+                        for s in smoothed])
     # the weighted density is the right operand of the outer convolution
     _require_finite_rows(weights, "right operand")
     return weights
@@ -292,10 +321,11 @@ def _dmF_action(coupling, weight: np.ndarray | None,
     """
     grid = _derivative_kernel(coupling).grid
     spectrum = coupling._kernel_terms[0]
+    smoothed = _convolve_spectra(grid, spectrum, _half_spectrum(grid, rho))
     if weight is None:
-        return _convolve_spectrum(grid, spectrum, rho)
-    smoothed = _convolve_spectrum(grid, spectrum, rho)
-    return _convolve_spectrum(grid, spectrum, weight * smoothed)
+        return smoothed
+    return _convolve_spectra(grid, spectrum,
+                             _half_spectrum(grid, weight * smoothed))
 
 
 def _check_derivative_couplings(grid: Grid, owner: str, running,

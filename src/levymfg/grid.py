@@ -98,8 +98,11 @@ class Grid:
         return -self.half_width[i] + self.dx[i] * np.arange(self.n[i])
 
     def meshgrid(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.meshgrid(*[self.axis(i) for i in range(self.dims)],
-                                 indexing="ij"))
+        """Node coordinates per axis, each of the grid's shape.
+
+        Built once per grid and kept: the arrays are read-only.
+        """
+        return _meshgrid(self)
 
     def wavenumber(self, i: int) -> np.ndarray:
         """xi_k = pi*k/L_i in FFT storage order along axis i."""
@@ -169,6 +172,16 @@ class Field:
         return Field(self.grid, self.values * other)
 
     __rmul__ = __mul__
+
+
+@functools.lru_cache(maxsize=16)
+def _meshgrid(grid: Grid) -> tuple[np.ndarray, ...]:
+    """``Grid.meshgrid`` (cached, read-only)."""
+    mesh = np.meshgrid(*[grid.axis(i) for i in range(grid.dims)],
+                       indexing="ij")
+    for axis_values in mesh:
+        axis_values.setflags(write=False)
+    return tuple(mesh)
 
 
 def _require_same_grid(f: Field, g: Field) -> None:
@@ -246,6 +259,19 @@ def _gradient_multipliers(grid: Grid) -> tuple[np.ndarray, ...]:
     return tuple(mults)
 
 
+@functools.lru_cache(maxsize=16)
+def _value_gradient_rows(grid: Grid) -> np.ndarray:
+    """Ones, then the ``_gradient_multipliers``, stacked (cached, read-only).
+
+    One product of a half spectrum with this stack gives the spectra of
+    the values and of their first partials.
+    """
+    mults = _gradient_multipliers(grid)
+    rows = np.stack((np.ones(mults[0].shape),) + mults)
+    rows.setflags(write=False)
+    return rows
+
+
 def _batch_gradient(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
     """First partials over the trailing grid axes (leading axes batch)."""
     axes = tuple(range(values.ndim - grid.dims, values.ndim))
@@ -295,20 +321,24 @@ def _convolve_values(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     Leading axes of either operand broadcast; a row of a batch equals its
     single-row convolution bitwise.
     """
-    axes = tuple(range(-grid.dims, 0))
-    return _convolve_spectrum(grid, np.fft.rfftn(f, s=grid.shape, axes=axes),
-                              g)
+    return _convolve_spectra(grid, _half_spectrum(grid, f),
+                             _half_spectrum(grid, g))
 
 
-def _convolve_spectrum(grid: Grid, fs: np.ndarray, g: np.ndarray
-                       ) -> np.ndarray:
-    """``_convolve_values`` with the left operand given by its half spectrum.
+def _half_spectrum(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """``rfftn`` over the trailing grid axes; leading axes batch."""
+    return np.fft.rfftn(values, s=grid.shape, axes=tuple(range(-grid.dims, 0)))
 
-    ``fs`` is ``rfftn`` of the left operand over the trailing grid axes, so
-    a caller that convolves with one fixed field transforms it once.
+
+def _convolve_spectra(grid: Grid, fs: np.ndarray, gs: np.ndarray
+                      ) -> np.ndarray:
+    """``_convolve_values`` with both operands given by their half spectra.
+
+    ``fs`` and ``gs`` are ``_half_spectrum`` of the operands, so a caller
+    that convolves with one fixed field, or convolves one field with
+    several, transforms each once.
     """
     axes = tuple(range(-grid.dims, 0))
-    gs = np.fft.rfftn(g, s=grid.shape, axes=axes)
     spec = 0.5 * (fs * gs + gs * fs)
     out = np.fft.irfftn(spec, s=grid.shape, axes=axes) * grid.cell_volume
     return np.roll(out, [ni // 2 for ni in grid.n], axis=axes)

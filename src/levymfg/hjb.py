@@ -53,7 +53,8 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .grid import (Field, Grid, _batch_gradient, _derivative_multiplier_half,
-                   _gradient_multipliers, _nyquist_shell_max)
+                   _gradient_multipliers, _nyquist_shell_max,
+                   _value_gradient_rows)
 from .kernels import KernelCache
 from .levy import order_alpha
 
@@ -354,12 +355,6 @@ class Trajectory:
         vals = np.broadcast_to(f.values, (n_steps + 1,) + f.grid.shape)
         return cls(f.grid, t0, T, np.array(vals))
 
-    @classmethod
-    def zero(cls, grid: Grid, t0: float, T: float, n_steps: int,
-             vector: bool = False) -> "Trajectory":
-        shape = ((n_steps + 1, grid.dims) if vector else (n_steps + 1,))
-        return cls(grid, t0, T, np.zeros(shape + grid.shape))
-
 
 def _check_operand(name: str, tr: Trajectory, grid: Grid, t0: float,
                    T: float, n_steps: int, vector: bool) -> None:
@@ -497,8 +492,7 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
     d = grid.dims
     axes = tuple(range(-d, 0))
     mults = _gradient_multipliers(grid)
-    if gradients:
-        rows = np.stack((np.ones(mults[0].shape),) + mults)
+    rows = _value_gradient_rows(grid)
     mult = kernel.multiplier(dt, adjoint)
     # component i of a flux spectrum: its vector axis sits before the grid
     components = [(Ellipsis, i) + (slice(None),) * d for i in range(d)]

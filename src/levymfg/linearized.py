@@ -52,7 +52,7 @@ from .fp import _forward_values
 from .grid import Field, Grid, _batch_gradient
 from .hjb import Trajectory, _check_operand, _march_backward
 from .kernels import KernelCache
-from .measures import mollifier_field, path_metric, signed_dual_norm
+from .measures import _path_sup, mollifier_field, signed_dual_norm
 from .mfg import MfgSolution, _anderson, optimal_drift
 
 _SYMMETRY_TOL = 1e-12
@@ -297,11 +297,6 @@ class LinearReport:
         }
 
 
-def _sup_dual(grid: Grid, values: np.ndarray) -> float:
-    """Largest bounded-Lipschitz dual norm over the slices of a path."""
-    return float(np.max(path_metric(grid, values)))
-
-
 def _wrap_inner(exc, iteration: int):
     raise type(exc)(f"alternation iteration {iteration}: {exc}") from exc
 
@@ -318,7 +313,9 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
     (response minus iterate).  ``gap_history[k]`` is damping times the
     sup over slices of the bounded-Lipschitz dual norm of the residual
     (the size of a plain damped update; the dual norm is positively
-    homogeneous), and the loop stops once it falls below ``tol``.  On
+    homogeneous), and the loop stops once it falls below ``tol``.  The
+    sup, and the dual-norm part of ``output_norm``, come from
+    ``measures._path_sup``, bitwise the maximum of ``path_metric``.  On
     convergence the returned pair is the last raw response (a consistent
     backward/forward pair); a one-way system (both coupling derivatives
     zero) is solved in a single undamped pass.  Both legs run the one mild
@@ -377,7 +374,7 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
         for it in range(1, max_iters + 1):
             z, rho = legs(rho_path, it)
             diff = rho - rho_path
-            gaps.append(damping * _sup_dual(grid, diff))
+            gaps.append(damping * _path_sup(grid, diff))
             if gaps[-1] < tol:
                 break
             rho_path = _anderson(rho_path, diff, paths, residuals, damping)
@@ -387,7 +384,7 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
     z = Trajectory(grid, t0, T, z)
     rho = Trajectory(grid, t0, T, rho)
     data = _data_norm(system)
-    out = float(np.max(np.abs(z.values))) + _sup_dual(grid, rho.values)
+    out = float(np.max(np.abs(z.values))) + _path_sup(grid, rho.values)
     report = LinearReport(
         converged=converged, iterations=len(gaps), gap_history=tuple(gaps),
         damping=1.0 if system.one_way else damping, data_norm=data,

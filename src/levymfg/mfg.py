@@ -23,13 +23,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .coupling import Zero, _eval_F_path
+from .coupling import Zero, _price_path
 from .errors import DivergenceError, GridMismatchError, InstabilityError
 from .grid import Field, Grid, _batch_gradient
 from .hjb import Trajectory, _check_operand, solve_hjb
 from .fp import _project_slices, solve_fp
 from .kernels import KernelCache
-from .measures import Measure, d0_distance, path_metric
+from .measures import Measure, _path_sup, d0_distance
 
 _SLICE_MASS_TOL = 1e-9
 _DEGENERATE_D0 = 1e-12
@@ -176,35 +176,27 @@ def optimal_drift(hamiltonian, u: Trajectory) -> Trajectory:
     return Trajectory(grid, u.t0, u.T, stacked)
 
 
-def _source_trajectory(coupling, grid: Grid, path: np.ndarray, t0: float,
-                       T: float) -> Trajectory | None:
-    """Running cost F(., m_k) of every slice of a density path, or None."""
-    if isinstance(coupling, Zero):
-        return None
-    return Trajectory(grid, t0, T, _eval_F_path(coupling, grid, path))
-
-
 def _best_response(problem: MfgProblem, path: np.ndarray
                    ) -> tuple[Trajectory, np.ndarray, float, float, float]:
-    """One sweep of the fixed-point map: price the path, transport against it."""
+    """One sweep of the fixed-point map: price the path, transport against it.
+
+    Both costs are priced from one validated transform of the path
+    (``coupling._price_path``).
+    """
     grid = problem.grid
-    source = _source_trajectory(
-        problem.running_cost, grid, path, problem.t0, problem.T)
-    terminal = Field(grid, _eval_F_path(problem.terminal_cost, grid,
-                                        path[-1:])[0])
-    u = solve_hjb(problem.kernel, problem.hamiltonian, source, terminal,
-                  problem.t0, problem.T, problem.n_steps)
+    source, terminal = _price_path(problem.running_cost,
+                                   problem.terminal_cost, grid, path)
+    if source is not None:
+        source = Trajectory(grid, problem.t0, problem.T, source)
+    u = solve_hjb(problem.kernel, problem.hamiltonian, source,
+                  Field(grid, terminal), problem.t0, problem.T,
+                  problem.n_steps)
     drift = optimal_drift(problem.hamiltonian, u)
     rho = solve_fp(problem.kernel, drift, problem.m0.density, None,
                    problem.t0, problem.T, problem.n_steps)
     cleaned, defect, neg_clip = _project_slices(grid, rho.values)
     drift_sup = float(np.max(np.abs(drift.values)))
     return u, cleaned, defect, neg_clip, drift_sup
-
-
-def _path_gap(grid: Grid, new: np.ndarray, old: np.ndarray) -> float:
-    """sup over time slices of the bounded-Lipschitz distance."""
-    return float(np.max(path_metric(grid, new, old)))
 
 
 def next_damping(gap_history: Sequence[float], damping: float,
@@ -270,10 +262,11 @@ def solve_mfg(problem: MfgProblem,
     densities, and clears the history, as does a halving of the mixing
     weight by ``next_damping``.  The loop stops when ``gap_history[k]``,
     damping times the sup-in-time bounded-Lipschitz gap between the
-    response and its path, falls below ``policy.tol_d0``; exhausting
-    ``max_iters`` returns the best iterate with ``converged=False``
-    rather than raising.  Solver blow-ups inside an iteration propagate
-    with the iterate index prefixed.
+    response and its path (``measures._path_sup``, bitwise the maximum of
+    ``path_metric`` over the slices), falls below ``policy.tol_d0``;
+    exhausting ``max_iters`` returns the best iterate with
+    ``converged=False`` rather than raising.  Solver blow-ups inside an
+    iteration propagate with the iterate index prefixed.
 
     A crowd-independent system (both couplings ``Zero``) is recognized
     and solved in a single undamped iteration, so its value trajectory is
@@ -320,7 +313,7 @@ def solve_mfg(problem: MfgProblem,
         # The metric is positively homogeneous in the signed difference,
         # so damping * (response gap) is the size of a plain damped update.
         residual = response - path
-        response_gap = _path_gap(grid, response, path)
+        response_gap = _path_sup(grid, response, path)
         gap = damping * response_gap
         gap_history.append(gap)
         damping_history.append(damping)
@@ -516,7 +509,7 @@ def lipschitz_stability_probe(problem: MfgProblem,
     if not (sol1.converged and sol2.converged):
         raise ValueError("stability probe needs both solves to converge")
     grid = problem.grid
-    sup_d0 = _path_gap(grid, sol1.m.values, sol2.m.values)
+    sup_d0 = _path_sup(grid, sol1.m.values, sol2.m.values)
     sup_u = float(np.max(np.abs(sol1.u.values - sol2.u.values)))
     return StabilityProbeReport(
         d0_initial=base, sup_d0_gap=sup_d0, sup_u_gap=sup_u,

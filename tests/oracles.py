@@ -1,10 +1,10 @@
 """Reference implementations the test modules compare the package against.
 
 Closed-form metrics, the one-shot semigroup apply, toy Hamiltonians, the
-Laplacian triplet, a drift-free initial path, the master residual's
-measure terms from a full derivative-kernel table, the uncapped chain
-program and the stacked dense first-pass step: code that only the tests
-call, kept out of the package's public surface.
+Laplacian triplet, a point mass, a zero trajectory, a drift-free initial
+path, the master residual's measure terms from a full derivative-kernel
+table, the uncapped chain program and the stacked dense first-pass step:
+code that only the tests call, kept out of the package's public surface.
 """
 
 from typing import Sequence
@@ -25,6 +25,20 @@ from levymfg.mfg import MfgSolution, optimal_drift
 def laplacian_triplet(dims=1):
     """The Laplacian on d axes: unit diffusion, no drift, no jumps."""
     return LevyTriplet(dims=dims, diffusion=np.eye(dims))
+
+
+def point_mass(grid, point) -> Measure:
+    """Unit mass concentrated on the grid node nearest to ``point``."""
+    vals = np.zeros(grid.shape)
+    vals[grid.nearest_index(point)] = 1.0 / grid.cell_volume
+    return Measure(Field(grid, vals))
+
+
+def zero_trajectory(grid, t0: float, T: float, n_steps: int,
+                    vector: bool = False) -> Trajectory:
+    """The zero scalar (or, with ``vector``, d-component) trajectory."""
+    shape = (n_steps + 1, grid.dims) if vector else (n_steps + 1,)
+    return Trajectory(grid, t0, T, np.zeros(shape + grid.shape))
 
 
 def semigroup_apply(cache: KernelCache, t: float, f: Field, adjoint: bool = False) -> Field:

@@ -15,7 +15,8 @@ import pytest
 
 from levymfg import coupling as coupling_module
 from levymfg.errors import GridMismatchError, NonFiniteFieldError
-from levymfg.grid import Field, Grid, gradient, periodic_convolve
+from levymfg.grid import (Field, Grid, _half_spectrum, gradient,
+                          periodic_convolve)
 from levymfg.coupling import (
     Conv,
     LocalComposite,
@@ -28,8 +29,10 @@ from levymfg.coupling import (
     require_smooth,
     resolved_derivatives,
 )
-from levymfg.coupling import _action_weight, _action_weights, _eval_F_path
+from levymfg.coupling import (_action_weight, _action_weights, _eval_F_path,
+                              _price_path)
 from levymfg.measures import Measure, mollify
+from oracles import point_mass
 
 
 def gauss_kernel(grid, sigma=0.25):
@@ -72,7 +75,7 @@ class TestEvalF:
         coupling = Conv(phi)
         eps = 0.05
         x0 = 0.375
-        m = mollify(Measure.delta(grid, (x0,)), eps)
+        m = mollify(point_mass(grid, (x0,)), eps)
         out = eval_F(coupling, m)
         shift_nodes = int(round(x0 / grid.dx[0]))
         translated = np.roll(phi.values, shift_nodes)
@@ -230,19 +233,21 @@ class TestPathPricing:
         else:
             smoothed = periodic_convolve(coupling.phi2, Field(grid, path[3]))
             marked = coupling.Phi(None, smoothed.values)
-        mark = marked.reshape(-1)[0]
+        # rows of a batched transform equal their single-row transform
+        mark = _half_spectrum(grid, marked)
 
         def inflate(real):
-            def inflated(grid, f, g):
-                out = real(grid, f, g)
-                first = g.reshape(g.shape[:g.ndim - grid.dims] + (-1,))[..., 0]
-                hit = (first == mark).reshape(first.shape + (1,) * grid.dims)
+            def inflated(grid, fs, gs):
+                out = real(grid, fs, gs)
+                tail = tuple(range(gs.ndim - grid.dims, gs.ndim))
+                hit = np.all(gs == mark, axis=tail, keepdims=True)
                 return np.where(hit, 1e3 * out, out)
             return inflated
 
-        # both couplings convolve with their kernel's kept spectrum
-        monkeypatch.setattr(coupling_module, "_convolve_spectrum",
-                            inflate(coupling_module._convolve_spectrum))
+        # both couplings convolve spectra: their kernel's kept spectrum
+        # with the right operand's
+        monkeypatch.setattr(coupling_module, "_convolve_spectra",
+                            inflate(coupling_module._convolve_spectra))
         got = raised(lambda: _eval_F_path(coupling, grid, path))
         assert got == raised(lambda: per_slice_F(coupling, grid, path))
         assert got[0] is AssertionError and "sup-norm budget" in got[1]
@@ -250,6 +255,80 @@ class TestPathPricing:
         assert np.array_equal(
             _eval_F_path(coupling, grid, np.delete(path, 3, axis=0)),
             per_slice_F(coupling, grid, np.delete(path, 3, axis=0)))
+
+
+PRICED = ["zero", "conv", "composite"]
+
+
+def priced_coupling(kind, grid, weight=1.0):
+    if kind == "zero":
+        return Zero()
+    if kind == "conv":
+        return Conv(Field(grid, weight * gauss_kernel(grid).values))
+    return LocalComposite(gauss_kernel(grid, 0.2), *power_maps(2))
+
+
+def separate_pricings(running, terminal, grid, path):
+    """What a best response priced before: one ``_eval_F_path`` per cost."""
+    source = None if isinstance(running, Zero) else _eval_F_path(
+        running, grid, path)
+    return source, _eval_F_path(terminal, grid, path[-1:])[0]
+
+
+class TestSharedPricing:
+    """``_price_path`` against the two separate pricings it replaces."""
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("terminal", PRICED)
+    @pytest.mark.parametrize("running", PRICED)
+    def test_values_match_separate_pricings_bitwise(self, running, terminal,
+                                                    dims):
+        grid = PATH_GRIDS[dims]
+        running = priced_coupling(running, grid)
+        terminal = priced_coupling(terminal, grid, 0.75)
+        path = random_path(grid)
+        source, final = _price_path(running, terminal, grid, path)
+        want_source, want_final = separate_pricings(running, terminal, grid,
+                                                    path)
+        assert np.array_equal(final, want_final)
+        if want_source is None:
+            assert source is None
+        else:
+            assert np.array_equal(source, want_source)
+
+    @pytest.mark.parametrize("terminal", PRICED)
+    @pytest.mark.parametrize("running", PRICED)
+    @pytest.mark.parametrize("defect, error", [
+        ("negative", ValueError), ("mass", ValueError),
+        ("nan", NonFiniteFieldError)])
+    def test_bad_last_slice_raises_as_before(self, running, terminal, defect,
+                                             error):
+        grid = PATH_GRIDS[1]
+        running = priced_coupling(running, grid)
+        terminal = priced_coupling(terminal, grid, 0.75)
+        path = random_path(grid)
+        bad = path[-1]
+        if defect == "negative":
+            bad[5] = -1e-3
+        elif defect == "mass":
+            bad *= 1.01
+        else:
+            bad[5] = np.nan
+        got = raised(lambda: _price_path(running, terminal, grid, path))
+        assert got == raised(
+            lambda: separate_pricings(running, terminal, grid, path))
+        assert got[0] is error
+
+    def test_terminal_kernel_grid_checked_after_running_pricing(self):
+        grid = PATH_GRIDS[1]
+        stray = Conv(gauss_kernel(Grid(32, 2.0)))
+        path = random_path(grid)
+        for running, terminal in ((stray, Zero()), (Conv(gauss_kernel(grid)),
+                                                    stray)):
+            got = raised(lambda: _price_path(running, terminal, grid, path))
+            assert got == raised(
+                lambda: separate_pricings(running, terminal, grid, path))
+            assert got[0] is GridMismatchError
 
 
 class TestDerivativeKernel:
@@ -465,7 +544,7 @@ class TestMonotonicityChecks:
         grid = Grid(32, 2.0)
         phi = odd_kernel(grid)
         coupling = Conv(phi)
-        m = mollify(Measure.delta(grid, (0.0,)), 2.5 * grid.dx[0])
+        m = mollify(point_mass(grid, (0.0,)), 2.5 * grid.dx[0])
         report = check_M2(coupling, m, version="normalized")
         assert not report.passed
         assert report.min_eig_operator < 0.0

@@ -30,7 +30,8 @@ from levymfg.measures import (
     mollify,
     verify_psi_jump_moment,
 )
-from oracles import drift_hamiltonian, generalized_moment, laplacian_triplet
+from oracles import (drift_hamiltonian, generalized_moment, laplacian_triplet,
+                     point_mass, zero_trajectory)
 
 # ---------------------------------------------------------------------------
 # oracles and builders
@@ -175,10 +176,10 @@ class TestSolveFp:
         grid = Grid(64, 2.0)
         cache = KernelCache(laplacian_triplet(), grid)
         rho0 = Field.constant(grid, 0.25)
-        scalar_drift = Trajectory.zero(grid, 0.0, 0.01, 16)
+        scalar_drift = zero_trajectory(grid, 0.0, 0.01, 16)
         with pytest.raises(ValueError, match="vector"):
             solve_fp(cache, scalar_drift, rho0, None, 0.0, 0.01, 16)
-        wrong_slab = Trajectory.zero(grid, 0.0, 0.02, 16, vector=True)
+        wrong_slab = zero_trajectory(grid, 0.0, 0.02, 16, vector=True)
         with pytest.raises(ValueError, match="time slab"):
             solve_fp(cache, wrong_slab, rho0, None, 0.0, 0.01, 16)
         other = Field.constant(Grid(32, 2.0), 0.25)
@@ -321,7 +322,7 @@ class TestTightness:
         grid = Grid(256, 4.0)
         trip = laplacian_triplet()
         cache = KernelCache(trip, grid)
-        m0 = mollify(Measure.delta(grid, 0.0), 3.0 * grid.dx[0])
+        m0 = mollify(point_mass(grid, 0.0), 3.0 * grid.dx[0])
         T, n_steps = 0.05, 128
         rho = solve_fp(cache, None, Field(grid, m0.values), None,
                        0.0, T, n_steps)

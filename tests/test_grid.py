@@ -12,7 +12,9 @@ from levymfg.errors import (
 from levymfg.grid import (
     Field,
     Grid,
+    _gradient_multipliers,
     _nyquist_shell_max,
+    _value_gradient_rows,
     boundary_shell_mass,
     periodic_convolve,
     spectral_derivative,
@@ -60,6 +62,37 @@ class TestGridConstruction:
         # FFT storage order: k = 0, 1, ..., 7, -8, ..., -1
         assert xi[1] == pytest.approx(math.pi / 2.0)
         assert xi[8] == pytest.approx(-8 * math.pi / 2.0)
+
+
+GRID_CONSTANT_CASES = [Grid(16, 2.0), Grid((8, 16), (1.0, 2.0))]
+
+
+class TestGridConstants:
+    """Per-grid constants are built once, read-only, bit for bit."""
+
+    @pytest.mark.parametrize("grid", GRID_CONSTANT_CASES, ids=["1d", "2d"])
+    def test_meshgrid_is_cached_and_read_only(self, grid):
+        mesh = grid.meshgrid()
+        # an equal grid built anew shares the arrays
+        again = Grid(grid.n, grid.half_width).meshgrid()
+        assert all(a is b for a, b in zip(mesh, again))
+        want = np.meshgrid(*[grid.axis(i) for i in range(grid.dims)],
+                           indexing="ij")
+        assert len(mesh) == grid.dims
+        for got, ref in zip(mesh, want):
+            assert np.array_equal(got, ref) and got.dtype == ref.dtype
+            assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mesh[0][0] = 1.0
+
+    @pytest.mark.parametrize("grid", GRID_CONSTANT_CASES, ids=["1d", "2d"])
+    def test_value_gradient_rows_are_cached_and_read_only(self, grid):
+        rows = _value_gradient_rows(grid)
+        assert rows is _value_gradient_rows(grid)
+        assert not rows.flags.writeable
+        mults = _gradient_multipliers(grid)
+        assert np.array_equal(rows, np.stack((np.ones(mults[0].shape),)
+                                             + mults))
 
 
 class TestSpectralDerivative:

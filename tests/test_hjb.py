@@ -34,7 +34,8 @@ from levymfg import hjb, kernels
 from levymfg.kernels import KernelCache
 from levymfg.levy import FractionalLaplacian, LevyTriplet
 from oracles import (drift_hamiltonian, laplacian_triplet, semigroup_apply,
-                     stacked_dense_first_pass, zero_hamiltonian)
+                     stacked_dense_first_pass, zero_hamiltonian,
+                     zero_trajectory)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -150,7 +151,7 @@ class TestTrajectory:
         self.grid = Grid(16, 1.0)
 
     def test_time_mesh(self):
-        tr = Trajectory.zero(self.grid, 0.25, 1.25, 8)
+        tr = zero_trajectory(self.grid, 0.25, 1.25, 8)
         assert tr.n_steps == 8
         assert tr.dt == pytest.approx(0.125)
         assert np.allclose(tr.times, 0.25 + 0.125 * np.arange(9))
@@ -173,7 +174,7 @@ class TestTrajectory:
 
     def test_vector_trajectory(self):
         g2 = Grid(16, 1.0, dims=2)
-        tr = Trajectory.zero(g2, 0.0, 1.0, 4, vector=True)
+        tr = zero_trajectory(g2, 0.0, 1.0, 4, vector=True)
         assert tr.is_vector
         assert tr.values.shape == (5, 2, 16, 16)
         with pytest.raises(ValueError, match="index values\\[k, i\\]"):
@@ -193,16 +194,16 @@ class TestTrajectory:
 
     def test_degenerate_slab_rejected(self):
         with pytest.raises(ValueError, match="T > t0"):
-            Trajectory.zero(self.grid, 1.0, 1.0, 4)
+            zero_trajectory(self.grid, 1.0, 1.0, 4)
 
     def test_index_of(self):
-        tr = Trajectory.zero(self.grid, 0.0, 1.0, 8)
+        tr = zero_trajectory(self.grid, 0.0, 1.0, 8)
         assert tr.index_of(0.375) == 3
         with pytest.raises(ValueError, match="not a slice"):
             tr.index_of(0.4)
 
     def test_slices_read_only(self):
-        tr = Trajectory.zero(self.grid, 0.0, 1.0, 2)
+        tr = zero_trajectory(self.grid, 0.0, 1.0, 2)
         with pytest.raises(ValueError):
             tr.values[0, 0] = 1.0
 
@@ -395,7 +396,7 @@ class TestSolveHjb:
         assert np.array_equal(u.terminal.values, g.values)
 
     def test_source_mesh_mismatch_rejected(self):
-        src = Trajectory.zero(self.grid, 0.0, 0.1, 32)
+        src = zero_trajectory(self.grid, 0.0, 0.1, 32)
         with pytest.raises(ValueError, match="time slab"):
             solve_hjb(self.cache, zero_hamiltonian(), src, self.g,
                       0.0, 0.1, 64)
@@ -861,7 +862,7 @@ class TestGradientBounds:
 
     def test_report_shape_and_dict(self):
         grid = Grid(32, 1.0)
-        tr = Trajectory.zero(grid, 0.0, 1.0, 4)
+        tr = zero_trajectory(grid, 0.0, 1.0, 4)
         rep = gradient_bound_report(tr)
         assert isinstance(rep, GradientBoundReport)
         assert rep.sup_u.shape == (5,)

@@ -27,7 +27,7 @@ from levymfg.linearized import (JKernel, LinSystem, _flux_values,
                                 solve_linear_system)
 from levymfg.measures import Measure
 from levymfg.mfg import MfgProblem, MfgSolution, optimal_drift, solve_mfg
-from oracles import drift_hamiltonian, semigroup_apply
+from oracles import drift_hamiltonian, semigroup_apply, zero_trajectory
 
 GRID = Grid(64, 2.0)
 TRIPLET = LevyTriplet(jumps=(FractionalLaplacian(1.5),))
@@ -222,7 +222,7 @@ class TestLinSystem:
         with pytest.raises(ValueError, match="asymmetric"):
             LinSystem(
                 kernel=kernel2,
-                drift=Trajectory.zero(grid2, 0.0, 0.1, n2, vector=True),
+                drift=zero_trajectory(grid2, 0.0, 0.1, n2, vector=True),
                 curvature=gamma,
                 ellipticity=2.0,
                 forcing=None,
@@ -634,7 +634,7 @@ class TestDerivativeKernelBatch:
             running_cost=Zero(), terminal_cost=Zero(),
             m0=m0, t0=0.0, T=5e-4, n_steps=1)
         fabricated = MfgSolution(
-            u=Trajectory.zero(big, 0.0, 5e-4, 1),
+            u=zero_trajectory(big, 0.0, 5e-4, 1),
             m=Trajectory(big, 0.0, 5e-4, np.broadcast_to(
                 m0.values, (2,) + big.shape).copy()),
             converged=True, iterations=1, gap_history=(0.0,),

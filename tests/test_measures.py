@@ -23,6 +23,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from scipy.sparse import diags, vstack
 
 from levymfg.errors import (GridMismatchError, NonFiniteFieldError,
                             ResolutionError)
+from levymfg import measures as measures_module
 from levymfg.grid import Field, Grid, periodic_convolve
 from levymfg.levy import CGMY, FractionalLaplacian, LevyTriplet
 from levymfg.measures import (
@@ -42,6 +44,7 @@ from levymfg.measures import (
     TightnessFn,
     _chain_lattice,
     _chain_sup,
+    _path_sup,
     d0_distance,
     d0_interval,
     mollifier_field,
@@ -51,8 +54,8 @@ from levymfg.measures import (
     signed_dual_norm,
     verify_psi_jump_moment,
 )
-from oracles import (generalized_moment, laplacian_triplet, tv_distance,
-                     uncapped_chain_sup, w1_distance_1d)
+from oracles import (generalized_moment, laplacian_triplet, point_mass,
+                     tv_distance, uncapped_chain_sup, w1_distance_1d)
 
 UNIFORM_PSI_MOMENT = 0.0695999934791408  # 0.5 * quad(psi, -1, 1), frozen
 SOURCE = Path(__file__).resolve().parents[1] / "src"
@@ -219,7 +222,7 @@ class TestMeasureType:
 
     def test_delta_and_uniform(self):
         grid = Grid(64, 2.0)
-        d = Measure.delta(grid, (0.5,))
+        d = point_mass(grid, (0.5,))
         assert d.mass == pytest.approx(1.0, abs=1e-12)
         assert int(np.count_nonzero(d.values)) == 1
         u = Measure.uniform(grid, -1.0, 1.0)
@@ -239,9 +242,10 @@ class TestD0Distance:
 
     def test_deltas_1d(self):
         grid = Grid(128, 4.0)
-        close = d0_distance(Measure.delta(grid, (-0.5,)), Measure.delta(grid, (0.75,)))
+        close = d0_distance(point_mass(grid, (-0.5,)),
+                            point_mass(grid, (0.75,)))
         assert close == pytest.approx(1.25, abs=1e-7)
-        far = d0_distance(Measure.delta(grid, (-3.0,)), Measure.delta(grid, (3.0,)))
+        far = d0_distance(point_mass(grid, (-3.0,)), point_mass(grid, (3.0,)))
         assert far == pytest.approx(2.0, abs=1e-7)
 
     def test_chain_matches_dense_oracle(self):
@@ -310,15 +314,15 @@ class TestD0Distance:
 
     def test_deltas_2d_exact(self):
         grid = Grid((16, 16), (1.0, 1.0))
-        a = Measure.delta(grid, (-0.5, -0.25))
-        b = Measure.delta(grid, (0.25, 0.5))
+        a = point_mass(grid, (-0.5, -0.25))
+        b = point_mass(grid, (0.25, 0.5))
         expected = np.hypot(0.75, 0.75)
         assert d0_distance(a, b) == pytest.approx(expected, abs=1e-7)
 
     def test_deltas_2d_capped(self):
         grid = Grid((16, 16), (1.0, 1.0))
-        a = Measure.delta(grid, (-0.875, -0.875))
-        b = Measure.delta(grid, (0.875, 0.875))
+        a = point_mass(grid, (-0.875, -0.875))
+        b = point_mass(grid, (0.875, 0.875))
         assert d0_distance(a, b) == pytest.approx(2.0, abs=1e-7)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -380,8 +384,8 @@ class TestChainAgainstHighs:
     def test_delta_pair(self, n, half_width):
         grid = Grid(n, half_width)
         x = grid.axis(0)
-        a = Measure.delta(grid, (x[n // 8],))
-        b = Measure.delta(grid, (x[n - 1],))
+        a = point_mass(grid, (x[n // 8],))
+        b = point_mass(grid, (x[n - 1],))
         oracle = highs_oracle_1d(grid, a.values, b.values)
         assert abs(d0_distance(a, b) - oracle) <= 1e-12 * oracle
         closed_form = min(x[n - 1] - x[n // 8], 2.0)
@@ -497,6 +501,121 @@ class TestPathMetric:
             path_metric(grid, path, path[:2])
 
 
+# (nodes, half-width): dyadic, non-dyadic, and a box where the chain
+# lattice is capped (2/dx = 256 points against 2n = 128)
+SUP_GRIDS = [(64, 2.0), (16, 1.7), (64, 0.25)]
+
+
+def sup_case(grid, seed, slices, scale, reference, equal, zero_tail,
+             mass_gap):
+    """A random 1D path (and reference) for ``_path_sup``.
+
+    Slices are signed noise plus a random bump times ``scale``; ``equal``
+    repeats slice 0, ``zero_tail`` makes the last slices' weights exactly
+    0, and with a reference every slice's mass gap is ``mass_gap`` times
+    the 1e-8 tolerance.
+    """
+    rng = np.random.default_rng(seed)
+    x = grid.axis(0)
+    rows = [rng.normal(size=grid.shape) * rng.uniform(0.0, 1.0)
+            + np.exp(-((x - rng.uniform(-1.0, 1.0)) / rng.uniform(0.05, 1.0))
+                     ** 2) for _ in range(slices)]
+    path = scale * np.stack(rows)
+    if equal:
+        path[:] = path[0]
+    tail = slice(slices - zero_tail, slices)
+    if reference is None:
+        path[tail] = 0.0
+        return path, None
+    # the reference keeps each slice's mass up to the gap
+    ref = path[::-1] + (path.sum(axis=1) - path[::-1].sum(axis=1))[:, None] \
+        / grid.n[0]
+    ref += mass_gap * 1e-8 / (grid.n[0] * grid.cell_volume)
+    ref[tail] = path[tail]
+    return path, ref
+
+
+class TestPathSup:
+    """``_path_sup`` is the maximum of ``path_metric``, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.sampled_from(SUP_GRIDS), seed=st.integers(0, 10 ** 6),
+           slices=st.integers(1, 9), exponent=st.integers(-12, 1),
+           reference=st.booleans(), equal=st.booleans(),
+           zero_tail=st.integers(0, 3),
+           mass_gap=st.sampled_from([0.0, -0.99, 0.99]),
+           bounded=st.booleans())
+    def test_bitwise_max_of_path_metric(self, case, seed, slices, exponent,
+                                        reference, equal, zero_tail,
+                                        mass_gap, bounded):
+        grid = Grid(*case)
+        path, ref = sup_case(grid, seed, slices, 10.0 ** exponent,
+                             reference or None, equal,
+                             min(zero_tail, slices), mass_gap)
+        want = np.max(path_metric(grid, path, ref))
+        # bounded: every path takes the bounds, however small
+        with mock.patch.object(measures_module, "_BOUNDS_WORK",
+                               0 if bounded else measures_module._BOUNDS_WORK):
+            got = _path_sup(grid, path, ref)
+        assert np.float64(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("slices, rows", [(33, 1), (9, 9)])
+    def test_runs_the_program_on_the_rows_it_cannot_rule_out(
+            self, monkeypatch, slices, rows):
+        # slice k is a mix 2^(k-32) of the way from a to b: the last slice
+        # alone holds the maximum, and the bounds of 33 slices of 64 nodes
+        # rule out the rest; 9 slices are too few for the bounds to pay
+        grid = Grid(64, 2.0)
+        a, b = random_measure(grid, 1).values, random_measure(grid, 2).values
+        mix = 2.0 ** np.arange(1 - slices, 1)[:, None]
+        path = a + mix * (b - a)
+        ref = np.broadcast_to(a, path.shape)
+        counts = []
+
+        def counted(weights, dx):
+            counts.append(len(weights))
+            return _chain_sup(weights, dx)
+
+        monkeypatch.setattr(measures_module, "_chain_sup", counted)
+        got = _path_sup(grid, path, ref)
+        assert counts == [rows]
+        assert got == np.max(path_metric(grid, path, ref)) > 0.0
+
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_non_finite_slice_raises_as_path_metric(self, reference,
+                                                    monkeypatch):
+        monkeypatch.setattr(measures_module, "_BOUNDS_WORK", 0)
+        grid = Grid(64, 2.0)
+        path = np.stack([random_measure(grid, s).values for s in range(4)])
+        ref = path[::-1].copy() if reference else None
+        for bad in (np.nan, np.inf, -np.inf):
+            broken = path.copy()
+            broken[2, 7] = bad
+            with pytest.raises(ValueError) as want:
+                path_metric(grid, broken, ref)
+            with pytest.raises(ValueError) as got:
+                _path_sup(grid, broken, ref)
+            assert str(got.value) == str(want.value)
+
+    def test_mass_mismatch_raises_as_path_metric(self):
+        grid = Grid(64, 2.0)
+        path = np.stack([random_measure(grid, s).values for s in range(4)])
+        ref = path[::-1].copy()
+        ref[2] *= 1.0 + 2e-8
+        with pytest.raises(ValueError, match="total masses differ") as want:
+            path_metric(grid, path, ref)
+        with pytest.raises(ValueError) as got:
+            _path_sup(grid, path, ref)
+        assert str(got.value) == str(want.value)
+
+    def test_2d_is_the_plain_maximum(self):
+        grid = Grid((8, 8), (1.0, 1.0))
+        path = np.stack([random_measure(grid, s).values for s in range(3)])
+        ref = path[::-1].copy()
+        assert _path_sup(grid, path, ref) == np.max(path_metric(grid, path,
+                                                                ref))
+
+
 class TestSignedDualNorm:
     def test_zero_field(self):
         assert signed_dual_norm(Field.constant(Grid(64, 2.0), 0.0)) == 0.0
@@ -533,14 +652,14 @@ class TestSignedDualNorm:
     def test_2d_delta(self):
         grid = Grid((16, 16), (1.0, 1.0))
         assert signed_dual_norm(
-            Measure.delta(grid, (0.0, 0.0)).density
+            point_mass(grid, (0.0, 0.0)).density
         ) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestMollify:
     def test_delta_support_and_mass(self):
         grid = Grid(256, 2.0)
-        out = mollify(Measure.delta(grid, (0.0,)), 0.1)
+        out = mollify(point_mass(grid, (0.0,)), 0.1)
         assert abs(out.mass - 1.0) <= 1e-9
         x = grid.axis(0)
         support = np.abs(x[np.abs(out.values) > 1e-13])
@@ -594,7 +713,7 @@ class TestTightness:
     def test_moment_of_delta_is_zero(self):
         grid = Grid(128, 8.0)
         fn = TightnessFn.on_grid(grid)
-        assert generalized_moment(Measure.delta(grid, (0.0,)), fn) == 0.0
+        assert generalized_moment(point_mass(grid, (0.0,)), fn) == 0.0
 
     def test_moment_matches_quadrature_oracle(self):
         # Node spacing 2^-19 puts the Riemann-sum error near 1e-13, far

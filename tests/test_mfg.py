@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from levymfg.coupling import Conv, LocalComposite, Zero, check_M1
+from levymfg.coupling import Conv, LocalComposite, Zero, _price_path, check_M1
 from levymfg.errors import DivergenceError, GridMismatchError
 from levymfg.fp import solve_fp, tightness_report
 from levymfg.grid import Field, Grid
@@ -20,14 +20,13 @@ from levymfg.hjb import (GeneralHamiltonian, QuadraticHamiltonian,
 from levymfg.kernels import KernelCache
 from levymfg.levy import FractionalLaplacian, LevyTriplet
 from levymfg.measures import (Measure, TightnessFn, d0_distance,
-                              verify_psi_jump_moment)
-from levymfg import mfg
+                              path_metric, verify_psi_jump_moment)
+from levymfg import measures, mfg
 from levymfg.mfg import (_ANDERSON_DEPTH, IterationPolicy, MfgProblem,
                          MfgSolution, _anderson, _project_slices,
-                         _source_trajectory, lasry_lions_check,
-                         lipschitz_stability_probe, next_damping,
-                         optimal_drift, solve_mfg)
-from oracles import diffused_initial_path
+                         lasry_lions_check, lipschitz_stability_probe,
+                         next_damping, optimal_drift, solve_mfg)
+from oracles import diffused_initial_path, zero_trajectory
 
 GRID = Grid(64, 2.0)
 TRIPLET = LevyTriplet(jumps=(FractionalLaplacian(1.5),))
@@ -169,7 +168,7 @@ class TestOptimalDrift:
         assert np.max(np.abs(drift.values[0, 1] - dy_u)) <= 1e-12
 
     def test_vector_input_rejected(self):
-        vec = Trajectory.zero(GRID, 0.0, 1.0, 2, vector=True)
+        vec = zero_trajectory(GRID, 0.0, 1.0, 2, vector=True)
         with pytest.raises(ValueError, match="scalar"):
             optimal_drift(QuadraticHamiltonian(), vec)
 
@@ -307,17 +306,18 @@ class TestSolveMfg:
                                          N_STEPS // 2)
         with pytest.raises(ValueError, match="time slab"):
             solve_mfg(prob, initial_path=wrong_slab)
-        vec = Trajectory.zero(GRID, 0.0, T_END, N_STEPS, vector=True)
+        vec = zero_trajectory(GRID, 0.0, T_END, N_STEPS, vector=True)
         with pytest.raises(ValueError, match="scalar"):
             solve_mfg(prob, initial_path=vec)
 
 
-@pytest.mark.parametrize("kind, calls", [("conv", 2), ("composite", 4)])
+@pytest.mark.parametrize("kind, calls", [("conv", 3), ("composite", 7)])
 def test_pricing_transform_calls_do_not_grow_with_slices(
         kernel, transform_calls, kind, calls):
-    # one convolution is two forward transforms and one inverse, but both
-    # couplings keep their kernel's spectrum from their first pricing on
-    # (that pricing makes one call more); the composite convolves twice
+    # a best response prices both costs from one transform of the path:
+    # the running cost inverts the whole stack, the terminal cost its last
+    # row, and the composite convolves twice; both couplings keep their
+    # kernel's spectrum from their first pricing on (one call more then)
     if kind == "conv":
         coupling = smoothing_coupling(0.4)
     else:
@@ -328,9 +328,37 @@ def test_pricing_transform_calls_do_not_grow_with_slices(
         path = diffused_initial_path(kernel, bump_measure(), 0.0, T_END,
                                      n_steps).values
         transform_calls["n"] = 0
-        source = _source_trajectory(coupling, GRID, path, 0.0, T_END)
-        assert source.n_steps == n_steps
+        source, terminal = _price_path(coupling, coupling, GRID, path)
+        assert source.shape == path.shape and terminal.shape == GRID.shape
         assert transform_calls["n"] == calls + (n_steps == 32)
+
+
+def test_stop_test_runs_the_exact_program_on_few_slices(kernel,
+                                                        monkeypatch):
+    # each stop test hands the chain program only the slices its bounds
+    # cannot rule out, and its value is the maximum over all 33
+    rows, stops = [], []
+    chain_sup, path_sup = measures._chain_sup, mfg._path_sup
+
+    def counted(weights, dx):
+        rows.append(len(weights))
+        return chain_sup(weights, dx)
+
+    def recorded(grid, path, reference=None):
+        value = path_sup(grid, path, reference)
+        stops.append((path.copy(), reference.copy(), value))
+        return value
+
+    monkeypatch.setattr(measures, "_chain_sup", counted)
+    monkeypatch.setattr(mfg, "_path_sup", recorded)
+    sol = solve_mfg(standard_problem(kernel))
+    monkeypatch.undo()
+    # measured: 1 of 33 slices in each of the 6 stop tests
+    assert len(rows) == len(stops) == sol.iterations == 6
+    assert max(rows) <= 2
+    for path, reference, value in stops:
+        assert path.shape[0] == N_STEPS + 1
+        assert value == np.max(path_metric(GRID, path, reference))
 
 
 class TestDampingSchedule:
@@ -393,7 +421,7 @@ class TestAndersonStep:
         far = np.broadcast_to(bump_measure(1.0).values, x0.shape)
         responses = [0.5 * x0 + 0.5 * far, 0.3 * x0 + 0.7 * far, far, far]
         seen = []
-        u = Trajectory.zero(GRID, 0.0, T_END, N_STEPS)
+        u = zero_trajectory(GRID, 0.0, T_END, N_STEPS)
 
         def fake(prob, path):
             seen.append(path)

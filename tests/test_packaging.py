@@ -9,10 +9,12 @@ passed by some call in the source, the tests or the benchmark harness.
 
 The public surface is what the solvers and the benchmark reach, plus the
 checks that turn a statement of the paper into a computation.  Every
-public module-level function of the package must be read in the
-source outside its own body, or in the benchmark harness, or be named in
-``UNCALLED_BY_DESIGN`` with its reason.  Test-only reference code lives in
-``tests/oracles.py``, not in the package.
+public module-level function of the package, and every public method of
+a public class, must be read in the source outside its own body, or in
+the benchmark harness, or be named in ``UNCALLED_BY_DESIGN`` with its
+reason; a report's ``to_dict`` passes as its record for callers.
+Test-only reference code lives in ``tests/oracles.py``, not in the
+package.
 """
 
 import ast
@@ -208,6 +210,8 @@ UNCALLED_BY_DESIGN = (
     "lipschitz_stability_probe",  # Lipschitz dependence on the initial law
     "derivative_check",  # J is the measure derivative of the master field
     "flow_consistency",  # restarting on the flow reproduces it (uniqueness)
+    "is_positive_semidefinite",  # Bochner: a Conv kernel that gives (M1)
+    "on_grid",  # the tightness weight that tightness_report takes
     # run diagnostics, kept for the per-iteration records of the solvers
     "mass_series",
     "boundary_shell_mass",
@@ -230,13 +234,16 @@ def names_read(node: ast.AST) -> set[str]:
 def unreached_public(package: dict[str, ast.Module],
                      bench: list[ast.Module], exempt: tuple[str, ...]
                      ) -> list[str]:
-    """``module.name`` of each public top-level function nothing reaches.
+    """``module.name`` of each public function or method nothing reaches.
 
-    A package function is reached when another top-level statement of
-    any package module reads its name (its own body does not count), or
-    when a benchmark module reads it or holds it in a dotted string such
-    as the tracer's ("coupling", "apply_dmF") entries.  Names are matched
-    alone, whatever module they come from; ``exempt`` names pass.
+    Candidates are the public top-level functions (``module.name``) and
+    the public methods of public classes (``module.Class.name``), except
+    ``to_dict`` of a class named ``...Report``.  One is reached when
+    another top-level statement or class-body item of any package module
+    reads its name (its own body does not count), or when a benchmark
+    module reads it or holds it in a dotted string such as the tracer's
+    ("coupling", "apply_dmF") entries.  Names are matched alone,
+    whatever module or class they come from; ``exempt`` names pass.
     """
     bench_names = set()
     for tree in bench:
@@ -245,17 +252,30 @@ def unreached_public(package: dict[str, ast.Module],
             if isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
                     and _DOTTED.fullmatch(sub.value):
                 bench_names.update(sub.value.split("."))
-    statements = [(module, node, names_read(node))
-                  for module, tree in package.items() for node in tree.body]
+    # (qualified name or None, node, names read) per statement or item
+    units = []
+    for module, tree in package.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                units.append((f"{module}.{node.name}"
+                              if isinstance(node, ast.FunctionDef) else None,
+                              node, names_read(node)))
+                continue
+            for item in node.body:
+                method = (isinstance(item, ast.FunctionDef)
+                          and not node.name.startswith("_")
+                          and not (item.name == "to_dict"
+                                   and node.name.endswith("Report")))
+                units.append((f"{module}.{node.name}.{item.name}"
+                              if method else None, item, names_read(item)))
     found = []
-    for module, node, _ in statements:
-        if not isinstance(node, ast.FunctionDef) or \
-                node.name.startswith("_") or node.name in exempt or \
-                node.name in bench_names:
+    for qualified, node, _ in units:
+        if qualified is None or node.name.startswith("_") or \
+                node.name in exempt or node.name in bench_names:
             continue
-        if not any(node.name in read for _, other, read in statements
+        if not any(node.name in read for _, other, read in units
                    if other is not node):
-            found.append(f"{module}.{node.name}")
+            found.append(qualified)
     return sorted(found)
 
 
@@ -273,6 +293,24 @@ def test_reachability_scan_flags_self_callers():
         "a.lasry_lions_check", "a.lonely"]
     assert unreached_public(package, bench, UNCALLED_BY_DESIGN) == [
         "a.lonely"]
+
+
+def test_reachability_scan_covers_public_methods():
+    package = {
+        "a": ast.parse("class Box:\n"
+                       "    def unread(self):\n        return self.unread()\n"
+                       "    def read(self):\n        pass\n"
+                       "    def to_dict(self):\n        pass\n"
+                       "    def _private(self):\n        pass\n"
+                       "class BoxReport:\n"
+                       "    def to_dict(self):\n        pass\n"
+                       "class _Hidden:\n"
+                       "    def stray(self):\n        pass\n"),
+        "b": ast.parse("def use(box):\n    return box.read()\n"),
+    }
+    bench = [ast.parse("ENTRY_POINTS = (('b', 'use', None),)\n")]
+    assert unreached_public(package, bench, ()) == [
+        "a.Box.to_dict", "a.Box.unread"]
 
 
 def test_every_public_function_is_reached_or_named():

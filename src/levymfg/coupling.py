@@ -27,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridMismatchError
-from .grid import (Field, Grid, _convolve_spectra, _half_spectrum,
-                   _nyquist_shell_max, _require_finite, _require_finite_rows)
+from .grid import (Field, Grid, _convolve_spectra, _nyquist_shell_max,
+                   _require_finite, _require_finite_rows, _rfft)
 from .measures import Measure, _density_rows, mollify
 
 _MATRIX_AXIS_CAP = 256
@@ -74,7 +74,7 @@ class Conv:
         """
         grid = self.phi.grid
         _require_finite(self.phi.values, "left operand")
-        spectrum = _half_spectrum(grid, self.phi.values)
+        spectrum = _rfft(grid, self.phi.values)
         return spectrum, self.phi.max_norm
 
     @property
@@ -117,7 +117,7 @@ class LocalComposite:
         """
         grid = self.phi2.grid
         _require_finite(self.phi2.values, "left operand")
-        spectrum = _half_spectrum(grid, self.phi2.values)
+        spectrum = _rfft(grid, self.phi2.values)
         return spectrum, grid.cell_volume * float(np.sum(np.abs(
             self.phi2.values)))
 
@@ -156,7 +156,7 @@ def _eval_F_path(coupling, grid: Grid, path: np.ndarray) -> np.ndarray:
     rows, masses = _density_rows(grid, path)
     spectra = None
     if not isinstance(coupling, Zero):
-        spectra = _half_spectrum(grid, rows)
+        spectra = _rfft(grid, rows)
     return _price_spectra(coupling, grid, masses, spectra)
 
 
@@ -175,10 +175,10 @@ def _price_path(running, terminal, grid: Grid, path: np.ndarray
     rows, masses = _density_rows(grid, path)
     source = spectra = None
     if not isinstance(running, Zero):
-        spectra = _half_spectrum(grid, rows)
+        spectra = _rfft(grid, rows)
         source = _price_spectra(running, grid, masses, spectra)
     elif not isinstance(terminal, Zero):
-        spectra = _half_spectrum(grid, rows[-1:])
+        spectra = _rfft(grid, rows[-1:])
     _check_kernel_grid(terminal, grid)
     last = None if spectra is None else spectra[-1:]
     return source, _price_spectra(terminal, grid, masses[-1:], last)[0]
@@ -196,11 +196,10 @@ def _price_spectra(coupling, grid: Grid, masses: np.ndarray,
     """F(., m_k) of validated density slices from their half spectra.
 
     ``masses`` and ``spectra`` come from ``measures._density_rows`` and
-    ``grid._half_spectrum`` of the slices (``spectra`` is unused for
-    ``Zero``).  The kernel is checked finite on first use, as
-    ``periodic_convolve`` checks it, and each slice keeps its own
-    sup-norm budget.  ``Phi`` of a local composite is called slice by
-    slice.
+    ``grid._rfft`` of the slices (``spectra`` is unused for ``Zero``).
+    The kernel is checked finite on first use, as ``periodic_convolve``
+    checks it, and each slice keeps its own sup-norm budget.  ``Phi`` of
+    a local composite is called slice by slice.
     """
     if isinstance(coupling, Zero):
         return np.zeros((len(masses),) + grid.shape)
@@ -218,7 +217,7 @@ def _price_spectra(coupling, grid: Grid, masses: np.ndarray,
         np.asarray(coupling.Phi(mesh, s), dtype=float).reshape(grid.shape)
         for s in _convolve_spectra(grid, spectrum, spectra)])
     _require_finite_rows(inner, "right operand")
-    out = _convolve_spectra(grid, spectrum, _half_spectrum(grid, inner))
+    out = _convolve_spectra(grid, spectrum, _rfft(grid, inner))
     bound = l1 * np.max(np.abs(inner), axis=axes) * (1.0 + 1e-12) + 1e-12
     if np.any(np.max(np.abs(out), axis=axes) > bound):
         raise AssertionError("composite coupling exceeded its sup-norm budget")
@@ -302,7 +301,7 @@ def _action_weights(coupling: LocalComposite, grid: Grid,
     _check_kernel_grid(coupling, grid)
     rows, _ = _density_rows(grid, path)
     smoothed = _convolve_spectra(grid, coupling._kernel_terms[0],
-                                 _half_spectrum(grid, rows))
+                                 _rfft(grid, rows))
     mesh = grid.meshgrid()
     weights = np.stack([np.asarray(coupling.dPhi_ds(mesh, s), dtype=float)
                         for s in smoothed])
@@ -321,11 +320,11 @@ def _dmF_action(coupling, weight: np.ndarray | None,
     """
     grid = _derivative_kernel(coupling).grid
     spectrum = coupling._kernel_terms[0]
-    smoothed = _convolve_spectra(grid, spectrum, _half_spectrum(grid, rho))
+    smoothed = _convolve_spectra(grid, spectrum, _rfft(grid, rho))
     if weight is None:
         return smoothed
     return _convolve_spectra(grid, spectrum,
-                             _half_spectrum(grid, weight * smoothed))
+                             _rfft(grid, weight * smoothed))
 
 
 def _check_derivative_couplings(grid: Grid, owner: str, running,

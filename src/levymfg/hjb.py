@@ -53,7 +53,7 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .grid import (Field, Grid, _batch_gradient, _derivative_multiplier_half,
-                   _gradient_multipliers, _nyquist_shell_max,
+                   _gradient_multipliers, _irfft, _nyquist_shell_max, _rfft,
                    _value_gradient_rows)
 from .kernels import KernelCache
 from .levy import order_alpha
@@ -406,7 +406,7 @@ def _solver_order(cache: KernelCache) -> float:
 def _nyquist_fraction(grid: Grid, spectrum: np.ndarray) -> float:
     """Spectral mass fraction on the Nyquist shell (resolution indicator).
 
-    ``spectrum`` is the ``rfftn`` of one slice.
+    ``spectrum`` is the ``grid._rfft`` of one slice.
     """
     spec = np.abs(spectrum)
     peak = float(np.max(spec))
@@ -452,12 +452,12 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
       ``start`` is taken only when the partials of slice 0 or a sweep
       read it.
     * Spectral otherwise: the march carries the half spectrum of the path,
-      and a step makes two transform calls.  One ``irfftn`` of the rows
-      [1, d_1, ..., d_d] times f[k] gives the values and gradient the drive
-      reads (of the values row f[k] alone without ``gradients``), and one
-      ``rfftn`` of the part of N present (two when a drive returns both)
-      gives N^[k].  It is the only form that fits large grids: at 1D
-      n = 16384 a dense step would take 2 GB.
+      and a step makes two calls to the grid's transform pair.  One
+      inverse of the rows [1, d_1, ..., d_d] times f[k] gives the values
+      and gradient the drive reads (of the values row f[k] alone without
+      ``gradients``), and one forward transform of the part of N present
+      (two when a drive returns both) gives N^[k].  It is the only form
+      that fits large grids: at 1D n = 16384 a dense step would take 2 GB.
 
     As the grid alone picks the form, each linearized leg equals the
     nonlinear march it mirrors, bitwise.  A dense step costs O(N^2), a
@@ -470,11 +470,11 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
 
         w[k+1] = S_dt (w[k] + dt/2 N[k]) + dt/2 N[k+1],
 
-    with the integrand of the previous pass: one ``rfftn`` of the whole
-    stack's integrand, the linear recurrence f[k+1] = M (f[k] + n[k]) +
-    n[k+1] on n = dt/2 N^ (``start``'s spectrum folded into slice 0), and
-    one ``irfftn`` of the new stack, of the rows when a later sweep reads
-    its gradient, of the values row otherwise.  Slice 0 is then reset to
+    with the integrand of the previous pass: one forward transform of the
+    whole stack's integrand, the linear recurrence ``_sweep_spectra`` on
+    n = dt/2 N^, and one inverse transform of the new stack, of the rows
+    when a later sweep reads its gradient, of the values row otherwise
+    (both through the grid's transform pair).  Slice 0 is then reset to
     ``start`` and its spectrum exactly.  A sweep thus makes two transform
     calls, whatever ``n_steps`` and on either form.  With N = 0 the first
     pass is the semigroup itself, exact in time, and no sweep runs.
@@ -490,7 +490,6 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
     _check_step(kernel, dt, T - t0)
     grid = kernel.grid
     d = grid.dims
-    axes = tuple(range(-d, 0))
     mults = _gradient_multipliers(grid)
     rows = _value_gradient_rows(grid)
     mult = kernel.multiplier(dt, adjoint)
@@ -501,12 +500,12 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
         """Half spectrum of N = source + div flux (None when N = 0)."""
         out = None
         if flux is not None:
-            part = np.fft.rfftn(flux, s=grid.shape, axes=axes)
+            part = _rfft(grid, flux)
             out = mults[0] * part[components[0]]
             for i in range(1, d):
                 out += mults[i] * part[components[i]]
         if source is not None:
-            part = np.fft.rfftn(source, s=grid.shape, axes=axes)
+            part = _rfft(grid, source)
             out = part if out is None else out + part
         return out
 
@@ -514,13 +513,13 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
     # a dense first pass with no sweep never reads the start's spectrum
     spec0 = spectrum
     if spec0 is None and (gradients or picard_sweeps or not dense):
-        spec0 = np.fft.rfftn(start, s=grid.shape, axes=axes)
+        spec0 = _rfft(grid, start)
     # row 0 holds the values, rows 1..d the partials when the drive reads them
     stack = np.empty((1 + d if gradients else 1, n_steps + 1) + start.shape)
     w, grads = stack[0], stack[1:]
     w[0] = start
     if gradients:
-        grads[:, 0] = np.fft.irfftn(rows[1:] * spec0, s=grid.shape, axes=axes)
+        grads[:, 0] = _irfft(grid, rows[1:] * spec0)
     if dense:
         _dense_first_pass(kernel, stack, dt, drive, adjoint, gradients)
     else:
@@ -535,11 +534,9 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
                 n_hat += spec[k]
                 np.multiply(mult, n_hat, out=spec[k + 1])
             if gradients:
-                stack[:, k + 1] = np.fft.irfftn(rows * spec[k + 1],
-                                                s=grid.shape, axes=axes)
+                stack[:, k + 1] = _irfft(grid, rows * spec[k + 1])
             else:
-                w[k + 1] = np.fft.irfftn(spec[k + 1], s=grid.shape,
-                                         axes=axes)
+                w[k + 1] = _irfft(grid, spec[k + 1])
         spec = None
     check(w[1:], 1)
 
@@ -549,25 +546,39 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
         if n_hat is None:
             break
         n_hat *= 0.5 * dt
-        n_hat[0] += spec0
-        carry = n_hat[0]  # f[0] + n[0]
-        for k in range(1, n_steps + 1):
-            step = mult * carry
-            step += n_hat[k]
-            carry = step + n_hat[k]
-            n_hat[k] = step
-        n_hat[0] = spec0
-        stack = w = grads = None  # free the old stack first
+        spec = _sweep_spectra(mult, n_hat, spec0)
+        stack = w = grads = n_hat = None  # free the old stacks first
         if gradients and sweep + 1 < picard_sweeps:
-            stack = np.fft.irfftn(rows[:, None] * n_hat, s=grid.shape,
-                                  axes=axes)
+            stack = _irfft(grid, rows[:, None] * spec)
             w, grads = stack[0], tuple(stack[1:])
         else:
-            w, grads = np.fft.irfftn(n_hat, s=grid.shape, axes=axes), ()
-        n_hat = None
+            w, grads = _irfft(grid, spec), ()
+        spec = None
         w[0] = start
         check(w[1:], 1)
     return w
+
+
+def _sweep_spectra(mult: np.ndarray, n_hat: np.ndarray, spec0: np.ndarray
+                   ) -> np.ndarray:
+    """The spectra of one Picard sweep of ``_mild_march``.
+
+    ``n_hat`` holds n = dt/2 N^ per slice, time axis first, and ``spec0``
+    the start's spectrum; returns the stack f with f[0] = ``spec0`` and
+    f[k+1] = M (f[k] + n[k]) + n[k+1] for the multiplier M = ``mult``.  A
+    step is three ufunc calls into preallocated rows: f[k+1] = M c, then
+    f[k+1] += n[k+1], then the carry c = f[k+1] + n[k+1].  Row 0 of
+    ``n_hat`` is spent as the first carry f[0] + n[0].
+    """
+    carry = n_hat[0]
+    carry += spec0
+    path = np.empty_like(n_hat)
+    path[0] = spec0
+    for f, n in zip(path[1:], n_hat[1:]):
+        np.multiply(mult, carry, out=f)
+        np.add(f, n, out=f)
+        np.add(f, n, out=carry)
+    return path
 
 
 def _dense_first_pass(kernel: KernelCache, stack: np.ndarray, dt: float,
@@ -636,8 +647,7 @@ def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
     """
     dt = (T - t0) / n_steps
     grid = kernel.grid
-    spectrum = np.fft.rfftn(terminal, s=grid.shape,
-                            axes=tuple(range(-grid.dims, 0)))
+    spectrum = _rfft(grid, terminal)
     if _nyquist_fraction(grid, spectrum) > _TERMINAL_TAIL_TOL:
         warnings.warn(
             "terminal data is marginally resolved: Nyquist spectral "
@@ -750,11 +760,11 @@ def gradient_bound_report(u: Trajectory) -> GradientBoundReport:
         raise ValueError("gradient bounds are for scalar trajectories")
     grid = u.grid
     axes = tuple(range(1, 1 + grid.dims))
-    spec = np.fft.rfftn(u.values, axes=axes)
+    spec = _rfft(grid, u.values)
 
     def sup_of(beta: tuple[int, ...]) -> np.ndarray:
         mult = _derivative_multiplier_half(grid, beta)
-        der = np.fft.irfftn(spec * mult, s=grid.shape, axes=axes)
+        der = _irfft(grid, spec * mult)
         return np.max(np.abs(der), axis=axes)
 
     sup_u = np.max(np.abs(u.values), axis=axes)

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import (NonFiniteFieldError, ResolutionError,
                      SpectralResidueError)
-from .grid import (Field, Grid, _gradient_multipliers, _nyquist_shell_max,
-                   spectral_derivative)
+from .grid import (Field, Grid, _gradient_multipliers, _half_period_shift,
+                   _irfft, _nyquist_shell_max, _rfft, spectral_derivative)
 from .levy import LevyTriplet, UnsupportedOrderError, order_alpha, symbol_eval
 
 _NYQUIST_TOL = 1e-12
@@ -107,16 +107,13 @@ class KernelCache:
             return hit
         grid = self.grid
         size = grid.node_count
-        axes = tuple(range(-grid.dims, 0))
         step = self.multiplier(t, adjoint)
         mults = _gradient_multipliers(grid)
         ins = np.stack((step,) + tuple(step * m for m in mults))
         outs = np.stack((np.ones(step.shape),) + (mults if gradients else ()))
-        basis = np.fft.rfftn(np.eye(size).reshape((size,) + grid.shape),
-                             axes=axes)
+        basis = _rfft(grid, np.eye(size).reshape((size,) + grid.shape))
         # resp[o, i, m]: output row o of the unit vector m of input row i
-        resp = np.fft.irfftn(outs[:, None, None] * ins[:, None] * basis,
-                             s=grid.shape, axes=axes)
+        resp = _irfft(grid, outs[:, None, None] * ins[:, None] * basis)
         op = np.ascontiguousarray(
             resp.reshape(len(outs), len(ins), size, size).transpose(0, 3, 1, 2)
         ).reshape(len(outs), size, len(ins) * size)
@@ -141,11 +138,8 @@ class KernelCache:
                            values)
 
     def _apply(self, mult: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """irfftn(rfftn(values) * mult) over the trailing grid axes."""
-        grid = self.grid
-        axes = tuple(range(values.ndim - grid.dims, values.ndim))
-        spec = np.fft.rfftn(values, s=grid.shape, axes=axes)
-        return np.fft.irfftn(spec * mult, s=grid.shape, axes=axes)
+        """Values times ``mult`` through the grid's transform pair."""
+        return _irfft(self.grid, _rfft(self.grid, values) * mult)
 
     def nyquist_tail(self, t: float, adjoint: bool = False) -> float:
         """Largest multiplier magnitude on the Nyquist shell."""
@@ -190,8 +184,7 @@ def kernel_field(cache: KernelCache, t: float, adjoint: bool = False) -> Field:
     impulse = np.zeros(grid.shape)
     impulse[(0,) * grid.dims] = 1.0
     vals = cache.apply_array(t, impulse, adjoint)
-    vals = np.roll(vals, [ni // 2 for ni in grid.n], axis=tuple(range(grid.dims)))
-    vals = vals / grid.cell_volume
+    vals = _half_period_shift(grid, vals) / grid.cell_volume
     if not np.all(np.isfinite(vals)):
         raise NonFiniteFieldError("kernel synthesis produced non-finite values")
     peak = float(np.max(vals))

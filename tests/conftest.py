@@ -6,11 +6,14 @@ import pytest
 
 @pytest.fixture
 def transform_calls(monkeypatch):
-    """Count the np.fft.rfftn and np.fft.irfftn calls made from now on.
+    """Count the real transform calls made from now on.
 
-    ``transform_calls["n"]`` holds the count and ``transform_calls["rows"]``
-    the number of grid-sized rows the ``irfftn`` calls inverted (every axis
-    outside ``axes`` counts); set them to 0 to restart.
+    The counted calls are numpy's ``rfftn``/``irfftn`` and their 1D entry
+    points ``rfft``/``irfft``, which the grid's transform pair takes on 1D
+    grids.  ``transform_calls["n"]`` holds the count and
+    ``transform_calls["rows"]`` the number of grid-sized rows the inverse
+    calls inverted (every axis outside ``axes`` counts for ``irfftn``,
+    every axis but ``axis`` for ``irfft``); set them to 0 to restart.
     """
     calls = {"n": 0, "rows": 0}
 
@@ -22,13 +25,18 @@ def transform_calls(monkeypatch):
         calls["rows"] += int(np.prod([n for ax, n in enumerate(shape)
                                       if ax not in inverted]))
 
-    for name in ("rfftn", "irfftn"):
+    def inverse_rows_1d(a, n=None, axis=-1, **kwargs):
+        inverse_rows(a, axes=(axis,))
+
+    counters = {"rfftn": None, "irfftn": inverse_rows,
+                "rfft": None, "irfft": inverse_rows_1d}
+    for name, rows in counters.items():
         real = getattr(np.fft, name)
 
-        def counted(*args, _real=real, _name=name, **kwargs):
+        def counted(*args, _real=real, _rows=rows, **kwargs):
             calls["n"] += 1
-            if _name == "irfftn":
-                inverse_rows(*args, **kwargs)
+            if _rows is not None:
+                _rows(*args, **kwargs)
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)

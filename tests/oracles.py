@@ -3,8 +3,9 @@
 Closed-form metrics, the one-shot semigroup apply, toy Hamiltonians, the
 Laplacian triplet, a point mass, a zero trajectory, a drift-free initial
 path, the master residual's measure terms from a full derivative-kernel
-table, the uncapped chain program and the stacked dense first-pass step:
-code that only the tests call, kept out of the package's public surface.
+table, the uncapped chain program, the stacked dense first-pass step and
+the allocating sweep recurrence: code that only the tests call, kept out
+of the package's public surface.
 """
 
 from typing import Sequence
@@ -213,3 +214,23 @@ def stacked_dense_first_pass(kernel: KernelCache, stack: np.ndarray,
             inputs[0] = head.reshape(size)
             np.multiply(flux.reshape(grid.dims, size), dt, out=inputs[1:])
             np.matmul(op, inputs.reshape(-1, 1), out=out[:, k + 1])
+
+
+def allocating_sweep_spectra(mult: np.ndarray, n_hat: np.ndarray,
+                             spec0: np.ndarray) -> np.ndarray:
+    """``hjb._sweep_spectra`` with two new arrays a step.
+
+    f[0] = spec0 and f[k+1] = M (f[k] + n[k]) + n[k+1]: a step forms
+    M times the carry, adds n[k+1] in place, and forms the next carry as
+    that sum plus n[k+1].  ``n_hat`` is left as it was.
+    """
+    out = n_hat.copy()
+    out[0] += spec0
+    carry = out[0]  # f[0] + n[0]
+    for k in range(1, len(out)):
+        step = mult * carry
+        step += out[k]
+        carry = step + out[k]
+        out[k] = step
+    out[0] = spec0
+    return out

@@ -15,8 +15,7 @@ import pytest
 
 from levymfg import coupling as coupling_module
 from levymfg.errors import GridMismatchError, NonFiniteFieldError
-from levymfg.grid import (Field, Grid, _half_spectrum, gradient,
-                          periodic_convolve)
+from levymfg.grid import Field, Grid, _rfft, gradient, periodic_convolve
 from levymfg.coupling import (
     Conv,
     LocalComposite,
@@ -234,7 +233,7 @@ class TestPathPricing:
             smoothed = periodic_convolve(coupling.phi2, Field(grid, path[3]))
             marked = coupling.Phi(None, smoothed.values)
         # rows of a batched transform equal their single-row transform
-        mark = _half_spectrum(grid, marked)
+        mark = _rfft(grid, marked)
 
         def inflate(real):
             def inflated(grid, fs, gs):

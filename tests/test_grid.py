@@ -13,7 +13,10 @@ from levymfg.grid import (
     Field,
     Grid,
     _gradient_multipliers,
+    _half_period_shift,
+    _irfft,
     _nyquist_shell_max,
+    _rfft,
     _value_gradient_rows,
     boundary_shell_mass,
     periodic_convolve,
@@ -93,6 +96,59 @@ class TestGridConstants:
         mults = _gradient_multipliers(grid)
         assert np.array_equal(rows, np.stack((np.ones(mults[0].shape),)
                                              + mults))
+
+    @pytest.mark.parametrize("grid", GRID_CONSTANT_CASES, ids=["1d", "2d"])
+    def test_spacing_constants_are_computed_once(self, grid):
+        names = ("dims", "dx", "cell_volume", "node_count")
+        first = [getattr(grid, name) for name in names]
+        assert all(getattr(grid, name) is value
+                   for name, value in zip(names, first))
+        assert grid.dims == len(grid.n)
+        assert grid.dx == tuple(2.0 * L / ni
+                                for ni, L in zip(grid.n, grid.half_width))
+        assert grid.cell_volume == math.prod(grid.dx)
+        assert grid.node_count == math.prod(grid.n)
+        # the kept values stay out of equality and hashing, so an equal
+        # grid built anew still hits the caches keyed on a grid
+        fresh = Grid(grid.n, grid.half_width)
+        assert fresh == grid and hash(fresh) == hash(grid)
+        assert _gradient_multipliers(fresh) is _gradient_multipliers(grid)
+
+
+# (grid, leading batch axes): 1D shapes (n,), (k, n) and (k, d, n), and 2D
+TRANSFORM_CASES = [(Grid(16, 2.0), ()), (Grid(16, 2.0), (3,)),
+                   (Grid(16, 2.0), (3, 2)),
+                   (Grid((8, 16), (1.0, 2.0)), ()),
+                   (Grid((8, 16), (1.0, 2.0)), (3,))]
+TRANSFORM_IDS = ["1d", "1d-rows", "1d-vector-rows", "2d", "2d-rows"]
+
+
+class TestTransformPair:
+    """The grid's transform pair is numpy's n-dimensional pair, bitwise."""
+
+    @pytest.mark.parametrize("grid, lead", TRANSFORM_CASES,
+                             ids=TRANSFORM_IDS)
+    def test_pair_matches_nd_transforms(self, grid, lead):
+        rng = np.random.default_rng(3)
+        axes = tuple(range(-grid.dims, 0))
+        values = rng.standard_normal(lead + grid.shape)
+        spec = _rfft(grid, values)
+        assert np.array_equal(
+            spec, np.fft.rfftn(values, s=grid.shape, axes=axes))
+        # an arbitrary half spectrum too, not only a transformed field
+        noise = spec + 1j * rng.standard_normal(spec.shape)
+        for half in (spec, noise):
+            want = np.fft.irfftn(half, s=grid.shape, axes=axes)
+            got = _irfft(grid, half)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("grid, lead", TRANSFORM_CASES,
+                             ids=TRANSFORM_IDS)
+    def test_half_period_shift_is_the_roll(self, grid, lead):
+        values = np.random.default_rng(4).standard_normal(lead + grid.shape)
+        want = np.roll(values, [ni // 2 for ni in grid.n],
+                       axis=tuple(range(-grid.dims, 0)))
+        assert np.array_equal(_half_period_shift(grid, values), want)
 
 
 class TestSpectralDerivative:

@@ -33,7 +33,8 @@ from levymfg.hjb import (
 from levymfg import hjb, kernels
 from levymfg.kernels import KernelCache
 from levymfg.levy import FractionalLaplacian, LevyTriplet
-from oracles import (drift_hamiltonian, laplacian_triplet, semigroup_apply,
+from oracles import (allocating_sweep_spectra, drift_hamiltonian,
+                     laplacian_triplet, semigroup_apply,
                      stacked_dense_first_pass, zero_hamiltonian,
                      zero_trajectory)
 
@@ -582,11 +583,12 @@ def march_transform_calls(transform_calls, march):
 
 
 def test_sweep_transform_calls_do_not_grow_with_steps(transform_calls):
-    # A first-pass step makes 2 calls: one irfftn of the carried spectrum
-    # gives the slice and its gradient (1 + d rows), one rfftn gives the
-    # spectrum of f - H.  Each sweep makes 2 calls whatever the step
-    # count: one rfftn of the whole stack's integrand and one irfftn of
-    # the new stack.  At n = 256 the first pass steps spectrally.
+    # A first-pass step makes 2 calls: one inverse transform of the
+    # carried spectrum gives the slice and its gradient (1 + d rows), one
+    # forward transform gives the spectrum of f - H.  Each sweep makes 2
+    # calls whatever the step count: one forward transform of the whole
+    # stack's integrand and one inverse transform of the new stack.  At
+    # n = 256 the first pass steps spectrally.
     grid = Grid(256, 2.0)
     cache = KernelCache(skewed_triplet(1), grid)
     g = np.exp(-4.0 * grid.axis(0) ** 2)
@@ -746,6 +748,32 @@ def test_dense_first_pass_matches_stacked_matmul_bitwise(case, adjoint):
     stacked_dense_first_pass(kernel, want, dt, drive, adjoint, gradients)
     assert np.all(np.isfinite(want)) and np.ptp(want[0, -1]) > 0.0
     assert np.array_equal(stack, want)
+
+
+@pytest.mark.parametrize("case", ["1d64", "1d64-batch", "2d8x16"])
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_sweep_spectra_match_allocating_recurrence_bitwise(case, adjoint):
+    # the three ufunc calls into preallocated rows are the allocating
+    # recurrence bit for bit, on the half spectra of a 1D slice, a batch
+    # of 1D slices and a 2D slice, with L and with its adjoint
+    grid = Grid(64, 2.0) if case.startswith("1d") else Grid(
+        (8, 16), (2.0, 2.0))
+    lead = (3,) if case.endswith("batch") else ()
+    mult = KernelCache(skewed_triplet(grid.dims), grid).multiplier(
+        step_budget(1.5, grid), adjoint)
+    rng = np.random.default_rng(7)
+    shape = lead + mult.shape
+
+    def spectra(*lead_axes):
+        return (rng.standard_normal(lead_axes + shape)
+                + 1j * rng.standard_normal(lead_axes + shape))
+
+    n_hat, spec0 = spectra(9), spectra()
+    want = allocating_sweep_spectra(mult, n_hat, spec0)
+    start = spec0.copy()
+    got = hjb._sweep_spectra(mult, n_hat.copy(), spec0)
+    assert np.array_equal(spec0, start)
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_check_vets_each_pass_stack_once():

@@ -14,7 +14,9 @@ a public class, must be read in the source outside its own body, or in
 the benchmark harness, or be named in ``UNCALLED_BY_DESIGN`` with its
 reason; a report's ``to_dict`` passes as its record for callers.
 Test-only reference code lives in ``tests/oracles.py``, not in the
-package.
+package.  Only ``grid`` calls numpy's real transforms; every other module
+goes through the grid's transform pair, so the layout is decided in one
+place.
 """
 
 import ast
@@ -323,3 +325,55 @@ def test_every_public_function_is_reached_or_named():
     named = sorted(name.rsplit(".", 1)[1]
                    for name in unreached_public(package, bench, ()))
     assert named == sorted(UNCALLED_BY_DESIGN)
+
+
+# The grid's transform pair owns the real transforms' layout; the complex
+# ``fftn`` of the coupling's kernel diagnostics is not one of them.
+REAL_TRANSFORMS = frozenset({"rfftn", "irfftn", "rfft", "irfft"})
+
+
+def real_transform_calls(package: dict[str, ast.Module], owner: str
+                         ) -> list[str]:
+    """``module:line name`` of each real transform called outside ``owner``.
+
+    A call counts when it names one of ``REAL_TRANSFORMS`` as an attribute
+    of ``fft`` (``np.fft.rfft(...)``, ``numpy.fft.irfftn(...)``,
+    ``fft.rfftn(...)``).
+    """
+    found = []
+    for module, tree in package.items():
+        if module == owner:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) \
+                    and func.attr in REAL_TRANSFORMS \
+                    and getattr(func.value, "attr",
+                                getattr(func.value, "id", None)) == "fft":
+                found.append(f"{module}:{node.lineno} {func.attr}")
+    return sorted(found)
+
+
+def test_transform_scan_flags_real_transforms_outside_grid():
+    package = {
+        "grid": ast.parse("import numpy as np\n"
+                          "def _rfft(grid, v):\n"
+                          "    return np.fft.rfft(v, grid.n[0])\n"),
+        "a": ast.parse("import numpy as np\n"
+                       "from numpy import fft\n"
+                       "x = np.fft.irfftn(s)\n"
+                       "y = fft.rfft(v)\n"
+                       "z = np.fft.fftn(v)\n"
+                       "w = np.fft.ifft(v)\n"),
+    }
+    assert real_transform_calls(package, "grid") == ["a:3 irfftn",
+                                                     "a:4 rfft"]
+
+
+def test_real_transforms_only_in_grid():
+    package = {path.stem: ast.parse(path.read_text())
+               for path in sorted(PACKAGE.glob("*.py"))}
+    stray = real_transform_calls(package, "grid")
+    assert not stray, f"real transforms outside grid._rfft/_irfft: {stray}"

@@ -119,7 +119,7 @@ def solve_fp(kernel: KernelCache, drift: Trajectory | None, rho0: Field,
     for name, tr in (("drift", drift), ("source", source)):
         if tr is not None:
             _check_operand(name, tr, grid, t0, T, n_steps, vector=True)
-    return Trajectory(grid, t0, T, _forward_values(
+    return Trajectory._marched(grid, t0, T, _forward_values(
         kernel, None if drift is None else drift.values,
         None if source is None else source.values, rho0.values, t0, T,
         n_steps, 0))

@@ -11,11 +11,18 @@ last.  The complex ``fftn`` is left to kernel diagnostics that read the
 whole spectrum (``coupling``).  Every real transform of the package goes
 through the grid's transform pair, ``_rfft`` and ``_irfft``, over the
 trailing grid axes (leading axes batch), so the layout is decided here
-alone.  On a 1D grid the pair calls numpy's 1D ``rfft``/``irfft`` with the
-length n: the transform is the one ``rfftn``/``irfftn`` runs, bit for bit,
-without their n-dimensional wrapper, which adds 1.5 to 3 us to a 16-node
-transform of 5 to 6 us (timeit on one Xeon core, numpy 2.4).  On a 2D
-grid it calls ``rfftn``/``irfftn`` with the grid's shape and axes.
+alone.  The pair calls numpy's pocketfft kernels (the gufuncs of
+``numpy.fft._pocketfft_umath``, numpy >= 2.0) into preallocated outputs,
+with the normalization factor ``fct`` that ``np.fft`` passes them, so the
+result is ``np.fft.rfft``/``irfft`` (1D) or ``rfftn``/``irfftn`` (2D) bit
+for bit.  It skips their Python wrapper ``_raw_fft`` (array-function
+dispatch, dtype and axis normalization, the output allocation), which
+costs about as much as the kernel on the package's small grids.  Timeit,
+min of 9 runs on one core of a shared 2-vCPU Xeon host, numpy 2.4, forward
+and inverse through ``np.fft`` -> through the kernels: a 16-node row 4.7
+-> 2.2 us and 4.9 -> 1.9 us, a 9x16 stack 5.6 -> 2.7 us and 5.7 -> 2.7 us,
+a 33x64 stack 10.1 -> 7.9 us and 11.3 -> 8.4 us, a 16x16 grid 13.4 -> 5.6
+us and 15.0 -> 6.2 us.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 
 from .errors import (
     GridMismatchError,
@@ -328,22 +336,49 @@ def _convolve_values(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _convolve_spectra(grid, _rfft(grid, f), _rfft(grid, g))
 
 
+# The pocketfft kernels of the transform pair, read at call time (a test
+# fixture counts the real ones).  Grid admits powers of two >= 8 only, so
+# the last axis is always even and its forward kernel is the even-length
+# one.  A gufunc's core axis is the last unless ``axes`` says otherwise.
+_rfft_kernel = _pocketfft_umath.rfft_n_even
+_irfft_kernel = _pocketfft_umath.irfft
+_fft_kernel = _pocketfft_umath.fft
+_ifft_kernel = _pocketfft_umath.ifft
+_SECOND_TO_LAST = [(-2,), (), (-2,)]
+
+
 def _rfft(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Half spectrum over the trailing grid axes; leading axes batch.
 
-    ``np.fft.rfft`` on a 1D grid, ``rfftn`` over the last two axes on a 2D
-    grid (the module docstring says why).
+    ``np.fft.rfft(values, n)`` on a 1D grid and ``np.fft.rfftn`` over the
+    last two axes on a 2D grid, bit for bit: the real kernel over the last
+    axis with ``fct`` 1, then, in 2D, the complex kernel over axis -2 in
+    place on that output.  ``values`` is a float64 array with the grid's
+    trailing shape; the result is a new C-contiguous array.
     """
-    if grid.dims == 1:
-        return np.fft.rfft(values, grid.n[0])
-    return np.fft.rfftn(values, s=grid.n, axes=(-2, -1))
+    out = np.empty(values.shape[:-1] + (grid.n[-1] // 2 + 1,), dtype=complex)
+    _rfft_kernel(values, 1, out=out)
+    if grid.dims == 2:
+        _fft_kernel(out, 1, axes=_SECOND_TO_LAST, out=out)
+    return out
 
 
 def _irfft(grid: Grid, spec: np.ndarray) -> np.ndarray:
-    """Inverse of ``_rfft``: real values over the trailing grid axes."""
-    if grid.dims == 1:
-        return np.fft.irfft(spec, grid.n[0])
-    return np.fft.irfftn(spec, s=grid.n, axes=(-2, -1))
+    """Inverse of ``_rfft``: real values over the trailing grid axes.
+
+    ``np.fft.irfft(spec, n)`` on a 1D grid and ``np.fft.irfftn`` over the
+    last two axes on a 2D grid, bit for bit: in 2D the complex inverse
+    over axis -2 with ``fct`` 1/n_0 into a new array, then the real
+    inverse over the last axis with ``fct`` 1/n_last.  ``1.0 / n`` is the
+    ``np.reciprocal(n, dtype=float64)`` that ``np.fft`` passes.
+    """
+    if grid.dims == 2:
+        half = np.empty(spec.shape, dtype=complex)
+        _ifft_kernel(spec, 1.0 / grid.n[0], axes=_SECOND_TO_LAST, out=half)
+        spec = half
+    out = np.empty(spec.shape[:-1] + (grid.n[-1],))
+    _irfft_kernel(spec, 1.0 / grid.n[-1], out=out)
+    return out
 
 
 def _half_period_shift(grid: Grid, values: np.ndarray) -> np.ndarray:

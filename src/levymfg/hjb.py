@@ -280,6 +280,29 @@ class Trajectory:
     values: np.ndarray = dc_field(repr=False)
 
     def __post_init__(self):
+        self._settle(scan_finite=True)
+
+    @classmethod
+    def _marched(cls, grid: Grid, t0: float, T: float, values: np.ndarray
+                 ) -> "Trajectory":
+        """A trajectory of march output, skipping the whole-stack finite scan.
+
+        For ``_mild_march`` output only: its ``check`` has vetted every
+        slice after the first (a NaN fails the sup-norm's ``<=``), and a
+        non-finite first slice makes the second one non-finite.  The
+        shape, slab, contiguity and read-only handling are the public
+        constructor's.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "grid", grid)
+        object.__setattr__(out, "t0", t0)
+        object.__setattr__(out, "T", T)
+        object.__setattr__(out, "values", values)
+        out._settle(scan_finite=False)
+        return out
+
+    def _settle(self, scan_finite: bool) -> None:
+        """Validate the fields and store them contiguous and read-only."""
         v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
         gdims = self.grid.dims
         if v.ndim == 1 + gdims:
@@ -295,7 +318,7 @@ class Trajectory:
                 f"slice shape {v.shape[-gdims:]} != grid {self.grid.shape}")
         if v.shape[0] < 2:
             raise ValueError("a trajectory needs at least two time slices")
-        if not np.all(np.isfinite(v)):
+        if scan_finite and not np.all(np.isfinite(v)):
             raise NonFiniteFieldError("trajectory contains NaN/Inf entries")
         if not self.T > self.t0:
             raise ValueError("need T > t0")
@@ -709,7 +732,7 @@ def solve_hjb(kernel: KernelCache, hamiltonian, source: Trajectory | None,
         raise ValueError("need at least one step")
     if source is not None:
         _check_operand("source", source, grid, t0, T, n_steps, vector=False)
-    return Trajectory(grid, t0, T, _march_backward(
+    return Trajectory._marched(grid, t0, T, _march_backward(
         kernel, terminal.values, t0, T, n_steps, _PICARD_SWEEPS,
         _value_drive(grid, hamiltonian, source)))
 

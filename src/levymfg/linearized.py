@@ -381,8 +381,8 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
         else:
             converged = False
 
-    z = Trajectory(grid, t0, T, z)
-    rho = Trajectory(grid, t0, T, rho)
+    z = Trajectory._marched(grid, t0, T, z)
+    rho = Trajectory._marched(grid, t0, T, rho)
     data = _data_norm(system)
     out = float(np.max(np.abs(z.values))) + _path_sup(grid, rho.values)
     report = LinearReport(

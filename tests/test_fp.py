@@ -165,6 +165,18 @@ class TestSolveFp:
         with pytest.raises(InstabilityError, match="smaller dt"):
             solve_fp(cache, drift, rho0, None, 0.0, T, n_steps)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_initial_density_raises_from_the_march(self, bad):
+        # ``solve_fp`` wraps its march output without a finite scan: the
+        # march's monitor rejects the slice a non-finite rho0 spreads to
+        grid = Grid(32, 1.0)
+        cache = KernelCache(laplacian_triplet(), grid)
+        rho0 = np.full(grid.shape, 0.5)
+        rho0[3] = bad
+        with np.errstate(all="ignore"), \
+                pytest.raises(InstabilityError, match="smaller dt"):
+            solve_fp(cache, None, Field(grid, rho0), None, 0.0, 0.01, 8)
+
     def test_budget_error(self):
         grid = Grid(256, 4.0)
         cache = KernelCache(laplacian_triplet(), grid)

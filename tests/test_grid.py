@@ -115,32 +115,61 @@ class TestGridConstants:
         assert _gradient_multipliers(fresh) is _gradient_multipliers(grid)
 
 
-# (grid, leading batch axes): 1D shapes (n,), (k, n) and (k, d, n), and 2D
+# (grid, leading batch axes): 1D shapes (n,), (k, n) and (k, d, n), and 2D;
+# the smallest grids Grid admits, n = 8 and 8x8, last
 TRANSFORM_CASES = [(Grid(16, 2.0), ()), (Grid(16, 2.0), (3,)),
                    (Grid(16, 2.0), (3, 2)),
                    (Grid((8, 16), (1.0, 2.0)), ()),
-                   (Grid((8, 16), (1.0, 2.0)), (3,))]
-TRANSFORM_IDS = ["1d", "1d-rows", "1d-vector-rows", "2d", "2d-rows"]
+                   (Grid((8, 16), (1.0, 2.0)), (3,)),
+                   (Grid(8, 1.0), (2,)), (Grid(8, 1.0, dims=2), (2,))]
+TRANSFORM_IDS = ["1d", "1d-rows", "1d-vector-rows", "2d", "2d-rows",
+                 "1d-n8", "2d-8x8"]
+
+
+def _strided_last(a: np.ndarray) -> np.ndarray:
+    """``a`` as every other entry of a wider buffer's last axis."""
+    buffer = np.zeros(a.shape[:-1] + (2 * a.shape[-1],), dtype=a.dtype)
+    view = buffer[..., ::2]
+    view[...] = a
+    return view
+
+
+# How each transform input is laid out in memory: as drawn, reversed on its
+# first axis (the march's ``[::-1]`` output), every other row of a doubled
+# stack, or strided on the last axis (the complex half spectrum included).
+LAYOUTS = {
+    "contiguous": lambda a: a,
+    "reversed": lambda a: a[::-1],
+    "every-other-row": lambda a: np.repeat(a, 2, axis=0)[::2],
+    "strided-last": _strided_last,
+}
 
 
 class TestTransformPair:
     """The grid's transform pair is numpy's n-dimensional pair, bitwise."""
 
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
     @pytest.mark.parametrize("grid, lead", TRANSFORM_CASES,
                              ids=TRANSFORM_IDS)
-    def test_pair_matches_nd_transforms(self, grid, lead):
+    def test_pair_matches_nd_transforms(self, grid, lead, layout):
         rng = np.random.default_rng(3)
         axes = tuple(range(-grid.dims, 0))
-        values = rng.standard_normal(lead + grid.shape)
+        view = LAYOUTS[layout]
+        values = view(rng.standard_normal(lead + grid.shape))
+        assert layout == "contiguous" or not values.flags.c_contiguous
         spec = _rfft(grid, values)
         assert np.array_equal(
             spec, np.fft.rfftn(values, s=grid.shape, axes=axes))
+        # the 2D forward transform runs in place on its own output, which
+        # must be a new array
+        assert spec.flags.c_contiguous and not np.shares_memory(spec, values)
         # an arbitrary half spectrum too, not only a transformed field
         noise = spec + 1j * rng.standard_normal(spec.shape)
-        for half in (spec, noise):
+        for half in (view(spec), view(noise)):
             want = np.fft.irfftn(half, s=grid.shape, axes=axes)
             got = _irfft(grid, half)
             assert got.shape == want.shape and np.array_equal(got, want)
+            assert got.flags.c_contiguous and not np.shares_memory(got, half)
 
     @pytest.mark.parametrize("grid, lead", TRANSFORM_CASES,
                              ids=TRANSFORM_IDS)

@@ -187,6 +187,35 @@ class TestTrajectory:
         with pytest.raises(NonFiniteFieldError):
             Trajectory(self.grid, 0.0, 1.0, vals)
 
+    def test_march_constructor_skips_the_finite_scan_alone(self):
+        # ``_marched`` wraps march output, whose check has vetted every
+        # slice, so it skips the whole-stack finite scan and nothing else
+        vals = np.arange(48.0).reshape(3, 16)
+        public = Trajectory(self.grid, 0, 1, vals[::-1])
+        marched = Trajectory._marched(self.grid, 0, 1, vals[::-1])
+        for tr in (public, marched):
+            assert np.array_equal(tr.values, vals[::-1])
+            assert tr.values.flags.c_contiguous
+            assert not tr.values.flags.writeable
+            assert type(tr.t0) is float and type(tr.T) is float
+            assert not tr.is_vector
+        assert Trajectory._marched(self.grid, 0, 1,
+                                   np.zeros((3, 1, 16))).is_vector
+        with pytest.raises(GridMismatchError):
+            Trajectory._marched(self.grid, 0.0, 1.0, np.zeros((3, 32)))
+        with pytest.raises(ValueError, match="do not match"):
+            Trajectory._marched(self.grid, 0.0, 1.0, np.zeros((3, 4, 16)))
+        with pytest.raises(ValueError, match="two time slices"):
+            Trajectory._marched(self.grid, 0.0, 1.0, np.zeros((1, 16)))
+        with pytest.raises(ValueError, match="T > t0"):
+            Trajectory._marched(self.grid, 1.0, 1.0, np.zeros((3, 16)))
+        bad = np.zeros((3, 16))
+        bad[2, 7] = np.inf
+        assert np.isinf(Trajectory._marched(self.grid, 0.0, 1.0, bad)
+                        .values[2, 7])
+        with pytest.raises(NonFiniteFieldError):
+            Trajectory(self.grid, 0.0, 1.0, bad)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(GridMismatchError):
             Trajectory(self.grid, 0.0, 1.0, np.zeros((3, 32)))
@@ -852,6 +881,30 @@ def test_sweep_instability_names_its_first_bad_slice():
     _forward_values(cache, None, flux, rho0, 0.0, T, n_steps, 0)
     with pytest.raises(InstabilityError, match="at step 3/8 "):
         _forward_values(cache, None, flux, rho0, 0.0, T, n_steps, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("where", ["terminal", "hamiltonian"])
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "spectral"])
+def test_nonfinite_slice_raises_from_the_backward_march(monkeypatch, bad,
+                                                        where, dense):
+    # ``solve_hjb`` wraps its march output without a finite scan: the
+    # march's guard rejects a non-finite slice, one from the terminal data
+    # (slice 0, which spreads to slice 1) or from the Hamiltonian alike
+    monkeypatch.setattr(hjb, "_DENSE_STEP_NODES", 1 << 62 if dense else 0)
+    grid = Grid(32, 1.0)
+    cache = KernelCache(laplacian_triplet(), grid)
+    g = np.zeros(grid.shape)
+    ham = QuadraticHamiltonian()
+    if where == "terminal":
+        g[5] = bad
+    else:
+        ham = GeneralHamiltonian(
+            h=lambda x, u, p: np.full(np.shape(u), bad),
+            grad=lambda x, u, p: (np.zeros(np.shape(u)),))
+    with np.errstate(all="ignore"), \
+            pytest.raises(DivergenceError, match="blew up"):
+        solve_hjb(cache, ham, None, Field(grid, g), 0.0, 0.01, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,19 @@ class TestSolveLinearSystem:
         with pytest.raises(ValueError, match="tol"):
             solve_linear_system(delta_system, tol=0.0)
 
+    @pytest.mark.parametrize("slot, error", [
+        ("terminal", DivergenceError), ("rho0", InstabilityError)])
+    def test_nonfinite_data_raises_from_a_leg(self, delta_system, slot,
+                                               error):
+        # both returns wrap march output without a finite scan: the z leg
+        # rejects a non-finite terminal slice, the rho leg a non-finite rho0
+        values = getattr(delta_system, slot).values.copy()
+        values[7] = np.nan
+        bad = replace(delta_system, **{slot: Field(GRID, values)})
+        with np.errstate(all="ignore"), \
+                pytest.raises(error, match="alternation iteration"):
+            solve_linear_system(bad)
+
     def test_inner_failures_carry_the_iteration_tag(self, delta_system):
         runaway = constant_vector_trajectory(Field.constant(GRID, 1.0e4))
         bad = replace(delta_system, drift=runaway)

@@ -12,7 +12,8 @@ import pytest
 from dataclasses import replace
 
 from levymfg.coupling import Conv, LocalComposite, Zero, _price_path, check_M1
-from levymfg.errors import DivergenceError, GridMismatchError
+from levymfg.errors import (DivergenceError, GridMismatchError,
+                             NonFiniteFieldError)
 from levymfg.fp import solve_fp, tightness_report
 from levymfg.grid import Field, Grid
 from levymfg.hjb import (GeneralHamiltonian, QuadraticHamiltonian,
@@ -171,6 +172,16 @@ class TestOptimalDrift:
         vec = zero_trajectory(GRID, 0.0, 1.0, 2, vector=True)
         with pytest.raises(ValueError, match="scalar"):
             optimal_drift(QuadraticHamiltonian(), vec)
+
+    def test_nonfinite_callback_drift_rejected(self):
+        # a drift built from callback output keeps the finite scan
+        ham = GeneralHamiltonian(
+            h=lambda x, u, p: np.zeros(np.shape(u)),
+            grad=lambda x, u, p: (np.where(u > 0.5, np.nan, 0.0),))
+        u = Trajectory(GRID, 0.0, 1.0, np.linspace(0.0, 1.0, 3 * 64)
+                       .reshape(3, 64))
+        with pytest.raises(NonFiniteFieldError):
+            optimal_drift(ham, u)
 
 
 class TestSolveMfg:

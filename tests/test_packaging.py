@@ -327,24 +327,43 @@ def test_every_public_function_is_reached_or_named():
     assert named == sorted(UNCALLED_BY_DESIGN)
 
 
-# The grid's transform pair owns the real transforms' layout; the complex
-# ``fftn`` of the coupling's kernel diagnostics is not one of them.
+# The grid's transform pair owns the real transforms' layout and calls the
+# pocketfft kernels itself, so no module calls numpy's real transform entry
+# points, and only the pair's module names the kernels' module.  The complex
+# ``fftn`` of the coupling's kernel diagnostics is not a real transform.
 REAL_TRANSFORMS = frozenset({"rfftn", "irfftn", "rfft", "irfft"})
+KERNEL_MODULE = "_pocketfft_umath"
+
+
+def _names_kernel_module(node: ast.AST) -> bool:
+    """Whether ``node`` names ``KERNEL_MODULE`` (use, attribute or import)."""
+    if isinstance(node, ast.Name):
+        return node.id == KERNEL_MODULE
+    if isinstance(node, ast.Attribute):
+        return node.attr == KERNEL_MODULE
+    if isinstance(node, ast.ImportFrom):
+        return KERNEL_MODULE in (node.module or "").split(".") or any(
+            alias.name == KERNEL_MODULE for alias in node.names)
+    if isinstance(node, ast.Import):
+        return any(KERNEL_MODULE in alias.name.split(".")
+                   for alias in node.names)
+    return False
 
 
 def real_transform_calls(package: dict[str, ast.Module], owner: str
                          ) -> list[str]:
-    """``module:line name`` of each real transform called outside ``owner``.
+    """``module:line name`` of each stray real transform in the package.
 
-    A call counts when it names one of ``REAL_TRANSFORMS`` as an attribute
-    of ``fft`` (``np.fft.rfft(...)``, ``numpy.fft.irfftn(...)``,
-    ``fft.rfftn(...)``).
+    Two things count, in any module: a call that names one of
+    ``REAL_TRANSFORMS`` as an attribute of ``fft`` (``np.fft.rfft(...)``,
+    ``numpy.fft.irfftn(...)``, ``fft.rfftn(...)``), and, outside
+    ``owner``, any reference to the kernels' module ``KERNEL_MODULE``.
     """
-    found = []
+    found = set()
     for module, tree in package.items():
-        if module == owner:
-            continue
         for node in ast.walk(tree):
+            if module != owner and _names_kernel_module(node):
+                found.add(f"{module}:{node.lineno} {KERNEL_MODULE}")
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -352,13 +371,15 @@ def real_transform_calls(package: dict[str, ast.Module], owner: str
                     and func.attr in REAL_TRANSFORMS \
                     and getattr(func.value, "attr",
                                 getattr(func.value, "id", None)) == "fft":
-                found.append(f"{module}:{node.lineno} {func.attr}")
+                found.add(f"{module}:{node.lineno} {func.attr}")
     return sorted(found)
 
 
-def test_transform_scan_flags_real_transforms_outside_grid():
+def test_transform_scan_flags_real_transforms_and_kernel_references():
     package = {
         "grid": ast.parse("import numpy as np\n"
+                          "from numpy.fft import _pocketfft_umath\n"
+                          "_kernel = _pocketfft_umath.rfft_n_even\n"
                           "def _rfft(grid, v):\n"
                           "    return np.fft.rfft(v, grid.n[0])\n"),
         "a": ast.parse("import numpy as np\n"
@@ -366,14 +387,24 @@ def test_transform_scan_flags_real_transforms_outside_grid():
                        "x = np.fft.irfftn(s)\n"
                        "y = fft.rfft(v)\n"
                        "z = np.fft.fftn(v)\n"
-                       "w = np.fft.ifft(v)\n"),
+                       "w = np.fft.ifft(v)\n"
+                       "f = np.fft.rfftfreq(8)\n"),
+        "b": ast.parse("import numpy.fft._pocketfft_umath\n"
+                       "from numpy.fft._pocketfft_umath import irfft\n"
+                       "from numpy.fft import _pocketfft_umath as pfu\n"
+                       "k = np.fft._pocketfft_umath.fft\n"),
     }
-    assert real_transform_calls(package, "grid") == ["a:3 irfftn",
-                                                     "a:4 rfft"]
+    assert real_transform_calls(package, "grid") == [
+        "a:3 irfftn", "a:4 rfft",
+        "b:1 _pocketfft_umath", "b:2 _pocketfft_umath",
+        "b:3 _pocketfft_umath", "b:4 _pocketfft_umath",
+        "grid:5 rfft"]
 
 
 def test_real_transforms_only_in_grid():
     package = {path.stem: ast.parse(path.read_text())
                for path in sorted(PACKAGE.glob("*.py"))}
     stray = real_transform_calls(package, "grid")
-    assert not stray, f"real transforms outside grid._rfft/_irfft: {stray}"
+    assert not stray, f"real transforms outside grid's kernels: {stray}"
+    grid_tree = package["grid"]
+    assert any(_names_kernel_module(node) for node in ast.walk(grid_tree))

@@ -9,6 +9,13 @@ Two concrete families plus the trivial one:
   measure derivative Int phi2(x - z) dPhi/ds(z, .) phi2(z - y) dz.
 * ``Zero``: no coupling.
 
+This module alone decides what each family does.  ``_derivative_kernel``
+names the kernel a coupling convolves with (none for ``Zero``; any other
+object has no measure-derivative action), and ``_decoupled`` says whether
+a running and terminal pair never reads the measure.  The solvers price,
+weight and differentiate through this module's helpers and never test a
+family themselves.
+
 Validators probe the two monotonicity conditions used for uniqueness: the
 pairing of F-increments against measure increments (nonnegative for
 positive-semidefinite smoothing kernels), and the sign of the symmetrized
@@ -137,58 +144,37 @@ def _boundary_magnitude(f: Field) -> float:
 def eval_F(coupling, m: Measure) -> Field:
     """Cost field F(., m) on the measure's grid.
 
-    The one-slice case of ``_eval_F_path``, which holds every check.
+    The terminal slot of ``_price_path`` on the one-slice path m, which
+    holds every check.
     """
-    return Field(m.grid, _eval_F_path(coupling, m.grid, m.values[None])[0])
-
-
-def _eval_F_path(coupling, grid: Grid, path: np.ndarray) -> np.ndarray:
-    """Cost fields F(., m_k) of every density slice m_k of a path.
-
-    ``path`` has its slice axis first.  Once the coupling's kernel is
-    checked on ``grid``, each slice is validated and clamped as
-    ``Measure`` does and the stack is transformed once; ``_price_spectra``
-    then prices it, each slice within its own sup-norm budget.  So every
-    row equals ``eval_F`` of that slice's ``Measure`` bitwise, and a path
-    with one bad slice raises what that slice raises alone.
-    """
-    _check_kernel_grid(coupling, grid)
-    rows, masses = _density_rows(grid, path)
-    spectra = None
-    if not isinstance(coupling, Zero):
-        spectra = _rfft(grid, rows)
-    return _price_spectra(coupling, grid, masses, spectra)
+    return Field(m.grid, _price_path(Zero(), coupling, m.grid,
+                                     m.values[None])[1])
 
 
 def _price_path(running, terminal, grid: Grid, path: np.ndarray
                 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Running cost of every slice of a path and terminal cost of its last.
 
-    Returns ``_eval_F_path(running, grid, path)`` (None for ``Zero``) and
-    ``_eval_F_path(terminal, grid, path[-1:])[0]``, bitwise, from one
-    validation and one transform of the path: the terminal cost prices
-    the last row of the running cost's spectra.  Every slice is validated
-    first, whatever the running cost; errors otherwise come in the order
-    of those two calls.
+    ``path`` has its slice axis first.  The running coupling's kernel is
+    checked on ``grid``, then every slice is validated and clamped as
+    ``Measure`` does, whatever the couplings, and the path is transformed
+    once.  ``_price_spectra`` prices the running cost of every slice (None
+    for ``Zero``), and only then is the terminal coupling's kernel checked
+    and its cost priced from the last row of the same spectra.  Each slice
+    keeps its own sup-norm budget, so every row equals ``eval_F`` of that
+    slice's ``Measure`` bitwise, and a path with one bad slice raises what
+    that slice raises alone.
     """
-    _check_kernel_grid(running, grid)
+    running_kernel = _derivative_kernel(running, grid)
     rows, masses = _density_rows(grid, path)
     source = spectra = None
-    if not isinstance(running, Zero):
+    if running_kernel is not None:
         spectra = _rfft(grid, rows)
         source = _price_spectra(running, grid, masses, spectra)
-    elif not isinstance(terminal, Zero):
+    if _derivative_kernel(terminal, grid) is not None and spectra is None:
         spectra = _rfft(grid, rows[-1:])
-    _check_kernel_grid(terminal, grid)
     last = None if spectra is None else spectra[-1:]
     return source, _price_spectra(terminal, grid, masses[-1:], last)[0]
-
-
-def _check_kernel_grid(coupling, grid: Grid) -> None:
-    """Require a known coupling whose kernel lives on ``grid``."""
-    if not isinstance(coupling, Zero) and \
-            _derivative_kernel(coupling).grid != grid:
-        raise GridMismatchError("coupling kernel lives on a different grid")
 
 
 def _price_spectra(coupling, grid: Grid, masses: np.ndarray,
@@ -257,48 +243,59 @@ def apply_dmF(coupling, m: Measure, rho: Field) -> Field:
     the cell volume, but uses the couplings' convolution structure so it
     carries no dense-matrix size guard.
     """
-    if rho.grid != m.grid:
+    grid = m.grid
+    if rho.grid != grid:
         raise GridMismatchError("density lives on a different grid")
-    if isinstance(coupling, Zero):
-        return Field.constant(m.grid, 0.0)
-    kern = _derivative_kernel(coupling)
-    if kern.grid != m.grid:
-        raise GridMismatchError("coupling kernel lives on a different grid")
-    _require_finite(kern.values, "left operand")
+    kernel = _derivative_kernel(coupling, grid)
+    if kernel is None:
+        return Field.constant(grid, 0.0)
+    _require_finite(kernel.values, "left operand")
     _require_finite(rho.values, "right operand")
-    return Field(m.grid, _dmF_action(coupling, _action_weight(coupling, m),
-                                     rho.values))
+    weight = _action_weights(coupling, grid, m.values[None])
+    return Field(grid, _dmF_action(coupling, grid, weight,
+                                   rho.values[None])[0])
 
 
-def _derivative_kernel(coupling) -> Field:
+def _derivative_kernel(coupling, grid: Grid | None = None) -> Field | None:
+    """The kernel a coupling's pricing and derivative convolve with.
+
+    ``phi`` of a ``Conv``, ``phi2`` of a ``LocalComposite``, None for
+    ``Zero``; any other object has no derivative action.  Given ``grid``,
+    the kernel must live on it.
+    """
+    if isinstance(coupling, Zero):
+        return None
     if isinstance(coupling, Conv):
-        return coupling.phi
-    if isinstance(coupling, LocalComposite):
-        return coupling.phi2
-    raise TypeError(f"unknown coupling variant {type(coupling).__name__}")
+        kernel = coupling.phi
+    elif isinstance(coupling, LocalComposite):
+        kernel = coupling.phi2
+    else:
+        raise TypeError(f"coupling {type(coupling).__name__} has no "
+                        "measure-derivative action")
+    if grid is not None and kernel.grid != grid:
+        raise GridMismatchError("coupling kernel lives on a different grid")
+    return kernel
 
 
-def _action_weight(coupling, m: Measure) -> np.ndarray | None:
-    """The measure-dependent factor of the derivative action at m.
+def _decoupled(running, terminal) -> bool:
+    """True when neither coupling reads the measure: both are ``Zero``."""
+    return isinstance(running, Zero) and isinstance(terminal, Zero)
 
-    dPhi/ds of the smoothed density for a local composite
-    (``_action_weights`` of one slice); None for a convolution, whose
-    action does not depend on m.
+
+def _action_weights(coupling, grid: Grid,
+                    path: np.ndarray) -> np.ndarray | None:
+    """The measure-dependent factor of the derivative action at each slice.
+
+    dPhi/ds of the smoothed density for a local composite; None for the
+    other families, whose action does not read the measure.  ``path`` has
+    its slice axis first; the slices are validated as ``_price_path``
+    validates them and smoothed by one convolution over the stack, and
+    ``dPhi_ds`` is called slice by slice.  Each row equals its one-slice
+    weight bitwise.
     """
     if not isinstance(coupling, LocalComposite):
         return None
-    return _action_weights(coupling, m.grid, m.values[None])[0]
-
-
-def _action_weights(coupling: LocalComposite, grid: Grid,
-                    path: np.ndarray) -> np.ndarray:
-    """``_action_weight`` of every density slice of a path (slices first).
-
-    The slices are validated as ``_eval_F_path`` validates them and
-    smoothed by one convolution over the stack; ``dPhi_ds`` is called
-    slice by slice.  Each row equals its one-slice weight bitwise.
-    """
-    _check_kernel_grid(coupling, grid)
+    _derivative_kernel(coupling, grid)
     rows, _ = _density_rows(grid, path)
     smoothed = _convolve_spectra(grid, coupling._kernel_terms[0],
                                  _rfft(grid, rows))
@@ -310,15 +307,17 @@ def _action_weights(coupling: LocalComposite, grid: Grid,
     return weights
 
 
-def _dmF_action(coupling, weight: np.ndarray | None,
-                rho: np.ndarray) -> np.ndarray:
+def _dmF_action(coupling, grid: Grid, weight: np.ndarray | None,
+                rho: np.ndarray) -> np.ndarray | None:
     """``apply_dmF`` on raw values over the trailing grid axes.
 
-    Leading axes of ``rho`` batch, and ``weight`` (from ``_action_weight``)
+    None for ``Zero``, whose action is zero; ``rho`` is then not read.
+    Leading axes of ``rho`` batch, and ``weight`` (from ``_action_weights``)
     must broadcast against them; a row of a batch equals its single-row
     action bitwise.
     """
-    grid = _derivative_kernel(coupling).grid
+    if isinstance(coupling, Zero):
+        return None
     spectrum = coupling._kernel_terms[0]
     smoothed = _convolve_spectra(grid, spectrum, _rfft(grid, rho))
     if weight is None:
@@ -327,18 +326,10 @@ def _dmF_action(coupling, weight: np.ndarray | None,
                              _rfft(grid, weight * smoothed))
 
 
-def _check_derivative_couplings(grid: Grid, owner: str, running,
-                                terminal) -> None:
-    """Require derivative carriers with kernels on ``owner``'s ``grid``."""
-    for name, coupling in (("running", running), ("terminal", terminal)):
-        if not isinstance(coupling, (Zero, Conv, LocalComposite)):
-            raise TypeError(
-                f"{name} coupling {type(coupling).__name__} has no "
-                "measure-derivative action")
-        if not isinstance(coupling, Zero) and \
-                _derivative_kernel(coupling).grid != grid:
-            raise GridMismatchError(f"{name} coupling kernel grid "
-                                    f"!= {owner} grid")
+def _check_derivative_couplings(grid: Grid, running, terminal) -> None:
+    """Require derivative carriers with kernels on ``grid``."""
+    _derivative_kernel(running, grid)
+    _derivative_kernel(terminal, grid)
 
 
 def eval_dmF(coupling, m: Measure) -> np.ndarray:
@@ -349,19 +340,14 @@ def eval_dmF(coupling, m: Measure) -> np.ndarray:
     """
     grid = m.grid
     _guard_matrix(grid)
-    if isinstance(coupling, Zero):
+    kernel = _derivative_kernel(coupling, grid)
+    if kernel is None:
         return np.zeros((grid.node_count, grid.node_count))
-    if isinstance(coupling, Conv):
-        if coupling.phi.grid != grid:
-            raise GridMismatchError("coupling kernel lives on a different grid")
-        return _translation_matrix(grid, coupling.phi.values)
-    if isinstance(coupling, LocalComposite):
-        if coupling.phi2.grid != grid:
-            raise GridMismatchError("coupling kernel lives on a different grid")
-        weight = _action_weight(coupling, m).ravel()
-        a = _translation_matrix(grid, coupling.phi2.values)
-        return (a * (weight * grid.cell_volume)[None, :]) @ a
-    raise TypeError(f"unknown coupling variant {type(coupling).__name__}")
+    weight = _action_weights(coupling, grid, m.values[None])
+    a = _translation_matrix(grid, kernel.values)
+    if weight is None:
+        return a
+    return (a * (weight.ravel() * grid.cell_volume)[None, :]) @ a
 
 
 # --------------------------------------------------------------------------
@@ -402,10 +388,11 @@ def check_M1(coupling, trials: int, seed: int = 0) -> M1Report:
     """Pair F-increments with measure increments over random measure pairs."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    if isinstance(coupling, Zero):
+    kernel = _derivative_kernel(coupling)
+    if kernel is None:
         return M1Report(min_value=0.0, max_abs=0.0, passed=True,
                         trials=trials, seed=seed)
-    grid = _derivative_kernel(coupling).grid
+    grid = kernel.grid
     rng = np.random.default_rng(seed)
     worst = np.inf
     biggest = 0.0
@@ -440,12 +427,7 @@ def check_M2(coupling, m: Measure, version: str = "as_provided") -> M2Report:
         row_avg = matrix @ (m.values.ravel() * grid.cell_volume)
         matrix = matrix - row_avg[:, None]
     sym = 0.5 * (matrix + matrix.T)
-    if grid.node_count <= 1:
-        smallest = float(sym[0, 0])
-    else:
-        smallest = float(
-            eigh(sym, eigvals_only=True, subset_by_index=[0, 0])[0]
-        )
+    smallest = float(eigh(sym, eigvals_only=True, subset_by_index=[0, 0])[0])
     min_eig = smallest * grid.cell_volume ** 2
     min_eig_operator = smallest * grid.cell_volume
     return M2Report(
@@ -487,9 +469,10 @@ def resolved_derivatives(phi: Field) -> int:
 
 def require_smooth(coupling) -> None:
     """Terminal couplings need four usable derivatives."""
-    if isinstance(coupling, Zero):
+    kernel = _derivative_kernel(coupling)
+    if kernel is None:
         return
-    have = resolved_derivatives(_derivative_kernel(coupling))
+    have = resolved_derivatives(kernel)
     if have < _SMOOTH_ORDER:
         raise ValueError(
             f"coupling kernel resolves only {have} derivatives; "

@@ -299,7 +299,6 @@ def _jump_densities(triplet: LevyTriplet):
 
 
 def _effective_order(A: np.ndarray, jumps: tuple, declared) -> float | None:
-    d = A.shape[0]
     nondegenerate = np.min(np.linalg.eigvalsh(0.5 * (A + A.T))) > 1e-12
     orders = []
     if nondegenerate:

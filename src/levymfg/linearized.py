@@ -40,8 +40,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .coupling import (LocalComposite, Zero, _action_weights,
-                       _check_derivative_couplings, _dmF_action)
+from .coupling import (_action_weights, _check_derivative_couplings,
+                       _decoupled, _dmF_action)
 from .errors import (
     BudgetError,
     DivergenceError,
@@ -50,7 +50,9 @@ from .errors import (
 )
 from .fp import _forward_values
 from .grid import Field, Grid, _batch_gradient
-from .hjb import Trajectory, _check_operand, _march_backward
+# both legs take solve_hjb's trapezoid Picard sweeps: the duality pairing
+# needs matching order (see above)
+from .hjb import _PICARD_SWEEPS, Trajectory, _check_operand, _march_backward
 from .kernels import KernelCache
 from .measures import _path_sup, mollifier_field, signed_dual_norm
 from .mfg import MfgSolution, _anderson, optimal_drift
@@ -60,8 +62,6 @@ _ELLIPTICITY_TOL = 1e-9
 _DENSITY_NEG_TOL = 1e-12
 _DENSITY_MASS_TOL = 1e-9
 _BATCH_NODE_CAP = 128  # y nodes per axis of a full J batch
-# trapezoid Picard sweeps of both legs (matching order; see above)
-_PICARD_SWEEPS = 2
 
 
 # --------------------------------------------------------------------------
@@ -142,7 +142,7 @@ class LinSystem:
             raise GridMismatchError("terminal data grid != kernel grid")
         if self.rho0.grid != grid:
             raise GridMismatchError("initial data grid != kernel grid")
-        _check_derivative_couplings(grid, "system", self.running_coupling,
+        _check_derivative_couplings(grid, self.running_coupling,
                                     self.terminal_coupling)
 
     @property
@@ -164,8 +164,7 @@ class LinSystem:
     @property
     def one_way(self) -> bool:
         """True when z never sees rho: both coupling derivatives vanish."""
-        return isinstance(self.running_coupling, Zero) and \
-            isinstance(self.terminal_coupling, Zero)
+        return _decoupled(self.running_coupling, self.terminal_coupling)
 
 
 # --------------------------------------------------------------------------
@@ -178,17 +177,12 @@ def _coupling_weights(system: LinSystem
 
     They depend on the base path only, so a solve computes them once, not
     on every alternation, with one smoothing convolution over all slices;
-    None where the action does not read the measure (Zero and convolution
-    couplings).
+    None where the action does not read the measure.  The terminal weight
+    keeps a slice axis of length one.
     """
     grid, dens = system.grid, system.density.values
-    running = terminal = None
-    if isinstance(system.running_coupling, LocalComposite):
-        running = _action_weights(system.running_coupling, grid, dens)
-    if isinstance(system.terminal_coupling, LocalComposite):
-        terminal = _action_weights(system.terminal_coupling, grid,
-                                   dens[-1:])[0]
-    return running, terminal
+    return (_action_weights(system.running_coupling, grid, dens),
+            _action_weights(system.terminal_coupling, grid, dens[-1:]))
 
 
 def _coupling_actions(system: LinSystem, weights: tuple,
@@ -197,19 +191,19 @@ def _coupling_actions(system: LinSystem, weights: tuple,
     """Derivative actions of the running (per slice) and terminal couplings.
 
     Returns <dF/dm(x, m(t)), rho(t)> over all slices and <dG/dm(x, m(T)),
-    rho(T)>, each None when its coupling is Zero (rho is then not read).
-    ``rho_values`` has its time axis first; ``weights`` comes from
+    rho(T)> with a slice axis of length one, each None when its coupling
+    is Zero.  ``rho_values`` has its time axis first, and is None only for
+    a one-way system, whose actions never read it; ``weights`` comes from
     ``_coupling_weights``.
     """
+    if rho_values is None:
+        return None, None
+    grid = system.grid
     running_weight, terminal_weight = weights
-    running = terminal = None
-    if not isinstance(system.running_coupling, Zero):
-        running = _dmF_action(system.running_coupling, running_weight,
-                              rho_values)
-    if not isinstance(system.terminal_coupling, Zero):
-        terminal = _dmF_action(system.terminal_coupling, terminal_weight,
-                               rho_values[-1])
-    return running, terminal
+    return (_dmF_action(system.running_coupling, grid, running_weight,
+                        rho_values),
+            _dmF_action(system.terminal_coupling, grid, terminal_weight,
+                        rho_values[-1:]))
 
 
 def _backward_data(system: LinSystem, weights: tuple,
@@ -223,7 +217,7 @@ def _backward_data(system: LinSystem, weights: tuple,
         source = running if source is None else source + running
     end = system.terminal.values
     if terminal is not None:
-        end = end + terminal
+        end = end + terminal[0]
     return source, end
 
 
@@ -478,7 +472,7 @@ def duality_report(system: LinSystem, z: Trajectory, rho: Trajectory,
         series = vol * np.sum(running * rho.values, axis=axes)
         quad_running = float(np.trapezoid(series, dx=dt))
     if terminal is not None:
-        quad_terminal = vol * float(np.sum(terminal * rho.values[-1]))
+        quad_terminal = vol * float(np.sum(terminal[0] * rho.values[-1]))
 
     rhs = (pairing_initial - pairing_terminal - forcing_term - flux_term
            - quad_running - quad_terminal)

@@ -88,7 +88,7 @@ class Scenario:
         if not (np.isfinite(self.T) and self.T > 0.0):
             raise ValueError("horizon T must be positive and finite")
         _check_step(self.kernel, self.dt_cap)
-        _check_derivative_couplings(self.grid, "scenario", self.running_cost,
+        _check_derivative_couplings(self.grid, self.running_cost,
                                     self.terminal_cost)
 
     @property

@@ -204,9 +204,7 @@ def verify_psi_jump_moment(triplet) -> float:
 
 
 def _as_values(m) -> tuple[Grid, np.ndarray]:
-    if isinstance(m, Measure):
-        return m.grid, m.values
-    if isinstance(m, Field):
+    if isinstance(m, (Measure, Field)):
         return m.grid, m.values
     raise TypeError("expected a Measure or Field")
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coupling import Zero, _price_path
+from .coupling import _decoupled, _price_path
 from .errors import DivergenceError, GridMismatchError, InstabilityError
 from .grid import Field, Grid, _batch_gradient
 from .hjb import Trajectory, _check_operand, solve_hjb
@@ -101,8 +101,7 @@ class MfgProblem:
 
     @property
     def decoupled(self) -> bool:
-        return isinstance(self.running_cost, Zero) and isinstance(
-            self.terminal_cost, Zero)
+        return _decoupled(self.running_cost, self.terminal_cost)
 
 
 @dataclass(frozen=True)
@@ -294,7 +293,7 @@ def solve_mfg(problem: MfgProblem,
     streak = 0
     gap_history: list[float] = []
     damping_history: list[float] = []
-    damping_events: list[dict] = []
+    damping_events: list[tuple[int, float]] = []
     paths: list[np.ndarray] = []
     residuals: list[np.ndarray] = []
     best: tuple[float, Trajectory, np.ndarray] | None = None
@@ -338,14 +337,13 @@ def solve_mfg(problem: MfgProblem,
             reset = True
         damping, streak, halved = next_damping(gap_history, damping, streak)
         if halved:
-            damping_events.append({"iteration": k, "new_damping": damping})
+            damping_events.append((k, damping))
         if reset or halved:
             paths.clear()
             residuals.clear()
             diagnostics["anderson_resets"] += 1
 
-    diagnostics["damping_events"] = tuple(
-        (e["iteration"], e["new_damping"]) for e in damping_events)
+    diagnostics["damping_events"] = tuple(damping_events)
     if converged:
         final_u, final_m = u, response
     else:

@@ -28,8 +28,7 @@ from levymfg.coupling import (
     require_smooth,
     resolved_derivatives,
 )
-from levymfg.coupling import (_action_weight, _action_weights, _eval_F_path,
-                              _price_path)
+from levymfg.coupling import _action_weights, _price_path
 from levymfg.measures import Measure, mollify
 from oracles import point_mass
 
@@ -122,7 +121,7 @@ class TestEvalF:
         negative = m.values.copy()
         negative[3] = -1e-3
         with pytest.raises(ValueError, match="negative values"):
-            _eval_F_path(coupling, grid, negative[None])
+            _price_path(Zero(), coupling, grid, negative[None])
         with pytest.raises(GridMismatchError):
             eval_F(coupling, random_measure(Grid(32, 2.0), 4))
 
@@ -162,6 +161,11 @@ def per_slice_F(coupling, grid, path):
                      for row in path])
 
 
+def running_F(coupling, grid, path):
+    """The running slot of ``_price_path``: F of every slice of the path."""
+    return _price_path(coupling, Zero(), grid, path)[0]
+
+
 def raised(fn):
     with pytest.raises(Exception) as info:
         fn()
@@ -172,7 +176,7 @@ PATH_GRIDS = {1: Grid(64, 2.0), 2: Grid(16, 2.0, dims=2)}
 
 
 class TestPathPricing:
-    """``_eval_F_path`` against the per-slice ``eval_F`` loop it replaces."""
+    """``_price_path`` against the per-slice ``eval_F`` loop."""
 
     @pytest.mark.parametrize("dims", [1, 2])
     @pytest.mark.parametrize("kind", ["conv", "composite"])
@@ -180,7 +184,7 @@ class TestPathPricing:
         grid = PATH_GRIDS[dims]
         coupling = path_coupling(kind, grid)
         path = random_path(grid)
-        assert np.array_equal(_eval_F_path(coupling, grid, path),
+        assert np.array_equal(running_F(coupling, grid, path),
                               per_slice_F(coupling, grid, path))
 
     @pytest.mark.parametrize("dims", [1, 2])
@@ -188,9 +192,8 @@ class TestPathPricing:
         grid = PATH_GRIDS[dims]
         coupling = path_coupling("composite", grid)
         path = random_path(grid)
-        want = np.stack([
-            _action_weight(coupling, Measure.from_values(grid, row))
-            for row in path])
+        want = np.stack([_action_weights(coupling, grid, row[None])[0]
+                         for row in path])
         assert np.array_equal(_action_weights(coupling, grid, path), want)
 
     @pytest.mark.parametrize("dims", [1, 2])
@@ -213,7 +216,7 @@ class TestPathPricing:
             bad *= 1.01
         else:
             bad[5] = np.nan
-        got = raised(lambda: _eval_F_path(coupling, grid, path))
+        got = raised(lambda: running_F(coupling, grid, path))
         assert got == raised(lambda: per_slice_F(coupling, grid, path))
         assert got[0] is error and got[1].startswith(message)
 
@@ -247,12 +250,12 @@ class TestPathPricing:
         # with the right operand's
         monkeypatch.setattr(coupling_module, "_convolve_spectra",
                             inflate(coupling_module._convolve_spectra))
-        got = raised(lambda: _eval_F_path(coupling, grid, path))
+        got = raised(lambda: running_F(coupling, grid, path))
         assert got == raised(lambda: per_slice_F(coupling, grid, path))
         assert got[0] is AssertionError and "sup-norm budget" in got[1]
         # the healthy slices alone stay within budget
         assert np.array_equal(
-            _eval_F_path(coupling, grid, np.delete(path, 3, axis=0)),
+            running_F(coupling, grid, np.delete(path, 3, axis=0)),
             per_slice_F(coupling, grid, np.delete(path, 3, axis=0)))
 
 
@@ -268,14 +271,14 @@ def priced_coupling(kind, grid, weight=1.0):
 
 
 def separate_pricings(running, terminal, grid, path):
-    """What a best response priced before: one ``_eval_F_path`` per cost."""
-    source = None if isinstance(running, Zero) else _eval_F_path(
+    """The two pricings one ``_price_path`` call replaces, slice by slice."""
+    source = None if isinstance(running, Zero) else per_slice_F(
         running, grid, path)
-    return source, _eval_F_path(terminal, grid, path[-1:])[0]
+    return source, per_slice_F(terminal, grid, path[-1:])[0]
 
 
 class TestSharedPricing:
-    """``_price_path`` against the two separate pricings it replaces."""
+    """``_price_path`` against per-slice ``eval_F`` calls of each cost."""
 
     @pytest.mark.parametrize("dims", [1, 2])
     @pytest.mark.parametrize("terminal", PRICED)

@@ -13,7 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from levymfg.coupling import Conv, Zero, apply_dmF
+from levymfg.coupling import (Conv, LocalComposite, Zero, apply_dmF,
+                              check_M1, eval_dmF, eval_F, require_smooth)
 from levymfg.errors import (BudgetError, DivergenceError, GridMismatchError,
                             InstabilityError)
 from levymfg.fp import _forward_values, mass_series, solve_fp
@@ -21,7 +22,8 @@ from levymfg.grid import Field, Grid, gradient
 from levymfg.hjb import QuadraticHamiltonian, Trajectory, solve_hjb
 from levymfg.kernels import KernelCache
 from levymfg.levy import FractionalLaplacian, LevyTriplet
-from levymfg.linearized import (JKernel, LinSystem, _flux_values,
+from levymfg.linearized import (JKernel, LinSystem, _coupling_actions,
+                                _coupling_weights, _flux_values,
                                 duality_report, j_field, j_field_batch,
                                 linearize, mollified_delta,
                                 solve_linear_system)
@@ -198,8 +200,35 @@ class TestLinSystem:
         both = replace(delta_system, running_coupling=Zero(),
                        terminal_coupling=Zero())
         assert both.one_way
-        half = replace(delta_system, terminal_coupling=Zero())
-        assert not half.one_way
+        for side in ("running_coupling", "terminal_coupling"):
+            assert not replace(delta_system, **{side: Zero()}).one_way
+
+    @pytest.mark.parametrize("kind", ["conv", "composite"])
+    @pytest.mark.parametrize("side", ["running", "terminal"])
+    def test_coupling_actions_read_their_own_slices(self, delta_system,
+                                                    kind, side):
+        # the running action pairs m(t) with rho(t) at every slice, the
+        # terminal one m(T) with rho(T) alone, each as apply_dmF does
+        coupling = smoothing_coupling(0.3) if kind == "conv" else \
+            LocalComposite(Field.from_function(
+                GRID, lambda x: np.exp(-12.5 * x * x)),
+                lambda mesh, s: s * s / 2.0, lambda mesh, s: s)
+        couplings = {"running_coupling": Zero(), "terminal_coupling": Zero(),
+                     f"{side}_coupling": coupling}
+        system = replace(delta_system, **couplings)
+        x = GRID.axis(0)
+        signed = np.sin(np.pi * x) * np.exp(-4.0 * x * x)
+        rho = np.stack([(k + 1.0) * signed for k in range(N_STEPS + 1)])
+        actions = dict(zip(("running", "terminal"), _coupling_actions(
+            system, _coupling_weights(system), rho)))
+        dens = system.density.values
+        slices = range(N_STEPS + 1) if side == "running" else [N_STEPS]
+        want = np.stack([
+            apply_dmF(coupling, Measure.from_values(GRID, dens[k]),
+                      Field(GRID, rho[k])).values for k in slices])
+        assert np.array_equal(actions[side], want)
+        assert all(action is None for name, action in actions.items()
+                   if name != side)
 
     def test_rejects_curvature_outside_declared_band(self, delta_system):
         with pytest.raises(ValueError, match="ellipticity band"):
@@ -250,6 +279,22 @@ class TestLinSystem:
     def test_rejects_coupling_without_derivative_action(self, delta_system):
         with pytest.raises(TypeError, match="measure-derivative action"):
             replace(delta_system, running_coupling=object())
+
+    @pytest.mark.parametrize("call", [
+        lambda sol, c: eval_F(c, sol.problem.m0),
+        lambda sol, c: apply_dmF(c, sol.problem.m0, sol.problem.m0.density),
+        lambda sol, c: eval_dmF(c, sol.problem.m0),
+        lambda sol, c: check_M1(c, trials=1),
+        lambda sol, c: require_smooth(c),
+        lambda sol, c: linearize(sol, mollified_delta(GRID, (0.5,)),
+                                 running_coupling=c),
+    ], ids=["eval_F", "apply_dmF", "eval_dmF", "check_M1", "require_smooth",
+            "linearize"])
+    def test_object_of_no_coupling_family_has_no_action(
+            self, standard_solution, call):
+        with pytest.raises(TypeError,
+                           match="has no measure-derivative action"):
+            call(standard_solution, object())
 
     def test_linearize_rejects_unconverged_solution(self, standard_solution):
         stalled = replace(standard_solution, converged=False)

@@ -408,3 +408,63 @@ def test_real_transforms_only_in_grid():
     assert not stray, f"real transforms outside grid's kernels: {stray}"
     grid_tree = package["grid"]
     assert any(_names_kernel_module(node) for node in ast.walk(grid_tree))
+
+
+# What each coupling family does is decided in ``coupling`` alone: every
+# other module goes through its helpers and never tests a family by type.
+COUPLING_FAMILIES = frozenset({"Zero", "Conv", "LocalComposite"})
+
+
+def _class_names(node: ast.AST) -> set[str]:
+    """Names of the classes an ``isinstance`` class argument lists."""
+    if isinstance(node, ast.Tuple):
+        return set().union(*(_class_names(elt) for elt in node.elts))
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    return set()
+
+
+def coupling_family_tests(package: dict[str, ast.Module], owner: str
+                          ) -> list[str]:
+    """``module:line name`` of each family ``isinstance`` outside ``owner``.
+
+    A call counts when its class argument names one of
+    ``COUPLING_FAMILIES``, bare, as an attribute (``coupling.Zero``) or in
+    a tuple.
+    """
+    found = set()
+    for module, tree in package.items():
+        if module == owner:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", None) == "isinstance" \
+                    and len(node.args) == 2:
+                found.update(f"{module}:{node.lineno} {name}" for name in
+                             _class_names(node.args[1]) & COUPLING_FAMILIES)
+    return sorted(found)
+
+
+def test_family_scan_flags_isinstance_outside_coupling():
+    package = {
+        "coupling": ast.parse("def f(c):\n"
+                              "    return isinstance(c, Zero)\n"),
+        "a": ast.parse("from . import coupling\n"
+                       "x = isinstance(c, coupling.Conv)\n"
+                       "y = isinstance(c, (Field, LocalComposite))\n"
+                       "z = isinstance(c, Field)\n"
+                       "w = type(c) is Zero\n"),
+    }
+    assert coupling_family_tests(package, "coupling") == [
+        "a:2 Conv", "a:3 LocalComposite"]
+
+
+def test_coupling_families_tested_only_in_coupling():
+    package = {path.stem: ast.parse(path.read_text())
+               for path in sorted(PACKAGE.glob("*.py"))}
+    stray = coupling_family_tests(package, "coupling")
+    assert not stray, f"coupling families tested outside coupling: {stray}"
+    assert coupling_family_tests(
+        {"other": package["coupling"]}, "coupling")

@@ -34,8 +34,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridMismatchError
-from .grid import (Field, Grid, _convolve_spectra, _nyquist_shell_max,
-                   _require_finite, _require_finite_rows, _rfft)
+from .grid import (Field, Grid, _Record, _convolve_spectra,
+                   _nyquist_shell_max, _require_finite, _require_finite_rows,
+                   _rfft)
 from .measures import Measure, _density_rows, mollify
 
 _MATRIX_AXIS_CAP = 256
@@ -355,7 +356,7 @@ def eval_dmF(coupling, m: Measure) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class M1Report:
+class M1Report(_Record):
     min_value: float
     max_abs: float
     passed: bool
@@ -364,7 +365,7 @@ class M1Report:
 
 
 @dataclass(frozen=True)
-class M2Report:
+class M2Report(_Record):
     min_eig: float
     min_eig_operator: float
     passed: bool

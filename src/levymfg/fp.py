@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, InstabilityError, QuadratureError
-from .grid import Field, Grid, gradient
+from .grid import Field, Grid, _Record, gradient
 from .hjb import _BLOWUP_SUP, Trajectory, _check_operand, _mild_march
 from .kernels import KernelCache
 from .levy import _jump_densities
@@ -204,7 +204,7 @@ def weak_residual(kernel: KernelCache, rho: Trajectory,
 
 
 @dataclass(frozen=True)
-class TightnessSeriesReport:
+class TightnessSeriesReport(_Record):
     """Tightness-weight moments along a trajectory vs. an affine budget.
 
     ``slope_budget`` bounds d/dt of the moment through the generator and
@@ -217,15 +217,6 @@ class TightnessSeriesReport:
     slope_budget: float
     excess: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "times": [float(v) for v in self.times],
-            "series": [float(v) for v in self.series],
-            "slope_budget": self.slope_budget,
-            "excess": self.excess,
-            "pass": self.passed,
-        }
 
 
 def small_jump_second_moment(triplet) -> float:

@@ -28,7 +28,7 @@ us and 15.0 -> 6.2 us.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.fft import _pocketfft_umath
@@ -188,6 +188,36 @@ class Field:
         return Field(self.grid, self.values * other)
 
     __rmul__ = __mul__
+
+
+class _Record:
+    """The JSON-ready record format of every ``...Report`` dataclass.
+
+    ``to_dict`` emits one key per field, in field order, under the field's
+    name; ``passed`` is written ``"pass"`` and ``_record_keys`` renames
+    others.  Arrays and tuples become lists, recursively (also inside
+    lists and dicts), and numpy scalars Python numbers.  A field holding a
+    ``Field`` is left out.
+    """
+
+    _record_keys: dict[str, str] = {}
+
+    def to_dict(self) -> dict:
+        keys = {"passed": "pass", **self._record_keys}
+        return {keys.get(f.name, f.name): _plain(getattr(self, f.name))
+                for f in fields(self)
+                if not isinstance(getattr(self, f.name), Field)}
+
+
+def _plain(value):
+    """``value`` with arrays and tuples as lists, numpy scalars as numbers."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    return value
 
 
 @functools.lru_cache(maxsize=16)

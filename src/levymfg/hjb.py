@@ -52,9 +52,9 @@ from .errors import (
     NonFiniteFieldError,
     UnsupportedOrderError,
 )
-from .grid import (Field, Grid, _batch_gradient, _derivative_multiplier_half,
-                   _gradient_multipliers, _irfft, _nyquist_shell_max, _rfft,
-                   _value_gradient_rows)
+from .grid import (Field, Grid, _Record, _batch_gradient,
+                   _derivative_multiplier_half, _gradient_multipliers, _irfft,
+                   _nyquist_shell_max, _rfft, _value_gradient_rows)
 from .kernels import KernelCache
 from .levy import order_alpha
 
@@ -168,7 +168,7 @@ class GeneralHamiltonian:
 
 
 @dataclass(frozen=True)
-class HamiltonianProbeReport:
+class HamiltonianProbeReport(_Record):
     """Finite-difference and spectral probes of a Hamiltonian's callbacks.
 
     ``max_grad_gap`` is the worst |grad_p - central difference of value|
@@ -183,16 +183,6 @@ class HamiltonianProbeReport:
     passed: bool
     trials: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "max_grad_gap": self.max_grad_gap,
-            "curvature_eig_range": self.curvature_eig_range,
-            "min_u_slope": self.min_u_slope,
-            "pass": self.passed,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
 
 
 def probe_hamiltonian(hamiltonian, dims: int) -> HamiltonianProbeReport:
@@ -742,7 +732,7 @@ def solve_hjb(kernel: KernelCache, hamiltonian, source: Trajectory | None,
 
 
 @dataclass(frozen=True)
-class GradientBoundReport:
+class GradientBoundReport(_Record):
     """Per-slice grid sup-norms of a value trajectory and its derivatives.
 
     ``sup_du`` uses the pointwise Euclidean norm of the gradient;
@@ -755,20 +745,7 @@ class GradientBoundReport:
     sup_du: np.ndarray
     sup_d2u: np.ndarray
     sup_d3u: np.ndarray
-
-    @property
-    def sup_C1(self) -> float:
-        return float(np.max(self.sup_u + self.sup_du))
-
-    def to_dict(self) -> dict:
-        return {
-            "times": [float(t) for t in self.times],
-            "sup_u": [float(v) for v in self.sup_u],
-            "sup_du": [float(v) for v in self.sup_du],
-            "sup_d2u": [float(v) for v in self.sup_d2u],
-            "sup_d3u": [float(v) for v in self.sup_d3u],
-            "sup_C1": self.sup_C1,
-        }
+    sup_C1: float
 
 
 def _multi_indices(dims: int, order: int) -> list[tuple[int, ...]]:
@@ -797,4 +774,5 @@ def gradient_bound_report(u: Trajectory) -> GradientBoundReport:
     sup_d3 = np.max([sup_of(b) for b in _multi_indices(grid.dims, 3)], axis=0)
     return GradientBoundReport(
         times=u.times, sup_u=sup_u, sup_du=sup_du,
-        sup_d2u=sup_d2, sup_d3u=sup_d3)
+        sup_d2u=sup_d2, sup_d3u=sup_d3,
+        sup_C1=float(np.max(sup_u + sup_du)))

@@ -25,8 +25,9 @@ import numpy as np
 
 from .errors import (NonFiniteFieldError, ResolutionError,
                      SpectralResidueError)
-from .grid import (Field, Grid, _gradient_multipliers, _half_period_shift,
-                   _irfft, _nyquist_shell_max, _rfft, spectral_derivative)
+from .grid import (Field, Grid, _Record, _gradient_multipliers,
+                   _half_period_shift, _irfft, _nyquist_shell_max, _rfft,
+                   spectral_derivative)
 from .levy import LevyTriplet, UnsupportedOrderError, order_alpha, symbol_eval
 
 _NYQUIST_TOL = 1e-12
@@ -201,7 +202,7 @@ def kernel_field(cache: KernelCache, t: float, adjoint: bool = False) -> Field:
 
 
 @dataclass(frozen=True)
-class KernelDecayReport:
+class KernelDecayReport(_Record):
     """L1 decay certification of a derivative of the heat kernel."""
 
     alpha: float
@@ -214,18 +215,7 @@ class KernelDecayReport:
     per_decade_slopes: tuple[float, ...]
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": list(self.beta),
-            "times": list(self.times),
-            "l1_norms": list(self.norms),
-            "K_hat": self.k_hat,
-            "slope": self.slope,
-            "target_slope": self.target_slope,
-            "per_decade_slopes": list(self.per_decade_slopes),
-            "pass": self.passed,
-        }
+    _record_keys = {"norms": "l1_norms", "k_hat": "K_hat"}
 
 
 def verify_K_assumption(

@@ -49,7 +49,7 @@ from .errors import (
     InstabilityError,
 )
 from .fp import _forward_values
-from .grid import Field, Grid, _batch_gradient
+from .grid import Field, Grid, _Record, _batch_gradient
 # both legs take solve_hjb's trapezoid Picard sweeps: the duality pairing
 # needs matching order (see above)
 from .hjb import _PICARD_SWEEPS, Trajectory, _check_operand, _march_backward
@@ -260,7 +260,7 @@ def _data_norm(system: LinSystem) -> float:
 
 
 @dataclass(frozen=True)
-class LinearReport:
+class LinearReport(_Record):
     """Record of one alternation run.
 
     ``data_norm`` is |z_T|_inf + |rho0|_dual + sup_t|b|_inf + int |c|_inf dt
@@ -277,18 +277,6 @@ class LinearReport:
     output_norm: float
     apriori_ratio: float
     one_way: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "gap_history": [float(g) for g in self.gap_history],
-            "damping": self.damping,
-            "data_norm": self.data_norm,
-            "output_norm": self.output_norm,
-            "apriori_ratio": self.apriori_ratio,
-            "one_way": self.one_way,
-        }
 
 
 def _wrap_inner(exc, iteration: int):
@@ -392,7 +380,7 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
 
 
 @dataclass(frozen=True)
-class DualityReport:
+class DualityReport(_Record):
     """Two independent evaluations of the energy identity.
 
     ``lhs`` is the time quadrature of int Dz . Gamma Dz dm; ``rhs`` pairs
@@ -412,21 +400,6 @@ class DualityReport:
     quad_terminal: float
     tolerance: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "rel_gap": self.rel_gap,
-            "pairing_initial": self.pairing_initial,
-            "pairing_terminal": self.pairing_terminal,
-            "forcing_term": self.forcing_term,
-            "flux_term": self.flux_term,
-            "quad_running": self.quad_running,
-            "quad_terminal": self.quad_terminal,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
 
 
 def duality_report(system: LinSystem, z: Trajectory, rho: Trajectory,

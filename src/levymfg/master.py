@@ -38,7 +38,7 @@ import numpy as np
 from .coupling import _check_derivative_couplings, eval_F
 from .errors import DivergenceError, GridMismatchError, SpectralResidueError
 from .fp import solve_fp
-from .grid import Field, Grid, _batch_gradient
+from .grid import Field, Grid, _Record, _batch_gradient
 from .hjb import _check_step
 from .kernels import KernelCache
 from .linearized import _solved_initial, linearize, mollified_delta
@@ -164,7 +164,7 @@ def eval_U(scenario: Scenario, t0: float, m0: Measure) -> Field:
 
 
 @dataclass(frozen=True)
-class DerivativeCheckReport:
+class DerivativeCheckReport(_Record):
     """Defect table of U((1-h)m + h m') against its linearization in h.
 
     ``rows`` holds (h, defect) pairs; ``slope`` is the log-log fit over the
@@ -178,15 +178,6 @@ class DerivativeCheckReport:
     threshold: float
     pairing_sup: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [[h, defect] for h, defect in self.rows],
-            "slope": self.slope,
-            "threshold": self.threshold,
-            "pairing_sup": self.pairing_sup,
-            "pass": self.passed,
-        }
 
 
 def derivative_check(scenario: Scenario, t0: float, m0: Measure,
@@ -263,7 +254,7 @@ def _measure_terms(scenario: Scenario, base: MfgSolution, m0: Measure
     J(x, y) is z(t0, x) of the linear system whose initial data is the
     mollified delta at y, so by superposition the pairing is z(t0) for
     the initial data sum_y v(y) mollified_delta(y), one solve with the
-    default settings of ``solve_linear_system``, and J is never
+    scenario policy's damping and iteration budget, and J is never
     tabulated.  v carries no mass, so J's additive normalization cancels,
     provided the generator annihilates constants (asserted here).
     """
@@ -289,11 +280,12 @@ def _measure_terms(scenario: Scenario, base: MfgSolution, m0: Measure
     for shift in zip(*np.nonzero(corner)):
         rho0 += corner[shift] * np.roll(velocity, shift, axis=axes)
     return _solved_initial(linearize(base, Field(grid, rho0)),
-                           "measure flow solve").values
+                           "measure flow solve", scenario.policy.damping,
+                           scenario.policy.max_iters).values
 
 
 @dataclass(frozen=True)
-class MasterResidualReport:
+class MasterResidualReport(_Record):
     """Signed sum of the five equation terms on the grid.
 
     ``mode`` is "interior" for the assembled equation and
@@ -318,18 +310,6 @@ class MasterResidualReport:
     y_stride: int
     term_sups: dict
     solve_iterations: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "samples": [[list(pt), val] for pt, val in self.samples],
-            "sup_sampled": self.sup_sampled,
-            "sup_grid": self.sup_grid,
-            "delta_t": self.delta_t,
-            "y_stride": self.y_stride,
-            "term_sups": dict(self.term_sups),
-            "solve_iterations": list(self.solve_iterations),
-        }
 
 
 def _residual_report(mode: str, grid: Grid, residual: np.ndarray,
@@ -415,7 +395,7 @@ def master_residual(scenario: Scenario, t0: float, m0: Measure,
 
 
 @dataclass(frozen=True)
-class FlowConsistencyReport:
+class FlowConsistencyReport(_Record):
     """Restart gap between the base flow and a fresh solve from inside it.
 
     ``gap`` is the sup over shared time slices of the value sup-distance
@@ -430,17 +410,6 @@ class FlowConsistencyReport:
     gap: float
     tolerance: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "restart_time": self.restart_time,
-            "restart_index": self.restart_index,
-            "value_gap": self.value_gap,
-            "measure_gap": self.measure_gap,
-            "gap": self.gap,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
 
 
 def flow_consistency(scenario: Scenario, t0: float, m0: Measure,

@@ -23,9 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .coupling import _decoupled, _price_path
+from .coupling import _check_derivative_couplings, _decoupled, _price_path
 from .errors import DivergenceError, GridMismatchError, InstabilityError
-from .grid import Field, Grid, _batch_gradient
+from .grid import Field, Grid, _Record, _batch_gradient
 from .hjb import Trajectory, _check_operand, solve_hjb
 from .fp import _project_slices, solve_fp
 from .kernels import KernelCache
@@ -73,7 +73,8 @@ class MfgProblem:
     ``running_cost`` maps the current crowd density to the source term of
     the backward value equation; ``terminal_cost`` maps the final density
     to the terminal value.  Either may be ``coupling.Zero`` for a system
-    that ignores the crowd on that channel.
+    that ignores the crowd on that channel.  Both are checked at
+    construction (``coupling._check_derivative_couplings``).
     """
 
     kernel: KernelCache
@@ -94,6 +95,8 @@ class MfgProblem:
             raise ValueError("degenerate time slab: need T > t0")
         if self.n_steps < 1:
             raise ValueError("need at least one time step")
+        _check_derivative_couplings(self.grid, self.running_cost,
+                                    self.terminal_cost)
 
     @property
     def grid(self) -> Grid:
@@ -115,9 +118,18 @@ class MfgSolution:
     the sup-in-time bounded-Lipschitz gap between the best response and
     the path it answered (the size of a plain damped update).
     ``damping_history[k]`` is the Anderson mixing weight used.
-    ``diagnostics`` carries ``extrapolation_clip_max``, the deepest
-    negative entry of any extrapolated path before its clip, and
-    ``anderson_resets``, how often the mixing history was cleared.
+    ``diagnostics`` holds the nine keys ``solve_mfg`` writes:
+    ``decoupled`` (both couplings ``Zero``), ``extrapolation_clip_max``
+    (the deepest negative entry of any extrapolated path before its clip),
+    ``anderson_resets`` (how often the mixing history was cleared),
+    ``best_iteration`` (the iteration of the smallest gap) and
+    ``damping_events`` ((iteration, new weight) of each halving); then, of
+    the latest best response, ``renorm_defect_max`` and
+    ``negative_clip_max`` (the worst slice mass defect and deepest
+    negative value its clamp removed), ``drift_sup`` (sup |drift|) and
+    ``response_gap`` (the undamped sup-in-time gap to its path).  These
+    four are overwritten every iteration, so a non-converged return
+    reports the last iteration's, not the returned ``best_iteration``'s.
     """
 
     u: Trajectory
@@ -365,7 +377,7 @@ def solve_mfg(problem: MfgProblem,
 
 
 @dataclass(frozen=True)
-class CrossMonotonicityReport:
+class CrossMonotonicityReport(_Record):
     """Two-solution convexity/monotonicity balance.
 
     ``cross_term`` is the time-space integral of both Bregman gaps of the
@@ -381,14 +393,6 @@ class CrossMonotonicityReport:
     rhs: float
     variant: str
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "cross_term": self.cross_term,
-            "rhs": self.rhs,
-            "variant": self.variant,
-            "pass": self.passed,
-        }
 
 
 def _bregman_gap(ham, mesh, u_vals, p_first, p_second):
@@ -462,7 +466,7 @@ def lasry_lions_check(sol1: MfgSolution, sol2: MfgSolution
 
 
 @dataclass(frozen=True)
-class StabilityProbeReport:
+class StabilityProbeReport(_Record):
     """Perturbation response of one solve pair.
 
     ``ratio`` is (sup-in-time density gap + sup-in-time value gap) over
@@ -474,14 +478,6 @@ class StabilityProbeReport:
     sup_d0_gap: float
     sup_u_gap: float
     ratio: float
-
-    def to_dict(self) -> dict:
-        return {
-            "d0_initial": self.d0_initial,
-            "sup_d0_gap": self.sup_d0_gap,
-            "sup_u_gap": self.sup_u_gap,
-            "ratio": self.ratio,
-        }
 
 
 def lipschitz_stability_probe(problem: MfgProblem,

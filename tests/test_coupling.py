@@ -511,6 +511,8 @@ class TestMonotonicityChecks:
     def test_m1_zero_coupling(self):
         report = check_M1(Zero(), trials=3, seed=2)
         assert report.min_value == 0.0 and report.passed
+        assert report.to_dict() == {"min_value": 0.0, "max_abs": 0.0,
+                                    "pass": True, "trials": 3, "seed": 2}
 
     def test_m1_deterministic_in_seed(self):
         grid = Grid(64, 2.0)
@@ -564,6 +566,8 @@ class TestMonotonicityChecks:
         grid = Grid(32, 2.0)
         report = check_M2(Zero(), random_measure(grid, 19))
         assert report.passed and report.min_eig == 0.0
+        assert report.to_dict() == {"min_eig": 0.0, "min_eig_operator": 0.0,
+                                    "pass": True, "version": "as_provided"}
 
     def test_m2_rejects_unknown_version(self):
         grid = Grid(32, 2.0)

@@ -1,6 +1,9 @@
-"""Grid/DFT substrate tests: construction, derivatives, convolution."""
+"""Grid/DFT substrate tests: construction, derivatives, convolution,
+and the record format every report shares."""
 
+import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from levymfg.errors import (
 from levymfg.grid import (
     Field,
     Grid,
+    _Record,
     _gradient_multipliers,
     _half_period_shift,
     _irfft,
@@ -312,3 +316,45 @@ class TestBoundaryMonitor:
         g = Grid((128,), (8.0,))
         f = gaussian_1d(g, 0.5, center=7.5)
         assert boundary_shell_mass(f) > 1e-3
+
+
+@dataclass(frozen=True)
+class SampleReport(_Record):
+    curve: np.ndarray
+    rows: tuple
+    term_sups: dict
+    scale: np.float64
+    bulk: Field
+    passed: bool
+    norms: tuple
+
+    _record_keys = {"norms": "l1_norms"}
+
+
+class TestRecord:
+    def test_record_rule(self):
+        g = Grid((8,), (1.0,))
+        report = SampleReport(
+            curve=np.array([0.5, 1.5]),
+            rows=((0.2, 1e-7), (0.1, 3e-8)),
+            term_sups={"hjb": np.float64(0.25), "pairs": ((1, 2),)},
+            scale=np.float64(2.0),
+            bulk=Field.constant(g, 1.0),
+            passed=np.bool_(True),
+            norms=(np.float64(3.0), 4.0),
+        )
+        expected = {
+            "curve": [0.5, 1.5],
+            "rows": [[0.2, 1e-7], [0.1, 3e-8]],
+            "term_sups": {"hjb": 0.25, "pairs": [[1, 2]]},
+            "scale": 2.0,
+            "pass": True,
+            "l1_norms": [3.0, 4.0],
+        }
+        record = report.to_dict()
+        assert record == expected
+        assert list(record) == list(expected)
+        assert type(record["scale"]) is float
+        assert type(record["pass"]) is bool
+        assert type(record["term_sups"]["hjb"]) is float
+        assert json.loads(json.dumps(record)) == expected

@@ -140,6 +140,17 @@ class TestInteriorResidual:
                            match="moves constants by 1.000e-09"):
             master_residual(scenario, 0.25, m0, SAMPLES)
 
+    def test_measure_flow_solve_takes_the_policy(self, m0):
+        # one alternation cannot close the measure flow solve, which
+        # converges under the default budget of 40; measured gap 5.416e-4
+        # after that iteration
+        stalling = make_scenario(policy=IterationPolicy(max_iters=1,
+                                                        tol_d0=1.0))
+        with pytest.raises(InstabilityError,
+                           match=r"^measure flow solve: alternation "
+                                 r"stalled at gap"):
+            master_residual(stalling, 0.25, m0, SAMPLES)
+
 
 class TestFreeFlowStart:
     def test_reaches_the_fixed_point_of_the_constant_start(

@@ -124,6 +124,17 @@ class TestContainers:
         with pytest.raises(GridMismatchError):
             standard_problem(kernel, m0=other)
 
+    @pytest.mark.parametrize("slot", ["running_cost", "terminal_cost"])
+    def test_problem_checks_its_couplings(self, kernel, slot):
+        # both are caught at construction, not in the first best response
+        with pytest.raises(TypeError,
+                           match="has no measure-derivative action"):
+            standard_problem(kernel, **{slot: object()})
+        coarse = Conv(Field.from_function(
+            Grid(32, 2.0), lambda x: 0.4 * np.exp(-8.0 * x * x)))
+        with pytest.raises(GridMismatchError, match="coupling kernel"):
+            standard_problem(kernel, **{slot: coarse})
+
     def test_solution_invariants_enforced(self, kernel):
         sol = solve_mfg(standard_problem(
             kernel, policy=IterationPolicy(max_iters=2, tol_d0=1e-1)))
@@ -198,6 +209,25 @@ class TestSolveMfg:
         ratios = [sol.gap_history[k + 1] / sol.gap_history[k]
                   for k in range(sol.iterations - 1)]
         assert max(ratios) < 1.0
+
+    @pytest.mark.parametrize("case", ["coupled", "decoupled", "stalled"])
+    def test_diagnostic_keys(self, kernel, standard_solution, case):
+        if case == "coupled":
+            sol = standard_solution
+        elif case == "decoupled":
+            sol = solve_mfg(standard_problem(
+                kernel, running_cost=Zero(), terminal_cost=Zero()))
+        else:
+            sol = solve_mfg(standard_problem(
+                kernel, policy=IterationPolicy(max_iters=1, tol_d0=1e-15)))
+            assert not sol.converged
+        assert set(sol.diagnostics) == {
+            "decoupled", "extrapolation_clip_max", "anderson_resets",
+            "best_iteration", "damping_events", "renorm_defect_max",
+            "negative_clip_max", "drift_sup", "response_gap"}
+        # the per-iteration entries describe the last iteration
+        assert sol.diagnostics["response_gap"] * sol.damping_history[-1] \
+            == sol.gap_history[-1]
 
     def test_mixing_diagnostics_on_the_standard_solve(self, standard_solution):
         # measured: every extrapolated path stays nonnegative, so nothing

@@ -12,11 +12,12 @@ checks that turn a statement of the paper into a computation.  Every
 public module-level function of the package, and every public method of
 a public class, must be read in the source outside its own body, or in
 the benchmark harness, or be named in ``UNCALLED_BY_DESIGN`` with its
-reason; a report's ``to_dict`` passes as its record for callers.
-Test-only reference code lives in ``tests/oracles.py``, not in the
-package.  Only ``grid`` calls numpy's real transforms; every other module
-goes through the grid's transform pair, so the layout is decided in one
-place.
+reason.  Test-only reference code lives in ``tests/oracles.py``, not in
+the package.  Only ``grid`` calls numpy's real transforms; every other
+module goes through the grid's transform pair, so the layout is decided in
+one place.  Only ``coupling`` tests a coupling family by type.  The record
+format of the reports is written once: ``grid._Record`` holds the only
+``to_dict``, and every ``...Report`` class derives from it.
 """
 
 import ast
@@ -239,13 +240,13 @@ def unreached_public(package: dict[str, ast.Module],
     """``module.name`` of each public function or method nothing reaches.
 
     Candidates are the public top-level functions (``module.name``) and
-    the public methods of public classes (``module.Class.name``), except
-    ``to_dict`` of a class named ``...Report``.  One is reached when
-    another top-level statement or class-body item of any package module
-    reads its name (its own body does not count), or when a benchmark
-    module reads it or holds it in a dotted string such as the tracer's
-    ("coupling", "apply_dmF") entries.  Names are matched alone,
-    whatever module or class they come from; ``exempt`` names pass.
+    the public methods of public classes (``module.Class.name``).  One is
+    reached when another top-level statement or class-body item of any
+    package module reads its name (its own body does not count), or when
+    a benchmark module reads it or holds it in a dotted string such as
+    the tracer's ("coupling", "apply_dmF") entries.  Names are matched
+    alone, whatever module or class they come from; ``exempt`` names
+    pass.
     """
     bench_names = set()
     for tree in bench:
@@ -265,9 +266,7 @@ def unreached_public(package: dict[str, ast.Module],
                 continue
             for item in node.body:
                 method = (isinstance(item, ast.FunctionDef)
-                          and not node.name.startswith("_")
-                          and not (item.name == "to_dict"
-                                   and node.name.endswith("Report")))
+                          and not node.name.startswith("_"))
                 units.append((f"{module}.{node.name}.{item.name}"
                               if method else None, item, names_read(item)))
     found = []
@@ -312,7 +311,7 @@ def test_reachability_scan_covers_public_methods():
     }
     bench = [ast.parse("ENTRY_POINTS = (('b', 'use', None),)\n")]
     assert unreached_public(package, bench, ()) == [
-        "a.Box.to_dict", "a.Box.unread"]
+        "a.Box.to_dict", "a.Box.unread", "a.BoxReport.to_dict"]
 
 
 def test_every_public_function_is_reached_or_named():
@@ -468,3 +467,63 @@ def test_coupling_families_tested_only_in_coupling():
     assert not stray, f"coupling families tested outside coupling: {stray}"
     assert coupling_family_tests(
         {"other": package["coupling"]}, "coupling")
+
+
+# The reports' record format is decided in one place: ``grid._Record``
+# holds the only ``to_dict``, and every ``...Report`` class inherits it.
+RECORD_OWNER = ("grid", "_Record")
+
+
+def _base_names(node: ast.ClassDef) -> set[str]:
+    """Names of a class's bases, bare or as attributes (``grid._Record``)."""
+    return {getattr(base, "id", getattr(base, "attr", None))
+            for base in node.bases}
+
+
+def record_format_breaches(package: dict[str, ast.Module]) -> list[str]:
+    """``module.Class`` of each class that writes or skips the record format.
+
+    A class other than ``RECORD_OWNER`` that defines ``to_dict`` counts
+    (``module.Class.to_dict``), and so does a class named ``...Report``
+    that does not name ``RECORD_OWNER``'s class among its bases.
+    """
+    owner = RECORD_OWNER[1]
+    found = []
+    for module, tree in package.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef) or (
+                    (module, node.name) == RECORD_OWNER):
+                continue
+            if any(isinstance(item, ast.FunctionDef)
+                   and item.name == "to_dict" for item in node.body):
+                found.append(f"{module}.{node.name}.to_dict")
+            if node.name.endswith("Report") \
+                    and owner not in _base_names(node):
+                found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_record_scan_flags_hand_written_records():
+    package = {
+        "grid": ast.parse("class _Record:\n"
+                          "    def to_dict(self):\n        pass\n"),
+        "a": ast.parse("from . import grid\n"
+                       "class GoodReport(grid._Record):\n    pass\n"
+                       "class BareReport:\n    pass\n"
+                       "class OwnReport(_Record):\n"
+                       "    def to_dict(self):\n        pass\n"
+                       "class Box:\n"
+                       "    def to_dict(self):\n        pass\n"
+                       "class Reporter:\n    pass\n"),
+    }
+    assert record_format_breaches(package) == [
+        "a.BareReport", "a.Box.to_dict", "a.OwnReport.to_dict"]
+
+
+def test_records_are_written_only_by_the_shared_base():
+    package = {path.stem: ast.parse(path.read_text())
+               for path in sorted(PACKAGE.glob("*.py"))}
+    stray = record_format_breaches(package)
+    assert not stray, f"record format written outside grid._Record: {stray}"
+    assert record_format_breaches({"other": package["grid"]}) == [
+        "other._Record.to_dict"]

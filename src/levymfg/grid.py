@@ -169,26 +169,6 @@ class Field:
         """Canonical quadrature dx^d * sum(values)."""
         return float(self.grid.cell_volume * np.sum(self.values))
 
-    def __add__(self, other):
-        if isinstance(other, Field):
-            _require_same_grid(self, other)
-            return Field(self.grid, self.values + other.values)
-        return Field(self.grid, self.values + other)
-
-    def __sub__(self, other):
-        if isinstance(other, Field):
-            _require_same_grid(self, other)
-            return Field(self.grid, self.values - other.values)
-        return Field(self.grid, self.values - other)
-
-    def __mul__(self, other):
-        if isinstance(other, Field):
-            _require_same_grid(self, other)
-            return Field(self.grid, self.values * other.values)
-        return Field(self.grid, self.values * other)
-
-    __rmul__ = __mul__
-
 
 class _Record:
     """The JSON-ready record format of every ``...Report`` dataclass.

@@ -362,12 +362,6 @@ class Trajectory:
             raise ValueError(f"time {t} is not a slice of [{self.t0}, {self.T}]")
         return k
 
-    @classmethod
-    def constant(cls, f: Field, t0: float, T: float, n_steps: int
-                 ) -> "Trajectory":
-        vals = np.broadcast_to(f.values, (n_steps + 1,) + f.grid.shape)
-        return cls(f.grid, t0, T, np.array(vals))
-
 
 def _check_operand(name: str, tr: Trajectory, grid: Grid, t0: float,
                    T: float, n_steps: int, vector: bool) -> None:

@@ -93,19 +93,6 @@ class Measure:
             raise ValueError("cannot normalize a field with nonpositive mass")
         return cls(field.with_values(field.values / total))
 
-    @classmethod
-    def uniform(cls, grid: Grid, lo: float, hi: float) -> "Measure":
-        """Uniform probability on nodes with every coordinate in [lo, hi)."""
-        mesh = grid.meshgrid()
-        inside = np.ones(grid.shape, dtype=bool)
-        for axis_vals in mesh:
-            inside &= (axis_vals >= lo) & (axis_vals < hi)
-        count = int(np.sum(inside))
-        if count == 0:
-            raise ValueError("no grid nodes inside the requested box")
-        vals = np.where(inside, 1.0 / (count * grid.cell_volume), 0.0)
-        return cls(Field(grid, vals))
-
 
 def _density_rows(grid: Grid, rows: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -307,42 +294,22 @@ def _lipschitz_lp(grid: Grid, weights: np.ndarray,
 
 
 @functools.lru_cache(maxsize=16)
-def _chain_lattice(dx: float, nodes: int
-                   ) -> tuple[np.ndarray, int, np.ndarray | None]:
-    """The sorted lattice of ``_chain_sup``, its window reach, its holes.
+def _chain_lattice(dx: float) -> tuple[np.ndarray, int]:
+    """The sorted lattice of ``_chain_sup`` and its window reach.
 
-    A vertex value 1 - k dx or -1 + k dx is joined to its node at +-1 by a
-    chain of at most ``nodes`` - 1 tight steps, so only k <= nodes - 1 is
-    kept: at most 2 ``nodes`` points, against about 4/dx uncapped.  When
-    the two sub-lattices are bitwise equal (every dyadic dx), the lattice
-    is one copy, and the points within dx of a lattice point are its
-    neighbours, a reach of 1.  Otherwise the sorted sub-lattices alternate
-    and the points within dx are the two on either side, a reach of 2.
-
-    Where the cap binds, a kept point of one sub-lattice can lose the
-    partner the interleaving gives it, and the two ends of the lattice
-    stop interleaving or, farther apart, stop meeting.  The lattice keeps
-    the uncapped layout there with a hole in each dropped slot, and a run
-    of slots with no kept point shrinks to one row of holes, which leaves
-    the points either side of it more than the reach apart.  Returns the
-    holes as a boolean mask of the slots, None when there are none: the
-    lattice is then the uncapped one.  Cached, read-only.
+    The lattice is {1 - k dx} u {-1 + k dx} inside [-1, 1], about 4/dx
+    points.  When the two sub-lattices are bitwise equal (every dyadic
+    dx), it is one copy, and the points within dx of a lattice point are
+    its neighbours, a reach of 1.  Otherwise the sorted sub-lattices
+    alternate and the points within dx are the two on either side, a
+    reach of 2.  Cached, read-only.
     """
     k = np.arange(int(2.0 / dx) + 1)
     rising = np.minimum(-1.0 + k * dx, 1.0)
     falling = np.maximum(1.0 - k[::-1] * dx, -1.0)
-    # rising[i] lies i steps from -1, falling[i] k.size - 1 - i from +1
-    near = (k <= nodes - 1, k[::-1] <= nodes - 1)
     if np.array_equal(rising, falling):
-        slots, kept, reach = rising[:, None], (near[0] | near[1])[:, None], 1
-    else:
-        slots, kept, reach = (np.stack((rising, falling), axis=1),
-                              np.stack(near, axis=1), 2)
-    filled = kept.any(axis=1)
-    rows = filled.copy()
-    rows[1:] |= filled[:-1]
-    lattice, holes = _frozen(slots[rows].ravel(), ~kept[rows].ravel())
-    return lattice, reach, (holes if holes.any() else None)
+        return _frozen(rising)[0], 1
+    return _frozen(np.stack((rising, falling), axis=1).ravel())[0], 2
 
 
 def _chain_sup(weights: np.ndarray, dx: float) -> np.ndarray:
@@ -360,16 +327,16 @@ def _chain_sup(weights: np.ndarray, dx: float) -> np.ndarray:
     The prefix values are held lattice-major, shape (lattice + 2 reach,
     slices), so every shifted window is one contiguous block, a view made
     once.  The gains w_j * lattice come from one product per block of
-    ``_CHAIN_BLOCK`` nodes, with -inf in the lattice's holes, so a node
-    costs 1 + reach maximum calls and one add (three ufunc calls on one
-    lattice copy, four on two), and memory stays O(slices x lattice).
+    ``_CHAIN_BLOCK`` nodes, so a node costs 1 + reach maximum calls and
+    one add (three ufunc calls on one lattice copy, four on two), and
+    memory stays O(slices x lattice).
     Rows only meet in elementwise operations: a row of a batch equals its
     single-row call bitwise.
     """
     if not np.all(np.isfinite(weights)):
         raise ValueError("bounded-Lipschitz weights must be finite")
     nodes = np.ascontiguousarray(weights.T)
-    lattice, reach, holes = _chain_lattice(dx, len(nodes))
+    lattice, reach = _chain_lattice(dx)
     size = lattice.size
     lattice = lattice[:, None]
     # value of the best prefix ending at each lattice point, padded by
@@ -385,8 +352,6 @@ def _chain_sup(weights: np.ndarray, dx: float) -> np.ndarray:
     for first in range(0, len(nodes), _CHAIN_BLOCK):
         block = gains[:len(nodes) - first]
         np.multiply(nodes[first:first + len(block), None], lattice, out=block)
-        if holes is not None:
-            block[:, holes] = -np.inf
         if first == 0:
             core[...] = block[0]
             block = block[1:]
@@ -546,7 +511,7 @@ def _path_sup(grid: Grid, path, reference=None) -> float:
     if grid.dims != 1:
         return float(np.max(_upper_or_exact(grid, weights)[0]))
     n, dx = weights.shape[1], grid.dx[0]
-    if (len(weights) - 1) * n * _chain_lattice(dx, n)[0].size < _BOUNDS_WORK:
+    if (len(weights) - 1) * n * _chain_lattice(dx)[0].size < _BOUNDS_WORK:
         return float(np.max(_chain_sup(weights, dx)))
     sums = weights.cumsum(axis=1)
     mags = np.abs(sums)

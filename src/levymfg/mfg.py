@@ -124,12 +124,11 @@ class MfgSolution:
     ``anderson_resets`` (how often the mixing history was cleared),
     ``best_iteration`` (the iteration of the smallest gap) and
     ``damping_events`` ((iteration, new weight) of each halving); then, of
-    the latest best response, ``renorm_defect_max`` and
-    ``negative_clip_max`` (the worst slice mass defect and deepest
-    negative value its clamp removed), ``drift_sup`` (sup |drift|) and
-    ``response_gap`` (the undamped sup-in-time gap to its path).  These
-    four are overwritten every iteration, so a non-converged return
-    reports the last iteration's, not the returned ``best_iteration``'s.
+    the returned best response (that of ``best_iteration``),
+    ``renorm_defect_max`` and ``negative_clip_max`` (the worst slice mass
+    defect and deepest negative value its clamp removed), ``drift_sup``
+    (sup |drift|) and ``response_gap`` (the undamped sup-in-time gap to
+    its path).
     """
 
     u: Trajectory
@@ -308,12 +307,10 @@ def solve_mfg(problem: MfgProblem,
     damping_events: list[tuple[int, float]] = []
     paths: list[np.ndarray] = []
     residuals: list[np.ndarray] = []
-    best: tuple[float, Trajectory, np.ndarray] | None = None
+    best: tuple[float, Trajectory, np.ndarray, dict] | None = None
     diagnostics: dict = {"decoupled": problem.decoupled,
                          "extrapolation_clip_max": 0.0, "anderson_resets": 0}
     converged = False
-    u = None
-    response = path
 
     for k in range(policy.max_iters):
         try:
@@ -328,12 +325,11 @@ def solve_mfg(problem: MfgProblem,
         gap = damping * response_gap
         gap_history.append(gap)
         damping_history.append(damping)
-        diagnostics.update(
-            renorm_defect_max=defect, negative_clip_max=neg_clip,
-            drift_sup=drift_sup, response_gap=response_gap)
         if best is None or gap < best[0]:
-            best = (gap, u, response)
-            diagnostics["best_iteration"] = k
+            best = (gap, u, response, dict(
+                renorm_defect_max=defect, negative_clip_max=neg_clip,
+                drift_sup=drift_sup, response_gap=response_gap,
+                best_iteration=k))
         if problem.decoupled or gap < policy.tol_d0:
             converged = True
             break
@@ -355,11 +351,9 @@ def solve_mfg(problem: MfgProblem,
             residuals.clear()
             diagnostics["anderson_resets"] += 1
 
-    diagnostics["damping_events"] = tuple(damping_events)
-    if converged:
-        final_u, final_m = u, response
-    else:
-        _, final_u, final_m = best
+    # a converged run stops at its smallest gap, so the best pair is its last
+    _, final_u, final_m, best_record = best
+    diagnostics.update(best_record, damping_events=tuple(damping_events))
     return MfgSolution(
         u=final_u,
         m=Trajectory(grid, problem.t0, problem.T, final_m),

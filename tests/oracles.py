@@ -1,11 +1,12 @@
 """Reference implementations the test modules compare the package against.
 
 Closed-form metrics, the one-shot semigroup apply, toy Hamiltonians, the
-Laplacian triplet, a point mass, a zero trajectory, a drift-free initial
-path, the master residual's measure terms from a full derivative-kernel
-table, the uncapped chain program, the stacked dense first-pass step and
-the allocating sweep recurrence: code that only the tests call, kept out
-of the package's public surface.
+Laplacian triplet, a point mass, a uniform law on a box, a zero and a
+constant-in-time trajectory, a drift-free initial path, the master
+residual's measure terms from a full derivative-kernel table, the chain
+program formed node by node, the stacked dense first-pass step and the
+allocating sweep recurrence: code that only the tests call, kept out of
+the package's public surface.
 """
 
 from typing import Sequence
@@ -35,11 +36,30 @@ def point_mass(grid, point) -> Measure:
     return Measure(Field(grid, vals))
 
 
+def uniform_measure(grid, lo: float, hi: float) -> Measure:
+    """Uniform probability on the nodes with every coordinate in [lo, hi)."""
+    inside = np.ones(grid.shape, dtype=bool)
+    for axis_vals in grid.meshgrid():
+        inside &= (axis_vals >= lo) & (axis_vals < hi)
+    count = int(np.sum(inside))
+    if count == 0:
+        raise ValueError("no grid nodes inside the requested box")
+    return Measure(Field(grid, np.where(
+        inside, 1.0 / (count * grid.cell_volume), 0.0)))
+
+
 def zero_trajectory(grid, t0: float, T: float, n_steps: int,
                     vector: bool = False) -> Trajectory:
     """The zero scalar (or, with ``vector``, d-component) trajectory."""
     shape = (n_steps + 1, grid.dims) if vector else (n_steps + 1,)
     return Trajectory(grid, t0, T, np.zeros(shape + grid.shape))
+
+
+def constant_trajectory(f: Field, t0: float, T: float,
+                        n_steps: int) -> Trajectory:
+    """The field ``f`` at every one of the n_steps + 1 slices."""
+    vals = np.broadcast_to(f.values, (n_steps + 1,) + f.grid.shape)
+    return Trajectory(f.grid, t0, T, np.array(vals))
 
 
 def semigroup_apply(cache: KernelCache, t: float, f: Field, adjoint: bool = False) -> Field:
@@ -157,10 +177,10 @@ def tabulated_measure_terms(scenario, base: MfgSolution, m0: Measure
 def uncapped_chain_sup(weights: np.ndarray, dx: float) -> np.ndarray:
     """The chain program's dynamic program on the whole lattice.
 
-    ``measures._chain_sup`` before its lattice kept only the points within
-    (nodes - 1) dx of +-1: every lattice point {1 - k dx} u {-1 + k dx} in
-    [-1, 1], about 4/dx of them, and the gains w_j * lattice formed node by
-    node.  Slices first, one value per row.
+    Every lattice point {1 - k dx} u {-1 + k dx} in [-1, 1], about 4/dx of
+    them, as ``measures._chain_sup`` runs it, but built here and with the
+    gains w_j * lattice formed node by node rather than in blocks.  Slices
+    first, one value per row.
     """
     k = np.arange(int(2.0 / dx) + 1)
     rising = np.minimum(-1.0 + k * dx, 1.0)

@@ -33,8 +33,8 @@ from levymfg.hjb import (
 from levymfg import hjb, kernels
 from levymfg.kernels import KernelCache
 from levymfg.levy import FractionalLaplacian, LevyTriplet
-from oracles import (allocating_sweep_spectra, drift_hamiltonian,
-                     laplacian_triplet, semigroup_apply,
+from oracles import (allocating_sweep_spectra, constant_trajectory,
+                     drift_hamiltonian, laplacian_triplet, semigroup_apply,
                      stacked_dense_first_pass, zero_hamiltonian,
                      zero_trajectory)
 
@@ -169,7 +169,7 @@ class TestTrajectory:
 
     def test_constant_in_time(self):
         f = Field.from_function(self.grid, np.cos)
-        tr = Trajectory.constant(f, 0.0, 1.0, 5)
+        tr = constant_trajectory(f, 0.0, 1.0, 5)
         assert tr.values.shape == (6, 16)
         assert np.array_equal(tr.values[3], f.values)
 
@@ -270,7 +270,8 @@ class TestSolveHjb:
     @pytest.mark.parametrize("sweeps", [0, 2])
     def test_constant_source_exact(self, sweeps):
         T, n_steps, c = 0.1, 64, 0.37
-        src = Trajectory.constant(Field.constant(self.grid, c), 0.0, T, n_steps)
+        src = constant_trajectory(Field.constant(self.grid, c), 0.0, T,
+                                  n_steps)
         u = march_sweeps(self.cache, zero_hamiltonian(), src, self.g,
                          T, n_steps, sweeps)
         worst = 0.0
@@ -355,7 +356,7 @@ class TestSolveHjb:
         g1 = Field.from_function(grid, lambda x: 0.5 * np.exp(-4.0 * x**2))
         g2 = Field(grid, g1.values
                    + 0.3 * np.exp(-8.0 * (grid.axis(0) - 0.5) ** 2))
-        f2 = Trajectory.constant(
+        f2 = constant_trajectory(
             Field.from_function(grid, lambda x: 0.2 * np.exp(-4.0 * x**2)),
             0.0, T, n_steps)
         u1 = solve_hjb(cache, QuadraticHamiltonian(), None, g1, 0.0, T, n_steps)
@@ -375,7 +376,8 @@ class TestSolveHjb:
         T, n_steps, c = 0.25, 512, 0.4
         g = Field.from_function(grid, lambda x: 0.5 * np.exp(-4.0 * x**2))
         u_lo = solve_hjb(cache, ham, None, g, 0.0, T, n_steps)
-        u_hi = solve_hjb(cache, ham, None, g + c, 0.0, T, n_steps)
+        u_hi = solve_hjb(cache, ham, None, g.with_values(g.values + c),
+                         0.0, T, n_steps)
         gap = u_hi.values - u_lo.values
         assert float(np.min(gap)) >= -1e-12
         assert float(np.max(gap)) <= c + 1e-12
@@ -444,7 +446,7 @@ class TestSolveHjb:
         cache = KernelCache(laplacian_triplet(), grid)
         g = Field.from_function(grid, lambda x: np.exp(-4.0 * x**2))
         T, n_steps = 0.02, 16
-        src = Trajectory.constant(Field.constant(grid, c), 0.0, T, n_steps)
+        src = constant_trajectory(Field.constant(grid, c), 0.0, T, n_steps)
         u = solve_hjb(cache, zero_hamiltonian(), src, g, 0.0, T, n_steps)
         ref = semigroup_apply(cache, T, g).values + c * T
         assert np.max(np.abs(u.values[0] - ref)) <= 1e-10

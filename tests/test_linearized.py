@@ -29,7 +29,8 @@ from levymfg.linearized import (JKernel, LinSystem, _coupling_actions,
                                 solve_linear_system)
 from levymfg.measures import Measure
 from levymfg.mfg import MfgProblem, MfgSolution, optimal_drift, solve_mfg
-from oracles import drift_hamiltonian, semigroup_apply, zero_trajectory
+from oracles import (constant_trajectory, drift_hamiltonian, semigroup_apply,
+                     zero_trajectory)
 
 GRID = Grid(64, 2.0)
 TRIPLET = LevyTriplet(jumps=(FractionalLaplacian(1.5),))
@@ -77,7 +78,7 @@ def delta_solved(delta_system):
 
 
 def forcing_trajectory(n_steps: int = N_STEPS) -> Trajectory:
-    return Trajectory.constant(
+    return constant_trajectory(
         Field.from_function(GRID, lambda x: 0.2 * np.cos(np.pi * x / 2.0)),
         0.0, T_END, n_steps)
 

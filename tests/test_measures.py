@@ -55,7 +55,8 @@ from levymfg.measures import (
     verify_psi_jump_moment,
 )
 from oracles import (generalized_moment, laplacian_triplet, point_mass,
-                     tv_distance, uncapped_chain_sup, w1_distance_1d)
+                     tv_distance, uncapped_chain_sup, uniform_measure,
+                     w1_distance_1d)
 
 UNIFORM_PSI_MOMENT = 0.0695999934791408  # 0.5 * quad(psi, -1, 1), frozen
 SOURCE = Path(__file__).resolve().parents[1] / "src"
@@ -225,7 +226,7 @@ class TestMeasureType:
         d = point_mass(grid, (0.5,))
         assert d.mass == pytest.approx(1.0, abs=1e-12)
         assert int(np.count_nonzero(d.values)) == 1
-        u = Measure.uniform(grid, -1.0, 1.0)
+        u = uniform_measure(grid, -1.0, 1.0)
         assert u.mass == pytest.approx(1.0, abs=1e-12)
 
     def test_normalized(self):
@@ -405,7 +406,7 @@ class TestChainAgainstHighs:
                               interleaved_chain_oracle(weights, grid.dx[0]))
 
 
-def cap_case_weights(n):
+def narrow_box_weights(n):
     """Signed rows at three scales, a zero row, a delta pair, a smooth gap."""
     rng = np.random.default_rng(n)
     weights = rng.standard_normal((7, n)) * [[1.0], [1e-7], [1e-12], [0],
@@ -416,56 +417,43 @@ def cap_case_weights(n):
     return weights
 
 
-class TestChainLatticeCap:
-    """The lattice keeps the points within (n - 1) dx of +-1, at most 2n.
+class TestNarrowBoxChain:
+    """Half-widths below 1, where the lattice outgrows the nodes.
 
-    Where the cap binds (2/dx > n - 1 lattice steps) the program must still
-    equal the uncapped one, whose lattice holds about 4/dx points.
+    There 2/dx > n - 1 lattice steps, so most lattice points lie farther
+    from +-1 than a test function can climb over the chain.  The program
+    still runs on the whole lattice, about 4/dx points, and must equal the
+    node-by-node oracle bitwise.
     """
 
-    # dx = 1/128, 1/512 and 1/64 are dyadic: one lattice copy.  At 0.3 the
-    # kept ends of the two sub-lattices never meet; at 0.75 and 0.6 they
-    # interleave in the middle only, so each end has a junction.  At 0.1
-    # and 0.05, 2/dx is whole but dx is not dyadic: each value has two
-    # copies that differ by rounding, and the uncapped program may take
-    # the copy of a vertex value that the cap drops.
+    # dx = 1/128, 1/512 and 1/64 are dyadic: one lattice copy.  At 0.3,
+    # 0.75 and 0.6 the sorted sub-lattices interleave.  At 0.1 and 0.05,
+    # 2/dx is whole but dx is not dyadic: each value has two copies that
+    # differ by rounding.
     @pytest.mark.parametrize("n, half_width", [
         (64, 0.25), (256, 0.25), (64, 0.5), (64, 0.3), (64, 0.75),
         (256, 0.6), (64, 0.1), (256, 0.05)])
     def test_matches_uncapped_program(self, n, half_width):
         dx = Grid(n, half_width).dx[0]
-        lattice, reach, holes = _chain_lattice(dx, n)
-        assert holes is not None
-        assert lattice.size - np.count_nonzero(holes) == 2 * n
-        weights = cap_case_weights(n)
-        gap = np.abs(_chain_sup(weights, dx) - uncapped_chain_sup(weights, dx))
-        # Rows with many optimal vertices (the delta pair) or rounded twins
-        # may settle on another float sum.  measured: at most 0.54 eps
-        # * sum|w| on these rows, 0 on every row of the first six grids
-        # but the delta pair at 0.3
-        assert np.all(gap <= 2.0 * np.finfo(float).eps
-                      * np.sum(np.abs(weights), axis=1))
+        lattice, reach = _chain_lattice(dx)
+        assert lattice.size == reach * (int(2.0 / dx) + 1) > 2 * n
+        weights = narrow_box_weights(n)
+        assert np.array_equal(_chain_sup(weights, dx),
+                              uncapped_chain_sup(weights, dx))
 
     @pytest.mark.parametrize("half_width", [0.25, 0.75])
-    def test_capped_program_against_highs(self, half_width):
+    def test_narrow_box_against_highs(self, half_width):
         grid = Grid(64, half_width)
         a, b = random_measure(grid, 64), random_measure(grid, 65)
         oracle = highs_oracle_1d(grid, a.values, b.values)
         assert abs(d0_distance(a, b) - oracle) <= 1e-12 * oracle
 
     def test_benchmark_sized_grids_keep_the_whole_lattice(self):
-        # 2/dx = 32 <= 63 steps at n=64 and 16 > 15 at n=16, half-width 2
+        # half-width 2: dx = 1/16 and 1/4 are dyadic, one lattice copy
         for n in (64, 16):
             dx = Grid(n, 2.0).dx[0]
-            lattice, reach, holes = _chain_lattice(dx, n)
-            assert holes is None and lattice.size == int(2.0 / dx) + 1
-
-    def test_narrow_box_lattice_is_linear_in_nodes(self):
-        # uncapped, n=16384 at half-width 0.25 would hold 65537 points
-        n = 16384
-        lattice, reach, holes = _chain_lattice(Grid(n, 0.25).dx[0], n)
-        assert lattice.size - np.count_nonzero(holes) == 2 * n
-        assert lattice.size <= 2 * n + 1
+            lattice, reach = _chain_lattice(dx)
+            assert reach == 1 and lattice.size == int(2.0 / dx) + 1
 
 
 class TestPathMetric:
@@ -501,8 +489,8 @@ class TestPathMetric:
             path_metric(grid, path, path[:2])
 
 
-# (nodes, half-width): dyadic, non-dyadic, and a box where the chain
-# lattice is capped (2/dx = 256 points against 2n = 128)
+# (nodes, half-width): dyadic, non-dyadic, and a narrow box where the
+# chain lattice outgrows the nodes (2/dx = 256 points against n = 64)
 SUP_GRIDS = [(64, 2.0), (16, 1.7), (64, 0.25)]
 
 
@@ -720,7 +708,7 @@ class TestTightness:
         # below the 1e-10 gate against adaptive quadrature.
         grid = Grid(2 ** 21, 2.0)
         fn = TightnessFn.on_grid(grid)
-        m = Measure.uniform(grid, -1.0, 1.0)
+        m = uniform_measure(grid, -1.0, 1.0)
         live, err = quad(psi_profile, -1.0, 1.0, epsabs=1e-14, epsrel=1e-14)
         assert err < 1e-12
         assert abs(0.5 * live - UNIFORM_PSI_MOMENT) <= 1e-12

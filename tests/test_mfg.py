@@ -27,7 +27,8 @@ from levymfg.mfg import (_ANDERSON_DEPTH, IterationPolicy, MfgProblem,
                          MfgSolution, _anderson, _project_slices,
                          lasry_lions_check, lipschitz_stability_probe,
                          next_damping, optimal_drift, solve_mfg)
-from oracles import diffused_initial_path, zero_trajectory
+from oracles import (constant_trajectory, diffused_initial_path,
+                     zero_trajectory)
 
 GRID = Grid(64, 2.0)
 TRIPLET = LevyTriplet(jumps=(FractionalLaplacian(1.5),))
@@ -158,7 +159,7 @@ class TestContainers:
 
 class TestOptimalDrift:
     def test_quadratic_drift_is_scaled_gradient(self):
-        u = Trajectory.constant(
+        u = constant_trajectory(
             Field.from_function(GRID, lambda x: np.sin(np.pi * x / 2.0)),
             0.0, 1.0, 4)
         drift = optimal_drift(QuadraticHamiltonian(0.7), u)
@@ -168,7 +169,7 @@ class TestOptimalDrift:
 
     def test_2d_components(self):
         grid = Grid(32, 4.0, dims=2)
-        u = Trajectory.constant(
+        u = constant_trajectory(
             Field.from_function(grid, lambda x, y:
                                 np.sin(np.pi * x / 4.0) * np.cos(np.pi * y / 4.0)),
             0.0, 0.5, 2)
@@ -225,9 +226,10 @@ class TestSolveMfg:
             "decoupled", "extrapolation_clip_max", "anderson_resets",
             "best_iteration", "damping_events", "renorm_defect_max",
             "negative_clip_max", "drift_sup", "response_gap"}
-        # the per-iteration entries describe the last iteration
-        assert sol.diagnostics["response_gap"] * sol.damping_history[-1] \
-            == sol.gap_history[-1]
+        # the per-iteration entries describe the returned best iteration
+        best = sol.diagnostics["best_iteration"]
+        assert sol.diagnostics["response_gap"] * sol.damping_history[best] \
+            == sol.gap_history[best]
 
     def test_mixing_diagnostics_on_the_standard_solve(self, standard_solution):
         # measured: every extrapolated path stays nonnegative, so nothing
@@ -329,6 +331,38 @@ class TestSolveMfg:
         vol = GRID.cell_volume
         assert np.max(np.abs(vol * sol.m.values.sum(axis=1) - 1.0)) <= 1e-9
 
+    def test_nonconvergence_reports_the_returned_pair(self, kernel,
+                                                      monkeypatch):
+        # a small first gap, then a response far from its path: the best
+        # iteration is the first, and its pair and diagnostics come back
+        problem = standard_problem(kernel, policy=IterationPolicy(
+            max_iters=2, tol_d0=1e-15))
+        x0 = np.broadcast_to(bump_measure().values, (N_STEPS + 1,) + GRID.shape)
+        far = np.broadcast_to(bump_measure(1.0).values, x0.shape)
+        responses = [0.9 * x0 + 0.1 * far, far]
+        value_paths = [zero_trajectory(GRID, 0.0, T_END, N_STEPS),
+                       constant_trajectory(Field.constant(GRID, 1.0), 0.0,
+                                           T_END, N_STEPS)]
+        scripted = [(1e-12, 2e-13, 0.5), (3e-12, 4e-13, 0.7)]
+        calls = iter(zip(value_paths, responses, scripted))
+
+        def fake(prob, path):
+            u, response, record = next(calls)
+            return (u, response) + record
+
+        monkeypatch.setattr(mfg, "_best_response", fake)
+        sol = solve_mfg(problem)
+        assert not sol.converged and sol.iterations == 2
+        assert sol.gap_history[0] < sol.gap_history[1]
+        diag = sol.diagnostics
+        assert diag["best_iteration"] == 0
+        assert (diag["renorm_defect_max"], diag["negative_clip_max"],
+                diag["drift_sup"]) == scripted[0]
+        assert diag["response_gap"] * sol.damping_history[0] \
+            == sol.gap_history[0]
+        assert np.array_equal(sol.m.values, responses[0])
+        assert np.all(sol.u.values == 0.0)
+
     def test_inner_divergence_carries_iterate_index(self, kernel):
         # value slope -lam with lam*dt = 2.5 makes the backward solve grow
         # by 3.5x per step from the terminal coupling's nonzero data.
@@ -343,8 +377,8 @@ class TestSolveMfg:
 
     def test_initial_path_validation(self, kernel):
         prob = standard_problem(kernel)
-        wrong_slab = Trajectory.constant(bump_measure().density, 0.0, T_END,
-                                         N_STEPS // 2)
+        wrong_slab = constant_trajectory(bump_measure().density, 0.0, T_END,
+                                          N_STEPS // 2)
         with pytest.raises(ValueError, match="time slab"):
             solve_mfg(prob, initial_path=wrong_slab)
         vec = zero_trajectory(GRID, 0.0, T_END, N_STEPS, vector=True)

@@ -13,9 +13,10 @@ public module-level function of the package, and every public method of
 a public class, must be read in the source outside its own body, or in
 the benchmark harness, or be named in ``UNCALLED_BY_DESIGN`` with its
 reason.  Test-only reference code lives in ``tests/oracles.py``, not in
-the package.  Only ``grid`` calls numpy's real transforms; every other
-module goes through the grid's transform pair, so the layout is decided in
-one place.  Only ``coupling`` tests a coupling family by type.  The record
+the package, and every public function there is read by a test module.
+Only ``grid`` calls numpy's real transforms; every other module goes
+through the grid's transform pair, so the layout is decided in one
+place.  Only ``coupling`` tests a coupling family by type.  The record
 format of the reports is written once: ``grid._Record`` holds the only
 ``to_dict``, and every ``...Report`` class derives from it.
 """
@@ -324,6 +325,32 @@ def test_every_public_function_is_reached_or_named():
     named = sorted(name.rsplit(".", 1)[1]
                    for name in unreached_public(package, bench, ()))
     assert named == sorted(UNCALLED_BY_DESIGN)
+
+
+def unused_oracles(oracles: ast.Module, tests: list[ast.Module]
+                   ) -> list[str]:
+    """Public top-level functions of ``oracles`` that no test module reads."""
+    read = set().union(*(names_read(tree) for tree in tests))
+    return sorted(node.name for node in oracles.body
+                  if isinstance(node, ast.FunctionDef)
+                  and not node.name.startswith("_") and node.name not in read)
+
+
+def test_oracle_scan_flags_unread_helpers():
+    oracles = ast.parse("def used():\n    return lonely()\n"
+                        "def lonely():\n    pass\n"
+                        "def _private():\n    pass\n"
+                        "class Helper:\n    pass\n")
+    tests = [ast.parse("from oracles import used\nx = used()\n")]
+    assert unused_oracles(oracles, tests) == ["lonely"]
+
+
+def test_every_oracle_is_used_by_a_test():
+    tests = [ast.parse(path.read_text())
+             for path in sorted(TESTS.glob("test_*.py"))]
+    unused = unused_oracles(ast.parse((TESTS / "oracles.py").read_text()),
+                            tests)
+    assert not unused, f"no test module reads oracles {unused}"
 
 
 # The grid's transform pair owns the real transforms' layout and calls the

@@ -131,10 +131,11 @@ class LocalComposite:
 
 
 def _boundary_magnitude(f: Field) -> float:
+    """Largest |value| on the two edge slices, 0 and n - 1, of every axis."""
     worst = 0.0
     for ax in range(f.grid.dims):
-        first = np.take(f.values, 0, axis=ax)
-        worst = max(worst, float(np.max(np.abs(first))))
+        edges = np.take(f.values, [0, -1], axis=ax)
+        worst = max(worst, float(np.max(np.abs(edges))))
     return worst
 
 

@@ -6,16 +6,17 @@ The equation marched here is
 
 for the adjoint L* of the generator held by a KernelCache, a vector drift b
 and an optional vector source c.  ``_forward_values`` runs the mild march
-of the ``hjb`` module with the adjoint kernel and the Duhamel integrand
-div(b rho + c): its drive only forms the flux b rho + c from the values,
-and the march takes the divergence on the Fourier coefficients it carries,
-inside the transform pair of its step.  The drive reads no gradient, so
-each inverse transform of the march carries the values row alone.  One
-exponential-Euler step reads
+of the ``hjb`` module with the adjoint kernel, and the adjoint fixes the
+shape of its Duhamel integrand: a divergence div(b rho + c).  Its drive
+forms the flux b rho + c from the values alone, and the march takes the
+divergence inside the transform pair of its step, so no gradient is
+transformed and each inverse transform carries the values row alone.
+One exponential-Euler step reads
 
     rho_{k+1} = S*_dt ( rho_k + dt * div(b_k rho_k + c_k) ),
 
-the same step the backward march takes.  ``solve_fp`` runs this
+the step the backward march takes with a source in place of the
+divergence.  ``solve_fp`` runs this
 first-order pass alone; the forward leg of the linearized system adds the
 march's whole-interval trapezoid Picard sweeps, each one recurrence on the
 Fourier coefficients of the whole path (see ``hjb._mild_march``).  The
@@ -56,9 +57,10 @@ def _forward_values(kernel: KernelCache, drift: np.ndarray | None,
     drift b and the flux c have shape (n_steps+1, d, *grid), and None
     means zero for either.  Runs ``hjb._mild_march`` with the adjoint
     kernel and a drive that reads the values only (no gradient is
-    transformed) and returns the flux b rho + c and no source, so the
-    integrand is div(b rho + c), taken spectrally by the march; with
-    neither drift nor flux the march is the adjoint semigroup itself.  Raises
+    transformed) and returns the flux b rho + c, so the integrand is
+    div(b rho + c), taken spectrally by the march; with neither drift nor
+    flux the drive returns None and the march is the adjoint semigroup
+    itself.  Raises
     InstabilityError when the running mass drifts past 1e-6, a slice
     stops being finite, or its sup-norm passes 1e6 (all symptoms of an
     oversized step).
@@ -84,17 +86,17 @@ def _forward_values(kernel: KernelCache, drift: np.ndarray | None,
             f"(sup {float(sups[j]):.3e}, mass drift {shift[j]:.3e}); "
             "use a smaller dt")
 
-    def drive(rho: np.ndarray, grads: tuple, k) -> tuple:
-        """No source and the flux b rho + c at slice k (or slice(None))."""
+    def drive(rho: np.ndarray, grads: tuple, k) -> np.ndarray | None:
+        """The flux b rho + c at slice k (or slice(None)), None for zero."""
         vec = None
         if drift is not None:
             vec = drift[k] * rho[component]
         if flux is not None:
             vec = flux[k] if vec is None else vec + flux[k]
-        return None, vec
+        return vec
 
     return _mild_march(kernel, rho0, t0, T, n_steps, picard_sweeps, drive,
-                       monitor, adjoint=True, gradients=False)
+                       monitor, adjoint=True)
 
 
 def solve_fp(kernel: KernelCache, drift: Trajectory | None, rho0: Field,

@@ -24,20 +24,19 @@ coefficients of the whole path, two transform calls however many steps.
 
 That scheme, ``_mild_march``, is the one march of the package, run with
 the generator here and with its adjoint in the ``fp`` module.  It takes
-the Duhamel integrand as a callback that does pointwise algebra only: the
-callback reads the values, and the gradient if its caller asks the march
-for one, and returns a source and a flux, with integrand N = source +
-div flux.  ``_march_backward`` adapts it to the reversed clock and asks for
-the gradient: ``solve_hjb`` passes the source f - H(x, u, Du), and the
-backward leg of the linearized system passes its source minus the
-transport term V . Dz.  The forward march of ``fp`` reads values only, so
-its inverse transforms carry the values row alone.  All public
-trajectories are indexed in physical time.
+the Duhamel integrand as a callback that does pointwise algebra only, and
+the direction fixes its shape.  With L the callback reads the values and
+the gradient and returns the integrand itself, a source: ``solve_hjb``
+passes f - H(x, u, Du) through ``_march_backward``, which adapts the march
+to the reversed clock, and the backward leg of the linearized system
+passes its source minus the transport term V . Dz.  With L* the callback
+reads the values alone and returns a flux c, the integrand being div c:
+the forward march of ``fp``, whose inverse transforms carry the values
+row alone.  All public trajectories are indexed in physical time.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -344,10 +343,6 @@ class Trajectory:
     def initial(self) -> Field:
         return self.slice_field(0)
 
-    @property
-    def terminal(self) -> Field:
-        return self.slice_field(self.n_steps)
-
     def check_slab(self, what: str, t0: float, T: float, n_steps: int
                    ) -> None:
         """Raise ValueError unless the slices discretize [t0, T] in n_steps."""
@@ -423,31 +418,33 @@ def _nyquist_fraction(grid: Grid, spectrum: np.ndarray) -> float:
 def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
                 n_steps: int, picard_sweeps: int, drive: Callable,
                 check: Callable, adjoint: bool = False, *,
-                gradients: bool, spectrum: np.ndarray | None = None
-                ) -> np.ndarray:
+                spectrum: np.ndarray | None = None) -> np.ndarray:
     """Mild march of dw/ds = L w + N(s, w) from w(0) = start.
 
     s is the marching clock and ``adjoint`` swaps L for L*.  ``start``
     holds the raw values of one slice.  ``drive(values, grads, k)``
-    sees the values and the d-tuple of first partials at march index k,
-    or of the whole stack (time axis first) when k is ``slice(None)``.
-    It returns ``(source, flux)``, either of them None, and the Duhamel
-    integrand is N = source + div flux, with the vector axis of the flux
-    right before the grid axes; (None, None) means N = 0.  A drive does
-    pointwise algebra only: the march owns every transform.  The caller
-    says with ``gradients`` whether its drive reads the partials: without
-    them ``grads`` is the empty tuple and no partial is transformed.  A
-    caller that has taken the half spectrum of ``start`` passes it as
+    sees the values at march index k, or of the whole stack (time axis
+    first) when k is ``slice(None)``, and ``adjoint`` fixes the rest:
+
+    * With L, ``grads`` is the d-tuple of first partials of the values,
+      and the drive returns the source N itself, always an array.
+    * With L*, ``grads`` is the empty tuple, as no partial is transformed,
+      and the drive returns a flux c with its vector axis right before
+      the grid axes, so N = div c, or None for N = 0 (the free flow).
+
+    A drive does pointwise algebra only: the march owns every transform.
+    A caller that has taken the half spectrum of ``start`` passes it as
     ``spectrum``; otherwise the march takes it where it reads it.
 
     On the half spectrum S_dt is the multiplier M, and the first pass is
     exponential Euler,
 
-        f[k+1] = M (f[k] + dt N^[k]),   N^ = s^ + sum_i (i xi_i) c^_i.
+        f[k+1] = M (f[k] + dt N^[k]),   N^ = s^  or  sum_i (i xi_i) c^_i.
 
-    The step is one fixed real linear map from the rows (w[k] + dt s,
-    dt c_1, ..., dt c_d) to w[k+1] and, with ``gradients``, its partials.
-    It takes one of two forms, chosen by the grid alone:
+    The step is one fixed real linear map: with L from w[k] + dt s to
+    w[k+1] and its partials, with L* from the rows (w[k], dt c_1, ...,
+    dt c_d) to w[k+1].  It takes one of two forms, chosen by the grid
+    alone:
 
     * Dense, on grids of at most ``_DENSE_STEP_NODES`` = 64 nodes (1D
       n <= 64, 2D 8x8).  The map is the matrix
@@ -460,11 +457,11 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
       read it.
     * Spectral otherwise: the march carries the half spectrum of the path,
       and a step makes two calls to the grid's transform pair.  One
-      inverse of the rows [1, d_1, ..., d_d] times f[k] gives the values
-      and gradient the drive reads (of the values row f[k] alone without
-      ``gradients``), and one forward transform of the part of N present
-      (two when a drive returns both) gives N^[k].  It is the only form
-      that fits large grids: at 1D n = 16384 a dense step would take 2 GB.
+      inverse transform gives the slice the drive reads: of the rows
+      [1, d_1, ..., d_d] times f[k] with L, of f[k] alone with L*.  One
+      forward transform of the source or flux gives N^[k].  It is the
+      only form that fits large grids: at 1D n = 16384 a dense step would
+      take 4 GB.
 
     As the grid alone picks the form, each linearized leg equals the
     nonlinear march it mirrors, bitwise.  A dense step costs O(N^2), a
@@ -483,8 +480,9 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
     when a later sweep reads its gradient, of the values row otherwise
     (both through the grid's transform pair).  Slice 0 is then reset to
     ``start`` and its spectrum exactly.  A sweep thus makes two transform
-    calls, whatever ``n_steps`` and on either form.  With N = 0 the first
-    pass is the semigroup itself, exact in time, and no sweep runs.
+    calls, whatever ``n_steps`` and on either form.  When an L* drive
+    returns no flux, the first pass is the semigroup itself, exact in
+    time, and no sweep runs.
     ``check(values, first)`` vets a run of new slices, time axis first,
     the first of which is march index ``first``: the first pass and each
     sweep hand over their finished stack in one call, so a first-pass
@@ -503,59 +501,58 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
     # component i of a flux spectrum: its vector axis sits before the grid
     components = [(Ellipsis, i) + (slice(None),) * d for i in range(d)]
 
-    def integrand(source, flux) -> np.ndarray | None:
-        """Half spectrum of N = source + div flux (None when N = 0)."""
-        out = None
-        if flux is not None:
-            part = _rfft(grid, flux)
-            out = mults[0] * part[components[0]]
-            for i in range(1, d):
-                out += mults[i] * part[components[i]]
-        if source is not None:
-            part = _rfft(grid, source)
-            out = part if out is None else out + part
+    def integrand(term) -> np.ndarray | None:
+        """Half spectrum of N: the source with L, div of the flux with L*."""
+        if term is None:
+            return None
+        part = _rfft(grid, term)
+        if not adjoint:
+            return part
+        out = mults[0] * part[components[0]]
+        for i in range(1, d):
+            out += mults[i] * part[components[i]]
         return out
 
     dense = grid.node_count <= _DENSE_STEP_NODES
     # a dense first pass with no sweep never reads the start's spectrum
     spec0 = spectrum
-    if spec0 is None and (gradients or picard_sweeps or not dense):
+    if spec0 is None and (not adjoint or picard_sweeps or not dense):
         spec0 = _rfft(grid, start)
-    # row 0 holds the values, rows 1..d the partials when the drive reads them
-    stack = np.empty((1 + d if gradients else 1, n_steps + 1) + start.shape)
+    # row 0 holds the values, rows 1..d the partials an L drive reads
+    stack = np.empty((1 if adjoint else 1 + d, n_steps + 1) + start.shape)
     w, grads = stack[0], stack[1:]
     w[0] = start
-    if gradients:
+    if not adjoint:
         grads[:, 0] = _irfft(grid, rows[1:] * spec0)
     if dense:
-        _dense_first_pass(kernel, stack, dt, drive, adjoint, gradients)
+        _dense_first_pass(kernel, stack, dt, drive, adjoint)
     else:
         spec = np.empty((n_steps + 1,) + spec0.shape, dtype=complex)
         spec[0] = spec0
         for k in range(n_steps):
-            n_hat = integrand(*drive(w[k], tuple(grads[:, k]), k))
+            n_hat = integrand(drive(w[k], tuple(grads[:, k]), k))
             if n_hat is None:
                 np.multiply(mult, spec[k], out=spec[k + 1])
             else:
                 n_hat *= dt
                 n_hat += spec[k]
                 np.multiply(mult, n_hat, out=spec[k + 1])
-            if gradients:
-                stack[:, k + 1] = _irfft(grid, rows * spec[k + 1])
-            else:
+            if adjoint:
                 w[k + 1] = _irfft(grid, spec[k + 1])
+            else:
+                stack[:, k + 1] = _irfft(grid, rows * spec[k + 1])
         spec = None
     check(w[1:], 1)
 
     grads = tuple(grads)
     for sweep in range(picard_sweeps):
-        n_hat = integrand(*drive(w, grads, slice(None)))
+        n_hat = integrand(drive(w, grads, slice(None)))
         if n_hat is None:
             break
         n_hat *= 0.5 * dt
         spec = _sweep_spectra(mult, n_hat, spec0)
         stack = w = grads = n_hat = None  # free the old stacks first
-        if gradients and sweep + 1 < picard_sweeps:
+        if not adjoint and sweep + 1 < picard_sweeps:
             stack = _irfft(grid, rows[:, None] * spec)
             w, grads = stack[0], tuple(stack[1:])
         else:
@@ -589,52 +586,50 @@ def _sweep_spectra(mult: np.ndarray, n_hat: np.ndarray, spec0: np.ndarray
 
 
 def _dense_first_pass(kernel: KernelCache, stack: np.ndarray, dt: float,
-                      drive: Callable, adjoint: bool, gradients: bool
-                      ) -> None:
+                      drive: Callable, adjoint: bool) -> None:
     """The first pass of ``_mild_march`` on the dense step.
 
-    ``stack`` holds the values row, then the partials with ``gradients``,
-    each with the time axis first; slice 0 is set and this fills the rest.
-    A step applies the memoized ``KernelCache.step_operator``, flattened to
-    one matrix, to the rows (w + dt s, dt c_1, ..., dt c_d), or a
-    contiguous copy of its source block to w + dt s alone when the drive
-    returns no flux: one BLAS matrix-vector product a step.  A one-row
-    march writes it straight into the stack; a march with partials writes
-    it to a buffer and copies that into the stack.
+    ``stack`` holds the values row, then with L the partials, each with
+    the time axis first; slice 0 is set and this fills the rest.  A step
+    applies the memoized ``KernelCache.step_operator``, flattened to one
+    matrix, with one BLAS matrix-vector product.  With L it maps w + dt s
+    to a buffer of the values and partials, which is copied into the
+    stack.  With L* it maps the rows (w, dt c_1, ..., dt c_d) straight
+    into the values row, or, for a drive that returns no flux, its
+    semigroup block, copied contiguous once, maps w alone.
     """
     grid = kernel.grid
     size = grid.node_count
-    op = kernel.step_operator(dt, adjoint, gradients)
+    op = kernel.step_operator(dt, adjoint)
     full = op.reshape(-1, op.shape[2])
-    source_op = None
-    inputs = np.empty((1 + grid.dims, size))
+    # the input rows: w + dt s with L, (w, dt c_1, ..., dt c_d) with L*
+    inputs = np.empty((op.shape[2] // size, size))
     packed = inputs.reshape(-1)
-    # w + dt s, as a slice for the drive's arrays and flat for the product
+    # row 0, as a slice for the drive's arrays
     head, fluxes = inputs[0].reshape(grid.shape), inputs[1:]
     # out[o, k] is output row o at slice k, flattened
     out = stack.reshape(stack.shape[:2] + (size,))
-    buffer = np.empty(op.shape[:2]) if gradients else None
-    flat = None if buffer is None else buffer.reshape(-1)
     w = stack[0]
-    steps = zip(*stack[1:]) if gradients else itertools.repeat(())
-    for k, grads in zip(range(stack.shape[1] - 1), steps):
-        source, flux = drive(w[k], grads, k)
-        target = out[0, k + 1] if buffer is None else flat
-        if source is None:
-            head[...] = w[k]
-        else:
-            np.multiply(source, dt, out=head)
+    if not adjoint:
+        buffer = np.empty(op.shape[:2])
+        flat = buffer.reshape(-1)
+        for k, grads in zip(range(stack.shape[1] - 1), zip(*stack[1:])):
+            np.multiply(drive(w[k], grads, k), dt, out=head)
             np.add(w[k], head, out=head)
+            np.dot(full, packed, out=flat)
+            out[:, k + 1] = buffer
+        return
+    block = None
+    for k in range(stack.shape[1] - 1):
+        flux = drive(w[k], (), k)
+        head[...] = w[k]
         if flux is None:
-            if source_op is None:
-                source_op = np.ascontiguousarray(
-                    op[:, :, :size]).reshape(-1, size)
-            np.dot(source_op, inputs[0], out=target)
+            if block is None:
+                block = np.ascontiguousarray(op[0, :, :size])
+            np.dot(block, inputs[0], out=out[0, k + 1])
         else:
             np.multiply(flux.reshape(grid.dims, size), dt, out=fluxes)
-            np.dot(full, packed, out=target)
-        if buffer is not None:
-            out[:, k + 1] = buffer
+            np.dot(full, packed, out=out[0, k + 1])
 
 
 def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
@@ -642,15 +637,15 @@ def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
                     drive: Callable) -> np.ndarray:
     """Mild march of -du/dt - Lu = N(t, u) from u(T) = terminal.
 
-    ``_mild_march`` in the reversed clock s = T - t, handed ``drive``
-    as it is: ``drive(values, grads, k)`` returns the ``(source, flux)``
-    pair of the Duhamel integrand N at march index k, physical index
-    ``n_steps - k``, or of the whole stack in march order when k is
-    ``slice(None)``.  A drive with operands in physical time therefore
-    reads them through reversed views, ``operand[::-1][k]``.  Returns the
-    values in physical time order, time axis first.  Raises BudgetError
-    when dt exceeds the 0.5*dx^alpha budget and DivergenceError when a
-    slice's sup-norm passes 1e6.
+    ``_mild_march`` with L in the reversed clock s = T - t, handed
+    ``drive`` as it is: ``drive(values, grads, k)`` returns the Duhamel
+    integrand N at march index k, physical index ``n_steps - k``, or of
+    the whole stack in march order when k is ``slice(None)``.  A drive
+    with operands in physical time therefore reads them through reversed
+    views, ``operand[::-1][k]``.  Returns the values in physical time
+    order, time axis first.  Raises BudgetError when dt exceeds the
+    0.5*dx^alpha budget and DivergenceError when a slice's sup-norm
+    passes 1e6.
     """
     dt = (T - t0) / n_steps
     grid = kernel.grid
@@ -673,8 +668,7 @@ def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
             f"index {n_steps - (k - 1)} of {n_steps}")
 
     return _mild_march(kernel, terminal, t0, T, n_steps, picard_sweeps,
-                       drive, guard, gradients=True,
-                       spectrum=spectrum)[::-1]
+                       drive, guard, spectrum=spectrum)[::-1]
 
 
 def _value_drive(grid: Grid, hamiltonian, source: Trajectory | None
@@ -684,16 +678,16 @@ def _value_drive(grid: Grid, hamiltonian, source: Trajectory | None
     A ``drive`` for ``_march_backward``: one slice at a march index, or
     the whole stack for ``slice(None)``, with f read in march order.  It
     evaluates H on the values and gradient the march hands over and
-    returns f - H as the source, with no flux.
+    returns f - H.
     """
     mesh = grid.meshgrid()
     marched = None if source is None else source.values[::-1]
 
-    def drive(values: np.ndarray, grads: tuple, k) -> tuple:
+    def drive(values: np.ndarray, grads: tuple, k) -> np.ndarray:
         ham = hamiltonian.value(mesh, values, grads)
         if marched is None:
-            return -np.asarray(ham, dtype=float), None
-        return marched[k] - ham, None
+            return -np.asarray(ham, dtype=float)
+        return marched[k] - ham
 
     return drive
 

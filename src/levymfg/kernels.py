@@ -34,7 +34,7 @@ _NYQUIST_TOL = 1e-12
 _MASS_TOL = 1e-10
 _RINGING_TOL = 1e-9
 _MEMO_LIMIT = 64
-# dense step operators are up to 288 KB each (see hjb._DENSE_STEP_NODES)
+# dense step operators are up to 96 KB each (see hjb._DENSE_STEP_NODES)
 _STEP_MEMO_LIMIT = 8
 
 
@@ -43,10 +43,10 @@ class KernelCache:
 
     ``multiplier`` memoizes up to 64 multipliers, keyed by (t, adjoint).
     ``step_operator`` memoizes, apart from them, up to 8 dense step
-    operators of the mild march, keyed by (t, adjoint, gradients): the
-    march only builds them on grids of at most 64 nodes, where one holds
-    at most 36,864 entries (288 KB, 2D 8x8 with gradients), so the memo
-    holds at most 2.3 MB.  Both memos drop their oldest entry when full.
+    operators of the mild march, keyed by (t, adjoint): the march only
+    builds them on grids of at most 64 nodes, where one holds at most
+    12,288 entries (96 KB, 2D 8x8 in either direction), so the memo holds
+    at most 768 KB.  Both memos drop their oldest entry when full.
     """
 
     def __init__(self, triplet: LevyTriplet, grid: Grid):
@@ -69,7 +69,7 @@ class KernelCache:
         symbol[skew] = 0.5 * (symbol[skew] + mirror[skew])
         self.symbol = symbol
         self._memo: dict[tuple[float, bool], np.ndarray] = {}
-        self._steps: dict[tuple[float, bool, bool], np.ndarray] = {}
+        self._steps: dict[tuple[float, bool], np.ndarray] = {}
 
     def multiplier(self, t: float, adjoint: bool = False) -> np.ndarray:
         """Half-spectrum multiplier of e^{tL} (or its adjoint) at time t >= 0."""
@@ -88,21 +88,19 @@ class KernelCache:
         self._memo[key] = mult
         return mult
 
-    def step_operator(self, t: float, adjoint: bool, gradients: bool
-                      ) -> np.ndarray:
+    def step_operator(self, t: float, adjoint: bool) -> np.ndarray:
         """One exponential Euler step of length t as a dense real operator.
 
-        The step maps the 1 + d input rows (w + t s, t c_1, ..., t c_d),
-        each a flattened grid slice, to S_t (w + t (s + div c)) and, with
-        ``gradients``, its d first partials: the multiplier of e^{tL} (or
-        its adjoint) and the partial multipliers of
-        ``grid._gradient_multipliers`` pushed through the identity, so the
-        Nyquist rules and the adjoint are those of the spectral step.  The
-        array has shape (rows out, N, (1 + d) N) for N grid nodes, the
-        input rows concatenated along the last axis; a read-only array is
-        memoized per (t, adjoint, gradients).
+        Each row in or out is a flattened grid slice, and the operator is
+        the step's multipliers pushed through the identity, so the Nyquist
+        rules are those of the spectral step.  With L it maps w + t s to
+        S_t (w + t s) and its d first partials (the multipliers of
+        ``grid._gradient_multipliers``): shape (1 + d, N, N) for N grid
+        nodes.  With L* it maps the rows (w, t c_1, ..., t c_d),
+        concatenated, to S*_t (w + t div c): shape (1, N, (1 + d) N).  A
+        read-only array is memoized per (t, adjoint).
         """
-        key = (float(t), bool(adjoint), bool(gradients))
+        key = (float(t), bool(adjoint))
         hit = self._steps.get(key)
         if hit is not None:
             return hit
@@ -110,8 +108,12 @@ class KernelCache:
         size = grid.node_count
         step = self.multiplier(t, adjoint)
         mults = _gradient_multipliers(grid)
-        ins = np.stack((step,) + tuple(step * m for m in mults))
-        outs = np.stack((np.ones(step.shape),) + (mults if gradients else ()))
+        outs = (np.ones(step.shape),)
+        if adjoint:
+            ins = (step,) + tuple(step * m for m in mults)
+        else:
+            outs, ins = outs + mults, (step,)
+        outs, ins = np.stack(outs), np.stack(ins)
         basis = _rfft(grid, np.eye(size).reshape((size,) + grid.shape))
         # resp[o, i, m]: output row o of the unit vector m of input row i
         resp = _irfft(grid, outs[:, None, None] * ins[:, None] * basis)

@@ -323,12 +323,12 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
         source, terminal = _backward_data(system, weights, rho_values)
         marched = None if source is None else source[::-1]
 
-        def drive(values: np.ndarray, grads: tuple, k) -> tuple:
+        def drive(values: np.ndarray, grads: tuple, k) -> np.ndarray:
             """Source b + <dF/dm, rho> - V . Dz from the march's Dz."""
             adv = marched_drift[k, 0] * grads[0]
             for i in range(1, grid.dims):
                 adv = adv + marched_drift[k, i] * grads[i]
-            return (-adv if marched is None else marched[k] - adv), None
+            return -adv if marched is None else marched[k] - adv
 
         try:
             z = _march_backward(kernel, terminal, t0, T, n, _PICARD_SWEEPS,

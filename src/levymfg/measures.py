@@ -77,10 +77,6 @@ class Measure:
     def values(self) -> np.ndarray:
         return self.density.values
 
-    @property
-    def mass(self) -> float:
-        return self.density.integral()
-
     @classmethod
     def from_values(cls, grid: Grid, values) -> "Measure":
         return cls(Field(grid, values))
@@ -103,8 +99,8 @@ def _density_rows(grid: Grid, rows: np.ndarray
     Entries below 1e-14 in magnitude are set to zero (``rows`` itself is
     returned when none is); then the first row with a value below -1e-12
     or a mass off 1 by more than 1e-9 raises ValueError.  Returns the
-    clamped rows and their masses, each bitwise what ``Measure`` and
-    ``Measure.mass`` give for that row alone.
+    clamped rows and their masses, each bitwise what ``Measure`` and the
+    ``integral`` of its density give for that row alone.
     """
     _require_finite_rows(rows, "density")
     tiny = np.abs(rows) < _CLAMP_TOL

@@ -210,28 +210,30 @@ def uncapped_chain_sup(weights: np.ndarray, dx: float) -> np.ndarray:
 
 
 def stacked_dense_first_pass(kernel: KernelCache, stack: np.ndarray,
-                             dt: float, drive, adjoint: bool,
-                             gradients: bool) -> None:
+                             dt: float, drive, adjoint: bool) -> None:
     """``hjb._dense_first_pass`` as one stacked ``matmul`` a step.
 
-    Applies the (rows out, N, (1 + d) N) step operator, or its strided
-    source block when the drive returns no flux, to the input column and
+    Applies the step operator to the input column, or, when an L* drive
+    returns no flux, its strided semigroup block to the values alone, and
     writes the output rows of each slice straight into ``stack``.
     """
     grid = kernel.grid
     size = grid.node_count
-    op = kernel.step_operator(dt, adjoint, gradients)
-    source_block = op[:, :, :size]
+    op = kernel.step_operator(dt, adjoint)
     out = stack.reshape(stack.shape[:2] + (size, 1))
     inputs = np.empty((1 + grid.dims, size))
     w, grads = stack[0], stack[1:]
     for k in range(stack.shape[1] - 1):
-        source, flux = drive(w[k], tuple(grads[:, k]), k)
-        head = w[k] if source is None else w[k] + dt * source
+        if not adjoint:
+            head = w[k] + dt * drive(w[k], tuple(grads[:, k]), k)
+            np.matmul(op, head.reshape(size, 1), out=out[:, k + 1])
+            continue
+        flux = drive(w[k], (), k)
         if flux is None:
-            np.matmul(source_block, head.reshape(size, 1), out=out[:, k + 1])
+            np.matmul(op[:, :, :size], w[k].reshape(size, 1),
+                      out=out[:, k + 1])
         else:
-            inputs[0] = head.reshape(size)
+            inputs[0] = w[k].reshape(size)
             np.multiply(flux.reshape(grid.dims, size), dt, out=inputs[1:])
             np.matmul(op, inputs.reshape(-1, 1), out=out[:, k + 1])
 

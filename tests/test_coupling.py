@@ -61,6 +61,22 @@ def random_measure(grid, seed):
     return Measure.normalized(Field(grid, vals))
 
 
+@pytest.mark.parametrize("grid, centre", [
+    (Grid(64, 2.0), (1.9,)),
+    (Grid(16, 2.0, dims=2), (0.0, 1.75)),
+], ids=["1d-upper", "2d-upper-y"])
+def test_conv_rejects_a_kernel_at_the_upper_edge(grid, centre):
+    # The periodic box wraps a kernel that reaches node n - 1 round to node
+    # 0 as surely as one that reaches node 0, so the guard reads both edge
+    # slices of every axis.  1D: node 63 holds 0.945 of the peak 0.975.
+    phi = Field.from_function(grid, lambda *xs: np.exp(
+        -40.0 * sum((x - c) ** 2 for x, c in zip(xs, centre))))
+    lower = [np.take(phi.values, 0, axis=ax) for ax in range(grid.dims)]
+    assert max(float(np.max(np.abs(e))) for e in lower) < 1e-8 * phi.max_norm
+    with pytest.raises(ValueError, match="not compactly supported"):
+        Conv(phi)
+
+
 class TestEvalF:
     def test_zero_coupling(self):
         grid = Grid(64, 2.0)

@@ -207,7 +207,7 @@ class TestSolveFp:
         m = Measure.from_values(grid, vals[0])
         assert isinstance(m, Measure)
         assert defect <= 1e-8
-        assert m.mass == pytest.approx(1.0, abs=1e-12)
+        assert m.density.integral() == pytest.approx(1.0, abs=1e-12)
 
     def test_slice_measure_rejects_corrupted_mass(self):
         grid = Grid(64, 2.0)

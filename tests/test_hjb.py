@@ -165,7 +165,8 @@ class TestTrajectory:
         assert tr.n_steps == 3
         assert np.array_equal(tr.slice_field(2).values, fields[2].values)
         assert np.array_equal(tr.initial.values, fields[0].values)
-        assert np.array_equal(tr.terminal.values, fields[3].values)
+        assert np.array_equal(tr.slice_field(tr.n_steps).values,
+                              fields[3].values)
 
     def test_constant_in_time(self):
         f = Field.from_function(self.grid, np.cos)
@@ -425,7 +426,7 @@ class TestSolveHjb:
             warnings.simplefilter("error")
             u = solve_hjb(cache, QuadraticHamiltonian(), None, g, 0.0, 0.01,
                           16)
-        assert np.array_equal(u.terminal.values, g.values)
+        assert np.array_equal(u.values[-1], g.values)
 
     def test_source_mesh_mismatch_rejected(self):
         src = zero_trajectory(self.grid, 0.0, 0.1, 32)
@@ -472,9 +473,10 @@ def divergence(grid, vec_values):
 def stepped_march(kernel, start, T, n_steps, sweeps, drive, adjoint=False):
     """The mild march on [0, T] with every step taken through apply_array.
 
-    The integrand N = source + div flux of the march ``drive`` is built in
-    physical space, with the gradient from ``_batch_gradient`` and the
-    divergence from ``divergence``.  Exponential Euler, then each
+    The integrand N of the march ``drive`` is built in physical space:
+    with L the drive's source, read from the gradient of
+    ``_batch_gradient``, and with L* the ``divergence`` of its flux, or 0
+    when it returns None.  Exponential Euler, then each
     trapezoid sweep one slice at a time:
     w[k+1] = S_dt (w[k] + dt/2 N[k]) + dt/2 N[k+1].
     """
@@ -482,13 +484,11 @@ def stepped_march(kernel, start, T, n_steps, sweeps, drive, adjoint=False):
     dt = T / n_steps
 
     def integrand(values, k):
-        source, flux = drive(values, _batch_gradient(grid, values), k)
-        out = np.zeros(values.shape)
-        if source is not None:
-            out = out + source
-        if flux is not None:
-            out = out + divergence(grid, flux)
-        return out
+        if not adjoint:
+            return drive(values, _batch_gradient(grid, values), k)
+        flux = drive(values, (), k)
+        return np.zeros(values.shape) if flux is None else divergence(
+            grid, flux)
 
     w = np.empty((n_steps + 1,) + start.shape)
     w[0] = start
@@ -559,7 +559,7 @@ def forward_case(sweeps, with_flux):
 
         def drive(rho, grads, k, flux=flux):
             vec = drift[k] * np.expand_dims(rho, -2)
-            return None, (vec if flux is None else vec + flux[k])
+            return vec if flux is None else vec + flux[k]
 
         want.append(stepped_march(cache, rho0, T, n_steps, sweeps, drive,
                                   adjoint=True))
@@ -660,7 +660,7 @@ def test_forward_transform_calls_do_not_grow_with_steps(transform_calls):
 def test_dense_step_makes_no_transform_call(transform_calls):
     # At n = 32 the first pass steps with the memoized dense operator: once
     # it is built, a step makes no transform call, and a sweep still makes
-    # 2.  A march with a memoized (dt, adjoint, gradients) key reuses its
+    # 2.  A march with a memoized (dt, adjoint) key reuses its
     # operator, and the memo holds at most its cap.
     grid = Grid(32, 2.0)
     cache = KernelCache(skewed_triplet(1), grid)
@@ -686,12 +686,12 @@ def test_dense_step_makes_no_transform_call(transform_calls):
     assert len(cache._steps) == kernels._STEP_MEMO_LIMIT
 
 
-def dense_case_march(monkeypatch, dense, kernel, form, adjoint, start):
+def dense_case_march(monkeypatch, dense, kernel, adjoint, start):
     """``_mild_march`` with its first pass forced dense or spectral.
 
-    ``form`` picks the drive: "source" reads the gradient and returns a
-    source only (the HJB form), "flux" reads the values and returns a flux
-    only (the FP form), "both" reads the gradient and returns both.
+    The drive is the one of ``adjoint``: a source read from the gradient
+    with L (the HJB shape), a flux read from the values with L* (the FP
+    shape).
     """
     monkeypatch.setattr(hjb, "_DENSE_STEP_NODES",
                         1 << 62 if dense else 0)
@@ -699,25 +699,25 @@ def dense_case_march(monkeypatch, dense, kernel, form, adjoint, start):
     n_steps = 8
     T = n_steps * step_budget(1.5, grid)
     return _mild_march(kernel, start, 0.0, T, n_steps, 2,
-                       dense_case_drive(grid, form),
-                       lambda values, first: None, adjoint,
-                       gradients=form != "flux")
+                       dense_case_drive(grid, "flux" if adjoint else "source"),
+                       lambda values, first: None, adjoint)
 
 
 def dense_case_drive(grid, form):
-    """The drive of ``dense_case_march`` for ``form``."""
+    """A drive of ``form``: "source" reads the gradient and returns a
+    source (an L drive), "flux" reads the values and returns a flux, and
+    "free" returns None (both L* drives)."""
     mesh = grid.meshgrid()
     d = grid.dims
     bump = np.cos(np.pi * mesh[0] / 2.0)
     wind = np.stack([0.5 * np.sin(np.pi * x / 2.0) for x in mesh])
 
     def drive(values, grads, k):
-        source = flux = None
-        if form != "flux":
-            source = 0.5 * bump - sum(gi * gi for gi in grads)
-        if form != "source":
-            flux = wind * np.expand_dims(values, -1 - d)
-        return source, flux
+        if form == "source":
+            return 0.5 * bump - sum(gi * gi for gi in grads)
+        if form == "flux":
+            return wind * np.expand_dims(values, -1 - d)
+        return None
 
     return drive
 
@@ -732,10 +732,9 @@ DENSE_GRIDS = [Grid(64, 2.0), Grid(8, 2.0, dims=2)]
 
 
 @pytest.mark.parametrize("grid", DENSE_GRIDS, ids=["1d64", "2d8x8"])
-@pytest.mark.parametrize("form", ["source", "flux", "both"])
 @pytest.mark.parametrize("adjoint", [False, True])
 @pytest.mark.parametrize("generator", ["frac", "skewed"])
-def test_dense_and_spectral_steps_agree(monkeypatch, grid, form, adjoint,
+def test_dense_and_spectral_steps_agree(monkeypatch, grid, adjoint,
                                         generator):
     kernel = KernelCache(
         skewed_triplet(grid.dims) if generator == "skewed" else
@@ -743,42 +742,59 @@ def test_dense_and_spectral_steps_agree(monkeypatch, grid, form, adjoint,
     got, want = [], []
     for r in range(5):
         start = dense_case_start(grid, r)
-        got.append(dense_case_march(monkeypatch, True, kernel, form, adjoint,
+        got.append(dense_case_march(monkeypatch, True, kernel, adjoint,
                                     start))
-        want.append(dense_case_march(monkeypatch, False, kernel, form,
-                                     adjoint, start))
+        want.append(dense_case_march(monkeypatch, False, kernel, adjoint,
+                                     start))
     got, want = np.stack(got, axis=1), np.stack(want, axis=1)
     assert got.shape == want.shape == (9, 5) + grid.shape
-    # measured: at most 3.5e-16 relative over the 24 cases (1D skewed,
-    # both terms, adjoint); the two sweeps move the path by 5e-4 to 0.16
-    # relative, so a wrong step operator cannot hide under this bound
+    # measured: at most 2.5e-16 relative over the 8 cases (2D skewed,
+    # adjoint); the two sweeps move the path by 5e-4 to 0.15 relative, so
+    # a wrong step operator cannot hide under this bound
     assert relative_gap(got, want) <= 2e-15
 
 
-@pytest.mark.parametrize("case", ["1d64-source", "1d64-flux", "2d8x8-flux"])
-@pytest.mark.parametrize("adjoint", [False, True])
-def test_dense_first_pass_matches_stacked_matmul_bitwise(case, adjoint):
-    # the flattened operator and its contiguous source block give the
+@pytest.mark.parametrize("case", ["1d64-source", "1d64-flux", "2d8x8-flux",
+                                  "1d64-free", "2d8x8-free"])
+def test_dense_first_pass_matches_stacked_matmul_bitwise(case):
+    # the flattened operator and the contiguous semigroup block give the
     # stacked matmul of each step bit for bit: a source drive reading the
-    # gradient rows (the HJB shape), a flux drive (the FP shape), and a
-    # 2D flux of two components
+    # gradient rows (the HJB shape, with L), a flux drive (the FP shape,
+    # with L*), a 2D flux of two components, and the L* free flow
     grid = Grid(64, 2.0) if case.startswith("1d") else Grid(8, 2.0, dims=2)
     form = case.split("-")[1]
-    gradients = form == "source"
+    adjoint = form != "source"
     kernel = KernelCache(skewed_triplet(grid.dims), grid)
     drive = dense_case_drive(grid, form)
     n_steps = 8
-    stack = np.zeros((1 + grid.dims if gradients else 1, n_steps + 1)
+    stack = np.zeros((1 if adjoint else 1 + grid.dims, n_steps + 1)
                      + grid.shape)
     stack[0, 0] = dense_case_start(grid, 1)
-    if gradients:
+    if not adjoint:
         stack[1:, 0] = _batch_gradient(grid, stack[0, 0])
     want = stack.copy()
     dt = step_budget(1.5, grid)
-    hjb._dense_first_pass(kernel, stack, dt, drive, adjoint, gradients)
-    stacked_dense_first_pass(kernel, want, dt, drive, adjoint, gradients)
+    hjb._dense_first_pass(kernel, stack, dt, drive, adjoint)
+    stacked_dense_first_pass(kernel, want, dt, drive, adjoint)
     assert np.all(np.isfinite(want)) and np.ptp(want[0, -1]) > 0.0
     assert np.array_equal(stack, want)
+
+
+@pytest.mark.parametrize("grid", DENSE_GRIDS, ids=["1d64", "2d8x8"])
+def test_step_operator_shape_follows_the_direction(grid):
+    # L maps w + dt s to the values and d partials; L* maps the rows
+    # (w, dt c_1, ..., dt c_d) to the values; each is memoized on (dt, L*)
+    kernel = KernelCache(skewed_triplet(grid.dims), grid)
+    size, d = grid.node_count, grid.dims
+    dt = step_budget(1.5, grid)
+    forward = kernel.step_operator(dt, False)
+    adjoint = kernel.step_operator(dt, True)
+    assert forward.shape == (1 + d, size, size)
+    assert adjoint.shape == (1, size, (1 + d) * size)
+    assert kernel.step_operator(dt, False) is forward
+    assert kernel.step_operator(dt, True) is adjoint
+    assert set(kernel._steps) == {(dt, False), (dt, True)}
+    assert not forward.flags.writeable and not adjoint.flags.writeable
 
 
 @pytest.mark.parametrize("case", ["1d64", "1d64-batch", "2d8x16"])
@@ -818,8 +834,7 @@ def test_check_vets_each_pass_stack_once():
     def check(values, first):
         seen.append((first, values.copy()))
 
-    w = _mild_march(cache, g, 0.0, 0.125, 8, 2, drive, check,
-                    gradients=True)
+    w = _mild_march(cache, g, 0.0, 0.125, 8, 2, drive, check)
     assert [(first, len(v)) for first, v in seen] == [(1, 8), (1, 8), (1, 8)]
     assert np.array_equal(seen[-1][1], w[1:])
 
@@ -839,7 +854,7 @@ def test_first_pass_blowup_names_its_first_bad_slice(monkeypatch, dense):
         out = np.zeros(values.shape)
         if k == 2:
             out[...] = 1e10
-        return out, None
+        return out
 
     g = np.zeros(grid.shape)
     with pytest.raises(DivergenceError, match=(
@@ -859,7 +874,7 @@ def test_sweep_blowup_names_its_first_bad_slice():
         out = np.zeros(values.shape)
         if isinstance(k, slice):
             out[3] = 1e10
-        return out, None
+        return out
 
     g = np.zeros(grid.shape)
     _march_backward(cache, g, 0.0, T, n_steps, 0, drive)

@@ -224,15 +224,15 @@ class TestMeasureType:
     def test_delta_and_uniform(self):
         grid = Grid(64, 2.0)
         d = point_mass(grid, (0.5,))
-        assert d.mass == pytest.approx(1.0, abs=1e-12)
+        assert d.density.integral() == pytest.approx(1.0, abs=1e-12)
         assert int(np.count_nonzero(d.values)) == 1
         u = uniform_measure(grid, -1.0, 1.0)
-        assert u.mass == pytest.approx(1.0, abs=1e-12)
+        assert u.density.integral() == pytest.approx(1.0, abs=1e-12)
 
     def test_normalized(self):
         grid = Grid(64, 2.0)
         m = Measure.normalized(Field.from_function(grid, lambda x: np.exp(-x ** 2)))
-        assert abs(m.mass - 1.0) <= 1e-12
+        assert abs(m.density.integral() - 1.0) <= 1e-12
 
 
 class TestD0Distance:
@@ -648,7 +648,7 @@ class TestMollify:
     def test_delta_support_and_mass(self):
         grid = Grid(256, 2.0)
         out = mollify(point_mass(grid, (0.0,)), 0.1)
-        assert abs(out.mass - 1.0) <= 1e-9
+        assert abs(out.density.integral() - 1.0) <= 1e-9
         x = grid.axis(0)
         support = np.abs(x[np.abs(out.values) > 1e-13])
         assert float(np.max(support)) <= 0.1 + grid.dx[0]

@@ -154,7 +154,7 @@ class TestContainers:
         sol = solve_mfg(standard_problem(
             kernel, policy=IterationPolicy(max_iters=2, tol_d0=1e-1)))
         m = sol.measure_at(N_STEPS)
-        assert abs(m.mass - 1.0) <= 1e-9
+        assert abs(m.density.integral() - 1.0) <= 1e-9
 
 
 class TestOptimalDrift:

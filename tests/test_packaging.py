@@ -10,10 +10,11 @@ passed by some call in the source, the tests or the benchmark harness.
 The public surface is what the solvers and the benchmark reach, plus the
 checks that turn a statement of the paper into a computation.  Every
 public module-level function of the package, and every public method of
-a public class, must be read in the source outside its own body, or in
-the benchmark harness, or be named in ``UNCALLED_BY_DESIGN`` with its
-reason.  Test-only reference code lives in ``tests/oracles.py``, not in
-the package, and every public function there is read by a test module.
+a public class, must be read in the source outside its own body (a
+method as an attribute), or in the benchmark harness, or be named in
+``UNCALLED_BY_DESIGN`` with its reason.  Test-only reference code lives
+in ``tests/oracles.py``, not in the package, and every public function
+there is read by a test module.
 Only ``grid`` calls numpy's real transforms; every other module goes
 through the grid's transform pair, so the layout is decided in one
 place.  Only ``coupling`` tests a coupling family by type.  The record
@@ -235,6 +236,12 @@ def names_read(node: ast.AST) -> set[str]:
     return found
 
 
+def attributes_read(node: ast.AST) -> set[str]:
+    """Attributes accessed anywhere under ``node`` (``obj.name``)."""
+    return {sub.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute)}
+
+
 def unreached_public(package: dict[str, ast.Module],
                      bench: list[ast.Module], exempt: tuple[str, ...]
                      ) -> list[str]:
@@ -243,11 +250,13 @@ def unreached_public(package: dict[str, ast.Module],
     Candidates are the public top-level functions (``module.name``) and
     the public methods of public classes (``module.Class.name``).  One is
     reached when another top-level statement or class-body item of any
-    package module reads its name (its own body does not count), or when
-    a benchmark module reads it or holds it in a dotted string such as
-    the tracer's ("coupling", "apply_dmF") entries.  Names are matched
-    alone, whatever module or class they come from; ``exempt`` names
-    pass.
+    package module reads it (its own body does not count), or when a
+    benchmark module reads it or holds it in a dotted string such as the
+    tracer's ("coupling", "apply_dmF") entries.  A function is read by
+    any use of its name, a method only as an attribute (``obj.name``), so
+    a local variable of a method's name does not reach it.  Names are
+    matched alone, whatever module or class they come from; ``exempt``
+    names pass.
     """
     bench_names = set()
     for tree in bench:
@@ -256,27 +265,30 @@ def unreached_public(package: dict[str, ast.Module],
             if isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
                     and _DOTTED.fullmatch(sub.value):
                 bench_names.update(sub.value.split("."))
-    # (qualified name or None, node, names read) per statement or item
+    # (qualified name or None, node, names read, attributes read) per
+    # statement or item; a method's qualified name has two dots
     units = []
     for module, tree in package.items():
         for node in tree.body:
             if not isinstance(node, ast.ClassDef):
                 units.append((f"{module}.{node.name}"
                               if isinstance(node, ast.FunctionDef) else None,
-                              node, names_read(node)))
+                              node, names_read(node), attributes_read(node)))
                 continue
             for item in node.body:
                 method = (isinstance(item, ast.FunctionDef)
                           and not node.name.startswith("_"))
                 units.append((f"{module}.{node.name}.{item.name}"
-                              if method else None, item, names_read(item)))
+                              if method else None, item, names_read(item),
+                              attributes_read(item)))
     found = []
-    for qualified, node, _ in units:
+    for qualified, node, _, _ in units:
         if qualified is None or node.name.startswith("_") or \
                 node.name in exempt or node.name in bench_names:
             continue
-        if not any(node.name in read for _, other, read in units
-                   if other is not node):
+        method = qualified.count(".") == 2
+        if not any(node.name in (attrs if method else names)
+                   for _, other, names, attrs in units if other is not node):
             found.append(qualified)
     return sorted(found)
 
@@ -313,6 +325,21 @@ def test_reachability_scan_covers_public_methods():
     bench = [ast.parse("ENTRY_POINTS = (('b', 'use', None),)\n")]
     assert unreached_public(package, bench, ()) == [
         "a.Box.to_dict", "a.Box.unread", "a.BoxReport.to_dict"]
+
+
+def test_reachability_scan_reaches_methods_by_attribute_only():
+    # a local variable of a method's name does not reach the method; a
+    # bare name still reaches a top-level function
+    package = {
+        "a": ast.parse("class Measure:\n"
+                       "    def mass(self):\n        pass\n"
+                       "    def density(self):\n        pass\n"
+                       "def total():\n    pass\n"),
+        "b": ast.parse("def use(m):\n    mass = 1\n"
+                       "    return mass + m.density() + total()\n"),
+    }
+    bench = [ast.parse("ENTRY_POINTS = (('b', 'use', None),)\n")]
+    assert unreached_public(package, bench, ()) == ["a.Measure.mass"]
 
 
 def test_every_public_function_is_reached_or_named():

@@ -61,18 +61,30 @@ def random_measure(grid, seed):
     return Measure.normalized(Field(grid, vals))
 
 
-@pytest.mark.parametrize("grid, centre", [
-    (Grid(64, 2.0), (1.9,)),
-    (Grid(16, 2.0, dims=2), (0.0, 1.75)),
-], ids=["1d-upper", "2d-upper-y"])
-def test_conv_rejects_a_kernel_at_the_upper_edge(grid, centre):
+@pytest.mark.parametrize("grid, centre, axis, side", [
+    (Grid(64, 2.0), (-1.9,), 0, 0),
+    (Grid(64, 2.0), (1.9,), 0, -1),
+    (Grid(16, 2.0, dims=2), (-1.75, 0.0), 0, 0),
+    (Grid(16, 2.0, dims=2), (1.75, 0.0), 0, -1),
+    (Grid(16, 2.0, dims=2), (0.0, -1.75), 1, 0),
+    (Grid(16, 2.0, dims=2), (0.0, 1.75), 1, -1),
+], ids=["1d-lower", "1d-upper", "2d-lower-x", "2d-upper-x", "2d-lower-y",
+        "2d-upper-y"])
+def test_conv_rejects_a_kernel_at_each_edge(grid, centre, axis, side):
     # The periodic box wraps a kernel that reaches node n - 1 round to node
     # 0 as surely as one that reaches node 0, so the guard reads both edge
-    # slices of every axis.  1D: node 63 holds 0.945 of the peak 0.975.
+    # slices of every axis.  Each kernel sits at one edge slice and leaves
+    # the others clean.  1D upper: node 63 holds 0.945 of the peak 0.975;
+    # the weakest named edge (2D lower) holds 0.082 of the peak.
     phi = Field.from_function(grid, lambda *xs: np.exp(
         -40.0 * sum((x - c) ** 2 for x, c in zip(xs, centre))))
-    lower = [np.take(phi.values, 0, axis=ax) for ax in range(grid.dims)]
-    assert max(float(np.max(np.abs(e))) for e in lower) < 1e-8 * phi.max_norm
+    for ax in range(grid.dims):
+        for end in (0, -1):
+            edge = float(np.max(np.abs(np.take(phi.values, end, axis=ax))))
+            if (ax, end) == (axis, side):
+                assert edge > 0.05 * phi.max_norm
+            else:
+                assert edge < 1e-8 * phi.max_norm
     with pytest.raises(ValueError, match="not compactly supported"):
         Conv(phi)
 

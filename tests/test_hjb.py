@@ -686,12 +686,11 @@ def test_dense_step_makes_no_transform_call(transform_calls):
     assert len(cache._steps) == kernels._STEP_MEMO_LIMIT
 
 
-def dense_case_march(monkeypatch, dense, kernel, adjoint, start):
+def dense_case_march(monkeypatch, dense, kernel, form, adjoint, start):
     """``_mild_march`` with its first pass forced dense or spectral.
 
-    The drive is the one of ``adjoint``: a source read from the gradient
-    with L (the HJB shape), a flux read from the values with L* (the FP
-    shape).
+    ``form`` picks the drive of ``dense_case_drive``: "source" with L (the
+    HJB shape), "flux" or "free" with L* (the FP shape, and the free flow).
     """
     monkeypatch.setattr(hjb, "_DENSE_STEP_NODES",
                         1 << 62 if dense else 0)
@@ -699,7 +698,7 @@ def dense_case_march(monkeypatch, dense, kernel, adjoint, start):
     n_steps = 8
     T = n_steps * step_budget(1.5, grid)
     return _mild_march(kernel, start, 0.0, T, n_steps, 2,
-                       dense_case_drive(grid, "flux" if adjoint else "source"),
+                       dense_case_drive(grid, form),
                        lambda values, first: None, adjoint)
 
 
@@ -732,9 +731,10 @@ DENSE_GRIDS = [Grid(64, 2.0), Grid(8, 2.0, dims=2)]
 
 
 @pytest.mark.parametrize("grid", DENSE_GRIDS, ids=["1d64", "2d8x8"])
-@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("adjoint, form", [
+    (False, "source"), (True, "flux"), (True, "free")])
 @pytest.mark.parametrize("generator", ["frac", "skewed"])
-def test_dense_and_spectral_steps_agree(monkeypatch, grid, adjoint,
+def test_dense_and_spectral_steps_agree(monkeypatch, grid, adjoint, form,
                                         generator):
     kernel = KernelCache(
         skewed_triplet(grid.dims) if generator == "skewed" else
@@ -742,25 +742,28 @@ def test_dense_and_spectral_steps_agree(monkeypatch, grid, adjoint,
     got, want = [], []
     for r in range(5):
         start = dense_case_start(grid, r)
-        got.append(dense_case_march(monkeypatch, True, kernel, adjoint,
-                                    start))
-        want.append(dense_case_march(monkeypatch, False, kernel, adjoint,
-                                     start))
+        got.append(dense_case_march(monkeypatch, True, kernel, form,
+                                    adjoint, start))
+        want.append(dense_case_march(monkeypatch, False, kernel, form,
+                                     adjoint, start))
     got, want = np.stack(got, axis=1), np.stack(want, axis=1)
     assert got.shape == want.shape == (9, 5) + grid.shape
-    # measured: at most 2.5e-16 relative over the 8 cases (2D skewed,
-    # adjoint); the two sweeps move the path by 5e-4 to 0.15 relative, so
-    # a wrong step operator cannot hide under this bound
+    # measured: at most 7.6e-16 relative over the 12 cases (1D skewed, free
+    # flow); with a drive the two sweeps move the path by 5e-4 to 0.15
+    # relative, and the free flow is the step operator alone, so a wrong
+    # step operator cannot hide under this bound
     assert relative_gap(got, want) <= 2e-15
 
 
-@pytest.mark.parametrize("case", ["1d64-source", "1d64-flux", "2d8x8-flux",
+@pytest.mark.parametrize("case", ["1d64-source", "2d8x8-source",
+                                  "1d64-flux", "2d8x8-flux",
                                   "1d64-free", "2d8x8-free"])
 def test_dense_first_pass_matches_stacked_matmul_bitwise(case):
     # the flattened operator and the contiguous semigroup block give the
     # stacked matmul of each step bit for bit: a source drive reading the
-    # gradient rows (the HJB shape, with L), a flux drive (the FP shape,
-    # with L*), a 2D flux of two components, and the L* free flow
+    # gradient rows (the HJB shape, with L; two partials in 2D), a flux
+    # drive (the FP shape, with L*), a 2D flux of two components, and the
+    # L* free flow
     grid = Grid(64, 2.0) if case.startswith("1d") else Grid(8, 2.0, dims=2)
     form = case.split("-")[1]
     adjoint = form != "source"
@@ -795,6 +798,31 @@ def test_step_operator_shape_follows_the_direction(grid):
     assert kernel.step_operator(dt, True) is adjoint
     assert set(kernel._steps) == {(dt, False), (dt, True)}
     assert not forward.flags.writeable and not adjoint.flags.writeable
+
+
+@pytest.mark.parametrize("grid", DENSE_GRIDS + [Grid((8, 16), (2.0, 2.0))],
+                         ids=["1d64", "2d8x8", "2d8x16"])
+@pytest.mark.parametrize("generator", ["frac", "skewed"])
+def test_step_operators_are_transposes_of_each_other(grid, generator):
+    # Under the plain node sum S*_t is the transpose of S_t and div the
+    # negative transpose of the gradient, so the L* operator's value block
+    # is S_t^T and its block for c_i is -(d_i S_t)^T: the two directions'
+    # operators, built apart, must agree.  The skewed generator is not
+    # symmetric (S_t and S_t^T differ by 5% to 16%), and a flux block of
+    # the wrong sign is off by 2.  The 8x16 grid has unequal axes and steps,
+    # so a mixed-up axis order shows too.
+    kernel = KernelCache(
+        skewed_triplet(grid.dims) if generator == "skewed" else
+        LevyTriplet(dims=grid.dims, jumps=FractionalLaplacian(1.5)), grid)
+    size, d = grid.node_count, grid.dims
+    dt = step_budget(1.5, grid)
+    forward = kernel.step_operator(dt, False)
+    blocks = kernel.step_operator(dt, True)[0].reshape(size, 1 + d, size)
+    for row in range(1 + d):
+        want = forward[row].T if row == 0 else -forward[row].T
+        # measured: at most 3.3e-16 relative over the 6 cases (2D skewed,
+        # the y flux block)
+        assert relative_gap(blocks[:, row], want) <= 2e-15
 
 
 @pytest.mark.parametrize("case", ["1d64", "1d64-batch", "2d8x16"])

@@ -460,8 +460,9 @@ def resolved_derivatives(phi: Field) -> int:
             shape = [1] * phi.grid.dims
             shape[ax] = len(xi)
             weighted = weighted * (1.0 + np.abs(xi.reshape(shape)) ** order)
-        peak = float(np.max(np.abs(weighted)))
-        tail = float(_nyquist_shell_max(phi.grid, weighted))
+        mag = np.abs(weighted)
+        peak = float(np.max(mag))
+        tail = float(_nyquist_shell_max(phi.grid, mag))
         if peak == 0.0 or tail <= 1e-6 * peak:
             budget = order
         else:

@@ -303,14 +303,14 @@ def _batch_gradient(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(_irfft(grid, spec * m) for m in _gradient_multipliers(grid))
 
 
-def _nyquist_shell_max(grid: Grid, spec: np.ndarray) -> np.ndarray:
-    """Largest magnitude on the Nyquist planes (fftn or rfftn layout).
+def _nyquist_shell_max(grid: Grid, mag: np.ndarray) -> np.ndarray:
+    """Largest of the spectral magnitudes ``mag`` (``np.abs`` of a
+    spectrum in fftn or rfftn layout) on the Nyquist planes.
 
     Reduces over the trailing grid axes only: leading axes batch, with one
     value per row (a 0-d array for a single spectrum).
     """
     rest = tuple(range(1 - grid.dims, 0))
-    mag = np.abs(spec)
     return np.max([np.max(np.take(mag, grid.n[ax] // 2, axis=ax - grid.dims),
                           axis=rest)
                    for ax in range(grid.dims)], axis=0)

@@ -5,14 +5,19 @@ The metric pairs signed densities with test functions bounded by 1 and
 between adjacent nodes imply all others, and a dynamic program over the
 finitely many values an optimal test function can take solves the chain
 exactly on every grid, batched over the slices of a path (``path_metric``).
-A stopping test reads only the sup over the slices (``_path_sup``): an
-upper bound by summation by parts and the pairing with a greedy feasible
-test function rule out the slices that cannot hold it, and the program
-runs on the rest, so the sup is the maximum of ``path_metric`` bit for
-bit.  The linear program serves only 2D.  There it is exact while the
-grid is small enough (every node pair closer than the cap 2 contributes a
-constraint); on finer grids we report a certified bracket instead: a lower
-bound from a coarse-grid optimizer lifted by clamped (not periodic) linear
+A stopping test reads only the sup over the slices.  An upper bound by
+summation by parts and the pairing with a greedy feasible test function,
+each widened by its rounding slack, bracket that sup and rule out the
+slices that cannot hold it (``_sup_bracket``); the program runs on the
+rest, so the sup is the maximum of ``path_metric`` bit for bit
+(``_path_sup``).  A stopping loop compares its sups through
+``_PathSups``, which decides each comparison on the brackets and runs
+the program, batched over every pending slice of every path, only when
+two brackets overlap, and once more when the loop ends.  The linear
+program serves only 2D.  There it is exact while the grid is small
+enough (every node pair closer than the cap 2 contributes a constraint);
+on finer grids we report a certified bracket instead: a lower bound from
+a coarse-grid optimizer lifted by clamped (not periodic) linear
 interpolation and re-certified on the fine grid, and an upper bound from
 the adjacent-difference relaxation capped by twice the total variation.
 The callers of the linear program only choose which node pairs it
@@ -204,10 +209,10 @@ def _matched_weights(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Weights cell_volume * (b - a) per slice, once every mass matches."""
     axes = tuple(range(1, a.ndim))
     mass_gaps = np.abs(np.sum(a - b, axis=axes)) * grid.cell_volume
-    for mass_gap in mass_gaps:
-        if mass_gap > _MASS_MATCH_TOL:
-            raise ValueError(
-                f"total masses differ by {mass_gap:.3e}; metric undefined")
+    bad = mass_gaps > _MASS_MATCH_TOL
+    if np.any(bad):
+        raise ValueError(f"total masses differ by "
+                         f"{mass_gaps[np.argmax(bad)]:.3e}; metric undefined")
     return grid.cell_volume * (b - a)
 
 
@@ -483,11 +488,13 @@ def path_metric(grid: Grid, path, reference=None) -> np.ndarray:
     return _upper_or_exact(grid, _path_weights(grid, path, reference))[0]
 
 
-def _path_sup(grid: Grid, path, reference=None) -> float:
-    """``np.max(path_metric(grid, path, reference))``, bitwise.
+def _sup_bracket(grid: Grid, path, reference=None
+                 ) -> tuple[float, float, np.ndarray]:
+    """Certified bracket [lo, hi] of ``np.max(path_metric(grid, path,
+    reference))`` and the weight rows the exact program must see.
 
-    On a 1D grid the chain program runs only on the slices whose upper
-    bound can reach the best lower bound.  With C the prefix sums of a
+    The maximum of ``_chain_sup`` over the returned rows is that sup, bit
+    for bit, and it lies in [lo, hi].  With C the prefix sums of a 1D
     slice's weights w, summation by parts against |phi| <= 1 and
     |phi_{j+1} - phi_j| <= dx bounds the slice's value by
 
@@ -495,34 +502,122 @@ def _path_sup(grid: Grid, path, reference=None) -> float:
 
     and the greedy potential with steps -dx sign(C_j), centred and
     clipped to [-1, 1], is feasible, so its pairing L is a lower bound.
-    A slice with U + slack < max(0, max L) cannot hold the maximum; the
-    slack, a multiple of n eps (n dx + 2) sum |w|, covers the rounding of
-    U, L and the program.  As rows of ``_chain_sup`` are bitwise
-    independent, the maximum over the kept rows is the maximum over all.
-    A non-finite slice is always kept, so it raises what ``path_metric``
-    raises, and so does a mass mismatch.  A path too small for the bounds
-    to pay (``_BOUNDS_WORK``) and a 2D grid take the plain maximum.
+    Each side is widened by a slack, a multiple of n eps (n dx + 2)
+    sum |w| of its own slice, that covers the rounding of U, L and the
+    program: lo = max(0, max(L - slack)) and hi = max(U + slack).  A
+    slice with U + slack < lo cannot hold the maximum and is dropped
+    from the rows; as rows of ``_chain_sup`` are bitwise independent, the
+    maximum over the kept rows is the maximum over all.  A path too small
+    for the bounds to pay (``_BOUNDS_WORK``), a path with a non-finite
+    entry (which raises what ``path_metric`` raises) and a 2D grid take
+    the exact value at once: lo = hi and no rows.  A mass mismatch raises
+    as in ``path_metric``.
     """
     weights = _path_weights(grid, path, reference)
     if grid.dims != 1:
-        return float(np.max(_upper_or_exact(grid, weights)[0]))
+        sup = float(np.max(_upper_or_exact(grid, weights)[0]))
+        return sup, sup, weights[:0]
     n, dx = weights.shape[1], grid.dx[0]
-    if (len(weights) - 1) * n * _chain_lattice(dx)[0].size < _BOUNDS_WORK:
-        return float(np.max(_chain_sup(weights, dx)))
+    if (len(weights) - 1) * n * _chain_lattice(dx)[0].size < _BOUNDS_WORK \
+            or not np.all(np.isfinite(weights)):
+        sup = float(np.max(_chain_sup(weights, dx)))
+        return sup, sup, weights[:0]
     sums = weights.cumsum(axis=1)
     mags = np.abs(sums)
     l1 = np.abs(weights).sum(axis=1)
-    upper = np.minimum(l1, dx * mags[:, :-1].sum(axis=1) + mags[:, -1])
+    slack = 4.0 * _EPS * n * (n * dx + 2.0) * l1
+    upper = np.minimum(l1, dx * mags[:, :-1].sum(axis=1) + mags[:, -1]) + slack
     # the greedy potential in units of -dx: integer steps, exact
     steps = np.zeros(weights.shape)
     np.sign(sums[:, :-1]).cumsum(axis=1, out=steps[:, 1:])
     steps -= 0.5 * (steps.max(axis=1) + steps.min(axis=1))[:, None]
     phi = np.clip(-dx * steps, -_PHI_CAP, _PHI_CAP)
-    floor = max(0.0, float((weights * phi).sum(axis=1).max()))
-    slack = 4.0 * _EPS * n * (n * dx + 2.0) * l1
-    # a NaN bound compares False, so a non-finite row is kept
-    keep = ~(upper + slack < floor)
-    return float(np.max(_chain_sup(weights[keep], dx)))
+    lo = max(0.0, float(((weights * phi).sum(axis=1) - slack).max()))
+    return lo, float(upper.max()), weights[~(upper < lo)]
+
+
+def _path_sup(grid: Grid, path, reference=None) -> float:
+    """``np.max(path_metric(grid, path, reference))``, bitwise.
+
+    The chain program runs only on the rows ``_sup_bracket`` keeps.
+    """
+    _, hi, rows = _sup_bracket(grid, path, reference)
+    return float(np.max(_chain_sup(rows, grid.dx[0]))) if len(rows) else hi
+
+
+class _PathSups:
+    """Path sups that a stopping loop compares, made exact on demand.
+
+    ``add`` records a path's ``_sup_bracket`` times a positive ``scale``
+    (a mixing weight).  Rounding is monotone, so scale * lo <= scale * sup
+    <= scale * hi, and ``less`` decides a comparison on the brackets
+    whenever they do not overlap.  Only when they do does it ``resolve``:
+    one ``_chain_sup`` call over every pending row of every recorded path,
+    after which each of those brackets is its exact sup.  Rows of the
+    program are bitwise independent, so ``sup(i)`` is bitwise what
+    ``_path_sup`` gives for path i, and every decision is the one the
+    exact values give.  The pending rows never exceed ``limit``: a path
+    whose rows would pass it resolves the earlier ones first, except the
+    ``last`` path of a loop, which joins them for the closing call.
+    """
+
+    def __init__(self, grid: Grid, limit: int):
+        self._grid, self._limit = grid, limit
+        self._scales: list[float] = []
+        self._lo: list[float] = []
+        self._hi: list[float] = []
+        self._pending: list[tuple[int, np.ndarray]] = []
+
+    def add(self, path, reference=None, scale: float = 1.0, *,
+            last: bool = False) -> int:
+        """Record the sup of ``path`` (against ``reference``); its index."""
+        lo, hi, rows = _sup_bracket(self._grid, path, reference)
+        index = len(self._lo)
+        self._scales.append(scale)
+        self._lo.append(lo)
+        self._hi.append(hi)
+        if len(rows):
+            if not last and sum(len(r) for _, r in self._pending) \
+                    + len(rows) > self._limit:
+                self.resolve()
+            self._pending.append((index, rows))
+        return index
+
+    def resolve(self) -> None:
+        """Make every recorded sup exact, in one chain-program call."""
+        if not self._pending:
+            return
+        sups = _chain_sup(np.concatenate([r for _, r in self._pending]),
+                          self._grid.dx[0])
+        start = 0
+        for index, rows in self._pending:
+            self._lo[index] = self._hi[index] = float(
+                np.max(sups[start:start + len(rows)]))
+            start += len(rows)
+        self._pending.clear()
+
+    def _ends(self, index: int) -> tuple[float, float]:
+        scale = self._scales[index]
+        return scale * self._lo[index], scale * self._hi[index]
+
+    def less(self, first: int, second: int | None = None,
+             bound: float = 0.0) -> bool:
+        """scale * sup of path ``first`` < that of ``second`` (or < ``bound``
+        when ``second`` is None), exactly."""
+        def ends():
+            other = (bound, bound) if second is None else self._ends(second)
+            return self._ends(first) + other
+
+        lo, hi, other_lo, other_hi = ends()
+        if hi >= other_lo and lo < other_hi:
+            self.resolve()
+            lo, hi, other_lo, other_hi = ends()
+        return hi < other_lo
+
+    def sup(self, index: int) -> float:
+        """The exact sup of path ``index`` (unscaled)."""
+        self.resolve()
+        return self._lo[index]
 
 
 # --------------------------------------------------------------------------

@@ -19,8 +19,6 @@ on pairs of computed solutions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
-
 import numpy as np
 
 from .coupling import _check_derivative_couplings, _decoupled, _price_path
@@ -29,7 +27,7 @@ from .grid import Field, Grid, _Record, _batch_gradient
 from .hjb import Trajectory, _check_operand, solve_hjb
 from .fp import _project_slices, solve_fp
 from .kernels import KernelCache
-from .measures import Measure, _path_sup, d0_distance
+from .measures import Measure, _path_sup, _PathSups, d0_distance
 
 _SLICE_MASS_TOL = 1e-9
 _DEGENERATE_D0 = 1e-12
@@ -116,7 +114,9 @@ class MfgSolution:
     is an exactly consistent backward/forward solve.  ``gap_history[k]``
     is the stopping quantity at outer iteration k: the mixing weight times
     the sup-in-time bounded-Lipschitz gap between the best response and
-    the path it answered (the size of a plain damped update).
+    the path it answered (the size of a plain damped update), bitwise
+    ``damping_history[k] * measures._path_sup(grid, response, path)``
+    although the loop decided on certified brackets of it.
     ``damping_history[k]`` is the Anderson mixing weight used.
     ``diagnostics`` holds the nine keys ``solve_mfg`` writes:
     ``decoupled`` (both couplings ``Zero``), ``extrapolation_clip_max``
@@ -209,16 +209,18 @@ def _best_response(problem: MfgProblem, path: np.ndarray
     return u, cleaned, defect, neg_clip, drift_sup
 
 
-def next_damping(gap_history: Sequence[float], damping: float,
+def next_damping(rose: bool, damping: float,
                  streak: int) -> tuple[float, int, bool]:
     """Mixing-weight schedule: halve after a persistent gap increase.
 
-    ``streak`` counts consecutive iterations whose gap grew; once it
-    reaches five the Anderson mixing weight is halved and the streak
-    resets (the caller then clears the mixing history).  Returns (new
-    damping, new streak, whether a halving fired).
+    ``rose`` says whether this iteration's gap exceeds the last one's
+    (False on the first iteration).  ``streak`` counts consecutive
+    iterations whose gap grew; once it reaches five the Anderson mixing
+    weight is halved and the streak resets (the caller then clears the
+    mixing history).  Returns (new damping, new streak, whether a halving
+    fired).
     """
-    if len(gap_history) >= 2 and gap_history[-1] > gap_history[-2]:
+    if rose:
         streak += 1
     else:
         streak = 0
@@ -272,11 +274,21 @@ def solve_mfg(problem: MfgProblem,
     densities, and clears the history, as does a halving of the mixing
     weight by ``next_damping``.  The loop stops when ``gap_history[k]``,
     damping times the sup-in-time bounded-Lipschitz gap between the
-    response and its path (``measures._path_sup``, bitwise the maximum of
-    ``path_metric`` over the slices), falls below ``policy.tol_d0``;
-    exhausting ``max_iters`` returns the best iterate with
-    ``converged=False`` rather than raising.  Solver blow-ups inside an
-    iteration propagate with the iterate index prefixed.
+    response and its path (bitwise the maximum of ``path_metric`` over
+    the slices), falls below ``policy.tol_d0``; exhausting ``max_iters``
+    returns the best iterate with ``converged=False`` rather than
+    raising.  Solver blow-ups inside an iteration propagate with the
+    iterate index prefixed, and a non-finite response raises ValueError
+    in its own iteration's stop test.
+
+    Each gap is held as a certified bracket (``measures._PathSups``): the
+    stop against ``tol_d0``, the new-best test and the gap-rise test of
+    the damping schedule are decided on the brackets, and the exact chain
+    program runs, on every pending slice at once, only when a bracket
+    straddles a decision, and once more when the loop ends to make every
+    recorded gap exact.  A converged 64-node solve of 33 slices makes one
+    program call, or two when its stop tests keep more than 33 slices in
+    all; the decisions, and so every output, are those of the exact gaps.
 
     A crowd-independent system (both couplings ``Zero``) is recognized
     and solved in a single undamped iteration, so its value trajectory is
@@ -302,12 +314,13 @@ def solve_mfg(problem: MfgProblem,
     policy = problem.policy
     damping = 1.0 if problem.decoupled else policy.damping
     streak = 0
-    gap_history: list[float] = []
     damping_history: list[float] = []
     damping_events: list[tuple[int, float]] = []
     paths: list[np.ndarray] = []
     residuals: list[np.ndarray] = []
-    best: tuple[float, Trajectory, np.ndarray, dict] | None = None
+    # the stop tests: each path gap is a bracket, exact only on demand
+    gaps = _PathSups(grid, n_slices)
+    best: tuple[int, Trajectory, np.ndarray, dict] | None = None
     diagnostics: dict = {"decoupled": problem.decoupled,
                          "extrapolation_clip_max": 0.0, "anderson_resets": 0}
     converged = False
@@ -321,16 +334,13 @@ def solve_mfg(problem: MfgProblem,
         # The metric is positively homogeneous in the signed difference,
         # so damping * (response gap) is the size of a plain damped update.
         residual = response - path
-        response_gap = _path_sup(grid, response, path)
-        gap = damping * response_gap
-        gap_history.append(gap)
+        gaps.add(response, path, damping)
         damping_history.append(damping)
-        if best is None or gap < best[0]:
-            best = (gap, u, response, dict(
+        if best is None or gaps.less(k, best[0]):
+            best = (k, u, response, dict(
                 renorm_defect_max=defect, negative_clip_max=neg_clip,
-                drift_sup=drift_sup, response_gap=response_gap,
-                best_iteration=k))
-        if problem.decoupled or gap < policy.tol_d0:
+                drift_sup=drift_sup))
+        if problem.decoupled or gaps.less(k, bound=policy.tol_d0):
             converged = True
             break
         step = _anderson(path, residual, paths, residuals, damping)
@@ -343,7 +353,8 @@ def solve_mfg(problem: MfgProblem,
             # the plain damped step mixes two densities: never negative
             path = path + damping * residual
             reset = True
-        damping, streak, halved = next_damping(gap_history, damping, streak)
+        damping, streak, halved = next_damping(
+            k > 0 and gaps.less(k - 1, k), damping, streak)
         if halved:
             damping_events.append((k, damping))
         if reset or halved:
@@ -352,8 +363,11 @@ def solve_mfg(problem: MfgProblem,
             diagnostics["anderson_resets"] += 1
 
     # a converged run stops at its smallest gap, so the best pair is its last
-    _, final_u, final_m, best_record = best
-    diagnostics.update(best_record, damping_events=tuple(damping_events))
+    best_k, final_u, final_m, best_record = best
+    gap_history = [lam * gaps.sup(k) for k, lam in enumerate(damping_history)]
+    diagnostics.update(best_record, response_gap=gaps.sup(best_k),
+                       best_iteration=best_k,
+                       damping_events=tuple(damping_events))
     return MfgSolution(
         u=final_u,
         m=Trajectory(grid, problem.t0, problem.T, final_m),

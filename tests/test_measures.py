@@ -43,8 +43,10 @@ from levymfg.measures import (
     SUBADDITIVITY_SLACK,
     TightnessFn,
     _chain_lattice,
+    _PathSups,
     _chain_sup,
     _path_sup,
+    _sup_bracket,
     d0_distance,
     d0_interval,
     mollifier_field,
@@ -602,6 +604,127 @@ class TestPathSup:
         ref = path[::-1].copy()
         assert _path_sup(grid, path, ref) == np.max(path_metric(grid, path,
                                                                 ref))
+
+
+_EPS = np.finfo(float).eps
+
+
+def rival_rows(grid: Grid, first: str, second: str, ulps: int) -> np.ndarray:
+    """Two slices of (nearly) equal value but very different sum |w|.
+
+    An adjacent dipole and an alternating oscillation have value dx/2 per
+    unit of sum |w|, a dipole two or more apart has 1, so at equal value
+    their slacks differ up to 2/dx times (32 at dx 1/16).  The second
+    slice is scaled to the first's value, off by ``ulps`` units of 2^-52.
+    """
+    n = grid.n[0]
+    shapes = {"adjacent": np.zeros(n), "far": np.zeros(n),
+              "oscillation": (-1.0) ** np.arange(n)}
+    shapes["adjacent"][[20, 21]] = 1.0, -1.0
+    shapes["far"][[10, 50]] = 1.0, -1.0
+    rows = np.stack([shapes[first], shapes[second]])
+    values = _chain_sup(grid.cell_volume * rows, grid.dx[0])
+    rows[1] *= values[0] / values[1] * (1.0 + ulps * _EPS)
+    return rows
+
+
+class TestSupBracket:
+    """``_sup_bracket`` contains the exact sup, and its rows give it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.sampled_from(SUP_GRIDS), seed=st.integers(0, 10 ** 6),
+           slices=st.integers(1, 9), exponent=st.integers(-12, 1),
+           reference=st.booleans(), equal=st.booleans(),
+           mass_gap=st.sampled_from([0.0, -0.99, 0.99]))
+    def test_contains_the_exact_sup(self, case, seed, slices, exponent,
+                                    reference, equal, mass_gap):
+        grid = Grid(*case)
+        path, ref = sup_case(grid, seed, slices, 10.0 ** exponent,
+                             reference or None, equal, 0, mass_gap)
+        want = np.max(path_metric(grid, path, ref))
+        with mock.patch.object(measures_module, "_BOUNDS_WORK", 0):
+            lo, hi, rows = _sup_bracket(grid, path, ref)
+        assert 0.0 <= lo <= want <= hi
+        assert np.max(_chain_sup(rows, grid.dx[0])) == want
+
+    @pytest.mark.parametrize("ulps", [-8, -1, 0, 1, 8])
+    @pytest.mark.parametrize("first, second", [
+        ("adjacent", "oscillation"), ("oscillation", "adjacent"),
+        ("far", "oscillation"), ("oscillation", "far")])
+    def test_rivals_of_unequal_slack(self, monkeypatch, first, second, ulps):
+        # the floor is widened by its own row's slack, so a row whose
+        # slack is 32 times the other's cannot prune the other by rounding
+        monkeypatch.setattr(measures_module, "_BOUNDS_WORK", 0)
+        grid = Grid(64, 2.0)
+        for scale in (1e-9, 1.0, 1e3):
+            path = scale * rival_rows(grid, first, second, ulps)
+            want = np.max(path_metric(grid, path))
+            lo, hi, rows = _sup_bracket(grid, path)
+            assert lo <= want <= hi
+            assert _path_sup(grid, path) == want
+
+    def test_small_paths_and_2d_are_exact_at_once(self):
+        for grid in (Grid(16, 2.0), Grid((8, 8), (1.0, 1.0))):
+            path = np.stack([random_measure(grid, s).values
+                             for s in range(3)])
+            want = np.max(path_metric(grid, path, path[::-1]))
+            lo, hi, rows = _sup_bracket(grid, path, path[::-1].copy())
+            assert lo == hi == want and len(rows) == 0
+
+
+class TestPathSups:
+    """Decisions on brackets equal the decisions on exact sups."""
+
+    @staticmethod
+    def count_calls(monkeypatch) -> list:
+        """Row counts of every ``_chain_sup`` call from now on."""
+        calls = []
+
+        def counted(weights, dx):
+            calls.append(len(weights))
+            return _chain_sup(weights, dx)
+
+        monkeypatch.setattr(measures_module, "_chain_sup", counted)
+        return calls
+
+    def test_sups_and_decisions_match_the_exact_values(self, monkeypatch):
+        monkeypatch.setattr(measures_module, "_BOUNDS_WORK", 0)
+        grid = Grid(64, 2.0)
+        paths = [sup_case(grid, seed, 6, 10.0 ** -(seed % 4), None, False,
+                          0, 0.0)[0] for seed in range(12)]
+        exact = [np.max(path_metric(grid, p)) for p in paths]
+        scales = [0.5 ** (k % 3) for k in range(len(paths))]
+        calls = self.count_calls(monkeypatch)
+        sups = _PathSups(grid, limit=6)
+        for k, path in enumerate(paths):
+            assert sups.add(path, scale=scales[k]) == k
+            for j in range(k):
+                assert sups.less(j, k) == (
+                    scales[j] * exact[j] < scales[k] * exact[k])
+            for bound in (0.0, scales[k] * exact[k], 1.0):
+                assert sups.less(k, bound=bound) == (
+                    scales[k] * exact[k] < bound)
+        # a path whose rows would pass the limit resolves the others first
+        assert all(rows <= 6 for rows in calls)
+        assert [sups.sup(k) for k in range(len(paths))] == exact
+
+    @pytest.mark.parametrize("last, flushed, closing", [
+        (False, [4], [4]), (True, [], [8])])
+    def test_the_limit_flushes_except_for_the_last_path(
+            self, monkeypatch, last, flushed, closing):
+        monkeypatch.setattr(measures_module, "_BOUNDS_WORK", 0)
+        grid = Grid(64, 2.0)
+        # equal slices: the bounds keep every row of both paths
+        first, second = (sup_case(grid, seed, 4, 1.0, None, True, 0, 0.0)[0]
+                         for seed in (1, 2))
+        want = [np.max(path_metric(grid, p)) for p in (first, second)]
+        calls = self.count_calls(monkeypatch)
+        sups = _PathSups(grid, limit=4)
+        sups.add(first)
+        sups.add(second, last=last)
+        assert calls == flushed
+        assert [sups.sup(0), sups.sup(1)] == want
+        assert calls == flushed + closing
 
 
 class TestSignedDualNorm:

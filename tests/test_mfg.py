@@ -408,54 +408,113 @@ def test_pricing_transform_calls_do_not_grow_with_slices(
         assert transform_calls["n"] == calls + (n_steps == 32)
 
 
-def test_stop_test_runs_the_exact_program_on_few_slices(kernel,
-                                                        monkeypatch):
-    # each stop test hands the chain program only the slices its bounds
-    # cannot rule out, and its value is the maximum over all 33
-    rows, stops = [], []
-    chain_sup, path_sup = measures._chain_sup, mfg._path_sup
+def counted_chain_sup(monkeypatch) -> list:
+    """Row counts of every ``measures._chain_sup`` call from now on."""
+    rows, chain_sup = [], measures._chain_sup
 
     def counted(weights, dx):
         rows.append(len(weights))
         return chain_sup(weights, dx)
 
-    def recorded(grid, path, reference=None):
-        value = path_sup(grid, path, reference)
-        stops.append((path.copy(), reference.copy(), value))
-        return value
-
     monkeypatch.setattr(measures, "_chain_sup", counted)
-    monkeypatch.setattr(mfg, "_path_sup", recorded)
+    return rows
+
+
+def test_stop_test_runs_the_exact_program_on_few_slices(kernel,
+                                                         monkeypatch):
+    # every stop, best-iterate and damping decision is taken on certified
+    # brackets, and one closing call makes every gap exact
+    pairs, best_response = [], mfg._best_response
+
+    def recorded(problem, path):
+        out = best_response(problem, path)
+        pairs.append((path.copy(), out[1].copy()))
+        return out
+
+    monkeypatch.setattr(mfg, "_best_response", recorded)
+    rows = counted_chain_sup(monkeypatch)
     sol = solve_mfg(standard_problem(kernel))
     monkeypatch.undo()
-    # measured: 1 of 33 slices in each of the 6 stop tests
-    assert len(rows) == len(stops) == sol.iterations == 6
-    assert max(rows) <= 2
-    for path, reference, value in stops:
+    # measured: the closing call runs 6 rows, 1 of 33 per stop test
+    assert sol.converged and sol.iterations == len(pairs) == 6
+    assert rows == [6]
+    for k, (path, response) in enumerate(pairs):
         assert path.shape[0] == N_STEPS + 1
-        assert value == np.max(path_metric(GRID, path, reference))
+        want = sol.damping_history[k] * measures._path_sup(GRID, response,
+                                                           path)
+        assert np.float64(sol.gap_history[k]).tobytes() \
+            == np.float64(want).tobytes()
+        assert want == sol.damping_history[k] * np.max(
+            path_metric(GRID, response, path))
+
+
+def test_open_brackets_take_every_decision_on_the_exact_program(
+        kernel, standard_solution, monkeypatch):
+    # with [0, inf] for every gap each stop test must run the program:
+    # the solve is the same, bit for bit, at one call per iteration
+    bracket = measures._sup_bracket
+
+    def open_bracket(grid, path, reference=None):
+        _, _, rows = bracket(grid, path, reference)
+        # every path of this solve takes the bounds, so it has rows
+        assert len(rows) > 0
+        return 0.0, np.inf, rows
+
+    monkeypatch.setattr(measures, "_sup_bracket", open_bracket)
+    rows = counted_chain_sup(monkeypatch)
+    sol = solve_mfg(standard_problem(kernel))
+    monkeypatch.undo()
+    want = standard_solution
+    assert len(rows) == sol.iterations == want.iterations
+    assert (sol.converged, sol.iterations) == (want.converged,
+                                               want.iterations)
+    for got, expected in ((sol.u.values, want.u.values),
+                          (sol.m.values, want.m.values),
+                          (sol.gap_history, want.gap_history),
+                          (sol.damping_history, want.damping_history)):
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+    assert sol.diagnostics == want.diagnostics
+
+
+def test_non_finite_response_raises_at_its_own_iteration(kernel,
+                                                         monkeypatch):
+    # the stop test of the poisoned iteration raises, before another best
+    # response runs
+    calls, best_response = [], mfg._best_response
+
+    def poisoned(problem, path):
+        calls.append(path)
+        u, response, *rest = best_response(problem, path)
+        if len(calls) == 3:
+            response = response.copy()
+            response[5, 7] = np.nan
+        return (u, response, *rest)
+
+    monkeypatch.setattr(mfg, "_best_response", poisoned)
+    with pytest.raises(ValueError, match="weights must be finite"):
+        solve_mfg(standard_problem(kernel))
+    assert len(calls) == 3
 
 
 class TestDampingSchedule:
-    def test_halves_after_five_consecutive_rises(self):
+    @staticmethod
+    def halvings(gaps: list[float]) -> tuple[list[int], float]:
+        """Iterations (1-based) whose gap fires a halving, final weight."""
         lam, streak, events = 0.5, 0, []
-        gaps = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6]
         for k in range(1, len(gaps) + 1):
-            lam, streak, halved = next_damping(gaps[:k], lam, streak)
+            rose = k >= 2 and gaps[k - 1] > gaps[k - 2]
+            lam, streak, halved = next_damping(rose, lam, streak)
             if halved:
                 events.append(k)
-        assert events == [6]
-        assert lam == 0.25
+        return events, lam
+
+    def test_halves_after_five_consecutive_rises(self):
+        assert self.halvings([1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6]) \
+            == ([6], 0.25)
 
     def test_decrease_resets_the_streak(self):
-        lam, streak, events = 0.5, 0, []
-        gaps = [1.0, 2.0, 3.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
-        for k in range(1, len(gaps) + 1):
-            lam, streak, halved = next_damping(gaps[:k], lam, streak)
-            if halved:
-                events.append(k)
-        assert events == [9]
-        assert lam == 0.25
+        assert self.halvings([1.0, 2.0, 3.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]) \
+            == ([9], 0.25)
 
 
 class TestAndersonStep:

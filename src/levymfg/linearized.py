@@ -54,7 +54,7 @@ from .grid import Field, Grid, _Record, _batch_gradient
 # needs matching order (see above)
 from .hjb import _PICARD_SWEEPS, Trajectory, _check_operand, _march_backward
 from .kernels import KernelCache
-from .measures import _PathSups, mollifier_field, signed_dual_norm
+from .measures import _path_sup, mollifier_field, signed_dual_norm
 from .mfg import MfgSolution, _anderson, optimal_drift
 
 _SYMMETRY_TOL = 1e-12
@@ -296,11 +296,8 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
     sup over slices of the bounded-Lipschitz dual norm of the residual
     (the size of a plain damped update; the dual norm is positively
     homogeneous), and the loop stops once it falls below ``tol``.  The
-    sups, and the dual-norm part of ``output_norm``, are bitwise the
-    maximum of ``path_metric``; the loop decides its stops on certified
-    brackets of them (``measures._PathSups``) and runs the exact chain
-    program only when a bracket straddles ``tol``, and once when it ends,
-    with the output norm's slices in the same call.  On
+    sup, and the dual-norm part of ``output_norm``, come from
+    ``measures._path_sup``, bitwise the maximum of ``path_metric``.  On
     convergence the returned pair is the last raw response (a consistent
     backward/forward pair); a one-way system (both coupling derivatives
     zero) is solved in a single undamped pass.  Both legs run the one mild
@@ -343,11 +340,10 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
         return z, rho
 
     converged = True
-    # the stop tests and the output norm: brackets, exact only on demand
-    sups = _PathSups(grid, n + 1)
     if system.one_way:
         # zero coupling derivatives: the z-equation never reads rho
         z, rho = legs(None, 1)
+        gaps = [0.0]
     else:
         flux = system.flux_forcing
         try:
@@ -356,11 +352,12 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
                 t0, T, n, _PICARD_SWEEPS)
         except (DivergenceError, InstabilityError) as exc:
             _wrap_inner(exc, 0)
-        paths, residuals = [], []
+        gaps, paths, residuals = [], [], []
         for it in range(1, max_iters + 1):
             z, rho = legs(rho_path, it)
             diff = rho - rho_path
-            if sups.less(sups.add(diff, scale=damping), bound=tol):
+            gaps.append(damping * _path_sup(grid, diff))
+            if gaps[-1] < tol:
                 break
             rho_path = _anderson(rho_path, diff, paths, residuals, damping)
         else:
@@ -369,10 +366,7 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
     z = Trajectory._marched(grid, t0, T, z)
     rho = Trajectory._marched(grid, t0, T, rho)
     data = _data_norm(system)
-    norm = sups.add(rho.values, last=True)
-    gaps = [0.0] if system.one_way else [damping * sups.sup(k)
-                                         for k in range(norm)]
-    out = float(np.max(np.abs(z.values))) + sups.sup(norm)
+    out = float(np.max(np.abs(z.values))) + _path_sup(grid, rho.values)
     report = LinearReport(
         converged=converged, iterations=len(gaps), gap_history=tuple(gaps),
         damping=1.0 if system.one_way else damping, data_norm=data,

@@ -50,9 +50,14 @@ _PHI_CAP = 1.0  # test functions bounded by 1, so any d0 value is <= 2
 # nodes whose chain gains _chain_sup forms in one product
 _CHAIN_BLOCK = 16
 # (slices - 1) x nodes x lattice points of a 1D path from which
-# ``_path_sup`` bounds its slices; below it the chain program costs less
-# than the bounds (measured: the bounds lose at 17k, 64 nodes x 9 slices
-# and 32 x 33, and save 10% at 34k, 64 x 17, and 30% at 68k, 64 x 33)
+# ``_sup_bracket`` bounds its slices; below it a path takes the chain
+# program at once.  For one ``_path_sup`` call the bounds lose at 17k,
+# 64 nodes x 9 slices and 32 x 33, and save 10% at 34k, 64 x 17, and 30%
+# at 68k, 64 x 33.  Replaying a solve's stop tests through ``_PathSups``
+# (one Xeon core), the brackets cost 12-21% more at 16 nodes (1.2k to
+# 4.6k) and save 21% at 8.7k (32 x 17), 26% at 17k (32 x 33) and 62%
+# at 68k; the threshold is set by the single calls, and no benchmark path
+# lies between 4.6k and 32k (master16's reach 2.3k, mfg1d's are 68k)
 _BOUNDS_WORK = 1 << 15
 _EPS = np.finfo(float).eps
 
@@ -556,20 +561,19 @@ class _PathSups:
     after which each of those brackets is its exact sup.  Rows of the
     program are bitwise independent, so ``sup(i)`` is bitwise what
     ``_path_sup`` gives for path i, and every decision is the one the
-    exact values give.  The pending rows never exceed ``limit``: a path
-    whose rows would pass it resolves the earlier ones first, except the
-    ``last`` path of a loop, which joins them for the closing call.
+    exact values give.  The pending rows never exceed the slices of the
+    path being added: a path whose rows would pass them resolves the
+    earlier ones first.
     """
 
-    def __init__(self, grid: Grid, limit: int):
-        self._grid, self._limit = grid, limit
+    def __init__(self, grid: Grid):
+        self._grid = grid
         self._scales: list[float] = []
         self._lo: list[float] = []
         self._hi: list[float] = []
         self._pending: list[tuple[int, np.ndarray]] = []
 
-    def add(self, path, reference=None, scale: float = 1.0, *,
-            last: bool = False) -> int:
+    def add(self, path, reference=None, scale: float = 1.0) -> int:
         """Record the sup of ``path`` (against ``reference``); its index."""
         lo, hi, rows = _sup_bracket(self._grid, path, reference)
         index = len(self._lo)
@@ -577,8 +581,7 @@ class _PathSups:
         self._lo.append(lo)
         self._hi.append(hi)
         if len(rows):
-            if not last and sum(len(r) for _, r in self._pending) \
-                    + len(rows) > self._limit:
+            if sum(len(r) for _, r in self._pending) + len(rows) > len(path):
                 self.resolve()
             self._pending.append((index, rows))
         return index

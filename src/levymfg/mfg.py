@@ -19,6 +19,7 @@ on pairs of computed solutions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+
 import numpy as np
 
 from .coupling import _check_derivative_couplings, _decoupled, _price_path
@@ -319,7 +320,7 @@ def solve_mfg(problem: MfgProblem,
     paths: list[np.ndarray] = []
     residuals: list[np.ndarray] = []
     # the stop tests: each path gap is a bracket, exact only on demand
-    gaps = _PathSups(grid, n_slices)
+    gaps = _PathSups(grid)
     best: tuple[int, Trajectory, np.ndarray, dict] | None = None
     diagnostics: dict = {"decoupled": problem.decoupled,
                          "extrapolation_clip_max": 0.0, "anderson_resets": 0}

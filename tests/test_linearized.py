@@ -27,8 +27,7 @@ from levymfg.linearized import (JKernel, LinSystem, _coupling_actions,
                                 duality_report, j_field, j_field_batch,
                                 linearize, mollified_delta,
                                 solve_linear_system)
-from levymfg import linearized, measures
-from levymfg.measures import Measure, path_metric
+from levymfg.measures import Measure
 from levymfg.mfg import MfgProblem, MfgSolution, optimal_drift, solve_mfg
 from oracles import (constant_trajectory, drift_hamiltonian, semigroup_apply,
                      zero_trajectory)
@@ -418,52 +417,6 @@ class TestSolveLinearSystem:
         assert np.array_equal(z.values, z2.values)
         assert np.array_equal(rho.values, rho2.values)
         assert report.gap_history == report2.gap_history
-
-    @pytest.mark.parametrize("name", ["delta_system", "full_system"])
-    def test_stop_tests_and_output_norm_share_one_program_call(
-            self, request, monkeypatch, name):
-        # the stop tests decide on certified brackets; one closing chain
-        # program call makes every gap and the output norm exact (the data
-        # norm's own call through signed_dual_norm aside)
-        system = request.getfixturevalue(name)
-        want_z, want_rho, want = solve_linear_system(system)
-        paths, rows = [], []
-        bracket, chain_sup = measures._sup_bracket, measures._chain_sup
-        dual_norm = linearized.signed_dual_norm
-        data_calls = []
-
-        def recorded(grid, path, reference=None):
-            paths.append(np.array(path))
-            return bracket(grid, path, reference)
-
-        def counted(weights, dx):
-            rows.append(len(weights))
-            return chain_sup(weights, dx)
-
-        def data_norm(field):
-            before = len(rows)
-            value = dual_norm(field)
-            data_calls.append(len(rows) - before)
-            return value
-
-        monkeypatch.setattr(measures, "_sup_bracket", recorded)
-        monkeypatch.setattr(measures, "_chain_sup", counted)
-        monkeypatch.setattr(linearized, "signed_dual_norm", data_norm)
-        z, rho, report = solve_linear_system(system)
-        monkeypatch.undo()
-        assert data_calls == [1]
-        assert len(rows) == 2
-        assert report.to_dict() == want.to_dict()
-        assert np.array_equal(z.values, want_z.values)
-        assert np.array_equal(rho.values, want_rho.values)
-        # one path per alternation, then rho for the output norm
-        assert len(paths) == report.iterations + 1
-        for gap, diff in zip(report.gap_history, paths):
-            assert diff.shape[0] == N_STEPS + 1
-            assert gap == report.damping * np.max(path_metric(GRID, diff))
-        assert report.output_norm == float(np.max(np.abs(z.values))) \
-            + np.max(path_metric(GRID, paths[-1]))
-        assert np.array_equal(paths[-1], rho.values)
 
     def test_output_scales_exactly_with_data(self, full_system):
         # fixed iteration count, tolerance out of reach: every float op in

@@ -695,7 +695,7 @@ class TestPathSups:
         exact = [np.max(path_metric(grid, p)) for p in paths]
         scales = [0.5 ** (k % 3) for k in range(len(paths))]
         calls = self.count_calls(monkeypatch)
-        sups = _PathSups(grid, limit=6)
+        sups = _PathSups(grid)
         for k, path in enumerate(paths):
             assert sups.add(path, scale=scales[k]) == k
             for j in range(k):
@@ -704,14 +704,12 @@ class TestPathSups:
             for bound in (0.0, scales[k] * exact[k], 1.0):
                 assert sups.less(k, bound=bound) == (
                     scales[k] * exact[k] < bound)
-        # a path whose rows would pass the limit resolves the others first
+        # a path whose rows would pass its own slice count resolves the
+        # others first
         assert all(rows <= 6 for rows in calls)
         assert [sups.sup(k) for k in range(len(paths))] == exact
 
-    @pytest.mark.parametrize("last, flushed, closing", [
-        (False, [4], [4]), (True, [], [8])])
-    def test_the_limit_flushes_except_for_the_last_path(
-            self, monkeypatch, last, flushed, closing):
+    def test_pending_rows_never_pass_one_paths_slices(self, monkeypatch):
         monkeypatch.setattr(measures_module, "_BOUNDS_WORK", 0)
         grid = Grid(64, 2.0)
         # equal slices: the bounds keep every row of both paths
@@ -719,12 +717,13 @@ class TestPathSups:
                          for seed in (1, 2))
         want = [np.max(path_metric(grid, p)) for p in (first, second)]
         calls = self.count_calls(monkeypatch)
-        sups = _PathSups(grid, limit=4)
+        sups = _PathSups(grid)
         sups.add(first)
-        sups.add(second, last=last)
-        assert calls == flushed
+        assert calls == []
+        sups.add(second)
+        assert calls == [4]
         assert [sups.sup(0), sups.sup(1)] == want
-        assert calls == flushed + closing
+        assert calls == [4, 4]
 
 
 class TestSignedDualNorm:

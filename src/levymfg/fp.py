@@ -31,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, InstabilityError, QuadratureError
+from .errors import GridMismatchError, InstabilityError
 from .grid import Field, Grid, _Record, gradient
 from .hjb import _BLOWUP_SUP, Trajectory, _check_operand, _mild_march
 from .kernels import KernelCache
-from .levy import _jump_densities
+from .levy import _jump_integral
 from .measures import TightnessFn
 
 _MASS_DRIFT_TOL = 1e-6
@@ -228,18 +228,8 @@ def small_jump_second_moment(triplet) -> float:
     |z|^{-1-alpha}, which overestimates the true constant and keeps the
     resulting budgets on the safe side.
     """
-    from scipy.integrate import quad
-
-    total = 0.0
-    for dens in _jump_densities(triplet):
-        val, err = quad(
-            lambda z: z * z * dens(z),
-            0.0, 1.0, epsabs=1e-10, epsrel=1e-8, limit=200)
-        if not np.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
-            raise QuadratureError(
-                "small-jump second moment failed to converge")
-        total += val
-    return total
+    return _jump_integral(triplet, lambda z: z * z, 0.0, 1.0, 200,
+                          "small-jump second moment failed to converge")
 
 
 def tightness_report(rho: Trajectory, psi: TightnessFn, nu_tail: float,

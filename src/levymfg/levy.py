@@ -298,6 +298,26 @@ def _jump_densities(triplet: LevyTriplet):
                 yield lambda z, dens=dens, sign=sign: float(dens(sign * z))
 
 
+def _jump_integral(triplet: LevyTriplet, weight, lo: float, hi: float,
+                   limit: int, failure: str) -> float:
+    """Sum over ``_jump_densities`` of the quadrature of weight * density.
+
+    Each term integrates over [lo, hi]; a non-finite value or an error
+    estimate above 1e-6 of max(1, |value|) raises QuadratureError with
+    the message ``failure``.
+    """
+    from scipy.integrate import quad
+
+    total = 0.0
+    for dens in _jump_densities(triplet):
+        val, err = quad(lambda z: weight(z) * dens(z), lo, hi,
+                        epsabs=1e-10, epsrel=1e-8, limit=limit)
+        if not np.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
+            raise QuadratureError(failure)
+        total += val
+    return total
+
+
 def _effective_order(A: np.ndarray, jumps: tuple, declared) -> float | None:
     nondegenerate = np.min(np.linalg.eigvalsh(0.5 * (A + A.T))) > 1e-12
     orders = []

@@ -279,10 +279,6 @@ class LinearReport(_Record):
     one_way: bool
 
 
-def _wrap_inner(exc, iteration: int):
-    raise type(exc)(f"alternation iteration {iteration}: {exc}") from exc
-
-
 def solve_linear_system(system: LinSystem, damping: float = 0.5,
                         max_iters: int = 40, tol: float = 1e-9
                         ) -> tuple[Trajectory, Trajectory, LinearReport]:
@@ -300,9 +296,12 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
     ``measures._path_sup``, bitwise the maximum of ``path_metric``.  On
     convergence the returned pair is the last raw response (a consistent
     backward/forward pair); a one-way system (both coupling derivatives
-    zero) is solved in a single undamped pass.  Both legs run the one mild
-    march ``hjb._mild_march``, z through ``_march_backward`` and rho
-    through ``fp._forward_values``, with two trapezoid Picard sweeps each.
+    zero) is solved in a single undamped pass.  A leg's DivergenceError or
+    InstabilityError is raised again tagged with the alternation in
+    progress: 0 for the initial flow, 1 for the one-way pass.  Both legs
+    run the one mild march ``hjb._mild_march``, z through
+    ``_march_backward`` and rho through ``fp._forward_values``, with two
+    trapezoid Picard sweeps each.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -317,7 +316,7 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
     # the backward leg's drive reads its operands in march order
     marched_drift = drift[::-1]
 
-    def legs(rho_values: np.ndarray | None, it: int
+    def legs(rho_values: np.ndarray | None
              ) -> tuple[np.ndarray, np.ndarray]:
         """z backward against a frozen rho, then rho forward against z."""
         source, terminal = _backward_data(system, weights, rho_values)
@@ -330,38 +329,38 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
                 adv = adv + marched_drift[k, i] * grads[i]
             return -adv if marched is None else marched[k] - adv
 
-        try:
-            z = _march_backward(kernel, terminal, t0, T, n, _PICARD_SWEEPS,
-                                drive)
-            rho = _forward_values(kernel, drift, _flux_values(system, z),
-                                  rho0, t0, T, n, _PICARD_SWEEPS)
-        except (DivergenceError, InstabilityError) as exc:
-            _wrap_inner(exc, it)
+        z = _march_backward(kernel, terminal, t0, T, n, _PICARD_SWEEPS,
+                            drive)
+        rho = _forward_values(kernel, drift, _flux_values(system, z),
+                              rho0, t0, T, n, _PICARD_SWEEPS)
         return z, rho
 
     converged = True
-    if system.one_way:
-        # zero coupling derivatives: the z-equation never reads rho
-        z, rho = legs(None, 1)
-        gaps = [0.0]
-    else:
-        flux = system.flux_forcing
-        try:
+    # the alternation in progress; 0 is the initial forward flow
+    it = 1 if system.one_way else 0
+    try:
+        if system.one_way:
+            # zero coupling derivatives: the z-equation never reads rho
+            z, rho = legs(None)
+            gaps = [0.0]
+        else:
+            flux = system.flux_forcing
             rho_path = _forward_values(
                 kernel, drift, None if flux is None else flux.values, rho0,
                 t0, T, n, _PICARD_SWEEPS)
-        except (DivergenceError, InstabilityError) as exc:
-            _wrap_inner(exc, 0)
-        gaps, paths, residuals = [], [], []
-        for it in range(1, max_iters + 1):
-            z, rho = legs(rho_path, it)
-            diff = rho - rho_path
-            gaps.append(damping * _path_sup(grid, diff))
-            if gaps[-1] < tol:
-                break
-            rho_path = _anderson(rho_path, diff, paths, residuals, damping)
-        else:
-            converged = False
+            gaps, paths, residuals = [], [], []
+            for it in range(1, max_iters + 1):
+                z, rho = legs(rho_path)
+                diff = rho - rho_path
+                gaps.append(damping * _path_sup(grid, diff))
+                if gaps[-1] < tol:
+                    break
+                rho_path = _anderson(rho_path, diff, paths, residuals,
+                                     damping)
+            else:
+                converged = False
+    except (DivergenceError, InstabilityError) as exc:
+        raise type(exc)(f"alternation iteration {it}: {exc}") from exc
 
     z = Trajectory._marched(grid, t0, T, z)
     rho = Trajectory._marched(grid, t0, T, rho)

@@ -11,11 +11,15 @@ solve starts from rho0's forward flow with the feedback dropped: the
 constant path at m0 lies far from the equilibrium, and a run started there
 takes an outer iteration more to stop.
 
-Four certificates are offered: the difference-quotient check that the
+Three certificates are offered: the difference-quotient check that the
 linearized solve is the actual measure derivative (superlinear defect
 decay), the residual of the full evolution equation in ``(t, x, m)``
-assembled from fresh solves and the derivative kernel, the flow-consistency
-(restart) gap behind uniqueness, and a terminal identity.  The equation
+assembled from fresh solves and the derivative kernel, and the
+flow-consistency (restart) gap behind uniqueness.  A coupled solve that
+does not converge fails each of them with ``DivergenceError``.  The
+terminal condition U(T) = G is data, not a certificate: it is how
+``eval_U`` defines the field at t0 = T, and the equation residual is taken
+for t0 < T only.  The equation
 residual combines five pieces: a centered time quotient, the generator and
 the Hamiltonian acting in the state variable, the running coupling, and
 the equation's two measure integrals of the derivative kernel (its
@@ -36,15 +40,15 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .coupling import _check_derivative_couplings, eval_F
-from .errors import DivergenceError, GridMismatchError, SpectralResidueError
+from .errors import GridMismatchError, SpectralResidueError
 from .fp import solve_fp
 from .grid import Field, Grid, _Record, _batch_gradient
 from .hjb import _check_step
 from .kernels import KernelCache
 from .linearized import _solved_initial, linearize, mollified_delta
 from .measures import Measure, path_metric
-from .mfg import IterationPolicy, MfgProblem, MfgSolution, optimal_drift, \
-    solve_mfg
+from .mfg import IterationPolicy, MfgProblem, MfgSolution, \
+    _require_converged, optimal_drift, solve_mfg
 
 _TERMINAL_TIME_TOL = 1e-12
 _SLOPE_THRESHOLD = 1.2
@@ -110,17 +114,18 @@ class Scenario:
             policy=self.policy)
 
 
-def _solve_from_free_flow(problem: MfgProblem) -> MfgSolution:
+def _solve_from_free_flow(problem: MfgProblem, label: str) -> MfgSolution:
     """``solve_mfg`` started from m0's free flow instead of a constant path.
 
     The start is the Fokker-Planck march of m0 with zero drift, passed as
     ``initial_path``: the first best response then answers a path that
     already carries the generator's spreading, and only the control's
-    transport is left to the iteration.
+    transport is left to the iteration.  A stalled solve raises
+    DivergenceError tagged with ``label``.
     """
     free = solve_fp(problem.kernel, None, problem.m0.density, None,
                     problem.t0, problem.T, problem.n_steps)
-    return solve_mfg(problem, initial_path=free)
+    return _require_converged(solve_mfg(problem, initial_path=free), label)
 
 
 def solve_scenario(scenario: Scenario, t0: float, m0: Measure
@@ -134,12 +139,8 @@ def solve_scenario(scenario: Scenario, t0: float, m0: Measure
     if hit is not None:
         memo.move_to_end(key)
         return hit
-    solution = _solve_from_free_flow(scenario.problem(t0, m0))
-    if not solution.converged:
-        raise DivergenceError(
-            f"coupled solve from t0={t0:g} stalled at gap "
-            f"{solution.gap_history[-1]:.3e} after {solution.iterations} "
-            "iterations")
+    solution = _solve_from_free_flow(scenario.problem(t0, m0),
+                                     f"coupled solve from t0={t0:g}")
     memo[key] = solution
     if len(memo) > _MEMO_CAP:
         memo.popitem(last=False)
@@ -286,19 +287,17 @@ def _measure_terms(scenario: Scenario, base: MfgSolution, m0: Measure
 
 @dataclass(frozen=True)
 class MasterResidualReport(_Record):
-    """Signed sum of the five equation terms on the grid.
+    """Signed sum of the five equation terms on the grid, at t0 < T.
 
-    ``mode`` is "interior" for the assembled equation and
-    "terminal-identity" at t0 = T, where the equation degenerates to the
-    boundary condition and the residual is the field minus the terminal
-    cost.  ``term_sups`` records the sup of each assembled piece so a
-    large residual can be traced; ``measure_flow`` is the sum of the two
+    ``term_sups`` records the sup of each assembled piece so a large
+    residual can be traced; ``measure_flow`` is the sum of the two
     measure integrals, the only form in which the equation has them.
-    ``y_stride`` is always 1, as the measure terms need no y-lattice; the
-    benchmark's master check reads it.  ``solve_iterations`` holds the
-    outer-iteration counts of the base, t0 + delta_t and t0 - delta_t
-    solves, as recorded on the solutions (a memo hit reports the count of
-    the solve it reuses); it is empty at t0 = T, where nothing is solved.
+    ``delta_t`` is the (positive) half-width of the centred time quotient.
+    ``mode`` is always "interior" and ``y_stride`` always 1 (the measure
+    terms need no y-lattice); the benchmark's master check reads both.
+    ``solve_iterations`` holds the outer-iteration counts of the base,
+    t0 + delta_t and t0 - delta_t solves, as recorded on the solutions (a
+    memo hit reports the count of the solve it reuses).
     """
 
     mode: str
@@ -310,23 +309,6 @@ class MasterResidualReport(_Record):
     y_stride: int
     term_sups: dict
     solve_iterations: tuple[int, ...]
-
-
-def _residual_report(mode: str, grid: Grid, residual: np.ndarray,
-                     sample_points, delta_t: float, term_sups: dict,
-                     solves: tuple[MfgSolution, ...] = ()
-                     ) -> MasterResidualReport:
-    samples = []
-    for point in sample_points:
-        pt = tuple(float(c) for c in np.atleast_1d(
-            np.asarray(point, dtype=float)))
-        samples.append((pt, float(residual[grid.nearest_index(pt)])))
-    return MasterResidualReport(
-        mode=mode, residual=Field(grid, residual), samples=tuple(samples),
-        sup_sampled=max((abs(v) for _, v in samples), default=0.0),
-        sup_grid=float(np.max(np.abs(residual))), delta_t=delta_t,
-        y_stride=1, term_sups=term_sups,
-        solve_iterations=tuple(sol.iterations for sol in solves))
 
 
 def master_residual(scenario: Scenario, t0: float, m0: Measure,
@@ -342,19 +324,15 @@ def master_residual(scenario: Scenario, t0: float, m0: Measure,
     with m0 under the grid quadrature; ``_measure_terms`` moves both
     operators onto m0, where they sum to m0's Fokker-Planck velocity, and
     gets the pairing from one linear solve, without tabulating the
-    kernel.
+    kernel.  The equation is posed for t0 < T only: at t0 = T (where
+    ``eval_U`` returns the terminal cost by definition) the base solve's
+    step count raises ValueError before anything is solved.
     """
     grid = scenario.grid
     if m0.grid != grid:
         raise GridMismatchError("initial measure grid != scenario grid")
     if time_probe_steps < 1:
         raise ValueError("time probe needs at least one step")
-
-    if abs(scenario.T - t0) <= _TERMINAL_TIME_TOL:
-        gap = eval_U(scenario, scenario.T, m0).values - \
-            eval_F(scenario.terminal_cost, m0).values
-        return _residual_report("terminal-identity", grid, gap,
-                                sample_points, 0.0, {})
 
     # the base solve's step, known before it runs
     dt = (scenario.T - t0) / scenario.steps_for(t0)
@@ -380,14 +358,24 @@ def master_residual(scenario: Scenario, t0: float, m0: Measure,
 
     residual = (time_term + gen_term - ham_term + measure_term
                 + coupling_term)
-    return _residual_report(
-        "interior", grid, residual, sample_points, delta_t, {
+    samples = []
+    for point in sample_points:
+        pt = tuple(float(c) for c in np.atleast_1d(
+            np.asarray(point, dtype=float)))
+        samples.append((pt, float(residual[grid.nearest_index(pt)])))
+    return MasterResidualReport(
+        mode="interior", residual=Field(grid, residual),
+        samples=tuple(samples),
+        sup_sampled=max((abs(v) for _, v in samples), default=0.0),
+        sup_grid=float(np.max(np.abs(residual))), delta_t=delta_t,
+        y_stride=1, term_sups={
             "time": float(np.max(np.abs(time_term))),
             "generator": float(np.max(np.abs(gen_term))),
             "hamiltonian": float(np.max(np.abs(ham_term))),
             "measure_flow": float(np.max(np.abs(measure_term))),
             "coupling": float(np.max(np.abs(coupling_term))),
-        }, (base, plus, minus))
+        }, solve_iterations=tuple(
+            sol.iterations for sol in (base, plus, minus)))
 
 
 # --------------------------------------------------------------------------
@@ -430,12 +418,9 @@ def flow_consistency(scenario: Scenario, t0: float, m0: Measure,
     k = min(max(int(round((s - t0) / dt)), 0), n - 1)
     s_snap = t0 + k * dt
 
-    fresh = _solve_from_free_flow(replace(
-        base.problem, m0=base.measure_at(k), t0=s_snap, n_steps=n - k))
-    if not fresh.converged:
-        raise DivergenceError(
-            f"restart solve from s={s_snap:g} stalled at gap "
-            f"{fresh.gap_history[-1]:.3e}")
+    fresh = _solve_from_free_flow(
+        replace(base.problem, m0=base.measure_at(k), t0=s_snap,
+                n_steps=n - k), f"restart solve from s={s_snap:g}")
 
     value_gaps = np.max(np.abs(fresh.u.values - base.u.values[k:]),
                         axis=tuple(range(1, fresh.u.values.ndim)))

@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, QuadratureError, ResolutionError
+from .errors import GridMismatchError, ResolutionError
 from .grid import Field, Grid, _require_finite_rows, periodic_convolve
-from .levy import _jump_densities
+from .levy import _jump_integral
 
 _CLAMP_TOL = 1e-14
 _NEGATIVITY_TOL = 1e-12
@@ -172,24 +172,9 @@ def verify_psi_jump_moment(triplet) -> float:
     psi over |z| >= 1 against each jump measure, summed over jump parts.
     Raises ``QuadratureError`` when a tail fails to converge.
     """
-    from scipy.integrate import quad
-
-    total = 0.0
-    for dens in _jump_densities(triplet):
-        val, err = quad(
-            lambda z: psi_profile(z) * dens(z),
-            1.0,
-            np.inf,
-            epsabs=1e-10,
-            epsrel=1e-8,
-            limit=400,
-        )
-        if not np.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
-            raise QuadratureError(
-                "tightness weight is not integrable against the big jumps"
-            )
-        total += val
-    return total
+    return _jump_integral(
+        triplet, psi_profile, 1.0, np.inf, 400,
+        "tightness weight is not integrable against the big jumps")
 
 
 # --------------------------------------------------------------------------

@@ -381,6 +381,19 @@ def solve_mfg(problem: MfgProblem,
     )
 
 
+def _require_converged(solution: MfgSolution, label: str) -> MfgSolution:
+    """``solution`` itself, or DivergenceError tagged with ``label``.
+
+    The one rule for a coupled solve a certificate cannot use: one that
+    exhausted its iteration budget.
+    """
+    if not solution.converged:
+        raise DivergenceError(
+            f"{label} stalled at gap {solution.gap_history[-1]:.3e} after "
+            f"{solution.iterations} iterations")
+    return solution
+
+
 # --------------------------------------------------------------------------
 # cross-monotonicity (uniqueness mechanism) diagnostics
 
@@ -496,7 +509,8 @@ def lipschitz_stability_probe(problem: MfgProblem,
     Restricted to momentum-only Hamiltonians: the value-dependent
     monotonicity inequality splits the initial measure difference into
     positive and negative parts and is too weak to control the response
-    by the full perturbation distance.
+    by the full perturbation distance.  A solve that exhausts its budget
+    raises DivergenceError (``_require_converged``) before the next runs.
     """
     if callable(getattr(problem.hamiltonian, "u_slope", None)):
         raise ValueError(
@@ -507,10 +521,9 @@ def lipschitz_stability_probe(problem: MfgProblem,
         raise ValueError(
             f"degenerate probe: initial perturbation {base:.3e} below "
             f"{_DEGENERATE_D0:g}")
-    sol1 = solve_mfg(problem)
-    sol2 = solve_mfg(replace(problem, m0=m0_prime))
-    if not (sol1.converged and sol2.converged):
-        raise ValueError("stability probe needs both solves to converge")
+    sol1 = _require_converged(solve_mfg(problem), "stability probe base solve")
+    sol2 = _require_converged(solve_mfg(replace(problem, m0=m0_prime)),
+                              "stability probe perturbed solve")
     grid = problem.grid
     sup_d0 = _path_sup(grid, sol1.m.values, sol2.m.values)
     sup_u = float(np.max(np.abs(sol1.u.values - sol2.u.values)))

@@ -455,18 +455,32 @@ class TestSolveLinearSystem:
     def test_nonfinite_data_raises_from_a_leg(self, delta_system, slot,
                                                error):
         # both returns wrap march output without a finite scan: the z leg
-        # rejects a non-finite terminal slice, the rho leg a non-finite rho0
+        # rejects a non-finite terminal slice in alternation 1, the rho leg
+        # a non-finite rho0 already in the initial flow (alternation 0)
+        tag = {"terminal": 1, "rho0": 0}[slot]
         values = getattr(delta_system, slot).values.copy()
         values[7] = np.nan
         bad = replace(delta_system, **{slot: Field(GRID, values)})
         with np.errstate(all="ignore"), \
-                pytest.raises(error, match="alternation iteration"):
+                pytest.raises(error, match=f"^alternation iteration {tag}: "):
             solve_linear_system(bad)
 
     def test_inner_failures_carry_the_iteration_tag(self, delta_system):
+        # the runaway drift already breaks the initial forward flow
         runaway = constant_vector_trajectory(Field.constant(GRID, 1.0e4))
         bad = replace(delta_system, drift=runaway)
-        with pytest.raises(InstabilityError, match="alternation iteration"):
+        with pytest.raises(InstabilityError,
+                           match="^alternation iteration 0: "):
+            solve_linear_system(bad)
+
+    def test_one_way_failure_is_tagged_as_the_first_pass(self, kernel):
+        system = one_way_system(kernel)
+        values = system.terminal.values.copy()
+        values[7] = np.nan
+        bad = replace(system, terminal=Field(GRID, values))
+        with np.errstate(all="ignore"), \
+                pytest.raises(DivergenceError,
+                              match="^alternation iteration 1: "):
             solve_linear_system(bad)
 
 

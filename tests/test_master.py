@@ -11,11 +11,15 @@ Expected values were measured once and frozen; comments record the raw
 measurements.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from levymfg import master
 from levymfg.coupling import Conv, Zero, eval_F
-from levymfg.errors import BudgetError, InstabilityError, SpectralResidueError
+from levymfg.errors import (BudgetError, DivergenceError, InstabilityError,
+                            SpectralResidueError)
 from levymfg.grid import Field, Grid
 from levymfg.hjb import QuadraticHamiltonian
 from levymfg.kernels import KernelCache
@@ -88,15 +92,12 @@ class TestTerminalIdentity:
         g_T = eval_F(scenario.terminal_cost, m0)
         assert float(np.max(np.abs(u_T.values - g_T.values))) == 0.0
 
-    def test_residual_degenerates_to_the_boundary_condition(
-            self, scenario, m0):
-        report = master_residual(scenario, T_END, m0, SAMPLES)
-        assert report.mode == "terminal-identity"
-        assert report.sup_grid == 0.0  # measured: 0.0
-        assert report.sup_sampled == 0.0
-        assert report.delta_t == 0.0
-        assert report.y_stride == 1
-        assert report.solve_iterations == ()
+    def test_residual_is_not_posed_at_the_horizon(self, m0):
+        # U(T) = G is eval_U's definition, not an equation to certify
+        fresh = make_scenario()
+        with pytest.raises(ValueError, match="leaves no slab before T"):
+            master_residual(fresh, T_END, m0, SAMPLES)
+        assert len(fresh._memo) == 0
 
 
 class TestInteriorResidual:
@@ -150,6 +151,34 @@ class TestInteriorResidual:
                            match=r"^measure flow solve: alternation "
                                  r"stalled at gap"):
             master_residual(stalling, 0.25, m0, SAMPLES)
+
+
+class TestStalledSolves:
+    def test_coupled_solve_stall_is_a_divergence(self, m0):
+        # one best response cannot reach tol_d0 = 1e-12
+        stalling = make_scenario(policy=IterationPolicy(max_iters=1,
+                                                        tol_d0=1e-12))
+        with pytest.raises(DivergenceError,
+                           match=r"^coupled solve from t0=0\.25 stalled at "
+                                 r"gap .* after 1 iterations$"):
+            solve_scenario(stalling, 0.25, m0)
+        assert len(stalling._memo) == 0
+
+    def test_restart_stall_is_a_divergence(self, scenario, m0,
+                                           monkeypatch):
+        solve = master.solve_mfg
+
+        def stall_restarts(problem, **kwargs):
+            solution = solve(problem, **kwargs)
+            if problem.t0 == 0.0:
+                return solution
+            return replace(solution, converged=False)
+
+        monkeypatch.setattr(master, "solve_mfg", stall_restarts)
+        with pytest.raises(DivergenceError,
+                           match=r"^restart solve from s=0\.25 stalled at "
+                                 r"gap .* after \d+ iterations$"):
+            flow_consistency(scenario, 0.0, m0, 0.25)
 
 
 class TestFreeFlowStart:

@@ -644,6 +644,13 @@ class TestStabilityProbe:
         with pytest.raises(ValueError, match="degenerate"):
             lipschitz_stability_probe(prob, bump_measure())
 
+    def test_stalled_solve_is_a_divergence(self, kernel):
+        prob = standard_problem(kernel, policy=IterationPolicy(max_iters=1))
+        with pytest.raises(DivergenceError,
+                           match=r"^stability probe base solve stalled at "
+                                 r"gap .* after 1 iterations$"):
+            lipschitz_stability_probe(prob, bump_measure(0.2))
+
     def test_value_dependent_hamiltonian_rejected(self, kernel):
         prob = standard_problem(kernel,
                                 hamiltonian=value_coupled_hamiltonian())

@@ -16,13 +16,16 @@ a running and terminal pair never reads the measure.  The solvers price,
 weight and differentiate through this module's helpers and never test a
 family themselves.
 
-Validators probe the two monotonicity conditions used for uniqueness: the
-pairing of F-increments against measure increments (nonnegative for
-positive-semidefinite smoothing kernels), and the sign of the symmetrized
-measure-derivative kernel as a quadratic form.  The derivative is used raw
-by default; an optional normalized variant subtracts the m-average per row,
-which is exactly the convention under which odd smoothing kernels become a
-counterexample.
+Validators decide the two monotonicity conditions used for uniqueness.
+``check_M1`` decides the Lasry-Lions condition (M1), that F-increments
+pair nonnegatively with measure increments, from the family alone: a
+convolution's symbol off the zero mode (Bochner), and the sign of dPhi/ds
+of a local composite over the levels the smoothed density can reach.
+``check_M2`` tests the sign of the symmetrized measure-derivative kernel
+at a given measure as a quadratic form.  The derivative is used raw by
+default; an optional normalized variant subtracts the m-average per row,
+which is exactly the convention under which odd smoothing kernels become
+a counterexample.
 """
 
 from __future__ import annotations
@@ -37,11 +40,12 @@ from .errors import GridMismatchError
 from .grid import (Field, Grid, _Record, _convolve_spectra,
                    _nyquist_shell_max, _require_finite, _require_finite_rows,
                    _rfft)
-from .measures import Measure, _density_rows, mollify
+from .measures import Measure, _density_rows
 
 _MATRIX_AXIS_CAP = 256
 _MATRIX_ELEMENT_CAP = 1 << 26
-_M1_TOL = 1e-10
+_M1_RTOL = 1e-12  # of the largest value the (M1) decision reads
+_M1_LEVELS = 65  # levels of the smoothed density at which dPhi/ds is read
 _M2_TOL = 1e-10
 _SMOOTH_ORDER = 4  # derivatives a coupling kernel must resolve
 
@@ -84,18 +88,6 @@ class Conv:
         _require_finite(self.phi.values, "left operand")
         spectrum = _rfft(grid, self.phi.values)
         return spectrum, self.phi.max_norm
-
-    @property
-    def is_positive_semidefinite(self) -> bool:
-        """Bochner criterion on the grid: real, nonnegative DFT."""
-        grid = self.phi.grid
-        # align the kernel origin with index 0 before transforming
-        spec = np.fft.fftn(np.roll(self.phi.values, [-(ni // 2) for ni in grid.n],
-                                   axis=tuple(range(grid.dims))))
-        tol = 1e-12 * max(float(np.max(np.abs(spec))), 1e-300)
-        return bool(
-            np.max(np.abs(spec.imag)) <= tol and float(np.min(spec.real)) >= -tol
-        )
 
 
 @dataclass(frozen=True)
@@ -185,8 +177,8 @@ def _price_spectra(coupling, grid: Grid, masses: np.ndarray,
 
     ``masses`` and ``spectra`` come from ``measures._density_rows`` and
     ``grid._rfft`` of the slices (``spectra`` is unused for ``Zero``).
-    The kernel is checked finite on first use, as ``periodic_convolve``
-    checks it, and each slice keeps its own sup-norm budget.  ``Phi`` of
+    The kernel is checked finite on first use, as a convolution's left
+    operand, and each slice keeps its own sup-norm budget.  ``Phi`` of
     a local composite is called slice by slice.
     """
     if isinstance(coupling, Zero):
@@ -361,8 +353,6 @@ class M1Report(_Record):
     min_value: float
     max_abs: float
     passed: bool
-    trials: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -373,46 +363,61 @@ class M2Report(_Record):
     version: str
 
 
-def _random_bump_mixture(grid: Grid, rng: np.random.Generator) -> Measure:
-    mesh = grid.meshgrid()
-    vals = np.zeros(grid.shape)
-    for _ in range(int(rng.integers(2, 5))):
-        center = [rng.uniform(-0.5 * w, 0.5 * w) for w in grid.half_width]
-        width = rng.uniform(0.15, 0.5) * min(grid.half_width)
-        r_sq = sum((x - c) ** 2 for x, c in zip(mesh, center))
-        vals += rng.uniform(0.2, 1.0) * np.exp(-r_sq / (2.0 * width ** 2))
-    vals += 1e-8
-    m = Measure.normalized(Field(grid, vals))
-    return mollify(m, 2.5 * max(grid.dx))
+def check_M1(coupling) -> M1Report:
+    """Decide the Lasry-Lions condition (M1) from the coupling's family.
 
+    (M1) asks Int (F(m) - F(m')) d(m - m') >= 0 for probability densities
+    m, m' on the kernel's grid.
 
-def check_M1(coupling, trials: int, seed: int = 0) -> M1Report:
-    """Pair F-increments with measure increments over random measure pairs."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    * ``Conv``: m - m' has no mass, so the pairing is a sum over xi != 0
+      of Re phi-hat(xi) |m-hat - m'-hat|^2(xi), and a pair c +- eps
+      cos(xi . x) excites one mode.  (M1) holds exactly when
+      dx^d Re phi-hat >= 0 off xi = 0 (Bochner).  ``min_value`` is that
+      smallest value, in ``check_M2``'s ``min_eig_operator`` units;
+      ``max_abs`` is the largest dx^d |phi-hat|.
+    * ``LocalComposite``: ``phi2`` is even and nonnegative, so the pairing
+      is Int (Phi(z, s) - Phi(z, s')) (s - s') dz with s = phi2 * m, and
+      0 <= s <= max phi2.  dPhi/ds >= 0 there suffices, but is not
+      necessary: ``min_value`` and ``max_abs`` are the smallest and the
+      largest |.| of dPhi/ds at every node and at ``_M1_LEVELS`` evenly
+      spaced levels of s in that range.
+    * ``Zero`` passes with both values 0.
+
+    ``passed`` when ``min_value >= -1e-12 * max_abs``.  Any other object
+    raises ``TypeError``.
+    """
     kernel = _derivative_kernel(coupling)
     if kernel is None:
-        return M1Report(min_value=0.0, max_abs=0.0, passed=True,
-                        trials=trials, seed=seed)
+        return M1Report(min_value=0.0, max_abs=0.0, passed=True)
     grid = kernel.grid
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    biggest = 0.0
-    for _ in range(trials):
-        m = _random_bump_mixture(grid, rng)
-        m_prime = _random_bump_mixture(grid, rng)
-        gap = eval_F(coupling, m_prime).values - eval_F(coupling, m).values
-        pairing = float(
-            grid.cell_volume * np.sum(gap * (m_prime.values - m.values))
-        )
-        worst = min(worst, pairing)
-        biggest = max(biggest, abs(pairing))
-    return M1Report(min_value=worst, max_abs=biggest, passed=worst >= -_M1_TOL,
-                    trials=trials, seed=seed)
+    if isinstance(coupling, Conv):
+        spectrum = coupling._kernel_terms[0]
+        # (-1)^k per axis moves the kernel's origin from node n/2 to 0
+        sign = (-1.0) ** sum(np.ix_(*map(np.arange, spectrum.shape)))
+        values = grid.cell_volume * spectrum * sign
+        min_value = float(np.min(values.real.ravel()[1:]))  # xi = 0 first
+    else:
+        mesh = grid.meshgrid()
+        values = np.stack([
+            np.asarray(coupling.dPhi_ds(mesh, np.full(grid.shape, s)),
+                       dtype=float)
+            for s in np.linspace(0.0, float(np.max(kernel.values)),
+                                 _M1_LEVELS)])
+        _require_finite_rows(values, "dPhi_ds")
+        min_value = float(np.min(values))
+    max_abs = float(np.max(np.abs(values)))
+    return M1Report(min_value=min_value, max_abs=max_abs,
+                    passed=min_value >= -_M1_RTOL * max_abs)
 
 
 def check_M2(coupling, m: Measure, version: str = "as_provided") -> M2Report:
     """Eigenvalue sign of the symmetrized measure-derivative kernel.
+
+    For a ``Conv`` in ``as_provided`` mode ``min_eig_operator`` is
+    ``check_M1``'s ``min_value`` computed with a dense O(N^3) eigensolve
+    (unless the zero mode holds the smallest eigenvalue).  What this
+    check adds is the ``normalized`` convention below, and the
+    m-dependent kernel of a ``LocalComposite``.
 
     ``as_provided`` tests the raw kernel.  ``normalized`` first subtracts
     the kernel's m-average in the y slot from each row, the convention under

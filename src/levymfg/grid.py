@@ -33,11 +33,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from numpy.fft import _pocketfft_umath
 
-from .errors import (
-    GridMismatchError,
-    NonFiniteFieldError,
-    UnsupportedOrderError,
-)
+from .errors import NonFiniteFieldError, UnsupportedOrderError
 
 _SHELL_FRACTION = 0.1  # outer share of each half-width in the boundary shell
 
@@ -210,11 +206,6 @@ def _meshgrid(grid: Grid) -> tuple[np.ndarray, ...]:
     return tuple(mesh)
 
 
-def _require_same_grid(f: Field, g: Field) -> None:
-    if f.grid != g.grid:
-        raise GridMismatchError("fields live on different grids")
-
-
 def _require_finite(values: np.ndarray, what: str = "field") -> None:
     if not np.all(np.isfinite(values)):
         bad = int(np.sum(~np.isfinite(values)))
@@ -322,30 +313,6 @@ def gradient(f: Field) -> list[Field]:
     return [Field(f.grid, g) for g in _batch_gradient(f.grid, f.values)]
 
 
-def periodic_convolve(f: Field, g: Field) -> Field:
-    """dx^d-normalized circular convolution (approximates integral conv).
-
-    The grid origin sits at -L, so the raw DFT convolution theorem picks up
-    a half-period shift; it is undone by rolling each axis by n_i/2. The
-    spectral product is symmetrized (0.5*(FG + GF)) so that convolve(f, g)
-    and convolve(g, f) are bitwise equal even when the complex multiply uses
-    fused operations.
-    """
-    _require_same_grid(f, g)
-    _require_finite(f.values, "left operand")
-    _require_finite(g.values, "right operand")
-    return Field(f.grid, _convolve_values(f.grid, f.values, g.values))
-
-
-def _convolve_values(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``periodic_convolve`` on raw values over the trailing grid axes.
-
-    Leading axes of either operand broadcast; a row of a batch equals its
-    single-row convolution bitwise.
-    """
-    return _convolve_spectra(grid, _rfft(grid, f), _rfft(grid, g))
-
-
 # The pocketfft kernels of the transform pair, read at call time (a test
 # fixture counts the real ones).  Grid admits powers of two >= 8 only, so
 # the last axis is always even and its forward kernel is the even-length
@@ -409,13 +376,18 @@ def _half_period_shift(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 def _convolve_spectra(grid: Grid, fs: np.ndarray, gs: np.ndarray
                       ) -> np.ndarray:
-    """``_convolve_values`` with both operands given by their half spectra.
+    """dx^d-normalized circular convolution (approximates integral conv).
 
-    ``fs`` and ``gs`` are the ``_rfft`` of the operands, so a caller
-    that convolves with one fixed field, or convolves one field with
-    several, transforms each once.  The product goes back through the
-    grid's transform pair and the half-period shift is undone by
-    ``_half_period_shift``.
+    ``fs`` and ``gs`` are the ``_rfft`` of the operands over the trailing
+    grid axes (leading axes broadcast; a row of a batch equals its
+    single-row convolution bitwise), so a caller that convolves with one
+    fixed field, or convolves one field with several, transforms each
+    once.  The grid origin sits at -L, so the raw DFT convolution theorem
+    picks up a half-period shift; the product goes back through the
+    grid's transform pair and ``_half_period_shift`` undoes it.  The
+    spectral product is symmetrized (0.5*(FG + GF)) so that swapping the
+    operands gives the same values bitwise even when the complex multiply
+    uses fused operations.
     """
     spec = 0.5 * (fs * gs + gs * fs)
     return _half_period_shift(grid, _irfft(grid, spec) * grid.cell_volume)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, ResolutionError
-from .grid import Field, Grid, _require_finite_rows, periodic_convolve
+from .grid import Field, Grid, _require_finite_rows
 from .levy import _jump_integral
 
 _CLAMP_TOL = 1e-14
@@ -625,13 +625,3 @@ def mollifier_field(grid: Grid, eps: float) -> Field:
     vals[inside] = np.exp(-1.0 / (1.0 - r_sq[inside]))
     total = float(np.sum(vals)) * grid.cell_volume
     return Field(grid, vals / total)
-
-
-def mollify(m: Measure, eps: float) -> Measure:
-    """Convolve with the radius-eps bump; moves mass at most eps + dx in d0."""
-    eta = mollifier_field(m.grid, eps)
-    smoothed = periodic_convolve(m.density, eta)
-    vals = smoothed.values.copy()
-    vals[np.abs(vals) < _CLAMP_TOL] = 0.0
-    np.maximum(vals, 0.0, out=vals)
-    return Measure(Field(m.grid, vals))

@@ -1,8 +1,9 @@
 """Reference implementations the test modules compare the package against.
 
 Closed-form metrics, the one-shot semigroup apply, toy Hamiltonians, the
-Laplacian triplet, a point mass, a uniform law on a box, a zero and a
-constant-in-time trajectory, a drift-free initial path, the master
+Laplacian triplet, a point mass, a uniform law on a box, the convolution of
+two fields and a mollified measure, a zero and a constant-in-time
+trajectory, a drift-free initial path, the master
 residual's measure terms from a full derivative-kernel table, the chain
 program formed node by node, the stacked dense first-pass step and the
 allocating sweep recurrence: code that only the tests call, kept out of
@@ -15,12 +16,13 @@ import numpy as np
 
 from levymfg.errors import GridMismatchError, NonFiniteFieldError
 from levymfg.fp import _project_slices, solve_fp
-from levymfg.grid import Field
+from levymfg.grid import Field, _convolve_spectra, _require_finite, _rfft
 from levymfg.hjb import GeneralHamiltonian, Trajectory
 from levymfg.kernels import KernelCache
 from levymfg.levy import LevyTriplet
 from levymfg.linearized import j_field_batch
-from levymfg.measures import Measure, TightnessFn, _check_pair
+from levymfg.measures import (_CLAMP_TOL, Measure, TightnessFn, _check_pair,
+                              mollifier_field)
 from levymfg.mfg import MfgSolution, optimal_drift
 
 
@@ -46,6 +48,26 @@ def uniform_measure(grid, lo: float, hi: float) -> Measure:
         raise ValueError("no grid nodes inside the requested box")
     return Measure(Field(grid, np.where(
         inside, 1.0 / (count * grid.cell_volume), 0.0)))
+
+
+def periodic_convolve(f: Field, g: Field) -> Field:
+    """dx^d-normalized circular convolution of two fields on one grid."""
+    if f.grid != g.grid:
+        raise GridMismatchError("fields live on different grids")
+    _require_finite(f.values, "left operand")
+    _require_finite(g.values, "right operand")
+    return Field(f.grid, _convolve_spectra(f.grid, _rfft(f.grid, f.values),
+                                           _rfft(g.grid, g.values)))
+
+
+def mollify(m: Measure, eps: float) -> Measure:
+    """Convolve with the radius-eps bump; moves mass at most eps + dx in d0."""
+    eta = mollifier_field(m.grid, eps)
+    smoothed = periodic_convolve(m.density, eta)
+    vals = smoothed.values.copy()
+    vals[np.abs(vals) < _CLAMP_TOL] = 0.0
+    np.maximum(vals, 0.0, out=vals)
+    return Measure(Field(m.grid, vals))
 
 
 def zero_trajectory(grid, t0: float, T: float, n_steps: int,

@@ -27,11 +27,10 @@ from levymfg.measures import (
     Measure,
     TightnessFn,
     d0_distance,
-    mollify,
     verify_psi_jump_moment,
 )
 from oracles import (drift_hamiltonian, generalized_moment, laplacian_triplet,
-                     point_mass, zero_trajectory)
+                     mollify, point_mass, zero_trajectory)
 
 # ---------------------------------------------------------------------------
 # oracles and builders

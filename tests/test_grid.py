@@ -23,9 +23,9 @@ from levymfg.grid import (
     _rfft,
     _value_gradient_rows,
     boundary_shell_mass,
-    periodic_convolve,
     spectral_derivative,
 )
+from oracles import periodic_convolve
 
 
 def gaussian_1d(grid, sigma, center=0.0, height=None):

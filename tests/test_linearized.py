@@ -285,7 +285,7 @@ class TestLinSystem:
         lambda sol, c: eval_F(c, sol.problem.m0),
         lambda sol, c: apply_dmF(c, sol.problem.m0, sol.problem.m0.density),
         lambda sol, c: eval_dmF(c, sol.problem.m0),
-        lambda sol, c: check_M1(c, trials=1),
+        lambda sol, c: check_M1(c),
         lambda sol, c: require_smooth(c),
         lambda sol, c: linearize(sol, mollified_delta(GRID, (0.5,)),
                                  running_coupling=c),

@@ -36,7 +36,7 @@ from scipy.sparse import diags, vstack
 from levymfg.errors import (GridMismatchError, NonFiniteFieldError,
                             ResolutionError)
 from levymfg import measures as measures_module
-from levymfg.grid import Field, Grid, periodic_convolve
+from levymfg.grid import Field, Grid
 from levymfg.levy import CGMY, FractionalLaplacian, LevyTriplet
 from levymfg.measures import (
     Measure,
@@ -50,15 +50,14 @@ from levymfg.measures import (
     d0_distance,
     d0_interval,
     mollifier_field,
-    mollify,
     path_metric,
     psi_profile,
     signed_dual_norm,
     verify_psi_jump_moment,
 )
-from oracles import (generalized_moment, laplacian_triplet, point_mass,
-                     tv_distance, uncapped_chain_sup, uniform_measure,
-                     w1_distance_1d)
+from oracles import (generalized_moment, laplacian_triplet, mollify,
+                     periodic_convolve, point_mass, tv_distance,
+                     uncapped_chain_sup, uniform_measure, w1_distance_1d)
 
 UNIFORM_PSI_MOMENT = 0.0695999934791408  # 0.5 * quad(psi, -1, 1), frozen
 SOURCE = Path(__file__).resolve().parents[1] / "src"

@@ -215,7 +215,6 @@ UNCALLED_BY_DESIGN = (
     "lipschitz_stability_probe",  # Lipschitz dependence on the initial law
     "derivative_check",  # J is the measure derivative of the master field
     "flow_consistency",  # restarting on the flow reproduces it (uniqueness)
-    "is_positive_semidefinite",  # Bochner: a Conv kernel that gives (M1)
     "on_grid",  # the tightness weight that tightness_report takes
     # run diagnostics, kept for the per-iteration records of the solvers
     "mass_series",

@@ -73,7 +73,7 @@ def _forward_values(kernel: KernelCache, drift: np.ndarray | None,
     mass0 = vol * np.sum(rho0)
     limit = _MASS_DRIFT_TOL * max(1.0, abs(mass0))
 
-    def monitor(values: np.ndarray, first: int) -> None:
+    def monitor(values: np.ndarray) -> None:
         """Raise for the first slice that blew up or drifted in mass."""
         shift = vol * values.sum(axis=axes) - mass0
         steady = abs(shift) <= limit
@@ -82,7 +82,7 @@ def _forward_values(kernel: KernelCache, drift: np.ndarray | None,
         sups = np.abs(values).reshape(len(values), -1).max(axis=1)
         j = int(np.argmax(~((sups <= _BLOWUP_SUP) & steady)))
         raise InstabilityError(
-            f"forward march destabilized at step {first + j}/{n_steps} "
+            f"forward march destabilized at step {1 + j}/{n_steps} "
             f"(sup {float(sups[j]):.3e}, mass drift {shift[j]:.3e}); "
             "use a smaller dt")
 

@@ -483,9 +483,9 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
     calls, whatever ``n_steps`` and on either form.  When an L* drive
     returns no flux, the first pass is the semigroup itself, exact in
     time, and no sweep runs.
-    ``check(values, first)`` vets a run of new slices, time axis first,
-    the first of which is march index ``first``: the first pass and each
-    sweep hand over their finished stack in one call, so a first-pass
+    ``check(values)`` vets the new slices, march indices 1 to
+    ``n_steps``, time axis first: the first pass and each sweep hand
+    over their finished stack in one call, so a first-pass
     ``drive`` may see a slice that failed, but no sweep and no caller
     does, and the check names the first failing slice.  Returns the values
     in marching order, time axis first; raises BudgetError when dt exceeds
@@ -542,7 +542,7 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
             else:
                 stack[:, k + 1] = _irfft(grid, rows * spec[k + 1])
         spec = None
-    check(w[1:], 1)
+    check(w[1:])
 
     grads = tuple(grads)
     for sweep in range(picard_sweeps):
@@ -559,7 +559,7 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
             w, grads = _irfft(grid, spec), ()
         spec = None
         w[0] = start
-        check(w[1:], 1)
+        check(w[1:])
     return w
 
 
@@ -655,13 +655,13 @@ def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
             "terminal data is marginally resolved: Nyquist spectral "
             "fraction exceeds 1e-6; expect degraded accuracy", stacklevel=3)
 
-    def guard(values: np.ndarray, first: int) -> None:
+    def guard(values: np.ndarray) -> None:
         """Raise for the first slice whose sup-norm is not within 1e6."""
         if np.abs(values).max() <= _BLOWUP_SUP:
             return
         sups = np.abs(values).reshape(len(values), -1).max(axis=1)
         j = int(np.argmax(~(sups <= _BLOWUP_SUP)))
-        k = first + j
+        k = 1 + j
         raise DivergenceError(
             f"backward solve blew up (sup {float(sups[j]):.3e}) at t="
             f"{T - k * dt:.6g}; last stable physical slice "

@@ -162,7 +162,9 @@ class NumericDensity:
 
     The compensated integrand (1 - e^{i xi z} + i xi z 1_{|z|<1}) nu(z) is
     O(z^2 nu) at the origin, so log-spaced nodes resolve it; the tail is
-    truncated at z_max, where the density must be negligible.
+    truncated at z_max, where the density must be negligible.  The one
+    family that cannot derive its order: ``alpha_low`` declares it, in
+    (0, 2].
     """
 
     density: object  # callable z -> nu(z)
@@ -171,6 +173,10 @@ class NumericDensity:
     nodes_inner: int = 400
     nodes_tail: int = 400
     alpha_low: float | None = None
+
+    def __post_init__(self):
+        if self.alpha_low is not None and not 0.0 < self.alpha_low <= 2.0:
+            raise ValueError("alpha_low must lie in (0, 2]")
 
     @property
     def order(self) -> float:
@@ -227,20 +233,18 @@ JumpSpec = (FractionalLaplacian, AnisotropicStable, RieszFeller, CGMY,
 class LevyTriplet:
     """Drift + diffusion + jumps defining a constant-coefficient generator.
 
-    ``alpha_low`` is the regularity order used by step-size budgets and the
-    kernel-bound verification. Solvers require alpha_low > 1; pure kernel
-    generation is allowed at any order in (0, 2].
+    Its regularity order (``order_alpha``), used by step-size budgets and
+    the kernel-bound verification, comes from the parts. Solvers require
+    it > 1; pure kernel generation is allowed at any order in (0, 2].
     """
 
     dims: int = 1
     drift: tuple[float, ...] = ()
     diffusion: tuple[tuple[float, ...], ...] = ()
     jumps: tuple = ()
-    alpha_low: float | None = None
     _eff_order: float | None = dc_field(default=None, repr=False)
 
-    def __init__(self, dims=1, drift=None, diffusion=None, jumps=(),
-                 alpha_low=None):
+    def __init__(self, dims=1, drift=None, diffusion=None, jumps=()):
         d = int(dims)
         if d not in (1, 2):
             raise ValueError("only d in {1, 2}")
@@ -263,13 +267,7 @@ class LevyTriplet:
         object.__setattr__(self, "drift", tuple(B))
         object.__setattr__(self, "diffusion", tuple(map(tuple, A)))
         object.__setattr__(self, "jumps", jumps)
-        eff = _effective_order(A, jumps, alpha_low)
-        if alpha_low is not None:
-            if not 0.0 < alpha_low <= 2.0:
-                raise ValueError("alpha_low must lie in (0, 2]")
-            eff = float(alpha_low)
-        object.__setattr__(self, "alpha_low", alpha_low)
-        object.__setattr__(self, "_eff_order", eff)
+        object.__setattr__(self, "_eff_order", _effective_order(A, jumps))
 
     @property
     def drift_vector(self) -> np.ndarray:
@@ -318,20 +316,10 @@ def _jump_integral(triplet: LevyTriplet, weight, lo: float, hi: float,
     return total
 
 
-def _effective_order(A: np.ndarray, jumps: tuple, declared) -> float | None:
-    nondegenerate = np.min(np.linalg.eigvalsh(0.5 * (A + A.T))) > 1e-12
-    orders = []
-    if nondegenerate:
+def _effective_order(A: np.ndarray, jumps: tuple) -> float | None:
+    if np.min(np.linalg.eigvalsh(0.5 * (A + A.T))) > 1e-12:
         return 2.0
-    for j in jumps:
-        try:
-            orders.append(j.order)
-        except UnsupportedOrderError:
-            if declared is None:
-                raise
-    if orders:
-        return min(orders)
-    return None
+    return min((j.order for j in jumps), default=None)
 
 
 def order_alpha(triplet: LevyTriplet) -> float:
@@ -342,7 +330,7 @@ def order_alpha(triplet: LevyTriplet) -> float:
     """
     if triplet._eff_order is None:
         raise UnsupportedOrderError(
-            "triplet has no declared or derivable regularity order")
+            "triplet has no derivable regularity order")
     return triplet._eff_order
 
 

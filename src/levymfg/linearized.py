@@ -54,13 +54,12 @@ from .grid import Field, Grid, _Record, _batch_gradient
 # needs matching order (see above)
 from .hjb import _PICARD_SWEEPS, Trajectory, _check_operand, _march_backward
 from .kernels import KernelCache
-from .measures import _path_sup, mollifier_field, signed_dual_norm
+from .measures import (_density_rows, _PathSups, mollifier_field,
+                       signed_dual_norm)
 from .mfg import MfgSolution, _anderson, optimal_drift
 
 _SYMMETRY_TOL = 1e-12
 _ELLIPTICITY_TOL = 1e-9
-_DENSITY_NEG_TOL = 1e-12
-_DENSITY_MASS_TOL = 1e-9
 _BATCH_NODE_CAP = 128  # y nodes per axis of a full J batch
 
 
@@ -99,15 +98,7 @@ class LinSystem:
         slab = (grid, self.drift.t0, self.drift.T, n)
         _check_operand("drift", self.drift, *slab, vector=True)
         _check_operand("density", self.density, *slab, vector=False)
-        dens = self.density.values
-        if float(np.min(dens)) < -_DENSITY_NEG_TOL:
-            raise ValueError("density path has negative slices")
-        masses = grid.cell_volume * np.sum(
-            dens, axis=tuple(range(1, 1 + grid.dims)))
-        worst = float(np.max(np.abs(masses - 1.0)))
-        if worst > _DENSITY_MASS_TOL:
-            raise ValueError(
-                f"density slice mass off by {worst:.3e}; not a measure path")
+        _density_rows(grid, self.density.values)
 
         gamma = np.ascontiguousarray(np.asarray(self.curvature, dtype=float))
         d = grid.dims
@@ -291,9 +282,11 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
     (response minus iterate).  ``gap_history[k]`` is damping times the
     sup over slices of the bounded-Lipschitz dual norm of the residual
     (the size of a plain damped update; the dual norm is positively
-    homogeneous), and the loop stops once it falls below ``tol``.  The
-    sup, and the dual-norm part of ``output_norm``, come from
-    ``measures._path_sup``, bitwise the maximum of ``path_metric``.  On
+    homogeneous), and the loop stops once it falls below ``tol``.  As in
+    ``mfg.solve_mfg`` each sup is held as a certified bracket
+    (``measures._PathSups``) and the stop test is decided on it; one
+    closing chain-program call makes every gap, and the dual-norm part of
+    ``output_norm``, exact, bitwise the maximum of ``path_metric``.  On
     convergence the returned pair is the last raw response (a consistent
     backward/forward pair); a one-way system (both coupling derivatives
     zero) is solved in a single undamped pass.  A leg's DivergenceError or
@@ -336,24 +329,24 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
         return z, rho
 
     converged = True
+    # the residual sups of the stop tests, then that of rho
+    sups = _PathSups(grid)
     # the alternation in progress; 0 is the initial forward flow
     it = 1 if system.one_way else 0
     try:
         if system.one_way:
             # zero coupling derivatives: the z-equation never reads rho
             z, rho = legs(None)
-            gaps = [0.0]
         else:
             flux = system.flux_forcing
             rho_path = _forward_values(
                 kernel, drift, None if flux is None else flux.values, rho0,
                 t0, T, n, _PICARD_SWEEPS)
-            gaps, paths, residuals = [], [], []
+            paths, residuals = [], []
             for it in range(1, max_iters + 1):
                 z, rho = legs(rho_path)
                 diff = rho - rho_path
-                gaps.append(damping * _path_sup(grid, diff))
-                if gaps[-1] < tol:
+                if sups.less(sups.add(diff, scale=damping), bound=tol):
                     break
                 rho_path = _anderson(rho_path, diff, paths, residuals,
                                      damping)
@@ -364,8 +357,11 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
 
     z = Trajectory._marched(grid, t0, T, z)
     rho = Trajectory._marched(grid, t0, T, rho)
+    rho_sup = sups.add(rho.values)
+    # one gap per alternation; the one-way pass records none and reports 0
+    gaps = [damping * sups.sup(k) for k in range(rho_sup)] or [0.0]
     data = _data_norm(system)
-    out = float(np.max(np.abs(z.values))) + _path_sup(grid, rho.values)
+    out = float(np.max(np.abs(z.values))) + sups.sup(rho_sup)
     report = LinearReport(
         converged=converged, iterations=len(gaps), gap_history=tuple(gaps),
         damping=1.0 if system.one_way else damping, data_norm=data,

@@ -9,19 +9,18 @@ A stopping test reads only the sup over the slices.  An upper bound by
 summation by parts and the pairing with a greedy feasible test function,
 each widened by its rounding slack, bracket that sup and rule out the
 slices that cannot hold it (``_sup_bracket``); the program runs on the
-rest, so the sup is the maximum of ``path_metric`` bit for bit
-(``_path_sup``).  A stopping loop compares its sups through
-``_PathSups``, which decides each comparison on the brackets and runs
-the program, batched over every pending slice of every path, only when
-two brackets overlap, and once more when the loop ends.  The linear
-program serves only 2D.  There it is exact while the grid is small
-enough (every node pair closer than the cap 2 contributes a constraint);
-on finer grids we report a certified bracket instead: a lower bound from
-a coarse-grid optimizer lifted by clamped (not periodic) linear
-interpolation and re-certified on the fine grid, and an upper bound from
-the adjacent-difference relaxation capped by twice the total variation.
-The callers of the linear program only choose which node pairs it
-constrains.
+rest, so the sup is the maximum of ``path_metric`` bit for bit.  A
+stopping loop compares its sups through ``_PathSups``, which decides each
+comparison on the brackets and runs the program, batched over every
+pending slice of every path, only when two brackets overlap, and once more
+when the loop ends.  The linear program serves only 2D.  There it is exact
+while the grid is small enough (every node pair closer than the cap 2
+contributes a constraint); on finer grids we report a certified bracket
+instead: a lower bound from a coarse-grid optimizer lifted by clamped (not
+periodic) linear interpolation and re-certified on the fine grid, and an
+upper bound from the adjacent-difference relaxation capped by twice the
+total variation.  The callers of the linear program only choose which node
+pairs it constrains.
 
 The tightness weight psi(x) = log(1 + sqrt(1 + |x|^2)) - log 2 is a smooth
 stand-in for log(1 + |x|): nonnegative, zero at the origin, radially
@@ -51,7 +50,7 @@ _PHI_CAP = 1.0  # test functions bounded by 1, so any d0 value is <= 2
 _CHAIN_BLOCK = 16
 # (slices - 1) x nodes x lattice points of a 1D path from which
 # ``_sup_bracket`` bounds its slices; below it a path takes the chain
-# program at once.  For one ``_path_sup`` call the bounds lose at 17k,
+# program at once.  For the sup of one path alone the bounds lose at 17k,
 # 64 nodes x 9 slices and 32 x 33, and save 10% at 34k, 64 x 17, and 30%
 # at 68k, 64 x 33.  Replaying a solve's stop tests through ``_PathSups``
 # (one Xeon core), the brackets cost 12-21% more at 16 nodes (1.2k to
@@ -472,8 +471,8 @@ def path_metric(grid: Grid, path, reference=None) -> np.ndarray:
     ``path[k]`` and ``reference[k]``, and every pair must match in mass;
     without it, entry k is ``signed_dual_norm(path[k])``.  Values equal
     the single-slice calls; a 1D path costs one dynamic-program call over
-    every slice.  A caller that needs only the sup over the slices calls
-    ``_path_sup``, which runs the program on fewer slices.
+    every slice.  A caller that needs only the sup over the slices records
+    the path in a ``_PathSups``, which runs the program on fewer slices.
     """
     return _upper_or_exact(grid, _path_weights(grid, path, reference))[0]
 
@@ -526,15 +525,6 @@ def _sup_bracket(grid: Grid, path, reference=None
     return lo, float(upper.max()), weights[~(upper < lo)]
 
 
-def _path_sup(grid: Grid, path, reference=None) -> float:
-    """``np.max(path_metric(grid, path, reference))``, bitwise.
-
-    The chain program runs only on the rows ``_sup_bracket`` keeps.
-    """
-    _, hi, rows = _sup_bracket(grid, path, reference)
-    return float(np.max(_chain_sup(rows, grid.dx[0]))) if len(rows) else hi
-
-
 class _PathSups:
     """Path sups that a stopping loop compares, made exact on demand.
 
@@ -544,11 +534,9 @@ class _PathSups:
     whenever they do not overlap.  Only when they do does it ``resolve``:
     one ``_chain_sup`` call over every pending row of every recorded path,
     after which each of those brackets is its exact sup.  Rows of the
-    program are bitwise independent, so ``sup(i)`` is bitwise what
-    ``_path_sup`` gives for path i, and every decision is the one the
-    exact values give.  The pending rows never exceed the slices of the
-    path being added: a path whose rows would pass them resolves the
-    earlier ones first.
+    program are bitwise independent, so ``sup(i)`` is bitwise
+    ``np.max(path_metric(...))`` of path i, and every decision is the one
+    the exact values give.
     """
 
     def __init__(self, grid: Grid):
@@ -566,8 +554,6 @@ class _PathSups:
         self._lo.append(lo)
         self._hi.append(hi)
         if len(rows):
-            if sum(len(r) for _, r in self._pending) + len(rows) > len(path):
-                self.resolve()
             self._pending.append((index, rows))
         return index
 

@@ -28,7 +28,7 @@ from .grid import Field, Grid, _Record, _batch_gradient
 from .hjb import Trajectory, _check_operand, solve_hjb
 from .fp import _project_slices, solve_fp
 from .kernels import KernelCache
-from .measures import Measure, _path_sup, _PathSups, d0_distance
+from .measures import Measure, _PathSups, d0_distance, path_metric
 
 _SLICE_MASS_TOL = 1e-9
 _DEGENERATE_D0 = 1e-12
@@ -116,7 +116,7 @@ class MfgSolution:
     is the stopping quantity at outer iteration k: the mixing weight times
     the sup-in-time bounded-Lipschitz gap between the best response and
     the path it answered (the size of a plain damped update), bitwise
-    ``damping_history[k] * measures._path_sup(grid, response, path)``
+    ``damping_history[k] * np.max(path_metric(grid, response, path))``
     although the loop decided on certified brackets of it.
     ``damping_history[k]`` is the Anderson mixing weight used.
     ``diagnostics`` holds the nine keys ``solve_mfg`` writes:
@@ -288,8 +288,8 @@ def solve_mfg(problem: MfgProblem,
     program runs, on every pending slice at once, only when a bracket
     straddles a decision, and once more when the loop ends to make every
     recorded gap exact.  A converged 64-node solve of 33 slices makes one
-    program call, or two when its stop tests keep more than 33 slices in
-    all; the decisions, and so every output, are those of the exact gaps.
+    program call; the decisions, and so every output, are those of the
+    exact gaps.
 
     A crowd-independent system (both couplings ``Zero``) is recognized
     and solved in a single undamped iteration, so its value trajectory is
@@ -525,7 +525,7 @@ def lipschitz_stability_probe(problem: MfgProblem,
     sol2 = _require_converged(solve_mfg(replace(problem, m0=m0_prime)),
                               "stability probe perturbed solve")
     grid = problem.grid
-    sup_d0 = _path_sup(grid, sol1.m.values, sol2.m.values)
+    sup_d0 = float(np.max(path_metric(grid, sol1.m.values, sol2.m.values)))
     sup_u = float(np.max(np.abs(sol1.u.values - sol2.u.values)))
     return StabilityProbeReport(
         d0_initial=base, sup_d0_gap=sup_d0, sup_u_gap=sup_u,

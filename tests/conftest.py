@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from levymfg import grid
+from levymfg import grid, measures
 
 
 @pytest.fixture
@@ -36,3 +36,16 @@ def transform_calls(monkeypatch):
 
         monkeypatch.setattr(grid, name, counted)
     return calls
+
+
+@pytest.fixture
+def chain_sup_rows(monkeypatch):
+    """Row counts of every ``measures._chain_sup`` call from now on."""
+    rows, chain_sup = [], measures._chain_sup
+
+    def counted(weights, dx):
+        rows.append(len(weights))
+        return chain_sup(weights, dx)
+
+    monkeypatch.setattr(measures, "_chain_sup", counted)
+    return rows

@@ -32,7 +32,7 @@ from levymfg.hjb import (
 )
 from levymfg import hjb, kernels
 from levymfg.kernels import KernelCache
-from levymfg.levy import FractionalLaplacian, LevyTriplet
+from levymfg.levy import FractionalLaplacian, LevyTriplet, NumericDensity
 from oracles import (allocating_sweep_spectra, constant_trajectory,
                      drift_hamiltonian, laplacian_triplet, semigroup_apply,
                      stacked_dense_first_pass, zero_hamiltonian,
@@ -388,10 +388,15 @@ class TestSolveHjb:
             solve_hjb(self.cache, zero_hamiltonian(), None, self.g,
                       0.0, 1.0, 10)
 
-    def test_supercritical_order_rejected(self):
-        trip = LevyTriplet(dims=1, jumps=FractionalLaplacian(0.9))
-        cache = KernelCache(trip, self.grid)
-        with pytest.raises(UnsupportedOrderError, match="alpha"):
+    # a NumericDensity's declared order is that of its own jump part
+    @pytest.mark.parametrize("jumps, alpha", [
+        (FractionalLaplacian(0.9), "0.9"),
+        (NumericDensity(
+            density=lambda z: np.exp(-np.abs(z)) / np.abs(z) ** 1.8,
+            alpha_low=0.8), "0.8")], ids=["fractional", "numeric"])
+    def test_supercritical_order_rejected(self, jumps, alpha):
+        cache = KernelCache(LevyTriplet(dims=1, jumps=jumps), self.grid)
+        with pytest.raises(UnsupportedOrderError, match=f"alpha={alpha} "):
             solve_hjb(cache, zero_hamiltonian(), None, self.g, 0.0, 0.01, 64)
 
     def test_divergence_guard_reports_last_stable_slice(self):
@@ -699,7 +704,7 @@ def dense_case_march(monkeypatch, dense, kernel, form, adjoint, start):
     T = n_steps * step_budget(1.5, grid)
     return _mild_march(kernel, start, 0.0, T, n_steps, 2,
                        dense_case_drive(grid, form),
-                       lambda values, first: None, adjoint)
+                       lambda values: None, adjoint)
 
 
 def dense_case_drive(grid, form):
@@ -859,12 +864,12 @@ def test_check_vets_each_pass_stack_once():
     drive = _value_drive(grid, QuadraticHamiltonian(), None)
     seen = []
 
-    def check(values, first):
-        seen.append((first, values.copy()))
+    def check(values):
+        seen.append(values.copy())
 
     w = _mild_march(cache, g, 0.0, 0.125, 8, 2, drive, check)
-    assert [(first, len(v)) for first, v in seen] == [(1, 8), (1, 8), (1, 8)]
-    assert np.array_equal(seen[-1][1], w[1:])
+    assert [len(v) for v in seen] == [8, 8, 8]
+    assert np.array_equal(seen[-1], w[1:])
 
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "spectral"])

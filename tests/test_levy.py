@@ -138,8 +138,7 @@ class TestCatalogSymbols:
                                  alpha_low=1.5)
         g = Grid((32,), (4.0,))
         psi_closed = symbol_eval(LevyTriplet(dims=1, jumps=cg), g)
-        psi_num = symbol_eval(LevyTriplet(dims=1, jumps=numeric,
-                                          alpha_low=1.5), g)
+        psi_num = symbol_eval(LevyTriplet(dims=1, jumps=numeric), g)
         # log-trapezoid floor ~2e-4 relative (z_min truncation dominates)
         scale = np.maximum(1.0, np.abs(psi_closed))
         assert np.max(np.abs(psi_num - psi_closed) / scale) <= 5e-4
@@ -149,7 +148,7 @@ class TestCatalogSymbols:
                              z_max=50.0, alpha_low=1.5)
         g = Grid((32,), (4.0,))
         with pytest.raises(QuadratureError):
-            symbol_eval(LevyTriplet(dims=1, jumps=bad, alpha_low=1.5), g)
+            symbol_eval(LevyTriplet(dims=1, jumps=bad), g)
 
     def test_drift_symbol(self):
         g = Grid((32,), (2.0,))
@@ -213,9 +212,18 @@ class TestOrderAlpha:
         with pytest.raises(UnsupportedOrderError):
             LevyTriplet(dims=1, jumps=nd)
 
-    def test_declared_order_overrides(self):
-        t = LevyTriplet(dims=1, jumps=FractionalLaplacian(1.5), alpha_low=1.2)
-        assert order_alpha(t) == pytest.approx(1.2)
+    def test_numeric_density_declared_order_enters_the_minimum(self):
+        def declared(alpha):
+            return NumericDensity(
+                density=lambda z: np.exp(-np.abs(z)) / np.abs(z) ** 2.2,
+                alpha_low=alpha)
+
+        for alpha, want in ((1.2, 1.2), (1.8, 1.5)):
+            t = LevyTriplet(jumps=(declared(alpha), FractionalLaplacian(1.5)))
+            assert order_alpha(t) == want
+        for alpha in (0.0, 2.5):
+            with pytest.raises(ValueError, match="alpha_low"):
+                declared(alpha)
 
 
 class TestTripletValidation:

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from levymfg import measures
 from levymfg.coupling import (Conv, LocalComposite, Zero, apply_dmF,
                               check_M1, eval_dmF, eval_F, require_smooth)
 from levymfg.errors import (BudgetError, DivergenceError, GridMismatchError,
@@ -274,8 +275,15 @@ class TestLinSystem:
     def test_rejects_non_probability_density(self, delta_system):
         doubled = Trajectory(GRID, 0.0, T_END,
                              2.0 * delta_system.density.values)
-        with pytest.raises(ValueError, match="not a measure path"):
+        with pytest.raises(ValueError, match="deviates from 1"):
             replace(delta_system, density=doubled)
+        # one slice dips to -1e-6 at a node, its mass kept at 1
+        dipped = delta_system.density.values.copy()
+        shift = dipped[5, 10] + 1e-6
+        dipped[5, [10, 11]] += (-shift, shift)
+        with pytest.raises(ValueError, match="negative values"):
+            replace(delta_system,
+                    density=Trajectory(GRID, 0.0, T_END, dipped))
 
     def test_rejects_coupling_without_derivative_action(self, delta_system):
         with pytest.raises(TypeError, match="measure-derivative action"):
@@ -410,6 +418,34 @@ class TestSolveLinearSystem:
         # measured: 1.8e-10 / 4.8e-11
         assert float(np.max(np.abs(z_one.values - z_half.values))) <= 1e-8
         assert float(np.max(np.abs(rho_one.values - rho_half.values))) <= 1e-8
+
+    def test_stop_tests_and_output_norm_share_one_program_call(
+            self, delta_system, chain_sup_rows):
+        solve_linear_system(delta_system)
+        # measured: the closing call runs the 13 rows the 6 stop tests kept
+        # and the 33 of rho; the 1-row call is rho0's dual norm (data_norm)
+        assert chain_sup_rows == [46, 1]
+
+    def test_open_brackets_take_every_decision_on_the_exact_program(
+            self, delta_system, delta_solved, monkeypatch, chain_sup_rows):
+        # with [0, inf] for every sup each stop test must run the program:
+        # the solve is the same, bit for bit, at one call per alternation
+        bracket = measures._sup_bracket
+
+        def open_bracket(grid, path, reference=None):
+            _, _, rows = bracket(grid, path, reference)
+            # every path of this solve takes the bounds, so it has rows
+            assert len(rows) > 0
+            return 0.0, np.inf, rows
+
+        monkeypatch.setattr(measures, "_sup_bracket", open_bracket)
+        z, rho, report = solve_linear_system(delta_system)
+        want_z, want_rho, want = delta_solved
+        # one call per stop test, then rho's and rho0's
+        assert len(chain_sup_rows) == report.iterations + 2
+        assert z.values.tobytes() == want_z.values.tobytes()
+        assert rho.values.tobytes() == want_rho.values.tobytes()
+        assert report == want
 
     def test_rerun_is_bitwise_reproducible(self, delta_system, delta_solved):
         z, rho, report = delta_solved

@@ -45,7 +45,6 @@ from levymfg.measures import (
     _chain_lattice,
     _PathSups,
     _chain_sup,
-    _path_sup,
     _sup_bracket,
     d0_distance,
     d0_interval,
@@ -497,7 +496,7 @@ SUP_GRIDS = [(64, 2.0), (16, 1.7), (64, 0.25)]
 
 def sup_case(grid, seed, slices, scale, reference, equal, zero_tail,
              mass_gap):
-    """A random 1D path (and reference) for ``_path_sup``.
+    """A random 1D path (and reference) for ``path_sup``.
 
     Slices are signed noise plus a random bump times ``scale``; ``equal``
     repeats slice 0, ``zero_tail`` makes the last slices' weights exactly
@@ -524,8 +523,14 @@ def sup_case(grid, seed, slices, scale, reference, equal, zero_tail,
     return path, ref
 
 
+def path_sup(grid, path, reference=None) -> float:
+    """The sup of one path, recorded alone in a ``_PathSups``."""
+    sups = _PathSups(grid)
+    return sups.sup(sups.add(path, reference))
+
+
 class TestPathSup:
-    """``_path_sup`` is the maximum of ``path_metric``, bit for bit."""
+    """A path's sup is the maximum of ``path_metric``, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=st.sampled_from(SUP_GRIDS), seed=st.integers(0, 10 ** 6),
@@ -545,12 +550,12 @@ class TestPathSup:
         # bounded: every path takes the bounds, however small
         with mock.patch.object(measures_module, "_BOUNDS_WORK",
                                0 if bounded else measures_module._BOUNDS_WORK):
-            got = _path_sup(grid, path, ref)
+            got = path_sup(grid, path, ref)
         assert np.float64(got).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("slices, rows", [(33, 1), (9, 9)])
     def test_runs_the_program_on_the_rows_it_cannot_rule_out(
-            self, monkeypatch, slices, rows):
+            self, chain_sup_rows, slices, rows):
         # slice k is a mix 2^(k-32) of the way from a to b: the last slice
         # alone holds the maximum, and the bounds of 33 slices of 64 nodes
         # rule out the rest; 9 slices are too few for the bounds to pay
@@ -559,15 +564,8 @@ class TestPathSup:
         mix = 2.0 ** np.arange(1 - slices, 1)[:, None]
         path = a + mix * (b - a)
         ref = np.broadcast_to(a, path.shape)
-        counts = []
-
-        def counted(weights, dx):
-            counts.append(len(weights))
-            return _chain_sup(weights, dx)
-
-        monkeypatch.setattr(measures_module, "_chain_sup", counted)
-        got = _path_sup(grid, path, ref)
-        assert counts == [rows]
+        got = path_sup(grid, path, ref)
+        assert chain_sup_rows == [rows]
         assert got == np.max(path_metric(grid, path, ref)) > 0.0
 
     @pytest.mark.parametrize("reference", [False, True])
@@ -583,7 +581,7 @@ class TestPathSup:
             with pytest.raises(ValueError) as want:
                 path_metric(grid, broken, ref)
             with pytest.raises(ValueError) as got:
-                _path_sup(grid, broken, ref)
+                path_sup(grid, broken, ref)
             assert str(got.value) == str(want.value)
 
     def test_mass_mismatch_raises_as_path_metric(self):
@@ -594,15 +592,15 @@ class TestPathSup:
         with pytest.raises(ValueError, match="total masses differ") as want:
             path_metric(grid, path, ref)
         with pytest.raises(ValueError) as got:
-            _path_sup(grid, path, ref)
+            path_sup(grid, path, ref)
         assert str(got.value) == str(want.value)
 
     def test_2d_is_the_plain_maximum(self):
         grid = Grid((8, 8), (1.0, 1.0))
         path = np.stack([random_measure(grid, s).values for s in range(3)])
         ref = path[::-1].copy()
-        assert _path_sup(grid, path, ref) == np.max(path_metric(grid, path,
-                                                                ref))
+        assert path_sup(grid, path, ref) == np.max(path_metric(grid, path,
+                                                               ref))
 
 
 _EPS = np.finfo(float).eps
@@ -660,7 +658,7 @@ class TestSupBracket:
             want = np.max(path_metric(grid, path))
             lo, hi, rows = _sup_bracket(grid, path)
             assert lo <= want <= hi
-            assert _path_sup(grid, path) == want
+            assert path_sup(grid, path) == want
 
     def test_small_paths_and_2d_are_exact_at_once(self):
         for grid in (Grid(16, 2.0), Grid((8, 8), (1.0, 1.0))):
@@ -674,18 +672,6 @@ class TestSupBracket:
 class TestPathSups:
     """Decisions on brackets equal the decisions on exact sups."""
 
-    @staticmethod
-    def count_calls(monkeypatch) -> list:
-        """Row counts of every ``_chain_sup`` call from now on."""
-        calls = []
-
-        def counted(weights, dx):
-            calls.append(len(weights))
-            return _chain_sup(weights, dx)
-
-        monkeypatch.setattr(measures_module, "_chain_sup", counted)
-        return calls
-
     def test_sups_and_decisions_match_the_exact_values(self, monkeypatch):
         monkeypatch.setattr(measures_module, "_BOUNDS_WORK", 0)
         grid = Grid(64, 2.0)
@@ -693,7 +679,6 @@ class TestPathSups:
                           0, 0.0)[0] for seed in range(12)]
         exact = [np.max(path_metric(grid, p)) for p in paths]
         scales = [0.5 ** (k % 3) for k in range(len(paths))]
-        calls = self.count_calls(monkeypatch)
         sups = _PathSups(grid)
         for k, path in enumerate(paths):
             assert sups.add(path, scale=scales[k]) == k
@@ -703,26 +688,22 @@ class TestPathSups:
             for bound in (0.0, scales[k] * exact[k], 1.0):
                 assert sups.less(k, bound=bound) == (
                     scales[k] * exact[k] < bound)
-        # a path whose rows would pass its own slice count resolves the
-        # others first
-        assert all(rows <= 6 for rows in calls)
         assert [sups.sup(k) for k in range(len(paths))] == exact
 
-    def test_pending_rows_never_pass_one_paths_slices(self, monkeypatch):
+    def test_pending_rows_of_every_path_resolve_in_one_call(
+            self, monkeypatch, chain_sup_rows):
         monkeypatch.setattr(measures_module, "_BOUNDS_WORK", 0)
         grid = Grid(64, 2.0)
         # equal slices: the bounds keep every row of both paths
         first, second = (sup_case(grid, seed, 4, 1.0, None, True, 0, 0.0)[0]
                          for seed in (1, 2))
-        want = [np.max(path_metric(grid, p)) for p in (first, second)]
-        calls = self.count_calls(monkeypatch)
         sups = _PathSups(grid)
         sups.add(first)
-        assert calls == []
         sups.add(second)
-        assert calls == [4]
-        assert [sups.sup(0), sups.sup(1)] == want
-        assert calls == [4, 4]
+        assert chain_sup_rows == []
+        got = [sups.sup(0), sups.sup(1)]
+        assert chain_sup_rows == [8]
+        assert got == [np.max(path_metric(grid, p)) for p in (first, second)]
 
 
 class TestSignedDualNorm:

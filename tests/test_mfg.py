@@ -408,20 +408,8 @@ def test_pricing_transform_calls_do_not_grow_with_slices(
         assert transform_calls["n"] == calls + (n_steps == 32)
 
 
-def counted_chain_sup(monkeypatch) -> list:
-    """Row counts of every ``measures._chain_sup`` call from now on."""
-    rows, chain_sup = [], measures._chain_sup
-
-    def counted(weights, dx):
-        rows.append(len(weights))
-        return chain_sup(weights, dx)
-
-    monkeypatch.setattr(measures, "_chain_sup", counted)
-    return rows
-
-
-def test_stop_test_runs_the_exact_program_on_few_slices(kernel,
-                                                         monkeypatch):
+def test_stop_test_runs_the_exact_program_on_few_slices(kernel, monkeypatch,
+                                                         chain_sup_rows):
     # every stop, best-iterate and damping decision is taken on certified
     # brackets, and one closing call makes every gap exact
     pairs, best_response = [], mfg._best_response
@@ -432,24 +420,21 @@ def test_stop_test_runs_the_exact_program_on_few_slices(kernel,
         return out
 
     monkeypatch.setattr(mfg, "_best_response", recorded)
-    rows = counted_chain_sup(monkeypatch)
     sol = solve_mfg(standard_problem(kernel))
     monkeypatch.undo()
     # measured: the closing call runs 6 rows, 1 of 33 per stop test
     assert sol.converged and sol.iterations == len(pairs) == 6
-    assert rows == [6]
+    assert chain_sup_rows == [6]
     for k, (path, response) in enumerate(pairs):
         assert path.shape[0] == N_STEPS + 1
-        want = sol.damping_history[k] * measures._path_sup(GRID, response,
-                                                           path)
+        want = sol.damping_history[k] * np.max(
+            path_metric(GRID, response, path))
         assert np.float64(sol.gap_history[k]).tobytes() \
             == np.float64(want).tobytes()
-        assert want == sol.damping_history[k] * np.max(
-            path_metric(GRID, response, path))
 
 
 def test_open_brackets_take_every_decision_on_the_exact_program(
-        kernel, standard_solution, monkeypatch):
+        kernel, standard_solution, monkeypatch, chain_sup_rows):
     # with [0, inf] for every gap each stop test must run the program:
     # the solve is the same, bit for bit, at one call per iteration
     bracket = measures._sup_bracket
@@ -461,11 +446,10 @@ def test_open_brackets_take_every_decision_on_the_exact_program(
         return 0.0, np.inf, rows
 
     monkeypatch.setattr(measures, "_sup_bracket", open_bracket)
-    rows = counted_chain_sup(monkeypatch)
     sol = solve_mfg(standard_problem(kernel))
     monkeypatch.undo()
     want = standard_solution
-    assert len(rows) == sol.iterations == want.iterations
+    assert len(chain_sup_rows) == sol.iterations == want.iterations
     assert (sol.converged, sol.iterations) == (want.converged,
                                                want.iterations)
     for got, expected in ((sol.u.values, want.u.values),

@@ -5,9 +5,9 @@ guess for the crowd's evolution, the backward value solve prices it, the
 value's momentum gradient yields the optimal control drift, and the forward
 density solve transports the initial crowd under that drift.  The next path
 is an Anderson mix (Walker & Ni, SIAM J. Numer. Anal. 2011) of the recent
-paths and best responses with mixing weight ``damping``, and the loop stops
-once the best response and the path it answered agree uniformly in time
-under the bounded-Lipschitz metric.
+paths and best responses with one mixing weight, ``damping``, for the whole
+solve, and the loop stops once the best response and the path it answered
+agree uniformly in time under the bounded-Lipschitz metric.
 
 Convergence is monitored, never assumed: a run that exhausts its iteration
 budget returns a report carrying the best iterate and the full gap history
@@ -32,7 +32,6 @@ from .measures import Measure, _PathSups, d0_distance, path_metric
 
 _SLICE_MASS_TOL = 1e-9
 _DEGENERATE_D0 = 1e-12
-_GAP_RISE_STREAK = 5
 _ANDERSON_DEPTH = 5  # residual differences in one Anderson least squares
 _LL_UPPER_SLACK = 1e-7  # float slack of the Lasry-Lions inequality
 _LL_LOWER_SLACK = 1e-8
@@ -46,10 +45,10 @@ _LL_LOWER_SLACK = 1e-8
 class IterationPolicy:
     """Outer-loop controls: Anderson mixing weight, budget, stopping gap.
 
-    ``damping`` is the mixing weight of the Anderson step; with no history
-    the step is the damped update path + damping * (response - path).
-    The loop stops once damping times the response gap falls below
-    ``tol_d0``.
+    ``damping`` is the mixing weight of every Anderson step of the solve;
+    with no history the step is the damped update
+    path + damping * (response - path).  The loop stops once damping
+    times the response gap falls below ``tol_d0``.
     """
 
     damping: float = 0.5
@@ -116,16 +115,16 @@ class MfgSolution:
     is the stopping quantity at outer iteration k: the mixing weight times
     the sup-in-time bounded-Lipschitz gap between the best response and
     the path it answered (the size of a plain damped update), bitwise
-    ``damping_history[k] * np.max(path_metric(grid, response, path))``
-    although the loop decided on certified brackets of it.
-    ``damping_history[k]`` is the Anderson mixing weight used.
-    ``diagnostics`` holds the nine keys ``solve_mfg`` writes:
-    ``decoupled`` (both couplings ``Zero``), ``extrapolation_clip_max``
-    (the deepest negative entry of any extrapolated path before its clip),
-    ``anderson_resets`` (how often the mixing history was cleared),
-    ``best_iteration`` (the iteration of the smallest gap) and
-    ``damping_events`` ((iteration, new weight) of each halving); then, of
-    the returned best response (that of ``best_iteration``),
+    ``damping * np.max(path_metric(grid, response, path))`` although the
+    loop decided on certified brackets of it.  ``damping`` is the one
+    Anderson mixing weight of the solve: ``policy.damping``, or 1 for a
+    decoupled system.  ``diagnostics`` holds the eight keys ``solve_mfg``
+    writes: ``decoupled`` (both couplings ``Zero``),
+    ``extrapolation_clip_max`` (the deepest negative entry of any
+    extrapolated path before its clip), ``anderson_resets`` (how often the
+    projection fell back to the plain damped step and cleared the mixing
+    history) and ``best_iteration`` (the iteration of the smallest gap);
+    then, of the returned best response (that of ``best_iteration``),
     ``renorm_defect_max`` and ``negative_clip_max`` (the worst slice mass
     defect and deepest negative value its clamp removed), ``drift_sup``
     (sup |drift|) and ``response_gap`` (the undamped sup-in-time gap to
@@ -137,7 +136,7 @@ class MfgSolution:
     converged: bool
     iterations: int
     gap_history: tuple[float, ...]
-    damping_history: tuple[float, ...]
+    damping: float
     diagnostics: dict
     problem: MfgProblem
 
@@ -158,8 +157,6 @@ class MfgSolution:
             raise ValueError("at least one iteration must be recorded")
         if len(self.gap_history) != self.iterations:
             raise ValueError("gap history must have one entry per iteration")
-        if len(self.damping_history) != self.iterations:
-            raise ValueError("damping history must match the gap history")
 
     def measure_at(self, k: int) -> Measure:
         return Measure.from_values(self.m.grid, self.m.values[k])
@@ -210,26 +207,6 @@ def _best_response(problem: MfgProblem, path: np.ndarray
     return u, cleaned, defect, neg_clip, drift_sup
 
 
-def next_damping(rose: bool, damping: float,
-                 streak: int) -> tuple[float, int, bool]:
-    """Mixing-weight schedule: halve after a persistent gap increase.
-
-    ``rose`` says whether this iteration's gap exceeds the last one's
-    (False on the first iteration).  ``streak`` counts consecutive
-    iterations whose gap grew; once it reaches five the Anderson mixing
-    weight is halved and the streak resets (the caller then clears the
-    mixing history).  Returns (new damping, new streak, whether a halving
-    fired).
-    """
-    if rose:
-        streak += 1
-    else:
-        streak = 0
-    if streak >= _GAP_RISE_STREAK:
-        return 0.5 * damping, 0, True
-    return damping, streak, False
-
-
 def _anderson(x: np.ndarray, f: np.ndarray, xs: list, fs: list,
               weight: float) -> np.ndarray:
     """One Anderson (type II) step of mixing weight ``weight``.
@@ -272,24 +249,22 @@ def solve_mfg(problem: MfgProblem,
     zero and renormalized slice by slice; a clip that would move more
     than the ``fp`` renormalization budget of mass instead takes the plain
     damped step path + damping * (response - path), a convex mix of
-    densities, and clears the history, as does a halving of the mixing
-    weight by ``next_damping``.  The loop stops when ``gap_history[k]``,
-    damping times the sup-in-time bounded-Lipschitz gap between the
-    response and its path (bitwise the maximum of ``path_metric`` over
-    the slices), falls below ``policy.tol_d0``; exhausting ``max_iters``
-    returns the best iterate with ``converged=False`` rather than
-    raising.  Solver blow-ups inside an iteration propagate with the
-    iterate index prefixed, and a non-finite response raises ValueError
-    in its own iteration's stop test.
+    densities, and clears the history.  The loop stops when
+    ``gap_history[k]``, damping times the sup-in-time bounded-Lipschitz
+    gap between the response and its path (bitwise the maximum of
+    ``path_metric`` over the slices), falls below ``policy.tol_d0``;
+    exhausting ``max_iters`` returns the best iterate with
+    ``converged=False`` rather than raising.  Solver blow-ups inside an
+    iteration propagate with the iterate index prefixed, and a non-finite
+    response raises ValueError in its own iteration's stop test.
 
     Each gap is held as a certified bracket (``measures._PathSups``): the
-    stop against ``tol_d0``, the new-best test and the gap-rise test of
-    the damping schedule are decided on the brackets, and the exact chain
-    program runs, on every pending slice at once, only when a bracket
-    straddles a decision, and once more when the loop ends to make every
-    recorded gap exact.  A converged 64-node solve of 33 slices makes one
-    program call; the decisions, and so every output, are those of the
-    exact gaps.
+    stop against ``tol_d0`` and the new-best test are decided on the
+    brackets, and the exact chain program runs, on every pending slice at
+    once, only when a bracket straddles a decision, and once more when the
+    loop ends to make every recorded gap exact.  A converged 64-node solve
+    of 33 slices makes one program call; the decisions, and so every
+    output, are those of the exact gaps.
 
     A crowd-independent system (both couplings ``Zero``) is recognized
     and solved in a single undamped iteration, so its value trajectory is
@@ -314,9 +289,6 @@ def solve_mfg(problem: MfgProblem,
 
     policy = problem.policy
     damping = 1.0 if problem.decoupled else policy.damping
-    streak = 0
-    damping_history: list[float] = []
-    damping_events: list[tuple[int, float]] = []
     paths: list[np.ndarray] = []
     residuals: list[np.ndarray] = []
     # the stop tests: each path gap is a bracket, exact only on demand
@@ -336,7 +308,6 @@ def solve_mfg(problem: MfgProblem,
         # so damping * (response gap) is the size of a plain damped update.
         residual = response - path
         gaps.add(response, path, damping)
-        damping_history.append(damping)
         if best is None or gaps.less(k, best[0]):
             best = (k, u, response, dict(
                 renorm_defect_max=defect, negative_clip_max=neg_clip,
@@ -347,35 +318,27 @@ def solve_mfg(problem: MfgProblem,
         step = _anderson(path, residual, paths, residuals, damping)
         diagnostics["extrapolation_clip_max"] = max(
             diagnostics["extrapolation_clip_max"], -float(np.min(step)))
-        reset = False
         try:
             path, _, _ = _project_slices(grid, step)
         except InstabilityError:
             # the plain damped step mixes two densities: never negative
             path = path + damping * residual
-            reset = True
-        damping, streak, halved = next_damping(
-            k > 0 and gaps.less(k - 1, k), damping, streak)
-        if halved:
-            damping_events.append((k, damping))
-        if reset or halved:
             paths.clear()
             residuals.clear()
             diagnostics["anderson_resets"] += 1
 
     # a converged run stops at its smallest gap, so the best pair is its last
     best_k, final_u, final_m, best_record = best
-    gap_history = [lam * gaps.sup(k) for k, lam in enumerate(damping_history)]
+    gap_history = tuple(damping * gaps.sup(j) for j in range(k + 1))
     diagnostics.update(best_record, response_gap=gaps.sup(best_k),
-                       best_iteration=best_k,
-                       damping_events=tuple(damping_events))
+                       best_iteration=best_k)
     return MfgSolution(
         u=final_u,
         m=Trajectory(grid, problem.t0, problem.T, final_m),
         converged=converged,
         iterations=len(gap_history),
-        gap_history=tuple(gap_history),
-        damping_history=tuple(damping_history),
+        gap_history=gap_history,
+        damping=damping,
         diagnostics=diagnostics,
         problem=problem,
     )

@@ -8,6 +8,7 @@ that grid's 0.0625 budget.  Expected values were measured once and frozen;
 comments record the raw measurements.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,8 @@ from levymfg.errors import (BudgetError, DivergenceError, GridMismatchError,
                             InstabilityError)
 from levymfg.fp import _forward_values, mass_series, solve_fp
 from levymfg.grid import Field, Grid, gradient
-from levymfg.hjb import QuadraticHamiltonian, Trajectory, solve_hjb
+from levymfg.hjb import (GeneralHamiltonian, QuadraticHamiltonian,
+                         Trajectory, solve_hjb)
 from levymfg.kernels import KernelCache
 from levymfg.levy import FractionalLaplacian, LevyTriplet
 from levymfg.linearized import (JKernel, LinSystem, _coupling_actions,
@@ -315,6 +317,43 @@ class TestLinSystem:
         other = mollified_delta(Grid(32, 2.0), (0.5,))
         with pytest.raises(GridMismatchError, match="perturbation grid"):
             linearize(standard_solution, other)
+
+    @staticmethod
+    def undeclared(solution: MfgSolution, weight) -> MfgSolution:
+        """``solution`` re-posed under H = weight(x) |p|^2 / 2, which has a
+        momentum curvature but declares no convexity bound."""
+        ham = GeneralHamiltonian(
+            h=lambda x, u, p: 0.5 * weight(x[0]) * p[0] ** 2,
+            grad=lambda x, u, p: (weight(x[0]) * p[0],),
+            hess=lambda x, u, p: np.broadcast_to(
+                weight(x[0]), np.shape(u))[..., None, None])
+        return replace(solution,
+                       problem=replace(solution.problem, hamiltonian=ham))
+
+    @pytest.mark.parametrize("weight, want", [
+        # the realized curvatures on the grid span [0.5 + cos(2) / 4, 0.75]
+        (lambda x: 0.5 + 0.25 * np.cos(x), 1.0 / (0.5 + 0.25 * np.cos(2.0))),
+        (lambda x: 3.0 + 0.0 * x, 3.0),
+        (lambda x: 0.25 + 0.0 * x, 4.0),
+        (lambda x: 1.0 + 0.0 * x, 1.0)], ids=["wavy", "hi", "1/lo", "unit"])
+    def test_undeclared_ellipticity_comes_from_the_realized_curvature(
+            self, standard_solution, weight, want):
+        # c = max(hi, 1/lo, 1); measured: 2.5254866374606686 for "wavy",
+        # the grid holding x = -2 exactly
+        system = linearize(self.undeclared(standard_solution, weight),
+                           mollified_delta(GRID, (0.5,)))
+        assert system.ellipticity == want
+
+    @pytest.mark.parametrize("weight, lo", [
+        (lambda x: 0.0 * x, "0.000e+00"), (np.cos, "-4.161e-01")],
+        ids=["zero", "indefinite"])
+    def test_degenerate_curvature_has_no_ellipticity(
+            self, standard_solution, weight, lo):
+        with pytest.raises(ValueError, match=re.escape(
+                f"momentum curvature degenerates (min eigenvalue {lo}); "
+                "no ellipticity constant exists")):
+            linearize(self.undeclared(standard_solution, weight),
+                      mollified_delta(GRID, (0.5,)))
 
 
 # -- one-way transport (both coupling derivatives zero) ---------------------
@@ -747,7 +786,7 @@ class TestDerivativeKernelBatch:
             m=Trajectory(big, 0.0, 5e-4, np.broadcast_to(
                 m0.values, (2,) + big.shape).copy()),
             converged=True, iterations=1, gap_history=(0.0,),
-            damping_history=(1.0,), diagnostics={}, problem=problem)
+            damping=1.0, diagnostics={}, problem=problem)
         with pytest.raises(BudgetError, match="per-axis budget"):
             j_field_batch(fabricated)
 

@@ -11,6 +11,7 @@ Expected values were measured once and frozen; comments record the raw
 measurements.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,8 +19,8 @@ import pytest
 
 from levymfg import master
 from levymfg.coupling import Conv, Zero, eval_F
-from levymfg.errors import (BudgetError, DivergenceError, InstabilityError,
-                            SpectralResidueError)
+from levymfg.errors import (BudgetError, DivergenceError, GridMismatchError,
+                            InstabilityError, SpectralResidueError)
 from levymfg.grid import Field, Grid
 from levymfg.hjb import QuadraticHamiltonian
 from levymfg.kernels import KernelCache
@@ -384,3 +385,59 @@ class TestValidation:
     def test_coupling_without_derivative_action(self):
         with pytest.raises(TypeError, match="measure-derivative action"):
             make_scenario(running_cost=object())
+
+    @pytest.mark.parametrize("T", [0.0, -0.5, np.inf, np.nan])
+    def test_horizon_must_be_positive_and_finite(self, T):
+        with pytest.raises(ValueError,
+                           match="^horizon T must be positive and finite$"):
+            make_scenario(T=T)
+
+    @pytest.mark.parametrize("t0", [T_END, 0.75])
+    def test_start_at_or_after_the_horizon_solves_nothing(self, m0, t0):
+        fresh = make_scenario()
+        with pytest.raises(ValueError, match=re.escape(
+                f"start time {t0!r} leaves no slab before T={T_END!r}")):
+            solve_scenario(fresh, t0, m0)
+        assert len(fresh._memo) == 0
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda s, m, other: solve_scenario(s, 0.0, other),
+         "initial measure grid != scenario grid"),
+        (lambda s, m, other: eval_U(s, 0.0, other),
+         "initial measure grid != scenario grid"),
+        (lambda s, m, other: derivative_check(s, 0.0, other, m, [0.2, 0.1]),
+         "measure grid != scenario grid"),
+        (lambda s, m, other: derivative_check(s, 0.0, m, other, [0.2, 0.1]),
+         "measure grid != scenario grid"),
+        (lambda s, m, other: master_residual(s, 0.25, other, SAMPLES),
+         "initial measure grid != scenario grid"),
+    ], ids=["solve_scenario", "eval_U", "derivative_check-m0",
+            "derivative_check-m0_prime", "master_residual"])
+    def test_foreign_grid_measure_solves_nothing(self, m0, call, message):
+        fresh = make_scenario()
+        with pytest.raises(GridMismatchError, match=f"^{re.escape(message)}$"):
+            call(fresh, m0, gaussian(Grid(32, 2.0), 0.0))
+        assert len(fresh._memo) == 0
+
+    @pytest.mark.parametrize("h_list, message", [
+        ([0.2], "need at least two quotient sizes to fit a slope"),
+        ([0.2, 0.0], "quotient sizes must lie in (0, 1]"),
+        ([1.5, 0.1], "quotient sizes must lie in (0, 1]"),
+        ([0.1, 0.2], "quotient sizes must decrease strictly"),
+        ([0.2, 0.1, 0.1], "quotient sizes must decrease strictly"),
+    ], ids=["one", "zero", "above-one", "increasing", "repeated"])
+    def test_bad_quotient_sizes_solve_nothing(self, m0, shifted, h_list,
+                                              message):
+        fresh = make_scenario()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            derivative_check(fresh, 0.0, m0, shifted, h_list)
+        assert len(fresh._memo) == 0
+
+    def test_probe_equal_to_the_base_solves_nothing(self, m0):
+        fresh = make_scenario()
+        same = gaussian(GRID, 0.0)
+        with pytest.raises(ValueError, match=re.escape(
+                "probe measure equals the base measure; the difference "
+                "quotient is degenerate")):
+            derivative_check(fresh, 0.0, m0, same, [0.2, 0.1])
+        assert len(fresh._memo) == 0

@@ -355,6 +355,17 @@ class TestD0Distance:
         assert hi - lo <= 8e-4  # measured: 7.20e-4 (uncentred: 1.26e-3)
         assert d0_distance(a, b) == pytest.approx(hi)
 
+    @pytest.mark.parametrize("grid", [Grid(64, 2.0), Grid((8, 8), (1.0, 1.0))],
+                             ids=["1d", "8x8"])
+    def test_exact_configurations_give_a_degenerate_bracket(self, grid):
+        # the chain program (1D) and the linear program (8x8) are exact, so
+        # the bracket is (d, d) with d the distance itself, bit for bit
+        a, b = random_measure(grid, 3), random_measure(grid, 4)
+        d = d0_distance(a, b)
+        assert d > 0.0
+        assert [np.float64(v).tobytes() for v in d0_interval(a, b)] \
+            == [np.float64(d).tobytes()] * 2
+
 
 CHAIN_SIZES = [8, 16, 64, 256, 1024]
 # 0.9, 1.7 and 3.0 give spacings dx that do not divide 2, so the two

@@ -24,9 +24,8 @@ from levymfg.measures import (Measure, TightnessFn, d0_distance,
                               path_metric, verify_psi_jump_moment)
 from levymfg import measures, mfg
 from levymfg.mfg import (_ANDERSON_DEPTH, IterationPolicy, MfgProblem,
-                         MfgSolution, _anderson, _project_slices,
-                         lasry_lions_check, lipschitz_stability_probe,
-                         next_damping, optimal_drift, solve_mfg)
+                         _anderson, _project_slices, lasry_lions_check,
+                         lipschitz_stability_probe, optimal_drift, solve_mfg)
 from oracles import (constant_trajectory, diffused_initial_path,
                      zero_trajectory)
 
@@ -139,16 +138,25 @@ class TestContainers:
     def test_solution_invariants_enforced(self, kernel):
         sol = solve_mfg(standard_problem(
             kernel, policy=IterationPolicy(max_iters=2, tol_d0=1e-1)))
-        bad = sol.m.values.copy()
-        bad[1] *= 1.5
-        with pytest.raises(ValueError, match="mass"):
-            MfgSolution(sol.u, Trajectory(GRID, 0.0, T_END, bad),
-                        sol.converged, sol.iterations, sol.gap_history,
-                        sol.damping_history, sol.diagnostics, sol.problem)
-        with pytest.raises(ValueError, match="history"):
-            MfgSolution(sol.u, sol.m, sol.converged, sol.iterations,
-                        sol.gap_history + (0.0,), sol.damping_history,
-                        sol.diagnostics, sol.problem)
+        negative = sol.m.values.copy()
+        negative[1, 7] = -1e-3
+        cases = [
+            (dict(u=zero_trajectory(GRID, 0.0, T_END, N_STEPS, vector=True)),
+             "trajectories must be scalar"),
+            (dict(u=zero_trajectory(GRID, 0.0, T_END, N_STEPS // 2)),
+             "value and density trajectories disagree in time"),
+            (dict(m=Trajectory(GRID, 0.0, T_END, negative)),
+             "density path has a negative slice"),
+            (dict(m=Trajectory(GRID, 0.0, T_END, 1.5 * sol.m.values)),
+             "density slice mass off by"),
+            (dict(iterations=0, gap_history=()),
+             "at least one iteration must be recorded"),
+            (dict(gap_history=sol.gap_history + (0.0,)),
+             "gap history must have one entry per iteration")]
+        for changes, message in cases:
+            # replace reruns the constructor's checks
+            with pytest.raises(ValueError, match=message):
+                replace(sol, **changes)
 
     def test_measure_at(self, kernel):
         sol = solve_mfg(standard_problem(
@@ -202,8 +210,7 @@ class TestSolveMfg:
         assert sol.converged
         assert sol.gap_history[-1] < 1e-6
         assert len(sol.gap_history) == sol.iterations
-        assert len(sol.damping_history) == sol.iterations
-        assert sol.diagnostics["damping_events"] == ()
+        assert sol.damping == sol.problem.policy.damping == 0.5
         # measured: 6 iterations under Anderson mixing at weight 0.5 (18
         # under plain damping), gaps falling by 0.48x at worst
         assert 5 <= sol.iterations <= 7
@@ -224,11 +231,11 @@ class TestSolveMfg:
             assert not sol.converged
         assert set(sol.diagnostics) == {
             "decoupled", "extrapolation_clip_max", "anderson_resets",
-            "best_iteration", "damping_events", "renorm_defect_max",
+            "best_iteration", "renorm_defect_max",
             "negative_clip_max", "drift_sup", "response_gap"}
         # the per-iteration entries describe the returned best iteration
         best = sol.diagnostics["best_iteration"]
-        assert sol.diagnostics["response_gap"] * sol.damping_history[best] \
+        assert sol.diagnostics["response_gap"] * sol.damping \
             == sol.gap_history[best]
 
     def test_mixing_diagnostics_on_the_standard_solve(self, standard_solution):
@@ -270,7 +277,7 @@ class TestSolveMfg:
                            bump_measure().density, None, 0.0, T_END, N_STEPS)
         cleaned, _, _ = _project_slices(GRID, ref_rho.values)
         assert np.array_equal(sol.m.values, cleaned)
-        assert sol.diagnostics["decoupled"]
+        assert sol.diagnostics["decoupled"] and sol.damping == 1.0
 
     def test_rerun_is_bitwise_identical(self, kernel):
         prob = standard_problem(kernel)
@@ -358,8 +365,7 @@ class TestSolveMfg:
         assert diag["best_iteration"] == 0
         assert (diag["renorm_defect_max"], diag["negative_clip_max"],
                 diag["drift_sup"]) == scripted[0]
-        assert diag["response_gap"] * sol.damping_history[0] \
-            == sol.gap_history[0]
+        assert diag["response_gap"] * sol.damping == sol.gap_history[0]
         assert np.array_equal(sol.m.values, responses[0])
         assert np.all(sol.u.values == 0.0)
 
@@ -410,7 +416,7 @@ def test_pricing_transform_calls_do_not_grow_with_slices(
 
 def test_stop_test_runs_the_exact_program_on_few_slices(kernel, monkeypatch,
                                                          chain_sup_rows):
-    # every stop, best-iterate and damping decision is taken on certified
+    # every stop and best-iterate decision is taken on certified
     # brackets, and one closing call makes every gap exact
     pairs, best_response = [], mfg._best_response
 
@@ -427,7 +433,7 @@ def test_stop_test_runs_the_exact_program_on_few_slices(kernel, monkeypatch,
     assert chain_sup_rows == [6]
     for k, (path, response) in enumerate(pairs):
         assert path.shape[0] == N_STEPS + 1
-        want = sol.damping_history[k] * np.max(
+        want = sol.damping * np.max(
             path_metric(GRID, response, path))
         assert np.float64(sol.gap_history[k]).tobytes() \
             == np.float64(want).tobytes()
@@ -455,7 +461,7 @@ def test_open_brackets_take_every_decision_on_the_exact_program(
     for got, expected in ((sol.u.values, want.u.values),
                           (sol.m.values, want.m.values),
                           (sol.gap_history, want.gap_history),
-                          (sol.damping_history, want.damping_history)):
+                          (sol.damping, want.damping)):
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
     assert sol.diagnostics == want.diagnostics
 
@@ -478,27 +484,6 @@ def test_non_finite_response_raises_at_its_own_iteration(kernel,
     with pytest.raises(ValueError, match="weights must be finite"):
         solve_mfg(standard_problem(kernel))
     assert len(calls) == 3
-
-
-class TestDampingSchedule:
-    @staticmethod
-    def halvings(gaps: list[float]) -> tuple[list[int], float]:
-        """Iterations (1-based) whose gap fires a halving, final weight."""
-        lam, streak, events = 0.5, 0, []
-        for k in range(1, len(gaps) + 1):
-            rose = k >= 2 and gaps[k - 1] > gaps[k - 2]
-            lam, streak, halved = next_damping(rose, lam, streak)
-            if halved:
-                events.append(k)
-        return events, lam
-
-    def test_halves_after_five_consecutive_rises(self):
-        assert self.halvings([1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6]) \
-            == ([6], 0.25)
-
-    def test_decrease_resets_the_streak(self):
-        assert self.halvings([1.0, 2.0, 3.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]) \
-            == ([9], 0.25)
 
 
 class TestAndersonStep:

@@ -29,14 +29,19 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")
-
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src"
 PACKAGE = SOURCE / "levymfg"
 TESTS = ROOT / "tests"
 BENCH = ROOT / "bench"
-PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())
+
+
+@pytest.fixture(scope="module")
+def project() -> dict:
+    """pyproject.toml, for the metadata tests only: tomllib is standard from
+    Python 3.11, and the source scans below must run without it."""
+    tomllib = pytest.importorskip("tomllib")
+    return tomllib.loads((ROOT / "pyproject.toml").read_text())
 
 
 def imported_top_level_modules() -> set[str]:
@@ -50,8 +55,8 @@ def imported_top_level_modules() -> set[str]:
     return names
 
 
-def test_console_scripts_import_to_callables():
-    for name, target in PROJECT["project"].get("scripts", {}).items():
+def test_console_scripts_import_to_callables(project):
+    for name, target in project["project"].get("scripts", {}).items():
         module, _, attr = target.partition(":")
         obj = importlib.import_module(module)
         for part in attr.split("."):
@@ -59,8 +64,8 @@ def test_console_scripts_import_to_callables():
         assert callable(obj), f"script {name} -> {target} is not callable"
 
 
-def test_package_data_patterns_match_files():
-    package_data = PROJECT.get("tool", {}).get("setuptools", {}).get(
+def test_package_data_patterns_match_files(project):
+    package_data = project.get("tool", {}).get("setuptools", {}).get(
         "package-data", {})
     for package, patterns in package_data.items():
         base = SOURCE / package.replace(".", "/")
@@ -69,9 +74,9 @@ def test_package_data_patterns_match_files():
                 f"package-data pattern {pattern!r} matches no file in {base}"
 
 
-def test_runtime_dependencies_are_imported():
+def test_runtime_dependencies_are_imported(project):
     imported = imported_top_level_modules()
-    for requirement in PROJECT["project"].get("dependencies", []):
+    for requirement in project["project"].get("dependencies", []):
         name = re.match(r"[A-Za-z0-9][A-Za-z0-9._-]*", requirement).group(0)
         module = name.lower().replace("-", "_")
         assert module in imported, f"dependency {name} is never imported"

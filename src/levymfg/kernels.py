@@ -19,6 +19,7 @@ and a ``ResolutionError`` reports the resolution that would suffice.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,11 +234,11 @@ def verify_K_assumption(
     within 0.02 of -|beta|/alpha.  K_hat is the largest rescaled norm
     ||D^beta K_t||_L1 * t^{|beta|/alpha} over the ladder.
     """
-    if isinstance(beta, int):
+    if np.isscalar(beta):
         if grid.dims != 1:
             raise ValueError("beta must give one order per axis in d > 1")
         beta = (beta,)
-    beta = tuple(int(b) for b in beta)
+    beta = tuple(operator.index(b) for b in beta)
     if len(beta) != grid.dims or any(b < 0 for b in beta):
         raise ValueError("beta must be a nonnegative multi-index, one entry per axis")
     times = tuple(sorted(float(t) for t in times))

@@ -4,8 +4,8 @@ The field is only ever touched through its defining property: evaluated at
 ``(t0, m0)`` it is the initial value slice of the converged coupled solve
 started there.  Everything in this module is therefore a statement about
 families of full solves — the scenario object fixes the data that all of
-them share (generator, costs, horizon, step policy) and a memo keeps the
-solves reusable across checks.  Each of these solves starts from m0's
+them share (generator, costs, horizon, step policy), and each check runs
+the solves it needs afresh.  Each of these solves starts from m0's
 free flow, the Fokker-Planck march of m0 with zero drift, as the linear
 solve starts from rho0's forward flow with the feedback dropped: the
 constant path at m0 lies far from the equilibrium, and a run started there
@@ -34,7 +34,6 @@ with that direction as initial data.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -54,7 +53,6 @@ _TERMINAL_TIME_TOL = 1e-12
 _SLOPE_THRESHOLD = 1.2
 _DEFECT_FLOOR = 1e-13   # quotient defects below this are float noise
 _CONSTANT_KILL_TOL = 1e-12
-_MEMO_CAP = 32  # solves a Scenario keeps; the least recently used go first
 
 
 # --------------------------------------------------------------------------
@@ -68,14 +66,13 @@ class Scenario:
     ``dt_cap`` is the largest admissible time step: a solve from t0 uses
     ceil((T - t0)/dt_cap) steps, so slabs whose length is an exact multiple
     of the cap all march with the same dt and their time lattices nest.
-    The memo maps (t0, m0-bytes) to the converged solution, so repeated
-    evaluations (difference quotients, time probes) reuse solves; it keeps
-    the ``_MEMO_CAP`` most recently used solves.  Every solve starts from
-    m0's free flow (``_solve_from_free_flow``), as the linear solve starts
-    from rho0's: on a 16-node scenario the first response gap from the
-    constant path at m0 is about 0.12, which Anderson's first step, a
-    plain damped one, only halves; from the free flow it is about 2.5e-4,
-    and each solve takes 3 outer iterations instead of 4.
+    The scenario holds data only: every call that needs a solve runs it.
+    Every solve starts from m0's free flow (``_solve_from_free_flow``), as
+    the linear solve starts from rho0's: on a 16-node scenario the first
+    response gap from the constant path at m0 is about 0.12, which
+    Anderson's first step, a plain damped one, only halves; from the free
+    flow it is about 2.5e-4, and each solve takes 3 outer iterations
+    instead of 4.
     """
 
     kernel: KernelCache
@@ -85,8 +82,6 @@ class Scenario:
     T: float
     dt_cap: float
     policy: IterationPolicy = dc_field(default_factory=IterationPolicy)
-    _memo: OrderedDict = dc_field(default_factory=OrderedDict, repr=False,
-                                  compare=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.T) and self.T > 0.0):
@@ -130,21 +125,11 @@ def _solve_from_free_flow(problem: MfgProblem, label: str) -> MfgSolution:
 
 def solve_scenario(scenario: Scenario, t0: float, m0: Measure
                    ) -> MfgSolution:
-    """Converged coupled solve from (t0, m0), memoized on exact inputs."""
+    """Converged coupled solve from (t0, m0)."""
     if m0.grid != scenario.grid:
         raise GridMismatchError("initial measure grid != scenario grid")
-    key = (float(t0), m0.values.tobytes())
-    memo = scenario._memo
-    hit = memo.get(key)
-    if hit is not None:
-        memo.move_to_end(key)
-        return hit
-    solution = _solve_from_free_flow(scenario.problem(t0, m0),
-                                     f"coupled solve from t0={t0:g}")
-    memo[key] = solution
-    if len(memo) > _MEMO_CAP:
-        memo.popitem(last=False)
-    return solution
+    return _solve_from_free_flow(scenario.problem(t0, m0),
+                                 f"coupled solve from t0={t0:g}")
 
 
 def eval_U(scenario: Scenario, t0: float, m0: Measure) -> Field:
@@ -296,8 +281,7 @@ class MasterResidualReport(_Record):
     ``mode`` is always "interior" and ``y_stride`` always 1 (the measure
     terms need no y-lattice); the benchmark's master check reads both.
     ``solve_iterations`` holds the outer-iteration counts of the base,
-    t0 + delta_t and t0 - delta_t solves, as recorded on the solutions (a
-    memo hit reports the count of the solve it reuses).
+    t0 + delta_t and t0 - delta_t solves, as recorded on the solutions.
     """
 
     mode: str

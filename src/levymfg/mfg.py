@@ -18,6 +18,7 @@ on pairs of computed solutions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,6 +42,14 @@ _LL_LOWER_SLACK = 1e-8
 # problem / solution containers
 
 
+def _check_integer(name: str, value) -> None:
+    """Refuse a count that is not an integer; numpy integers pass."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class IterationPolicy:
     """Outer-loop controls: Anderson mixing weight, budget, stopping gap.
@@ -58,6 +67,7 @@ class IterationPolicy:
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
             raise ValueError(f"damping {self.damping!r} outside (0, 1]")
+        _check_integer("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError("need at least one outer iteration")
         if not self.tol_d0 > 0.0:
@@ -91,6 +101,7 @@ class MfgProblem:
                 "initial measure lives on a different grid than the kernel")
         if not self.T > self.t0:
             raise ValueError("degenerate time slab: need T > t0")
+        _check_integer("n_steps", self.n_steps)
         if self.n_steps < 1:
             raise ValueError("need at least one time step")
         _check_derivative_couplings(self.grid, self.running_cost,

@@ -197,6 +197,17 @@ class TestSolveFp:
         with pytest.raises(GridMismatchError):
             solve_fp(cache, None, other, None, 0.0, 0.01, 16)
 
+    @pytest.mark.parametrize("T, n_steps, message", [
+        (0.0, 16, "need T > t0"), (-0.01, 16, "need T > t0"),
+        (0.01, 0, "need at least one step")],
+        ids=["T-at-t0", "T-before-t0", "no-steps"])
+    def test_slab_and_step_count_rejected(self, T, n_steps, message):
+        grid = Grid(64, 2.0)
+        cache = KernelCache(laplacian_triplet(), grid)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_fp(cache, None, Field.constant(grid, 0.25), None, 0.0, T,
+                     n_steps)
+
     def test_slice_measure_clamps_within_budget(self):
         grid = Grid(256, 4.0)
         cache = KernelCache(laplacian_triplet(), grid)
@@ -297,6 +308,11 @@ class TestWeakResidual:
         vol = grid.cell_volume
         pair = vol * np.sum(phi.values * rho.values, axis=1)
         assert float(np.max(np.abs(pair - pair[0]))) <= 1e-6
+
+    def test_residual_at_the_start_time_is_exactly_zero(self):
+        rho = solve_fp(self.cache, None, self.rho0, None, 0.0, 0.02, 64)
+        assert weak_residual(self.cache, rho, None, None,
+                             Field.constant(self.grid, 1.0), 0.0) == 0.0
 
     def test_time_mesh_validation(self):
         rho = solve_fp(self.cache, None, self.rho0, None, 0.0, 0.02, 64)

@@ -439,6 +439,15 @@ class TestSolveHjb:
             solve_hjb(self.cache, zero_hamiltonian(), src, self.g,
                       0.0, 0.1, 64)
 
+    @pytest.mark.parametrize("T, n_steps, message", [
+        (0.0, 64, "need T > t0"), (-0.1, 64, "need T > t0"),
+        (0.1, 0, "need at least one step")],
+        ids=["T-at-t0", "T-before-t0", "no-steps"])
+    def test_slab_and_step_count_rejected(self, T, n_steps, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_hjb(self.cache, zero_hamiltonian(), None, self.g,
+                      0.0, T, n_steps)
+
     def test_terminal_grid_mismatch_rejected(self):
         other = Field.constant(Grid(64, 8.0), 0.0)
         with pytest.raises(GridMismatchError):

@@ -11,6 +11,8 @@ Oracles
   differentiated closed form.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,6 +113,17 @@ class TestKernelSynthesis:
         msg = str(exc.value)
         assert "need n >=" in msg
         assert "1024" in msg
+
+    @pytest.mark.parametrize("t", [0.0, -0.5])
+    def test_nonpositive_time_rejected(self, t):
+        cache = KernelCache(laplacian_triplet(), Grid(64, 3.0))
+        with pytest.raises(ValueError, match="^kernel time must be positive$"):
+            kernel_field(cache, t)
+
+    def test_triplet_and_grid_dimensions_must_agree(self):
+        with pytest.raises(ValueError,
+                           match="^triplet dimension 2 != grid dimension 1$"):
+            KernelCache(laplacian_triplet(2), Grid(64, 3.0))
 
     def test_2d_kernel_matches_product_of_1d(self):
         grid2 = Grid((128, 128), (10.0, 10.0))
@@ -397,3 +410,33 @@ class TestDecayCertification:
         assert set(d) == {"alpha", "beta", "times", "l1_norms", "K_hat",
                           "slope", "target_slope", "per_decade_slopes", "pass"}
         assert d["pass"] is True
+
+    def test_numpy_integer_beta_is_a_scalar_order(self):
+        grid = Grid(512, 2.0)
+        times = [0.05, 0.1, 0.2]
+        report = verify_K_assumption(laplacian_triplet(), grid, np.int64(1),
+                                     times)
+        assert report.beta == (1,)
+        assert report.to_dict() == verify_K_assumption(
+            laplacian_triplet(), grid, 1, times).to_dict()
+        # a fractional order is refused, not truncated to 1
+        for beta in (1.5, (1.5,)):
+            with pytest.raises(TypeError, match="cannot be interpreted as "
+                                                "an integer"):
+                verify_K_assumption(laplacian_triplet(), grid, beta, times)
+
+    @pytest.mark.parametrize("grid, beta, times, message", [
+        (Grid((16, 16), (2.0, 2.0)), 1, [0.1, 0.2],
+         "beta must give one order per axis in d > 1"),
+        (Grid(64, 3.0), (1, 0), [0.1, 0.2],
+         "beta must be a nonnegative multi-index, one entry per axis"),
+        (Grid(64, 3.0), (-1,), [0.1, 0.2],
+         "beta must be a nonnegative multi-index, one entry per axis"),
+        (Grid(64, 3.0), (1,), [0.1],
+         "need at least two times to fit a decay slope"),
+        (Grid(64, 3.0), (1,), [0.0, 0.2], "kernel times must be positive"),
+    ], ids=["scalar-in-2d", "too-long", "negative", "one-time", "zero-time"])
+    def test_argument_checks(self, grid, beta, times, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_K_assumption(laplacian_triplet(grid.dims), grid, beta,
+                                times)

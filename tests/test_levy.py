@@ -1,6 +1,7 @@
 """Levy symbol tests: catalog closed forms vs quadrature oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,28 @@ class TestCatalogSymbols:
         with pytest.raises(QuadratureError):
             symbol_eval(LevyTriplet(dims=1, jumps=bad), g)
 
+    def test_symbol_that_does_not_vanish_at_the_origin_rejected(self):
+        class UnitSymbol:
+            """A jump part whose symbol is 1 everywhere, xi = 0 included."""
+
+            order = 1.5
+
+            def symbol(self, xi):
+                return np.ones(xi[0].shape, dtype=complex)
+
+        with pytest.raises(QuadratureError,
+                           match="^symbol does not vanish at xi=0: "):
+            symbol_eval(LevyTriplet(jumps=(UnitSymbol(),)), Grid(32, 4.0))
+
+    def test_negative_density_rejected(self):
+        # a negative density gives Re Psi < 0: measured -1.448e+02
+        bad = NumericDensity(
+            density=lambda z: -np.exp(-z * z) * np.abs(z) ** -2.5,
+            alpha_low=1.5)
+        with pytest.raises(QuadratureError,
+                           match="^symbol has negative real part: -"):
+            symbol_eval(LevyTriplet(jumps=bad), Grid(32, 4.0))
+
     def test_drift_symbol(self):
         g = Grid((32,), (2.0,))
         t = LevyTriplet(dims=1, drift=(0.7,), diffusion=((1.0,),))
@@ -227,6 +250,15 @@ class TestOrderAlpha:
 
 
 class TestTripletValidation:
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(dims=3), "only d in {1, 2}"),
+        (dict(drift=(1.0, 2.0)), "drift must be a length-d vector"),
+        (dict(diffusion=np.eye(2)), "diffusion must be d x d"),
+    ], ids=["dims", "drift-length", "diffusion-shape"])
+    def test_shape_errors(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LevyTriplet(**kwargs)
+
     def test_asymmetric_diffusion_rejected(self):
         with pytest.raises(ValueError):
             LevyTriplet(dims=2, diffusion=((1.0, 0.3), (0.0, 1.0)))

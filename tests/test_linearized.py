@@ -244,6 +244,21 @@ class TestLinSystem:
             replace(delta_system,
                     curvature=np.ones((N_STEPS + 1, 1) + GRID.shape))
 
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("curvature", np.full((N_STEPS + 1, 1, 1) + GRID.shape, np.nan),
+         ValueError, "curvature contains NaN/Inf entries"),
+        ("ellipticity", 0.5, ValueError, "ellipticity constant must be >= 1"),
+        ("terminal", Field.constant(Grid(32, 2.0), 0.0), GridMismatchError,
+         "terminal data grid != kernel grid"),
+        ("rho0", Field.constant(Grid(32, 2.0), 0.0), GridMismatchError,
+         "initial data grid != kernel grid"),
+    ], ids=["nan-curvature", "ellipticity-below-1", "terminal-grid",
+            "rho0-grid"])
+    def test_rejects_bad_data(self, delta_system, field, value, error,
+                              message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            replace(delta_system, **{field: value})
+
     def test_rejects_asymmetric_curvature(self):
         grid2 = Grid((8, 8), (1.0, 1.0))
         kernel2 = KernelCache(
@@ -317,6 +332,16 @@ class TestLinSystem:
         other = mollified_delta(Grid(32, 2.0), (0.5,))
         with pytest.raises(GridMismatchError, match="perturbation grid"):
             linearize(standard_solution, other)
+
+    def test_linearize_needs_a_momentum_curvature(self, standard_solution):
+        ham = GeneralHamiltonian(
+            h=lambda x, u, p: 0.5 * p[0] ** 2, grad=lambda x, u, p: (p[0],))
+        solution = replace(standard_solution, problem=replace(
+            standard_solution.problem, hamiltonian=ham))
+        with pytest.raises(ValueError, match=re.escape(
+                "the Hamiltonian supplies no momentum curvature; the forward "
+                "flux of the linear system cannot be formed")):
+            linearize(solution, mollified_delta(GRID, (0.5,)))
 
     @staticmethod
     def undeclared(solution: MfgSolution, weight) -> MfgSolution:
@@ -630,6 +655,15 @@ class TestDualityReport:
         assert report.rhs == 0.0
         assert report.rel_gap == 0.0
         assert report.passed
+
+    @pytest.mark.parametrize("foreign", ["z", "rho"])
+    def test_pair_on_another_grid_is_refused(self, delta_system, foreign):
+        pair = {side: zero_trajectory(
+            Grid(32, 2.0) if side == foreign else GRID, 0.0, T_END, N_STEPS)
+            for side in ("z", "rho")}
+        with pytest.raises(GridMismatchError,
+                           match="^solution pair lives on a different grid$"):
+            duality_report(delta_system, pair["z"], pair["rho"])
 
     def test_report_serializes(self, full_system, full_solved):
         z, rho, _ = full_solved

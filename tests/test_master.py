@@ -3,10 +3,10 @@
 Order-1.5 jumps on a box of half-width 2, quadratic momentum cost of
 weight 0.5, a compactly supported bump convolution as running cost, no
 terminal cost, T = 0.5 and dt_cap = 0.03125 (half the 0.0625 budget of
-this grid).  One scenario is shared by the whole module so its memo reuses
-the solves across tests; the refinement check builds a 32-node copy with
-half the step, the decoupled and memo checks drop the running cost, and
-one check runs the mixed generator on a 2D 8x8 grid.
+this grid).  One scenario is shared by the whole module; the refinement
+check builds a 32-node copy with half the step, the decoupled check drops
+the running cost, and one check runs the mixed generator on a 2D 8x8
+grid.
 Expected values were measured once and frozen; comments record the raw
 measurements.
 """
@@ -25,9 +25,9 @@ from levymfg.grid import Field, Grid
 from levymfg.hjb import QuadraticHamiltonian
 from levymfg.kernels import KernelCache
 from levymfg.levy import CGMY, FractionalLaplacian, LevyTriplet, RieszFeller
-from levymfg.master import (_MEMO_CAP, Scenario, _measure_terms,
-                            derivative_check, eval_U, flow_consistency,
-                            master_residual, solve_scenario)
+from levymfg.master import (Scenario, _measure_terms, derivative_check,
+                            eval_U, flow_consistency, master_residual,
+                            solve_scenario)
 from levymfg.measures import Measure, path_metric
 from levymfg.mfg import IterationPolicy, solve_mfg
 from oracles import tabulated_measure_terms
@@ -87,18 +87,32 @@ def interior(scenario, m0):
     return master_residual(scenario, 0.25, m0, SAMPLES)
 
 
+@pytest.fixture
+def coupled_solves(monkeypatch):
+    """Problems of every ``solve_mfg`` call the master layer makes from now
+    on, the calls that raise included."""
+    problems, solve = [], master.solve_mfg
+
+    def counted(problem, **kwargs):
+        problems.append(problem)
+        return solve(problem, **kwargs)
+
+    monkeypatch.setattr(master, "solve_mfg", counted)
+    return problems
+
+
 class TestTerminalIdentity:
     def test_field_at_horizon_is_the_terminal_cost(self, scenario, m0):
         u_T = eval_U(scenario, T_END, m0)
         g_T = eval_F(scenario.terminal_cost, m0)
         assert float(np.max(np.abs(u_T.values - g_T.values))) == 0.0
 
-    def test_residual_is_not_posed_at_the_horizon(self, m0):
+    def test_residual_is_not_posed_at_the_horizon(self, scenario, m0,
+                                                  coupled_solves):
         # U(T) = G is eval_U's definition, not an equation to certify
-        fresh = make_scenario()
         with pytest.raises(ValueError, match="leaves no slab before T"):
-            master_residual(fresh, T_END, m0, SAMPLES)
-        assert len(fresh._memo) == 0
+            master_residual(scenario, T_END, m0, SAMPLES)
+        assert coupled_solves == []
 
 
 class TestInteriorResidual:
@@ -131,8 +145,8 @@ class TestInteriorResidual:
         assert report.term_sups["measure_flow"] == float(np.max(np.abs(got)))
 
     def test_generator_that_moves_constants_is_refused(
-            self, scenario, m0, interior, monkeypatch):
-        # the interior fixture memoized the three solves, so only the
+            self, scenario, m0, monkeypatch):
+        # the coupled solves march without apply_generator, so only the
         # residual's own generator applications see the offset
         original = scenario.kernel.apply_generator
         monkeypatch.setattr(
@@ -163,7 +177,6 @@ class TestStalledSolves:
                            match=r"^coupled solve from t0=0\.25 stalled at "
                                  r"gap .* after 1 iterations$"):
             solve_scenario(stalling, 0.25, m0)
-        assert len(stalling._memo) == 0
 
     def test_restart_stall_is_a_divergence(self, scenario, m0,
                                            monkeypatch):
@@ -184,8 +197,7 @@ class TestStalledSolves:
 
 class TestFreeFlowStart:
     def test_reaches_the_fixed_point_of_the_constant_start(
-            self, scenario, m0, interior):
-        # the interior fixture memoized the t0 = 0.25 solve
+            self, scenario, m0):
         free = solve_scenario(scenario, 0.25, m0)
         constant = solve_mfg(scenario.problem(0.25, m0))
         assert free.converged and constant.converged
@@ -306,21 +318,6 @@ class TestDecoupled:
         assert [defect for _, defect in report.rows] == [0.0] * 4
 
 
-class TestMemo:
-    def test_memo_stops_growing_at_the_cap(self, m0):
-        free = make_scenario(running_cost=Zero())
-        first = solve_scenario(free, 0.0, m0)
-        oldest = solve_scenario(free, 0.01, m0)
-        for k in range(2, _MEMO_CAP + 2):
-            solve_scenario(free, 0.01 * k, m0)
-            # a repeated (t0, m0) is a hit and becomes the most recent
-            assert solve_scenario(free, 0.0, m0) is first
-        assert len(free._memo) == _MEMO_CAP
-        # the least recently used solve was dropped and is solved afresh
-        assert solve_scenario(free, 0.01, m0) is not oldest
-        assert len(free._memo) == _MEMO_CAP
-
-
 class TestDerivativeCheck:
     def test_mixture_quotients_decay_superlinearly(self, scenario, m0,
                                                    shifted):
@@ -364,18 +361,18 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"leaves \[0, T\)"):
             master_residual(scenario, 0.25, m0, SAMPLES, time_probe_steps=8)
 
-    def test_bad_time_probe_solves_nothing(self, m0):
-        fresh = make_scenario()
+    def test_bad_time_probe_solves_nothing(self, scenario, m0,
+                                           coupled_solves):
         with pytest.raises(ValueError, match=r"leaves \[0, T\)"):
-            master_residual(fresh, 0.25, m0, SAMPLES, time_probe_steps=8)
-        assert len(fresh._memo) == 0
+            master_residual(scenario, 0.25, m0, SAMPLES, time_probe_steps=8)
+        assert coupled_solves == []
 
     @pytest.mark.parametrize("s", [-0.1, T_END])
-    def test_bad_restart_time_solves_nothing(self, m0, s):
-        fresh = make_scenario()
+    def test_bad_restart_time_solves_nothing(self, scenario, m0, s,
+                                             coupled_solves):
         with pytest.raises(ValueError, match=r"outside \[t0, T\)"):
-            flow_consistency(fresh, 0.0, m0, s)
-        assert len(fresh._memo) == 0
+            flow_consistency(scenario, 0.0, m0, s)
+        assert coupled_solves == []
 
     @pytest.mark.parametrize("dt_cap", [0.1, 0.0])
     def test_dt_cap_outside_the_budget(self, dt_cap):
@@ -393,12 +390,12 @@ class TestValidation:
             make_scenario(T=T)
 
     @pytest.mark.parametrize("t0", [T_END, 0.75])
-    def test_start_at_or_after_the_horizon_solves_nothing(self, m0, t0):
-        fresh = make_scenario()
+    def test_start_at_or_after_the_horizon_solves_nothing(
+            self, scenario, m0, t0, coupled_solves):
         with pytest.raises(ValueError, match=re.escape(
                 f"start time {t0!r} leaves no slab before T={T_END!r}")):
-            solve_scenario(fresh, t0, m0)
-        assert len(fresh._memo) == 0
+            solve_scenario(scenario, t0, m0)
+        assert coupled_solves == []
 
     @pytest.mark.parametrize("call, message", [
         (lambda s, m, other: solve_scenario(s, 0.0, other),
@@ -413,11 +410,11 @@ class TestValidation:
          "initial measure grid != scenario grid"),
     ], ids=["solve_scenario", "eval_U", "derivative_check-m0",
             "derivative_check-m0_prime", "master_residual"])
-    def test_foreign_grid_measure_solves_nothing(self, m0, call, message):
-        fresh = make_scenario()
+    def test_foreign_grid_measure_solves_nothing(self, scenario, m0, call,
+                                                 message, coupled_solves):
         with pytest.raises(GridMismatchError, match=f"^{re.escape(message)}$"):
-            call(fresh, m0, gaussian(Grid(32, 2.0), 0.0))
-        assert len(fresh._memo) == 0
+            call(scenario, m0, gaussian(Grid(32, 2.0), 0.0))
+        assert coupled_solves == []
 
     @pytest.mark.parametrize("h_list, message", [
         ([0.2], "need at least two quotient sizes to fit a slope"),
@@ -426,18 +423,18 @@ class TestValidation:
         ([0.1, 0.2], "quotient sizes must decrease strictly"),
         ([0.2, 0.1, 0.1], "quotient sizes must decrease strictly"),
     ], ids=["one", "zero", "above-one", "increasing", "repeated"])
-    def test_bad_quotient_sizes_solve_nothing(self, m0, shifted, h_list,
-                                              message):
-        fresh = make_scenario()
+    def test_bad_quotient_sizes_solve_nothing(self, scenario, m0, shifted,
+                                              h_list, message,
+                                              coupled_solves):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            derivative_check(fresh, 0.0, m0, shifted, h_list)
-        assert len(fresh._memo) == 0
+            derivative_check(scenario, 0.0, m0, shifted, h_list)
+        assert coupled_solves == []
 
-    def test_probe_equal_to_the_base_solves_nothing(self, m0):
-        fresh = make_scenario()
+    def test_probe_equal_to_the_base_solves_nothing(self, scenario, m0,
+                                                    coupled_solves):
         same = gaussian(GRID, 0.0)
         with pytest.raises(ValueError, match=re.escape(
                 "probe measure equals the base measure; the difference "
                 "quotient is degenerate")):
-            derivative_check(fresh, 0.0, m0, same, [0.2, 0.1])
-        assert len(fresh._memo) == 0
+            derivative_check(scenario, 0.0, m0, same, [0.2, 0.1])
+        assert coupled_solves == []

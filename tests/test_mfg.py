@@ -115,14 +115,31 @@ class TestContainers:
             IterationPolicy(tol_d0=0.0)
         with pytest.raises(ValueError, match="iteration"):
             IterationPolicy(max_iters=0)
+        with pytest.raises(TypeError, match=r"^max_iters must be an integer, "
+                                            r"got 2\.5$"):
+            IterationPolicy(max_iters=2.5)
 
     def test_problem_validation(self, kernel):
         with pytest.raises(ValueError, match="time slab"):
             standard_problem(kernel, T=0.0)
+        with pytest.raises(ValueError, match="^need at least one time step$"):
+            standard_problem(kernel, n_steps=0)
+        with pytest.raises(TypeError, match=r"^n_steps must be an integer, "
+                                            r"got 4\.0$"):
+            standard_problem(kernel, n_steps=4.0)
         other = Measure.normalized(Field.from_function(
             Grid(32, 2.0), lambda x: np.exp(-4.0 * x * x)))
         with pytest.raises(GridMismatchError):
             standard_problem(kernel, m0=other)
+
+    def test_numpy_integer_counts_solve_as_ints(self, kernel,
+                                                standard_solution):
+        solution = solve_mfg(standard_problem(
+            kernel, n_steps=np.int64(N_STEPS),
+            policy=IterationPolicy(max_iters=np.int64(40))))
+        assert np.array_equal(solution.u.values, standard_solution.u.values)
+        assert np.array_equal(solution.m.values, standard_solution.m.values)
+        assert solution.gap_history == standard_solution.gap_history
 
     @pytest.mark.parametrize("slot", ["running_cost", "terminal_cost"])
     def test_problem_checks_its_couplings(self, kernel, slot):
@@ -586,6 +603,13 @@ class TestCrossMonotonicity:
         other_ham = solve_mfg(replace(fast, hamiltonian=state_cost_hamiltonian()))
         with pytest.raises(ValueError, match="Hamiltonian"):
             lasry_lions_check(sol, other_ham)
+        coarse = Grid(32, 2.0)
+        other_grid = replace(sol, problem=replace(
+            fast, kernel=KernelCache(TRIPLET, coarse),
+            m0=Measure.normalized(Field.constant(coarse, 1.0))))
+        with pytest.raises(GridMismatchError,
+                           match="^solutions live on different grids$"):
+            lasry_lions_check(sol, other_grid)
 
 
 class TestStabilityProbe:

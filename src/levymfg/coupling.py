@@ -11,10 +11,9 @@ Two concrete families plus the trivial one:
 
 This module alone decides what each family does.  ``_derivative_kernel``
 names the kernel a coupling convolves with (none for ``Zero``; any other
-object has no measure-derivative action), and ``_decoupled`` says whether
-a running and terminal pair never reads the measure.  The solvers price,
-weight and differentiate through this module's helpers and never test a
-family themselves.
+object has no measure-derivative action).  The solvers price, weight and
+differentiate through this module's helpers and never test a family
+themselves.
 
 Validators decide the two monotonicity conditions used for uniqueness.
 ``check_M1`` decides the Lasry-Lions condition (M1), that F-increments
@@ -269,11 +268,6 @@ def _derivative_kernel(coupling, grid: Grid | None = None) -> Field | None:
     if grid is not None and kernel.grid != grid:
         raise GridMismatchError("coupling kernel lives on a different grid")
     return kernel
-
-
-def _decoupled(running, terminal) -> bool:
-    """True when neither coupling reads the measure: both are ``Zero``."""
-    return isinstance(running, Zero) and isinstance(terminal, Zero)
 
 
 def _action_weights(coupling, grid: Grid,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, InstabilityError
-from .grid import Field, Grid, _Record, gradient
+from .grid import Field, Grid, _Record, _check_integer, gradient
 from .hjb import _BLOWUP_SUP, Trajectory, _check_operand, _mild_march
 from .kernels import KernelCache
 from .levy import _jump_integral
@@ -116,6 +116,7 @@ def solve_fp(kernel: KernelCache, drift: Trajectory | None, rho0: Field,
         raise GridMismatchError("initial data grid != kernel grid")
     if not T > t0:
         raise ValueError("need T > t0")
+    _check_integer("n_steps", n_steps)
     if n_steps < 1:
         raise ValueError("need at least one step")
     for name, tr in (("drift", drift), ("source", source)):

@@ -28,6 +28,7 @@ us and 15.0 -> 6.2 us.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -36,6 +37,18 @@ from numpy.fft import _pocketfft_umath
 from .errors import NonFiniteFieldError, UnsupportedOrderError
 
 _SHELL_FRACTION = 0.1  # outer share of each half-width in the boundary shell
+
+
+def _check_integer(name: str, value) -> int:
+    """``value`` as an int; a count that is not an integer is refused.
+
+    numpy integers pass; a float or a string raises TypeError naming
+    ``name`` rather than being truncated or parsed.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _as_tuple(value, dims: int, caster) -> tuple:
@@ -63,7 +76,8 @@ class Grid:
         if dims is None:
             dims = len(n) if not np.isscalar(n) else (
                 len(half_width) if not np.isscalar(half_width) else 1)
-        n_t = _as_tuple(n, dims, int)
+        dims = _check_integer("dims", dims)
+        n_t = _as_tuple(n, dims, functools.partial(_check_integer, "n"))
         hw_t = _as_tuple(half_width, dims, float)
         if dims not in (1, 2):
             raise ValueError("only d in {1, 2} is supported")
@@ -125,7 +139,14 @@ class Grid:
                                  indexing="ij"))
 
     def nearest_index(self, point) -> tuple[int, ...]:
+        """Multi-index of the node nearest ``point`` (periodically wrapped).
+
+        ``point`` has one coordinate per axis; a scalar on a 1D grid.
+        """
         pt = np.atleast_1d(np.asarray(point, dtype=float))
+        if pt.shape != (self.dims,):
+            raise ValueError(f"point {point!r} does not have one coordinate "
+                             f"per axis of a {self.dims}D grid")
         idx = []
         for i in range(self.dims):
             j = int(np.round((pt[i] + self.half_width[i]) / self.dx[i]))
@@ -240,9 +261,9 @@ def _derivative_multiplier_half(grid: Grid, beta: tuple[int, ...]) -> np.ndarray
 
 def _normalize_beta(grid: Grid, beta) -> tuple[int, ...]:
     if np.isscalar(beta):
-        bt = (int(beta),) + (0,) * (grid.dims - 1)
+        bt = (_check_integer("beta", beta),) + (0,) * (grid.dims - 1)
     else:
-        bt = tuple(int(b) for b in beta)
+        bt = tuple(_check_integer("beta", b) for b in beta)
     if len(bt) != grid.dims or any(b < 0 for b in bt):
         raise UnsupportedOrderError(f"bad multi-index {beta!r} for d={grid.dims}")
     if sum(bt) > 4:

@@ -51,7 +51,7 @@ from .errors import (
     NonFiniteFieldError,
     UnsupportedOrderError,
 )
-from .grid import (Field, Grid, _Record, _batch_gradient,
+from .grid import (Field, Grid, _Record, _batch_gradient, _check_integer,
                    _derivative_multiplier_half, _gradient_multipliers, _irfft,
                    _nyquist_shell_max, _rfft, _value_gradient_rows)
 from .kernels import KernelCache
@@ -706,6 +706,7 @@ def solve_hjb(kernel: KernelCache, hamiltonian, source: Trajectory | None,
         raise GridMismatchError("terminal data grid != kernel grid")
     if not T > t0:
         raise ValueError("need T > t0")
+    _check_integer("n_steps", n_steps)
     if n_steps < 1:
         raise ValueError("need at least one step")
     if source is not None:

@@ -19,16 +19,15 @@ and a ``ResolutionError`` reports the resolution that would suffice.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (NonFiniteFieldError, ResolutionError,
                      SpectralResidueError)
-from .grid import (Field, Grid, _Record, _gradient_multipliers,
-                   _half_period_shift, _irfft, _nyquist_shell_max, _rfft,
-                   spectral_derivative)
+from .grid import (Field, Grid, _Record, _check_integer,
+                   _gradient_multipliers, _half_period_shift, _irfft,
+                   _nyquist_shell_max, _rfft, spectral_derivative)
 from .levy import LevyTriplet, UnsupportedOrderError, order_alpha, symbol_eval
 
 _NYQUIST_TOL = 1e-12
@@ -238,7 +237,7 @@ def verify_K_assumption(
         if grid.dims != 1:
             raise ValueError("beta must give one order per axis in d > 1")
         beta = (beta,)
-    beta = tuple(operator.index(b) for b in beta)
+    beta = tuple(_check_integer("beta", b) for b in beta)
     if len(beta) != grid.dims or any(b < 0 for b in beta):
         raise ValueError("beta must be a nonnegative multi-index, one entry per axis")
     times = tuple(sorted(float(t) for t in times))

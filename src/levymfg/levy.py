@@ -16,12 +16,13 @@ from its parts, e.g. ``LevyTriplet(jumps=FractionalLaplacian(1.5))`` or
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import QuadratureError, UnsupportedOrderError
-from .grid import Grid
+from .grid import Grid, _check_integer
 
 _SYMBOL_TOL = 1e-12
 
@@ -245,7 +246,7 @@ class LevyTriplet:
     _eff_order: float | None = dc_field(default=None, repr=False)
 
     def __init__(self, dims=1, drift=None, diffusion=None, jumps=()):
-        d = int(dims)
+        d = _check_integer("dims", dims)
         if d not in (1, 2):
             raise ValueError("only d in {1, 2}")
         B = np.zeros(d) if drift is None else np.asarray(drift, dtype=float)
@@ -300,16 +301,22 @@ def _jump_integral(triplet: LevyTriplet, weight, lo: float, hi: float,
                    limit: int, failure: str) -> float:
     """Sum over ``_jump_densities`` of the quadrature of weight * density.
 
-    Each term integrates over [lo, hi]; a non-finite value or an error
-    estimate above 1e-6 of max(1, |value|) raises QuadratureError with
-    the message ``failure``.
+    Each term integrates over [lo, hi]; an ``IntegrationWarning`` (quad's
+    only report of, say, a divergent integral), a non-finite value or an
+    error estimate above 1e-6 of max(1, |value|) raises QuadratureError
+    with the message ``failure``.
     """
-    from scipy.integrate import quad
+    from scipy.integrate import IntegrationWarning, quad
 
     total = 0.0
     for dens in _jump_densities(triplet):
-        val, err = quad(lambda z: weight(z) * dens(z), lo, hi,
-                        epsabs=1e-10, epsrel=1e-8, limit=limit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            try:
+                val, err = quad(lambda z: weight(z) * dens(z), lo, hi,
+                                epsabs=1e-10, epsrel=1e-8, limit=limit)
+            except IntegrationWarning:
+                raise QuadratureError(failure) from None
         if not np.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
             raise QuadratureError(failure)
         total += val

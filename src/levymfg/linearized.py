@@ -41,7 +41,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .coupling import (_action_weights, _check_derivative_couplings,
-                       _decoupled, _dmF_action)
+                       _dmF_action)
 from .errors import (
     BudgetError,
     DivergenceError,
@@ -49,7 +49,7 @@ from .errors import (
     InstabilityError,
 )
 from .fp import _forward_values
-from .grid import Field, Grid, _Record, _batch_gradient
+from .grid import Field, Grid, _Record, _batch_gradient, _check_integer
 # both legs take solve_hjb's trapezoid Picard sweeps: the duality pairing
 # needs matching order (see above)
 from .hjb import _PICARD_SWEEPS, Trajectory, _check_operand, _march_backward
@@ -152,11 +152,6 @@ class LinSystem:
     def n_steps(self) -> int:
         return self.drift.n_steps
 
-    @property
-    def one_way(self) -> bool:
-        """True when z never sees rho: both coupling derivatives vanish."""
-        return _decoupled(self.running_coupling, self.terminal_coupling)
-
 
 # --------------------------------------------------------------------------
 # assembly helpers
@@ -177,18 +172,15 @@ def _coupling_weights(system: LinSystem
 
 
 def _coupling_actions(system: LinSystem, weights: tuple,
-                      rho_values: np.ndarray | None
+                      rho_values: np.ndarray
                       ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Derivative actions of the running (per slice) and terminal couplings.
 
     Returns <dF/dm(x, m(t)), rho(t)> over all slices and <dG/dm(x, m(T)),
     rho(T)> with a slice axis of length one, each None when its coupling
-    is Zero.  ``rho_values`` has its time axis first, and is None only for
-    a one-way system, whose actions never read it; ``weights`` comes from
-    ``_coupling_weights``.
+    is Zero.  ``rho_values`` has its time axis first; ``weights`` comes
+    from ``_coupling_weights``.
     """
-    if rho_values is None:
-        return None, None
     grid = system.grid
     running_weight, terminal_weight = weights
     return (_dmF_action(system.running_coupling, grid, running_weight,
@@ -198,7 +190,7 @@ def _coupling_actions(system: LinSystem, weights: tuple,
 
 
 def _backward_data(system: LinSystem, weights: tuple,
-                   rho_values: np.ndarray | None
+                   rho_values: np.ndarray
                    ) -> tuple[np.ndarray | None, np.ndarray]:
     """Source array (time axis first) and terminal values of the
     z-equation given rho."""
@@ -267,7 +259,6 @@ class LinearReport(_Record):
     data_norm: float
     output_norm: float
     apriori_ratio: float
-    one_way: bool
 
 
 def solve_linear_system(system: LinSystem, damping: float = 0.5,
@@ -288,16 +279,15 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
     closing chain-program call makes every gap, and the dual-norm part of
     ``output_norm``, exact, bitwise the maximum of ``path_metric``.  On
     convergence the returned pair is the last raw response (a consistent
-    backward/forward pair); a one-way system (both coupling derivatives
-    zero) is solved in a single undamped pass.  A leg's DivergenceError or
-    InstabilityError is raised again tagged with the alternation in
-    progress: 0 for the initial flow, 1 for the one-way pass.  Both legs
-    run the one mild march ``hjb._mild_march``, z through
-    ``_march_backward`` and rho through ``fp._forward_values``, with two
-    trapezoid Picard sweeps each.
+    backward/forward pair).  A leg's DivergenceError or InstabilityError
+    is raised again tagged with the alternation in progress, 0 for the
+    initial flow.  Both legs run the one mild march ``hjb._mild_march``, z
+    through ``_march_backward`` and rho through ``fp._forward_values``,
+    with two trapezoid Picard sweeps each.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
+    _check_integer("max_iters", max_iters)
     if max_iters < 1:
         raise ValueError("need at least one alternation")
     if not tol > 0.0:
@@ -309,8 +299,7 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
     # the backward leg's drive reads its operands in march order
     marched_drift = drift[::-1]
 
-    def legs(rho_values: np.ndarray | None
-             ) -> tuple[np.ndarray, np.ndarray]:
+    def legs(rho_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """z backward against a frozen rho, then rho forward against z."""
         source, terminal = _backward_data(system, weights, rho_values)
         marched = None if source is None else source[::-1]
@@ -332,41 +321,35 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
     # the residual sups of the stop tests, then that of rho
     sups = _PathSups(grid)
     # the alternation in progress; 0 is the initial forward flow
-    it = 1 if system.one_way else 0
+    it = 0
     try:
-        if system.one_way:
-            # zero coupling derivatives: the z-equation never reads rho
-            z, rho = legs(None)
+        flux = system.flux_forcing
+        rho_path = _forward_values(
+            kernel, drift, None if flux is None else flux.values, rho0,
+            t0, T, n, _PICARD_SWEEPS)
+        paths, residuals = [], []
+        for it in range(1, max_iters + 1):
+            z, rho = legs(rho_path)
+            diff = rho - rho_path
+            if sups.less(sups.add(diff, scale=damping), bound=tol):
+                break
+            rho_path = _anderson(rho_path, diff, paths, residuals, damping)
         else:
-            flux = system.flux_forcing
-            rho_path = _forward_values(
-                kernel, drift, None if flux is None else flux.values, rho0,
-                t0, T, n, _PICARD_SWEEPS)
-            paths, residuals = [], []
-            for it in range(1, max_iters + 1):
-                z, rho = legs(rho_path)
-                diff = rho - rho_path
-                if sups.less(sups.add(diff, scale=damping), bound=tol):
-                    break
-                rho_path = _anderson(rho_path, diff, paths, residuals,
-                                     damping)
-            else:
-                converged = False
+            converged = False
     except (DivergenceError, InstabilityError) as exc:
         raise type(exc)(f"alternation iteration {it}: {exc}") from exc
 
     z = Trajectory._marched(grid, t0, T, z)
     rho = Trajectory._marched(grid, t0, T, rho)
     rho_sup = sups.add(rho.values)
-    # one gap per alternation; the one-way pass records none and reports 0
-    gaps = [damping * sups.sup(k) for k in range(rho_sup)] or [0.0]
+    # one gap per alternation
+    gaps = [damping * sups.sup(k) for k in range(rho_sup)]
     data = _data_norm(system)
     out = float(np.max(np.abs(z.values))) + sups.sup(rho_sup)
     report = LinearReport(
         converged=converged, iterations=len(gaps), gap_history=tuple(gaps),
-        damping=1.0 if system.one_way else damping, data_norm=data,
-        output_norm=out, apriori_ratio=(out / data if data > 0.0 else 0.0),
-        one_way=system.one_way)
+        damping=damping, data_norm=data, output_norm=out,
+        apriori_ratio=(out / data if data > 0.0 else 0.0))
     return z, rho, report
 
 

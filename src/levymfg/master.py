@@ -325,6 +325,10 @@ def master_residual(scenario: Scenario, t0: float, m0: Measure,
         raise ValueError(
             f"centered time probe t0 +- {delta_t:g} leaves [0, T); shrink "
             "time_probe_steps or move t0 inward")
+    # a point without one coordinate per axis is refused before any solve
+    points = [tuple(float(c) for c in np.atleast_1d(
+        np.asarray(point, dtype=float))) for point in sample_points]
+    nodes = [grid.nearest_index(pt) for pt in points]
     base = solve_scenario(scenario, t0, m0)
     plus = solve_scenario(scenario, t0 + delta_t, m0)
     minus = solve_scenario(scenario, t0 - delta_t, m0)
@@ -342,11 +346,8 @@ def master_residual(scenario: Scenario, t0: float, m0: Measure,
 
     residual = (time_term + gen_term - ham_term + measure_term
                 + coupling_term)
-    samples = []
-    for point in sample_points:
-        pt = tuple(float(c) for c in np.atleast_1d(
-            np.asarray(point, dtype=float)))
-        samples.append((pt, float(residual[grid.nearest_index(pt)])))
+    samples = [(pt, float(residual[node]))
+               for pt, node in zip(points, nodes)]
     return MasterResidualReport(
         mode="interior", residual=Field(grid, residual),
         samples=tuple(samples),

@@ -18,14 +18,13 @@ on pairs of computed solutions.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coupling import _check_derivative_couplings, _decoupled, _price_path
+from .coupling import _check_derivative_couplings, _price_path
 from .errors import DivergenceError, GridMismatchError, InstabilityError
-from .grid import Field, Grid, _Record, _batch_gradient
+from .grid import Field, Grid, _Record, _batch_gradient, _check_integer
 from .hjb import Trajectory, _check_operand, solve_hjb
 from .fp import _project_slices, solve_fp
 from .kernels import KernelCache
@@ -40,14 +39,6 @@ _LL_LOWER_SLACK = 1e-8
 
 # --------------------------------------------------------------------------
 # problem / solution containers
-
-
-def _check_integer(name: str, value) -> None:
-    """Refuse a count that is not an integer; numpy integers pass."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -111,10 +102,6 @@ class MfgProblem:
     def grid(self) -> Grid:
         return self.kernel.grid
 
-    @property
-    def decoupled(self) -> bool:
-        return _decoupled(self.running_cost, self.terminal_cost)
-
 
 @dataclass(frozen=True)
 class MfgSolution:
@@ -127,14 +114,13 @@ class MfgSolution:
     the sup-in-time bounded-Lipschitz gap between the best response and
     the path it answered (the size of a plain damped update), bitwise
     ``damping * np.max(path_metric(grid, response, path))`` although the
-    loop decided on certified brackets of it.  ``damping`` is the one
-    Anderson mixing weight of the solve: ``policy.damping``, or 1 for a
-    decoupled system.  ``diagnostics`` holds the eight keys ``solve_mfg``
-    writes: ``decoupled`` (both couplings ``Zero``),
-    ``extrapolation_clip_max`` (the deepest negative entry of any
-    extrapolated path before its clip), ``anderson_resets`` (how often the
-    projection fell back to the plain damped step and cleared the mixing
-    history) and ``best_iteration`` (the iteration of the smallest gap);
+    loop decided on certified brackets of it, with ``damping`` the
+    ``policy.damping`` of ``problem``.  ``diagnostics`` holds the seven
+    keys ``solve_mfg`` writes: ``extrapolation_clip_max`` (the deepest
+    negative entry of any extrapolated path before its clip),
+    ``anderson_resets`` (how often the projection fell back to the plain
+    damped step and cleared the mixing history) and ``best_iteration``
+    (the iteration of the smallest gap);
     then, of the returned best response (that of ``best_iteration``),
     ``renorm_defect_max`` and ``negative_clip_max`` (the worst slice mass
     defect and deepest negative value its clamp removed), ``drift_sup``
@@ -147,7 +133,6 @@ class MfgSolution:
     converged: bool
     iterations: int
     gap_history: tuple[float, ...]
-    damping: float
     diagnostics: dict
     problem: MfgProblem
 
@@ -277,10 +262,6 @@ def solve_mfg(problem: MfgProblem,
     of 33 slices makes one program call; the decisions, and so every
     output, are those of the exact gaps.
 
-    A crowd-independent system (both couplings ``Zero``) is recognized
-    and solved in a single undamped iteration, so its value trajectory is
-    bit-identical to a standalone backward solve.
-
     The master layer (``master.py``) passes m0's free flow, the
     Fokker-Planck march of m0 with zero drift, as ``initial_path``, which
     saves it an outer iteration per solve.  The default start stays the
@@ -299,14 +280,13 @@ def solve_mfg(problem: MfgProblem,
         path, _, _ = _project_slices(grid, initial_path.values)
 
     policy = problem.policy
-    damping = 1.0 if problem.decoupled else policy.damping
+    damping = policy.damping
     paths: list[np.ndarray] = []
     residuals: list[np.ndarray] = []
     # the stop tests: each path gap is a bracket, exact only on demand
     gaps = _PathSups(grid)
     best: tuple[int, Trajectory, np.ndarray, dict] | None = None
-    diagnostics: dict = {"decoupled": problem.decoupled,
-                         "extrapolation_clip_max": 0.0, "anderson_resets": 0}
+    diagnostics: dict = {"extrapolation_clip_max": 0.0, "anderson_resets": 0}
     converged = False
 
     for k in range(policy.max_iters):
@@ -323,7 +303,7 @@ def solve_mfg(problem: MfgProblem,
             best = (k, u, response, dict(
                 renorm_defect_max=defect, negative_clip_max=neg_clip,
                 drift_sup=drift_sup))
-        if problem.decoupled or gaps.less(k, bound=policy.tol_d0):
+        if gaps.less(k, bound=policy.tol_d0):
             converged = True
             break
         step = _anderson(path, residual, paths, residuals, damping)
@@ -349,7 +329,6 @@ def solve_mfg(problem: MfgProblem,
         converged=converged,
         iterations=len(gap_history),
         gap_history=gap_history,
-        damping=damping,
         diagnostics=diagnostics,
         problem=problem,
     )

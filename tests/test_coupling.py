@@ -97,6 +97,14 @@ def test_conv_rejects_a_kernel_at_each_edge(grid, centre, axis, side):
         Conv(phi)
 
 
+def test_zero_kernel_has_no_edge_to_guard():
+    # the edge guard compares against the peak; a zero kernel has none and
+    # prices every measure at zero
+    grid = Grid(16, 2.0)
+    cost = Conv(Field.constant(grid, 0.0))
+    assert not np.any(eval_F(cost, random_measure(grid, 0)).values)
+
+
 class TestEvalF:
     def test_zero_coupling(self):
         grid = Grid(64, 2.0)
@@ -656,6 +664,9 @@ class TestMonotonicityChecks:
 
 
 class TestSmoothnessBudget:
+    def test_zero_coupling_needs_no_derivatives(self):
+        assert require_smooth(Zero()) is None
+
     def test_gaussian_resolves_four_derivatives(self):
         grid = Grid(128, 2.0)
         assert resolved_derivatives(gauss_kernel(grid)) == 4

@@ -9,6 +9,7 @@ from levymfg.errors import (
     BudgetError,
     GridMismatchError,
     InstabilityError,
+    QuadratureError,
 )
 from levymfg.fp import (
     TightnessSeriesReport,
@@ -22,7 +23,7 @@ from levymfg.fp import (
 from levymfg.grid import Field, Grid
 from levymfg.hjb import Trajectory, solve_hjb, step_budget
 from levymfg.kernels import KernelCache
-from levymfg.levy import FractionalLaplacian, LevyTriplet
+from levymfg.levy import FractionalLaplacian, LevyTriplet, NumericDensity
 from levymfg.measures import (
     Measure,
     TightnessFn,
@@ -207,6 +208,24 @@ class TestSolveFp:
         with pytest.raises(ValueError, match=f"^{message}$"):
             solve_fp(cache, None, Field.constant(grid, 0.25), None, 0.0, T,
                      n_steps)
+
+    @pytest.mark.parametrize("n_steps", [16.0, "16"], ids=["float", "str"])
+    def test_step_count_must_be_an_integer(self, n_steps):
+        grid = Grid(64, 2.0)
+        cache = KernelCache(laplacian_triplet(), grid)
+        with pytest.raises(TypeError, match=f"^n_steps must be an integer, "
+                                            f"got {n_steps!r}$"):
+            solve_fp(cache, None, Field.constant(grid, 0.25), None, 0.0,
+                     0.01, n_steps)
+
+    def test_numpy_integer_step_count_solves_as_int(self):
+        grid = Grid(64, 2.0)
+        cache = KernelCache(laplacian_triplet(), grid)
+        rho0 = Field.from_function(
+            grid, lambda x: heat_density(x, 0.0, GAUSS_A))
+        got = solve_fp(cache, None, rho0, None, 0.0, 0.01, np.int64(16))
+        want = solve_fp(cache, None, rho0, None, 0.0, 0.01, 16)
+        assert np.array_equal(got.values, want.values)
 
     def test_slice_measure_clamps_within_budget(self):
         grid = Grid(256, 4.0)
@@ -397,6 +416,16 @@ class TestTightness:
         trip = LevyTriplet(dims=1, jumps=FractionalLaplacian(1.5))
         assert small_jump_second_moment(trip) == pytest.approx(4.0, rel=1e-8)
 
+    def test_divergent_second_moment_raises(self):
+        # int_0^1 z^2 |z|^{-3.5} dz diverges; quad flags it only with an
+        # IntegrationWarning, beside a finite value of -4 and a small
+        # error estimate
+        trip = LevyTriplet(jumps=NumericDensity(lambda z: abs(z) ** -3.5,
+                                                alpha_low=1.5))
+        with pytest.raises(QuadratureError, match="^small-jump second "
+                                  "moment failed to converge$"):
+            small_jump_second_moment(trip)
+
     def test_drift_budget_enters_slope(self):
         grid = Grid(64, 4.0)
         tr = Trajectory(grid, 0.0, 1.0,
@@ -407,3 +436,37 @@ class TestTightness:
         assert rep1.slope_budget > rep0.slope_budget
         assert rep1.slope_budget == pytest.approx(
             rep0.slope_budget + 2.0 * psi.grad_bound)
+
+
+# ---------------------------------------------------------------------------
+# diagnostics refuse what they cannot pair
+
+
+class TestDiagnosticArguments:
+    grid = Grid(16, 2.0)
+
+    def test_vector_trajectories_rejected(self):
+        vector = zero_trajectory(self.grid, 0.0, 0.1, 2, vector=True)
+        cache = KernelCache(laplacian_triplet(), self.grid)
+        with pytest.raises(ValueError, match="^mass series is for scalar "
+                                             "trajectories$"):
+            mass_series(vector)
+        with pytest.raises(ValueError, match="^weak residual needs a "
+                                             "scalar trajectory$"):
+            weak_residual(cache, vector, None, None,
+                          Field.constant(self.grid, 1.0), 0.1)
+        with pytest.raises(ValueError, match="^tightness series needs a "
+                                             "scalar trajectory$"):
+            tightness_report(vector, TightnessFn.on_grid(self.grid), 0.0)
+
+    def test_weights_on_another_grid_rejected(self):
+        scalar = zero_trajectory(self.grid, 0.0, 0.1, 2)
+        cache = KernelCache(laplacian_triplet(), self.grid)
+        other = Grid(32, 2.0)
+        with pytest.raises(GridMismatchError, match="^test function grid "
+                                  "!= trajectory grid$"):
+            weak_residual(cache, scalar, None, None,
+                          Field.constant(other, 1.0), 0.1)
+        with pytest.raises(GridMismatchError, match="^tightness weight "
+                                  "sampled on another grid$"):
+            tightness_report(scalar, TightnessFn.on_grid(other), 0.0)

@@ -3,6 +3,7 @@ and the record format every report shares."""
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +58,56 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             Grid((16,), (0.0,))
 
+    @pytest.mark.parametrize("n, half_width, dims, message", [
+        ((16, 16), (2.0,), None, "expected 2 per-axis entries, got 1"),
+        ((16, 16), 2.0, 1, "expected 1 per-axis entries, got 2"),
+        (16, 2.0, 3, "only d in {1, 2} is supported")],
+        ids=["short-width", "long-n", "three-axes"])
+    def test_rejects_bad_axis_counts(self, n, half_width, dims, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Grid(n, half_width, dims)
+
+    @pytest.mark.parametrize("n, dims, message", [
+        (16.9, None, "n must be an integer, got 16.9"),
+        ("16", None, "n must be an integer, got '16'"),
+        ((16, 16.0), None, "n must be an integer, got 16.0"),
+        (16, 1.5, "dims must be an integer, got 1.5")],
+        ids=["float", "str", "float-axis", "float-dims"])
+    def test_counts_must_be_integers(self, n, dims, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            Grid(n, 2.0, dims)
+
+    def test_numpy_integer_counts_build_the_same_grid(self):
+        g = Grid(np.int64(16), 2.0, np.int64(1))
+        assert g == Grid(16, 2.0)
+        assert type(g.n[0]) is int
+
     def test_2d_shape(self):
         g = Grid((16, 32), (1.0, 2.0))
         assert g.shape == (16, 32)
         assert g.dims == 2
         assert g.cell_volume == pytest.approx(g.dx[0] * g.dx[1])
+
+    @pytest.mark.parametrize("point, index", [
+        (0.2, (9,)), ((0.2,), (9,)), (np.array([-2.0]), (0,)),
+        (1.99, (0,))], ids=["scalar", "tuple", "array", "wraps"])
+    def test_nearest_index_1d(self, point, index):
+        assert Grid(16, 2.0).nearest_index(point) == index
+
+    def test_nearest_index_2d(self):
+        assert Grid(8, 1.0, dims=2).nearest_index((0.1, 0.2)) == (4, 5)
+
+    @pytest.mark.parametrize("grid, point", [
+        (Grid(16, 2.0), (0.1, 5.0)),
+        (Grid(8, 1.0, dims=2), (0.1, 0.2, 0.3)),
+        (Grid(8, 1.0, dims=2), (0.5,)),
+        (Grid(8, 1.0, dims=2), 0.5)],
+        ids=["extra-1d", "extra-2d", "short-2d", "scalar-2d"])
+    def test_nearest_index_needs_one_coordinate_per_axis(self, grid, point):
+        message = (f"point {point!r} does not have one coordinate per axis "
+                   f"of a {grid.dims}D grid")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            grid.nearest_index(point)
 
     def test_wavenumbers_are_pi_k_over_L(self):
         g = Grid((16,), (2.0,))
@@ -217,6 +263,36 @@ class TestSpectralDerivative:
         f = Field.constant(g, 1.0)
         with pytest.raises(UnsupportedOrderError):
             spectral_derivative(f, 5)
+
+    @pytest.mark.parametrize("beta", [(1, 0), (-1,)],
+                             ids=["too-long", "negative"])
+    def test_rejects_bad_multi_index(self, beta):
+        f = Field.constant(Grid(16, 1.0), 1.0)
+        with pytest.raises(UnsupportedOrderError, match=re.escape(
+                f"bad multi-index {beta!r} for d=1")):
+            spectral_derivative(f, beta)
+
+    def test_order_zero_returns_the_field(self):
+        f = gaussian_1d(Grid(16, 2.0), sigma=0.5)
+        assert spectral_derivative(f, 0) is f
+        assert spectral_derivative(f, (0,)) is f
+
+    @pytest.mark.parametrize("beta, message", [
+        (1.5, "beta must be an integer, got 1.5"),
+        ("1", "beta must be an integer, got '1'"),
+        ((1.0,), "beta must be an integer, got 1.0")],
+        ids=["float", "str", "float-entry"])
+    def test_orders_must_be_integers(self, beta, message):
+        # a fractional order is refused, not truncated
+        f = gaussian_1d(Grid(16, 2.0), sigma=0.5)
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            spectral_derivative(f, beta)
+
+    def test_numpy_integer_order_is_the_int_order(self):
+        f = gaussian_1d(Grid(64, 2.0), sigma=0.5)
+        want = spectral_derivative(f, 1).values
+        for beta in (np.int64(1), (np.int32(1),)):
+            assert np.array_equal(spectral_derivative(f, beta).values, want)
 
     def test_2d_mixed_partial(self):
         g = Grid((32, 32), (2.0, 2.0))

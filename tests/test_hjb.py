@@ -137,6 +137,25 @@ class TestHamiltonianProbes:
     def test_probe_passes_for_any_quadratic_weight(self, w):
         assert probe_hamiltonian(QuadraticHamiltonian(weight=w), dims=1).passed
 
+    def test_argument_checks(self):
+        with pytest.raises(ValueError,
+                           match="^quadratic weight must be positive$"):
+            QuadraticHamiltonian(0.0)
+        with pytest.raises(ValueError, match=r"^only d in \{1, 2\}$"):
+            probe_hamiltonian(QuadraticHamiltonian(), 3)
+
+    def test_declared_bounds_need_their_callbacks(self):
+        square = dict(h=lambda x, u, p: p[0] ** 2,
+                      grad=lambda x, u, p: (2.0 * p[0],))
+        with pytest.raises(ValueError, match="^uniformly_convex declared "
+                                             "without a curvature callback$"):
+            probe_hamiltonian(GeneralHamiltonian(
+                **square, uniformly_convex=True, convexity_bound=2.0), 1)
+        with pytest.raises(ValueError, match="^monotone_rate declared "
+                                             "without a u_slope callback$"):
+            probe_hamiltonian(GeneralHamiltonian(
+                **square, monotone_rate=0.5), 1)
+
     def test_report_dict_keys(self):
         d = probe_hamiltonian(QuadraticHamiltonian(), dims=1).to_dict()
         assert set(d) == {"max_grad_gap", "curvature_eig_range",
@@ -453,6 +472,26 @@ class TestSolveHjb:
         with pytest.raises(GridMismatchError):
             solve_hjb(self.cache, zero_hamiltonian(), None, other,
                       0.0, 0.1, 64)
+
+    def test_source_grid_mismatch_rejected(self):
+        src = zero_trajectory(Grid(64, 8.0), 0.0, 0.1, 64)
+        with pytest.raises(GridMismatchError,
+                           match="^source grid != kernel grid$"):
+            solve_hjb(self.cache, zero_hamiltonian(), src, self.g,
+                      0.0, 0.1, 64)
+
+    @pytest.mark.parametrize("n_steps", [64.0, "64"], ids=["float", "str"])
+    def test_step_count_must_be_an_integer(self, n_steps):
+        with pytest.raises(TypeError, match=f"^n_steps must be an integer, "
+                                            f"got {n_steps!r}$"):
+            solve_hjb(self.cache, zero_hamiltonian(), None, self.g,
+                      0.0, 0.1, n_steps)
+
+    def test_numpy_integer_step_count_solves_as_int(self):
+        ham = zero_hamiltonian()
+        got = solve_hjb(self.cache, ham, None, self.g, 0.0, 0.1, np.int64(64))
+        want = solve_hjb(self.cache, ham, None, self.g, 0.0, 0.1, 64)
+        assert np.array_equal(got.values, want.values)
 
     @given(c=st.floats(min_value=-2.0, max_value=2.0))
     @settings(max_examples=15, deadline=None)
@@ -999,6 +1038,12 @@ class TestGradientBounds:
                           0.0, 0.05, n_steps)
             vals.append(gradient_bound_report(u).sup_C1)
         assert abs(vals[0] - vals[1]) <= 0.01 * vals[1]
+
+    def test_vector_trajectory_rejected(self):
+        tr = zero_trajectory(Grid(32, 1.0), 0.0, 1.0, 4, vector=True)
+        with pytest.raises(ValueError, match="^gradient bounds are for "
+                                             "scalar trajectories$"):
+            gradient_bound_report(tr)
 
     def test_report_shape_and_dict(self):
         grid = Grid(32, 1.0)

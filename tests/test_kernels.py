@@ -114,6 +114,14 @@ class TestKernelSynthesis:
         assert "need n >=" in msg
         assert "1024" in msg
 
+    def test_orderless_flat_symbol_asks_for_a_sixteenfold_grid(self):
+        # Psi = 0 everywhere: the Nyquist multiplier is 1, so the decay
+        # estimate has no log to scale and the triplet no order; the
+        # estimate falls back to 16 times the nodes at order 1
+        cache = KernelCache(LevyTriplet(), Grid(16, 2.0))
+        with pytest.raises(ResolutionError, match="need n >= 256 per axis$"):
+            kernel_field(cache, 0.1)
+
     @pytest.mark.parametrize("t", [0.0, -0.5])
     def test_nonpositive_time_rejected(self, t):
         cache = KernelCache(laplacian_triplet(), Grid(64, 3.0))
@@ -421,8 +429,8 @@ class TestDecayCertification:
             laplacian_triplet(), grid, 1, times).to_dict()
         # a fractional order is refused, not truncated to 1
         for beta in (1.5, (1.5,)):
-            with pytest.raises(TypeError, match="cannot be interpreted as "
-                                                "an integer"):
+            with pytest.raises(TypeError, match=r"^beta must be an integer, "
+                                                r"got 1\.5$"):
                 verify_K_assumption(laplacian_triplet(), grid, beta, times)
 
     @pytest.mark.parametrize("grid, beta, times, message", [

@@ -217,6 +217,12 @@ class TestOrderAlpha:
     def test_laplacian_is_two(self):
         assert order_alpha(laplacian_triplet()) == 2.0
 
+    def test_empty_triplet_has_no_order(self):
+        with pytest.raises(UnsupportedOrderError,
+                           match="^triplet has no derivable regularity "
+                                 "order$"):
+            order_alpha(LevyTriplet())
+
     def test_aniso_minimum(self):
         t = LevyTriplet(dims=2, jumps=AnisotropicStable((1.4, 1.8)))
         assert order_alpha(t) == pytest.approx(1.4)
@@ -258,6 +264,44 @@ class TestTripletValidation:
     def test_shape_errors(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             LevyTriplet(**kwargs)
+
+    @pytest.mark.parametrize("dims", [1.7, "1"], ids=["float", "str"])
+    def test_dimension_must_be_an_integer(self, dims):
+        # 1.7 is refused, not truncated to 1
+        with pytest.raises(TypeError, match=f"^dims must be an integer, "
+                                            f"got {re.escape(repr(dims))}$"):
+            LevyTriplet(dims=dims)
+
+    def test_numpy_integer_dimension_is_the_int_dimension(self):
+        got = LevyTriplet(dims=np.int64(2), diffusion=np.eye(2))
+        assert got == LevyTriplet(dims=2, diffusion=np.eye(2))
+        assert type(got.dims) is int
+
+    def test_catalog_parameter_errors(self):
+        with pytest.raises(ValueError, match=r"^anisotropic orders must lie "
+                                             r"in \(1, 2\)$"):
+            AnisotropicStable((1.5, 0.9))
+        with pytest.raises(ValueError, match="^C, G, M must be positive$"):
+            CGMY(C=1.0, G=0.0, M=3.0, Y=1.5)
+        with pytest.raises(ValueError, match=r"^Y must lie in \(1, 2\) for "
+                                             r"solver-grade orders$"):
+            CGMY(C=1.0, G=2.0, M=3.0, Y=0.5)
+
+    @pytest.mark.parametrize("jumps, message", [
+        (RieszFeller(1.5), "one-sided stable jumps are one-dimensional"),
+        (CGMY(C=1.0, G=2.0, M=3.0, Y=1.5), "CGMY jumps are one-dimensional"),
+        (NumericDensity(lambda z: np.exp(-z * z), alpha_low=1.5),
+         "numeric densities are one-dimensional")],
+        ids=["riesz-feller", "cgmy", "numeric"])
+    def test_line_families_refuse_a_plane(self, jumps, message):
+        plane = LevyTriplet(dims=2, jumps=jumps)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            symbol_eval(plane, Grid((8, 8), (1.0, 1.0)))
+
+    def test_symbol_needs_the_grid_dimension(self):
+        with pytest.raises(ValueError,
+                           match="^grid/triplet dimension mismatch$"):
+            symbol_eval(laplacian_triplet(), Grid((8, 8), (1.0, 1.0)))
 
     def test_asymmetric_diffusion_rejected(self):
         with pytest.raises(ValueError):

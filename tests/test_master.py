@@ -367,6 +367,14 @@ class TestValidation:
             master_residual(scenario, 0.25, m0, SAMPLES, time_probe_steps=8)
         assert coupled_solves == []
 
+    def test_misshapen_sample_point_solves_nothing(self, scenario, m0,
+                                                   coupled_solves):
+        message = ("point (0.1, 5.0) does not have one coordinate per axis "
+                   "of a 1D grid")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            master_residual(scenario, 0.25, m0, SAMPLES + [(0.1, 5.0)])
+        assert coupled_solves == []
+
     @pytest.mark.parametrize("s", [-0.1, T_END])
     def test_bad_restart_time_solves_nothing(self, scenario, m0, s,
                                              coupled_solves):

@@ -234,12 +234,22 @@ class TestMeasureType:
         m = Measure.normalized(Field.from_function(grid, lambda x: np.exp(-x ** 2)))
         assert abs(m.density.integral() - 1.0) <= 1e-12
 
+    def test_normalized_rejects_a_massless_field(self):
+        with pytest.raises(ValueError, match="^cannot normalize a field "
+                                             "with nonpositive mass$"):
+            Measure.normalized(Field.constant(Grid(16, 2.0), 0.0))
+
 
 class TestD0Distance:
     def test_identical_measures(self):
         grid = Grid(64, 2.0)
         m = random_measure(grid, 0)
         assert d0_distance(m, m) == pytest.approx(0.0, abs=1e-12)
+
+    def test_rejects_a_bare_array(self):
+        m = random_measure(Grid(16, 2.0), 0)
+        with pytest.raises(TypeError, match="^expected a Measure or Field$"):
+            d0_distance(m.values, m)
 
     def test_deltas_1d(self):
         grid = Grid(128, 4.0)

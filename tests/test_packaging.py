@@ -14,7 +14,9 @@ a public class, must be read in the source outside its own body (a
 method as an attribute), or in the benchmark harness, or be named in
 ``UNCALLED_BY_DESIGN`` with its reason.  Test-only reference code lives
 in ``tests/oracles.py``, not in the package, and every public function
-there is read by a test module.
+there is read by a test module.  Every private top-level function, class
+and assignment of the package is read by another top-level statement of
+some package module.
 Only ``grid`` calls numpy's real transforms; every other module goes
 through the grid's transform pair, so the layout is decided in one
 place.  Only ``coupling`` tests a coupling family by type.  The record
@@ -356,6 +358,66 @@ def test_every_public_function_is_reached_or_named():
     named = sorted(name.rsplit(".", 1)[1]
                    for name in unreached_public(package, bench, ()))
     assert named == sorted(UNCALLED_BY_DESIGN)
+
+
+def _bound_names(node: ast.stmt) -> list[str]:
+    """Names a top-level definition or assignment binds (not an import)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name)]
+
+
+def unreached_private(package: dict[str, ast.Module]) -> list[str]:
+    """``module.name`` of each private top-level name nothing reads.
+
+    Candidates are the top-level functions, classes and assigned names of
+    every package module whose name has a leading underscore (dunders such
+    as ``__all__`` excepted).  One is reached when another top-level
+    statement of any package module reads it, as a name or an attribute;
+    its own statement does not count, and an import binds a name without
+    reading it.  Names are matched alone, whatever module they come from.
+    """
+    statements = [(module, node, names_read(node))
+                  for module, tree in package.items() for node in tree.body]
+    found = []
+    for module, node, _ in statements:
+        for name in _bound_names(node):
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if not any(name in names for _, other, names in statements
+                       if other is not node):
+                found.append(f"{module}.{name}")
+    return sorted(found)
+
+
+def test_private_scan_flags_unread_names():
+    package = {
+        "a": ast.parse("_CAP = 4\n"
+                       "_UNREAD: int = 1\n"
+                       "__all__ = ['f']\n"
+                       "def _lonely(n):\n    return _lonely(n - 1)\n"
+                       "def _used():\n    return _CAP\n"
+                       "class _Box:\n    pass\n"
+                       "class _Shelf:\n    pass\n"),
+        "b": ast.parse("from .a import _UNREAD, _Box\n"
+                       "from . import a\n"
+                       "def f():\n    return _used() + _Box() + a._Shelf\n"),
+    }
+    assert unreached_private(package) == ["a._UNREAD", "a._lonely"]
+
+
+def test_every_private_name_is_read():
+    package = {path.stem: ast.parse(path.read_text())
+               for path in sorted(PACKAGE.glob("*.py"))}
+    stray = unreached_private(package)
+    assert not stray, f"nothing in src/ reads {stray}"
 
 
 def unused_oracles(oracles: ast.Module, tests: list[ast.Module]

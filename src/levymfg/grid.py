@@ -28,6 +28,7 @@ us and 15.0 -> 6.2 us.
 from __future__ import annotations
 
 import functools
+import numbers
 import operator
 from dataclasses import dataclass, field, fields
 
@@ -49,6 +50,17 @@ def _check_integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_real(name: str, value) -> float:
+    """``value`` as a float; a value that is not a real number is refused.
+
+    numpy reals pass; a string or a bool raises TypeError naming ``name``
+    rather than being parsed or read as 0 or 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _as_tuple(value, dims: int, caster) -> tuple:
@@ -78,7 +90,8 @@ class Grid:
                 len(half_width) if not np.isscalar(half_width) else 1)
         dims = _check_integer("dims", dims)
         n_t = _as_tuple(n, dims, functools.partial(_check_integer, "n"))
-        hw_t = _as_tuple(half_width, dims, float)
+        hw_t = _as_tuple(half_width, dims,
+                         functools.partial(_check_real, "half_width"))
         if dims not in (1, 2):
             raise ValueError("only d in {1, 2} is supported")
         for ni in n_t:

@@ -10,14 +10,14 @@ with the forward divergence-form equation its duality pairing singles out,
     d(rho)/dt = L* rho + div(rho V) + div(m Gamma Dz + c),
     rho(t0, x) = rho0(x),
 
-and resolves the two-way coupling by Anderson-mixed alternation: freeze
-rho, solve z backward; freeze z, rebuild rho forward; take one Anderson
-step of mixing weight ``damping`` on rho (``mfg._anderson``).  Around a
-converged MFG solution (V the optimal drift, Gamma the momentum curvature
-of the Hamiltonian, the couplings the measure derivatives of the running
-and terminal costs) the solution map rho0 -> z(t0, .) is the derivative
-of the equilibrium value in its initial measure; with rho0 a mollified
-grid delta at y, z(t0, x) is the derivative kernel J(t0, x, m0, y).
+and resolves the two-way coupling by alternation: freeze rho, solve z
+backward; freeze z, rebuild rho forward, in the Anderson-mixed loop of
+the MFG solve (``mfg._fixed_point``).  Around a converged MFG solution (V
+the optimal drift, Gamma the momentum curvature of the Hamiltonian, the
+couplings the measure derivatives of the running and terminal costs) the
+solution map rho0 -> z(t0, .) is the derivative of the equilibrium value
+in its initial measure; with rho0 a mollified grid delta at y, z(t0, x)
+is the derivative kernel J(t0, x, m0, y).
 
 Both legs run the one mild march of the ``hjb`` module, exponential Euler
 plus two trapezoid Picard sweeps: z in the reversed clock with the
@@ -49,14 +49,13 @@ from .errors import (
     InstabilityError,
 )
 from .fp import _forward_values
-from .grid import Field, Grid, _Record, _batch_gradient, _check_integer
+from .grid import Field, Grid, _Record, _batch_gradient
 # both legs take solve_hjb's trapezoid Picard sweeps: the duality pairing
 # needs matching order (see above)
 from .hjb import _PICARD_SWEEPS, Trajectory, _check_operand, _march_backward
 from .kernels import KernelCache
-from .measures import (_density_rows, _PathSups, mollifier_field,
-                       signed_dual_norm)
-from .mfg import MfgSolution, _anderson, optimal_drift
+from .measures import _density_rows, mollifier_field, signed_dual_norm
+from .mfg import IterationPolicy, MfgSolution, _fixed_point, optimal_drift
 
 _SYMMETRY_TOL = 1e-12
 _ELLIPTICITY_TOL = 1e-9
@@ -239,7 +238,7 @@ def _data_norm(system: LinSystem) -> float:
 
 
 # --------------------------------------------------------------------------
-# the Anderson-mixed alternation
+# the alternation
 
 
 @dataclass(frozen=True)
@@ -266,32 +265,23 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
                         ) -> tuple[Trajectory, Trajectory, LinearReport]:
     """Anderson-mixed alternation between the backward and forward legs.
 
-    Starting from the forward flow of rho0 with the z-feedback flux
-    dropped, each pass solves z backward against the frozen rho, rebuilds
-    rho forward against that z, and takes one Anderson step of mixing
-    weight ``damping`` over the last ``mfg._ANDERSON_DEPTH`` residuals
-    (response minus iterate).  ``gap_history[k]`` is damping times the
-    sup over slices of the bounded-Lipschitz dual norm of the residual
-    (the size of a plain damped update; the dual norm is positively
-    homogeneous), and the loop stops once it falls below ``tol``.  As in
-    ``mfg.solve_mfg`` each sup is held as a certified bracket
-    (``measures._PathSups``) and the stop test is decided on it; one
-    closing chain-program call makes every gap, and the dual-norm part of
-    ``output_norm``, exact, bitwise the maximum of ``path_metric``.  On
-    convergence the returned pair is the last raw response (a consistent
-    backward/forward pair).  A leg's DivergenceError or InstabilityError
-    is raised again tagged with the alternation in progress, 0 for the
-    initial flow.  Both legs run the one mild march ``hjb._mild_march``, z
-    through ``_march_backward`` and rho through ``fp._forward_values``,
-    with two trapezoid Picard sweeps each.
+    The fixed-point loop of ``mfg._fixed_point`` on rho, with mixing
+    weight ``damping``, budget ``max_iters`` and stopping gap ``tol``
+    (checked as an ``mfg.IterationPolicy``): each pass solves z backward
+    against the frozen rho, then rebuilds rho forward against that z.  The
+    start is the forward flow of rho0 with the z-feedback flux dropped,
+    and the steps are not projected (rho is a signed perturbation).  A
+    leg's DivergenceError or InstabilityError is raised again tagged
+    "alternation iteration k", k counting from 1, with 0 for the initial
+    flow.  The returned pair is the raw response of the pass of smallest
+    gap (a consistent backward/forward pair), the last pass of a converged
+    solve, where the dual-norm sup of its rho, the measure part of
+    ``output_norm``, joins the gaps' one closing chain-program call.  Both
+    legs run the one mild march ``hjb._mild_march``, z through
+    ``_march_backward`` and rho through ``fp._forward_values``, with two
+    trapezoid Picard sweeps each.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
-    _check_integer("max_iters", max_iters)
-    if max_iters < 1:
-        raise ValueError("need at least one alternation")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    policy = IterationPolicy(damping, max_iters, tol)
     grid = system.grid
     kernel, drift, rho0 = system.kernel, system.drift.values, system.rho0.values
     t0, T, n = system.t0, system.T, system.n_steps
@@ -315,39 +305,26 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
                             drive)
         rho = _forward_values(kernel, drift, _flux_values(system, z),
                               rho0, t0, T, n, _PICARD_SWEEPS)
-        return z, rho
+        return rho, z
 
-    converged = True
-    # the residual sups of the stop tests, then that of rho
-    sups = _PathSups(grid)
-    # the alternation in progress; 0 is the initial forward flow
-    it = 0
+    flux = system.flux_forcing
     try:
-        flux = system.flux_forcing
-        rho_path = _forward_values(
+        start = _forward_values(
             kernel, drift, None if flux is None else flux.values, rho0,
             t0, T, n, _PICARD_SWEEPS)
-        paths, residuals = [], []
-        for it in range(1, max_iters + 1):
-            z, rho = legs(rho_path)
-            diff = rho - rho_path
-            if sups.less(sups.add(diff, scale=damping), bound=tol):
-                break
-            rho_path = _anderson(rho_path, diff, paths, residuals, damping)
-        else:
-            converged = False
     except (DivergenceError, InstabilityError) as exc:
-        raise type(exc)(f"alternation iteration {it}: {exc}") from exc
+        raise type(exc)(f"alternation iteration 0: {exc}") from exc
+    passes, best, sups, converged, _ = _fixed_point(
+        legs, start, policy, grid, lambda k: f"alternation iteration {k + 1}")
 
-    z = Trajectory._marched(grid, t0, T, z)
-    rho = Trajectory._marched(grid, t0, T, rho)
+    rho, z = (Trajectory._marched(grid, t0, T, values)
+              for values in passes[best])
     rho_sup = sups.add(rho.values)
-    # one gap per alternation
-    gaps = [damping * sups.sup(k) for k in range(rho_sup)]
+    gaps = tuple(damping * sups.sup(k) for k in range(rho_sup))
     data = _data_norm(system)
     out = float(np.max(np.abs(z.values))) + sups.sup(rho_sup)
     report = LinearReport(
-        converged=converged, iterations=len(gaps), gap_history=tuple(gaps),
+        converged=converged, iterations=len(gaps), gap_history=gaps,
         damping=damping, data_norm=data, output_norm=out,
         apriori_ratio=(out / data if data > 0.0 else 0.0))
     return z, rho, report

@@ -530,13 +530,13 @@ class _PathSups:
 
     ``add`` records a path's ``_sup_bracket`` times a positive ``scale``
     (a mixing weight).  Rounding is monotone, so scale * lo <= scale * sup
-    <= scale * hi, and ``less`` decides a comparison on the brackets
-    whenever they do not overlap.  Only when they do does it ``resolve``:
-    one ``_chain_sup`` call over every pending row of every recorded path,
-    after which each of those brackets is its exact sup.  Rows of the
-    program are bitwise independent, so ``sup(i)`` is bitwise
-    ``np.max(path_metric(...))`` of path i, and every decision is the one
-    the exact values give.
+    <= scale * hi, and ``less`` decides a comparison with a bound on the
+    bracket whenever the bound lies outside it.  Only when it does not
+    does it ``resolve``: one ``_chain_sup`` call over every pending row of
+    every recorded path, after which each of those brackets is its exact
+    sup.  Rows of the program are bitwise independent, so ``sup(i)`` is
+    bitwise ``np.max(path_metric(...))`` of path i, and every decision is
+    the one the exact values give.
     """
 
     def __init__(self, grid: Grid):
@@ -570,23 +570,12 @@ class _PathSups:
             start += len(rows)
         self._pending.clear()
 
-    def _ends(self, index: int) -> tuple[float, float]:
+    def less(self, index: int, bound: float) -> bool:
+        """scale * sup of path ``index`` < ``bound``, exactly."""
         scale = self._scales[index]
-        return scale * self._lo[index], scale * self._hi[index]
-
-    def less(self, first: int, second: int | None = None,
-             bound: float = 0.0) -> bool:
-        """scale * sup of path ``first`` < that of ``second`` (or < ``bound``
-        when ``second`` is None), exactly."""
-        def ends():
-            other = (bound, bound) if second is None else self._ends(second)
-            return self._ends(first) + other
-
-        lo, hi, other_lo, other_hi = ends()
-        if hi >= other_lo and lo < other_hi:
+        if scale * self._lo[index] < bound <= scale * self._hi[index]:
             self.resolve()
-            lo, hi, other_lo, other_hi = ends()
-        return hi < other_lo
+        return scale * self._hi[index] < bound
 
     def sup(self, index: int) -> float:
         """The exact sup of path ``index`` (unscaled)."""

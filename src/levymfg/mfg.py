@@ -7,7 +7,9 @@ density solve transports the initial crowd under that drift.  The next path
 is an Anderson mix (Walker & Ni, SIAM J. Numer. Anal. 2011) of the recent
 paths and best responses with one mixing weight, ``damping``, for the whole
 solve, and the loop stops once the best response and the path it answered
-agree uniformly in time under the bounded-Lipschitz metric.
+agree uniformly in time under the bounded-Lipschitz metric.  The same
+loop, ``_fixed_point``, solves the linear forward-backward system of
+``linearized``.
 
 Convergence is monitored, never assumed: a run that exhausts its iteration
 budget returns a report carrying the best iterate and the full gap history
@@ -19,6 +21,7 @@ on pairs of computed solutions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -43,7 +46,7 @@ _LL_LOWER_SLACK = 1e-8
 
 @dataclass(frozen=True)
 class IterationPolicy:
-    """Outer-loop controls: Anderson mixing weight, budget, stopping gap.
+    """Controls of ``_fixed_point``: mixing weight, budget, stopping gap.
 
     ``damping`` is the mixing weight of every Anderson step of the solve;
     with no history the step is the damped update
@@ -60,7 +63,7 @@ class IterationPolicy:
             raise ValueError(f"damping {self.damping!r} outside (0, 1]")
         _check_integer("max_iters", self.max_iters)
         if self.max_iters < 1:
-            raise ValueError("need at least one outer iteration")
+            raise ValueError("need at least one iteration")
         if not self.tol_d0 > 0.0:
             raise ValueError("stopping gap tol_d0 must be positive")
 
@@ -110,22 +113,14 @@ class MfgSolution:
     ``m`` holds unit-mass nonnegative density slices; ``u`` is the value
     trajectory computed against the path that generated ``m``, so the pair
     is an exactly consistent backward/forward solve.  ``gap_history[k]``
-    is the stopping quantity at outer iteration k: the mixing weight times
-    the sup-in-time bounded-Lipschitz gap between the best response and
-    the path it answered (the size of a plain damped update), bitwise
-    ``damping * np.max(path_metric(grid, response, path))`` although the
-    loop decided on certified brackets of it, with ``damping`` the
-    ``policy.damping`` of ``problem``.  ``diagnostics`` holds the seven
-    keys ``solve_mfg`` writes: ``extrapolation_clip_max`` (the deepest
-    negative entry of any extrapolated path before its clip),
-    ``anderson_resets`` (how often the projection fell back to the plain
-    damped step and cleared the mixing history) and ``best_iteration``
-    (the iteration of the smallest gap);
-    then, of the returned best response (that of ``best_iteration``),
-    ``renorm_defect_max`` and ``negative_clip_max`` (the worst slice mass
-    defect and deepest negative value its clamp removed), ``drift_sup``
-    (sup |drift|) and ``response_gap`` (the undamped sup-in-time gap to
-    its path).
+    is the gap of pass k of ``_fixed_point``, made exact.  ``diagnostics``
+    holds the seven keys ``solve_mfg`` writes: the projection counters of
+    ``_fixed_point`` (``extrapolation_clip_max`` and ``anderson_resets``),
+    ``best_iteration`` (the pass of smallest gap, whose pair is returned)
+    and, of that pass's best response, ``renorm_defect_max`` and
+    ``negative_clip_max`` (the worst slice mass defect and deepest
+    negative value its clamp removed), ``drift_sup`` (sup |drift|) and
+    ``response_gap`` (the undamped sup-in-time gap to its path).
     """
 
     u: Trajectory
@@ -203,6 +198,10 @@ def _best_response(problem: MfgProblem, path: np.ndarray
     return u, cleaned, defect, neg_clip, drift_sup
 
 
+# --------------------------------------------------------------------------
+# the Anderson-mixed fixed point of both coupled systems
+
+
 def _anderson(x: np.ndarray, f: np.ndarray, xs: list, fs: list,
               weight: float) -> np.ndarray:
     """One Anderson (type II) step of mixing weight ``weight``.
@@ -228,39 +227,83 @@ def _anderson(x: np.ndarray, f: np.ndarray, xs: list, fs: list,
     return step
 
 
+def _fixed_point(respond: Callable, start: np.ndarray,
+                 policy: IterationPolicy, grid: Grid,
+                 tag: Callable[[int], str], project: Callable | None = None
+                 ) -> tuple[list, int, _PathSups, bool, dict]:
+    """Anderson-mixed fixed point of ``respond`` from the path ``start``.
+
+    Pass k calls ``respond(path) -> (response, extra)`` and records its
+    gap, ``policy.damping`` times the sup over the slices of the
+    bounded-Lipschitz dual norm of response - path (the size of a plain
+    damped update), as a certified bracket in a ``measures._PathSups``.
+    The loop stops once the gap lies below ``policy.tol_d0``; the exact
+    chain program runs only when the bracket straddles the bound.
+    Otherwise the next path is one ``_anderson`` step of mixing weight
+    ``policy.damping``.  ``project``, if given, maps the step to the next
+    path or raises InstabilityError to refuse it: a refused step becomes
+    the plain damped step path + damping * (response - path) and clears
+    the history.  A DivergenceError or InstabilityError of ``respond`` is
+    raised again prefixed with ``tag(k)``; a non-finite response raises
+    ValueError in its own stop test.
+
+    Returns every pass's ``(response, extra)``, the first pass of smallest
+    gap (the last of a converged loop, which stops there, so its brackets
+    stay open for the caller's closing call), the ``_PathSups``, whether
+    the loop converged, and the counters ``extrapolation_clip_max`` (the
+    deepest negative entry of a step before ``project``) and
+    ``anderson_resets`` (the refused steps).
+    """
+    damping = policy.damping
+    gaps = _PathSups(grid)
+    passes, paths, residuals = [], [], []
+    counters = {"extrapolation_clip_max": 0.0, "anderson_resets": 0}
+    path = start
+    for k in range(policy.max_iters):
+        try:
+            response, extra = respond(path)
+        except (DivergenceError, InstabilityError) as exc:
+            raise type(exc)(f"{tag(k)}: {exc}") from exc
+        passes.append((response, extra))
+        residual = response - path
+        if gaps.less(gaps.add(residual, scale=damping), bound=policy.tol_d0):
+            return passes, k, gaps, True, counters
+        step = _anderson(path, residual, paths, residuals, damping)
+        if project is not None:
+            counters["extrapolation_clip_max"] = max(
+                counters["extrapolation_clip_max"], -float(np.min(step)))
+            try:
+                step = project(step)
+            except InstabilityError:
+                # of two densities, the plain damped step is a convex mix
+                step = path + damping * residual
+                paths.clear()
+                residuals.clear()
+                counters["anderson_resets"] += 1
+        path = step
+    best = min(range(len(passes)), key=lambda j: damping * gaps.sup(j))
+    return passes, best, gaps, False, counters
+
+
 # --------------------------------------------------------------------------
 # the coupled solve
 
 
 def solve_mfg(problem: MfgProblem,
               initial_path: Trajectory | None = None) -> MfgSolution:
-    """Anderson-mixed fixed-point iteration on the crowd's density path.
+    """Best-response iteration on the crowd's density path (``_fixed_point``).
 
-    Starting from a constant-in-time path at ``m0`` (or the supplied
-    guess), each iteration computes the best response — backward value
-    solve with crowd-dependent source and terminal data, then forward
-    transport under the optimal drift — and takes one Anderson step of
-    mixing weight ``policy.damping`` over the last ``_ANDERSON_DEPTH``
-    residuals (response minus path).  The extrapolated path is clipped at
-    zero and renormalized slice by slice; a clip that would move more
-    than the ``fp`` renormalization budget of mass instead takes the plain
-    damped step path + damping * (response - path), a convex mix of
-    densities, and clears the history.  The loop stops when
-    ``gap_history[k]``, damping times the sup-in-time bounded-Lipschitz
-    gap between the response and its path (bitwise the maximum of
-    ``path_metric`` over the slices), falls below ``policy.tol_d0``;
-    exhausting ``max_iters`` returns the best iterate with
-    ``converged=False`` rather than raising.  Solver blow-ups inside an
-    iteration propagate with the iterate index prefixed, and a non-finite
-    response raises ValueError in its own iteration's stop test.
-
-    Each gap is held as a certified bracket (``measures._PathSups``): the
-    stop against ``tol_d0`` and the new-best test are decided on the
-    brackets, and the exact chain program runs, on every pending slice at
-    once, only when a bracket straddles a decision, and once more when the
-    loop ends to make every recorded gap exact.  A converged 64-node solve
-    of 33 slices makes one program call; the decisions, and so every
-    output, are those of the exact gaps.
+    A pass prices the path by the backward value solve, then transports
+    m0 forward under the optimal drift.  The start is the constant path at
+    ``m0``, or the supplied guess projected onto densities, and each step
+    is projected the same way (``fp._project_slices``, which refuses a
+    clip of more mass than its renormalization budget).  Blow-ups are
+    tagged "outer iteration k", k from 0.  The returned pair is the best
+    response of the pass of smallest gap, so a solve that exhausts
+    ``max_iters`` returns with ``converged=False`` rather than raising.
+    The closing call makes every gap exact: ``gap_history`` is bitwise
+    ``damping * np.max(path_metric(grid, response, path))``, in one
+    program call on a converged 64-node solve.
 
     The master layer (``master.py``) passes m0's free flow, the
     Fokker-Planck march of m0 with zero drift, as ``initial_path``, which
@@ -279,53 +322,23 @@ def solve_mfg(problem: MfgProblem,
                        problem.T, problem.n_steps, vector=False)
         path, _, _ = _project_slices(grid, initial_path.values)
 
-    policy = problem.policy
-    damping = policy.damping
-    paths: list[np.ndarray] = []
-    residuals: list[np.ndarray] = []
-    # the stop tests: each path gap is a bracket, exact only on demand
-    gaps = _PathSups(grid)
-    best: tuple[int, Trajectory, np.ndarray, dict] | None = None
-    diagnostics: dict = {"extrapolation_clip_max": 0.0, "anderson_resets": 0}
-    converged = False
+    def respond(path: np.ndarray) -> tuple[np.ndarray, tuple]:
+        out = _best_response(problem, path)
+        return out[1], out
 
-    for k in range(policy.max_iters):
-        try:
-            u, response, defect, neg_clip, drift_sup = _best_response(
-                problem, path)
-        except (DivergenceError, InstabilityError) as exc:
-            raise type(exc)(f"outer iteration {k}: {exc}") from exc
-        # The metric is positively homogeneous in the signed difference,
-        # so damping * (response gap) is the size of a plain damped update.
-        residual = response - path
-        gaps.add(response, path, damping)
-        if best is None or gaps.less(k, best[0]):
-            best = (k, u, response, dict(
-                renorm_defect_max=defect, negative_clip_max=neg_clip,
-                drift_sup=drift_sup))
-        if gaps.less(k, bound=policy.tol_d0):
-            converged = True
-            break
-        step = _anderson(path, residual, paths, residuals, damping)
-        diagnostics["extrapolation_clip_max"] = max(
-            diagnostics["extrapolation_clip_max"], -float(np.min(step)))
-        try:
-            path, _, _ = _project_slices(grid, step)
-        except InstabilityError:
-            # the plain damped step mixes two densities: never negative
-            path = path + damping * residual
-            paths.clear()
-            residuals.clear()
-            diagnostics["anderson_resets"] += 1
-
-    # a converged run stops at its smallest gap, so the best pair is its last
-    best_k, final_u, final_m, best_record = best
-    gap_history = tuple(damping * gaps.sup(j) for j in range(k + 1))
-    diagnostics.update(best_record, response_gap=gaps.sup(best_k),
-                       best_iteration=best_k)
+    passes, best, gaps, converged, diagnostics = _fixed_point(
+        respond, path, problem.policy, grid,
+        lambda k: f"outer iteration {k}",
+        lambda step: _project_slices(grid, step)[0])
+    u, m, defect, neg_clip, drift_sup = passes[best][1]
+    damping = problem.policy.damping
+    gap_history = tuple(damping * gaps.sup(k) for k in range(len(passes)))
+    diagnostics.update(renorm_defect_max=defect, negative_clip_max=neg_clip,
+                       drift_sup=drift_sup, response_gap=gaps.sup(best),
+                       best_iteration=best)
     return MfgSolution(
-        u=final_u,
-        m=Trajectory(grid, problem.t0, problem.T, final_m),
+        u=u,
+        m=Trajectory(grid, problem.t0, problem.T, m),
         converged=converged,
         iterations=len(gap_history),
         gap_history=gap_history,

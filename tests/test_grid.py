@@ -77,6 +77,26 @@ class TestGridConstruction:
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             Grid(n, 2.0, dims)
 
+    @pytest.mark.parametrize("half_width, message", [
+        ("2.0", "half_width must be a real number, got '2.0'"),
+        (True, "half_width must be a real number, got True"),
+        ((2.0, "2.0"), "half_width must be a real number, got '2.0'")],
+        ids=["str", "bool", "str-axis"])
+    def test_half_widths_must_be_real_numbers(self, half_width, message):
+        # a string is refused, not parsed; a bool is refused, not read as 1
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            Grid((16, 16) if isinstance(half_width, tuple) else 16,
+                 half_width)
+
+    @pytest.mark.parametrize("half_width", [
+        2, 2.0, np.float64(2.0), np.float32(2.0), np.int64(2), (2, 2.0)],
+        ids=["int", "float", "float64", "float32", "int64", "mixed-axes"])
+    def test_real_half_widths_build_the_same_grid(self, half_width):
+        dims = 2 if isinstance(half_width, tuple) else 1
+        g = Grid(16, half_width, dims)
+        assert g == Grid(16, 2.0, dims)
+        assert all(type(li) is float for li in g.half_width)
+
     def test_numpy_integer_counts_build_the_same_grid(self):
         g = Grid(np.int64(16), 2.0, np.int64(1))
         assert g == Grid(16, 2.0)

@@ -414,7 +414,7 @@ class TestOneWayTransport:
         gap = float(np.max(np.abs(rho.values - direct.values)))
         assert gap <= 5e-3  # measured: 2.36e-3
 
-    def test_single_pass_report(self, one_way_solved):
+    def test_one_way_report_converges_on_the_third_pass(self, one_way_solved):
         # z never reads rho, so every pass returns the same pair: the
         # Anderson step at weight 0.5 lands on it in its second step.
         # measured gaps 7.89e-3, 3.95e-3 (half the first) and 3.97e-17
@@ -485,6 +485,21 @@ class TestSolveLinearSystem:
         # measured: the closing call runs the 13 rows the 6 stop tests kept
         # and the 33 of rho; the 1-row call is rho0's dual norm (data_norm)
         assert chain_sup_rows == [46, 1]
+
+    def test_stalled_solve_returns_its_pass_of_smallest_gap(self,
+                                                            delta_system):
+        # gaps fall to rounding, then wander: measured smallest at pass 12
+        # of 14; a re-run stopped right after that pass ends on it
+        z, rho, report = solve_linear_system(delta_system, max_iters=14,
+                                             tol=1e-300)
+        best = int(np.argmin(report.gap_history))
+        assert not report.converged and best < report.iterations - 1
+        z_best, rho_best, rerun = solve_linear_system(
+            delta_system, max_iters=best + 1, tol=1e-300)
+        assert not rerun.converged and rerun.iterations == best + 1
+        assert z.values.tobytes() == z_best.values.tobytes()
+        assert rho.values.tobytes() == rho_best.values.tobytes()
+        assert report.output_norm == rerun.output_norm
 
     def test_open_brackets_take_every_decision_on_the_exact_program(
             self, delta_system, delta_solved, monkeypatch, chain_sup_rows):

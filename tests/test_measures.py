@@ -703,9 +703,6 @@ class TestPathSups:
         sups = _PathSups(grid)
         for k, path in enumerate(paths):
             assert sups.add(path, scale=scales[k]) == k
-            for j in range(k):
-                assert sups.less(j, k) == (
-                    scales[j] * exact[j] < scales[k] * exact[k])
             for bound in (0.0, scales[k] * exact[k], 1.0):
                 assert sups.less(k, bound=bound) == (
                     scales[k] * exact[k] < bound)

@@ -281,7 +281,7 @@ class TestSolveMfg:
         assert np.max(np.abs(masses - 1.0)) <= 1e-12
         assert float(np.min(sol.m.values)) >= 0.0
 
-    def test_decoupled_single_iteration_bitwise(self, kernel):
+    def test_decoupled_solve_lands_on_the_third_pass_bitwise(self, kernel):
         # the best response ignores the path, so the map is constant: the
         # Anderson step lands on it at weight 0.5, and the third response,
         # like every one, is bitwise the standalone marches
@@ -357,6 +357,25 @@ class TestSolveMfg:
         assert sol.diagnostics["best_iteration"] == 2
         vol = GRID.cell_volume
         assert np.max(np.abs(vol * sol.m.values.sum(axis=1) - 1.0)) <= 1e-9
+
+    def test_stalled_solve_returns_its_pass_of_smallest_gap(self, kernel):
+        # gaps fall to rounding, then wander: measured smallest at pass 12
+        # of 16; a re-run stopped right after that pass ends on it
+        def stalled(max_iters):
+            return solve_mfg(standard_problem(kernel, policy=IterationPolicy(
+                max_iters=max_iters, tol_d0=1e-300)))
+
+        sol = stalled(16)
+        best = int(np.argmin(sol.gap_history))
+        assert not sol.converged and best < sol.iterations - 1
+        assert sol.diagnostics["best_iteration"] == best
+        rerun = stalled(best + 1)
+        assert not rerun.converged and rerun.iterations == best + 1
+        assert sol.u.values.tobytes() == rerun.u.values.tobytes()
+        assert sol.m.values.tobytes() == rerun.m.values.tobytes()
+        for key in ("renorm_defect_max", "negative_clip_max", "drift_sup",
+                    "response_gap", "best_iteration"):
+            assert sol.diagnostics[key] == rerun.diagnostics[key]
 
     def test_nonconvergence_reports_the_returned_pair(self, kernel,
                                                       monkeypatch):

@@ -21,7 +21,9 @@ Only ``grid`` calls numpy's real transforms; every other module goes
 through the grid's transform pair, so the layout is decided in one
 place.  Only ``coupling`` tests a coupling family by type.  The record
 format of the reports is written once: ``grid._Record`` holds the only
-``to_dict``, and every ``...Report`` class derives from it.
+``to_dict``, and every ``...Report`` class derives from it.  One function,
+``mfg._fixed_point``, runs the Anderson-mixed loop of both coupled
+systems.
 """
 
 import ast
@@ -647,3 +649,53 @@ def test_records_are_written_only_by_the_shared_base():
     assert not stray, f"record format written outside grid._Record: {stray}"
     assert record_format_breaches({"other": package["grid"]}) == [
         "other._Record.to_dict"]
+
+
+# The Anderson-mixed fixed point of the coupled and the linear system is
+# written once: one function of the package takes the Anderson steps and
+# records the stop tests' gaps.
+LOOP_PARTS = frozenset({"_anderson", "_PathSups"})
+
+
+def fixed_point_loops(package: dict[str, ast.Module]) -> dict[str, list[str]]:
+    """For each name of ``LOOP_PARTS``, the ``module:owner`` that call it.
+
+    A call counts bare or as an attribute (``mfg._anderson(...)``); its
+    owner is the top-level function or class it sits in, or ``line n`` for
+    a module-level statement.
+    """
+    found = {name: set() for name in LOOP_PARTS}
+    for module, tree in package.items():
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", f"line {stmt.lineno}")
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    if name in found:
+                        found[name].add(f"{module}:{owner}")
+    return {name: sorted(owners) for name, owners in found.items()}
+
+
+def test_loop_scan_flags_every_caller():
+    package = {
+        "a": ast.parse("def solve(x):\n"
+                       "    gaps = measures._PathSups(grid)\n"
+                       "    return mfg._anderson(x, f, xs, fs, 0.5)\n"
+                       "class Loop:\n"
+                       "    def run(self):\n"
+                       "        return _anderson(x, f, xs, fs, 0.5)\n"),
+        "b": ast.parse("sups = _PathSups(grid)\n"
+                       "def kind():\n"
+                       "    return _PathSups\n"),
+    }
+    assert fixed_point_loops(package) == {
+        "_anderson": ["a:Loop", "a:solve"],
+        "_PathSups": ["a:solve", "b:line 1"]}
+
+
+def test_one_function_runs_the_fixed_point_loop():
+    package = {path.stem: ast.parse(path.read_text())
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert fixed_point_loops(package) == {
+        "_anderson": ["mfg:_fixed_point"], "_PathSups": ["mfg:_fixed_point"]}

@@ -98,8 +98,8 @@ class Grid:
             if ni < 8 or (ni & (ni - 1)) != 0:
                 raise ValueError(f"n={ni} must be a power of two >= 8")
         for li in hw_t:
-            if not li > 0:
-                raise ValueError("half_width must be positive")
+            if not 0 < li < np.inf:
+                raise ValueError("half_width must be positive and finite")
         object.__setattr__(self, "n", n_t)
         object.__setattr__(self, "half_width", hw_t)
 

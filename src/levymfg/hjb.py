@@ -26,13 +26,15 @@ That scheme, ``_mild_march``, is the one march of the package, run with
 the generator here and with its adjoint in the ``fp`` module.  It takes
 the Duhamel integrand as a callback that does pointwise algebra only, and
 the direction fixes its shape.  With L the callback reads the values and
-the gradient and returns the integrand itself, a source: ``solve_hjb``
-passes f - H(x, u, Du) through ``_march_backward``, which adapts the march
-to the reversed clock, and the backward leg of the linearized system
-passes its source minus the transport term V . Dz.  With L* the callback
-reads the values alone and returns a flux c, the integrand being div c:
-the forward march of ``fp``, whose inverse transforms carry the values
-row alone.  All public trajectories are indexed in physical time.
+the gradient and returns the integrand itself, a source, through
+``_march_backward``, which adapts the march to the reversed clock:
+f - H(x, u, Du) (``_value_drive``), or the linearized source minus
+V . Dz.  With L* the callback reads the values alone and returns a flux
+c, the integrand being div c: ``fp._forward_values``, whose inverse
+transforms carry the values row alone.  The package's solvers run these
+two adapters on arrays; ``solve_hjb`` checks the operands of outside
+callers and wraps its march in a ``Trajectory``.  Public trajectories run
+in physical time.
 """
 
 from __future__ import annotations
@@ -260,7 +262,8 @@ class Trajectory:
 
     ``values`` has shape (n_steps+1, *grid.shape) for scalars and
     (n_steps+1, d, *grid.shape) for vector fields (e.g. drifts); slice 0
-    sits at t0 and slice n_steps at T.
+    sits at t0 and slice n_steps at T.  Values must be finite and are
+    stored contiguous and read-only.
     """
 
     grid: Grid
@@ -269,29 +272,6 @@ class Trajectory:
     values: np.ndarray = dc_field(repr=False)
 
     def __post_init__(self):
-        self._settle(scan_finite=True)
-
-    @classmethod
-    def _marched(cls, grid: Grid, t0: float, T: float, values: np.ndarray
-                 ) -> "Trajectory":
-        """A trajectory of march output, skipping the whole-stack finite scan.
-
-        For ``_mild_march`` output only: its ``check`` has vetted every
-        slice after the first (a NaN fails the sup-norm's ``<=``), and a
-        non-finite first slice makes the second one non-finite.  The
-        shape, slab, contiguity and read-only handling are the public
-        constructor's.
-        """
-        out = object.__new__(cls)
-        object.__setattr__(out, "grid", grid)
-        object.__setattr__(out, "t0", t0)
-        object.__setattr__(out, "T", T)
-        object.__setattr__(out, "values", values)
-        out._settle(scan_finite=False)
-        return out
-
-    def _settle(self, scan_finite: bool) -> None:
-        """Validate the fields and store them contiguous and read-only."""
         v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
         gdims = self.grid.dims
         if v.ndim == 1 + gdims:
@@ -307,7 +287,7 @@ class Trajectory:
                 f"slice shape {v.shape[-gdims:]} != grid {self.grid.shape}")
         if v.shape[0] < 2:
             raise ValueError("a trajectory needs at least two time slices")
-        if scan_finite and not np.all(np.isfinite(v)):
+        if not np.all(np.isfinite(v)):
             raise NonFiniteFieldError("trajectory contains NaN/Inf entries")
         if not self.T > self.t0:
             raise ValueError("need T > t0")
@@ -671,17 +651,17 @@ def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
                        drive, guard, spectrum=spectrum)[::-1]
 
 
-def _value_drive(grid: Grid, hamiltonian, source: Trajectory | None
+def _value_drive(grid: Grid, hamiltonian, source: np.ndarray | None
                  ) -> Callable:
-    """The Duhamel integrand f - H(x, u, Du) of ``solve_hjb``.
+    """The Duhamel integrand f - H(x, u, Du) of the value equation.
 
     A ``drive`` for ``_march_backward``: one slice at a march index, or
-    the whole stack for ``slice(None)``, with f read in march order.  It
-    evaluates H on the values and gradient the march hands over and
-    returns f - H.
+    the whole stack for ``slice(None)``, with the slices of f (physical
+    time, None for zero) read in march order.  It evaluates H on the
+    values and gradient the march hands over and returns f - H.
     """
     mesh = grid.meshgrid()
-    marched = None if source is None else source.values[::-1]
+    marched = None if source is None else source[::-1]
 
     def drive(values: np.ndarray, grads: tuple, k) -> np.ndarray:
         ham = hamiltonian.value(mesh, values, grads)
@@ -711,7 +691,8 @@ def solve_hjb(kernel: KernelCache, hamiltonian, source: Trajectory | None,
         raise ValueError("need at least one step")
     if source is not None:
         _check_operand("source", source, grid, t0, T, n_steps, vector=False)
-    return Trajectory._marched(grid, t0, T, _march_backward(
+        source = source.values
+    return Trajectory(grid, t0, T, _march_backward(
         kernel, terminal.values, t0, T, n_steps, _PICARD_SWEEPS,
         _value_drive(grid, hamiltonian, source)))
 

@@ -317,8 +317,7 @@ def solve_linear_system(system: LinSystem, damping: float = 0.5,
     passes, best, sups, converged, _ = _fixed_point(
         legs, start, policy, grid, lambda k: f"alternation iteration {k + 1}")
 
-    rho, z = (Trajectory._marched(grid, t0, T, values)
-              for values in passes[best])
+    rho, z = (Trajectory(grid, t0, T, v) for v in passes[best])
     rho_sup = sups.add(rho.values)
     gaps = tuple(damping * sups.sup(k) for k in range(rho_sup))
     data = _data_norm(system)

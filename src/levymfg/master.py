@@ -47,7 +47,7 @@ from .kernels import KernelCache
 from .linearized import _solved_initial, linearize, mollified_delta
 from .measures import Measure, path_metric
 from .mfg import IterationPolicy, MfgProblem, MfgSolution, \
-    _require_converged, optimal_drift, solve_mfg
+    _drift_values, _require_converged, solve_mfg
 
 _TERMINAL_TIME_TOL = 1e-12
 _SLOPE_THRESHOLD = 1.2
@@ -253,7 +253,7 @@ def _measure_terms(scenario: Scenario, base: MfgSolution, m0: Measure
             "the kernel's additive normalization would leak into the "
             "residual")
     weights = m0.values * grid.cell_volume
-    drift0 = optimal_drift(scenario.hamiltonian, base.u).values[0]
+    drift0 = _drift_values(scenario.hamiltonian, grid, base.u.values[:1])[0]
     velocity = kernel.apply_generator(weights, adjoint=True)
     for ax in range(grid.dims):
         flow = weights * drift0[ax]

@@ -477,10 +477,9 @@ def path_metric(grid: Grid, path, reference=None) -> np.ndarray:
     return _upper_or_exact(grid, _path_weights(grid, path, reference))[0]
 
 
-def _sup_bracket(grid: Grid, path, reference=None
-                 ) -> tuple[float, float, np.ndarray]:
-    """Certified bracket [lo, hi] of ``np.max(path_metric(grid, path,
-    reference))`` and the weight rows the exact program must see.
+def _sup_bracket(grid: Grid, path) -> tuple[float, float, np.ndarray]:
+    """Certified bracket [lo, hi] of ``np.max(path_metric(grid, path))``
+    and the weight rows the exact program must see.
 
     The maximum of ``_chain_sup`` over the returned rows is that sup, bit
     for bit, and it lies in [lo, hi].  With C the prefix sums of a 1D
@@ -499,10 +498,9 @@ def _sup_bracket(grid: Grid, path, reference=None
     maximum over the kept rows is the maximum over all.  A path too small
     for the bounds to pay (``_BOUNDS_WORK``), a path with a non-finite
     entry (which raises what ``path_metric`` raises) and a 2D grid take
-    the exact value at once: lo = hi and no rows.  A mass mismatch raises
-    as in ``path_metric``.
+    the exact value at once: lo = hi and no rows.
     """
-    weights = _path_weights(grid, path, reference)
+    weights = _path_weights(grid, path, None)
     if grid.dims != 1:
         sup = float(np.max(_upper_or_exact(grid, weights)[0]))
         return sup, sup, weights[:0]
@@ -546,9 +544,9 @@ class _PathSups:
         self._hi: list[float] = []
         self._pending: list[tuple[int, np.ndarray]] = []
 
-    def add(self, path, reference=None, scale: float = 1.0) -> int:
-        """Record the sup of ``path`` (against ``reference``); its index."""
-        lo, hi, rows = _sup_bracket(self._grid, path, reference)
+    def add(self, path, scale: float = 1.0) -> int:
+        """Record the sup of ``path``'s dual norms; its index."""
+        lo, hi, rows = _sup_bracket(self._grid, path)
         index = len(self._lo)
         self._scales.append(scale)
         self._lo.append(lo)

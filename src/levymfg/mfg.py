@@ -9,7 +9,8 @@ paths and best responses with one mixing weight, ``damping``, for the whole
 solve, and the loop stops once the best response and the path it answered
 agree uniformly in time under the bounded-Lipschitz metric.  The same
 loop, ``_fixed_point``, solves the linear forward-backward system of
-``linearized``.
+``linearized``, and both run their legs on arrays through the march
+adapters ``hjb._march_backward`` and ``fp._forward_values``.
 
 Convergence is monitored, never assumed: a run that exhausts its iteration
 budget returns a report carrying the best iterate and the full gap history
@@ -26,10 +27,12 @@ from typing import Callable
 import numpy as np
 
 from .coupling import _check_derivative_couplings, _price_path
-from .errors import DivergenceError, GridMismatchError, InstabilityError
-from .grid import Field, Grid, _Record, _batch_gradient, _check_integer
-from .hjb import Trajectory, _check_operand, solve_hjb
-from .fp import _project_slices, solve_fp
+from .errors import (DivergenceError, GridMismatchError, InstabilityError,
+                     NonFiniteFieldError)
+from .grid import Grid, _Record, _batch_gradient, _check_integer
+from .hjb import (_PICARD_SWEEPS, Trajectory, _check_operand, _march_backward,
+                  _value_drive)
+from .fp import _forward_values, _project_slices
 from .kernels import KernelCache
 from .measures import Measure, _PathSups, d0_distance, path_metric
 
@@ -157,6 +160,22 @@ class MfgSolution:
 # best response machinery
 
 
+def _drift_values(hamiltonian, grid: Grid, values: np.ndarray
+                  ) -> np.ndarray:
+    """D_pH(x, u, Du) of value slices, vector axis after the time axis.
+
+    A non-finite entry raises NonFiniteFieldError (``grad_p`` is caller
+    code)."""
+    comps = hamiltonian.grad_p(grid.meshgrid(), values,
+                               _batch_gradient(grid, values))
+    drift = np.stack(
+        [np.broadcast_to(np.asarray(c, dtype=float), values.shape)
+         for c in comps], axis=1)
+    if not np.all(np.isfinite(drift)):
+        raise NonFiniteFieldError("trajectory contains NaN/Inf entries")
+    return drift
+
+
 def optimal_drift(hamiltonian, u: Trajectory) -> Trajectory:
     """Control drift: the Hamiltonian's momentum gradient along ``u``.
 
@@ -165,37 +184,29 @@ def optimal_drift(hamiltonian, u: Trajectory) -> Trajectory:
     """
     if u.is_vector:
         raise ValueError("optimal drift needs a scalar value trajectory")
-    grid = u.grid
-    mesh = grid.meshgrid()
-    grads = _batch_gradient(grid, u.values)
-    comps = hamiltonian.grad_p(mesh, u.values, grads)
-    stacked = np.stack(
-        [np.broadcast_to(np.asarray(c, dtype=float), u.values.shape)
-         for c in comps], axis=1)
-    return Trajectory(grid, u.t0, u.T, stacked)
+    return Trajectory(u.grid, u.t0, u.T,
+                      _drift_values(hamiltonian, u.grid, u.values))
 
 
 def _best_response(problem: MfgProblem, path: np.ndarray
-                   ) -> tuple[Trajectory, np.ndarray, float, float, float]:
+                   ) -> tuple[np.ndarray, np.ndarray, float, float, float]:
     """One sweep of the fixed-point map: price the path, transport against it.
 
     Both costs are priced from one validated transform of the path
-    (``coupling._price_path``).
+    (``coupling._price_path``); the legs run on arrays as ``solve_hjb``
+    and ``solve_fp`` run them.  Returns u, the projected density slices
+    with their defect and clip (``fp._project_slices``) and sup |drift|.
     """
-    grid = problem.grid
+    grid, kernel, ham = problem.grid, problem.kernel, problem.hamiltonian
+    t0, T, n = problem.t0, problem.T, problem.n_steps
     source, terminal = _price_path(problem.running_cost,
                                    problem.terminal_cost, grid, path)
-    if source is not None:
-        source = Trajectory(grid, problem.t0, problem.T, source)
-    u = solve_hjb(problem.kernel, problem.hamiltonian, source,
-                  Field(grid, terminal), problem.t0, problem.T,
-                  problem.n_steps)
-    drift = optimal_drift(problem.hamiltonian, u)
-    rho = solve_fp(problem.kernel, drift, problem.m0.density, None,
-                   problem.t0, problem.T, problem.n_steps)
-    cleaned, defect, neg_clip = _project_slices(grid, rho.values)
-    drift_sup = float(np.max(np.abs(drift.values)))
-    return u, cleaned, defect, neg_clip, drift_sup
+    u = _march_backward(kernel, terminal, t0, T, n, _PICARD_SWEEPS,
+                        _value_drive(grid, ham, source))
+    drift = _drift_values(ham, grid, u)
+    rho = _forward_values(kernel, drift, None, problem.m0.values, t0, T, n, 0)
+    cleaned, defect, neg_clip = _project_slices(grid, rho)
+    return u, cleaned, defect, neg_clip, float(np.max(np.abs(drift)))
 
 
 # --------------------------------------------------------------------------
@@ -239,11 +250,11 @@ def _fixed_point(respond: Callable, start: np.ndarray,
     damped update), as a certified bracket in a ``measures._PathSups``.
     The loop stops once the gap lies below ``policy.tol_d0``; the exact
     chain program runs only when the bracket straddles the bound.
-    Otherwise the next path is one ``_anderson`` step of mixing weight
-    ``policy.damping``.  ``project``, if given, maps the step to the next
-    path or raises InstabilityError to refuse it: a refused step becomes
-    the plain damped step path + damping * (response - path) and clears
-    the history.  A DivergenceError or InstabilityError of ``respond`` is
+    Otherwise, unless pass k is the last of ``policy.max_iters``, the next
+    path is one ``_anderson`` step of mixing weight ``policy.damping``.
+    ``project``, if given, maps the step to the next path or raises
+    InstabilityError to refuse it: a refused step becomes the plain damped
+    step path + damping * (response - path) and clears the history.  A DivergenceError or InstabilityError of ``respond`` is
     raised again prefixed with ``tag(k)``; a non-finite response raises
     ValueError in its own stop test.
 
@@ -252,7 +263,8 @@ def _fixed_point(respond: Callable, start: np.ndarray,
     stay open for the caller's closing call), the ``_PathSups``, whether
     the loop converged, and the counters ``extrapolation_clip_max`` (the
     deepest negative entry of a step before ``project``) and
-    ``anderson_resets`` (the refused steps).
+    ``anderson_resets`` (the refused steps), both over the steps a pass
+    reads.
     """
     damping = policy.damping
     gaps = _PathSups(grid)
@@ -268,6 +280,8 @@ def _fixed_point(respond: Callable, start: np.ndarray,
         residual = response - path
         if gaps.less(gaps.add(residual, scale=damping), bound=policy.tol_d0):
             return passes, k, gaps, True, counters
+        if k + 1 == policy.max_iters:
+            break
         step = _anderson(path, residual, paths, residuals, damping)
         if project is not None:
             counters["extrapolation_clip_max"] = max(
@@ -337,7 +351,7 @@ def solve_mfg(problem: MfgProblem,
                        drift_sup=drift_sup, response_gap=gaps.sup(best),
                        best_iteration=best)
     return MfgSolution(
-        u=u,
+        u=Trajectory(grid, problem.t0, problem.T, u),
         m=Trajectory(grid, problem.t0, problem.T, m),
         converged=converged,
         iterations=len(gap_history),

@@ -58,6 +58,16 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             Grid((16,), (0.0,))
 
+    @pytest.mark.parametrize("half_width", [
+        float("inf"), float("-inf"), (2.0, float("inf"))],
+        ids=["inf", "minus-inf", "inf-axis"])
+    def test_rejects_non_finite_width(self, half_width):
+        # an infinite box has dx == inf and NaN nodes
+        with pytest.raises(ValueError,
+                           match="^half_width must be positive and finite$"):
+            Grid((16, 16) if isinstance(half_width, tuple) else 16,
+                 half_width)
+
     @pytest.mark.parametrize("n, half_width, dims, message", [
         ((16, 16), (2.0,), None, "expected 2 per-axis entries, got 1"),
         ((16, 16), 2.0, 1, "expected 1 per-axis entries, got 2"),

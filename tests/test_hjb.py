@@ -207,34 +207,15 @@ class TestTrajectory:
         with pytest.raises(NonFiniteFieldError):
             Trajectory(self.grid, 0.0, 1.0, vals)
 
-    def test_march_constructor_skips_the_finite_scan_alone(self):
-        # ``_marched`` wraps march output, whose check has vetted every
-        # slice, so it skips the whole-stack finite scan and nothing else
+    def test_constructor_stores_values_contiguous_and_read_only(self):
         vals = np.arange(48.0).reshape(3, 16)
-        public = Trajectory(self.grid, 0, 1, vals[::-1])
-        marched = Trajectory._marched(self.grid, 0, 1, vals[::-1])
-        for tr in (public, marched):
-            assert np.array_equal(tr.values, vals[::-1])
-            assert tr.values.flags.c_contiguous
-            assert not tr.values.flags.writeable
-            assert type(tr.t0) is float and type(tr.T) is float
-            assert not tr.is_vector
-        assert Trajectory._marched(self.grid, 0, 1,
-                                   np.zeros((3, 1, 16))).is_vector
-        with pytest.raises(GridMismatchError):
-            Trajectory._marched(self.grid, 0.0, 1.0, np.zeros((3, 32)))
-        with pytest.raises(ValueError, match="do not match"):
-            Trajectory._marched(self.grid, 0.0, 1.0, np.zeros((3, 4, 16)))
-        with pytest.raises(ValueError, match="two time slices"):
-            Trajectory._marched(self.grid, 0.0, 1.0, np.zeros((1, 16)))
-        with pytest.raises(ValueError, match="T > t0"):
-            Trajectory._marched(self.grid, 1.0, 1.0, np.zeros((3, 16)))
-        bad = np.zeros((3, 16))
-        bad[2, 7] = np.inf
-        assert np.isinf(Trajectory._marched(self.grid, 0.0, 1.0, bad)
-                        .values[2, 7])
-        with pytest.raises(NonFiniteFieldError):
-            Trajectory(self.grid, 0.0, 1.0, bad)
+        tr = Trajectory(self.grid, 0, 1, vals[::-1])
+        assert np.array_equal(tr.values, vals[::-1])
+        assert tr.values.flags.c_contiguous
+        assert not tr.values.flags.writeable
+        assert type(tr.t0) is float and type(tr.T) is float
+        assert not tr.is_vector
+        assert Trajectory(self.grid, 0, 1, np.zeros((3, 1, 16))).is_vector
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(GridMismatchError):
@@ -266,7 +247,8 @@ def march_sweeps(cache, hamiltonian, source, terminal, T, n_steps, sweeps):
     """The march of ``solve_hjb`` on [0, T] with ``sweeps`` Picard sweeps."""
     return Trajectory(cache.grid, 0.0, T, _march_backward(
         cache, terminal.values, 0.0, T, n_steps, sweeps,
-        _value_drive(cache.grid, hamiltonian, source)))
+        _value_drive(cache.grid, hamiltonian,
+                     None if source is None else source.values)))
 
 
 class TestSolveHjb:
@@ -578,8 +560,8 @@ def backward_case(dims, sweeps):
     mesh = grid.meshgrid()
     g = Field(grid, 0.8 * np.exp(-4.0 * sum(x * x for x in mesh)))
     times = np.linspace(0.0, T, n_steps + 1)
-    src = Trajectory(grid, 0.0, T, np.stack([
-        (1.0 + t) * np.cos(np.pi * mesh[0] / 2.0) for t in times]))
+    src = np.stack([(1.0 + t) * np.cos(np.pi * mesh[0] / 2.0)
+                    for t in times])
     drive = _value_drive(grid, QuadraticHamiltonian(), src)
     got = _march_backward(cache, g.values, 0.0, T, n_steps, sweeps, drive)
     # the drive reads its source in march order, as _march_backward calls it

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from levymfg import measures
+from levymfg import measures, mfg
 from levymfg.coupling import (Conv, LocalComposite, Zero, apply_dmF,
                               check_M1, eval_dmF, eval_F, require_smooth)
 from levymfg.errors import (BudgetError, DivergenceError, GridMismatchError,
@@ -501,14 +501,29 @@ class TestSolveLinearSystem:
         assert rho.values.tobytes() == rho_best.values.tobytes()
         assert report.output_norm == rerun.output_norm
 
+    def test_a_stalled_alternation_steps_once_fewer_than_it_passes(
+            self, delta_system, monkeypatch):
+        # the step after the last pass is never read, so it is not taken
+        steps, anderson = [], mfg._anderson
+
+        def counted(*args):
+            steps.append(args[0])
+            return anderson(*args)
+
+        monkeypatch.setattr(mfg, "_anderson", counted)
+        _, _, report = solve_linear_system(delta_system, max_iters=3,
+                                           tol=1e-300)
+        assert not report.converged and report.iterations == 3
+        assert len(steps) == 2
+
     def test_open_brackets_take_every_decision_on_the_exact_program(
             self, delta_system, delta_solved, monkeypatch, chain_sup_rows):
         # with [0, inf] for every sup each stop test must run the program:
         # the solve is the same, bit for bit, at one call per alternation
         bracket = measures._sup_bracket
 
-        def open_bracket(grid, path, reference=None):
-            _, _, rows = bracket(grid, path, reference)
+        def open_bracket(grid, path):
+            _, _, rows = bracket(grid, path)
             # every path of this solve takes the bounds, so it has rows
             assert len(rows) > 0
             return 0.0, np.inf, rows

@@ -394,7 +394,7 @@ class TestSolveMfg:
 
         def fake(prob, path):
             u, response, record = next(calls)
-            return (u, response) + record
+            return (u.values, response) + record
 
         monkeypatch.setattr(mfg, "_best_response", fake)
         sol = solve_mfg(problem)
@@ -485,8 +485,8 @@ def test_open_brackets_take_every_decision_on_the_exact_program(
     # the solve is the same, bit for bit, at one call per iteration
     bracket = measures._sup_bracket
 
-    def open_bracket(grid, path, reference=None):
-        _, _, rows = bracket(grid, path, reference)
+    def open_bracket(grid, path):
+        _, _, rows = bracket(grid, path)
         # every path of this solve takes the bounds, so it has rows
         assert len(rows) > 0
         return 0.0, np.inf, rows
@@ -523,6 +523,68 @@ def test_non_finite_response_raises_at_its_own_iteration(kernel,
     with pytest.raises(ValueError, match="weights must be finite"):
         solve_mfg(standard_problem(kernel))
     assert len(calls) == 3
+
+
+def responder_problem(grid: Grid, n_steps: int, T: float) -> MfgProblem:
+    """Smoothing couplings and a bell m0 on ``grid``; the couplings are
+    narrower than the standard problem's, to fit the 8x8 box."""
+    def bell(rate, weight=1.0):
+        return lambda *xs: weight * np.exp(-rate * sum(x * x for x in xs))
+    return MfgProblem(
+        kernel=KernelCache(LevyTriplet(dims=grid.dims,
+                                       jumps=(FractionalLaplacian(1.5),)),
+                           grid),
+        hamiltonian=QuadraticHamiltonian(0.5),
+        running_cost=Conv(Field.from_function(grid, bell(10.0, 0.4))),
+        terminal_cost=Conv(Field.from_function(grid, bell(10.0, 0.3))),
+        m0=Measure.normalized(Field.from_function(grid, bell(4.0))),
+        t0=0.0, T=T, n_steps=n_steps)
+
+
+# dense first pass at 64 nodes, spectral at 128, and 2D (dense at 8x8,
+# where no bell is resolved to the terminal check's 1e-6); every step
+# count sits within the step budget
+@pytest.mark.parametrize("grid, n_steps, T", [
+    (Grid(64, 2.0), 32, 0.25), (Grid(128, 2.0), 32, 0.0625),
+    pytest.param(Grid(8, 2.0, dims=2), 4, 0.25, marks=pytest.mark.
+                 filterwarnings("ignore:terminal data is marginally"))],
+    ids=["1d-64", "1d-128", "2d-8x8"])
+def test_best_response_is_the_public_chain(grid, n_steps, T):
+    # the responder runs the march adapters on arrays; the public solvers
+    # check and wrap the same legs, bit for bit
+    problem = responder_problem(grid, n_steps, T)
+    path = np.broadcast_to(problem.m0.values,
+                           (n_steps + 1,) + grid.shape).copy()
+    u, m, defect, clip, drift_sup = mfg._best_response(problem, path)
+    source, terminal = _price_path(problem.running_cost,
+                                   problem.terminal_cost, grid, path)
+    want_u = solve_hjb(problem.kernel, problem.hamiltonian,
+                       Trajectory(grid, 0.0, T, source),
+                       Field(grid, terminal), 0.0, T, n_steps)
+    drift = optimal_drift(problem.hamiltonian, want_u)
+    rho = solve_fp(problem.kernel, drift, problem.m0.density, None, 0.0, T,
+                   n_steps)
+    want_m, want_defect, want_clip = _project_slices(grid, rho.values)
+    assert np.ascontiguousarray(u).tobytes() == want_u.values.tobytes()
+    assert m.tobytes() == want_m.tobytes()
+    assert (defect, clip, drift_sup) == (
+        want_defect, want_clip, float(np.max(np.abs(drift.values))))
+
+
+def test_a_stalled_solve_steps_once_fewer_than_it_passes(kernel,
+                                                          monkeypatch):
+    # the step after the last pass is never read, so it is not taken
+    steps, anderson = [], mfg._anderson
+
+    def counted(*args):
+        steps.append(args[0])
+        return anderson(*args)
+
+    monkeypatch.setattr(mfg, "_anderson", counted)
+    sol = solve_mfg(standard_problem(kernel, policy=IterationPolicy(
+        max_iters=3, tol_d0=1e-300)))
+    assert not sol.converged and sol.iterations == 3
+    assert len(steps) == 2
 
 
 class TestAndersonStep:
@@ -563,7 +625,7 @@ class TestAndersonStep:
         far = np.broadcast_to(bump_measure(1.0).values, x0.shape)
         responses = [0.5 * x0 + 0.5 * far, 0.3 * x0 + 0.7 * far, far, far]
         seen = []
-        u = zero_trajectory(GRID, 0.0, T_END, N_STEPS)
+        u = np.zeros((N_STEPS + 1,) + GRID.shape)
 
         def fake(prob, path):
             seen.append(path)

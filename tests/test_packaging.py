@@ -23,7 +23,9 @@ place.  Only ``coupling`` tests a coupling family by type.  The record
 format of the reports is written once: ``grid._Record`` holds the only
 ``to_dict``, and every ``...Report`` class derives from it.  One function,
 ``mfg._fixed_point``, runs the Anderson-mixed loop of both coupled
-systems.
+systems, and every leg of either system runs through the march adapters
+``hjb._march_backward`` and ``fp._forward_values``, the only callers of the
+march.
 """
 
 import ast
@@ -657,14 +659,15 @@ def test_records_are_written_only_by_the_shared_base():
 LOOP_PARTS = frozenset({"_anderson", "_PathSups"})
 
 
-def fixed_point_loops(package: dict[str, ast.Module]) -> dict[str, list[str]]:
-    """For each name of ``LOOP_PARTS``, the ``module:owner`` that call it.
+def callers(package: dict[str, ast.Module], names: frozenset[str]
+            ) -> dict[str, list[str]]:
+    """For each of ``names``, the ``module:owner`` that call it.
 
     A call counts bare or as an attribute (``mfg._anderson(...)``); its
     owner is the top-level function or class it sits in, or ``line n`` for
     a module-level statement.
     """
-    found = {name: set() for name in LOOP_PARTS}
+    found = {name: set() for name in names}
     for module, tree in package.items():
         for stmt in tree.body:
             owner = getattr(stmt, "name", f"line {stmt.lineno}")
@@ -689,7 +692,7 @@ def test_loop_scan_flags_every_caller():
                        "def kind():\n"
                        "    return _PathSups\n"),
     }
-    assert fixed_point_loops(package) == {
+    assert callers(package, LOOP_PARTS) == {
         "_anderson": ["a:Loop", "a:solve"],
         "_PathSups": ["a:solve", "b:line 1"]}
 
@@ -697,5 +700,56 @@ def test_loop_scan_flags_every_caller():
 def test_one_function_runs_the_fixed_point_loop():
     package = {path.stem: ast.parse(path.read_text())
                for path in sorted(PACKAGE.glob("*.py"))}
-    assert fixed_point_loops(package) == {
+    assert callers(package, LOOP_PARTS) == {
         "_anderson": ["mfg:_fixed_point"], "_PathSups": ["mfg:_fixed_point"]}
+
+
+# one way to run a leg: only the two march adapters call the march, and the
+# coupled solvers run their legs through them, not through the checked
+# public solvers
+MARCH_ADAPTERS = ("fp:_forward_values", "hjb:_march_backward")
+PUBLIC_LEGS = frozenset({"solve_hjb", "solve_fp"})
+SOLVER_MODULES = ("mfg", "linearized")
+
+
+def leg_path_breaches(package: dict[str, ast.Module]) -> list[str]:
+    """Callers of ``_mild_march`` other than the two adapters, and
+    callers of ``solve_hjb`` or ``solve_fp`` inside ``mfg`` or
+    ``linearized``."""
+    found = callers(package, PUBLIC_LEGS | {"_mild_march"})
+    stray = [f"{owner} calls _mild_march" for owner in found["_mild_march"]
+             if owner not in MARCH_ADAPTERS]
+    return stray + [f"{owner} calls {name}" for name in sorted(PUBLIC_LEGS)
+                    for owner in found[name]
+                    if owner.split(":")[0] in SOLVER_MODULES]
+
+
+def test_leg_scan_flags_other_marches_and_public_legs():
+    package = {
+        "hjb": ast.parse("def _march_backward():\n"
+                         "    return _mild_march()\n"
+                         "def solve_hjb():\n"
+                         "    return _march_backward()\n"),
+        "fp": ast.parse("def _forward_values():\n"
+                        "    return hjb._mild_march()\n"
+                        "def solve_fp():\n"
+                        "    return _mild_march()\n"),
+        "mfg": ast.parse("def _best_response():\n"
+                         "    return solve_hjb(), fp.solve_fp()\n"),
+        "linearized": ast.parse("class Legs:\n"
+                                "    def run(self):\n"
+                                "        return hjb.solve_hjb()\n"),
+        "master": ast.parse("def free_flow():\n"
+                            "    return solve_fp()\n"),
+    }
+    assert leg_path_breaches(package) == [
+        "fp:solve_fp calls _mild_march",
+        "mfg:_best_response calls solve_fp",
+        "linearized:Legs calls solve_hjb",
+        "mfg:_best_response calls solve_hjb"]
+
+
+def test_every_leg_runs_through_the_march_adapters():
+    package = {path.stem: ast.parse(path.read_text())
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert leg_path_breaches(package) == []

@@ -154,12 +154,15 @@ class Grid:
     def nearest_index(self, point) -> tuple[int, ...]:
         """Multi-index of the node nearest ``point`` (periodically wrapped).
 
-        ``point`` has one coordinate per axis; a scalar on a 1D grid.
+        ``point`` has one coordinate per axis, each finite; a scalar on a
+        1D grid.
         """
         pt = np.atleast_1d(np.asarray(point, dtype=float))
         if pt.shape != (self.dims,):
             raise ValueError(f"point {point!r} does not have one coordinate "
                              f"per axis of a {self.dims}D grid")
+        if not np.all(np.isfinite(pt)):
+            raise ValueError(f"point {point!r} has a non-finite coordinate")
         idx = []
         for i in range(self.dims):
             j = int(np.round((pt[i] + self.half_width[i]) / self.dx[i]))

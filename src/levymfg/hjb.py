@@ -106,7 +106,6 @@ class QuadraticHamiltonian:
         if not self.weight > 0.0:
             raise ValueError("quadratic weight must be positive")
 
-    uniformly_convex = True
     monotone_rate = None
 
     @property
@@ -137,14 +136,15 @@ class GeneralHamiltonian:
     """Fully general H via callbacks (x, u, p) -> array.
 
     ``grad`` must return a d-tuple of arrays; ``hess`` (optional) an
-    (..., d, d) array of momentum curvatures; ``du`` (optional) dH/du.
+    (..., d, d) array of momentum curvatures; ``du`` (optional) dH/du.  A
+    finite ``convexity_bound`` c declares the curvature eigenvalues inside
+    [1/c, c]: ``probe_hamiltonian`` certifies it and ``linearize`` reads it.
     """
 
     h: Callable
     grad: Callable
     hess: Callable | None = None
     du: Callable | None = None
-    uniformly_convex: bool = False
     convexity_bound: float = math.inf
     monotone_rate: float | None = None
 
@@ -190,10 +190,10 @@ def probe_hamiltonian(hamiltonian, dims: int) -> HamiltonianProbeReport:
     """Check grad_p against finite differences and any declared bounds.
 
     64 probes drawn with seed 0 are uniform in [-2, 2] for each
-    coordinate, value and momentum component.  A Hamiltonian flagged
-    ``uniformly_convex`` must have curvature eigenvalues inside [1/c, c]
-    for c = convexity_bound; a declared ``monotone_rate`` gamma requires
-    u_slope >= gamma everywhere.
+    coordinate, value and momentum component.  A finite
+    ``convexity_bound`` c, the one ``linearized.linearize`` reads, requires
+    curvature eigenvalues inside [1/c, c]; a declared ``monotone_rate``
+    gamma requires u_slope >= gamma everywhere.
     """
     if dims not in (1, 2):
         raise ValueError("only d in {1, 2}")
@@ -219,14 +219,14 @@ def probe_hamiltonian(hamiltonian, dims: int) -> HamiltonianProbeReport:
     ok = max_gap <= _PROBE_GRAD_TOL
 
     eig_range = None
-    if getattr(hamiltonian, "uniformly_convex", False):
+    c1 = float(hamiltonian.convexity_bound)
+    if math.isfinite(c1):
         curv = hamiltonian.curvature(x, u, p)
         if curv is None:
             raise ValueError(
-                "uniformly_convex declared without a curvature callback")
+                "convexity_bound declared without a curvature callback")
         eigs = np.linalg.eigvalsh(np.asarray(curv, dtype=float))
         eig_range = (float(np.min(eigs)), float(np.max(eigs)))
-        c1 = float(hamiltonian.convexity_bound)
         ok = ok and (eig_range[0] >= 1.0 / c1 - _PROBE_EIG_TOL)
         ok = ok and (eig_range[1] <= c1 + _PROBE_EIG_TOL)
 
@@ -323,13 +323,6 @@ class Trajectory:
     def initial(self) -> Field:
         return self.slice_field(0)
 
-    def check_slab(self, what: str, t0: float, T: float, n_steps: int
-                   ) -> None:
-        """Raise ValueError unless the slices discretize [t0, T] in n_steps."""
-        if self.n_steps != n_steps or abs(self.t0 - t0) > 1e-12 or \
-                abs(self.T - T) > 1e-12:
-            raise ValueError(f"{what} must share the time slab")
-
     def index_of(self, t: float) -> int:
         """Nearest slice index to physical time t (must be on the slab)."""
         k = int(round((t - self.t0) / self.dt))
@@ -343,7 +336,9 @@ def _check_operand(name: str, tr: Trajectory, grid: Grid, t0: float,
     """Raise unless ``tr`` is a vector (or scalar) history on grid and slab."""
     if tr.grid != grid:
         raise GridMismatchError(f"{name} grid != kernel grid")
-    tr.check_slab(f"{name} trajectory", t0, T, n_steps)
+    if tr.n_steps != n_steps or abs(tr.t0 - t0) > 1e-12 or \
+            abs(tr.T - T) > 1e-12:
+        raise ValueError(f"{name} trajectory must share the time slab")
     if tr.is_vector != vector:
         kind, other = ("vector", "scalar") if vector else ("scalar", "vector")
         raise ValueError(f"{name} must be {kind}, not a {other} trajectory")

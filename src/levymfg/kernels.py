@@ -72,9 +72,13 @@ class KernelCache:
         self._steps: dict[tuple[float, bool], np.ndarray] = {}
 
     def multiplier(self, t: float, adjoint: bool = False) -> np.ndarray:
-        """Half-spectrum multiplier of e^{tL} (or its adjoint) at time t >= 0."""
-        if t < 0.0:
-            raise ValueError("semigroup time must be nonnegative")
+        """Half-spectrum multiplier of e^{tL} (or its adjoint) at time t >= 0.
+
+        A negative, NaN or infinite t raises ValueError.
+        """
+        if not 0.0 <= t < np.inf:
+            raise ValueError(
+                f"semigroup time must be finite and nonnegative, not {t!r}")
         key = (float(t), bool(adjoint))
         hit = self._memo.get(key)
         if hit is not None:

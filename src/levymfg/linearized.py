@@ -420,15 +420,16 @@ def duality_report(system: LinSystem, z: Trajectory, rho: Trajectory,
 def linearize(solution: MfgSolution, rho0: Field, *,
               forcing: Trajectory | None = None,
               flux_forcing: Trajectory | None = None,
-              terminal: Field | None = None,
-              running_coupling=None, terminal_coupling=None) -> LinSystem:
+              terminal: Field | None = None) -> LinSystem:
     """Assemble the linear system around a converged MFG solution.
 
     The drift is the optimal feedback of the solved value, the curvature its
-    momentum Hessian along the trajectory, and the couplings default to the
-    measure derivatives of the problem's own costs.  The ellipticity
-    constant comes from the Hamiltonian's declared convexity bound; when
-    none is declared it is inferred from the realized eigenvalue range.
+    momentum Hessian along the trajectory, and the couplings the measure
+    derivatives of the problem's own running and terminal costs.
+    ``forcing``, ``flux_forcing`` and ``terminal`` are the data b, c and
+    z_T (None means zero).  The ellipticity constant comes from the
+    Hamiltonian's convexity bound when it is finite; otherwise it is
+    inferred from the realized eigenvalue range.
     """
     if not solution.converged:
         raise ValueError("linearization requires a converged MFG solution")
@@ -449,7 +450,7 @@ def linearize(solution: MfgSolution, rho0: Field, *,
     curv = np.asarray(curv, dtype=float)
     curvature = np.ascontiguousarray(np.moveaxis(curv, (-2, -1), (1, 2)))
 
-    c = float(getattr(ham, "convexity_bound", np.inf))
+    c = float(ham.convexity_bound)
     if not np.isfinite(c):
         eigs = np.linalg.eigvalsh(curv)
         lo, hi = float(np.min(eigs)), float(np.max(eigs))
@@ -470,10 +471,8 @@ def linearize(solution: MfgSolution, rho0: Field, *,
         else Field.constant(grid, 0.0),
         rho0=rho0,
         density=solution.m,
-        running_coupling=running_coupling if running_coupling is not None
-        else problem.running_cost,
-        terminal_coupling=terminal_coupling if terminal_coupling is not None
-        else problem.terminal_cost,
+        running_coupling=problem.running_cost,
+        terminal_coupling=problem.terminal_cost,
     )
 
 
@@ -494,21 +493,18 @@ def mollified_delta(grid: Grid, y) -> Field:
     return Field(grid, vals)
 
 
-def j_field(solution: MfgSolution, couplings, y, *, damping: float = 0.5,
+def j_field(solution: MfgSolution, y, *, damping: float = 0.5,
             max_iters: int = 40, tol: float = 1e-9) -> Field:
     """Derivative of the equilibrium value at t0 in the direction delta_y.
 
-    Solves the linear system around ``solution`` with a mollified grid
-    delta at ``y`` as the initial perturbation and returns the backward
-    component at t0.  ``couplings`` is a (running, terminal) pair of
-    derivative carriers or None to reuse the solution's own costs.
+    Solves the linear system around ``solution`` (``linearize``, with the
+    solution's own costs) with a mollified grid delta at ``y`` as the
+    initial perturbation and returns the backward component at t0.
     """
-    running, terminal = (None, None) if couplings is None else couplings
     rho0 = mollified_delta(solution.problem.grid, y)
-    system = linearize(solution, rho0, running_coupling=running,
-                       terminal_coupling=terminal)
-    return _solved_initial(system, f"derivative solve at y={y}", damping,
-                           max_iters, tol)
+    return _solved_initial(linearize(solution, rho0),
+                           f"derivative solve at y={y}", damping, max_iters,
+                           tol)
 
 
 def _solved_initial(system: LinSystem, label: str, damping: float = 0.5,
@@ -568,7 +564,7 @@ def j_field_batch(solution: MfgSolution, *, damping: float = 0.5) -> JKernel:
             f"y-batch over {grid.n} nodes exceeds the "
             f"{_BATCH_NODE_CAP}-per-axis budget")
     axes = grid.meshgrid()
-    rows = [j_field(solution, None, tuple(float(ax[iy]) for ax in axes),
+    rows = [j_field(solution, tuple(float(ax[iy]) for ax in axes),
                     damping=damping).values
             for iy in np.ndindex(grid.shape)]
     out = np.stack(rows).reshape(grid.shape + grid.shape)

@@ -53,6 +53,7 @@ _TERMINAL_TIME_TOL = 1e-12
 _SLOPE_THRESHOLD = 1.2
 _DEFECT_FLOOR = 1e-13   # quotient defects below this are float noise
 _CONSTANT_KILL_TOL = 1e-12
+_TIME_PROBE_STEPS = 4  # half-width of the centred time quotient, in steps
 
 
 # --------------------------------------------------------------------------
@@ -296,13 +297,13 @@ class MasterResidualReport(_Record):
 
 
 def master_residual(scenario: Scenario, t0: float, m0: Measure,
-                    sample_points, time_probe_steps: int = 4
-                    ) -> MasterResidualReport:
+                    sample_points) -> MasterResidualReport:
     """Residual of the evolution equation in (t, x, m) at one probe point.
 
-    The time slope is a centered quotient over t0 +- time_probe_steps*dt
-    via fresh solves with the same m0 (the equation must hold off the flow,
-    so interior slices of one solve would prove too little).  The two
+    The time slope is a centered quotient over t0 +- 4 dt, dt the base
+    solve's step, via fresh solves with the same m0 (the equation must
+    hold off the flow, so interior slices of one solve would prove too
+    little); a probe that leaves [0, T) raises ValueError.  The two
     measure integrals pair the derivative kernel's probe-variable
     generator image and its probe gradient against the equilibrium drift
     with m0 under the grid quadrature; ``_measure_terms`` moves both
@@ -315,16 +316,13 @@ def master_residual(scenario: Scenario, t0: float, m0: Measure,
     grid = scenario.grid
     if m0.grid != grid:
         raise GridMismatchError("initial measure grid != scenario grid")
-    if time_probe_steps < 1:
-        raise ValueError("time probe needs at least one step")
-
     # the base solve's step, known before it runs
     dt = (scenario.T - t0) / scenario.steps_for(t0)
-    delta_t = time_probe_steps * dt
+    delta_t = _TIME_PROBE_STEPS * dt
     if t0 - delta_t < -1e-12 or not t0 + delta_t < scenario.T:
         raise ValueError(
-            f"centered time probe t0 +- {delta_t:g} leaves [0, T); shrink "
-            "time_probe_steps or move t0 inward")
+            f"centered time probe t0 +- {delta_t:g} leaves [0, T); move t0 "
+            "inward")
     # a point without one coordinate per axis is refused before any solve
     points = [tuple(float(c) for c in np.atleast_1d(
         np.asarray(point, dtype=float))) for point in sample_points]
@@ -409,8 +407,8 @@ def flow_consistency(scenario: Scenario, t0: float, m0: Measure,
 
     value_gaps = np.max(np.abs(fresh.u.values - base.u.values[k:]),
                         axis=tuple(range(1, fresh.u.values.ndim)))
-    measure_gaps = path_metric(scenario.grid, fresh.m.values,
-                               base.m.values[k:])
+    measure_gaps = path_metric(scenario.grid,
+                               base.m.values[k:] - fresh.m.values)
     value_gap = float(np.max(value_gaps))
     measure_gap = float(np.max(measure_gaps))
     gap = float(np.max(value_gaps + measure_gaps))

@@ -187,22 +187,16 @@ def _as_values(m) -> tuple[Grid, np.ndarray]:
 
 
 def _check_pair(m, m_prime) -> tuple[Grid, np.ndarray]:
-    grid_a, a = _as_values(m)
+    """The grid and weights cell_volume * (m' - m), once the masses match."""
+    grid, a = _as_values(m)
     grid_b, b = _as_values(m_prime)
-    if grid_a != grid_b:
+    if grid != grid_b:
         raise GridMismatchError("measures live on different grids")
-    return grid_a, _matched_weights(grid_a, a[None], b[None])[0]
-
-
-def _matched_weights(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Weights cell_volume * (b - a) per slice, once every mass matches."""
-    axes = tuple(range(1, a.ndim))
-    mass_gaps = np.abs(np.sum(a - b, axis=axes)) * grid.cell_volume
-    bad = mass_gaps > _MASS_MATCH_TOL
-    if np.any(bad):
-        raise ValueError(f"total masses differ by "
-                         f"{mass_gaps[np.argmax(bad)]:.3e}; metric undefined")
-    return grid.cell_volume * (b - a)
+    mass_gap = abs(float(np.sum(a - b))) * grid.cell_volume
+    if mass_gap > _MASS_MATCH_TOL:
+        raise ValueError(f"total masses differ by {mass_gap:.3e}; "
+                         "metric undefined")
+    return grid, grid.cell_volume * (b - a)
 
 
 def _objective_scale(weights: np.ndarray) -> float:
@@ -453,28 +447,25 @@ def signed_dual_norm(f: Field) -> float:
     return float(_upper_or_exact(grid, grid.cell_volume * values[None])[0][0])
 
 
-def _path_weights(grid: Grid, path, reference) -> np.ndarray:
+def _path_weights(grid: Grid, path) -> np.ndarray:
     """The metric's weights, slice by slice, as ``path_metric`` takes them."""
     path = np.asarray(path, dtype=float)
-    if path.shape[1:] != grid.shape or (
-            reference is not None and np.shape(reference) != path.shape):
+    if path.shape[1:] != grid.shape:
         raise GridMismatchError("measures live on different grids")
-    if reference is None:
-        return grid.cell_volume * path
-    return _matched_weights(grid, path, np.asarray(reference, dtype=float))
+    return grid.cell_volume * path
 
 
-def path_metric(grid: Grid, path, reference=None) -> np.ndarray:
-    """The metric slice by slice along the leading axis of ``path``.
+def path_metric(grid: Grid, path) -> np.ndarray:
+    """The dual norm slice by slice along the leading axis of ``path``.
 
-    With ``reference`` (same shape), entry k is ``d0_distance`` between
-    ``path[k]`` and ``reference[k]``, and every pair must match in mass;
-    without it, entry k is ``signed_dual_norm(path[k])``.  Values equal
-    the single-slice calls; a 1D path costs one dynamic-program call over
-    every slice.  A caller that needs only the sup over the slices records
-    the path in a ``_PathSups``, which runs the program on fewer slices.
+    Entry k is ``signed_dual_norm(path[k])``, so on the differences
+    ``b - a`` of two equal-mass paths it is the ``d0_distance`` of each
+    pair of slices, bit for bit.  Values equal the single-slice calls; a
+    1D path costs one dynamic-program call over every slice.  A caller
+    that needs only the sup over the slices records the path in a
+    ``_PathSups``, which runs the program on fewer slices.
     """
-    return _upper_or_exact(grid, _path_weights(grid, path, reference))[0]
+    return _upper_or_exact(grid, _path_weights(grid, path))[0]
 
 
 def _sup_bracket(grid: Grid, path) -> tuple[float, float, np.ndarray]:
@@ -500,7 +491,7 @@ def _sup_bracket(grid: Grid, path) -> tuple[float, float, np.ndarray]:
     entry (which raises what ``path_metric`` raises) and a 2D grid take
     the exact value at once: lo = hi and no rows.
     """
-    weights = _path_weights(grid, path, None)
+    weights = _path_weights(grid, path)
     if grid.dims != 1:
         sup = float(np.max(_upper_or_exact(grid, weights)[0]))
         return sup, sup, weights[:0]
@@ -586,7 +577,13 @@ class _PathSups:
 
 
 def mollifier_field(grid: Grid, eps: float) -> Field:
-    """Normalized compactly supported radial bump of radius eps."""
+    """Normalized compactly supported radial bump of radius eps.
+
+    A NaN or infinite radius raises ValueError, one below 2*dx
+    ResolutionError.
+    """
+    if not np.isfinite(eps):
+        raise ValueError(f"mollifier radius {eps!r} is not finite")
     if eps < 2.0 * max(grid.dx):
         raise ResolutionError(
             f"mollifier radius {eps:g} below 2*dx = {2.0 * max(grid.dx):g}"

@@ -316,7 +316,7 @@ def solve_mfg(problem: MfgProblem,
     response of the pass of smallest gap, so a solve that exhausts
     ``max_iters`` returns with ``converged=False`` rather than raising.
     The closing call makes every gap exact: ``gap_history`` is bitwise
-    ``damping * np.max(path_metric(grid, response, path))``, in one
+    ``damping * np.max(path_metric(grid, path - response))``, in one
     program call on a converged 64-node solve.
 
     The master layer (``master.py``) passes m0's free flow, the
@@ -505,7 +505,7 @@ def lipschitz_stability_probe(problem: MfgProblem,
     sol2 = _require_converged(solve_mfg(replace(problem, m0=m0_prime)),
                               "stability probe perturbed solve")
     grid = problem.grid
-    sup_d0 = float(np.max(path_metric(grid, sol1.m.values, sol2.m.values)))
+    sup_d0 = float(np.max(path_metric(grid, sol2.m.values - sol1.m.values)))
     sup_u = float(np.max(np.abs(sol1.u.values - sol2.u.values)))
     return StabilityProbeReport(
         d0_initial=base, sup_d0_gap=sup_d0, sup_u_gap=sup_u,

@@ -139,6 +139,16 @@ class TestGridConstruction:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             grid.nearest_index(point)
 
+    @pytest.mark.parametrize("grid, point", [
+        (Grid(16, 2.0), float("nan")),
+        (Grid(16, 2.0), (float("inf"),)),
+        (Grid(8, 1.0, dims=2), (0.1, float("-inf")))],
+        ids=["nan-1d", "inf-1d", "inf-2d"])
+    def test_nearest_index_refuses_non_finite_points(self, grid, point):
+        message = f"point {point!r} has a non-finite coordinate"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            grid.nearest_index(point)
+
     def test_wavenumbers_are_pi_k_over_L(self):
         g = Grid((16,), (2.0,))
         xi = g.wavenumber(0)

@@ -99,7 +99,6 @@ class TestHamiltonianProbes:
             grad=lambda x, u, p: (0.1 * p[0],),
             hess=lambda x, u, p: np.broadcast_to(
                 0.1 * np.eye(1), np.broadcast(u, *p).shape + (1, 1)),
-            uniformly_convex=True,
             convexity_bound=2.0,
         )
         rep = probe_hamiltonian(flat, dims=1)
@@ -147,10 +146,10 @@ class TestHamiltonianProbes:
     def test_declared_bounds_need_their_callbacks(self):
         square = dict(h=lambda x, u, p: p[0] ** 2,
                       grad=lambda x, u, p: (2.0 * p[0],))
-        with pytest.raises(ValueError, match="^uniformly_convex declared "
+        with pytest.raises(ValueError, match="^convexity_bound declared "
                                              "without a curvature callback$"):
             probe_hamiltonian(GeneralHamiltonian(
-                **square, uniformly_convex=True, convexity_bound=2.0), 1)
+                **square, convexity_bound=2.0), 1)
         with pytest.raises(ValueError, match="^monotone_rate declared "
                                              "without a u_slope callback$"):
             probe_hamiltonian(GeneralHamiltonian(

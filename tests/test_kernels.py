@@ -185,6 +185,19 @@ class TestSemigroupApply:
         with pytest.raises(ValueError):
             semigroup_apply(cache, -0.1, f)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t):
+        # ``t < 0`` let both through: a NaN time gave an all-NaN
+        # multiplier, an infinite one NaN at the zero mode, and apply_array
+        # returned NaN values without an error
+        cache = KernelCache(OPERATORS["frac{1.5}"], Grid(16, 2.0))
+        message = f"^semigroup time must be finite and nonnegative, not {t!r}$"
+        for call in (cache.multiplier, lambda t: cache.multiplier(t, True),
+                     lambda t: cache.apply_array(t, np.ones(16)),
+                     lambda t: kernel_field(cache, t)):
+            with pytest.raises(ValueError, match=message):
+                call(t)
+
     def test_batched_apply_matches_loop(self):
         grid = Grid(256, 10.0)
         cache = KernelCache(LevyTriplet(jumps=FractionalLaplacian(1.3)), grid)

@@ -304,10 +304,7 @@ class TestLinSystem:
         lambda sol, c: eval_dmF(c, sol.problem.m0),
         lambda sol, c: check_M1(c),
         lambda sol, c: require_smooth(c),
-        lambda sol, c: linearize(sol, mollified_delta(GRID, (0.5,)),
-                                 running_coupling=c),
-    ], ids=["eval_F", "apply_dmF", "eval_dmF", "check_M1", "require_smooth",
-            "linearize"])
+    ], ids=["eval_F", "apply_dmF", "eval_dmF", "check_M1", "require_smooth"])
     def test_object_of_no_coupling_family_has_no_action(
             self, standard_solution, call):
         with pytest.raises(TypeError,
@@ -736,7 +733,7 @@ class TestDerivativeField:
         problem = replace(standard_problem(kernel), running_cost=Zero(),
                           terminal_cost=Zero())
         solution = solve_mfg(problem)
-        j = j_field(solution, None, (0.5,))
+        j = j_field(solution, (0.5,))
         assert not np.any(j.values)
 
     def test_first_iterate_tracks_semigroup_quadrature_oracle(
@@ -785,8 +782,8 @@ class TestDerivativeField:
 
     def test_mirror_symmetric_costs_give_mirror_symmetric_derivative(
             self, standard_solution):
-        j_plus = j_field(standard_solution, None, (0.5,), damping=1.0)
-        j_minus = j_field(standard_solution, None, (-0.5,), damping=1.0)
+        j_plus = j_field(standard_solution, (0.5,), damping=1.0)
+        j_minus = j_field(standard_solution, (-0.5,), damping=1.0)
         # node reflection x -> -x on the periodic grid
         reflected = np.roll(j_minus.values[::-1], 1)
         gap = float(np.max(np.abs(j_plus.values - reflected)))
@@ -802,7 +799,7 @@ class TestDerivativeField:
     def test_stall_is_tagged_with_the_probe_point(self, request, solution, y,
                                                   message):
         with pytest.raises(InstabilityError, match=message):
-            j_field(request.getfixturevalue(solution), None, (y,),
+            j_field(request.getfixturevalue(solution), (y,),
                     max_iters=1, tol=1e-300)
 
 
@@ -822,7 +819,7 @@ class TestDerivativeKernelBatch:
         nodes = CGRID.meshgrid()[0]
         for iy in (4, 11):
             y = (float(nodes[iy]),)
-            single = j_field(coarse_solution, None, y, damping=1.0)
+            single = j_field(coarse_solution, y, damping=1.0)
             assert np.array_equal(batch.values[iy], single.values)
 
     def test_batch_leg_failure_is_the_sequential_one(self, coarse_solution):
@@ -830,10 +827,12 @@ class TestDerivativeKernelBatch:
         # at alternation 20; the leg's error carries the probe point and
         # the alternation (at x1e4 the mixed alternation stalls instead:
         # gap 5.3e-4 after 40 legs)
-        loud = (Conv(Field(CGRID, 3e5 * coarse_bump_kernel().values)),
-                Zero())
+        loud = replace(coarse_solution, problem=replace(
+            coarse_solution.problem,
+            running_cost=Conv(Field(CGRID, 3e5 * coarse_bump_kernel().values)),
+            terminal_cost=Zero()))
         with pytest.raises((DivergenceError, InstabilityError)) as single:
-            j_field(coarse_solution, loud, (-2.0,))
+            j_field(loud, (-2.0,))
         assert str(single.value).startswith(
             "derivative solve at y=(-2.0,): alternation iteration 20: ")
 
@@ -894,7 +893,7 @@ class TestDerivativeKernel2D:
         # a 2x2 lattice of probe points; a full 64-node table would spend
         # most of its time in the 2D metric programs
         ys = [(a, b) for a in (-0.5, 0.5) for b in (-1.0, 0.5)]
-        rows = np.stack([j_field(square_solution, None, y, damping=1.0).values
+        rows = np.stack([j_field(square_solution, y, damping=1.0).values
                          for y in ys])
         assert rows.shape == (4,) + SGRID.shape
         for row, y in zip(rows, ys):

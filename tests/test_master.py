@@ -205,7 +205,7 @@ class TestFreeFlowStart:
         assert float(np.max(np.abs(
             free.u.initial.values - constant.u.initial.values))) <= 4e-9
         assert float(np.max(path_metric(
-            GRID, free.m.values, constant.m.values))) <= 4e-10
+            GRID, constant.m.values - free.m.values))) <= 4e-10
         # measured gaps: 2.6e-4, 1.3e-4, 3.4e-8 against 1.2e-1, 6.0e-2,
         # 2.9e-5, 1.1e-8
         assert (free.iterations, constant.iterations) == (3, 4)
@@ -352,27 +352,28 @@ class TestFlowConsistency:
 
 
 class TestValidation:
-    def test_time_probe_needs_a_step(self, scenario, m0):
-        with pytest.raises(ValueError, match="at least one step"):
-            master_residual(scenario, 0.25, m0, SAMPLES, time_probe_steps=0)
-
-    def test_time_probe_must_stay_inside_the_horizon(self, scenario, m0):
-        # 8 steps of 0.03125 from t0 = 0.25 reach T itself
+    # the probe spans 4 base steps to either side: 0.125 below t0 = 0,
+    # 0.1 (4 steps of 0.025) past T from t0 = 0.45
+    @pytest.mark.parametrize("t0", [0.0, 0.45])
+    def test_time_probe_must_stay_inside_the_horizon(self, scenario, m0, t0):
         with pytest.raises(ValueError, match=r"leaves \[0, T\)"):
-            master_residual(scenario, 0.25, m0, SAMPLES, time_probe_steps=8)
+            master_residual(scenario, t0, m0, SAMPLES)
 
     def test_bad_time_probe_solves_nothing(self, scenario, m0,
                                            coupled_solves):
         with pytest.raises(ValueError, match=r"leaves \[0, T\)"):
-            master_residual(scenario, 0.25, m0, SAMPLES, time_probe_steps=8)
+            master_residual(scenario, 0.0, m0, SAMPLES)
         assert coupled_solves == []
 
-    def test_misshapen_sample_point_solves_nothing(self, scenario, m0,
-                                                   coupled_solves):
-        message = ("point (0.1, 5.0) does not have one coordinate per axis "
-                   "of a 1D grid")
+    @pytest.mark.parametrize("point, message", [
+        ((0.1, 5.0), "point (0.1, 5.0) does not have one coordinate per "
+                     "axis of a 1D grid"),
+        ((float("nan"),), "point (nan,) has a non-finite coordinate")],
+        ids=["misshapen", "non-finite"])
+    def test_misshapen_sample_point_solves_nothing(self, scenario, m0, point,
+                                                   message, coupled_solves):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            master_residual(scenario, 0.25, m0, SAMPLES + [(0.1, 5.0)])
+            master_residual(scenario, 0.25, m0, SAMPLES + [point])
         assert coupled_solves == []
 
     @pytest.mark.parametrize("s", [-0.1, T_END])

@@ -84,8 +84,7 @@ def state_cost_hamiltonian() -> GeneralHamiltonian:
         batch = np.broadcast(u, *p).shape
         return np.broadcast_to(2.0 * np.eye(len(p)), batch + (len(p), len(p)))
 
-    return GeneralHamiltonian(h, grad, hess=hess, uniformly_convex=True,
-                              convexity_bound=2.0)
+    return GeneralHamiltonian(h, grad, hess=hess, convexity_bound=2.0)
 
 
 def value_coupled_hamiltonian() -> GeneralHamiltonian:
@@ -474,7 +473,7 @@ def test_stop_test_runs_the_exact_program_on_few_slices(kernel, monkeypatch,
     for k, (path, response) in enumerate(pairs):
         assert path.shape[0] == N_STEPS + 1
         want = sol.problem.policy.damping * np.max(
-            path_metric(GRID, response, path))
+            path_metric(GRID, path - response))
         assert np.float64(sol.gap_history[k]).tobytes() \
             == np.float64(want).tobytes()
 

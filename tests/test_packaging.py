@@ -5,7 +5,9 @@ package-data pattern must match a shipped file, and every runtime
 dependency must be imported by some module of the package.  Every
 top-level import of a package or test module must be used by that module,
 and every defaulted parameter of a public function of the package must be
-passed by some call in the source, the tests or the benchmark harness.
+passed by some call in the source or the benchmark harness, or be named in
+``SET_BY_DESIGN`` with its reason; a call in the tests keeps no option
+alive.
 
 The public surface is what the solvers and the benchmark reach, plus the
 checks that turn a statement of the paper into a computation.  Every
@@ -189,7 +191,14 @@ def unset_parameters(tree: ast.Module, callers: list[ast.Module]
                        for call in calls.get(fn, []))]
 
 
-def test_knob_scan_flags_unpassed_defaults():
+def program_callers(root: Path) -> list[ast.Module]:
+    """Every module under ``root``'s ``src`` and ``bench``, the callers the
+    knob scan counts; the tests are not among them."""
+    return [ast.parse(path.read_text()) for base in ("src", "bench")
+            for path in sorted((root / base).rglob("*.py"))]
+
+
+def test_knob_scan_flags_unpassed_defaults(tmp_path):
     tree = ast.parse("def f(a, b=1, *, c=2): pass\n"
                      "def g(a=0, b=1): pass\n"
                      "def _h(a=0): pass\n"
@@ -197,15 +206,54 @@ def test_knob_scan_flags_unpassed_defaults():
                      "    def m(self, x=0, y=1): pass\n")
     callers = [ast.parse("f(0, c=3)\ng(*xs)\nk.m(1)\n")]
     assert unset_parameters(tree, callers) == ["f(b=)", "m(y=)"]
+    # a call in the tests passes nothing
+    for base, text in (("src/pkg", "f(0, c=3)\n"), ("bench", "k.m(1)\n"),
+                       ("tests", "f(0, 1)\ng(*xs)\nk.m(1, 2)\n")):
+        (tmp_path / base).mkdir(parents=True)
+        (tmp_path / base / "calls.py").write_text(text)
+    assert unset_parameters(tree, program_callers(tmp_path)) == [
+        "f(b=)", "g(a=)", "g(b=)", "m(y=)"]
+
+
+# Defaulted public parameters that nothing in the source or the benchmark
+# passes, each with its reason.
+SET_BY_DESIGN = (
+    "check_M2(version=)",  # the normalized (M2) convention
+    # the tightness certificate's own data
+    "tightness_report(triplet=)",
+    "tightness_report(drift_sup=)",
+    # test_linearized's signed data measure a gap of 4.0e-4, above 1e-4
+    "duality_report(tol=)",
+    # the data b, c and z_T of the paper's linear system
+    "linearize(forcing=)",
+    "linearize(flux_forcing=)",
+    "linearize(terminal=)",
+    "kernel_field(adjoint=)",  # the Fokker-Planck kernel K*_t
+    # the J solve's loop settings; they leave with the J batch (ROADMAP 9)
+    "j_field(max_iters=)",
+    "j_field(tol=)",
+    "j_field_batch(damping=)",
+)
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda path: path.name)
 def test_every_default_is_passed_somewhere(path):
-    callers = [ast.parse(p.read_text())
-               for base in (SOURCE, TESTS, BENCH) for p in base.rglob("*.py")]
-    unset = unset_parameters(ast.parse(path.read_text()), callers)
-    assert not unset, f"{path.name}: nothing passes {unset}"
+    unset = unset_parameters(ast.parse(path.read_text()),
+                             program_callers(ROOT))
+    stray = [name for name in unset if name not in SET_BY_DESIGN]
+    assert not stray, f"{path.name}: nothing in src/ or bench/ passes {stray}"
+
+
+def test_every_set_by_design_entry_is_a_live_unset_default():
+    # an entry whose parameter gained a program caller or was deleted
+    # must go
+    callers = program_callers(ROOT)
+    unset = [name for path in sorted(PACKAGE.glob("*.py"))
+             for name in unset_parameters(ast.parse(path.read_text()),
+                                          callers)]
+    stale = [name for name in SET_BY_DESIGN if name not in unset]
+    assert not stale, f"not an unset default of the package: {stale}"
 
 
 # Public functions that nothing in the source or the benchmark calls.  The

@@ -32,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, InstabilityError
-from .grid import Field, Grid, _Record, _check_integer, gradient
-from .hjb import _BLOWUP_SUP, Trajectory, _check_operand, _mild_march
+from .grid import Field, Grid, _Record, gradient
+from .hjb import (_BLOWUP_SUP, Trajectory, _check_operand, _check_slab,
+                  _mild_march)
 from .kernels import KernelCache
 from .levy import _jump_integral
 from .measures import TightnessFn
@@ -57,13 +58,11 @@ def _forward_values(kernel: KernelCache, drift: np.ndarray | None,
     drift b and the flux c have shape (n_steps+1, d, *grid), and None
     means zero for either.  Runs ``hjb._mild_march`` with the adjoint
     kernel and a drive that reads the values only (no gradient is
-    transformed) and returns the flux b rho + c, so the integrand is
-    div(b rho + c), taken spectrally by the march; with neither drift nor
-    flux the drive returns None and the march is the adjoint semigroup
-    itself.  Raises
-    InstabilityError when the running mass drifts past 1e-6, a slice
-    stops being finite, or its sup-norm passes 1e6 (all symptoms of an
-    oversized step).
+    transformed) and returns the flux b rho + c, zero with neither, so
+    the integrand is div(b rho + c), taken spectrally by the march.
+    Raises InstabilityError when the running mass drifts past 1e-6, a
+    slice stops being finite, or its sup-norm passes 1e6 (all symptoms of
+    an oversized step).
     """
     grid = kernel.grid
     vol = grid.cell_volume
@@ -86,14 +85,15 @@ def _forward_values(kernel: KernelCache, drift: np.ndarray | None,
             f"(sup {float(sups[j]):.3e}, mass drift {shift[j]:.3e}); "
             "use a smaller dt")
 
-    def drive(rho: np.ndarray, grads: tuple, k) -> np.ndarray | None:
-        """The flux b rho + c at slice k (or slice(None)), None for zero."""
-        vec = None
-        if drift is not None:
-            vec = drift[k] * rho[component]
-        if flux is not None:
-            vec = flux[k] if vec is None else vec + flux[k]
-        return vec
+    def drive(rho: np.ndarray, grads: tuple, k) -> np.ndarray:
+        """The flux b rho + c at slice k (or slice(None)), zero for neither."""
+        if drift is None:
+            if flux is None:
+                return np.zeros(rho.shape[:-grid.dims] + (grid.dims,)
+                                + grid.shape)
+            return flux[k]
+        vec = drift[k] * rho[component]
+        return vec if flux is None else vec + flux[k]
 
     return _mild_march(kernel, rho0, t0, T, n_steps, picard_sweeps, drive,
                        monitor, adjoint=True)
@@ -114,11 +114,7 @@ def solve_fp(kernel: KernelCache, drift: Trajectory | None, rho0: Field,
     grid = kernel.grid
     if rho0.grid != grid:
         raise GridMismatchError("initial data grid != kernel grid")
-    if not T > t0:
-        raise ValueError("need T > t0")
-    _check_integer("n_steps", n_steps)
-    if n_steps < 1:
-        raise ValueError("need at least one step")
+    _check_slab(t0, T, n_steps)
     for name, tr in (("drift", drift), ("source", source)):
         if tr is not None:
             _check_operand(name, tr, grid, t0, T, n_steps, vector=True)

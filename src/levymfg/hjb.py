@@ -285,12 +285,9 @@ class Trajectory:
         if v.shape[-gdims:] != self.grid.shape:
             raise GridMismatchError(
                 f"slice shape {v.shape[-gdims:]} != grid {self.grid.shape}")
-        if v.shape[0] < 2:
-            raise ValueError("a trajectory needs at least two time slices")
+        _check_slab(self.t0, self.T, v.shape[0] - 1)
         if not np.all(np.isfinite(v)):
             raise NonFiniteFieldError("trajectory contains NaN/Inf entries")
-        if not self.T > self.t0:
-            raise ValueError("need T > t0")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "t0", float(self.t0))
@@ -325,10 +322,23 @@ class Trajectory:
 
     def index_of(self, t: float) -> int:
         """Nearest slice index to physical time t (must be on the slab)."""
+        if not math.isfinite(t):
+            raise ValueError(f"time {t} is not finite")
         k = int(round((t - self.t0) / self.dt))
         if k < 0 or k > self.n_steps or abs(self.t0 + k * self.dt - t) > 1e-9:
             raise ValueError(f"time {t} is not a slice of [{self.t0}, {self.T}]")
         return k
+
+
+def _check_slab(t0: float, T: float, n_steps: int) -> None:
+    """Raise unless t0 < T are finite and ``n_steps`` is an integer >= 1."""
+    if not (math.isfinite(t0) and math.isfinite(T)):
+        raise ValueError(f"time slab [{t0}, {T}] needs finite ends")
+    if not T > t0:
+        raise ValueError(f"time slab [{t0}, {T}] needs T > t0")
+    _check_integer("n_steps", n_steps)
+    if n_steps < 1:
+        raise ValueError("need at least one time step")
 
 
 def _check_operand(name: str, tr: Trajectory, grid: Grid, t0: float,
@@ -392,8 +402,7 @@ def _nyquist_fraction(grid: Grid, spectrum: np.ndarray) -> float:
 
 def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
                 n_steps: int, picard_sweeps: int, drive: Callable,
-                check: Callable, adjoint: bool = False, *,
-                spectrum: np.ndarray | None = None) -> np.ndarray:
+                check: Callable, adjoint: bool = False) -> np.ndarray:
     """Mild march of dw/ds = L w + N(s, w) from w(0) = start.
 
     s is the marching clock and ``adjoint`` swaps L for L*.  ``start``
@@ -402,14 +411,12 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
     first) when k is ``slice(None)``, and ``adjoint`` fixes the rest:
 
     * With L, ``grads`` is the d-tuple of first partials of the values,
-      and the drive returns the source N itself, always an array.
+      and the drive returns the source N itself.
     * With L*, ``grads`` is the empty tuple, as no partial is transformed,
       and the drive returns a flux c with its vector axis right before
-      the grid axes, so N = div c, or None for N = 0 (the free flow).
+      the grid axes, so N = div c.  A free flow returns a zero flux.
 
     A drive does pointwise algebra only: the march owns every transform.
-    A caller that has taken the half spectrum of ``start`` passes it as
-    ``spectrum``; otherwise the march takes it where it reads it.
 
     On the half spectrum S_dt is the multiplier M, and the first pass is
     exponential Euler,
@@ -427,9 +434,7 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
       M and the partial multipliers, so it is the spectral step up to
       rounding, Nyquist rules and adjoint included.  ``_dense_first_pass``
       applies it, flattened to one matrix, with one BLAS matrix-vector
-      product a step and makes no transform call.  The spectrum of
-      ``start`` is taken only when the partials of slice 0 or a sweep
-      read it.
+      product a step and makes no transform call.
     * Spectral otherwise: the march carries the half spectrum of the path,
       and a step makes two calls to the grid's transform pair.  One
       inverse transform gives the slice the drive reads: of the rows
@@ -455,9 +460,7 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
     when a later sweep reads its gradient, of the values row otherwise
     (both through the grid's transform pair).  Slice 0 is then reset to
     ``start`` and its spectrum exactly.  A sweep thus makes two transform
-    calls, whatever ``n_steps`` and on either form.  When an L* drive
-    returns no flux, the first pass is the semigroup itself, exact in
-    time, and no sweep runs.
+    calls, whatever ``n_steps`` and on either form.
     ``check(values)`` vets the new slices, march indices 1 to
     ``n_steps``, time axis first: the first pass and each sweep hand
     over their finished stack in one call, so a first-pass
@@ -476,10 +479,8 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
     # component i of a flux spectrum: its vector axis sits before the grid
     components = [(Ellipsis, i) + (slice(None),) * d for i in range(d)]
 
-    def integrand(term) -> np.ndarray | None:
+    def integrand(term) -> np.ndarray:
         """Half spectrum of N: the source with L, div of the flux with L*."""
-        if term is None:
-            return None
         part = _rfft(grid, term)
         if not adjoint:
             return part
@@ -488,30 +489,23 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
             out += mults[i] * part[components[i]]
         return out
 
-    dense = grid.node_count <= _DENSE_STEP_NODES
-    # a dense first pass with no sweep never reads the start's spectrum
-    spec0 = spectrum
-    if spec0 is None and (not adjoint or picard_sweeps or not dense):
-        spec0 = _rfft(grid, start)
+    spec0 = _rfft(grid, start)
     # row 0 holds the values, rows 1..d the partials an L drive reads
     stack = np.empty((1 if adjoint else 1 + d, n_steps + 1) + start.shape)
     w, grads = stack[0], stack[1:]
     w[0] = start
     if not adjoint:
         grads[:, 0] = _irfft(grid, rows[1:] * spec0)
-    if dense:
+    if grid.node_count <= _DENSE_STEP_NODES:
         _dense_first_pass(kernel, stack, dt, drive, adjoint)
     else:
         spec = np.empty((n_steps + 1,) + spec0.shape, dtype=complex)
         spec[0] = spec0
         for k in range(n_steps):
             n_hat = integrand(drive(w[k], tuple(grads[:, k]), k))
-            if n_hat is None:
-                np.multiply(mult, spec[k], out=spec[k + 1])
-            else:
-                n_hat *= dt
-                n_hat += spec[k]
-                np.multiply(mult, n_hat, out=spec[k + 1])
+            n_hat *= dt
+            n_hat += spec[k]
+            np.multiply(mult, n_hat, out=spec[k + 1])
             if adjoint:
                 w[k + 1] = _irfft(grid, spec[k + 1])
             else:
@@ -522,8 +516,6 @@ def _mild_march(kernel: KernelCache, start: np.ndarray, t0: float, T: float,
     grads = tuple(grads)
     for sweep in range(picard_sweeps):
         n_hat = integrand(drive(w, grads, slice(None)))
-        if n_hat is None:
-            break
         n_hat *= 0.5 * dt
         spec = _sweep_spectra(mult, n_hat, spec0)
         stack = w = grads = n_hat = None  # free the old stacks first
@@ -570,8 +562,7 @@ def _dense_first_pass(kernel: KernelCache, stack: np.ndarray, dt: float,
     matrix, with one BLAS matrix-vector product.  With L it maps w + dt s
     to a buffer of the values and partials, which is copied into the
     stack.  With L* it maps the rows (w, dt c_1, ..., dt c_d) straight
-    into the values row, or, for a drive that returns no flux, its
-    semigroup block, copied contiguous once, maps w alone.
+    into the values row.
     """
     grid = kernel.grid
     size = grid.node_count
@@ -594,17 +585,11 @@ def _dense_first_pass(kernel: KernelCache, stack: np.ndarray, dt: float,
             np.dot(full, packed, out=flat)
             out[:, k + 1] = buffer
         return
-    block = None
     for k in range(stack.shape[1] - 1):
         flux = drive(w[k], (), k)
         head[...] = w[k]
-        if flux is None:
-            if block is None:
-                block = np.ascontiguousarray(op[0, :, :size])
-            np.dot(block, inputs[0], out=out[0, k + 1])
-        else:
-            np.multiply(flux.reshape(grid.dims, size), dt, out=fluxes)
-            np.dot(full, packed, out=out[0, k + 1])
+        np.multiply(flux.reshape(grid.dims, size), dt, out=fluxes)
+        np.dot(full, packed, out=out[0, k + 1])
 
 
 def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
@@ -624,8 +609,7 @@ def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
     """
     dt = (T - t0) / n_steps
     grid = kernel.grid
-    spectrum = _rfft(grid, terminal)
-    if _nyquist_fraction(grid, spectrum) > _TERMINAL_TAIL_TOL:
+    if _nyquist_fraction(grid, _rfft(grid, terminal)) > _TERMINAL_TAIL_TOL:
         warnings.warn(
             "terminal data is marginally resolved: Nyquist spectral "
             "fraction exceeds 1e-6; expect degraded accuracy", stacklevel=3)
@@ -643,7 +627,7 @@ def _march_backward(kernel: KernelCache, terminal: np.ndarray, t0: float,
             f"index {n_steps - (k - 1)} of {n_steps}")
 
     return _mild_march(kernel, terminal, t0, T, n_steps, picard_sweeps,
-                       drive, guard, spectrum=spectrum)[::-1]
+                       drive, guard)[::-1]
 
 
 def _value_drive(grid: Grid, hamiltonian, source: np.ndarray | None
@@ -679,11 +663,7 @@ def solve_hjb(kernel: KernelCache, hamiltonian, source: Trajectory | None,
     grid = kernel.grid
     if terminal.grid != grid:
         raise GridMismatchError("terminal data grid != kernel grid")
-    if not T > t0:
-        raise ValueError("need T > t0")
-    _check_integer("n_steps", n_steps)
-    if n_steps < 1:
-        raise ValueError("need at least one step")
+    _check_slab(t0, T, n_steps)
     if source is not None:
         _check_operand("source", source, grid, t0, T, n_steps, vector=False)
         source = source.values

@@ -344,8 +344,8 @@ def order_alpha(triplet: LevyTriplet) -> float:
 def symbol_eval(triplet: LevyTriplet, grid: Grid) -> np.ndarray:
     """Symbol Psi(xi) on the grid's FFT layout (complex array).
 
-    Guarantees Psi(0) = 0 and Re Psi >= -1e-12 (relative); the adjoint
-    generator's symbol is the complex conjugate.
+    Guarantees finite entries, Psi(0) = 0 and Re Psi >= -1e-12
+    (relative); the adjoint generator's symbol is the complex conjugate.
     """
     if grid.dims != triplet.dims:
         raise ValueError("grid/triplet dimension mismatch")
@@ -361,6 +361,10 @@ def symbol_eval(triplet: LevyTriplet, grid: Grid) -> np.ndarray:
                 psi += A[i, k] * xi[i] * xi[k]
     for j in triplet.jumps:
         psi = psi + j.symbol(xi)
+    bad = int(np.count_nonzero(~np.isfinite(psi)))
+    if bad:
+        raise QuadratureError(
+            f"symbol has {bad} non-finite entries of {psi.size}")
     scale = max(1.0, float(np.max(np.abs(psi))))
     origin = (0,) * grid.dims
     if abs(psi[origin]) > _SYMBOL_TOL * scale:

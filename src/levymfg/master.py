@@ -97,7 +97,7 @@ class Scenario:
 
     def steps_for(self, t0: float) -> int:
         span = self.T - t0
-        if not span > 0.0:
+        if not 0.0 < span < math.inf:
             raise ValueError(f"start time {t0!r} leaves no slab before "
                              f"T={self.T!r}")
         return max(1, int(math.ceil(span / self.dt_cap - 1e-12)))

@@ -30,8 +30,8 @@ from .coupling import _check_derivative_couplings, _price_path
 from .errors import (DivergenceError, GridMismatchError, InstabilityError,
                      NonFiniteFieldError)
 from .grid import Grid, _Record, _batch_gradient, _check_integer
-from .hjb import (_PICARD_SWEEPS, Trajectory, _check_operand, _march_backward,
-                  _value_drive)
+from .hjb import (_PICARD_SWEEPS, Trajectory, _check_operand, _check_slab,
+                  _march_backward, _value_drive)
 from .fp import _forward_values, _project_slices
 from .kernels import KernelCache
 from .measures import Measure, _PathSups, d0_distance, path_metric
@@ -96,11 +96,7 @@ class MfgProblem:
         if self.m0.grid != self.kernel.grid:
             raise GridMismatchError(
                 "initial measure lives on a different grid than the kernel")
-        if not self.T > self.t0:
-            raise ValueError("degenerate time slab: need T > t0")
-        _check_integer("n_steps", self.n_steps)
-        if self.n_steps < 1:
-            raise ValueError("need at least one time step")
+        _check_slab(self.t0, self.T, self.n_steps)
         _check_derivative_couplings(self.grid, self.running_cost,
                                     self.terminal_cost)
 

@@ -1,7 +1,8 @@
 """Reference implementations the test modules compare the package against.
 
 Closed-form metrics, the one-shot semigroup apply, toy Hamiltonians, the
-Laplacian triplet, a point mass, a uniform law on a box, the convolution of
+Laplacian triplet, a triplet whose jump density is NaN near the origin, a
+point mass, a uniform law on a box, the convolution of
 two fields and a mollified measure, a zero and a constant-in-time
 trajectory, a drift-free initial path, the master
 residual's measure terms from a full derivative-kernel table, the chain
@@ -19,7 +20,7 @@ from levymfg.fp import _project_slices, solve_fp
 from levymfg.grid import Field, _convolve_spectra, _require_finite, _rfft
 from levymfg.hjb import GeneralHamiltonian, Trajectory
 from levymfg.kernels import KernelCache
-from levymfg.levy import LevyTriplet
+from levymfg.levy import LevyTriplet, NumericDensity
 from levymfg.linearized import j_field_batch
 from levymfg.measures import (_CLAMP_TOL, Measure, TightnessFn, _check_pair,
                               mollifier_field)
@@ -29,6 +30,15 @@ from levymfg.mfg import MfgSolution, optimal_drift
 def laplacian_triplet(dims=1):
     """The Laplacian on d axes: unit diffusion, no drift, no jumps."""
     return LevyTriplet(dims=dims, diffusion=np.eye(dims))
+
+
+def nan_core_triplet() -> LevyTriplet:
+    """A jump density that is NaN for |z| < 1e-3 and finite elsewhere."""
+    def density(z):
+        z = np.asarray(z, dtype=float)
+        return np.where(np.abs(z) < 1e-3, np.nan,
+                        np.exp(-z * z) * np.abs(z) ** -2.5)
+    return LevyTriplet(jumps=NumericDensity(density, alpha_low=1.5))
 
 
 def point_mass(grid, point) -> Measure:
@@ -235,9 +245,8 @@ def stacked_dense_first_pass(kernel: KernelCache, stack: np.ndarray,
                              dt: float, drive, adjoint: bool) -> None:
     """``hjb._dense_first_pass`` as one stacked ``matmul`` a step.
 
-    Applies the step operator to the input column, or, when an L* drive
-    returns no flux, its strided semigroup block to the values alone, and
-    writes the output rows of each slice straight into ``stack``.
+    Applies the step operator to the input column and writes the output
+    rows of each slice straight into ``stack``.
     """
     grid = kernel.grid
     size = grid.node_count
@@ -250,14 +259,10 @@ def stacked_dense_first_pass(kernel: KernelCache, stack: np.ndarray,
             head = w[k] + dt * drive(w[k], tuple(grads[:, k]), k)
             np.matmul(op, head.reshape(size, 1), out=out[:, k + 1])
             continue
-        flux = drive(w[k], (), k)
-        if flux is None:
-            np.matmul(op[:, :, :size], w[k].reshape(size, 1),
-                      out=out[:, k + 1])
-        else:
-            inputs[0] = w[k].reshape(size)
-            np.multiply(flux.reshape(grid.dims, size), dt, out=inputs[1:])
-            np.matmul(op, inputs.reshape(-1, 1), out=out[:, k + 1])
+        inputs[0] = w[k].reshape(size)
+        np.multiply(drive(w[k], (), k).reshape(grid.dims, size), dt,
+                    out=inputs[1:])
+        np.matmul(op, inputs.reshape(-1, 1), out=out[:, k + 1])
 
 
 def allocating_sweep_spectra(mult: np.ndarray, n_hat: np.ndarray,

@@ -1,5 +1,6 @@
 """Backward solver tests against closed-form and log-transform oracles."""
 
+import re
 import warnings
 
 import numpy as np
@@ -225,12 +226,22 @@ class TestTrajectory:
     def test_degenerate_slab_rejected(self):
         with pytest.raises(ValueError, match="T > t0"):
             zero_trajectory(self.grid, 1.0, 1.0, 4)
+        for t0, T in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)):
+            with pytest.raises(ValueError,
+                               match=r"^time slab \[.*\] needs finite ends$"):
+                zero_trajectory(self.grid, t0, T, 2)
+        # one slice spans no step
+        with pytest.raises(ValueError, match="^need at least one time step$"):
+            Trajectory(self.grid, 0.0, 1.0, np.zeros((1, 16)))
 
     def test_index_of(self):
         tr = zero_trajectory(self.grid, 0.0, 1.0, 8)
         assert tr.index_of(0.375) == 3
         with pytest.raises(ValueError, match="not a slice"):
             tr.index_of(0.4)
+        for t in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"^time {t} is not finite$"):
+                tr.index_of(t)
 
     def test_slices_read_only(self):
         tr = zero_trajectory(self.grid, 0.0, 1.0, 2)
@@ -440,11 +451,13 @@ class TestSolveHjb:
                       0.0, 0.1, 64)
 
     @pytest.mark.parametrize("T, n_steps, message", [
-        (0.0, 64, "need T > t0"), (-0.1, 64, "need T > t0"),
-        (0.1, 0, "need at least one step")],
-        ids=["T-at-t0", "T-before-t0", "no-steps"])
+        (0.0, 64, "time slab [0.0, 0.0] needs T > t0"),
+        (-0.1, 64, "time slab [0.0, -0.1] needs T > t0"),
+        (0.1, 0, "need at least one time step"),
+        (np.inf, 64, "time slab [0.0, inf] needs finite ends")],
+        ids=["T-at-t0", "T-before-t0", "no-steps", "T-infinite"])
     def test_slab_and_step_count_rejected(self, T, n_steps, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             solve_hjb(self.cache, zero_hamiltonian(), None, self.g,
                       0.0, T, n_steps)
 
@@ -509,9 +522,8 @@ def stepped_march(kernel, start, T, n_steps, sweeps, drive, adjoint=False):
 
     The integrand N of the march ``drive`` is built in physical space:
     with L the drive's source, read from the gradient of
-    ``_batch_gradient``, and with L* the ``divergence`` of its flux, or 0
-    when it returns None.  Exponential Euler, then each
-    trapezoid sweep one slice at a time:
+    ``_batch_gradient``, and with L* the ``divergence`` of its flux.
+    Exponential Euler, then each trapezoid sweep one slice at a time:
     w[k+1] = S_dt (w[k] + dt/2 N[k]) + dt/2 N[k+1].
     """
     grid = kernel.grid
@@ -520,9 +532,7 @@ def stepped_march(kernel, start, T, n_steps, sweeps, drive, adjoint=False):
     def integrand(values, k):
         if not adjoint:
             return drive(values, _batch_gradient(grid, values), k)
-        flux = drive(values, (), k)
-        return np.zeros(values.shape) if flux is None else divergence(
-            grid, flux)
+        return divergence(grid, drive(values, (), k))
 
     w = np.empty((n_steps + 1,) + start.shape)
     w[0] = start
@@ -725,13 +735,16 @@ def dense_case_march(monkeypatch, dense, kernel, form, adjoint, start):
 
     ``form`` picks the drive of ``dense_case_drive``: "source" with L (the
     HJB shape), "flux" or "free" with L* (the FP shape, and the free flow).
+    The free flow runs the first pass alone: with a zero integrand a sweep
+    rebuilds the path spectrally on either form and would hide the step.
     """
     monkeypatch.setattr(hjb, "_DENSE_STEP_NODES",
                         1 << 62 if dense else 0)
     grid = kernel.grid
     n_steps = 8
     T = n_steps * step_budget(1.5, grid)
-    return _mild_march(kernel, start, 0.0, T, n_steps, 2,
+    sweeps = 0 if form == "free" else 2
+    return _mild_march(kernel, start, 0.0, T, n_steps, sweeps,
                        dense_case_drive(grid, form),
                        lambda values: None, adjoint)
 
@@ -739,7 +752,7 @@ def dense_case_march(monkeypatch, dense, kernel, form, adjoint, start):
 def dense_case_drive(grid, form):
     """A drive of ``form``: "source" reads the gradient and returns a
     source (an L drive), "flux" reads the values and returns a flux, and
-    "free" returns None (both L* drives)."""
+    "free" returns a zero flux (both L* drives)."""
     mesh = grid.meshgrid()
     d = grid.dims
     bump = np.cos(np.pi * mesh[0] / 2.0)
@@ -748,9 +761,8 @@ def dense_case_drive(grid, form):
     def drive(values, grads, k):
         if form == "source":
             return 0.5 * bump - sum(gi * gi for gi in grads)
-        if form == "flux":
-            return wind * np.expand_dims(values, -1 - d)
-        return None
+        flux = wind * np.expand_dims(values, -1 - d)
+        return flux if form == "flux" else np.zeros_like(flux)
 
     return drive
 
@@ -793,11 +805,10 @@ def test_dense_and_spectral_steps_agree(monkeypatch, grid, adjoint, form,
                                   "1d64-flux", "2d8x8-flux",
                                   "1d64-free", "2d8x8-free"])
 def test_dense_first_pass_matches_stacked_matmul_bitwise(case):
-    # the flattened operator and the contiguous semigroup block give the
-    # stacked matmul of each step bit for bit: a source drive reading the
-    # gradient rows (the HJB shape, with L; two partials in 2D), a flux
-    # drive (the FP shape, with L*), a 2D flux of two components, and the
-    # L* free flow
+    # the flattened operator gives the stacked matmul of each step bit for
+    # bit: a source drive reading the gradient rows (the HJB shape, with
+    # L; two partials in 2D), a flux drive (the FP shape, with L*), a 2D
+    # flux of two components, and the L* free flow's zero flux
     grid = Grid(64, 2.0) if case.startswith("1d") else Grid(8, 2.0, dims=2)
     form = case.split("-")[1]
     adjoint = form != "source"

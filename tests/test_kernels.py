@@ -19,12 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from levymfg.errors import ResolutionError
+from levymfg.errors import QuadratureError, ResolutionError
 from levymfg.grid import Field, Grid
 from levymfg.kernels import KernelCache, kernel_field, verify_K_assumption
 from levymfg.levy import (CGMY, FractionalLaplacian, LevyTriplet, RieszFeller,
                           symbol_eval)
-from oracles import laplacian_triplet, semigroup_apply
+from oracles import laplacian_triplet, nan_core_triplet, semigroup_apply
 
 INV_SQRT_PI = 0.5641895835477563  # 1/sqrt(pi), frozen
 
@@ -59,6 +59,11 @@ def cauchy_quadrature_oracle(x, t):
 
 
 class TestKernelSynthesis:
+    def test_non_finite_symbol_builds_no_cache(self):
+        with pytest.raises(QuadratureError,
+                           match="^symbol has 16 non-finite entries of 16$"):
+            KernelCache(nan_core_triplet(), Grid(16, 2.0))
+
     def test_gaussian_closed_form(self):
         grid = Grid(1024, 20.0)
         cache = KernelCache(laplacian_triplet(), grid)

@@ -21,7 +21,7 @@ from levymfg.levy import (
     order_alpha,
     symbol_eval,
 )
-from oracles import laplacian_triplet
+from oracles import laplacian_triplet, nan_core_triplet
 
 
 def lk_quadrature_oracle(density_pos, density_neg, u, tail=np.inf):
@@ -172,6 +172,13 @@ class TestCatalogSymbols:
         with pytest.raises(QuadratureError,
                            match="^symbol has negative real part: -"):
             symbol_eval(LevyTriplet(jumps=bad), Grid(32, 4.0))
+
+    def test_non_finite_symbol_rejected(self):
+        # NaN compares false, so the Psi(0) and Re Psi checks alone let
+        # this symbol through: all 16 entries are NaN
+        with pytest.raises(QuadratureError,
+                           match="^symbol has 16 non-finite entries of 16$"):
+            symbol_eval(nan_core_triplet(), Grid(16, 2.0))
 
     def test_drift_symbol(self):
         g = Grid((32,), (2.0,))

@@ -406,6 +406,17 @@ class TestValidation:
             solve_scenario(scenario, t0, m0)
         assert coupled_solves == []
 
+    @pytest.mark.parametrize("t0", [-np.inf, np.nan], ids=["minus-inf", "nan"])
+    def test_non_finite_start_solves_nothing(self, scenario, m0, t0,
+                                             coupled_solves):
+        message = re.escape(
+            f"start time {t0!r} leaves no slab before T={T_END!r}")
+        with pytest.raises(ValueError, match=message):
+            scenario.steps_for(t0)
+        with pytest.raises(ValueError, match=message):
+            solve_scenario(scenario, t0, m0)
+        assert coupled_solves == []
+
     @pytest.mark.parametrize("call, message", [
         (lambda s, m, other: solve_scenario(s, 0.0, other),
          "initial measure grid != scenario grid"),

@@ -121,6 +121,9 @@ class TestContainers:
     def test_problem_validation(self, kernel):
         with pytest.raises(ValueError, match="time slab"):
             standard_problem(kernel, T=0.0)
+        for end in ({"T": np.inf}, {"t0": -np.inf}):
+            with pytest.raises(ValueError, match="needs finite ends$"):
+                standard_problem(kernel, **end)
         with pytest.raises(ValueError, match="^need at least one time step$"):
             standard_problem(kernel, n_steps=0)
         with pytest.raises(TypeError, match=r"^n_steps must be an integer, "

@@ -27,7 +27,8 @@ format of the reports is written once: ``grid._Record`` holds the only
 ``mfg._fixed_point``, runs the Anderson-mixed loop of both coupled
 systems, and every leg of either system runs through the march adapters
 ``hjb._march_backward`` and ``fp._forward_values``, the only callers of the
-march.
+march.  The time-slab rule, finite t0 < T and at least one step, is raised
+by ``hjb._check_slab`` alone.
 """
 
 import ast
@@ -801,3 +802,56 @@ def test_every_leg_runs_through_the_march_adapters():
     package = {path.stem: ast.parse(path.read_text())
                for path in sorted(PACKAGE.glob("*.py"))}
     assert leg_path_breaches(package) == []
+
+
+# the time-slab rule is written once: every entry point calls
+# ``hjb._check_slab`` rather than raising its own T > t0 or step-count
+# message
+SLAB_MESSAGE = re.compile(r"T\s*>\s*t0|t0\s*<\s*T|at least one (time )?step")
+
+
+def slab_rule_raisers(package: dict[str, ast.Module]) -> list[str]:
+    """``module:owner`` of each raise whose message states the slab rule.
+
+    Any string constant inside a ``raise`` counts, the pieces of an
+    f-string included; the owner is the top-level function or class.
+    """
+    found = set()
+    for module, tree in package.items():
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", f"line {stmt.lineno}")
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Raise) and any(
+                        isinstance(part, ast.Constant)
+                        and isinstance(part.value, str)
+                        and SLAB_MESSAGE.search(part.value)
+                        for part in ast.walk(node)):
+                    found.add(f"{module}:{owner}")
+    return sorted(found)
+
+
+def test_slab_scan_flags_every_copy_of_the_rule():
+    package = {
+        "hjb": ast.parse("def _check_slab(t0, T, n):\n"
+                         "    if not T > t0:\n"
+                         "        raise ValueError(f'[{t0}, {T}] T > t0')\n"
+                         "    if n < 1:\n"
+                         "        raise ValueError('at least one step')\n"),
+        "fp": ast.parse("def solve_fp(t0, T):\n"
+                        "    \"\"\"Needs T > t0.\"\"\"\n"
+                        "    if not T > t0:\n"
+                        "        raise ValueError('need T > t0')\n"),
+        "mfg": ast.parse("class Problem:\n"
+                         "    def check(self):\n"
+                         "        raise ValueError('need at least one step')\n"
+                         "def other():\n"
+                         "    raise ValueError('at least one iteration')\n"),
+    }
+    assert slab_rule_raisers(package) == [
+        "fp:solve_fp", "hjb:_check_slab", "mfg:Problem"]
+
+
+def test_only_the_slab_check_raises_the_slab_rule():
+    package = {path.stem: ast.parse(path.read_text())
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert slab_rule_raisers(package) == ["hjb:_check_slab"]
